@@ -437,55 +437,46 @@ func BenchmarkE11StaleMap(b *testing.B) {
 // --- E13: batched multi-page transfers --------------------------------------
 
 // BenchmarkE13Batching measures a remote write lock/unlock cycle over a
-// multi-page region, batched pipeline versus one RPC per page, reporting
-// the wire cost as rpcs/op. The batched path should pin rpcs/op at two
-// (one PageReqBatch, one ReleaseBatch to the single home) while the
-// per-page path pays two per page. On this zero-latency network ns/op
-// reflects pure software-path cost, where batching buys nothing (the same
-// bytes move in two large frames instead of many small ones); the wire
-// round trips it eliminates dominate as soon as links have latency, which
-// is E13's table in cmd/kbench.
+// multi-page region, reporting the wire cost as rpcs/op, which should
+// stay pinned at two (one PageReqBatch, one ReleaseBatch to the single
+// home) at every page count. The per-page comparison — two RPCs per page,
+// which dominate as soon as links have latency — is E13's table in
+// cmd/kbench.
 func BenchmarkE13Batching(b *testing.B) {
 	for _, pages := range []int{16, 64, 256} {
-		for _, mode := range []string{"batched", "per-page"} {
-			b.Run(fmt.Sprintf("pages=%d/%s", pages, mode), func(b *testing.B) {
-				opts := []khazana.ClusterOption{khazana.WithStoreDir(b.TempDir())}
-				if mode == "per-page" {
-					opts = append(opts, khazana.WithPerPageTransfers())
-				}
-				c, err := khazana.NewCluster(2, opts...)
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			c, err := khazana.NewCluster(2, khazana.WithStoreDir(b.TempDir()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(c.Close)
+			size := uint64(pages) * 4096
+			start := benchRegion(b, c.Node(1), size, khazana.Attrs{})
+			benchWrite(b, c.Node(1), start, make([]byte, size))
+			ctx := context.Background()
+			cycle := func() {
+				lk, err := c.Node(2).Lock(ctx, khazana.Range{Start: start, Size: size}, khazana.LockWrite, "bench")
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.Cleanup(c.Close)
-				size := uint64(pages) * 4096
-				start := benchRegion(b, c.Node(1), size, khazana.Attrs{})
-				benchWrite(b, c.Node(1), start, make([]byte, size))
-				ctx := context.Background()
-				cycle := func() {
-					lk, err := c.Node(2).Lock(ctx, khazana.Range{Start: start, Size: size}, khazana.LockWrite, "bench")
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := lk.Write(start, []byte("cycle")); err != nil {
-						b.Fatal(err)
-					}
-					if err := lk.Unlock(ctx); err != nil {
-						b.Fatal(err)
-					}
+				if err := lk.Write(start, []byte("cycle")); err != nil {
+					b.Fatal(err)
 				}
-				// Warm node 2's descriptor cache off the clock.
+				if err := lk.Unlock(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Warm node 2's descriptor cache off the clock.
+			cycle()
+			reqs0, _ := c.Network.Stats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				cycle()
-				reqs0, _ := c.Network.Stats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cycle()
-				}
-				b.StopTimer()
-				reqs1, _ := c.Network.Stats()
-				b.ReportMetric(float64(reqs1-reqs0)/float64(b.N), "rpcs/op")
-			})
-		}
+			}
+			b.StopTimer()
+			reqs1, _ := c.Network.Stats()
+			b.ReportMetric(float64(reqs1-reqs0)/float64(b.N), "rpcs/op")
+		})
 	}
 }
 

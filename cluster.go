@@ -38,9 +38,7 @@ type clusterConfig struct {
 	retry       time.Duration
 	replica     time.Duration
 	migration   time.Duration
-	perPage     bool
 	noReadAhead bool
-	perPageRepl bool
 	noTelemetry bool
 	noRing      bool
 	tracer      func(NodeID, string)
@@ -81,27 +79,12 @@ func WithAutoMigration(interval time.Duration) ClusterOption {
 	return func(c *clusterConfig) { c.migration = interval }
 }
 
-// WithPerPageTransfers disables the batched multi-page lock/fetch and
-// release pipeline on every node, issuing one RPC per page instead.
-// Benchmarks use it to compare the two transfer paths.
-func WithPerPageTransfers() ClusterOption {
-	return func(c *clusterConfig) { c.perPage = true }
-}
-
 // WithNoReadAhead disables adaptive read-ahead grant pipelining on every
 // node: homes stop piggybacking speculative grants onto sequential
 // readers' lock batches. The prefetch benchmarks (E16) use it as the
 // baseline.
 func WithNoReadAhead() ClusterOption {
 	return func(c *clusterConfig) { c.noReadAhead = true }
-}
-
-// WithPerPageReplication disables the batched replication write-through
-// on every node, pushing one RPC per page per replica instead of one
-// batch per replica. The write-through benchmarks (E16) use it as the
-// baseline.
-func WithPerPageReplication() ClusterOption {
-	return func(c *clusterConfig) { c.perPageRepl = true }
 }
 
 // WithNoRing disables the consistent-hashing descriptor partition on
@@ -161,24 +144,22 @@ func NewCluster(count int, opts ...ClusterOption) (*Cluster, error) {
 			tracer = func(step string) { cfg.tracer(nid, step) }
 		}
 		node, err := StartNode(ctx, NodeConfig{
-			ID:                 id,
-			Transport:          tr,
-			StoreDir:           filepath.Join(cfg.dir, fmt.Sprintf("node-%d", i)),
-			MemPages:           cfg.memPages,
-			DiskPages:          cfg.diskPages,
-			ClusterManager:     1,
-			MapHome:            1,
-			Genesis:            i == 1,
-			HeartbeatInterval:  cfg.heartbeat,
-			RetryInterval:      cfg.retry,
-			ReplicaInterval:    cfg.replica,
-			MigrationInterval:  cfg.migration,
-			PerPageTransfers:   cfg.perPage,
-			NoReadAhead:        cfg.noReadAhead,
-			PerPageReplication: cfg.perPageRepl,
-			NoTelemetry:        cfg.noTelemetry,
-			NoRing:             cfg.noRing,
-			Tracer:             tracer,
+			ID:                id,
+			Transport:         tr,
+			StoreDir:          filepath.Join(cfg.dir, fmt.Sprintf("node-%d", i)),
+			MemPages:          cfg.memPages,
+			DiskPages:         cfg.diskPages,
+			ClusterManager:    1,
+			MapHome:           1,
+			Genesis:           i == 1,
+			HeartbeatInterval: cfg.heartbeat,
+			RetryInterval:     cfg.retry,
+			ReplicaInterval:   cfg.replica,
+			MigrationInterval: cfg.migration,
+			NoReadAhead:       cfg.noReadAhead,
+			NoTelemetry:       cfg.noTelemetry,
+			NoRing:            cfg.noRing,
+			Tracer:            tracer,
 		})
 		if err != nil {
 			c.Close()
@@ -206,23 +187,21 @@ func (c *Cluster) AddNode() (*Node, error) {
 		tracer = func(step string) { c.cfg.tracer(nid, step) }
 	}
 	node, err := StartNode(context.Background(), NodeConfig{
-		ID:                 id,
-		Transport:          tr,
-		StoreDir:           filepath.Join(c.dir, fmt.Sprintf("node-%d", id)),
-		MemPages:           c.cfg.memPages,
-		DiskPages:          c.cfg.diskPages,
-		ClusterManager:     1,
-		MapHome:            1,
-		HeartbeatInterval:  c.cfg.heartbeat,
-		RetryInterval:      c.cfg.retry,
-		ReplicaInterval:    c.cfg.replica,
-		MigrationInterval:  c.cfg.migration,
-		PerPageTransfers:   c.cfg.perPage,
-		NoReadAhead:        c.cfg.noReadAhead,
-		PerPageReplication: c.cfg.perPageRepl,
-		NoTelemetry:        c.cfg.noTelemetry,
-		NoRing:             c.cfg.noRing,
-		Tracer:             tracer,
+		ID:                id,
+		Transport:         tr,
+		StoreDir:          filepath.Join(c.dir, fmt.Sprintf("node-%d", id)),
+		MemPages:          c.cfg.memPages,
+		DiskPages:         c.cfg.diskPages,
+		ClusterManager:    1,
+		MapHome:           1,
+		HeartbeatInterval: c.cfg.heartbeat,
+		RetryInterval:     c.cfg.retry,
+		ReplicaInterval:   c.cfg.replica,
+		MigrationInterval: c.cfg.migration,
+		NoReadAhead:       c.cfg.noReadAhead,
+		NoTelemetry:       c.cfg.noTelemetry,
+		NoRing:            c.cfg.noRing,
+		Tracer:            tracer,
 	})
 	if err != nil {
 		return nil, err

@@ -53,7 +53,6 @@ func run(args []string) error {
 	retry := fs.Duration("retry", time.Second, "release retry interval (0 disables)")
 	replica := fs.Duration("replica", 2*time.Second, "replica maintenance interval (0 disables)")
 	debugAddr := fs.String("debug-addr", "", "HTTP debug listener (/metrics, /traces, /debug/pprof); empty disables")
-	serialTransport := fs.Bool("serial-transport", false, "use the legacy serial TCP protocol for outbound requests (mixed-version clusters)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -64,11 +63,7 @@ func run(args []string) error {
 		return fmt.Errorf("-store is required")
 	}
 
-	var topts []transport.TCPOption
-	if *serialTransport {
-		topts = append(topts, transport.WithSerialTransport())
-	}
-	tcp, err := transport.NewTCP(ktypes.NodeID(*id), *listen, topts...)
+	tcp, err := transport.NewTCP(ktypes.NodeID(*id), *listen)
 	if err != nil {
 		return err
 	}

@@ -45,9 +45,6 @@ type Host interface {
 	// ReadAhead returns the node's read-ahead planner, or nil when
 	// speculative grant pipelining is disabled.
 	ReadAhead() ReadAheadPlanner
-	// PerPageReplication disables the batched replication write-through,
-	// issuing one RPC per page per replica instead (benchmark baseline).
-	PerPageReplication() bool
 	// Dir returns the node's page directory.
 	Dir() *pagedir.Dir
 	// Locks returns the node's local lock table.
@@ -85,25 +82,19 @@ type ReadAheadPlanner interface {
 type CM interface {
 	// Protocol names the protocol this CM implements.
 	Protocol() region.Protocol
-	// Acquire obtains lock credentials and a valid-enough local copy of
-	// page, per the protocol's semantics. On success the local lock is
-	// held and must be released with Release.
-	Acquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode) error
-	// Release drops the lock; dirty reports local modifications made
-	// under a write-mode lock.
-	Release(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, dirty bool) error
-	// AcquireBatch obtains lock credentials for a set of pages (sorted
-	// ascending, all within desc) in one pipelined exchange where the
-	// protocol supports it. It returns the pages actually acquired: on
-	// success that is all of pages; on error it is the already-held
-	// subset, which the caller must release to roll back. Protocols
-	// without a native batch path fall back to per-page Acquire calls.
+	// AcquireBatch obtains lock credentials and a valid-enough local copy
+	// of a set of pages (sorted ascending, all within desc; a single page
+	// is a batch of one), per the protocol's semantics, in one pipelined
+	// exchange where the protocol supports it. It returns the pages
+	// actually acquired: on success that is pages itself; on error it is
+	// the already-held subset, which the caller must release to roll back.
 	AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error)
 	// ReleaseBatch drops the locks on a set of pages; dirty marks the
-	// pages whose local copies were modified under a write-mode lock.
-	// It returns nil when every release succeeded, else a slice aligned
-	// with pages holding the per-page error (nil entries succeeded), so
-	// the caller can queue background retries for just the failures.
+	// pages whose local copies were modified under a write-mode lock (nil
+	// means none were). It returns nil when every release succeeded, else
+	// a slice aligned with pages holding the per-page error (nil entries
+	// succeeded), so the caller can queue background retries for just the
+	// failures.
 	ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty map[gaddr.Addr]bool) []error
 	// Handle processes protocol traffic arriving from a peer CM.
 	Handle(ctx context.Context, desc *region.Descriptor, from ktypes.NodeID, m wire.Msg) (wire.Msg, error)
@@ -183,35 +174,6 @@ func (r *Registry) Protocols() []region.Protocol {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// acquireSeq is the default AcquireBatch adapter: a sequential loop over
-// the per-page Acquire, preserving the acquired-prefix contract so CMs
-// without a native batch path stay correct.
-func acquireSeq(ctx context.Context, cm CM, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
-	acquired := make([]gaddr.Addr, 0, len(pages))
-	for _, p := range pages {
-		if err := cm.Acquire(ctx, desc, p, mode); err != nil {
-			return acquired, err
-		}
-		acquired = append(acquired, p)
-	}
-	return acquired, nil
-}
-
-// releaseSeq is the default ReleaseBatch adapter: a sequential loop over
-// the per-page Release, collecting per-page errors.
-func releaseSeq(ctx context.Context, cm CM, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty map[gaddr.Addr]bool) []error {
-	var errs []error
-	for i, p := range pages {
-		if err := cm.Release(ctx, desc, p, mode, dirty[p]); err != nil {
-			if errs == nil {
-				errs = make([]error, len(pages))
-			}
-			errs[i] = err
-		}
-	}
-	return errs
 }
 
 // batchErrs fills a per-page error slice with one shared error, for batch

@@ -20,8 +20,6 @@ import (
 const (
 	// maxInvalidateFanout bounds concurrent Invalidate RPCs per grant.
 	maxInvalidateFanout = 8
-	// maxHomeFanout bounds concurrent per-home batch RPCs per acquire.
-	maxHomeFanout = 8
 	// maxReplicateFanout bounds concurrent write-through UpdateBatch RPCs
 	// per release.
 	maxReplicateFanout = 8
@@ -118,77 +116,31 @@ func (c *CrewCM) Protocol() region.Protocol { return region.CREW }
 // migration).
 func (c *CrewCM) PageBusy(page gaddr.Addr) bool { return c.glocks.Held(page) }
 
-// Acquire implements CM. Every acquisition — local or remote — funnels
+// AcquireBatch implements CM. Every acquisition — local or remote — funnels
 // through the home's global lock table, which yields CREW's invariant: any
-// number of readers or exactly one writer, cluster-wide.
-func (c *CrewCM) Acquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode) error {
-	if mode == ktypes.LockWriteShared {
-		// CREW has no write-shared notion; treat as exclusive.
-		mode = ktypes.LockWrite
-	}
-	if isHome(c.h, desc) {
-		return c.homeAcquire(ctx, desc, page, mode, c.h.Self())
-	}
-	home, err := homeOf(desc)
-	if err != nil {
-		return err
-	}
-	resp, err := c.h.Request(ctx, home, &wire.PageReq{Page: page, Mode: mode, Requester: c.h.Self()})
-	if err != nil {
-		return fmt.Errorf("consistency: crew acquire %v from %v: %w", page, home, err)
-	}
-	grant, ok := resp.(*wire.PageGrant)
-	if !ok {
-		return fmt.Errorf("consistency: crew acquire %v: unexpected reply %T", page, resp)
-	}
-	if !grant.OK {
-		return fmt.Errorf("consistency: crew acquire %v: %s", page, grant.Err)
-	}
-	if grant.Data != nil {
-		f := grant.TakeFrame()
-		err := c.h.StorePage(page, f)
-		f.Release()
-		if err != nil {
-			return fmt.Errorf("consistency: crew acquire %v: store: %w", page, err)
-		}
-	}
-	c.h.Dir().Update(page, func(e *pagedir.Entry) {
-		e.Version = grant.Version
-		e.Owner = grant.Owner
-		if mode.Writes() {
-			e.State = pagedir.Owned
-		} else if e.State != pagedir.Owned {
-			e.State = pagedir.Shared
-		}
-	})
-	return nil
-}
-
-// AcquireBatch implements CM natively: pages homed locally take the global
-// lock table page by page with no wire traffic, and remote pages are
-// grouped by home node so each home answers its whole group in a single
-// PageReqBatch round trip, with bounded-concurrency fan-out across homes.
-// On error the returned slice holds every page whose lock is held and must
-// be rolled back by the caller.
+// number of readers or exactly one writer, cluster-wide. Pages homed
+// locally take the table page by page with no wire traffic, and remote
+// pages are answered by the home in a single PageReqBatch round trip. On
+// error the returned slice holds every page whose lock is held and must be
+// rolled back by the caller.
 func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
 	if len(pages) == 0 {
 		return nil, nil
 	}
 	if mode == ktypes.LockWriteShared {
+		// CREW has no write-shared notion; treat as exclusive.
 		mode = ktypes.LockWrite
 	}
 	if isHome(c.h, desc) {
 		// Manager-local: take the global table in the caller's ascending
 		// page order, the same order every batch uses, so concurrent
 		// batches cannot deadlock.
-		acquired := make([]gaddr.Addr, 0, len(pages))
-		for _, p := range pages {
+		for i, p := range pages {
 			if err := c.homeAcquire(ctx, desc, p, mode, c.h.Self()); err != nil {
-				return acquired, err
+				return pages[:i:i], err
 			}
-			acquired = append(acquired, p)
 		}
-		return acquired, nil
+		return pages, nil
 	}
 	home, err := homeOf(desc)
 	if err != nil {
@@ -200,39 +152,21 @@ func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, page
 	var acquired []gaddr.Addr
 	demand := pages
 	if !mode.Writes() {
-		var consumed []gaddr.Addr
-		consumed, demand = c.consumeSpec(pages)
-		acquired = consumed
+		acquired, demand = c.consumeSpec(pages)
 		if len(demand) == 0 {
-			return acquired, nil
+			return pages, nil
 		}
 	} else {
 		// A write acquire over a speculated page cannot use the read
 		// copy; drop the bookkeeping so its later release stays honest.
 		c.forgetSpec(pages)
 	}
-	// One RPC per home. A region has a single primary home today, so this
-	// is normally one group; the bounded fan-out keeps multi-home
-	// placements pipelined without monopolizing the transport.
-	groups := map[ktypes.NodeID][]gaddr.Addr{home: demand}
-	nodes := make([]ktypes.NodeID, 0, len(groups))
-	for node := range groups {
-		nodes = append(nodes, node)
+	// One PageReqBatch round trip answers every page still in demand.
+	got, err := c.acquireFromHome(ctx, desc, home, demand, mode)
+	if err != nil {
+		return append(acquired, got...), err
 	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fanOut(nodes, maxHomeFanout, func(node ktypes.NodeID) {
-		got, err := c.acquireFromHome(ctx, desc, node, groups[node], mode)
-		mu.Lock()
-		acquired = append(acquired, got...)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	})
-	return acquired, firstErr
+	return pages, nil
 }
 
 // consumeSpec splits a read batch into pages satisfiable from unconsumed
@@ -281,7 +215,7 @@ func (c *CrewCM) consumeSpec(pages []gaddr.Addr) (consumed, demand []gaddr.Addr)
 }
 
 // forgetSpec drops unconsumed speculative-grant bookkeeping for pages
-// about to be acquired for writing.
+// about to be acquired for writing, or whose region is gone.
 func (c *CrewCM) forgetSpec(pages []gaddr.Addr) {
 	c.specMu.Lock()
 	defer c.specMu.Unlock()
@@ -413,7 +347,7 @@ func (c *CrewCM) installSpecGrants(spec []wire.SpecGrant) {
 }
 
 // homeAcquire is the manager-side grant path, shared by local clients and
-// the PageReq handler.
+// the PageReqBatch handler.
 func (c *CrewCM) homeAcquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, requester ktypes.NodeID) error {
 	if err := c.glocks.Acquire(ctx, page, mode); err != nil {
 		return fmt.Errorf("%w: %v", ErrConflict, err)
@@ -530,6 +464,30 @@ func (c *CrewCM) TrimPublished() int {
 	return freed
 }
 
+// ForgetPages drops what the CM retains for the pages of a freed or
+// destroyed region: their published version chains (a snapshot reader
+// keeps the frames it already pinned) and any unconsumed speculative
+// grants.
+func (c *CrewCM) ForgetPages(pages []gaddr.Addr) {
+	c.pubMu.Lock()
+	for _, p := range pages {
+		if ch, ok := c.published[p]; ok {
+			ch.Close()
+			delete(c.published, p)
+		}
+	}
+	c.pubMu.Unlock()
+	c.forgetSpec(pages)
+}
+
+// PublishedPages reports how many pages currently have a version chain
+// (diagnostics and tests).
+func (c *CrewCM) PublishedPages() int {
+	c.pubMu.Lock()
+	defer c.pubMu.Unlock()
+	return len(c.published)
+}
+
 // invalidateAll fans Invalidate RPCs out to the former sharers with a
 // bounded worker pool instead of one serial round trip per sharer. A
 // sharer that fails invalidation may still hold a stale copy, so its
@@ -554,46 +512,7 @@ func (c *CrewCM) invalidateAll(ctx context.Context, page gaddr.Addr, newOwner kt
 	})
 }
 
-// Release implements CM.
-func (c *CrewCM) Release(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, dirty bool) error {
-	if mode == ktypes.LockWriteShared {
-		mode = ktypes.LockWrite
-	}
-	if isHome(c.h, desc) {
-		err := c.homeRelease(desc, page, mode, dirty, c.h.Self(), nil)
-		if err == nil && mode.Writes() && dirty {
-			c.logReleases(ctx, desc, []gaddr.Addr{page})
-			c.replicate(ctx, desc, []gaddr.Addr{page})
-		}
-		return err
-	}
-	if len(c.releaseSpecHeld([]gaddr.Addr{page}, mode)) == 0 {
-		// The hold came from a consumed speculative grant: it is purely
-		// local, the home never issued a lock for it.
-		return nil
-	}
-	home, err := homeOf(desc)
-	if err != nil {
-		return err
-	}
-	msg := &wire.ReleaseNotify{Page: page, Mode: mode, Dirty: dirty, From: c.h.Self()}
-	if mode.Writes() && dirty {
-		// The frame stays referenced until the request (and its marshal)
-		// completes, so the view in Data never dangles.
-		f := loadOrZero(c.h, desc, page)
-		msg.Data = f.Bytes()
-		defer f.Release()
-	}
-	if _, err := c.h.Request(ctx, home, msg); err != nil {
-		return fmt.Errorf("consistency: crew release %v to %v: %w", page, home, err)
-	}
-	if mode.Writes() && dirty {
-		c.h.Dir().Update(page, func(e *pagedir.Entry) { e.Version++ })
-	}
-	return nil
-}
-
-// ReleaseBatch implements CM natively: local releases hit the global lock
+// ReleaseBatch implements CM: local releases hit the global lock
 // table directly, and remote releases for a home travel in one
 // ReleaseBatch RPC whose reply carries per-page status, so a single failed
 // write-through queues one background retry instead of sinking the batch.
@@ -851,11 +770,11 @@ func (c *CrewCM) logReleases(ctx context.Context, desc *region.Descriptor, pages
 }
 
 // replicate writes released dirty pages through to the region's secondary
-// homes: one UpdateBatch per replica covering every page of the release,
-// instead of one ReplicaPut per page per replica. Each page's frame is
-// loaded once and shared across the fan-out (every SetFrame takes its own
-// reference). Replication is best-effort — the background replica
-// maintenance loop (§3.5) re-pushes pages a secondary missed.
+// homes: one UpdateBatch per replica covering every page of the release.
+// Each page's frame is loaded once and shared across the fan-out (every
+// SetFrame takes its own reference). Replication is best-effort — the
+// background replica maintenance loop (§3.5) re-pushes pages a secondary
+// missed.
 func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr) {
 	if len(pages) == 0 || len(desc.Home) < 2 {
 		return
@@ -885,23 +804,7 @@ func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages [
 			targets = append(targets, n)
 		}
 	}
-	perPage := c.h.PerPageReplication()
 	fanOut(targets, maxReplicateFanout, func(n ktypes.NodeID) {
-		if perPage {
-			// Baseline path: one ReplicaPut RPC per page, as before the
-			// batched write-through.
-			for _, pd := range data {
-				msg := &wire.ReplicaPut{Page: pd.page, Version: pd.version, From: self}
-				msg.SetFrame(pd.f)
-				if _, err := c.h.Request(ctx, n, msg); err != nil {
-					msg.ReleaseFrames()
-					continue
-				}
-				msg.ReleaseFrames()
-				c.h.Dir().Update(pd.page, func(e *pagedir.Entry) { e.AddSharer(n) })
-			}
-			return
-		}
 		batch := &wire.UpdateBatch{From: self, Items: make([]wire.UpdateItem, len(data))}
 		for i, pd := range data {
 			batch.Items[i] = wire.UpdateItem{Page: pd.page, Version: pd.version, Origin: self}
@@ -925,37 +828,12 @@ func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages [
 // Handle implements CM.
 func (c *CrewCM) Handle(ctx context.Context, desc *region.Descriptor, from ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 	switch msg := m.(type) {
-	case *wire.PageReq:
-		return c.handlePageReq(ctx, desc, msg)
 	case *wire.PageReqBatch:
 		return c.handlePageReqBatch(ctx, desc, msg)
 	case *wire.ReleaseBatch:
 		return c.handleReleaseBatch(ctx, desc, msg)
 	case *wire.UpdateBatch:
 		return c.handleUpdateBatch(desc, from, msg)
-	case *wire.ReleaseNotify:
-		if !isHome(c.h, desc) {
-			return nil, ErrNotHome
-		}
-		// A write-through failure travels back to the releaser, whose
-		// release path queues a background retry (§3.5) so the update
-		// is not lost.
-		var f *frame.Frame
-		if msg.Data != nil {
-			f = msg.TakeFrame()
-		}
-		err := c.homeRelease(desc, msg.Page, msg.Mode, msg.Dirty, msg.From, f)
-		if f != nil {
-			f.Release()
-		}
-		if err != nil {
-			return nil, err
-		}
-		if msg.Mode.Writes() && msg.Dirty {
-			c.logReleases(ctx, desc, []gaddr.Addr{msg.Page})
-			c.replicate(ctx, desc, []gaddr.Addr{msg.Page})
-		}
-		return &wire.Ack{}, nil
 	case *wire.Invalidate:
 		c.h.DropPage(msg.Page)
 		// An unconsumed speculative grant for the page is now stale;
@@ -980,31 +858,6 @@ func (c *CrewCM) Handle(ctx context.Context, desc *region.Descriptor, from ktype
 	default:
 		return nil, fmt.Errorf("%w: crew got %T", ErrUnknownMsg, m)
 	}
-}
-
-func (c *CrewCM) handlePageReq(ctx context.Context, desc *region.Descriptor, msg *wire.PageReq) (wire.Msg, error) {
-	if !isHome(c.h, desc) {
-		// Stale descriptor at the requester (§3.2): tell it so it can
-		// fall back to a fresh lookup.
-		return &wire.PageGrant{OK: false, Err: ErrNotHome.Error()}, nil
-	}
-	mode := msg.Mode
-	if mode == ktypes.LockWriteShared {
-		mode = ktypes.LockWrite
-	}
-	if err := c.homeAcquire(ctx, desc, msg.Page, mode, msg.Requester); err != nil {
-		return &wire.PageGrant{OK: false, Err: err.Error()}, nil
-	}
-	entry, _ := c.h.Dir().Lookup(msg.Page)
-	g := &wire.PageGrant{
-		OK:      true,
-		Version: entry.Version,
-		Owner:   entry.Owner,
-	}
-	f := loadOrZero(c.h, desc, msg.Page)
-	g.SetFrame(f)
-	f.Release()
-	return g, nil
 }
 
 // handlePageReqBatch is the manager side of AcquireBatch: every page of

@@ -90,9 +90,10 @@ var _ CM = (*EventualCM)(nil)
 // Protocol implements CM.
 func (c *EventualCM) Protocol() region.Protocol { return region.Eventual }
 
-// Acquire implements CM. The only remote traffic is a one-time fetch when
-// the node has no replica at all — the fast-response property.
-func (c *EventualCM) Acquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode) error {
+// acquire takes the local lock on one page; it is the loop body of
+// AcquireBatch. The only remote traffic is a one-time fetch when the node
+// has no replica at all — the fast-response property.
+func (c *EventualCM) acquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode) error {
 	if err := c.h.Locks().Acquire(ctx, page, mode); err != nil {
 		return fmt.Errorf("%w: %v", ErrConflict, err)
 	}
@@ -210,64 +211,6 @@ func newerStamp(stamp int64, node ktypes.NodeID, e *pagedir.Entry) bool {
 	return node > e.StampNode
 }
 
-// Release implements CM.
-func (c *EventualCM) Release(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, dirty bool) error {
-	defer func() {
-		c.applyPending(ctx, desc, page)
-		c.h.Locks().Release(page, mode)
-	}()
-	if !mode.Writes() || !dirty {
-		return nil
-	}
-	stamp := c.h.Clock()
-	self := c.h.Self()
-
-	c.mu.Lock()
-	claimed, err := c.applyLocked(page, nil, stamp, self)
-	if err == nil && !claimed {
-		// A newer update won while we were writing; our bytes lose
-		// under LWW. Roll the store back to the winning contents.
-		if auth, ok := c.auth[page]; ok {
-			err = c.h.StorePage(page, auth)
-		}
-	}
-	var f *frame.Frame
-	if claimed {
-		// Pin the claimed bytes for the push; the auth entry may be
-		// replaced concurrently once the mutex drops.
-		f = c.auth[page].Retain()
-	}
-	c.mu.Unlock()
-	if err != nil || !claimed {
-		return err
-	}
-	defer f.Release()
-
-	if isHome(c.h, desc) {
-		c.h.Dir().Update(page, func(e *pagedir.Entry) { e.HomedLocal = true })
-		c.gossip(ctx, page, f, stamp, self)
-		return nil
-	}
-	home, err := homeOf(desc)
-	if err != nil {
-		return err
-	}
-	resp, err := c.h.Request(ctx, home, &wire.UpdatePush{Page: page, Data: f.Bytes(), Stamp: stamp, Origin: self})
-	if err != nil {
-		return fmt.Errorf("consistency: eventual push %v: %w", page, err)
-	}
-	// The home answers with its authoritative state; reconcile in case
-	// our push lost to a newer update.
-	if auth, ok := resp.(*wire.UpdatePush); ok && auth.Data != nil {
-		af := auth.TakeFrame()
-		c.mu.Lock()
-		_, err = c.applyLocked(page, af, auth.Stamp, auth.Origin)
-		c.mu.Unlock()
-		af.Release()
-	}
-	return err
-}
-
 // applyPending installs any update parked while the write lock was held.
 // When the home applies a parked update it still owes the copyset a
 // gossip round, or replicas that missed it would never converge.
@@ -288,7 +231,7 @@ func (c *EventualCM) applyPending(ctx context.Context, desc *region.Descriptor, 
 	}
 	c.mu.Unlock()
 	if applied && isHome(c.h, desc) {
-		c.gossip(ctx, page, upd.f, upd.stamp, upd.origin)
+		c.gossipBatch(ctx, []gossipUpdate{{page: page, f: upd.f, stamp: upd.stamp, origin: upd.origin}})
 	}
 	if ok && upd.f != nil {
 		upd.f.Release()
@@ -304,21 +247,15 @@ type gossipUpdate struct {
 	origin ktypes.NodeID
 }
 
-// gossip forwards one accepted update to every other replica site via the
-// batched fan-out.
-func (c *EventualCM) gossip(ctx context.Context, page gaddr.Addr, f *frame.Frame, stamp int64, origin ktypes.NodeID) {
-	c.gossipBatch(ctx, []gossipUpdate{{page: page, f: f, stamp: stamp, origin: origin}})
-}
-
 // gossipBatch forwards accepted updates to every other replica site: one
 // UpdateBatch RPC per destination covering all of that destination's
-// pages, instead of one UpdatePush per page per destination. Every item
-// shares its update's single refcounted frame across the whole fan-out —
-// each SetFrame takes a reference on the same frame, so a push targeting
-// several replicas never copies the page contents. Best-effort, as gossip
-// has always been: a site that misses an update converges on the next
-// accepted one (or stays a version old, which this protocol permits), but
-// each missed page counts a push failure so divergence stays observable.
+// pages. Every item shares its update's single refcounted frame across the
+// whole fan-out — each SetFrame takes a reference on the same frame, so a
+// push targeting several replicas never copies the page contents.
+// Best-effort, as gossip has always been: a site that misses an update
+// converges on the next accepted one (or stays a version old, which this
+// protocol permits), but each missed page counts a push failure so
+// divergence stays observable.
 func (c *EventualCM) gossipBatch(ctx context.Context, updates []gossipUpdate) {
 	if len(updates) == 0 {
 		return
@@ -360,19 +297,23 @@ func (c *EventualCM) gossipBatch(ctx context.Context, updates []gossipUpdate) {
 	})
 }
 
-// AcquireBatch implements CM via the sequential per-page adapter: the
-// eventual protocol serves acquires from the local replica, so batching
-// buys nothing beyond the rare initial fetches.
+// AcquireBatch implements CM page by page: the eventual protocol serves
+// acquires from the local replica, so batching buys nothing beyond the
+// rare initial fetches.
 func (c *EventualCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
-	return acquireSeq(ctx, c, desc, pages, mode)
+	for i, p := range pages {
+		if err := c.acquire(ctx, desc, p, mode); err != nil {
+			return pages[:i:i], err
+		}
+	}
+	return pages, nil
 }
 
-// ReleaseBatch implements CM natively: the batch's dirty pages claim one
-// clock stamp, and the pushes travel as one UpdateBatch per destination —
-// a single RPC to the home from a replica site, or one gossip batch per
-// copyset member at the home — instead of one UpdatePush per page. Local
-// locks always release, and parked updates apply exactly as in the
-// per-page path.
+// ReleaseBatch implements CM: the batch's dirty pages claim one clock
+// stamp, and the pushes travel as one UpdateBatch per destination — a
+// single RPC to the home from a replica site, or one gossip batch per
+// copyset member at the home. Local locks always release, and updates
+// parked while a write lock was held apply on the way out.
 func (c *EventualCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty map[gaddr.Addr]bool) []error {
 	if len(pages) == 0 {
 		return nil
@@ -561,30 +502,12 @@ func (c *EventualCM) Handle(ctx context.Context, desc *region.Descriptor, from k
 			})
 		}
 		return handlePageFetch(c.h, msg), nil
-	case *wire.UpdatePush:
-		home := isHome(c.h, desc)
-		// Take ownership of the inbound bytes up front: the transport
-		// recycles the message's buffer after this handler returns.
-		res, err := c.applyInbound(home, msg.Page, msg.TakeFrame(), msg.Stamp, msg.Origin)
-		if err != nil {
-			res.release()
-			return nil, err
-		}
-		resp := &wire.UpdatePush{Page: msg.Page, Stamp: res.stamp, Origin: res.origin}
-		if res.auth != nil {
-			resp.SetFrame(res.auth)
-		}
-		if home && res.applied {
-			c.gossip(ctx, msg.Page, res.inbound, msg.Stamp, msg.Origin)
-		}
-		res.release()
-		return resp, nil
 	case *wire.UpdateBatch:
 		// A batched push: a replica site releasing several dirty pages at
 		// once, another home's gossip round, or a background retry drain.
-		// Each item parks or applies exactly as a lone UpdatePush would,
-		// and the reply mirrors the batch with the authoritative per-page
-		// state so the pusher reconciles losses in one pass.
+		// Each item parks or applies under last-writer-wins, and the reply
+		// mirrors the batch with the authoritative per-page state so the
+		// pusher reconciles losses in one pass.
 		home := isHome(c.h, desc)
 		resp := &wire.UpdateBatch{From: c.h.Self(), Items: make([]wire.UpdateItem, len(msg.Items))}
 		var accepted []gossipUpdate

@@ -89,8 +89,6 @@ func (h *testHost) StorePageSpeculative(page gaddr.Addr, f *frame.Frame) bool {
 
 func (h *testHost) ReadAhead() ReadAheadPlanner { return h.planner }
 
-func (h *testHost) PerPageReplication() bool { return false }
-
 // Repl returns nil: the harness exercises CMs without log replication,
 // the crew_replog tests cover the append-before-ack path.
 func (h *testHost) Repl() *replog.Log { return nil }
@@ -103,17 +101,21 @@ func (h *testHost) Telemetry() *telemetry.Registry { return h.tel }
 // pageOf extracts the page address from CM traffic.
 func pageOf(m wire.Msg) (gaddr.Addr, bool) {
 	switch msg := m.(type) {
-	case *wire.PageReq:
-		return msg.Page, true
-	case *wire.ReleaseNotify:
-		return msg.Page, true
+	case *wire.PageReqBatch:
+		if len(msg.Pages) == 0 {
+			return gaddr.Addr{}, false
+		}
+		return msg.Pages[0], true
+	case *wire.ReleaseBatch:
+		if len(msg.Items) == 0 {
+			return gaddr.Addr{}, false
+		}
+		return msg.Items[0].Page, true
 	case *wire.Invalidate:
 		return msg.Page, true
 	case *wire.PageFetch:
 		return msg.Page, true
 	case *wire.VersionQuery:
-		return msg.Page, true
-	case *wire.UpdatePush:
 		return msg.Page, true
 	case *wire.UpdateBatch:
 		if len(msg.Items) == 0 {
@@ -203,11 +205,25 @@ func resident(h *testHost, page gaddr.Addr) bool {
 	return ok
 }
 
+// acquirePage takes one page's lock: a batch of one.
+func acquirePage(ctx context.Context, cm CM, d *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode) error {
+	_, err := cm.AcquireBatch(ctx, d, []gaddr.Addr{page}, mode)
+	return err
+}
+
+// releasePage drops one page's lock: a batch of one.
+func releasePage(ctx context.Context, cm CM, d *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, dirty bool) error {
+	if errs := cm.ReleaseBatch(ctx, d, []gaddr.Addr{page}, mode, map[gaddr.Addr]bool{page: dirty}); errs != nil {
+		return errs[0]
+	}
+	return nil
+}
+
 // lockWrite acquires, mutates, and releases a page under a write lock.
 func lockWrite(t *testing.T, h *testHost, d *region.Descriptor, page gaddr.Addr, mutate func(data []byte)) {
 	t.Helper()
 	ctx := context.Background()
-	if err := h.cm(d).Acquire(ctx, d, page, ktypes.LockWrite); err != nil {
+	if err := acquirePage(ctx, h.cm(d), d, page, ktypes.LockWrite); err != nil {
 		t.Fatalf("%v acquire write: %v", h.id, err)
 	}
 	data := snapshot(h, d, page)
@@ -215,7 +231,7 @@ func lockWrite(t *testing.T, h *testHost, d *region.Descriptor, page gaddr.Addr,
 	if err := storeBytes(h, page, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.cm(d).Release(ctx, d, page, ktypes.LockWrite, true); err != nil {
+	if err := releasePage(ctx, h.cm(d), d, page, ktypes.LockWrite, true); err != nil {
 		t.Fatalf("%v release write: %v", h.id, err)
 	}
 }
@@ -224,11 +240,11 @@ func lockWrite(t *testing.T, h *testHost, d *region.Descriptor, page gaddr.Addr,
 func lockRead(t *testing.T, h *testHost, d *region.Descriptor, page gaddr.Addr) []byte {
 	t.Helper()
 	ctx := context.Background()
-	if err := h.cm(d).Acquire(ctx, d, page, ktypes.LockRead); err != nil {
+	if err := acquirePage(ctx, h.cm(d), d, page, ktypes.LockRead); err != nil {
 		t.Fatalf("%v acquire read: %v", h.id, err)
 	}
 	data := snapshot(h, d, page)
-	if err := h.cm(d).Release(ctx, d, page, ktypes.LockRead, false); err != nil {
+	if err := releasePage(ctx, h.cm(d), d, page, ktypes.LockRead, false); err != nil {
 		t.Fatalf("%v release read: %v", h.id, err)
 	}
 	return data

@@ -43,7 +43,7 @@ func TestCREWSequentialCounter(t *testing.T) {
 			defer wg.Done()
 			ctx := context.Background()
 			for i := 0; i < perNode; i++ {
-				if err := h.cm(d).Acquire(ctx, d, page, ktypes.LockWrite); err != nil {
+				if err := acquirePage(ctx, h.cm(d), d, page, ktypes.LockWrite); err != nil {
 					t.Error(err)
 					return
 				}
@@ -51,7 +51,7 @@ func TestCREWSequentialCounter(t *testing.T) {
 				v := binary.LittleEndian.Uint64(data)
 				binary.LittleEndian.PutUint64(data, v+1)
 				_ = storeBytes(h, page, data)
-				if err := h.cm(d).Release(ctx, d, page, ktypes.LockWrite, true); err != nil {
+				if err := releasePage(ctx, h.cm(d), d, page, ktypes.LockWrite, true); err != nil {
 					t.Error(err)
 					return
 				}
@@ -71,7 +71,7 @@ func TestCREWWriteLockExcludesReaders(t *testing.T) {
 	page := d.Range.Start
 	ctx := context.Background()
 
-	if err := hosts[1].cm(d).Acquire(ctx, d, page, ktypes.LockWrite); err != nil {
+	if err := acquirePage(ctx, hosts[1].cm(d), d, page, ktypes.LockWrite); err != nil {
 		t.Fatal(err)
 	}
 	readDone := make(chan struct{})
@@ -84,7 +84,7 @@ func TestCREWWriteLockExcludesReaders(t *testing.T) {
 		t.Fatal("read granted while write lock held on another node")
 	case <-time.After(50 * time.Millisecond):
 	}
-	if err := hosts[1].cm(d).Release(ctx, d, page, ktypes.LockWrite, true); err != nil {
+	if err := releasePage(ctx, hosts[1].cm(d), d, page, ktypes.LockWrite, true); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -100,13 +100,13 @@ func TestCREWConcurrentReadersAllowed(t *testing.T) {
 	page := d.Range.Start
 	ctx := context.Background()
 
-	if err := hosts[1].cm(d).Acquire(ctx, d, page, ktypes.LockRead); err != nil {
+	if err := acquirePage(ctx, hosts[1].cm(d), d, page, ktypes.LockRead); err != nil {
 		t.Fatal(err)
 	}
 	// A second concurrent reader must be granted immediately.
 	done := make(chan error, 1)
 	go func() {
-		done <- hosts[2].cm(d).Acquire(ctx, d, page, ktypes.LockRead)
+		done <- acquirePage(ctx, hosts[2].cm(d), d, page, ktypes.LockRead)
 	}()
 	select {
 	case err := <-done:
@@ -116,8 +116,8 @@ func TestCREWConcurrentReadersAllowed(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("concurrent reader blocked under CREW")
 	}
-	_ = hosts[1].cm(d).Release(ctx, d, page, ktypes.LockRead, false)
-	_ = hosts[2].cm(d).Release(ctx, d, page, ktypes.LockRead, false)
+	_ = releasePage(ctx, hosts[1].cm(d), d, page, ktypes.LockRead, false)
+	_ = releasePage(ctx, hosts[2].cm(d), d, page, ktypes.LockRead, false)
 }
 
 func TestCREWInvalidationDropsStaleCopies(t *testing.T) {
@@ -161,7 +161,7 @@ func TestCREWStaleHomeRejected(t *testing.T) {
 	// must get a clean failure it can react to (paper §3.2).
 	stale := d.Clone()
 	stale.Home = []ktypes.NodeID{3}
-	err := hosts[1].cm(d).Acquire(context.Background(), stale, d.Range.Start, ktypes.LockRead)
+	err := acquirePage(context.Background(), hosts[1].cm(d), stale, d.Range.Start, ktypes.LockRead)
 	if err == nil {
 		t.Fatal("acquire against non-home should fail")
 	}
@@ -228,7 +228,7 @@ func TestReleaseConcurrentWritersLastPushWins(t *testing.T) {
 	// Both non-home nodes write under write-shared locks (no global
 	// exclusion under release consistency).
 	for _, h := range []*testHost{hosts[1], hosts[2]} {
-		if err := h.cm(d).Acquire(ctx, d, page, ktypes.LockWriteShared); err != nil {
+		if err := acquirePage(ctx, h.cm(d), d, page, ktypes.LockWriteShared); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestReleaseConcurrentWritersLastPushWins(t *testing.T) {
 		data := snapshot(h, d, page)
 		data[0] = val
 		_ = storeBytes(h, page, data)
-		if err := h.cm(d).Release(ctx, d, page, ktypes.LockWriteShared, true); err != nil {
+		if err := releasePage(ctx, h.cm(d), d, page, ktypes.LockWriteShared, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,10 +344,10 @@ func TestEventualReadsAreLocalAfterFirstFetch(t *testing.T) {
 	stale := d.Clone()
 	stale.Home = []ktypes.NodeID{99} // unreachable home
 	ctx := context.Background()
-	if err := hosts[1].cm(d).Acquire(ctx, stale, page, ktypes.LockRead); err != nil {
+	if err := acquirePage(ctx, hosts[1].cm(d), stale, page, ktypes.LockRead); err != nil {
 		t.Fatalf("local read required the home: %v", err)
 	}
-	_ = hosts[1].cm(d).Release(ctx, stale, page, ktypes.LockRead, false)
+	_ = releasePage(ctx, hosts[1].cm(d), stale, page, ktypes.LockRead, false)
 }
 
 func TestEventualConcurrentWritersConverge(t *testing.T) {
@@ -364,14 +364,14 @@ func TestEventualConcurrentWritersConverge(t *testing.T) {
 			defer wg.Done()
 			ctx := context.Background()
 			for j := 0; j < 10; j++ {
-				if err := h.cm(d).Acquire(ctx, d, page, ktypes.LockWrite); err != nil {
+				if err := acquirePage(ctx, h.cm(d), d, page, ktypes.LockWrite); err != nil {
 					t.Error(err)
 					return
 				}
 				data := snapshot(h, d, page)
 				data[0] = byte('a' + i)
 				_ = storeBytes(h, page, data)
-				if err := h.cm(d).Release(ctx, d, page, ktypes.LockWrite, true); err != nil {
+				if err := releasePage(ctx, h.cm(d), d, page, ktypes.LockWrite, true); err != nil {
 					t.Error(err)
 					return
 				}

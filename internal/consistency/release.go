@@ -33,8 +33,9 @@ var _ CM = (*ReleaseCM)(nil)
 // Protocol implements CM.
 func (c *ReleaseCM) Protocol() region.Protocol { return region.Release }
 
-// Acquire implements CM.
-func (c *ReleaseCM) Acquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode) error {
+// acquire takes the local lock on one page and validates its copy
+// against the home; it is the loop body of AcquireBatch.
+func (c *ReleaseCM) acquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode) error {
 	if err := c.h.Locks().Acquire(ctx, page, mode); err != nil {
 		return fmt.Errorf("%w: %v", ErrConflict, err)
 	}
@@ -109,37 +110,6 @@ func (c *ReleaseCM) validate(ctx context.Context, desc *region.Descriptor, page 
 	return nil
 }
 
-// Release implements CM. Dirty contents propagate to the home here — the
-// essence of release consistency.
-func (c *ReleaseCM) Release(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, dirty bool) error {
-	defer c.h.Locks().Release(page, mode)
-	if !mode.Writes() || !dirty {
-		return nil
-	}
-	if isHome(c.h, desc) {
-		c.h.Dir().Update(page, func(e *pagedir.Entry) {
-			e.Version++
-			e.HomedLocal = true
-		})
-		return nil
-	}
-	home, err := homeOf(desc)
-	if err != nil {
-		return err
-	}
-	// The frame stays alive (and its Data view valid) across the RPC.
-	f := loadOrZero(c.h, desc, page)
-	defer f.Release()
-	resp, err := c.h.Request(ctx, home, &wire.UpdatePush{Page: page, Data: f.Bytes(), Origin: c.h.Self()})
-	if err != nil {
-		return fmt.Errorf("consistency: release push %v: %w", page, err)
-	}
-	if vi, ok := resp.(*wire.VersionInfo); ok {
-		c.h.Dir().Update(page, func(e *pagedir.Entry) { e.Version = vi.Version })
-	}
-	return nil
-}
-
 // SnapshotRead implements CM: the home's store copy is committed by
 // construction (dirty data only lands there at release time), so a
 // snapshot is one lock-free batch fetch from the home — or a local read
@@ -156,16 +126,21 @@ func (c *ReleaseCM) SnapshotRead(ctx context.Context, desc *region.Descriptor, p
 	return snapshotFromHome(ctx, c.h, desc, home, pages, epoch)
 }
 
-// AcquireBatch implements CM via the sequential per-page adapter: release
-// consistency has no home-side batch grant, and its acquire path is one
-// version check per page.
+// AcquireBatch implements CM page by page: release consistency has no
+// home-side batch grant, and its acquire path is one version check per
+// page.
 func (c *ReleaseCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
-	return acquireSeq(ctx, c, desc, pages, mode)
+	for i, p := range pages {
+		if err := c.acquire(ctx, desc, p, mode); err != nil {
+			return pages[:i:i], err
+		}
+	}
+	return pages, nil
 }
 
-// ReleaseBatch implements CM natively: the batch's dirty pages travel to
-// the home in a single UpdateBatch RPC instead of one UpdatePush each,
-// with the per-item reply errors aligned so one failed store queues one
+// ReleaseBatch implements CM. Dirty contents propagate to the home here —
+// the essence of release consistency — in a single UpdateBatch RPC, with
+// the per-item reply errors aligned so one failed store queues one
 // background retry. Local locks always release.
 func (c *ReleaseCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty map[gaddr.Addr]bool) []error {
 	if len(pages) == 0 {
@@ -273,19 +248,6 @@ func (c *ReleaseCM) Handle(ctx context.Context, desc *region.Descriptor, from kt
 			})
 		}
 		return handlePageFetch(c.h, msg), nil
-	case *wire.UpdatePush:
-		if !isHome(c.h, desc) {
-			return nil, ErrNotHome
-		}
-		f := msg.TakeFrame()
-		newVersion, err := c.applyPush(msg.Page, f, from)
-		if f != nil {
-			f.Release()
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &wire.VersionInfo{Found: true, Version: newVersion}, nil
 	case *wire.SnapshotReqBatch:
 		if !isHome(c.h, desc) {
 			return nil, ErrNotHome

@@ -55,7 +55,7 @@ func TestCREWSnapshotNeverBlocksOnWriter(t *testing.T) {
 
 	// Node 2 takes the exclusive write lock and mutates its copy but does
 	// NOT release: under plain CREW every reader would now wait.
-	if err := hosts[1].cm(d).Acquire(ctx, d, page, ktypes.LockWrite); err != nil {
+	if err := acquirePage(ctx, hosts[1].cm(d), d, page, ktypes.LockWrite); err != nil {
 		t.Fatal(err)
 	}
 	dirty := snapshot(hosts[1], d, page)
@@ -77,7 +77,7 @@ func TestCREWSnapshotNeverBlocksOnWriter(t *testing.T) {
 		releaseSnaps(snaps)
 	}
 
-	if err := hosts[1].cm(d).Release(ctx, d, page, ktypes.LockWrite, true); err != nil {
+	if err := releasePage(ctx, hosts[1].cm(d), d, page, ktypes.LockWrite, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,7 +103,7 @@ func TestCREWSnapshotBypassesLockTable(t *testing.T) {
 
 	// Writer parks on the page; the manager's global lock table would
 	// refuse any reader outright.
-	if err := hosts[1].cm(d).Acquire(ctx, d, page, ktypes.LockWrite); err != nil {
+	if err := acquirePage(ctx, hosts[1].cm(d), d, page, ktypes.LockWrite); err != nil {
 		t.Fatal(err)
 	}
 	if crew.glocks.TryAcquire(page, ktypes.LockRead) {
@@ -118,7 +118,7 @@ func TestCREWSnapshotBypassesLockTable(t *testing.T) {
 		t.Errorf("global lock table shows %d readers after snapshot, want 0", n)
 	}
 
-	if err := hosts[1].cm(d).Release(ctx, d, page, ktypes.LockWrite, true); err != nil {
+	if err := releasePage(ctx, hosts[1].cm(d), d, page, ktypes.LockWrite, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -184,10 +184,9 @@ func (n *Node) PendingRetries() int {
 }
 
 // RunRetries attempts every queued release once (also callable by tests).
-// CREW retries bound for the same (home, region) pair ride one batched
-// ReleaseBatch RPC — the same pipeline the foreground release path uses —
-// instead of one round trip per page; the other protocols notify the home
-// per page.
+// Retries bound for the same (home, region) pair ride one batched RPC —
+// ReleaseBatch for CREW, UpdateBatch for the push protocols — the same
+// messages the foreground release path uses.
 func (n *Node) RunRetries() {
 	// Drain every shard first (shard locks are taken one at a time, never
 	// nested), then retry the combined queue so cross-shard operations
@@ -267,8 +266,8 @@ func (n *Node) RunRetries() {
 
 // retryPushBatch redoes the network half of failed dirty releases under
 // the release or eventual protocol: one UpdateBatch to the home covering
-// every queued page of one region (§3.5), instead of one UpdatePush per
-// page. Per-item failures requeue individually.
+// every queued page of one region (§3.5). Per-item failures requeue
+// individually.
 func (n *Node) retryPushBatch(ctx context.Context, home ktypes.NodeID, proto region.Protocol, ops []retryOp) {
 	batch := &wire.UpdateBatch{From: n.cfg.ID, Items: make([]wire.UpdateItem, 0, len(ops))}
 	// Frames stay referenced by the batch until the request (and its

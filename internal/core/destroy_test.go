@@ -1,0 +1,250 @@
+package core
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"khazana/internal/consistency"
+	"khazana/internal/gaddr"
+	"khazana/internal/ktypes"
+	"khazana/internal/region"
+	"khazana/internal/transport"
+	"khazana/internal/wire"
+)
+
+// TestUnreserveThreeRoles separates the three roles of a destroy: the
+// destroying node, the region's home and a bucket owner are all different
+// nodes. The destroyer must never resolve the region again even while the
+// owner's table still lists it (the destroy cast is asynchronous), and the
+// owner converges once that cast drains.
+func TestUnreserveThreeRoles(t *testing.T) {
+	_, nodes := testCluster(t, 3)
+	ctx := context.Background()
+	for round := 0; round < 50; round++ {
+		home := nodes[round%3]
+		start := mkRegion(t, home, 4096, region.Attrs{}, "alice")
+		desc, err := home.GetAttr(ctx, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var owner, destroyer *Node
+		for _, o := range home.Ring().RangeOwners(desc.Range) {
+			if o != home.ID() {
+				owner = nodes[o-1]
+			}
+		}
+		for _, n := range nodes {
+			if n != home && n != owner {
+				destroyer = n
+			}
+		}
+		if owner == nil || destroyer == nil {
+			t.Fatalf("round %d: no owner besides the home among %v", round, home.Ring().RangeOwners(desc.Range))
+		}
+		// Let the owner's table learn the region, so the destroy has
+		// something to race against.
+		home.RingSettle()
+		if _, ok := owner.RingTable().Lookup(start); !ok {
+			t.Fatalf("round %d: owner %v never learned the region", round, owner.ID())
+		}
+		if _, err := destroyer.GetAttr(ctx, start); err != nil {
+			t.Fatal(err)
+		}
+		if err := destroyer.Unreserve(ctx, start, "alice"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := destroyer.GetAttr(ctx, start); err == nil {
+			t.Fatalf("round %d: destroyer %v still resolves the region", round, destroyer.ID())
+		}
+		home.RingSettle()
+		if _, ok := owner.RingTable().Lookup(start); ok {
+			t.Fatalf("round %d: owner %v still lists the region after the destroy cast drained", round, owner.ID())
+		}
+		if _, err := owner.GetAttr(ctx, start); err == nil {
+			t.Fatalf("round %d: owner %v still resolves the region", round, owner.ID())
+		}
+	}
+}
+
+// TestStaleDescriptorForgottenOnUse: a node still caching a destroyed
+// region's descriptor pays one trip to the old home, whose definite
+// no-such-region answer makes it drop its directory and ring-table
+// entries.
+func TestStaleDescriptorForgottenOnUse(t *testing.T) {
+	_, nodes := testCluster(t, 3)
+	ctx := context.Background()
+	start := mkRegion(t, nodes[1], 4096, region.Attrs{}, "alice")
+	stale, err := nodes[2].GetAttr(ctx, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[1].Unreserve(ctx, start, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	nodes[1].RingSettle()
+	// Re-teach node 3 the stale copy, as a cache that missed the destroy.
+	nodes[2].RegionDir().Insert(stale)
+	if _, err := nodes[2].Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockRead, "alice"); err == nil {
+		t.Fatal("lock on a destroyed region succeeded")
+	}
+	if _, ok := nodes[2].RegionDir().Lookup(start); ok {
+		t.Fatal("stale directory entry survived the home's no-such-region answer")
+	}
+	if !nodes[2].RingTable().Destroyed(start) {
+		t.Fatal("requester did not tombstone the destroyed region")
+	}
+	nodes[2].RegionDir().Insert(stale)
+	if err := nodes[2].SetAttr(ctx, start, stale.Attrs, "alice"); err == nil {
+		t.Fatal("SetAttr on a destroyed region succeeded")
+	}
+	if _, ok := nodes[2].RegionDir().Lookup(start); ok {
+		t.Fatal("stale directory entry survived a forwarded op's no-such-region answer")
+	}
+}
+
+// TestDestroyFreesPerRegionState: create/destroy cycles must leave every
+// table keyed by region or page at the home where it started — the replog
+// instance, the read-ahead planner's streams, CREW's version chains, the
+// page directory and the store.
+func TestDestroyFreesPerRegionState(t *testing.T) {
+	_, nodes := testCluster(t, 3)
+	ctx := context.Background()
+	home := nodes[0]
+	crew := home.cms[region.CREW].(*consistency.CrewCM)
+	type sizes struct{ repl, streams, chains, dir, mem, auth int }
+	measure := func() sizes {
+		home.prefetch.mu.Lock()
+		defer home.prefetch.mu.Unlock()
+		return sizes{
+			repl:    home.repl.Regions(),
+			streams: len(home.prefetch.streams),
+			chains:  crew.PublishedPages(),
+			dir:     home.dir.Len(),
+			mem:     home.store.Mem().Len(),
+			auth:    len(home.authStarts()),
+		}
+	}
+	cycle := func(replicas uint8) {
+		start := mkRegion(t, home, 2*4096, region.Attrs{MinReplicas: replicas}, "alice")
+		if replicas > 1 {
+			home.MaintainReplicas()
+		}
+		// A write at the home publishes version chains (and, replicated,
+		// appends to the region's log).
+		lc, err := home.Lock(ctx, gaddr.Range{Start: start, Size: 2 * 4096}, ktypes.LockWrite, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := home.Write(lc, start, make([]byte, 2*4096)); err != nil {
+			t.Fatal(err)
+		}
+		if err := home.Unlock(ctx, lc); err != nil {
+			t.Fatal(err)
+		}
+		// A remote page-by-page reader opens a read-ahead stream.
+		for p := uint64(0); p < 2; p++ {
+			rlc, err := nodes[2].Lock(ctx, gaddr.Range{Start: start.MustAdd(p * 4096), Size: 4096}, ktypes.LockRead, "alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nodes[2].Unlock(ctx, rlc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := home.Unreserve(ctx, start, "alice"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One warm-up pair so one-time allocations (map pages, chunk) are in
+	// the baseline.
+	cycle(1)
+	cycle(3)
+	before := measure()
+	mid := sizes{}
+	for i := 0; i < 20; i++ {
+		start := mkRegion(t, home, 4096, region.Attrs{MinReplicas: 3}, "alice")
+		home.MaintainReplicas()
+		lc, err := home.Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockWrite, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := home.Write(lc, start, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := home.Unlock(ctx, lc); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			mid = measure()
+		}
+		if err := home.Unreserve(ctx, start, "alice"); err != nil {
+			t.Fatal(err)
+		}
+		cycle(1)
+	}
+	if mid.repl <= before.repl || mid.chains <= before.chains {
+		t.Fatalf("cycle does not exercise the tables under test: live %+v vs baseline %+v", mid, before)
+	}
+	if after := measure(); after != before {
+		t.Fatalf("per-region state left behind after 20 create/destroy cycles:\n before %+v\n after  %+v", before, after)
+	}
+}
+
+// kindCounter counts outbound requests by wire kind.
+type kindCounter struct {
+	transport.Transport
+	mu    sync.Mutex
+	kinds map[wire.Kind]int
+}
+
+func (k *kindCounter) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
+	k.mu.Lock()
+	k.kinds[m.Kind()]++
+	k.mu.Unlock()
+	return k.Transport.Request(ctx, to, m)
+}
+
+// TestSinglePageLockIsBatchOfOne pins the wire cost of the only transfer
+// path at its smallest: a remote single-page Lock+Unlock is exactly one
+// PageReqBatch and one ReleaseBatch, nothing else.
+func TestSinglePageLockIsBatchOfOne(t *testing.T) {
+	counter := &kindCounter{kinds: make(map[wire.Kind]int)}
+	_, nodes := testCluster(t, 2, func(i int, cfg *Config) {
+		if i == 1 {
+			counter.Transport = cfg.Transport
+			cfg.Transport = counter
+		}
+	})
+	ctx := context.Background()
+	start := mkRegion(t, nodes[0], 4*4096, region.Attrs{}, "alice")
+	rng := gaddr.Range{Start: start.MustAdd(4096), Size: 4096}
+	cycle := func(mode ktypes.LockMode) {
+		lc, err := nodes[1].Lock(ctx, rng, mode, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode.Writes() {
+			if err := nodes[1].Write(lc, rng.Start, []byte("one page")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := nodes[1].Unlock(ctx, lc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(ktypes.LockRead) // warm the descriptor cache off the count
+	for _, mode := range []ktypes.LockMode{ktypes.LockWrite, ktypes.LockRead} {
+		counter.mu.Lock()
+		counter.kinds = make(map[wire.Kind]int)
+		counter.mu.Unlock()
+		cycle(mode)
+		counter.mu.Lock()
+		got := counter.kinds
+		counter.mu.Unlock()
+		if len(got) != 2 || got[wire.KindPageReqBatch] != 1 || got[wire.KindReleaseBatch] != 1 {
+			t.Fatalf("mode %v: single-page remote lock cycle sent %v, want one PageReqBatch (%d) and one ReleaseBatch (%d)",
+				mode, got, wire.KindPageReqBatch, wire.KindReleaseBatch)
+		}
+	}
+}

@@ -28,8 +28,8 @@ func TestDirtyPageEvictionPushesHome(t *testing.T) {
 		}
 	})
 	ctx := context.Background()
-	// Release protocol: the home accepts UpdatePush, which is what the
-	// eviction path sends.
+	// Release protocol: the home applies a pushed UpdateBatch, which is
+	// what the eviction path sends.
 	attrs := region.Attrs{Protocol: region.Release}
 	start := mkRegion(t, nodes[0], 4096, attrs, "")
 

@@ -29,17 +29,11 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 		return &wire.Pong{From: n.cfg.ID, EchoUnixNano: msg.SentUnixNano}, nil
 
 	// --- consistency traffic ------------------------------------------
-	case *wire.PageReq:
-		return n.handleCM(ctx, from, msg.Page, m)
-	case *wire.ReleaseNotify:
-		return n.handleCM(ctx, from, msg.Page, m)
 	case *wire.Invalidate:
 		return n.handleCM(ctx, from, msg.Page, m)
 	case *wire.PageFetch:
 		return n.handleCM(ctx, from, msg.Page, m)
 	case *wire.VersionQuery:
-		return n.handleCM(ctx, from, msg.Page, m)
-	case *wire.UpdatePush:
 		return n.handleCM(ctx, from, msg.Page, m)
 	case *wire.PageReqBatch:
 		if len(msg.Pages) == 0 {

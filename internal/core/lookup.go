@@ -61,7 +61,15 @@ func (n *Node) lookupCold(ctx context.Context, addr gaddr.Addr) (*region.Descrip
 			ch = make(chan struct{})
 			n.flights[key] = ch
 			n.flightMu.Unlock()
-			d, err := n.coldFlight(ctx, addr)
+			// A flight may have landed between the caller's directory
+			// miss and this registration; only a second miss flies.
+			d, ok := n.rdir.Lookup(addr)
+			var err error
+			if ok {
+				n.stats.DirHits.Add(1)
+			} else {
+				d, err = n.coldFlight(ctx, addr)
+			}
 			n.flightMu.Lock()
 			delete(n.flights, key)
 			n.flightMu.Unlock()
@@ -102,7 +110,7 @@ func (n *Node) coldFlight(ctx context.Context, addr gaddr.Addr) (*region.Descrip
 	}
 	// Legacy stage 2: cluster manager hint / cluster walk.
 	stageStart := time.Now()
-	if d := n.lookupViaCluster(ctx, addr); d != nil {
+	if d := n.lookupViaCluster(ctx, addr); d != nil && !n.ringTable.Destroyed(d.Range.Start) {
 		n.stats.ClusterHits.Add(1)
 		n.mStageCluster.ObserveSince(stageStart)
 		n.rdir.Insert(d)
@@ -115,7 +123,7 @@ func (n *Node) coldFlight(ctx context.Context, addr gaddr.Addr) (*region.Descrip
 	stageStart = time.Now()
 	entry, _, err := n.amap.Lookup(ctx, addr)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInaccessible, err)
+		return nil, fmt.Errorf("%w: %w", ErrInaccessible, err)
 	}
 	d, err := n.fetchDescriptor(ctx, entry.Homes, entry.Range.Start)
 	if err != nil {

@@ -77,27 +77,12 @@ type Config struct {
 	MigrationInterval time.Duration
 	// Migration tunes the policy; the zero value selects defaults.
 	Migration MigrationPolicy
-	// PerPageTransfers disables the batched multi-page lock/fetch and
-	// release pipeline, falling back to one RPC per page. It exists for
-	// benchmarks comparing the two paths (E13) and as an escape hatch;
-	// the default (false) batches.
-	PerPageTransfers bool
 	// NoReadAhead disables adaptive read-ahead grant pipelining: the
 	// node stops speculating when homing regions and ignores
 	// speculative grants piggybacked by other homes. It exists for
 	// benchmarks comparing the two paths (E16) and as an escape hatch;
 	// the default (false) speculates.
 	NoReadAhead bool
-	// PerPageReplication disables the batched replication write-through,
-	// pushing one RPC per page per replica instead of one UpdateBatch
-	// per replica (the E16 baseline).
-	PerPageReplication bool
-	// CoarseNodeState funnels all lock-context and retry-queue state
-	// through a single shard, restoring the pre-sharding coarse-mutex
-	// behavior. It exists for benchmarks comparing the two (E18) and as
-	// an escape hatch; the default (false) spreads the state over
-	// stateShards shards.
-	CoarseNodeState bool
 	// NoRing disables the consistent-hashing descriptor partition: cold
 	// lookups skip the one-hop ring stage and descriptors are not
 	// announced to ring owners, restoring the legacy cluster-hint /
@@ -160,7 +145,7 @@ type Node struct {
 
 	// lockShards hold the active lock contexts, spread by lock ID so
 	// concurrent clients touching different contexts never contend on
-	// one mutex (shardMask selects the shard).
+	// one mutex.
 	lockShards [stateShards]lockShard
 	nextLID    atomic.Uint64
 
@@ -171,10 +156,6 @@ type Node struct {
 	// retryShards hold the queue of failed release-side operations
 	// (§3.5), spread by page-address hash.
 	retryShards [stateShards]retryShard
-
-	// shardMask selects a shard from a key hash: stateShards-1 normally,
-	// 0 when Config.CoarseNodeState collapses everything onto shard 0.
-	shardMask uint64
 
 	// access tracks per-region consistency traffic for the migration
 	// policy.
@@ -281,6 +262,9 @@ type retryOp struct {
 // per node.
 const stateShards = 16
 
+// shardMask selects a shard from a key hash.
+const shardMask = stateShards - 1
+
 // lockShard is one shard of the active lock-context table.
 type lockShard struct {
 	mu  sync.Mutex
@@ -297,7 +281,7 @@ type retryShard struct {
 // sequential (nextLID), so consecutive lock acquisitions spread evenly
 // across shards.
 func (n *Node) lockShardFor(id uint64) *lockShard {
-	return &n.lockShards[id&n.shardMask]
+	return &n.lockShards[id&shardMask]
 }
 
 // retryShardFor selects the retry shard for a page address. The
@@ -305,7 +289,7 @@ func (n *Node) lockShardFor(id uint64) *lockShard {
 // share high bits — still spread across shards.
 func (n *Node) retryShardFor(page gaddr.Addr) *retryShard {
 	h := (page.Lo ^ page.Hi) * 0x9e3779b97f4a7c15
-	return &n.retryShards[(h>>32)&n.shardMask]
+	return &n.retryShards[(h>>32)&shardMask]
 }
 
 // LockContext is the token returned by Lock and presented on read and
@@ -398,10 +382,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.ringTable = ring.NewTable()
 	n.flights = make(map[gaddr.Addr]chan struct{})
-	n.shardMask = stateShards - 1
-	if cfg.CoarseNodeState {
-		n.shardMask = 0
-	}
 	for i := range n.lockShards {
 		n.lockShards[i].ctx = make(map[uint64]*LockContext)
 	}
@@ -677,10 +657,20 @@ func (n *Node) onDiskEvict(page gaddr.Addr, f *frame.Frame) error {
 	if home == n.cfg.ID {
 		return fmt.Errorf("core: refusing to evict dirty home page %v", page)
 	}
-	_, err = n.tr.Request(context.Background(), home,
-		&wire.UpdatePush{Page: page, Data: f.Bytes(), Stamp: n.now(), Origin: n.cfg.ID})
+	if desc.Attrs.Protocol == region.CREW {
+		// CREW delivers dirty contents only with the release that frees
+		// the writer's lock at the home; the queued retry needs this copy.
+		return fmt.Errorf("core: refusing to evict dirty CREW page %v with its release pending", page)
+	}
+	batch := &wire.UpdateBatch{From: n.cfg.ID, Items: []wire.UpdateItem{{Page: page, Stamp: n.now(), Origin: n.cfg.ID}}}
+	batch.Items[0].SetFrame(f)
+	resp, err := n.tr.Request(context.Background(), home, batch)
+	batch.ReleaseFrames()
 	if err != nil {
 		return err
+	}
+	if r, ok := resp.(*wire.UpdateBatchResp); ok && len(r.Errs) > 0 && r.Errs[0] != "" {
+		return fmt.Errorf("core: evict dirty %v: %s", page, r.Errs[0])
 	}
 	n.dir.Delete(page)
 	return nil
@@ -738,9 +728,6 @@ func (h hostView) ReadAhead() consistency.ReadAheadPlanner {
 	return h.n.prefetch
 }
 
-// PerPageReplication implements consistency.Host.
-func (h hostView) PerPageReplication() bool { return h.n.cfg.PerPageReplication }
-
 // Repl implements consistency.Host, handing CMs the node's replicated
 // region-metadata log so homes can append deltas before acking releases.
 func (h hostView) Repl() *replog.Log { return h.n.repl }
@@ -769,10 +756,11 @@ var _ addrmap.PageIO = mapIO{}
 // returned pages, so this cold path copies out of the shared frame.
 func (io mapIO) ReadPage(ctx context.Context, page gaddr.Addr) ([]byte, error) {
 	cm := io.n.cms[region.Release]
-	if err := cm.Acquire(ctx, io.n.mapDesc, page, ktypes.LockRead); err != nil {
+	pages := []gaddr.Addr{page}
+	if _, err := cm.AcquireBatch(ctx, io.n.mapDesc, pages, ktypes.LockRead); err != nil {
 		return nil, err
 	}
-	defer func() { _ = cm.Release(ctx, io.n.mapDesc, page, ktypes.LockRead, false) }()
+	defer cm.ReleaseBatch(ctx, io.n.mapDesc, pages, ktypes.LockRead, nil)
 	data, ok := io.n.store.GetCopy(page)
 	if !ok {
 		data = make([]byte, addrmap.PageSize)
@@ -787,11 +775,12 @@ func (io mapIO) MutatePage(ctx context.Context, page gaddr.Addr, fn func([]byte)
 		return fmt.Errorf("core: map mutation on non-home node %v", io.n.cfg.ID)
 	}
 	cm := io.n.cms[region.Release]
-	if err := cm.Acquire(ctx, io.n.mapDesc, page, ktypes.LockWrite); err != nil {
+	pages := []gaddr.Addr{page}
+	if _, err := cm.AcquireBatch(ctx, io.n.mapDesc, pages, ktypes.LockWrite); err != nil {
 		return err
 	}
-	dirty := false
-	defer func() { _ = cm.Release(ctx, io.n.mapDesc, page, ktypes.LockWrite, dirty) }()
+	var dirty map[gaddr.Addr]bool
+	defer func() { cm.ReleaseBatch(ctx, io.n.mapDesc, pages, ktypes.LockWrite, dirty) }()
 	var f *frame.Frame
 	if got, ok := io.n.store.Get(page); ok {
 		// Copy-on-write: the store (and possibly remote readers) share
@@ -807,6 +796,6 @@ func (io mapIO) MutatePage(ctx context.Context, page gaddr.Addr, fn func([]byte)
 	if err := io.n.store.Put(page, f); err != nil {
 		return err
 	}
-	dirty = true
+	dirty = map[gaddr.Addr]bool{page: true}
 	return nil
 }

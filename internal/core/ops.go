@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"khazana/internal/addrmap"
 	"khazana/internal/consistency"
 	"khazana/internal/frame"
 	"khazana/internal/gaddr"
@@ -116,6 +117,14 @@ func (n *Node) FreeSpace() (total, max uint64) {
 }
 
 // Unreserve releases a region and any storage allocated to it (§2).
+//
+// Invariant: once Unreserve returns nil, this node never resolves the
+// region again — its directory and ring-table entries are purged and the
+// start is tombstoned (forgetRegion) before the return, and the address
+// map entry is already gone. Every other node converges when the
+// asynchronous destroy cast reaches the bucket owners; until then a stale
+// copy costs its user one trip to the old home, whose definite
+// no-such-region answer makes that node forget the region too.
 func (n *Node) Unreserve(ctx context.Context, start gaddr.Addr, principal ktypes.Principal) error {
 	desc, err := n.lookupRegion(ctx, start)
 	if err != nil {
@@ -135,18 +144,25 @@ func (n *Node) Unreserve(ctx context.Context, start gaddr.Addr, principal ktypes
 		fresh, err := n.forwardOp(ctx, desc, func() wire.Msg {
 			return &wire.CUnreserve{Start: start, Principal: principal}
 		})
-		if err != nil || fresh == nil {
+		if err != nil {
 			return err
+		}
+		if fresh == nil {
+			n.forgetRegion(start)
+			return nil
 		}
 		// The refresh says this node is now the home: fall through.
 		desc = fresh
 	}
-	// Home-side teardown: drop pages, descriptor, and the map entry.
+	// Home-side teardown: drop pages, descriptor, every per-region table
+	// keyed by this start, and the map entry.
 	n.dropRegionPages(ctx, desc)
 	n.dropAuthDesc(start)
 	n.access.forget(start)
-	n.rdir.Remove(start)
-	n.ringWithdraw(ctx, desc)
+	n.repl.Forget(start)
+	n.prefetch.forget(start)
+	n.forgetRegion(start)
+	n.ringDestroy(ctx, desc)
 	if err := n.mapRemove(ctx, start); err != nil {
 		return fmt.Errorf("core: unrecord region: %w", err)
 	}
@@ -182,16 +198,15 @@ func (n *Node) setAllocated(ctx context.Context, start gaddr.Addr, principal kty
 		return err
 	}
 	if home != n.cfg.ID {
-		fresh, err := n.forwardOp(ctx, desc, func() wire.Msg {
+		local, err := n.forwardUpdate(ctx, desc, func() wire.Msg {
 			if alloc {
 				return &wire.CAllocate{Start: start, Principal: principal}
 			}
 			return &wire.CFree{Start: start, Principal: principal}
 		})
-		if err != nil || fresh == nil {
+		if err != nil || !local {
 			return err
 		}
-		// The refresh says this node is now the home: fall through.
 	}
 	n.descMu.Lock()
 	d, ok := n.authDescs[start]
@@ -217,7 +232,8 @@ func (n *Node) setAllocated(ctx context.Context, start gaddr.Addr, principal kty
 // derives from the caller's values but not its cancellation.
 func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor) {
 	base := context.WithoutCancel(ctx)
-	for _, page := range desc.Pages(0, desc.Range.Size) {
+	pages := desc.Pages(0, desc.Range.Size)
+	for _, page := range pages {
 		if entry, ok := n.dir.Lookup(page); ok {
 			for _, sharer := range entry.Copyset {
 				if sharer == n.cfg.ID {
@@ -231,6 +247,9 @@ func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor) {
 		}
 		n.store.Delete(page)
 		n.dir.Delete(page)
+	}
+	if crew, ok := n.cms[region.CREW].(*consistency.CrewCM); ok {
+		crew.ForgetPages(pages)
 	}
 }
 
@@ -264,13 +283,12 @@ func (n *Node) SetAttr(ctx context.Context, start gaddr.Addr, attrs region.Attrs
 		return err
 	}
 	if home != n.cfg.ID {
-		fresh, err := n.forwardOp(ctx, desc, func() wire.Msg {
+		local, err := n.forwardUpdate(ctx, desc, func() wire.Msg {
 			return &wire.CSetAttr{Start: start, Attrs: attrs, Principal: principal}
 		})
-		if err != nil || fresh == nil {
+		if err != nil || !local {
 			return err
 		}
-		// The refresh says this node is now the home: fall through.
 	}
 	n.descMu.Lock()
 	d, ok := n.authDescs[start]
@@ -314,15 +332,8 @@ func (n *Node) Lock(ctx context.Context, rng gaddr.Range, mode ktypes.LockMode, 
 	if err := desc.Attrs.ACL.CheckMode(principal, mode); err != nil {
 		return nil, err
 	}
-	if !desc.Allocated {
-		// A cached or ring-served copy can trail an Allocate that already
-		// committed at the home; re-check against the home once before
-		// failing the gate.
-		fresh, ferr := n.refreshDescriptor(ctx, desc)
-		if ferr != nil || !fresh.Allocated {
-			return nil, ErrNotAllocated
-		}
-		desc = fresh
+	if desc, err = n.allocatedDesc(ctx, desc); err != nil {
+		return nil, err
 	}
 	off, _ := desc.Range.OffsetOf(rng.Start)
 	pages := desc.Pages(off, rng.Size)
@@ -333,44 +344,25 @@ func (n *Node) Lock(ctx context.Context, rng gaddr.Range, mode ktypes.LockMode, 
 	if !ok {
 		return nil, fmt.Errorf("core: no CM for protocol %v", desc.Attrs.Protocol)
 	}
-	if n.cfg.PerPageTransfers {
-		acquired := make([]gaddr.Addr, 0, len(pages))
-		rollback := func() {
-			// Rollback must run even when the caller's ctx is already
-			// canceled — holding half-acquired page locks would wedge the
-			// region — so detach from cancellation but keep request values.
-			rbCtx := context.WithoutCancel(ctx)
-			for _, p := range acquired {
-				//khazana:ignore-err clean-dirty=false release of a just-acquired page cannot lose data; the lock dies with us either way
-				_ = cm.Release(rbCtx, desc, p, mode, false)
-				_ = n.store.Unpin(p)
-			}
+	// The whole page set — one page included — goes through the CM's batch
+	// API: one pipelined exchange per home, not one round trip per page.
+	acquired, err := n.acquireBatchWithFailover(ctx, &desc, cm, pages, mode)
+	if err != nil {
+		// Roll back whatever subset the batch left held. Pages are not
+		// pinned yet, so only the locks need releasing. Rollback must run
+		// even when the caller's ctx is already canceled — holding
+		// half-acquired page locks would wedge the region — so detach from
+		// cancellation but keep request values.
+		rbCtx := context.WithoutCancel(ctx)
+		//khazana:ignore-err clean-dirty=false release of just-acquired pages cannot lose data; the locks die with us either way
+		_ = cm.ReleaseBatch(rbCtx, desc, acquired, mode, nil)
+		if isNoSuchRegion(err) {
+			n.forgetRegion(desc.Range.Start)
 		}
-		for _, page := range pages {
-			if err := n.acquireWithFailover(ctx, &desc, cm, page, mode); err != nil {
-				rollback()
-				return nil, err
-			}
-			n.store.Pin(page)
-			acquired = append(acquired, page)
-		}
-	} else {
-		// Batched path: the whole page set goes through the CM's batch
-		// API — one pipelined exchange per home instead of one round
-		// trip per page.
-		acquired, err := n.acquireBatchWithFailover(ctx, &desc, cm, pages, mode)
-		if err != nil {
-			// Roll back whatever subset the batch left held. Pages are
-			// not pinned yet, so only the locks need releasing; detach
-			// from cancellation as above.
-			rbCtx := context.WithoutCancel(ctx)
-			//khazana:ignore-err clean-dirty=false release of just-acquired pages cannot lose data; the locks die with us either way
-			_ = cm.ReleaseBatch(rbCtx, desc, acquired, mode, nil)
-			return nil, err
-		}
-		for _, page := range pages {
-			n.store.Pin(page)
-		}
+		return nil, err
+	}
+	for _, page := range pages {
+		n.store.Pin(page)
 	}
 	n.trace("11:lock-granted")
 
@@ -398,34 +390,19 @@ func (n *Node) Lock(ctx context.Context, rng gaddr.Range, mode ktypes.LockMode, 
 	return lc, nil
 }
 
-// acquireWithFailover acquires one page, refreshing stale descriptors and
-// promoting a secondary home if the primary is unreachable (§3.5).
-func (n *Node) acquireWithFailover(ctx context.Context, desc **region.Descriptor, cm consistency.CM, page gaddr.Addr, mode ktypes.LockMode) error {
-	n.trace("6:request-credentials")
-	err := cm.Acquire(ctx, *desc, page, mode)
-	if err == nil {
-		n.trace("10:ownership-granted")
-		return nil
+// allocatedDesc passes the §2 allocation gate: it returns desc if it shows
+// allocated storage. A cached or ring-served copy can trail an Allocate
+// that already committed at the home, so an unallocated copy is re-read
+// from the home once before the gate fails.
+func (n *Node) allocatedDesc(ctx context.Context, desc *region.Descriptor) (*region.Descriptor, error) {
+	if desc.Allocated {
+		return desc, nil
 	}
-	// Stale home pointer: refresh the descriptor and retry once (§3.2).
-	if fresh, ferr := n.refreshDescriptor(ctx, *desc); ferr == nil && fresh.Epoch > (*desc).Epoch {
-		*desc = fresh
-		if err = cm.Acquire(ctx, *desc, page, mode); err == nil {
-			n.trace("10:ownership-granted")
-			return nil
-		}
+	fresh, err := n.refreshDescriptor(ctx, desc)
+	if err != nil || !fresh.Allocated {
+		return nil, ErrNotAllocated
 	}
-	// Unreachable home: try promoting a secondary (§3.5).
-	if errors.Is(err, transport.ErrUnreachable) || isUnreachable(err) {
-		if promoted, perr := n.promoteHome(ctx, *desc); perr == nil {
-			*desc = promoted
-			if err = cm.Acquire(ctx, *desc, page, mode); err == nil {
-				n.trace("10:ownership-granted")
-				return nil
-			}
-		}
-	}
-	return err
+	return fresh, nil
 }
 
 // acquireBatchWithFailover acquires a page set through the CM batch path,
@@ -502,6 +479,14 @@ func isStaleHome(err error) bool {
 		strings.Contains(err.Error(), "not homed here"))
 }
 
+// isNoSuchRegion matches the address map's definite answer that no region
+// contains an address — the map is the source of truth (§3.1) — including
+// after the error crossed a process boundary and lost its type.
+func isNoSuchRegion(err error) bool {
+	return err != nil && (errors.Is(err, addrmap.ErrNotFound) ||
+		strings.Contains(err.Error(), addrmap.ErrNotFound.Error()))
+}
+
 // ackRequest sends msg to a node and folds the Ack-carried error into
 // the Go error.
 func (n *Node) ackRequest(ctx context.Context, to ktypes.NodeID, msg wire.Msg) error {
@@ -536,6 +521,10 @@ func (n *Node) forwardOp(ctx context.Context, desc *region.Descriptor, build fun
 		n.rdir.Remove(start) // cached copy is now stale
 		return nil, nil
 	}
+	if isNoSuchRegion(err) {
+		n.forgetRegion(start)
+		return nil, err
+	}
 	if !isStaleHome(err) {
 		return nil, err
 	}
@@ -557,6 +546,23 @@ func (n *Node) forwardOp(ctx context.Context, desc *region.Descriptor, build fun
 		}
 	}
 	return nil, err
+}
+
+// forwardUpdate forwards a descriptor-changing operation (Allocate, Free,
+// SetAttr). local reports that the refresh found this node to be the home
+// now, so the caller applies the change itself. Otherwise, once the home
+// has applied it, the descriptor is re-read from the home: the ring
+// owners — this node may be one — learn the new epoch only when the
+// home's asynchronous announce lands, and the caller's next lookup must
+// see its own update.
+func (n *Node) forwardUpdate(ctx context.Context, desc *region.Descriptor, build func() wire.Msg) (local bool, err error) {
+	fresh, err := n.forwardOp(ctx, desc, build)
+	if err != nil || fresh != nil {
+		return fresh != nil, err
+	}
+	//khazana:ignore-err the update itself succeeded; a failed re-read only leaves the next lookup to resolve the region the slow way
+	_, _ = n.refreshDescriptor(ctx, desc)
+	return false, nil
 }
 
 // lockByID resolves a lock context.
@@ -765,26 +771,10 @@ func (n *Node) Unlock(ctx context.Context, lc *LockContext) error {
 		n.mReleaseLatency.ObserveSince(releaseStart)
 		fl.Finish()
 	}()
-	if n.cfg.PerPageTransfers {
-		for _, page := range lc.pages {
-			dirty := lc.dirty[page]
-			if err := cm.Release(ctx, lc.desc, page, lc.Mode, dirty); err != nil {
-				// §3.5: errors while releasing resources are not
-				// reflected to the client; keep trying in the
-				// background. The page stays marked dirty so the local
-				// storage system will not discard it before the retried
-				// release delivers it (§3.4).
-				n.queueRetry(retryOp{desc: lc.desc, page: page, mode: lc.Mode, dirty: dirty})
-			} else if dirty {
-				n.dir.Update(page, func(e *pagedir.Entry) { e.Dirty = false })
-			}
-			_ = n.store.Unpin(page)
-		}
-		return nil
-	}
-	// Batched path: one release pipeline for the whole page set, with
-	// per-page status back. Only the pages whose release failed go to the
-	// §3.5 background-retry queue; their Dirty mark stays so the storage
+	// One release pipeline for the whole page set, with per-page status
+	// back. §3.5: errors while releasing resources are not reflected to
+	// the client; only the pages whose release failed go to the
+	// background-retry queue, and their Dirty mark stays so the storage
 	// system will not discard them before the retried release delivers
 	// them (§3.4).
 	errs := cm.ReleaseBatch(ctx, lc.desc, lc.pages, lc.Mode, lc.dirty)

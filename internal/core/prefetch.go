@@ -76,6 +76,21 @@ func newPrefetchPlanner() *prefetchPlanner {
 
 var _ consistency.ReadAheadPlanner = (*prefetchPlanner)(nil)
 
+// forget drops every requester's stream for a destroyed region. A nil
+// planner (read-ahead disabled) has nothing to drop.
+func (p *prefetchPlanner) forget(regionStart gaddr.Addr) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for key := range p.streams {
+		if key.region == regionStart {
+			delete(p.streams, key)
+		}
+	}
+}
+
 // Plan implements consistency.ReadAheadPlanner. pages is the sorted
 // demand batch the home is about to grant.
 func (p *prefetchPlanner) Plan(desc *region.Descriptor, requester ktypes.NodeID, pages []gaddr.Addr) []gaddr.Addr {

@@ -113,9 +113,21 @@ func (n *Node) announceTo(ctx context.Context, owners []ktypes.NodeID, desc *reg
 	n.ringCast(ctx, remote, &wire.RingAnnounce{Op: wire.RingOpPut, Desc: desc.Clone(), Start: desc.Range.Start, From: n.cfg.ID})
 }
 
-// ringWithdraw removes a destroyed region from its bucket owners.
-func (n *Node) ringWithdraw(ctx context.Context, desc *region.Descriptor) {
-	if n.cfg.NoRing || desc == nil {
+// forgetRegion purges every cached trace of a region this node knows to
+// be destroyed: the directory entry, and the ring-table entry together
+// with a tombstone, so neither a late announce nor another owner's
+// not-yet-withdrawn copy can re-teach it (see Unreserve's invariant).
+func (n *Node) forgetRegion(start gaddr.Addr) {
+	n.rdir.Remove(start)
+	n.ringTable.Destroy(start)
+}
+
+// ringDestroy tells a destroyed region's bucket owners to forget it. Like
+// every announce it is asynchronous: the caller's own state is already
+// purged (forgetRegion), and an owner the cast has not reached yet hands
+// out a descriptor whose home answers no-such-region.
+func (n *Node) ringDestroy(ctx context.Context, desc *region.Descriptor) {
+	if n.cfg.NoRing {
 		return
 	}
 	r := n.currentRing()
@@ -125,13 +137,11 @@ func (n *Node) ringWithdraw(ctx context.Context, desc *region.Descriptor) {
 	owners := r.RangeOwners(desc.Range)
 	remote := make([]ktypes.NodeID, 0, len(owners))
 	for _, o := range owners {
-		if o == n.cfg.ID {
-			n.ringTable.Remove(desc.Range.Start)
-			continue
+		if o != n.cfg.ID {
+			remote = append(remote, o)
 		}
-		remote = append(remote, o)
 	}
-	n.ringCast(ctx, remote, &wire.RingAnnounce{Op: wire.RingOpWithdraw, Start: desc.Range.Start, From: n.cfg.ID})
+	n.ringCast(ctx, remote, &wire.RingAnnounce{Op: wire.RingOpDestroy, Start: desc.Range.Start, From: n.cfg.ID})
 }
 
 // ringCast delivers one announce frame to a set of peers asynchronously.
@@ -191,8 +201,10 @@ func (n *Node) lookupViaRing(ctx context.Context, addr gaddr.Addr) *region.Descr
 			continue
 		}
 		// Trust but verify: an owner mid-rebalance can hold a table
-		// whose entry no longer contains the address.
-		if !reply.Desc.Range.Contains(addr) {
+		// whose entry no longer contains the address, and one the destroy
+		// cast has not reached yet still lists a region this node knows
+		// is gone.
+		if !reply.Desc.Range.Contains(addr) || n.ringTable.Destroyed(reply.Desc.Range.Start) {
 			continue
 		}
 		return reply.Desc
@@ -226,6 +238,8 @@ func (n *Node) handleRingAnnounce(msg *wire.RingAnnounce) *wire.Ack {
 		n.ringTable.Insert(msg.Desc)
 	case wire.RingOpWithdraw:
 		n.ringTable.Remove(msg.Start)
+	case wire.RingOpDestroy:
+		n.forgetRegion(msg.Start)
 	}
 	return &wire.Ack{}
 }

@@ -184,8 +184,8 @@ func (c *SnapshotContext) ensureLocked(ctx context.Context, addr gaddr.Addr, cou
 		if err := d.Attrs.ACL.Check(c.principal, security.PermRead); err != nil {
 			return nil, err
 		}
-		if !d.Allocated {
-			return nil, ErrNotAllocated
+		if d, err = c.node.allocatedDesc(ctx, d); err != nil {
+			return nil, err
 		}
 		c.lastDesc = d
 		desc = d

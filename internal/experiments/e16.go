@@ -9,7 +9,7 @@ import (
 )
 
 // E16PrefetchAndWriteThrough measures the two data-path optimizations of
-// the adaptive pipelining PR against their per-page baselines:
+// the adaptive pipelining PR:
 //
 // Leg A — adaptive read-ahead grant pipelining. A remote reader sweeps a
 // region sequentially in fixed windows; the home detects the stream and
@@ -21,13 +21,12 @@ import (
 //
 // Leg B — batched replication write-through. The home of a MinReplicas=3
 // region releases multi-page writes; the write-through groups the dirty
-// pages into exactly one UpdateBatch RPC per replica instead of one
-// ReplicaPut per page per replica (WithPerPageReplication() baseline).
+// pages into exactly one UpdateBatch RPC per replica.
 func E16PrefetchAndWriteThrough(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	res := Result{
 		ID:        "E16",
-		Title:     "adaptive read-ahead + batched replication write-through vs per-page baselines",
+		Title:     "adaptive read-ahead vs WithNoReadAhead + batched replication write-through",
 		Predicted: "a sequential read-mostly sweep needs at least 2x fewer RPCs with read-ahead on (later windows consume speculative grants locally), and a multi-page release writes through with exactly one update RPC per replica",
 	}
 
@@ -39,11 +38,7 @@ func E16PrefetchAndWriteThrough(cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	batched, err := e16WriteThrough(cfg, false)
-	if err != nil {
-		return res, err
-	}
-	perPage, err := e16WriteThrough(cfg, true)
+	batched, err := e16WriteThrough(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -53,18 +48,15 @@ func E16PrefetchAndWriteThrough(cfg Config) (Result, error) {
 		{Name: "sequential sweep, read-ahead on", Value: fmt.Sprintf("%d RPCs", prefetchOn.requests),
 			Detail: fmt.Sprintf("%d windows; %d speculative pages shipped, %d consumed without an RPC, %d wasted", e16Windows, prefetchOn.specPages, prefetchOn.hits, prefetchOn.waste)},
 		{Name: "sequential sweep, WithNoReadAhead", Value: fmt.Sprintf("%d RPCs", prefetchOff.requests),
-			Detail: "every window pays a demand grant batch and a release notify"},
+			Detail: "every window pays a demand grant batch and a release batch"},
 		{Name: "grant-RPC reduction", Value: fmt.Sprintf("%.1fx", ratio),
 			Detail: "E16 gate: must be >= 2x"},
 		{Name: "write-through, batched", Value: fmt.Sprintf("%d update RPCs for %d releases to %d replicas", batched.updateRPCs, e16WriteCycles, e16Secondaries),
 			Detail: fmt.Sprintf("%d total RPCs incl. invalidations; exactly one UpdateBatch per replica per release", batched.requests)},
-		{Name: "write-through, WithPerPageReplication", Value: fmt.Sprintf("%d total RPCs", perPage.requests),
-			Detail: fmt.Sprintf("one ReplicaPut per page per replica: %d pages x %d replicas per release", e16WritePages, e16Secondaries)},
 	}
 	res.Pass = ratio >= 2 &&
 		prefetchOn.hits > 0 &&
-		batched.updateRPCs == uint64(e16WriteCycles*e16Secondaries) &&
-		perPage.requests > batched.requests
+		batched.updateRPCs == uint64(e16WriteCycles*e16Secondaries)
 	return res, nil
 }
 
@@ -157,15 +149,10 @@ type e16Write struct {
 }
 
 // e16WriteThrough measures the replication traffic a home spends
-// releasing multi-page writes to a replicated region, batched or
-// per-page.
-func e16WriteThrough(cfg Config, perPage bool) (e16Write, error) {
+// releasing multi-page writes to a replicated region.
+func e16WriteThrough(cfg Config) (e16Write, error) {
 	var out e16Write
-	opts := []khazana.ClusterOption{}
-	if perPage {
-		opts = append(opts, khazana.WithPerPageReplication())
-	}
-	c, err := newCluster(cfg, e16Secondaries+1, opts...)
+	c, err := newCluster(cfg, e16Secondaries+1)
 	if err != nil {
 		return out, err
 	}

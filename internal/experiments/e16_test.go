@@ -39,7 +39,7 @@ func TestE16WriteThroughGate(t *testing.T) {
 		t.Fatal("no speculative grants were consumed during the sequential sweep")
 	}
 
-	batched, err := e16WriteThrough(cfg, false)
+	batched, err := e16WriteThrough(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,28 +79,18 @@ func BenchmarkE16Prefetch(b *testing.B) {
 	}
 }
 
-// BenchmarkE16WriteThroughBatch reports the replicated release with
-// batched and per-page write-through as sub-benchmarks.
+// BenchmarkE16WriteThroughBatch reports the replicated release's total
+// and update RPC counts.
 func BenchmarkE16WriteThroughBatch(b *testing.B) {
-	for _, side := range []struct {
-		name    string
-		perPage bool
-	}{
-		{"batched", false},
-		{"perpage", true},
-	} {
-		b.Run(side.name, func(b *testing.B) {
-			cfg := Config{Latency: 100 * time.Microsecond, Dir: b.TempDir()}
-			var run e16Write
-			for i := 0; i < b.N; i++ {
-				var err error
-				run, err = e16WriteThrough(cfg, side.perPage)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(run.requests), "rpcs/run")
-			b.ReportMetric(float64(run.updateRPCs), "update-rpcs/run")
-		})
+	cfg := Config{Latency: 100 * time.Microsecond, Dir: b.TempDir()}
+	var run e16Write
+	for i := 0; i < b.N; i++ {
+		var err error
+		run, err = e16WriteThrough(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(run.requests), "rpcs/run")
+	b.ReportMetric(float64(run.updateRPCs), "update-rpcs/run")
 }

@@ -17,33 +17,22 @@ import (
 // — the workload the multiplexed transport and sharded node state exist
 // for. N client goroutines, each owning a private one-page region homed
 // at the daemon, hammer lock/write/unlock cycles through one shared
-// client-side transport. Two legs:
-//
-//   - mux+sharded: the default multiplexed protocol (connsPerPeer shared
-//     connections carry all in-flight requests) against the sharded
-//     lock-context/retry state;
-//   - serial+coarse: the legacy one-request-per-connection protocol
-//     against CoarseNodeState (everything behind one mutex) — the
-//     pre-refactor system.
+// client-side transport: connsPerPeer shared connections carry all
+// in-flight requests against the sharded lock-context/retry state.
 //
 // Connection counts are sampled at the daemon's transport.conns_open
-// gauge: the mux leg must hold a handful of sockets no matter how many
-// clients are in flight, while the serial leg opens one per concurrent
-// request.
+// gauge: the daemon must hold a handful of sockets no matter how many
+// clients are in flight.
 func E18FanIn(cfg Config) (Result, error) {
 	return e18FanInN(cfg, e18Clients)
 }
 
 const (
 	// e18Clients is the full-scale fan-in used by kbench and the CI gate;
-	// the plain test suite runs a reduced count via e18FanInN. Each
-	// concurrent serial-leg client costs two descriptors (client and
-	// daemon socket ends), so full scale needs a ~16k fd budget — the Go
-	// runtime raises the soft NOFILE limit to the hard limit on startup,
-	// which covers any conventionally configured host.
+	// the plain test suite runs a reduced count via e18FanInN.
 	e18Clients  = 4000
 	e18PageSize = 4096
-	// e18MuxConnCap bounds the daemon-side connections the mux leg may
+	// e18MuxConnCap bounds the daemon-side connections the daemon may
 	// hold: connsPerPeer shared sockets plus slack for a re-dial.
 	e18MuxConnCap = 4
 )
@@ -52,48 +41,25 @@ func e18FanInN(cfg Config, clients int) (Result, error) {
 	cfg = cfg.withDefaults()
 	res := Result{
 		ID:    "E18",
-		Title: fmt.Sprintf("%d-client TCP fan-in: mux+sharded vs serial+coarse", clients),
+		Title: fmt.Sprintf("%d-client TCP fan-in over the multiplexed transport", clients),
 		Predicted: "the mux transport serves every in-flight client over a fixed handful of " +
-			"daemon-side connections while the serial protocol needs one per concurrent request, " +
-			"and mux+sharded aggregate throughput beats the serial+coarse baseline (>= 2x at the CI gate's N>=1000)",
+			"daemon-side connections, with no client-visible error",
 	}
-
-	mux, err := e18Measure(cfg, clients, false, false)
+	run, err := e18Measure(cfg, clients)
 	if err != nil {
 		return res, err
-	}
-	serial, err := e18Measure(cfg, clients, true, true)
-	if err != nil {
-		return res, err
-	}
-
-	ratio := 0.0
-	if serial.ops > 0 {
-		ratio = mux.ops / serial.ops
 	}
 	res.Rows = []Row{
-		{Name: "mux+sharded throughput", Value: fmt.Sprintf("%.0f cycles/s", mux.ops),
+		{Name: "throughput", Value: fmt.Sprintf("%.0f cycles/s", run.ops),
 			Detail: fmt.Sprintf("%d clients, lock/write/unlock per cycle", clients)},
-		{Name: "serial+coarse throughput", Value: fmt.Sprintf("%.0f cycles/s", serial.ops),
-			Detail: "legacy one-request-per-connection protocol, single coarse node mutex"},
-		{Name: "throughput ratio", Value: fmt.Sprintf("%.2fx", ratio),
-			Detail: "E18 gate: must be >= 2x at N>=1000"},
-		{Name: "daemon conns, mux leg", Value: fmt.Sprintf("%d peak", mux.peakConns),
-			Detail: fmt.Sprintf("shared mux sockets decouple connections from the %d in-flight clients", clients)},
-		{Name: "daemon conns, serial leg", Value: fmt.Sprintf("%d peak", serial.peakConns),
-			Detail: "one connection per concurrent request"},
+		{Name: "daemon conns", Value: fmt.Sprintf("%d peak", run.peakConns),
+			Detail: fmt.Sprintf("shared mux sockets decouple connections from the %d in-flight clients (budget %d)", clients, e18MuxConnCap)},
 	}
-	// The deterministic shape: connection count decoupled from client
-	// count on the mux leg, coupled on the serial leg. The throughput
-	// ratio is timing and only gates in the CI bench-smoke leg
-	// (TestE18FanInGate), like the other perf experiments.
-	res.Pass = mux.ops > 0 && serial.ops > 0 &&
-		mux.peakConns <= e18MuxConnCap &&
-		serial.peakConns >= int64(clients)/2
+	res.Pass = run.ops > 0 && run.peakConns <= e18MuxConnCap
 	return res, nil
 }
 
-// e18Run is one measured leg.
+// e18Run is one measurement.
 type e18Run struct {
 	// ops counts completed lock/write/unlock cycles per second summed
 	// over all clients.
@@ -106,7 +72,8 @@ type e18Run struct {
 // e18Measure boots a fresh daemon on a real TCP listener, carves one
 // private region per client, and drives `clients` concurrent goroutines
 // through one shared client-side transport for the measurement window.
-func e18Measure(cfg Config, clients int, serial, coarse bool) (e18Run, error) {
+// Any client-visible error fails the run.
+func e18Measure(cfg Config, clients int) (e18Run, error) {
 	var out e18Run
 	dir, err := os.MkdirTemp(cfg.Dir, "e18-*")
 	if err != nil {
@@ -116,30 +83,25 @@ func e18Measure(cfg Config, clients int, serial, coarse bool) (e18Run, error) {
 	ctx := context.Background()
 
 	daemon, err := khazana.StartNode(ctx, khazana.NodeConfig{
-		ID:              1,
-		ListenAddr:      "127.0.0.1:0",
-		StoreDir:        dir,
-		Genesis:         true,
-		MemPages:        2*clients + 64,
-		CoarseNodeState: coarse,
+		ID:         1,
+		ListenAddr: "127.0.0.1:0",
+		StoreDir:   dir,
+		Genesis:    true,
+		MemPages:   2*clients + 64,
 	})
 	if err != nil {
 		return out, err
 	}
 	defer func() { _ = daemon.Close() }()
 
-	var topts []transport.TCPOption
-	if serial {
-		topts = append(topts, transport.WithSerialTransport())
-	}
-	tr, err := transport.NewTCP(khazana.ClientID(1), "127.0.0.1:0", topts...)
+	tr, err := transport.NewTCP(khazana.ClientID(1), "127.0.0.1:0")
 	if err != nil {
 		return out, err
 	}
 	defer func() { _ = tr.Close() }()
 	tr.AddPeer(1, daemon.Addr())
 
-	// Setup rides the transport under test too: one region per client.
+	// Setup rides the same transport: one region per client.
 	setup := khazana.NewClient(tr, 1, "bench")
 	starts := make([]khazana.Addr, clients)
 	for i := range starts {
@@ -193,7 +155,7 @@ func e18Measure(cfg Config, clients int, serial, coarse bool) (e18Run, error) {
 	}
 
 	// Sample the daemon's open-connection gauge through the window; the
-	// peak is the leg's socket footprint under full fan-in.
+	// peak is the daemon's socket footprint under full fan-in.
 	var peak atomic.Int64
 	wg.Add(1)
 	go func() {

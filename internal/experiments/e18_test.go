@@ -7,10 +7,9 @@ import (
 )
 
 // TestE18FanIn checks the deterministic shape at a reduced client count
-// so the race-enabled tier-1 suite stays quick: the mux leg serves every
-// in-flight client over a handful of daemon-side connections while the
-// serial leg opens one per concurrent request. Full scale (N=1000) and
-// the throughput ratio run under the armed gate below and kbench.
+// so the race-enabled tier-1 suite stays quick: the daemon serves every
+// in-flight client over a handful of connections. Full scale (N=4000)
+// runs under the armed gate below and kbench.
 func TestE18FanIn(t *testing.T) {
 	runAndCheck(t, "E18", func(cfg Config) (Result, error) {
 		return e18FanInN(cfg, 64)
@@ -18,37 +17,27 @@ func TestE18FanIn(t *testing.T) {
 }
 
 // TestE18FanInGate enforces the CI bench-smoke fan-in budget at full
-// scale: with N>=1000 concurrent TCP clients at one daemon, mux+sharded
-// aggregate throughput must be at least 2x the serial+coarse baseline,
-// and the mux leg's daemon-side connection count must stay decoupled
-// from the client count (no per-client socket, hence no per-client
-// goroutine-pair on the server). Timing comparisons flake under
-// arbitrary scheduler load, so the gate only arms when the bench-smoke
-// leg sets KHAZANA_E18_GATE=1.
+// scale, in absolute terms: with 4000 concurrent TCP clients at one
+// daemon, the daemon-side connection count stays decoupled from the
+// client count (no per-client socket, hence no per-client goroutine-pair
+// on the server) and no client sees an error. The full-scale run is
+// heavy, so the gate only arms when the bench-smoke leg sets
+// KHAZANA_E18_GATE=1.
 func TestE18FanInGate(t *testing.T) {
 	if os.Getenv("KHAZANA_E18_GATE") != "1" {
 		t.Skip("set KHAZANA_E18_GATE=1 to arm the fan-in gate (CI bench-smoke leg)")
 	}
 	cfg := Config{Duration: 2 * time.Second, Dir: t.TempDir()}
-	mux, err := e18Measure(cfg, e18Clients, false, false)
+	run, err := e18Measure(cfg, e18Clients)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("client-visible error at %d clients: %v", e18Clients, err)
 	}
-	serial, err := e18Measure(cfg, e18Clients, true, true)
-	if err != nil {
-		t.Fatal(err)
+	t.Logf("%d clients: %.0f cycles/s over %d peak daemon conns", e18Clients, run.ops, run.peakConns)
+	if run.ops == 0 {
+		t.Fatal("no cycle completed")
 	}
-	ratio := 0.0
-	if serial.ops > 0 {
-		ratio = mux.ops / serial.ops
-	}
-	t.Logf("mux+sharded: %.0f cycles/s over %d peak daemon conns; serial+coarse: %.0f cycles/s over %d peak daemon conns (%.2fx)",
-		mux.ops, mux.peakConns, serial.ops, serial.peakConns, ratio)
-	if mux.peakConns > e18MuxConnCap {
-		t.Fatalf("mux leg held %d daemon connections (budget %d): connection count must not scale with clients",
-			mux.peakConns, e18MuxConnCap)
-	}
-	if ratio < 2.0 {
-		t.Fatalf("mux+sharded throughput is only %.2fx the serial+coarse baseline (gate: >= 2x)", ratio)
+	if run.peakConns > e18MuxConnCap {
+		t.Fatalf("daemon held %d connections (budget %d): connection count must not scale with clients",
+			run.peakConns, e18MuxConnCap)
 	}
 }

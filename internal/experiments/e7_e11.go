@@ -328,11 +328,12 @@ func E10PageSize(cfg Config) (Result, error) {
 	scan := make(map[uint32]time.Duration)
 	sharing := make(map[uint32]float64)
 	for _, ps := range []uint32{4096, 16384, 65536} {
-		// Per-page transfer mode: this experiment isolates how page size
-		// amortizes per-page fetch round trips, which the batched
-		// multi-page pipeline (measured separately in E13) collapses
-		// into one RPC regardless of page size.
-		c, err := newCluster(cfg, 3, khazana.WithPerPageTransfers())
+		// This experiment isolates how page size amortizes per-page fetch
+		// round trips, so the scan below locks one page at a time (a
+		// multi-page lock, measured separately in E13, costs one RPC
+		// regardless of page size) and read-ahead, which would fetch the
+		// next pages unasked, is off.
+		c, err := newCluster(cfg, 3, khazana.WithNoReadAhead())
 		if err != nil {
 			return res, err
 		}
@@ -348,8 +349,10 @@ func E10PageSize(cfg Config) (Result, error) {
 		// Sequential scan from a cold remote node: fetch count =
 		// regionSize / pageSize.
 		scanDur, err := timeOp(func() error {
-			_, err := readOnce(ctx, c.Node(2), start, regionSize)
-			return err
+			return eachPage(ctx, c.Node(2), start, regionSize, uint64(ps), khazana.LockRead, func(lk *khazana.Lock, page khazana.Addr) error {
+				_, err := lk.Read(page, uint64(ps))
+				return err
+			})
 		})
 		if err != nil {
 			c.Close()

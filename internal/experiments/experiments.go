@@ -126,6 +126,27 @@ func writeOnce(ctx context.Context, n *khazana.Node, start khazana.Addr, data []
 	return lk.Write(start, data)
 }
 
+// eachPage runs fn under its own lock on every page of [start,
+// start+size): the per-page baseline legs (E10's scan, E13) are this loop —
+// a batch of one, two RPCs, per remote page — not a mode inside the daemon.
+func eachPage(ctx context.Context, n *khazana.Node, start khazana.Addr, size, pageSize uint64, mode khazana.LockMode, fn func(lk *khazana.Lock, page khazana.Addr) error) error {
+	for off := uint64(0); off < size; off += pageSize {
+		page := start.MustAdd(off)
+		lk, err := n.Lock(ctx, khazana.Range{Start: page, Size: pageSize}, mode, "bench")
+		if err != nil {
+			return err
+		}
+		err = fn(lk, page)
+		if uerr := lk.Unlock(ctx); err == nil {
+			err = uerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // opsPerSecond runs fn in workers goroutines for the configured window and
 // returns the aggregate rate.
 func opsPerSecond(cfg Config, workers int, fn func(worker int) error) (float64, error) {

@@ -168,6 +168,29 @@ func (l *Log) region(start gaddr.Addr) *regionLog {
 	return rl
 }
 
+// Forget drops a destroyed region's log replica and its retained entries.
+func (l *Log) Forget(start gaddr.Addr) {
+	l.mu.Lock()
+	rl, ok := l.regions[start]
+	delete(l.regions, start)
+	l.mu.Unlock()
+	if !ok {
+		return
+	}
+	rl.mu.Lock()
+	retained := len(rl.entries)
+	rl.mu.Unlock()
+	l.addTail(-retained)
+}
+
+// Regions reports how many regions have a log replica here (diagnostics
+// and tests).
+func (l *Log) Regions() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.regions)
+}
+
 // addTail moves the retained-entry gauge by delta.
 func (l *Log) addTail(delta int) {
 	l.tail.Add(int64(delta))

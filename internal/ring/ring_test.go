@@ -238,3 +238,34 @@ func TestTableContainmentAndRemove(t *testing.T) {
 		t.Fatalf("clone mutation leaked into table")
 	}
 }
+
+// TestTableDestroyRefusesLateInsert: a Put that was in flight when its
+// region was destroyed must not re-teach the region, a plain Remove
+// (rebalance) must not block re-learning, and the destroyed set stays
+// bounded.
+func TestTableDestroyRefusesLateInsert(t *testing.T) {
+	tbl := NewTable()
+	tbl.Insert(desc(0, 4096, 2))
+	tbl.Destroy(gaddr.FromUint64(0))
+	if _, ok := tbl.Lookup(gaddr.FromUint64(0)); ok || !tbl.Destroyed(gaddr.FromUint64(0)) {
+		t.Fatalf("destroy did not take")
+	}
+	if tbl.Insert(desc(0, 4096, 9)) {
+		t.Fatalf("destroyed region re-learned from a late announce")
+	}
+	tbl.Insert(desc(8192, 4096, 1))
+	tbl.Remove(gaddr.FromUint64(8192))
+	if tbl.Destroyed(gaddr.FromUint64(8192)) || !tbl.Insert(desc(8192, 4096, 1)) {
+		t.Fatalf("a rebalance remove must not block re-learning")
+	}
+	for i := uint64(1); i <= 2*maxGone; i++ {
+		tbl.Destroy(gaddr.FromUint64(1<<40 + i*4096))
+		tbl.Destroy(gaddr.FromUint64(1<<40 + i*4096)) // idempotent
+	}
+	if len(tbl.gone) != maxGone || len(tbl.goneFIFO) != maxGone {
+		t.Fatalf("destroyed set grew to %d/%d, bound %d", len(tbl.gone), len(tbl.goneFIFO), maxGone)
+	}
+	if !tbl.Destroyed(gaddr.FromUint64(1<<40+2*maxGone*4096)) || tbl.Destroyed(gaddr.FromUint64(0)) {
+		t.Fatalf("FIFO should keep the newest and forget the oldest")
+	}
+}

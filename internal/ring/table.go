@@ -18,22 +18,43 @@ type Table struct {
 	mu      sync.Mutex
 	byStart map[gaddr.Addr]*region.Descriptor
 	starts  []gaddr.Addr // sorted; containment index
+
+	// gone holds the starts of the most recently destroyed regions.
+	// Announces are asynchronous and unordered, so a Put issued before a
+	// region's destroy can arrive after it; Insert refuses those. Region
+	// starts are never reused (the address map's cursor only advances),
+	// so refusing one is always right; goneFIFO forgets the oldest beyond
+	// maxGone to bound the memory.
+	gone     map[gaddr.Addr]struct{}
+	goneFIFO []gaddr.Addr
+	goneNext int
 }
+
+// maxGone is how many destroyed starts a table remembers: far more
+// destroys than can be in flight inside an announce's 2 s timeout.
+const maxGone = 4096
 
 // NewTable creates an empty authoritative table.
 func NewTable() *Table {
-	return &Table{byStart: make(map[gaddr.Addr]*region.Descriptor)}
+	return &Table{
+		byStart: make(map[gaddr.Addr]*region.Descriptor),
+		gone:    make(map[gaddr.Addr]struct{}),
+	}
 }
 
 // Insert stores a descriptor (cloned), replacing an existing entry with
-// the same start only if the incoming epoch is >= the stored one.
-// Returns whether the table changed.
+// the same start only if the incoming epoch is >= the stored one, and
+// refusing a region this table has seen destroyed. Returns whether the
+// table changed.
 func (t *Table) Insert(d *region.Descriptor) bool {
 	if d == nil || d.Range.Size == 0 {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if _, dead := t.gone[d.Range.Start]; dead {
+		return false
+	}
 	if have, ok := t.byStart[d.Range.Start]; ok {
 		if d.Epoch < have.Epoch {
 			return false
@@ -51,10 +72,43 @@ func (t *Table) Insert(d *region.Descriptor) bool {
 	return true
 }
 
-// Remove drops the descriptor starting at start, if present.
+// Remove drops the descriptor starting at start, if present. The region
+// still exists (this owner merely lost its partition), so a later Insert
+// is accepted.
 func (t *Table) Remove(start gaddr.Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.removeLocked(start)
+}
+
+// Destroy drops the descriptor starting at start and remembers the start
+// as destroyed, so a stale announce cannot re-teach it.
+func (t *Table) Destroy(start gaddr.Addr) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.removeLocked(start)
+	if _, dead := t.gone[start]; dead {
+		return
+	}
+	if len(t.goneFIFO) < maxGone {
+		t.goneFIFO = append(t.goneFIFO, start)
+	} else {
+		delete(t.gone, t.goneFIFO[t.goneNext])
+		t.goneFIFO[t.goneNext] = start
+		t.goneNext = (t.goneNext + 1) % maxGone
+	}
+	t.gone[start] = struct{}{}
+}
+
+// Destroyed reports whether the table remembers start as destroyed.
+func (t *Table) Destroyed(start gaddr.Addr) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, dead := t.gone[start]
+	return dead
+}
+
+func (t *Table) removeLocked(start gaddr.Addr) {
 	if _, ok := t.byStart[start]; !ok {
 		return
 	}

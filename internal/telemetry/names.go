@@ -43,9 +43,8 @@ const (
 	MetricPingRTT = "net.ping_rtt_ns"
 
 	// MetricTransportConnsOpen gauges connections currently open on this
-	// transport, dialed and accepted alike. Under the mux protocol it
-	// stays near connsPerPeer x peers no matter how many requests are in
-	// flight; a ballooning value means serial clients are attached.
+	// transport, dialed and accepted alike. It stays near connsPerPeer x
+	// peers no matter how many requests are in flight.
 	MetricTransportConnsOpen = "transport.conns_open"
 	// MetricTransportInflight gauges requests currently in flight
 	// through this transport: outbound requests awaiting a response plus

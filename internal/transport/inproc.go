@@ -206,11 +206,11 @@ func (n *Network) route(from, to ktypes.NodeID) (*inprocEndpoint, time.Duration,
 }
 
 // inprocEndpoint is one node's attachment to the simulated network. Its
-// concurrency model matches the mux TCP transport, not the legacy serial
-// one: every Request runs on its caller's goroutine and the destination
-// handler is invoked directly, so any number of requests are in flight
-// to a peer at once — exactly what a shared mux connection provides —
-// and unit tests over inproc exercise the same interleavings.
+// concurrency model matches the mux TCP transport: every Request runs on
+// its caller's goroutine and the destination handler is invoked directly,
+// so any number of requests are in flight to a peer at once — exactly what
+// a shared mux connection provides — and unit tests over inproc exercise
+// the same interleavings.
 type inprocEndpoint struct {
 	net    *Network
 	id     ktypes.NodeID

@@ -19,12 +19,10 @@ import (
 //
 //	preamble: [u32 muxMagic][u8 version][u32 from-node]
 //
-// muxMagic exceeds maxFrame, so the first four bytes of a connection can
-// never be mistaken for a legacy serial length prefix: the server sniffs
-// them and picks the protocol per connection, which is what lets
-// mixed-version clusters interoperate with no configuration. After the
-// preamble both directions carry length-prefixed frames tagged with a
-// u32 request ID:
+// muxMagic exceeds maxFrame, so it can never be mistaken for a frame
+// length: the server checks it before reading anything else and closes a
+// connection that opens with anything different. After the preamble both
+// directions carry length-prefixed frames tagged with a u32 request ID:
 //
 //	request:  [u32 length][u32 reqID][payload...]
 //	response: [u32 length][u32 reqID][u8 status][payload-or-error...]
@@ -67,8 +65,7 @@ const (
 // frameWriter batches a connection's outbound frames: each flush writes
 // the triggering frame plus everything already queued behind it in one
 // writev-backed call. Under fan-in this is the mux protocol's syscall
-// advantage — hundreds of concurrent requests ride one write — which the
-// serial protocol structurally cannot have (one request per connection).
+// advantage: hundreds of concurrent requests ride one write.
 type frameWriter struct {
 	conn    net.Conn
 	ch      <-chan *[]byte
@@ -237,9 +234,10 @@ func (mc *muxConn) roundTrip(ctx context.Context, m wire.Msg) (wire.Msg, error) 
 	s.m[id] = ch
 	s.mu.Unlock()
 
-	// Marshal into a pooled buffer after the 8-byte mux header, exactly
-	// like the serial path but with the request ID where the sender node
-	// used to be (the preamble already identified the sender).
+	// Marshal directly into a pooled buffer after the 8-byte mux header —
+	// no intermediate payload allocation. The buffer (possibly grown by
+	// the append) goes back to the pool once written. Traced requests
+	// gain an envelope.
 	wp := getFrameBuf(8)
 	req := wire.MarshalAppend((*wp)[:8], wrapTraced(ctx, m))
 	binary.LittleEndian.PutUint32(req[0:4], uint32(len(req)-4))
@@ -446,7 +444,7 @@ func (t *TCP) muxConnDied(mc *muxConn) {
 
 // muxRequest sends m over one of the peer's shared mux connections. A
 // connection that died around the send is retried once on a fresh dial,
-// mirroring the serial path's stale-connection retry.
+// unless the failure was remote-side or the context's.
 func (t *TCP) muxRequest(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -467,8 +465,8 @@ func (t *TCP) muxRequest(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wir
 }
 
 // serveMux serves one multiplexed inbound connection. The magic word has
-// already been consumed by the protocol sniff; read the rest of the
-// preamble, then demux: one handler goroutine per inbound frame, all
+// already been consumed by serveConn; read the rest of the preamble,
+// then demux: one handler goroutine per inbound frame, all
 // responses funneled through a single writer goroutine so concurrent
 // handlers cannot interleave partial frames.
 func (t *TCP) serveMux(conn net.Conn) {

@@ -10,6 +10,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,111 +18,72 @@ import (
 	"khazana/internal/wire"
 )
 
-// TestSerialClientAgainstAutoDetectServer pins the mixed-version story:
-// a legacy client built with WithSerialTransport talks to a default
-// (mux-capable) server, which must sniff the first frame and fall back
-// to the serial protocol for that connection.
-func TestSerialClientAgainstAutoDetectServer(t *testing.T) {
-	a, err := NewTCP(1, "127.0.0.1:0", WithSerialTransport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+// TestSerialFramingRejected pins what deleting the serial protocol
+// promises: a client that opens with the retired length-prefixed framing
+// ([u32 length][u32 from][payload]) is closed promptly without a reply,
+// its request never reaches the handler, and neither it nor a client that
+// stalls mid-preamble keeps the accept loop from serving mux peers.
+func TestSerialFramingRejected(t *testing.T) {
 	b, err := NewTCP(2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	a.AddPeer(2, b.Addr())
-	b.AddPeer(1, a.Addr())
-	b.SetHandler(echoHandler(2))
-	for i := 0; i < 3; i++ {
-		resp, err := a.Request(context.Background(), 2, &wire.Ping{From: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pong, ok := resp.(*wire.Pong); !ok || pong.From != 2 {
-			t.Fatalf("resp = %+v", resp)
-		}
-	}
-}
+	var handled atomic.Int32
+	echo := echoHandler(2)
+	b.SetHandler(func(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
+		handled.Add(1)
+		return echo(ctx, from, m)
+	})
 
-// TestSerialWireFormatFrozen proves the serial protocol is byte-identical
-// to the pre-mux format by speaking it with a hand-rolled TCP server that
-// shares no framing code with the transport:
-//
-//	request:  [u32 length = len(payload)+4][u32 from][payload]
-//	response: [u32 length = len(payload)+1][u8 status][payload]
-//
-// A mixed-version cluster depends on this layout never drifting.
-func TestSerialWireFormatFrozen(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// A connection that sends half a preamble and goes quiet.
+	stalled, err := net.Dial("tcp", b.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	defer stalled.Close()
+	if _, err := stalled.Write([]byte{0x4b, 0x5a}); err != nil {
+		t.Fatal(err)
+	}
 
-	wantPayload := wire.Marshal(&wire.Ping{From: 1})
-	serverErr := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			serverErr <- err
-			return
-		}
-		defer conn.Close()
-		var hdr [8]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			serverErr <- err
-			return
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		from := binary.LittleEndian.Uint32(hdr[4:8])
-		if want := uint32(len(wantPayload) + 4); length != want {
-			serverErr <- fmt.Errorf("request length prefix = %d, want %d", length, want)
-			return
-		}
-		if from != 1 {
-			serverErr <- fmt.Errorf("request from = %d, want 1", from)
-			return
-		}
-		payload := make([]byte, length-4)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			serverErr <- err
-			return
-		}
-		if !bytes.Equal(payload, wantPayload) {
-			serverErr <- fmt.Errorf("request payload differs from wire.Marshal output")
-			return
-		}
-		// Hand-build the frozen response frame: [len][status=0][payload].
-		pong := wire.Marshal(&wire.Pong{From: 2})
-		resp := make([]byte, 5+len(pong))
-		binary.LittleEndian.PutUint32(resp[0:4], uint32(len(pong)+1))
-		resp[4] = 0
-		copy(resp[5:], pong)
-		if _, err := conn.Write(resp); err != nil {
-			serverErr <- err
-			return
-		}
-		serverErr <- nil
-	}()
+	payload := wire.Marshal(&wire.Ping{From: 1})
+	req := make([]byte, 8+len(payload))
+	binary.LittleEndian.PutUint32(req[0:4], uint32(len(payload)+4))
+	binary.LittleEndian.PutUint32(req[4:8], 1)
+	copy(req[8:], payload)
+	old, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if _, err := old.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	_ = old.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := old.Read(make([]byte, 16)); n != 0 || !(errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET)) {
+		t.Fatalf("serial-framed client got %d bytes, err %v; want a closed connection", n, err)
+	}
+	if got := handled.Load(); got != 0 {
+		t.Fatalf("handler ran %d times for a serial-framed request", got)
+	}
 
-	a, err := NewTCP(1, "127.0.0.1:0", WithSerialTransport())
+	a, err := NewTCP(1, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.AddPeer(2, ln.Addr().String())
-	resp, err := a.Request(context.Background(), 2, &wire.Ping{From: 1})
+	a.AddPeer(2, b.Addr())
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := a.Request(ctx, 2, &wire.Ping{From: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pong, ok := resp.(*wire.Pong); !ok || pong.From != 2 {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if err := <-serverErr; err != nil {
-		t.Fatal(err)
+	if got := handled.Load(); got != 1 {
+		t.Fatalf("handler ran %d times, want 1 (the mux request)", got)
 	}
 }
 
@@ -344,51 +306,6 @@ func FuzzMuxFrameRoundTrip(f *testing.F) {
 			t.Fatalf("response status = %d, want %d", frame[4], status)
 		}
 		if !bytes.Equal(frame[5:], payload) {
-			t.Fatal("response payload differs after round trip")
-		}
-		putFrameBuf(bp)
-	})
-}
-
-// FuzzSerialFrameRoundTrip pins the legacy serial layouts against the
-// transport's reader the same way: arbitrary payloads framed by hand in
-// the frozen pre-mux format must come back intact.
-func FuzzSerialFrameRoundTrip(f *testing.F) {
-	f.Add(uint32(1), byte(0), []byte("payload"))
-	f.Add(uint32(99), byte(1), []byte{})
-	f.Fuzz(func(t *testing.T, from uint32, status byte, payload []byte) {
-		// Request: [u32 len = payload+4][u32 from][payload].
-		req := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(req[0:4], uint32(len(payload)+4))
-		binary.LittleEndian.PutUint32(req[4:8], from)
-		copy(req[8:], payload)
-		bp, err := readFrame(bytes.NewReader(req))
-		if err != nil {
-			t.Fatalf("request readFrame: %v", err)
-		}
-		frame := *bp
-		if got := binary.LittleEndian.Uint32(frame[0:4]); got != from {
-			t.Fatalf("request from = %d, want %d", got, from)
-		}
-		if !bytes.Equal(frame[4:], payload) {
-			t.Fatal("request payload differs after round trip")
-		}
-		putFrameBuf(bp)
-
-		// Response: [u32 len = payload+1][u8 status][payload].
-		resp := make([]byte, 5+len(payload))
-		binary.LittleEndian.PutUint32(resp[0:4], uint32(len(payload)+1))
-		resp[4] = status
-		copy(resp[5:], payload)
-		bp, err = readFrame(bytes.NewReader(resp))
-		if err != nil {
-			t.Fatalf("response readFrame: %v", err)
-		}
-		frame = *bp
-		if frame[0] != status {
-			t.Fatalf("response status = %d, want %d", frame[0], status)
-		}
-		if !bytes.Equal(frame[1:], payload) {
 			t.Fatal("response payload differs after round trip")
 		}
 		putFrameBuf(bp)

@@ -8,24 +8,15 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"khazana/internal/ktypes"
 	"khazana/internal/telemetry"
 	"khazana/internal/wire"
 )
 
-// Legacy serial frame format, both directions:
-//
-//	request:  [u32 length][u32 from-node][payload...]
-//	response: [u32 length][u8 status][payload-or-error-string...]
-//
-// status 0 carries a marshaled wire.Msg; status 1 carries an error string
-// produced by the remote handler. One request is in flight per connection
-// at a time. The default protocol is the multiplexed framing in mux.go;
-// inbound connections are told apart by their first four bytes (a mux
-// client leads with muxMagic, which exceeds maxFrame and so can never be
-// a legacy length prefix).
+// Response status bytes of the multiplexed framing (mux.go): status 0
+// carries a marshaled wire.Msg; status 1 carries an error string produced
+// by the remote handler.
 const (
 	tcpStatusOK  = 0
 	tcpStatusErr = 1
@@ -61,16 +52,13 @@ func putFrameBuf(bp *[]byte) {
 }
 
 // TCP is a socket transport for standalone Khazana daemons. Peers are
-// registered with AddPeer. By default outbound requests are multiplexed:
-// a small fixed set of shared connections per peer carries any number of
-// concurrent in-flight requests (mux.go). WithSerialTransport falls back
-// to the legacy pooled serial protocol. Inbound connections auto-detect
-// the peer's protocol, so both kinds of client are always served.
+// registered with AddPeer. Requests are multiplexed: a small fixed set of
+// shared connections per peer carries any number of concurrent in-flight
+// requests (mux.go).
 type TCP struct {
 	self ktypes.NodeID
 	ln   net.Listener
 
-	serial       bool
 	connsPerPeer int
 
 	hmu     sync.RWMutex
@@ -80,7 +68,6 @@ type TCP struct {
 	peers map[ktypes.NodeID]string
 
 	cmu    sync.Mutex
-	idle   map[ktypes.NodeID][]net.Conn
 	served map[net.Conn]struct{}
 
 	mmu      sync.Mutex
@@ -98,15 +85,6 @@ var _ Transport = (*TCP)(nil)
 
 // TCPOption configures a TCP transport at construction.
 type TCPOption func(*TCP)
-
-// WithSerialTransport selects the legacy serial protocol for outbound
-// requests: one in-flight request per pooled connection, framed exactly
-// as before multiplexing existed. Inbound connections always auto-detect
-// the peer's protocol, so a serial transport still serves mux clients —
-// the option exists for mixed-version clusters and A/B benchmarks.
-func WithSerialTransport() TCPOption {
-	return func(t *TCP) { t.serial = true }
-}
 
 // WithConnsPerPeer sets how many shared mux connections fan requests out
 // to each peer (default 2). More connections add socket-level
@@ -134,7 +112,6 @@ func NewTCP(self ktypes.NodeID, listenAddr string, opts ...TCPOption) (*TCP, err
 		ln:           ln,
 		connsPerPeer: defaultConnsPerPeer,
 		peers:        make(map[ktypes.NodeID]string),
-		idle:         make(map[ktypes.NodeID][]net.Conn),
 		served:       make(map[net.Conn]struct{}),
 		muxConns:     make(map[ktypes.NodeID][]*muxConn),
 		closed:       make(chan struct{}),
@@ -201,17 +178,10 @@ func (t *TCP) Close() error {
 	close(t.closed)
 	err := t.ln.Close()
 	t.cmu.Lock()
-	idle := t.idle
-	t.idle = make(map[ktypes.NodeID][]net.Conn)
 	for c := range t.served {
 		_ = c.Close()
 	}
 	t.cmu.Unlock()
-	for _, conns := range idle {
-		for _, c := range conns {
-			t.closeConn(c)
-		}
-	}
 	t.mmu.Lock()
 	var mcs []*muxConn
 	for _, slots := range t.muxConns {
@@ -240,93 +210,7 @@ func (t *TCP) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.M
 	tm := t.metrics()
 	tm.inflight.Add(1)
 	defer tm.inflight.Add(-1)
-	if t.serial {
-		return t.serialRequest(ctx, to, m)
-	}
 	return t.muxRequest(ctx, to, m)
-}
-
-// serialRequest is the legacy one-request-per-connection client path.
-func (t *TCP) serialRequest(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
-	conn, err := t.getConn(ctx, to)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := t.roundTrip(ctx, conn, m)
-	if err != nil {
-		t.closeConn(conn)
-		// A stale pooled connection may have died; retry once on a
-		// fresh dial, unless the failure was remote-side or ctx.
-		if _, remote := err.(*RemoteError); remote || ctx.Err() != nil {
-			return nil, err
-		}
-		conn, err2 := t.dial(ctx, to)
-		if err2 != nil {
-			return nil, err
-		}
-		resp, err = t.roundTrip(ctx, conn, m)
-		if err != nil {
-			t.closeConn(conn)
-			return nil, err
-		}
-	}
-	t.putConn(to, conn)
-	return resp, nil
-}
-
-func (t *TCP) roundTrip(ctx context.Context, conn net.Conn, m wire.Msg) (wire.Msg, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	} else {
-		_ = conn.SetDeadline(time.Time{})
-	}
-	tm := t.metrics()
-	// Marshal directly into a pooled buffer after the 8-byte header —
-	// no intermediate payload allocation. The buffer (possibly grown by
-	// the append) goes back to the pool for the next request. Traced
-	// requests gain an envelope; untraced ones keep the legacy framing.
-	wp := getFrameBuf(8)
-	req := wire.MarshalAppend((*wp)[:8], wrapTraced(ctx, m))
-	binary.LittleEndian.PutUint32(req[0:4], uint32(len(req)-8+4))
-	binary.LittleEndian.PutUint32(req[4:8], uint32(t.self))
-	n, err := conn.Write(req)
-	*wp = req
-	putFrameBuf(wp)
-	if err != nil {
-		return nil, fmt.Errorf("transport: write request: %w", err)
-	}
-	tm.bytesOut.Add(uint64(n))
-	rp, err := readFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("transport: read response: %w", err)
-	}
-	defer putFrameBuf(rp)
-	tm.bytesIn.Add(uint64(len(*rp)) + 4)
-	frame := *rp
-	if len(frame) < 1 {
-		return nil, fmt.Errorf("transport: empty response frame")
-	}
-	switch frame[0] {
-	case tcpStatusOK:
-		return wire.Unmarshal(frame[1:])
-	case tcpStatusErr:
-		return nil, &RemoteError{Msg: string(frame[1:])}
-	default:
-		return nil, fmt.Errorf("transport: bad response status %d", frame[0])
-	}
-}
-
-func (t *TCP) getConn(ctx context.Context, to ktypes.NodeID) (net.Conn, error) {
-	t.cmu.Lock()
-	conns := t.idle[to]
-	if n := len(conns); n > 0 {
-		conn := conns[n-1]
-		t.idle[to] = conns[:n-1]
-		t.cmu.Unlock()
-		return conn, nil
-	}
-	t.cmu.Unlock()
-	return t.dial(ctx, to)
 }
 
 func (t *TCP) dial(ctx context.Context, to ktypes.NodeID) (net.Conn, error) {
@@ -351,22 +235,6 @@ func (t *TCP) closeConn(conn net.Conn) {
 	t.metrics().connsOpen.Add(-1)
 }
 
-func (t *TCP) putConn(to ktypes.NodeID, conn net.Conn) {
-	t.cmu.Lock()
-	defer t.cmu.Unlock()
-	select {
-	case <-t.closed:
-		t.closeConn(conn)
-		return
-	default:
-	}
-	if len(t.idle[to]) >= 4 {
-		t.closeConn(conn)
-		return
-	}
-	t.idle[to] = append(t.idle[to], conn)
-}
-
 func (t *TCP) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -383,10 +251,10 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the protocol from the connection's first four bytes
-// and dispatches: muxMagic can never be a legacy length prefix (it
-// exceeds maxFrame), so mux and serial clients are told apart with no
-// handshake round-trip and no configuration.
+// serveConn validates the connection's first four bytes and serves it.
+// Anything that does not lead with muxMagic — a port scanner, or a peer
+// still speaking the retired length-prefixed serial framing — is closed
+// without a reply.
 func (t *TCP) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -399,145 +267,29 @@ func (t *TCP) serveConn(conn net.Conn) {
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return
 	}
-	first := binary.LittleEndian.Uint32(hdr[:])
-	if first == muxMagic {
+	if binary.LittleEndian.Uint32(hdr[:]) == muxMagic {
 		t.serveMux(conn)
-		return
-	}
-	t.serveSerial(conn, first)
-}
-
-// serveSerial serves one legacy connection: requests are handled one at
-// a time in arrival order. firstLen is the already-sniffed length prefix
-// of the first frame.
-func (t *TCP) serveSerial(conn net.Conn, firstLen uint32) {
-	frameLen := firstLen
-	for {
-		select {
-		case <-t.closed:
-			return
-		default:
-		}
-		if frameLen == 0 || frameLen > maxFrame {
-			return
-		}
-		if !t.serveSerialOne(conn, frameLen) {
-			return
-		}
-		var err error
-		frameLen, err = readFrameLen(conn)
-		if err != nil {
-			return
-		}
 	}
 }
 
-// serveSerialOne reads and answers one serial request. It returns false
-// when the connection must be dropped — including after any failed
-// response write: a partial write leaves the stream desynced from the
-// framing, so every write error is fatal for the connection.
-func (t *TCP) serveSerialOne(conn net.Conn, frameLen uint32) bool {
-	tm := t.metrics()
-	bp, err := readFrameBody(conn, frameLen)
-	if err != nil {
-		return false
-	}
-	tm.bytesIn.Add(uint64(len(*bp)) + 4)
-	frame := *bp
-	if len(frame) < 4 {
-		putFrameBuf(bp)
-		return false
-	}
-	from := ktypes.NodeID(binary.LittleEndian.Uint32(frame[0:4]))
-	msg, err := wire.Unmarshal(frame[4:])
-	putFrameBuf(bp)
-	if err != nil {
-		return t.writeResponse(conn, tcpStatusErr, []byte(err.Error())) == nil
-	}
-	hctx, msg, err := unwrapTraced(context.Background(), msg)
-	if err != nil {
-		return t.writeResponse(conn, tcpStatusErr, []byte(err.Error())) == nil
-	}
-	h := t.getHandler()
-	if h == nil {
-		wire.Recycle(msg)
-		return t.writeResponse(conn, tcpStatusErr, []byte(ErrNoHandler.Error())) == nil
-	}
-	tm.inflight.Add(1)
-	resp, err := h(hctx, from, msg)
-	tm.inflight.Add(-1)
-	if err != nil {
-		wire.Recycle(msg)
-		return t.writeResponse(conn, tcpStatusErr, []byte(err.Error())) == nil
-	}
-	// Marshal the response straight into a pooled frame buffer, then
-	// recycle both messages' frames. The order matters: the response
-	// may alias the inbound message's frame, so serialization
-	// completes before either recycles.
-	rp := getFrameBuf(5)
-	out := wire.MarshalAppend((*rp)[:5], resp)
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(out)-5+1))
-	out[4] = tcpStatusOK
-	wire.Recycle(resp)
-	wire.Recycle(msg)
-	n, werr := conn.Write(out)
-	*rp = out
-	putFrameBuf(rp)
-	if werr != nil {
-		return false
-	}
-	tm.bytesOut.Add(uint64(n))
-	return true
-}
-
-// writeResponse sends a serial response frame and reports the write
-// error so callers can drop a desynced connection.
-func (t *TCP) writeResponse(conn net.Conn, status byte, payload []byte) error {
-	bp := getFrameBuf(5 + len(payload))
-	buf := *bp
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)+1))
-	buf[4] = status
-	copy(buf[5:], payload)
-	n, err := conn.Write(buf)
-	putFrameBuf(bp)
-	if err != nil {
-		return err
-	}
-	t.metrics().bytesOut.Add(uint64(n))
-	return nil
-}
-
-// readFrameLen reads and bounds-checks one length prefix.
-func readFrameLen(r io.Reader) (uint32, error) {
+// readFrame reads one length-prefixed frame into a pooled buffer,
+// bounds-checking the prefix first. The caller must release the buffer
+// with putFrameBuf once finished with the slice; messages decoded from it
+// may be retained because the decoder moves payloads into their own
+// pooled frames.
+func readFrame(r io.Reader) (*[]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, err
+		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
 	if n == 0 || n > maxFrame {
-		return 0, fmt.Errorf("transport: bad frame length %d", n)
+		return nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
-	return n, nil
-}
-
-// readFrameBody reads a frame's n payload bytes into a pooled buffer.
-func readFrameBody(r io.Reader, n uint32) (*[]byte, error) {
 	bp := getFrameBuf(int(n))
 	if _, err := io.ReadFull(r, *bp); err != nil {
 		putFrameBuf(bp)
 		return nil, err
 	}
 	return bp, nil
-}
-
-// readFrame reads one length-prefixed frame into a pooled buffer. The
-// caller must release it with putFrameBuf once finished with the slice;
-// messages decoded from it may be retained because the decoder moves
-// payloads into their own pooled frames.
-func readFrame(r io.Reader) (*[]byte, error) {
-	n, err := readFrameLen(r)
-	if err != nil {
-		return nil, err
-	}
-	return readFrameBody(r, n)
 }

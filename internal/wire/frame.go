@@ -6,9 +6,9 @@ import (
 
 // Frame-backed payloads.
 //
-// Messages that carry page contents (PageGrant, PageData, UpdatePush,
-// ReleaseNotify, ReplicaPut, and their batched items) can attach a
-// refcounted frame behind their Data field:
+// Messages that carry page contents (PageData, ReplicaPut, and the items
+// of the batch messages) can attach a refcounted frame behind their Data
+// field:
 //
 //   - Send side: SetFrame(f) points Data at f's bytes and takes the
 //     message's own reference, so the payload stays valid until the
@@ -66,66 +66,18 @@ func takeFrame(slot **frame.Frame, data []byte) *frame.Frame {
 	return frame.Copy(data)
 }
 
-// --- PageGrant --------------------------------------------------------------
+// --- PageData ---------------------------------------------------------------
 
-// SetFrame attaches f as the grant's payload; the message takes its own
-// reference and the caller keeps (and still owns) its reference.
-func (m *PageGrant) SetFrame(f *frame.Frame) { setFrame(&m.dataFrame, &m.Data, f) }
+// SetFrame attaches f as the fetched page contents; the message takes its
+// own reference and the caller keeps (and still owns) its reference.
+func (m *PageData) SetFrame(f *frame.Frame) { setFrame(&m.dataFrame, &m.Data, f) }
 
 // TakeFrame transfers ownership of the payload frame to the caller, who
 // must Release it. Without an attached frame the payload is copied.
-func (m *PageGrant) TakeFrame() *frame.Frame { return takeFrame(&m.dataFrame, m.Data) }
-
-// ReleaseFrames implements FrameCarrier.
-func (m *PageGrant) ReleaseFrames() {
-	if m == nil {
-		return
-	}
-	setFrame(&m.dataFrame, &m.Data, nil)
-}
-
-// --- PageData ---------------------------------------------------------------
-
-// SetFrame attaches f as the fetched page contents.
-func (m *PageData) SetFrame(f *frame.Frame) { setFrame(&m.dataFrame, &m.Data, f) }
-
-// TakeFrame transfers ownership of the payload frame to the caller.
 func (m *PageData) TakeFrame() *frame.Frame { return takeFrame(&m.dataFrame, m.Data) }
 
 // ReleaseFrames implements FrameCarrier.
 func (m *PageData) ReleaseFrames() {
-	if m == nil {
-		return
-	}
-	setFrame(&m.dataFrame, &m.Data, nil)
-}
-
-// --- UpdatePush -------------------------------------------------------------
-
-// SetFrame attaches f as the pushed page contents.
-func (m *UpdatePush) SetFrame(f *frame.Frame) { setFrame(&m.dataFrame, &m.Data, f) }
-
-// TakeFrame transfers ownership of the payload frame to the caller.
-func (m *UpdatePush) TakeFrame() *frame.Frame { return takeFrame(&m.dataFrame, m.Data) }
-
-// ReleaseFrames implements FrameCarrier.
-func (m *UpdatePush) ReleaseFrames() {
-	if m == nil {
-		return
-	}
-	setFrame(&m.dataFrame, &m.Data, nil)
-}
-
-// --- ReleaseNotify ----------------------------------------------------------
-
-// SetFrame attaches f as the released page contents.
-func (m *ReleaseNotify) SetFrame(f *frame.Frame) { setFrame(&m.dataFrame, &m.Data, f) }
-
-// TakeFrame transfers ownership of the payload frame to the caller.
-func (m *ReleaseNotify) TakeFrame() *frame.Frame { return takeFrame(&m.dataFrame, m.Data) }
-
-// ReleaseFrames implements FrameCarrier.
-func (m *ReleaseNotify) ReleaseFrames() {
 	if m == nil {
 		return
 	}

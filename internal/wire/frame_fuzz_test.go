@@ -35,16 +35,6 @@ func legacyAppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func legacyPageGrant(ok bool, data []byte, version uint64, owner ktypes.NodeID, errStr string) []byte {
-	b := legacyAppendU16(nil, uint16(KindPageGrant))
-	b = legacyAppendBool(b, ok)
-	b = legacyAppendBytes32(b, data)
-	b = legacyAppendU64(b, version)
-	b = legacyAppendU32(b, uint32(owner))
-	b = legacyAppendString(b, errStr)
-	return b
-}
-
 func legacyPageGrantBatch(grants []PageGrantItem) []byte {
 	b := legacyAppendU16(nil, uint16(KindPageGrantBatch))
 	b = legacyAppendU16(b, uint16(len(grants)))
@@ -67,19 +57,19 @@ func FuzzTracedEnvelopeWire(f *testing.F) {
 	f.Add(true, []byte("page contents"), uint64(7), uint32(3), "", uint64(0xA), uint64(0xB))
 	f.Add(false, []byte{}, uint64(0), uint32(0), "conflict", uint64(1), uint64(2))
 	f.Fuzz(func(t *testing.T, ok bool, data []byte, version uint64, owner uint32, errStr string, trace, span uint64) {
-		m := &PageGrant{OK: ok, Version: version, Owner: ktypes.NodeID(owner), Err: errStr}
+		m := &PageGrantBatch{Grants: []PageGrantItem{{OK: ok, Version: version, Owner: ktypes.NodeID(owner), Err: errStr}}}
 		if len(data) > 0 {
-			m.Data = append([]byte(nil), data...)
+			m.Grants[0].Data = append([]byte(nil), data...)
 		}
 		// Absent span context: the plain marshal is the legacy format —
 		// no envelope, kind prefix unchanged.
 		plain := Marshal(m)
-		legacy := legacyPageGrant(ok, m.Data, version, ktypes.NodeID(owner), errStr)
+		legacy := legacyPageGrantBatch(m.Grants)
 		if !bytes.Equal(plain, legacy) {
 			t.Fatalf("untraced marshal diverged from legacy format:\n got %x\nwant %x", plain, legacy)
 		}
-		if k := Kind(binary.LittleEndian.Uint16(plain[:2])); k != KindPageGrant {
-			t.Fatalf("untraced message carries kind %d, want %d", k, KindPageGrant)
+		if k := Kind(binary.LittleEndian.Uint16(plain[:2])); k != KindPageGrantBatch {
+			t.Fatalf("untraced message carries kind %d, want %d", k, KindPageGrantBatch)
 		}
 
 		// The traced envelope wraps those exact bytes and yields them back.
@@ -110,30 +100,30 @@ func FuzzTracedEnvelopeWire(f *testing.F) {
 		if err != nil {
 			t.Fatalf("unmarshal inner: %v", err)
 		}
-		g := inner.(*PageGrant)
-		if g.OK != ok || g.Version != version || g.Owner != ktypes.NodeID(owner) || g.Err != errStr {
+		gb := inner.(*PageGrantBatch)
+		if g := gb.Grants[0]; g.OK != ok || g.Version != version || g.Owner != ktypes.NodeID(owner) || g.Err != errStr {
 			t.Fatal("inner scalar fields did not round trip")
 		}
-		g.ReleaseFrames()
+		gb.ReleaseFrames()
 	})
 }
 
-// FuzzPageGrantFrameWire marshals a frame-backed PageGrant and checks the
-// bytes against the legacy encoding, then round-trips them back through
-// Unmarshal.
+// FuzzPageGrantFrameWire marshals a frame-backed single-page grant — a
+// PageGrantBatch of one — and checks the bytes against the legacy
+// encoding, then round-trips them back through Unmarshal.
 func FuzzPageGrantFrameWire(f *testing.F) {
 	f.Add(true, []byte("page contents"), uint64(7), uint32(3), "")
 	f.Add(false, []byte{}, uint64(0), uint32(0), "conflict")
 	f.Add(true, bytes.Repeat([]byte{0xA5}, 4096), uint64(1<<40), uint32(9), "")
 	f.Fuzz(func(t *testing.T, ok bool, data []byte, version uint64, owner uint32, errStr string) {
-		m := &PageGrant{OK: ok, Version: version, Owner: ktypes.NodeID(owner), Err: errStr}
+		m := &PageGrantBatch{Grants: []PageGrantItem{{OK: ok, Version: version, Owner: ktypes.NodeID(owner), Err: errStr}}}
 		var fr *frame.Frame
 		if len(data) > 0 {
 			fr = frame.Copy(data)
-			m.SetFrame(fr)
+			m.Grants[0].SetFrame(fr)
 		}
 		got := Marshal(m)
-		want := legacyPageGrant(ok, m.Data, version, ktypes.NodeID(owner), errStr)
+		want := legacyPageGrantBatch(m.Grants)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame-backed marshal diverged from legacy format:\n got %x\nwant %x", got, want)
 		}
@@ -152,7 +142,7 @@ func FuzzPageGrantFrameWire(f *testing.F) {
 		if err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}
-		g := back.(*PageGrant)
+		g := &back.(*PageGrantBatch).Grants[0]
 		if g.OK != ok || g.Version != version || g.Owner != ktypes.NodeID(owner) || g.Err != errStr {
 			t.Fatal("scalar fields did not round trip")
 		}

@@ -60,17 +60,21 @@ func (m *RingReply) decode(d *enc.Decoder) {
 const (
 	// RingOpPut installs (or refreshes) a descriptor in the owner's table.
 	RingOpPut uint8 = 1
-	// RingOpWithdraw removes a destroyed region's descriptor.
+	// RingOpWithdraw removes a descriptor from an owner that lost the
+	// region's partition in a rebalance; the region still exists.
 	RingOpWithdraw uint8 = 2
+	// RingOpDestroy removes a destroyed region's descriptor for good: the
+	// owner also refuses any later Put for that start.
+	RingOpDestroy uint8 = 3
 )
 
 // RingAnnounce pushes a descriptor change to a bucket owner: sent on
 // region create, destroy, home change (including replog failover), and
 // rebalance after membership change. Put carries the descriptor;
-// Withdraw carries only the region start. Owners ack with Ack.
+// Withdraw and Destroy carry only the region start. Owners ack with Ack.
 type RingAnnounce struct {
 	Op    uint8
-	Desc  *region.Descriptor // nil for Withdraw
+	Desc  *region.Descriptor // nil for Withdraw and Destroy
 	Start gaddr.Addr
 	From  ktypes.NodeID
 }

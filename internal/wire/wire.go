@@ -22,7 +22,9 @@ import (
 // Kind identifies a message type on the wire.
 type Kind uint16
 
-// Message kinds. Values are part of the wire format; only append.
+// Message kinds. Values are part of the wire format; only append. A
+// retired kind keeps its line — removing it would renumber every later
+// kind — but has no message type, so Unmarshal rejects it as unknown.
 const (
 	KindAck Kind = iota + 1
 	KindPing
@@ -34,15 +36,15 @@ const (
 	KindReserveSpace
 	KindSpaceGrant
 
-	KindPageReq
-	KindPageGrant
+	KindPageReq   // retired: a single page is a PageReqBatch of one
+	KindPageGrant // retired: answered KindPageReq
 	KindInvalidate
 	KindPageFetch
 	KindPageData
-	KindUpdatePush
+	KindUpdatePush // retired: a single page is an UpdateBatch of one
 	KindVersionQuery
 	KindVersionInfo
-	KindReleaseNotify
+	KindReleaseNotify // retired: a single page is a ReleaseBatch of one
 
 	KindReplicaPut
 	KindCopysetQuery
@@ -150,25 +152,19 @@ func Unmarshal(b []byte) (Msg, error) {
 }
 
 var factories = map[Kind]func() Msg{
-	KindAck:          func() Msg { return &Ack{} },
-	KindPing:         func() Msg { return &Ping{} },
-	KindPong:         func() Msg { return &Pong{} },
-	KindRegionLookup: func() Msg { return &RegionLookup{} },
-	KindRegionInfo:   func() Msg { return &RegionInfo{} },
-	KindAttrSet:      func() Msg { return &AttrSet{} },
-	KindReserveSpace: func() Msg { return &ReserveSpace{} },
-	KindSpaceGrant:   func() Msg { return &SpaceGrant{} },
-	KindPageReq:      func() Msg { return &PageReq{} },
-	KindPageGrant:    func() Msg { return &PageGrant{} },
-	KindInvalidate:   func() Msg { return &Invalidate{} },
-	KindPageFetch:    func() Msg { return &PageFetch{} },
-	KindPageData:     func() Msg { return &PageData{} },
-	KindUpdatePush:   func() Msg { return &UpdatePush{} },
-	KindVersionQuery: func() Msg { return &VersionQuery{} },
-	KindVersionInfo:  func() Msg { return &VersionInfo{} },
-	KindReleaseNotify: func() Msg {
-		return &ReleaseNotify{}
-	},
+	KindAck:              func() Msg { return &Ack{} },
+	KindPing:             func() Msg { return &Ping{} },
+	KindPong:             func() Msg { return &Pong{} },
+	KindRegionLookup:     func() Msg { return &RegionLookup{} },
+	KindRegionInfo:       func() Msg { return &RegionInfo{} },
+	KindAttrSet:          func() Msg { return &AttrSet{} },
+	KindReserveSpace:     func() Msg { return &ReserveSpace{} },
+	KindSpaceGrant:       func() Msg { return &SpaceGrant{} },
+	KindInvalidate:       func() Msg { return &Invalidate{} },
+	KindPageFetch:        func() Msg { return &PageFetch{} },
+	KindPageData:         func() Msg { return &PageData{} },
+	KindVersionQuery:     func() Msg { return &VersionQuery{} },
+	KindVersionInfo:      func() Msg { return &VersionInfo{} },
 	KindReplicaPut:       func() Msg { return &ReplicaPut{} },
 	KindCopysetQuery:     func() Msg { return &CopysetQuery{} },
 	KindCopysetInfo:      func() Msg { return &CopysetInfo{} },
@@ -366,66 +362,6 @@ func (m *SpaceGrant) decode(d *enc.Decoder) {
 
 // --- consistency traffic --------------------------------------------------
 
-// PageReq asks a page's home node for lock credentials in the given mode
-// (Figure 2, step 6). The home consults its directory state, performs any
-// needed invalidations or fetches, and answers with a PageGrant.
-type PageReq struct {
-	Page      gaddr.Addr
-	Mode      ktypes.LockMode
-	Requester ktypes.NodeID
-}
-
-// Kind implements Msg.
-func (*PageReq) Kind() Kind { return KindPageReq }
-func (m *PageReq) encode(e *enc.Encoder) {
-	e.Addr(m.Page)
-	e.U8(uint8(m.Mode))
-	e.NodeID(m.Requester)
-}
-func (m *PageReq) decode(d *enc.Decoder) {
-	m.Page = d.Addr()
-	m.Mode = ktypes.LockMode(d.U8())
-	m.Requester = d.NodeID()
-}
-
-// PageGrant carries lock credentials and, when needed, a copy of the page
-// (Figure 2, steps 7-10).
-type PageGrant struct {
-	OK      bool
-	Data    []byte
-	Version uint64
-	// Owner is the page's owner after the grant.
-	Owner ktypes.NodeID
-	Err   string
-
-	// dataFrame, when non-nil, backs Data with a refcounted page frame
-	// (see frame.go); it is never encoded.
-	dataFrame *frame.Frame
-}
-
-// Kind implements Msg.
-func (*PageGrant) Kind() Kind { return KindPageGrant }
-func (m *PageGrant) encode(e *enc.Encoder) {
-	e.Bool(m.OK)
-	e.Bytes32(m.Data)
-	e.U64(m.Version)
-	e.NodeID(m.Owner)
-	e.String(m.Err)
-}
-func (m *PageGrant) decode(d *enc.Decoder) {
-	m.OK = d.Bool()
-	m.dataFrame = d.Bytes32Frame()
-	if m.dataFrame != nil {
-		m.Data = m.dataFrame.Bytes()
-	}
-	m.Version = d.U64()
-	m.Owner = d.NodeID()
-	m.Err = d.String()
-	if m.dataFrame != nil {
-		m.dataFrame.SetVersion(m.Version)
-	}
-}
-
 // Invalidate tells a node to drop its copy of a page because NewOwner is
 // taking exclusive ownership.
 type Invalidate struct {
@@ -495,46 +431,6 @@ func (m *PageData) decode(d *enc.Decoder) {
 	}
 }
 
-// UpdatePush propagates new page contents under the release and eventual
-// protocols (§3.3: CMs inform peers of changes, which eventually update
-// their replicas).
-type UpdatePush struct {
-	Page    gaddr.Addr
-	Data    []byte
-	Version uint64
-	// Stamp orders concurrent eventual-protocol writes (last writer
-	// wins); ties break on Origin.
-	Stamp  int64
-	Origin ktypes.NodeID
-
-	// dataFrame, when non-nil, backs Data with a refcounted page frame
-	// (see frame.go); it is never encoded.
-	dataFrame *frame.Frame
-}
-
-// Kind implements Msg.
-func (*UpdatePush) Kind() Kind { return KindUpdatePush }
-func (m *UpdatePush) encode(e *enc.Encoder) {
-	e.Addr(m.Page)
-	e.Bytes32(m.Data)
-	e.U64(m.Version)
-	e.I64(m.Stamp)
-	e.NodeID(m.Origin)
-}
-func (m *UpdatePush) decode(d *enc.Decoder) {
-	m.Page = d.Addr()
-	m.dataFrame = d.Bytes32Frame()
-	if m.dataFrame != nil {
-		m.Data = m.dataFrame.Bytes()
-	}
-	m.Version = d.U64()
-	m.Stamp = d.I64()
-	m.Origin = d.NodeID()
-	if m.dataFrame != nil {
-		m.dataFrame.SetVersion(m.Version)
-	}
-}
-
 // VersionQuery asks a page's home for its current version, used by the
 // release protocol to validate a cached copy at acquire time.
 type VersionQuery struct {
@@ -561,47 +457,6 @@ func (m *VersionInfo) encode(e *enc.Encoder) {
 func (m *VersionInfo) decode(d *enc.Decoder) {
 	m.Found = d.Bool()
 	m.Version = d.U64()
-}
-
-// ReleaseNotify tells a page's home that a lock was released, carrying
-// dirty contents when the release protocol defers propagation to release
-// time.
-type ReleaseNotify struct {
-	Page    gaddr.Addr
-	Mode    ktypes.LockMode
-	Dirty   bool
-	Data    []byte
-	Version uint64
-	From    ktypes.NodeID
-
-	// dataFrame, when non-nil, backs Data with a refcounted page frame
-	// (see frame.go); it is never encoded.
-	dataFrame *frame.Frame
-}
-
-// Kind implements Msg.
-func (*ReleaseNotify) Kind() Kind { return KindReleaseNotify }
-func (m *ReleaseNotify) encode(e *enc.Encoder) {
-	e.Addr(m.Page)
-	e.U8(uint8(m.Mode))
-	e.Bool(m.Dirty)
-	e.Bytes32(m.Data)
-	e.U64(m.Version)
-	e.NodeID(m.From)
-}
-func (m *ReleaseNotify) decode(d *enc.Decoder) {
-	m.Page = d.Addr()
-	m.Mode = ktypes.LockMode(d.U8())
-	m.Dirty = d.Bool()
-	m.dataFrame = d.Bytes32Frame()
-	if m.dataFrame != nil {
-		m.Data = m.dataFrame.Bytes()
-	}
-	m.Version = d.U64()
-	m.From = d.NodeID()
-	if m.dataFrame != nil {
-		m.dataFrame.SetVersion(m.Version)
-	}
 }
 
 // --- replication ------------------------------------------------------------
@@ -1247,10 +1102,11 @@ func (m *StatsResp) decode(d *enc.Decoder) {
 
 // --- batched consistency traffic ------------------------------------------
 
-// PageReqBatch asks a home node for lock credentials on several pages in a
-// single round trip: the batched form of PageReq (Figure 2, step 6,
-// amortized over a page set). Pages and Modes are parallel vectors; the
-// home answers every page in one PageGrantBatch.
+// PageReqBatch asks a home node for lock credentials on a set of pages in
+// one round trip (Figure 2, step 6, amortized over the set; a single page
+// is a batch of one). Pages and Modes are parallel vectors; the home
+// consults its directory state, performs any needed invalidations, and
+// answers every page in one PageGrantBatch.
 type PageReqBatch struct {
 	Pages     []gaddr.Addr
 	Modes     []ktypes.LockMode
@@ -1285,8 +1141,8 @@ func (m *PageReqBatch) decode(d *enc.Decoder) {
 	m.Requester = d.NodeID()
 }
 
-// PageGrantItem is the per-page status inside a PageGrantBatch: the same
-// fields a standalone PageGrant carries.
+// PageGrantItem is the per-page status inside a PageGrantBatch: lock
+// credentials and a copy of the page (Figure 2, steps 7-10).
 type PageGrantItem struct {
 	OK      bool
 	Data    []byte
@@ -1404,8 +1260,7 @@ func (m *PageGrantBatch) decode(d *enc.Decoder) {
 	}
 }
 
-// ReleaseItem is one page release inside a ReleaseBatch: the same fields a
-// standalone ReleaseNotify carries, minus the shared sender.
+// ReleaseItem is one page release inside a ReleaseBatch.
 type ReleaseItem struct {
 	Page    gaddr.Addr
 	Mode    ktypes.LockMode
@@ -1497,9 +1352,10 @@ func (m *ReleaseBatchResp) decode(d *enc.Decoder) {
 	}
 }
 
-// UpdateItem is one page update inside an UpdateBatch. Its encoding is the
-// UpdatePush body verbatim (page, contents, version, stamp, origin), so a
-// single-item batch carries exactly the bytes an UpdatePush would.
+// UpdateItem is one page update inside an UpdateBatch, propagating new page
+// contents under the release and eventual protocols (§3.3: CMs inform peers
+// of changes, which eventually update their replicas) and CREW's
+// write-through to secondary homes.
 type UpdateItem struct {
 	Page    gaddr.Addr
 	Data    []byte
@@ -1514,10 +1370,10 @@ type UpdateItem struct {
 	dataFrame *frame.Frame
 }
 
-// UpdateBatch groups several page updates bound for one destination into a
-// single RPC: the batched form of UpdatePush/ReplicaPut used by the CREW
-// write-through, the release-protocol home push, eventual gossip rounds,
-// and the §3.5 background retry drain.
+// UpdateBatch groups the page updates bound for one destination into a
+// single RPC: the CREW write-through, the release-protocol home push,
+// eventual gossip rounds, dirty-page eviction, and the §3.5 background
+// retry drain.
 type UpdateBatch struct {
 	From  ktypes.NodeID
 	Items []UpdateItem

@@ -38,16 +38,11 @@ func sampleMessages() []Msg {
 		&ReserveSpace{From: 2, Size: 1 << 30},
 		&SpaceGrant{Range: gaddr.Range{Start: gaddr.New(0, 1<<30), Size: 1 << 30}},
 		&SpaceGrant{Err: "no space"},
-		&PageReq{Page: gaddr.New(0, 0x3000), Mode: ktypes.LockWrite, Requester: 1},
-		&PageGrant{OK: true, Data: []byte("page contents"), Version: 9, Owner: 2},
-		&PageGrant{Err: "denied"},
 		&Invalidate{Page: gaddr.New(0, 0x3000), NewOwner: 4, Version: 10},
 		&PageFetch{Page: gaddr.New(0, 0x3000), Requester: 3},
 		&PageData{Found: true, Data: []byte{1, 2, 3}, Version: 11},
-		&UpdatePush{Page: gaddr.New(0, 0x4000), Data: []byte("new"), Version: 2, Stamp: 99, Origin: 5},
 		&VersionQuery{Page: gaddr.New(0, 0x4000)},
 		&VersionInfo{Found: true, Version: 12},
-		&ReleaseNotify{Page: gaddr.New(0, 0x5000), Mode: ktypes.LockWrite, Dirty: true, Data: []byte("d"), Version: 3, From: 2},
 		&ReplicaPut{Page: gaddr.New(0, 0x6000), Data: []byte("replica"), Version: 4, From: 1},
 		&CopysetQuery{Page: gaddr.New(0, 0x6000)},
 		&CopysetInfo{Owner: 1, Nodes: []ktypes.NodeID{1, 2, 3}},
@@ -159,6 +154,7 @@ func sampleMessages() []Msg {
 		&RingReply{Found: false, Err: "not in table"},
 		&RingAnnounce{Op: RingOpPut, Desc: desc, Start: desc.Range.Start, From: 2},
 		&RingAnnounce{Op: RingOpWithdraw, Start: gaddr.New(0, 0x40000000), From: 3},
+		&RingAnnounce{Op: RingOpDestroy, Start: gaddr.New(0, 0x40000000), From: 3},
 	}
 }
 
@@ -167,13 +163,7 @@ func sampleMessages() []Msg {
 // leaked to the GC, never released, so the Data views stay valid.
 func detachFrames(m Msg) {
 	switch msg := m.(type) {
-	case *PageGrant:
-		msg.dataFrame = nil
 	case *PageData:
-		msg.dataFrame = nil
-	case *UpdatePush:
-		msg.dataFrame = nil
-	case *ReleaseNotify:
 		msg.dataFrame = nil
 	case *ReplicaPut:
 		msg.dataFrame = nil
@@ -322,7 +312,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Error("unknown kind should fail")
 	}
 	// Truncated payload of a real message.
-	b := Marshal(&PageGrant{OK: true, Data: []byte("abcdef"), Version: 1})
+	b := Marshal(&PageData{Found: true, Data: []byte("abcdef"), Version: 1})
 	for cut := 2; cut < len(b); cut++ {
 		if _, err := Unmarshal(b[:cut]); err == nil {
 			t.Errorf("cut=%d should fail", cut)
@@ -332,6 +322,36 @@ func TestUnmarshalErrors(t *testing.T) {
 	withTrailing := append(Marshal(&Ping{From: 1}), 0xee)
 	if _, err := Unmarshal(withTrailing); err == nil {
 		t.Error("trailing bytes should fail")
+	}
+}
+
+// TestRetiredKindsRejected pins the wire contract left by deleting the
+// per-page messages: their kind numbers stay reserved, Unmarshal refuses
+// them, and every later kind keeps the number it has always had.
+func TestRetiredKindsRejected(t *testing.T) {
+	for name, kind := range map[string]Kind{
+		"PageReq": KindPageReq, "PageGrant": KindPageGrant,
+		"UpdatePush": KindUpdatePush, "ReleaseNotify": KindReleaseNotify,
+	} {
+		body := append([]byte{byte(kind), byte(kind >> 8)}, make([]byte, 64)...)
+		if m, err := Unmarshal(body); err == nil {
+			t.Errorf("retired kind %s (%d) decoded as %T", name, kind, m)
+		}
+	}
+	for kind, want := range map[Kind]Kind{
+		KindPageReq: 9, KindPageGrant: 10, KindInvalidate: 11,
+		KindUpdatePush: 14, KindVersionQuery: 15,
+		KindReleaseNotify: 17, KindReplicaPut: 18,
+		KindPageReqBatch: 51, KindRingAnnounce: 67,
+	} {
+		if kind != want {
+			t.Errorf("kind renumbered: got %d, want %d", kind, want)
+		}
+	}
+	for _, m := range []Msg{&Invalidate{}, &VersionQuery{}, &ReplicaPut{}} {
+		if back, err := Unmarshal(Marshal(m)); err != nil || back.Kind() != m.Kind() {
+			t.Errorf("%T after a retired kind did not round trip: %v", m, err)
+		}
 	}
 }
 
@@ -355,7 +375,7 @@ func TestQuickUnmarshalNoPanic(t *testing.T) {
 // Property: fuzzing a valid message's bytes either fails cleanly or yields
 // some message; it never panics.
 func TestQuickBitFlipNoPanic(t *testing.T) {
-	base := Marshal(&UpdatePush{Page: gaddr.New(0, 0x4000), Data: []byte("data"), Version: 2, Stamp: 5, Origin: 3})
+	base := Marshal(&UpdateBatch{From: 3, Items: []UpdateItem{{Page: gaddr.New(0, 0x4000), Data: []byte("data"), Version: 2, Stamp: 5, Origin: 3}}})
 	f := func(pos int, bit uint8) (ok bool) {
 		defer func() {
 			if recover() != nil {
@@ -380,7 +400,7 @@ func TestQuickBitFlipNoPanic(t *testing.T) {
 }
 
 func BenchmarkMarshalPageGrant(b *testing.B) {
-	m := &PageGrant{OK: true, Data: make([]byte, 4096), Version: 1, Owner: 2}
+	m := &PageGrantBatch{Grants: []PageGrantItem{{OK: true, Data: make([]byte, 4096), Version: 1, Owner: 2}}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Marshal(m)
@@ -388,7 +408,7 @@ func BenchmarkMarshalPageGrant(b *testing.B) {
 }
 
 func BenchmarkUnmarshalPageGrant(b *testing.B) {
-	raw := Marshal(&PageGrant{OK: true, Data: make([]byte, 4096), Version: 1, Owner: 2})
+	raw := Marshal(&PageGrantBatch{Grants: []PageGrantItem{{OK: true, Data: make([]byte, 4096), Version: 1, Owner: 2}}})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Unmarshal(raw); err != nil {

@@ -139,29 +139,11 @@ type NodeConfig struct {
 	MigrationInterval time.Duration
 	// Registry supplies custom consistency protocols (nil = built-ins).
 	Registry *consistency.Registry
-	// PerPageTransfers disables the batched multi-page lock/fetch and
-	// release pipeline, issuing one RPC per page instead. Benchmarks use
-	// it to compare the two paths; the default (false) batches.
-	PerPageTransfers bool
 	// NoReadAhead disables adaptive read-ahead grant pipelining (the
 	// speculative grants a home piggybacks onto sequential readers'
 	// lock batches). Benchmarks use it as the E16 baseline; the default
 	// (false) speculates.
 	NoReadAhead bool
-	// PerPageReplication disables the batched replication write-through,
-	// pushing one RPC per page per replica instead of one batch per
-	// replica (the E16 baseline).
-	PerPageReplication bool
-	// CoarseNodeState collapses the node's sharded lock-context and
-	// retry-queue state onto a single mutex, restoring pre-sharding
-	// behavior (the E18 baseline).
-	CoarseNodeState bool
-	// SerialTransport, when ListenAddr starts the TCP transport, selects
-	// the legacy serial protocol for this node's outbound requests (one
-	// in-flight request per pooled connection) instead of the default
-	// multiplexed one. Inbound connections always auto-detect the
-	// client's protocol.
-	SerialTransport bool
 	// NoRing disables the consistent-hashing descriptor partition: cold
 	// lookups skip the one-hop ring stage and fall straight to the
 	// paper's cluster-hint / tree-walk path (the E20 baseline).
@@ -189,11 +171,7 @@ func StartNode(ctx context.Context, cfg NodeConfig) (*Node, error) {
 		if cfg.ListenAddr == "" {
 			return nil, fmt.Errorf("khazana: Transport or ListenAddr required")
 		}
-		var opts []transport.TCPOption
-		if cfg.SerialTransport {
-			opts = append(opts, transport.WithSerialTransport())
-		}
-		tcp, err := transport.NewTCP(cfg.ID, cfg.ListenAddr, opts...)
+		tcp, err := transport.NewTCP(cfg.ID, cfg.ListenAddr)
 		if err != nil {
 			return nil, err
 		}
@@ -201,26 +179,23 @@ func StartNode(ctx context.Context, cfg NodeConfig) (*Node, error) {
 		own = true
 	}
 	node, err := core.NewNode(core.Config{
-		ID:                 cfg.ID,
-		Transport:          tr,
-		StoreDir:           cfg.StoreDir,
-		MemPages:           cfg.MemPages,
-		DiskPages:          cfg.DiskPages,
-		ClusterManager:     cfg.ClusterManager,
-		MapHome:            cfg.MapHome,
-		Genesis:            cfg.Genesis,
-		HeartbeatInterval:  cfg.HeartbeatInterval,
-		RetryInterval:      cfg.RetryInterval,
-		ReplicaInterval:    cfg.ReplicaInterval,
-		MigrationInterval:  cfg.MigrationInterval,
-		Registry:           cfg.Registry,
-		PerPageTransfers:   cfg.PerPageTransfers,
-		NoReadAhead:        cfg.NoReadAhead,
-		PerPageReplication: cfg.PerPageReplication,
-		CoarseNodeState:    cfg.CoarseNodeState,
-		NoRing:             cfg.NoRing,
-		NoTelemetry:        cfg.NoTelemetry,
-		Tracer:             cfg.Tracer,
+		ID:                cfg.ID,
+		Transport:         tr,
+		StoreDir:          cfg.StoreDir,
+		MemPages:          cfg.MemPages,
+		DiskPages:         cfg.DiskPages,
+		ClusterManager:    cfg.ClusterManager,
+		MapHome:           cfg.MapHome,
+		Genesis:           cfg.Genesis,
+		HeartbeatInterval: cfg.HeartbeatInterval,
+		RetryInterval:     cfg.RetryInterval,
+		ReplicaInterval:   cfg.ReplicaInterval,
+		MigrationInterval: cfg.MigrationInterval,
+		Registry:          cfg.Registry,
+		NoReadAhead:       cfg.NoReadAhead,
+		NoRing:            cfg.NoRing,
+		NoTelemetry:       cfg.NoTelemetry,
+		Tracer:            cfg.Tracer,
 	})
 	if err != nil {
 		if own {

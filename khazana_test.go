@@ -325,21 +325,17 @@ func TestManyRegionsManyNodes(t *testing.T) {
 	}
 }
 
-func TestCoarseSerialTCPEndToEnd(t *testing.T) {
-	// A daemon running both E18 baselines at once — CoarseNodeState
-	// (all lock-context and retry state on one mutex) and the legacy
-	// serial transport — serving concurrent serial TCP clients. The
-	// baselines must stay correct, not just slow: contended write locks
-	// on one shared page and per-client private regions all resolve
-	// through the coarse path over real sockets.
+func TestConcurrentClientsTCPEndToEnd(t *testing.T) {
+	// One daemon serving concurrent TCP clients, each on its own
+	// transport: contended write locks on one shared page and per-client
+	// private regions all resolve correctly over real sockets (run under
+	// -race in CI).
 	ctx := context.Background()
 	n1, err := StartNode(ctx, NodeConfig{
-		ID:              1,
-		ListenAddr:      "127.0.0.1:0",
-		StoreDir:        filepath.Join(t.TempDir(), "n1"),
-		Genesis:         true,
-		CoarseNodeState: true,
-		SerialTransport: true,
+		ID:         1,
+		ListenAddr: "127.0.0.1:0",
+		StoreDir:   filepath.Join(t.TempDir(), "n1"),
+		Genesis:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +346,7 @@ func TestCoarseSerialTCPEndToEnd(t *testing.T) {
 	const cycles = 8
 	clis := make([]*Client, clients)
 	for i := 0; i < clients; i++ {
-		tr, err := transport.NewTCP(ClientID(10+i), "127.0.0.1:0", transport.WithSerialTransport())
+		tr, err := transport.NewTCP(ClientID(10+i), "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,8 +375,7 @@ func TestCoarseSerialTCPEndToEnd(t *testing.T) {
 	}
 
 	// Each client hammers its private region and a distinct 64-byte slot
-	// of the shared page; the shared page's write locks contend, so every
-	// cycle serializes through the single coarse lock-context shard.
+	// of the shared page, whose write locks contend.
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
