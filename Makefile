@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/khazlint
 
-.PHONY: all build test race vet lint lint-selftest fmt-check bench-module bench-smoke telemetry-smoke clean
+.PHONY: all build test race vet lint lint-selftest fmt-check bench-module bench-scan bench-smoke telemetry-smoke clean
 
 all: build lint test bench-module
 
@@ -54,6 +54,15 @@ fmt-check:
 # it, yet it calls internal/* APIs a root-module change can break.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-scan runs khazbench's remote_scan for five seconds: a 256-page
+# publish the consumer's copies are invalidated by (one InvalidateBatch),
+# then sixteen 64 KB grant batches, every page's contents verified. A failed
+# or mismatched operation exits non-zero. The times it prints are advisory;
+# the target exists so CI drives the batched-invalidate path under content
+# verification.
+bench-scan:
+	bash bench/run.sh --workload remote_scan --seed 1 --seconds 5 --trace 0
 
 # bench-smoke runs every benchmark for a single iteration so bit-rotted
 # benchmark code fails CI instead of lingering until someone profiles.

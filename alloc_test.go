@@ -2,9 +2,12 @@ package khazana_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"khazana"
+	"khazana/internal/frame"
+	"khazana/internal/wire"
 )
 
 // TestCachedReadAllocGate is the allocation regression gate for the
@@ -107,5 +110,122 @@ func TestSnapshotViewAllocGate(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("cached snapshot view allocates %.2f objects/op, budget is 0", avg)
+	}
+}
+
+// TestRemoteReadBatchAllocGate is the allocation gate for the remote data
+// path's copy budget: a page crossing the in-process network is copied
+// once into a pooled transport buffer and once out into a pooled frame,
+// and neither copy grows the heap. A warmed 16-page remote read batch —
+// Lock, ReadView of every page, Unlock, after a publish invalidated the
+// reader's copies so every page really moves — must allocate less than
+// half the 64 KB it moves. The rest of the budget is bookkeeping (lock
+// entries, directory clones, the lock context); a reintroduced per-page
+// heap copy or a marshal buffer that grows from scratch blows through it.
+func TestRemoteReadBatchAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the byte budget assumes pooling")
+	}
+	c, err := khazana.NewCluster(2, khazana.WithStoreDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const (
+		ps      = 4096
+		pages   = 16
+		batches = 200
+		budget  = 32 << 10
+	)
+	home, reader := c.Node(1), c.Node(2)
+	start, err := home.Reserve(ctx, pages*ps, khazana.Attrs{}, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Allocate(ctx, start, "bench"); err != nil {
+		t.Fatal(err)
+	}
+	rng := khazana.Range{Start: start, Size: pages * ps}
+	page := make([]byte, ps)
+	publish := func(gen byte) {
+		lk, err := home.Lock(ctx, rng, khazana.LockWrite, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range page {
+			page[i] = gen
+		}
+		for p := uint64(0); p < pages; p++ {
+			if err := lk.Write(start.MustAdd(p*ps), page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lk.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readBatch := func(gen byte) {
+		lk, err := reader.Lock(ctx, rng, khazana.LockRead, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := uint64(0); p < pages; p++ {
+			view, err := lk.ReadView(start.MustAdd(p*ps), ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if view[0] != gen || view[ps-1] != gen {
+				t.Fatalf("page %d holds generation %d, want %d", p, view[0], gen)
+			}
+		}
+		if err := lk.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for gen := byte(0); gen < 20; gen++ { // fill the buffer and frame pools
+		publish(gen)
+		readBatch(gen)
+	}
+	var before, after runtime.MemStats
+	var total uint64
+	for i := 0; i < batches; i++ {
+		gen := byte(100 + i%100)
+		publish(gen)
+		runtime.ReadMemStats(&before)
+		readBatch(gen)
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	avg := total / batches
+	t.Logf("a 16-page remote read batch allocates %d B on average", avg)
+	if avg > budget {
+		t.Fatalf("a 16-page remote read batch allocates %d B to move %d B, budget is %d B", avg, pages*ps, budget)
+	}
+}
+
+// TestMarshalGrantBatchAllocGate: wire.Marshal encodes into pooled scratch
+// space and returns one exact-size copy, so marshaling a 16-page grant is
+// one allocation, not a buffer regrown from 64 bytes.
+func TestMarshalGrantBatchAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the scratch buffer is pooled")
+	}
+	const pages = 16
+	m := &wire.PageGrantBatch{Grants: make([]wire.PageGrantItem, pages)}
+	for i := range m.Grants {
+		f := frame.AllocZero(4096)
+		m.Grants[i] = wire.PageGrantItem{OK: true, Version: 1, Owner: 1}
+		m.Grants[i].SetFrame(f)
+		f.Release()
+	}
+	defer m.ReleaseFrames()
+	var encoded []byte
+	avg := testing.AllocsPerRun(200, func() { encoded = wire.Marshal(m) })
+	if avg != 1 {
+		t.Fatalf("marshaling a %d-page grant allocates %.2f objects, want exactly 1", pages, avg)
+	}
+	if cap(encoded) != len(encoded) {
+		t.Fatalf("marshaled grant has %d spare bytes of capacity", cap(encoded)-len(encoded))
 	}
 }

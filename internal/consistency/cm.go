@@ -211,23 +211,28 @@ func storeBytes(h Host, page gaddr.Addr, data []byte) error {
 	return err
 }
 
-// fanOut runs fn once per target with at most limit concurrent calls and
+// FanOut runs fn once per target with at most limit concurrent calls and
 // waits for all of them: the bounded worker-pool idiom shared by the
-// invalidation, batch-acquire, and replication fan-outs.
-func fanOut(targets []ktypes.NodeID, limit int, fn func(ktypes.NodeID)) {
-	if len(targets) == 0 {
+// invalidation, replication and region-teardown fan-outs. A single target
+// — one sharer, one replica — runs on the caller's goroutine.
+func FanOut[T any](targets []T, limit int, fn func(T)) {
+	switch len(targets) {
+	case 0:
+		return
+	case 1:
+		fn(targets[0])
 		return
 	}
 	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
-	for _, n := range targets {
+	for _, t := range targets {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(n ktypes.NodeID) {
+		go func(t T) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			fn(n)
-		}(n)
+			fn(t)
+		}(t)
 	}
 	wg.Wait()
 }

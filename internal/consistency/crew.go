@@ -18,7 +18,8 @@ import (
 // Fan-out bounds for the batched paths: enough parallelism to hide link
 // latency without letting one grant or acquire monopolize the transport.
 const (
-	// maxInvalidateFanout bounds concurrent Invalidate RPCs per grant.
+	// maxInvalidateFanout bounds concurrent InvalidateBatch RPCs (one per
+	// sharer) per grant batch.
 	maxInvalidateFanout = 8
 	// maxReplicateFanout bounds concurrent write-through UpdateBatch RPCs
 	// per release.
@@ -39,8 +40,8 @@ type CrewCM struct {
 	h Host
 	// glocks is the manager-side global lock table for pages homed here.
 	glocks *LockTable
-	// invalFailures counts invalidations that failed and pruned the
-	// sharer — each one is a node that may still hold a stale copy.
+	// invalFailures counts page invalidations that failed and pruned the
+	// sharer — each one is a copy some node may still hold stale.
 	invalFailures *telemetry.Counter
 
 	// specMu guards the speculative-grant bookkeeping below.
@@ -102,7 +103,7 @@ func NewCREW(h Host) *CrewCM {
 	}
 }
 
-// InvalidateFailures reports how many invalidation RPCs have failed (and
+// InvalidateFailures reports how many page invalidations have failed (and
 // pruned their sharer) so far.
 func (c *CrewCM) InvalidateFailures() uint64 { return c.invalFailures.Load() }
 
@@ -119,8 +120,9 @@ func (c *CrewCM) PageBusy(page gaddr.Addr) bool { return c.glocks.Held(page) }
 // AcquireBatch implements CM. Every acquisition — local or remote — funnels
 // through the home's global lock table, which yields CREW's invariant: any
 // number of readers or exactly one writer, cluster-wide. Pages homed
-// locally take the table page by page with no wire traffic, and remote
-// pages are answered by the home in a single PageReqBatch round trip. On
+// locally take the table directly (the only wire traffic is a write's
+// invalidations, one InvalidateBatch per sharer), and remote pages are
+// answered by the home in a single PageReqBatch round trip. On
 // error the returned slice holds every page whose lock is held and must be
 // rolled back by the caller.
 func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
@@ -132,13 +134,9 @@ func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, page
 		mode = ktypes.LockWrite
 	}
 	if isHome(c.h, desc) {
-		// Manager-local: take the global table in the caller's ascending
-		// page order, the same order every batch uses, so concurrent
-		// batches cannot deadlock.
-		for i, p := range pages {
-			if err := c.homeAcquire(ctx, desc, p, mode, c.h.Self()); err != nil {
-				return pages[:i:i], err
-			}
+		granted, err := c.homeAcquireBatch(ctx, desc, pages, func(int) ktypes.LockMode { return mode }, c.h.Self())
+		if err != nil {
+			return pages[:granted:granted], err
 		}
 		return pages, nil
 	}
@@ -346,29 +344,52 @@ func (c *CrewCM) installSpecGrants(spec []wire.SpecGrant) {
 	}
 }
 
-// homeAcquire is the manager-side grant path, shared by local clients and
-// the PageReqBatch handler.
-func (c *CrewCM) homeAcquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, requester ktypes.NodeID) error {
-	if err := c.glocks.Acquire(ctx, page, mode); err != nil {
-		return fmt.Errorf("%w: %v", ErrConflict, err)
-	}
-	if err := c.homeGrantLocked(ctx, desc, page, mode, requester); err != nil {
-		c.glocks.Release(page, mode)
-		return err
-	}
-	return nil
+// sharerInval lists the pages one sharer must drop for a grant batch.
+type sharerInval struct {
+	node  ktypes.NodeID
+	items []wire.InvalidateItem
 }
 
-// homeGrantLocked updates directory state after the global lock is held.
-func (c *CrewCM) homeGrantLocked(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, requester ktypes.NodeID) error {
+// homeAcquireBatch is the manager-side grant path, shared by local clients
+// and the PageReqBatch handler. It takes the global table in the caller's
+// ascending page order — the order every batch uses, so concurrent batches
+// cannot deadlock — stops at the first page it cannot lock, and returns how
+// many leading pages it now holds.
+//
+// The copies a write grant revokes are invalidated with one InvalidateBatch
+// per sharer while every granted page's global write lock is held and
+// before the grant returns, so no new reader slips in with stale data. They
+// are also flushed before waiting on a held page: the wait may outlast ctx,
+// and the directory already names the new owner of the pages granted so
+// far. A batch that stops early thus returns an invalidated prefix, and the
+// caller's rollback only drops locks.
+func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, modeOf func(int) ktypes.LockMode, requester ktypes.NodeID) (int, error) {
+	var inval []sharerInval
+	for i, page := range pages {
+		mode := modeOf(i)
+		if !c.glocks.TryAcquire(page, mode) {
+			c.invalidateSharers(ctx, requester, inval)
+			inval = nil
+			if err := c.glocks.Acquire(ctx, page, mode); err != nil {
+				return i, fmt.Errorf("%w: %v", ErrConflict, err)
+			}
+		}
+		inval = c.homeGrantLocked(desc, page, mode, requester, inval)
+	}
+	c.invalidateSharers(ctx, requester, inval)
+	return len(pages), nil
+}
+
+// homeGrantLocked updates directory state after the global lock is held,
+// appending the copies a write grant revokes to inval.
+func (c *CrewCM) homeGrantLocked(desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, requester ktypes.NodeID, inval []sharerInval) []sharerInval {
 	self := c.h.Self()
-	var invalidate []ktypes.NodeID
 	c.h.Dir().Update(page, func(e *pagedir.Entry) {
 		e.HomedLocal = true
 		if mode.Writes() {
 			for _, n := range e.Copyset {
 				if n != requester && n != self {
-					invalidate = append(invalidate, n)
+					inval = addInval(inval, n, wire.InvalidateItem{Page: page, Version: e.Version})
 				}
 			}
 			e.Copyset = []ktypes.NodeID{requester}
@@ -393,10 +414,18 @@ func (c *CrewCM) homeGrantLocked(ctx context.Context, desc *region.Descriptor, p
 		// the exclusive hold are served from the chain without waiting.
 		c.captureCommitted(desc, page)
 	}
-	// Invalidation happens while the global write lock is held, so no new
-	// readers can slip in with stale data.
-	c.invalidateAll(ctx, page, requester, invalidate)
-	return nil
+	return inval
+}
+
+// addInval appends item to node's list; sharers per batch are few.
+func addInval(inval []sharerInval, node ktypes.NodeID, item wire.InvalidateItem) []sharerInval {
+	for i := range inval {
+		if inval[i].node == node {
+			inval[i].items = append(inval[i].items, item)
+			return inval
+		}
+	}
+	return append(inval, sharerInval{node: node, items: []wire.InvalidateItem{item}})
 }
 
 // captureCommitted ensures the page's version chain holds the currently
@@ -488,26 +517,24 @@ func (c *CrewCM) PublishedPages() int {
 	return len(c.published)
 }
 
-// invalidateAll fans Invalidate RPCs out to the former sharers with a
-// bounded worker pool instead of one serial round trip per sharer. A
-// sharer that fails invalidation may still hold a stale copy, so its
-// copyset entry is pruned: the reset in homeGrantLocked already dropped
-// it, but a concurrent re-add (e.g. a replica push racing the fan-out)
-// must not leave an unreachable node listed as a valid copy holder.
-func (c *CrewCM) invalidateAll(ctx context.Context, page gaddr.Addr, newOwner ktypes.NodeID, targets []ktypes.NodeID) {
-	if len(targets) == 0 {
-		return
+// invalidateSharers sends each former sharer its InvalidateBatch on the
+// caller's context. A sharer that fails invalidation may still hold stale
+// copies, so it is pruned from every listed page's copyset: the reset in
+// homeGrantLocked already dropped it, but a concurrent re-add (e.g. a
+// replica push racing the fan-out) must not leave an unreachable node
+// listed as a valid copy holder. A dead sharer cannot serve stale reads
+// either, so the grant proceeds, and each unconfirmed page is counted so
+// operators see the stale-copy risk.
+func (c *CrewCM) invalidateSharers(ctx context.Context, newOwner ktypes.NodeID, inval []sharerInval) {
+	if len(inval) == 0 {
+		return // the common grant; skip building the escaping closure
 	}
-	entry, _ := c.h.Dir().Lookup(page)
-	version := entry.Version
-	fanOut(targets, maxInvalidateFanout, func(n ktypes.NodeID) {
-		if _, err := c.h.Request(ctx, n, &wire.Invalidate{Page: page, NewOwner: newOwner, Version: version}); err != nil {
-			// A dead sharer cannot serve stale reads either; log-free
-			// best effort matches the prototype's tolerance of stale
-			// hints. Prune so nothing re-trusts it as a copy holder,
-			// and count the miss so operators see stale-copy risk.
-			c.invalFailures.Add(1)
-			c.h.Dir().Update(page, func(e *pagedir.Entry) { e.RemoveSharer(n) })
+	FanOut(inval, maxInvalidateFanout, func(s sharerInval) {
+		if _, err := c.h.Request(ctx, s.node, &wire.InvalidateBatch{NewOwner: newOwner, Items: s.items}); err != nil {
+			c.invalFailures.Add(uint64(len(s.items)))
+			for _, it := range s.items {
+				c.h.Dir().Update(it.Page, func(e *pagedir.Entry) { e.RemoveSharer(s.node) })
+			}
 		}
 	})
 }
@@ -804,7 +831,7 @@ func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages [
 			targets = append(targets, n)
 		}
 	}
-	fanOut(targets, maxReplicateFanout, func(n ktypes.NodeID) {
+	FanOut(targets, maxReplicateFanout, func(n ktypes.NodeID) {
 		batch := &wire.UpdateBatch{From: self, Items: make([]wire.UpdateItem, len(data))}
 		for i, pd := range data {
 			batch.Items[i] = wire.UpdateItem{Page: pd.page, Version: pd.version, Origin: self}
@@ -834,17 +861,8 @@ func (c *CrewCM) Handle(ctx context.Context, desc *region.Descriptor, from ktype
 		return c.handleReleaseBatch(ctx, desc, msg)
 	case *wire.UpdateBatch:
 		return c.handleUpdateBatch(desc, from, msg)
-	case *wire.Invalidate:
-		c.h.DropPage(msg.Page)
-		// An unconsumed speculative grant for the page is now stale;
-		// forget it so the next read goes to the home.
-		c.specMu.Lock()
-		delete(c.spec, msg.Page)
-		c.specMu.Unlock()
-		c.h.Dir().Update(msg.Page, func(e *pagedir.Entry) {
-			e.State = pagedir.Invalid
-			e.Owner = msg.NewOwner
-		})
+	case *wire.InvalidateBatch:
+		c.handleInvalidateBatch(msg)
 		return &wire.Ack{}, nil
 	case *wire.SnapshotReqBatch:
 		if !isHome(c.h, desc) {
@@ -858,6 +876,25 @@ func (c *CrewCM) Handle(ctx context.Context, desc *region.Descriptor, from ktype
 	default:
 		return nil, fmt.Errorf("%w: crew got %T", ErrUnknownMsg, m)
 	}
+}
+
+// handleInvalidateBatch is the sharer side of a write grant: every listed
+// copy is dropped and marked invalid under the new owner. An unconsumed
+// speculative grant for a listed page is stale too; forgetting it sends the
+// next read to the home.
+func (c *CrewCM) handleInvalidateBatch(msg *wire.InvalidateBatch) {
+	for _, it := range msg.Items {
+		c.h.DropPage(it.Page)
+		c.h.Dir().Update(it.Page, func(e *pagedir.Entry) {
+			e.State = pagedir.Invalid
+			e.Owner = msg.NewOwner
+		})
+	}
+	c.specMu.Lock()
+	for _, it := range msg.Items {
+		delete(c.spec, it.Page)
+	}
+	c.specMu.Unlock()
 }
 
 // handlePageReqBatch is the manager side of AcquireBatch: every page of
@@ -877,25 +914,15 @@ func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 		}
 		return resp, nil
 	}
-	failed := false
 	allReads := true
-	for i, page := range msg.Pages {
-		if failed {
-			resp.Grants[i] = wire.PageGrantItem{Err: "not attempted: earlier page in batch failed"}
-			continue
-		}
-		mode := msg.Modes[i]
+	for i, mode := range msg.Modes {
 		if mode == ktypes.LockWriteShared {
-			mode = ktypes.LockWrite
+			msg.Modes[i] = ktypes.LockWrite
 		}
-		if mode.Writes() {
-			allReads = false
-		}
-		if err := c.homeAcquire(ctx, desc, page, mode, msg.Requester); err != nil {
-			resp.Grants[i] = wire.PageGrantItem{Err: err.Error()}
-			failed = true
-			continue
-		}
+		allReads = allReads && !mode.Writes()
+	}
+	granted, err := c.homeAcquireBatch(ctx, desc, msg.Pages, func(i int) ktypes.LockMode { return msg.Modes[i] }, msg.Requester)
+	for i, page := range msg.Pages[:granted] {
 		entry, _ := c.h.Dir().Lookup(page)
 		resp.Grants[i] = wire.PageGrantItem{
 			OK:      true,
@@ -906,7 +933,12 @@ func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 		resp.Grants[i].SetFrame(f)
 		f.Release()
 	}
-	if !failed && allReads {
+	if err != nil {
+		for i := granted; i < len(resp.Grants); i++ {
+			resp.Grants[i].Err = "not attempted: earlier page in batch failed"
+		}
+		resp.Grants[granted].Err = err.Error()
+	} else if allReads {
 		c.speculate(desc, msg.Requester, msg.Pages, resp)
 	}
 	return resp, nil

@@ -279,7 +279,7 @@ func (c *EventualCM) gossipBatch(ctx context.Context, updates []gossipUpdate) {
 			dests[n] = append(dests[n], i)
 		}
 	}
-	fanOut(order, maxReplicateFanout, func(n ktypes.NodeID) {
+	FanOut(order, maxReplicateFanout, func(n ktypes.NodeID) {
 		idxs := dests[n]
 		batch := &wire.UpdateBatch{From: self, Items: make([]wire.UpdateItem, len(idxs))}
 		for j, i := range idxs {

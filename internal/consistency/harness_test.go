@@ -22,7 +22,9 @@ import (
 // a lock table, and a transport endpoint, with CM traffic routed by the
 // shared test descriptor's protocol.
 type testHost struct {
-	id    ktypes.NodeID
+	id ktypes.NodeID
+	// net is the simulated network every host of the cluster shares.
+	net   *transport.Network
 	tr    transport.Transport
 	dir   *pagedir.Dir
 	locks *LockTable
@@ -111,8 +113,11 @@ func pageOf(m wire.Msg) (gaddr.Addr, bool) {
 			return gaddr.Addr{}, false
 		}
 		return msg.Items[0].Page, true
-	case *wire.Invalidate:
-		return msg.Page, true
+	case *wire.InvalidateBatch:
+		if len(msg.Items) == 0 {
+			return gaddr.Addr{}, false
+		}
+		return msg.Items[0].Page, true
 	case *wire.PageFetch:
 		return msg.Page, true
 	case *wire.VersionQuery:
@@ -158,6 +163,7 @@ func cluster(t *testing.T, n int, descs ...*region.Descriptor) []*testHost {
 		}
 		h := &testHost{
 			id:    id,
+			net:   net,
 			tr:    tr,
 			dir:   pagedir.New(),
 			locks: NewLockTable(),

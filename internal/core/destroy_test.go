@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"khazana/internal/consistency"
 	"khazana/internal/gaddr"
@@ -63,6 +64,53 @@ func TestUnreserveThreeRoles(t *testing.T) {
 		}
 		if _, err := owner.GetAttr(ctx, start); err == nil {
 			t.Fatalf("round %d: owner %v still resolves the region", round, owner.ID())
+		}
+	}
+}
+
+// TestUnreserveStalledSharerCostsOneTimeout: destroying a region whose
+// sharer has stopped answering waits for that sharer once — one
+// InvalidateBatch under one deadline — not once per page it shared, and
+// the region is gone afterwards all the same.
+func TestUnreserveStalledSharerCostsOneTimeout(t *testing.T) {
+	net, nodes := testCluster(t, 3)
+	ctx := context.Background()
+	const pageCount = 64
+	rng := gaddr.Range{Start: mkRegion(t, nodes[0], pageCount*4096, region.Attrs{}, ""), Size: pageCount * 4096}
+	lc, err := nodes[2].Lock(ctx, rng, ktypes.LockRead, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[2].Unlock(ctx, lc); err != nil {
+		t.Fatal(err)
+	}
+	last := rng.Start.MustAdd((pageCount - 1) * 4096)
+	for _, p := range []gaddr.Addr{rng.Start, last} {
+		if e, _ := nodes[0].PageDir().Lookup(p); !e.InCopyset(3) {
+			t.Fatalf("node 3 is not a sharer of %v: %v", p, e.Copyset)
+		}
+	}
+
+	// Node 3 goes silent: requests to it neither fail nor finish.
+	net.SetLinkLatency(1, 3, time.Hour)
+	began := time.Now()
+	if err := nodes[0].Unreserve(ctx, rng.Start, ""); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(began)
+	net.SetLinkLatency(1, 3, 0)
+	if took > 2*teardownInvalidateTimeout {
+		t.Fatalf("unreserve took %v with one stalled sharer of %d pages; one timeout is %v", took, pageCount, teardownInvalidateTimeout)
+	}
+	if _, err := nodes[0].GetAttr(ctx, rng.Start); err == nil {
+		t.Fatal("home still resolves the destroyed region")
+	}
+	for _, p := range []gaddr.Addr{rng.Start, last} {
+		if _, ok := nodes[0].PageDir().Lookup(p); ok {
+			t.Fatalf("page %v survived the destroy in the home's directory", p)
+		}
+		if _, ok := nodes[0].Store().GetCopy(p); ok {
+			t.Fatalf("page %v survived the destroy in the home's store", p)
 		}
 	}
 }

@@ -18,10 +18,10 @@ import (
 // clients (and of peers forwarding home-side operations).
 func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 	// Requests that arrived with a trace envelope get a handler-side span;
-	// untraced traffic pays one context lookup and skips the name format.
+	// untraced traffic pays one context lookup.
 	if _, traced := telemetry.FromContext(ctx); traced {
 		var fl telemetry.Flight
-		ctx, fl = telemetry.ContinueSpan(ctx, n.rec, uint32(n.cfg.ID), fmt.Sprintf("handle:%T", m))
+		ctx, fl = telemetry.ContinueSpan(ctx, n.rec, uint32(n.cfg.ID), handlerSpanNames[m.Kind()])
 		defer fl.Finish()
 	}
 	switch msg := m.(type) {
@@ -29,8 +29,11 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 		return &wire.Pong{From: n.cfg.ID, EchoUnixNano: msg.SentUnixNano}, nil
 
 	// --- consistency traffic ------------------------------------------
-	case *wire.Invalidate:
-		return n.handleCM(ctx, from, msg.Page, m)
+	case *wire.InvalidateBatch:
+		if len(msg.Items) == 0 {
+			return nil, fmt.Errorf("core: %v got empty invalidate batch", n.cfg.ID)
+		}
+		return n.handleCM(ctx, from, msg.Items[0].Page, m)
 	case *wire.PageFetch:
 		return n.handleCM(ctx, from, msg.Page, m)
 	case *wire.VersionQuery:
@@ -211,6 +214,11 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 		return nil, fmt.Errorf("core: %v cannot handle %T", n.cfg.ID, m)
 	}
 }
+
+// handlerSpanNames holds each wire kind's handler span name
+// ("handle:*wire.PageReqBatch"), built once so a traced request does not
+// format its name. Every message type is a registered wire kind.
+var handlerSpanNames = wire.TypeNames("handle:")
 
 // AppHandler processes application-level messages the daemon itself does
 // not understand, letting middleware layered on Khazana (e.g. a

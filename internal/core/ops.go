@@ -227,24 +227,37 @@ func (n *Node) setAllocated(ctx context.Context, start gaddr.Addr, principal kty
 }
 
 // dropRegionPages discards local storage and invalidates remote copies for
-// every page of a region. Teardown completes even if the requesting
-// client goes away mid-operation, so the per-sharer invalidation deadline
-// derives from the caller's values but not its cancellation.
+// every page of a region: one InvalidateBatch per sharer, in parallel, so
+// an unreachable sharer delays the teardown by one timeout however many
+// pages it shared. Teardown completes even if the requesting client goes
+// away mid-operation, so the deadline derives from the caller's values but
+// not its cancellation.
 func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor) {
-	base := context.WithoutCancel(ctx)
 	pages := desc.Pages(0, desc.Range.Size)
+	bySharer := make(map[ktypes.NodeID][]wire.InvalidateItem)
 	for _, page := range pages {
-		if entry, ok := n.dir.Lookup(page); ok {
-			for _, sharer := range entry.Copyset {
-				if sharer == n.cfg.ID {
-					continue
-				}
-				reqCtx, cancel := context.WithTimeout(base, 2*time.Second)
-				//khazana:ignore-err best-effort invalidation during teardown; an unreachable sharer cannot serve the region after the map entry is gone
-				_, _ = n.tr.Request(reqCtx, sharer, &wire.Invalidate{Page: page, NewOwner: n.cfg.ID, Version: entry.Version})
-				cancel()
+		entry, ok := n.dir.Lookup(page)
+		if !ok {
+			continue
+		}
+		for _, sharer := range entry.Copyset {
+			if sharer != n.cfg.ID {
+				bySharer[sharer] = append(bySharer[sharer], wire.InvalidateItem{Page: page, Version: entry.Version})
 			}
 		}
+	}
+	sharers := make([]ktypes.NodeID, 0, len(bySharer))
+	for sharer := range bySharer {
+		sharers = append(sharers, sharer)
+	}
+	base := context.WithoutCancel(ctx)
+	consistency.FanOut(sharers, maxTeardownFanout, func(sharer ktypes.NodeID) {
+		reqCtx, cancel := context.WithTimeout(base, teardownInvalidateTimeout)
+		defer cancel()
+		//khazana:ignore-err best-effort invalidation during teardown; an unreachable sharer cannot serve the region after the map entry is gone
+		_, _ = n.tr.Request(reqCtx, sharer, &wire.InvalidateBatch{NewOwner: n.cfg.ID, Items: bySharer[sharer]})
+	})
+	for _, page := range pages {
 		n.store.Delete(page)
 		n.dir.Delete(page)
 	}
@@ -252,6 +265,13 @@ func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor) {
 		crew.ForgetPages(pages)
 	}
 }
+
+// A region teardown sends at most maxTeardownFanout InvalidateBatch RPCs at
+// once and waits teardownInvalidateTimeout for each sharer to confirm.
+const (
+	maxTeardownFanout         = 8
+	teardownInvalidateTimeout = 2 * time.Second
+)
 
 // GetAttr returns the attributes of the region containing addr (§2).
 func (n *Node) GetAttr(ctx context.Context, addr gaddr.Addr) (*region.Descriptor, error) {

@@ -35,16 +35,14 @@ func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
-// NewEncoderWith returns an encoder that appends to buf, so callers can
-// serialize straight into a pooled or pre-sized buffer (growing it only
-// when capacity runs out). Existing contents of buf are preserved.
-func NewEncoderWith(buf []byte) *Encoder {
-	return &Encoder{buf: buf}
-}
-
 // Bytes returns the encoded buffer. The caller must not modify it while
 // continuing to use the encoder.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Reset points the encoder at buf — a pooled or pre-sized buffer, grown
+// only when capacity runs out — appending after its existing contents, so
+// one Encoder serves many messages. Reset(nil) drops the previous buffer.
+func (e *Encoder) Reset(buf []byte) { e.buf = buf }
 
 // Len returns the number of encoded bytes so far.
 func (e *Encoder) Len() int { return len(e.buf) }
@@ -77,6 +75,25 @@ func (e *Encoder) Bool(v bool) {
 	} else {
 		e.U8(0)
 	}
+}
+
+// Reserve32 appends a 32-bit length placeholder for a section whose size
+// is known only once it is encoded, and returns its position for Patch32.
+func (e *Encoder) Reserve32() int {
+	at := len(e.buf)
+	e.U32(0)
+	return at
+}
+
+// Patch32 fills the placeholder Reserve32 left at position at with the
+// number of bytes appended since, producing the same bytes Bytes32 would
+// have for that section without a second buffer.
+func (e *Encoder) Patch32(at int) {
+	n := len(e.buf) - at - 4
+	if n > math.MaxUint32 {
+		panic("enc: byte string too long")
+	}
+	binary.LittleEndian.PutUint32(e.buf[at:], uint32(n))
 }
 
 // Bytes32 appends a byte string with a 32-bit length prefix.
@@ -135,6 +152,15 @@ func (d *Decoder) Err() error { return d.err }
 
 // Remaining returns the number of undecoded bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+
+// Fail records err as the decoder's error unless one is already set, for
+// callers that validate what they decoded (a nested message, a count the
+// remaining input cannot hold).
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
 
 // Finish returns an error when decoding failed or trailing bytes remain.
 func (d *Decoder) Finish() error {
@@ -205,6 +231,19 @@ func (d *Decoder) Bool() bool { return d.U8() != 0 }
 // Bytes32 reads a length-prefixed byte string. The result is a copy and is
 // safe to retain.
 func (d *Decoder) Bytes32() []byte {
+	b := d.View32()
+	if len(b) == 0 {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
+// View32 reads a length-prefixed byte string without copying it: the
+// result aliases the decoder's input and is valid only as long as that
+// buffer is. It is for a nested section decoded before the caller returns.
+func (d *Decoder) View32() []byte {
 	n := d.U32()
 	if d.err != nil {
 		return nil
@@ -213,16 +252,7 @@ func (d *Decoder) Bytes32() []byte {
 		d.err = fmt.Errorf("enc: byte string length %d exceeds limit", n)
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return d.take(int(n))
 }
 
 // Bytes32Frame reads a length-prefixed byte string into a pooled page
@@ -232,37 +262,15 @@ func (d *Decoder) Bytes32() []byte {
 // instead of the GC heap, and downstream layers can share the frame by
 // reference instead of copying again.
 func (d *Decoder) Bytes32Frame() *frame.Frame {
-	n := d.U32()
-	if d.err != nil {
-		return nil
-	}
-	if n > maxBytesLen {
-		d.err = fmt.Errorf("enc: byte string length %d exceeds limit", n)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	b := d.take(int(n))
-	if b == nil {
+	b := d.View32()
+	if len(b) == 0 {
 		return nil
 	}
 	return frame.Copy(b)
 }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.U32()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxBytesLen {
-		d.err = fmt.Errorf("enc: string length %d exceeds limit", n)
-		return ""
-	}
-	b := d.take(int(n))
-	return string(b)
-}
+func (d *Decoder) String() string { return string(d.View32()) }
 
 // Addr reads a 128-bit global address.
 func (d *Decoder) Addr() gaddr.Addr {

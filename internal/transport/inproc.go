@@ -13,38 +13,6 @@ import (
 	"khazana/internal/wire"
 )
 
-// wrapTraced wraps m in a trace envelope when ctx carries a span context.
-// Untraced requests return m unchanged, so their encoding stays
-// byte-identical to the pre-telemetry wire format. Shared by both
-// transports.
-func wrapTraced(ctx context.Context, m wire.Msg) wire.Msg {
-	sc, ok := telemetry.FromContext(ctx)
-	if !ok {
-		return m
-	}
-	return &wire.Traced{Trace: uint64(sc.Trace), Span: uint64(sc.Span), Inner: wire.Marshal(m)}
-}
-
-// unwrapTraced reverses wrapTraced on the receiving side: it unwraps the
-// envelope and returns a context carrying the sender's span context, so
-// the handler's spans join the caller's trace. Untraced messages pass
-// through with ctx unchanged.
-func unwrapTraced(ctx context.Context, m wire.Msg) (context.Context, wire.Msg, error) {
-	t, ok := m.(*wire.Traced)
-	if !ok {
-		return ctx, m, nil
-	}
-	inner, err := wire.Unmarshal(t.Inner)
-	if err != nil {
-		return ctx, nil, fmt.Errorf("transport: traced envelope: %w", err)
-	}
-	ctx = telemetry.ContextWith(ctx, telemetry.SpanContext{
-		Trace: telemetry.TraceID(t.Trace),
-		Span:  telemetry.SpanID(t.Span),
-	})
-	return ctx, inner, nil
-}
-
 // errBadNodeID rejects attaching the nil node ID.
 var errBadNodeID = errors.New("transport: invalid node ID 0")
 
@@ -254,9 +222,11 @@ func (ep *inprocEndpoint) Close() error {
 	return nil
 }
 
-// Request implements Transport. The message is serialized, carried across
-// the simulated link (sleeping the link latency each way), and dispatched
-// to the destination handler.
+// Request implements Transport. The message is serialized into a pooled
+// buffer, carried across the simulated link (sleeping the link latency
+// each way), decoded, and dispatched to the destination handler; the
+// response comes back the same way. Each buffer returns to the pool right
+// after it is decoded.
 func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 	if ep.closed.Load() {
 		return nil, ErrClosed
@@ -268,57 +238,47 @@ func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.
 	if dst.closed.Load() {
 		return nil, ErrUnreachable
 	}
-	tm := ep.metrics()
+	tm, dtm := ep.metrics(), dst.metrics()
 	tm.inflight.Add(1)
 	defer tm.inflight.Add(-1)
-	reqBytes := wire.Marshal(wrapTraced(ctx, m))
+
+	inbound, n, err := ep.carry(ctx, to, delay, marshalPooled(0, wrapTraced(ctx, m)))
 	ep.net.requests.Add(1)
-	ep.net.bytes.Add(uint64(len(reqBytes)))
-	tm.bytesOut.Add(uint64(len(reqBytes)))
-	dst.metrics().bytesIn.Add(uint64(len(reqBytes)))
-	if err := sleepCtx(ctx, delay); err != nil {
-		return nil, err
-	}
-	// Re-check reachability after the flight time: a partition or crash
-	// that happened while the message was in flight loses it.
-	if _, _, err := ep.net.route(ep.id, to); err != nil {
-		return nil, err
-	}
-	inbound, err := wire.Unmarshal(reqBytes)
+	ep.net.bytes.Add(n)
+	tm.bytesOut.Add(n)
+	dtm.bytesIn.Add(n)
 	if err != nil {
 		return nil, err
 	}
-	hctx, inbound, err := unwrapTraced(ctx, inbound)
-	if err != nil {
+	rp, err := serve(ctx, dst.getHandler(), dtm, ep.id, inbound, 0)
+	if err == ErrNoHandler {
 		return nil, err
 	}
-	h := dst.getHandler()
-	if h == nil {
-		return nil, ErrNoHandler
-	}
-	dtm := dst.metrics()
-	dtm.inflight.Add(1)
-	resp, err := h(hctx, ep.id, inbound)
-	dtm.inflight.Add(-1)
 	if err != nil {
 		return nil, &RemoteError{Msg: err.Error()}
 	}
-	respBytes := wire.Marshal(resp)
-	// Both messages are fully serialized; frames they still hold can go
-	// back to the pool. The order matters: the response may alias the
-	// inbound message's frame, so it is marshaled before either recycles.
-	wire.Recycle(resp)
-	wire.Recycle(inbound)
-	ep.net.bytes.Add(uint64(len(respBytes)))
-	dtm.bytesOut.Add(uint64(len(respBytes)))
-	tm.bytesIn.Add(uint64(len(respBytes)))
+	resp, n, err := ep.carry(ctx, to, delay, rp)
+	ep.net.bytes.Add(n)
+	dtm.bytesOut.Add(n)
+	tm.bytesIn.Add(n)
+	return resp, err
+}
+
+// carry moves one marshaled message across the link to or from peer: it
+// sleeps the flight time, re-checks reachability (a partition or crash
+// that happened while the message was in flight loses it), decodes, and
+// returns the buffer to the pool. n is the message's encoded size.
+func (ep *inprocEndpoint) carry(ctx context.Context, peer ktypes.NodeID, delay time.Duration, bp *[]byte) (m wire.Msg, n uint64, err error) {
+	defer putFrameBuf(bp)
+	n = uint64(len(*bp))
 	if err := sleepCtx(ctx, delay); err != nil {
-		return nil, err
+		return nil, n, err
 	}
-	if _, _, err := ep.net.route(ep.id, to); err != nil {
-		return nil, err
+	if _, _, err := ep.net.route(ep.id, peer); err != nil {
+		return nil, n, err
 	}
-	return wire.Unmarshal(respBytes)
+	m, err = wire.Unmarshal(*bp)
+	return m, n, err
 }
 
 // sleepCtx sleeps for d unless the context is canceled first.

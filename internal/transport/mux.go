@@ -238,11 +238,9 @@ func (mc *muxConn) roundTrip(ctx context.Context, m wire.Msg) (wire.Msg, error) 
 	// no intermediate payload allocation. The buffer (possibly grown by
 	// the append) goes back to the pool once written. Traced requests
 	// gain an envelope.
-	wp := getFrameBuf(8)
-	req := wire.MarshalAppend((*wp)[:8], wrapTraced(ctx, m))
-	binary.LittleEndian.PutUint32(req[0:4], uint32(len(req)-4))
-	binary.LittleEndian.PutUint32(req[4:8], id)
-	*wp = req
+	wp := marshalPooled(8, wrapTraced(ctx, m))
+	binary.LittleEndian.PutUint32((*wp)[0:4], uint32(len(*wp)-4))
+	binary.LittleEndian.PutUint32((*wp)[4:8], id)
 
 	select {
 	case mc.writeCh <- wp:
@@ -582,38 +580,15 @@ type muxWork struct {
 // an overflow goroutine, so the demux loop keeps reading while handlers
 // work — and queues the tagged response.
 func (t *TCP) handleMux(from ktypes.NodeID, id uint32, msg wire.Msg, out chan *[]byte, done chan struct{}) {
-	tm := t.metrics()
-	hctx, msg, err := unwrapTraced(context.Background(), msg)
+	rp, err := serve(context.Background(), t.getHandler(), t.metrics(), from, msg, 9)
 	if err != nil {
 		muxSend(muxErrFrame(id, err), out, done)
 		return
 	}
-	h := t.getHandler()
-	if h == nil {
-		wire.Recycle(msg)
-		muxSend(muxErrFrame(id, ErrNoHandler), out, done)
-		return
-	}
-	tm.inflight.Add(1)
-	resp, err := h(hctx, from, msg)
-	tm.inflight.Add(-1)
-	if err != nil {
-		wire.Recycle(msg)
-		muxSend(muxErrFrame(id, err), out, done)
-		return
-	}
-	// Marshal the response straight into a pooled frame buffer, then
-	// recycle both messages' frames. The order matters: the response may
-	// alias the inbound message's frame, so serialization completes
-	// before either recycles.
-	rp := getFrameBuf(9)
-	buf := wire.MarshalAppend((*rp)[:9], resp)
+	buf := *rp
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
 	binary.LittleEndian.PutUint32(buf[4:8], id)
 	buf[8] = tcpStatusOK
-	*rp = buf
-	wire.Recycle(resp)
-	wire.Recycle(msg)
 	muxSend(rp, out, done)
 }
 

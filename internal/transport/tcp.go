@@ -22,34 +22,7 @@ const (
 	tcpStatusErr = 1
 	// maxFrame bounds a frame to guard against corrupt length prefixes.
 	maxFrame = 1 << 26
-	// maxPooledFrame caps the buffers kept in frameBufs; anything larger
-	// (a batch grant can reach megabytes) is returned to the allocator so
-	// one giant transfer does not pin memory for the connection's life.
-	maxPooledFrame = 4 << 20
 )
-
-// frameBufs recycles transport frame buffers for both directions of the
-// protocol. Pooling is safe because enc's Decoder moves byte and string
-// fields out of the input (page payloads land in their own pooled
-// refcounted frames), so a decoded wire.Msg never aliases the transport
-// buffer it came from. Entries are *[]byte so Put does not allocate.
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-func getFrameBuf(n int) *[]byte {
-	bp := frameBufs.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-func putFrameBuf(bp *[]byte) {
-	if cap(*bp) > maxPooledFrame {
-		return
-	}
-	frameBufs.Put(bp)
-}
 
 // TCP is a socket transport for standalone Khazana daemons. Peers are
 // registered with AddPeer. Requests are multiplexed: a small fixed set of

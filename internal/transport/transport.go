@@ -13,6 +13,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"khazana/internal/ktypes"
 	"khazana/internal/telemetry"
@@ -54,6 +55,81 @@ type RemoteError struct {
 
 // Error implements the error interface.
 func (e *RemoteError) Error() string { return "transport: remote: " + e.Msg }
+
+// maxPooledFrame caps the buffers kept in frameBufs; anything larger (a
+// batch grant can reach megabytes) is returned to the allocator so one
+// giant transfer does not pin memory for the process's life.
+const maxPooledFrame = 4 << 20
+
+// frameBufs recycles the buffers both transports marshal into and decode
+// from. Pooling is safe because a decoded wire.Msg never aliases the
+// buffer it came from: enc's Decoder moves byte and string fields out of
+// the input (page payloads land in their own pooled refcounted frames) and
+// a trace envelope decodes its inner message eagerly. Entries are *[]byte
+// so Put does not allocate.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func getFrameBuf(n int) *[]byte {
+	bp := frameBufs.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+func putFrameBuf(bp *[]byte) {
+	if cap(*bp) > maxPooledFrame {
+		return
+	}
+	frameBufs.Put(bp)
+}
+
+// marshalPooled encodes m into a pooled buffer behind hdr bytes of header
+// the caller fills in. The buffer goes back with putFrameBuf once sent.
+func marshalPooled(hdr int, m wire.Msg) *[]byte {
+	bp := getFrameBuf(hdr)
+	*bp = wire.MarshalAppend(*bp, m)
+	return bp
+}
+
+// serve runs one inbound request through h and marshals the response into
+// a pooled buffer behind hdr bytes of header: the dispatch step both
+// transports share, so that on every path the frames msg and the response
+// hold are released by the time it returns — after the response is
+// serialized, as it may alias the inbound message's frame. A traced request
+// is unwrapped first and its handler's context carries the sender's span
+// context, so the handler's spans join the caller's trace. A nil h yields
+// ErrNoHandler; any other error is the handler's.
+func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.NodeID, msg wire.Msg, hdr int) (*[]byte, error) {
+	defer wire.Recycle(msg)
+	if t, ok := msg.(*wire.Traced); ok {
+		ctx = telemetry.ContextWith(ctx, telemetry.SpanContext{Trace: telemetry.TraceID(t.Trace), Span: telemetry.SpanID(t.Span)})
+		msg = t.Inner
+	}
+	if h == nil {
+		return nil, ErrNoHandler
+	}
+	tm.inflight.Add(1)
+	resp, err := h(ctx, from, msg)
+	tm.inflight.Add(-1)
+	if err != nil {
+		return nil, err
+	}
+	defer wire.Recycle(resp)
+	return marshalPooled(hdr, resp), nil
+}
+
+// wrapTraced wraps m in a trace envelope when ctx carries a span context.
+// Untraced requests return m unchanged, so their encoding stays
+// byte-identical to the pre-telemetry wire format.
+func wrapTraced(ctx context.Context, m wire.Msg) wire.Msg {
+	sc, ok := telemetry.FromContext(ctx)
+	if !ok {
+		return m
+	}
+	return &wire.Traced{Trace: uint64(sc.Trace), Span: uint64(sc.Span), Inner: m}
+}
 
 // TelemetrySetter is implemented by transports that can report metrics
 // (open connections, in-flight requests, frame bytes) to a telemetry

@@ -48,12 +48,24 @@ func legacyPageGrantBatch(grants []PageGrantItem) []byte {
 	return b
 }
 
-// FuzzTracedEnvelopeWire proves both halves of the trace-header
-// compatibility contract: a message marshaled without a span context is
-// byte-identical to the legacy (pre-telemetry) encoding with no envelope
-// prefix, and the same bytes wrapped in a Traced envelope round-trip with
-// the inner payload untouched.
-func FuzzTracedEnvelopeWire(f *testing.F) {
+// legacyTraced is the trace envelope's encoding as the two-step encoder
+// emitted it: the inner message marshaled on its own, then copied into the
+// envelope as a length-prefixed byte string. It stays as the oracle the
+// single-pass encoder is held to.
+func legacyTraced(trace, span uint64, inner []byte) []byte {
+	b := legacyAppendU16(nil, uint16(KindTraced))
+	b = legacyAppendU64(b, trace)
+	b = legacyAppendU64(b, span)
+	return legacyAppendBytes32(b, inner)
+}
+
+// FuzzTracedEnvelope proves the trace-header compatibility contract. A
+// message marshaled without a span context is byte-identical to the legacy
+// (pre-telemetry) encoding with no envelope prefix. Wrapped, the
+// single-pass envelope is byte-identical to the legacy two-step one, for
+// the fuzzed grant and for every sample message, and decoding it yields the
+// inner message back with frames that recycle cleanly.
+func FuzzTracedEnvelope(f *testing.F) {
 	f.Add(true, []byte("page contents"), uint64(7), uint32(3), "", uint64(0xA), uint64(0xB))
 	f.Add(false, []byte{}, uint64(0), uint32(0), "conflict", uint64(1), uint64(2))
 	f.Fuzz(func(t *testing.T, ok bool, data []byte, version uint64, owner uint32, errStr string, trace, span uint64) {
@@ -64,48 +76,72 @@ func FuzzTracedEnvelopeWire(f *testing.F) {
 		// Absent span context: the plain marshal is the legacy format —
 		// no envelope, kind prefix unchanged.
 		plain := Marshal(m)
-		legacy := legacyPageGrantBatch(m.Grants)
-		if !bytes.Equal(plain, legacy) {
+		if legacy := legacyPageGrantBatch(m.Grants); !bytes.Equal(plain, legacy) {
 			t.Fatalf("untraced marshal diverged from legacy format:\n got %x\nwant %x", plain, legacy)
 		}
-		if k := Kind(binary.LittleEndian.Uint16(plain[:2])); k != KindPageGrantBatch {
-			t.Fatalf("untraced message carries kind %d, want %d", k, KindPageGrantBatch)
-		}
 
-		// The traced envelope wraps those exact bytes and yields them back.
-		env := Marshal(&Traced{Trace: trace, Span: span, Inner: plain})
-		if k := Kind(binary.LittleEndian.Uint16(env[:2])); k != KindTraced {
-			t.Fatalf("envelope carries kind %d, want %d", k, KindTraced)
+		for _, inner := range append(sampleMessages(), m) {
+			if inner.Kind() == KindTraced {
+				continue // envelopes do not nest
+			}
+			env := Marshal(&Traced{Trace: trace, Span: span, Inner: inner})
+			if want := legacyTraced(trace, span, Marshal(inner)); !bytes.Equal(env, want) {
+				t.Fatalf("%T: single-pass envelope diverged from the two-step encoding:\n got %x\nwant %x", inner, env, want)
+			}
+			back, err := Unmarshal(env)
+			if err != nil {
+				t.Fatalf("%T: unmarshal envelope: %v", inner, err)
+			}
+			tr, isTraced := back.(*Traced)
+			if !isTraced {
+				t.Fatalf("%T: envelope decoded as %T", inner, back)
+			}
+			if tr.Trace != trace || tr.Span != span {
+				t.Fatalf("trace context did not round trip: got (%x,%x) want (%x,%x)",
+					tr.Trace, tr.Span, trace, span)
+			}
+			// The decoded inner message re-encodes to the same bytes, so
+			// nothing was lost or reordered inside the envelope.
+			if again := Marshal(tr.Inner); !bytes.Equal(again, Marshal(inner)) {
+				t.Fatalf("%T: inner message changed inside the envelope", inner)
+			}
+			held := heldFrames(tr.Inner)
+			Recycle(tr)
+			for _, fr := range held {
+				if fr.Refs() != 1 {
+					t.Fatalf("%T: recycling the envelope left a frame with %d refs, want 1", inner, fr.Refs())
+				}
+				fr.Release()
+			}
 		}
-		back, err := Unmarshal(env)
-		if err != nil {
-			t.Fatalf("unmarshal envelope: %v", err)
-		}
-		tr, isTraced := back.(*Traced)
-		if !isTraced {
-			t.Fatalf("envelope decoded as %T", back)
-		}
-		if tr.Trace != trace || tr.Span != span {
-			t.Fatalf("trace context did not round trip: got (%x,%x) want (%x,%x)",
-				tr.Trace, tr.Span, trace, span)
-		}
-		wantInner := plain
-		if len(wantInner) == 0 {
-			wantInner = nil
-		}
-		if !bytes.Equal(tr.Inner, wantInner) {
-			t.Fatalf("inner payload changed inside the envelope:\n got %x\nwant %x", tr.Inner, plain)
-		}
-		inner, err := Unmarshal(tr.Inner)
-		if err != nil {
-			t.Fatalf("unmarshal inner: %v", err)
-		}
-		gb := inner.(*PageGrantBatch)
-		if g := gb.Grants[0]; g.OK != ok || g.Version != version || g.Owner != ktypes.NodeID(owner) || g.Err != errStr {
-			t.Fatal("inner scalar fields did not round trip")
-		}
-		gb.ReleaseFrames()
 	})
+}
+
+// heldFrames retains and returns every frame a decoded message's payloads
+// are backed by, so a test can watch the message's own references go.
+func heldFrames(m Msg) []*frame.Frame {
+	var held []*frame.Frame
+	for _, slot := range frameSlots(m) {
+		if *slot != nil {
+			held = append(held, (*slot).Retain())
+		}
+	}
+	return held
+}
+
+// TestTracedRejectsNestedAndEmpty: an envelope must wrap exactly one
+// non-envelope message.
+func TestTracedRejectsNestedAndEmpty(t *testing.T) {
+	inner := Marshal(&Traced{Trace: 1, Span: 2, Inner: &Ping{From: 1}})
+	if m, err := Unmarshal(legacyTraced(3, 4, inner)); err == nil {
+		t.Errorf("nested envelope decoded as %T", m)
+	}
+	if m, err := Unmarshal(legacyTraced(3, 4, nil)); err == nil {
+		t.Errorf("empty envelope decoded as %T", m)
+	}
+	if m, err := Unmarshal(legacyTraced(3, 4, []byte{0xff, 0xff})); err == nil {
+		t.Errorf("envelope around an unknown kind decoded as %T", m)
+	}
 }
 
 // FuzzPageGrantFrameWire marshals a frame-backed single-page grant — a

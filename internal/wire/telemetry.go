@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
+	"errors"
+
 	"khazana/internal/enc"
 	"khazana/internal/ktypes"
 )
@@ -149,16 +152,21 @@ func (m *StatsReply) decode(d *enc.Decoder) {
 }
 
 // Traced is the optional trace envelope. When a request context carries a
-// span context, the transport wraps the marshaled message in a Traced
-// frame; the receiving transport unwraps it and hands the handler a
-// context carrying the sender's trace and span IDs. Messages sent without
-// a span context are never wrapped, so their encoding is byte-identical
-// to the pre-telemetry format (the frame fuzzers prove this).
+// span context, the transport wraps the message in a Traced envelope; the
+// receiving transport unwraps it and hands the handler a context carrying
+// the sender's trace and span IDs. Messages sent without a span context
+// are never wrapped, so their encoding is byte-identical to the
+// pre-telemetry format (the frame fuzzers prove this).
+//
+// On the wire the envelope is the trace and span IDs, then the inner
+// message's own Marshal bytes behind a 32-bit length. encode writes them in
+// place and patches the length; decode decodes Inner eagerly, so a decoded
+// envelope never aliases the transport buffer it came from.
 type Traced struct {
 	Trace uint64
 	Span  uint64
-	// Inner is the wrapped message, marshaled with its own kind prefix.
-	Inner []byte
+	// Inner is the wrapped message. It is never itself a Traced.
+	Inner Msg
 }
 
 // Kind implements Msg.
@@ -167,11 +175,36 @@ func (*Traced) Kind() Kind { return KindTraced }
 func (m *Traced) encode(e *enc.Encoder) {
 	e.U64(m.Trace)
 	e.U64(m.Span)
-	e.Bytes32(m.Inner)
+	at := e.Reserve32()
+	e.U16(uint16(m.Inner.Kind()))
+	m.Inner.encode(e)
+	e.Patch32(at)
 }
 
 func (m *Traced) decode(d *enc.Decoder) {
 	m.Trace = d.U64()
 	m.Span = d.U64()
-	m.Inner = d.Bytes32()
+	body := d.View32()
+	if d.Err() != nil {
+		return
+	}
+	// An envelope inside an envelope is never sent; refusing it bounds
+	// the decode recursion on hostile input.
+	if len(body) >= 2 && Kind(binary.LittleEndian.Uint16(body)) == KindTraced {
+		d.Fail(errors.New("wire: nested trace envelope"))
+		return
+	}
+	inner, err := Unmarshal(body)
+	if err != nil {
+		d.Fail(err)
+		return
+	}
+	m.Inner = inner
+}
+
+// ReleaseFrames implements FrameCarrier for the wrapped message.
+func (m *Traced) ReleaseFrames() {
+	if m != nil {
+		Recycle(m.Inner)
+	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"khazana/internal/frame"
@@ -235,5 +236,49 @@ func FuzzPageGrantBatchSpecWire(f *testing.F) {
 			}
 		}
 		gb.ReleaseFrames()
+	})
+}
+
+// FuzzInvalidateBatchWire pins the InvalidateBatch layout — new owner, a
+// 32-bit count, then (page, version) per item — against hand-rolled bytes,
+// round-trips it, and checks that a count the input cannot hold is refused
+// before it sizes an allocation.
+func FuzzInvalidateBatchWire(f *testing.F) {
+	f.Add(uint32(4), uint64(1), uint64(0x3000), uint64(10), uint16(2))
+	f.Add(uint32(0), uint64(0), uint64(0), uint64(0), uint16(0))
+	f.Add(uint32(9), uint64(1<<40), uint64(0xFFFFFFFFFFFFF000), uint64(1<<63), uint16(300))
+	f.Fuzz(func(t *testing.T, owner uint32, hi, lo, version uint64, count uint16) {
+		m := &InvalidateBatch{NewOwner: ktypes.NodeID(owner)}
+		want := legacyAppendU16(nil, uint16(KindInvalidateBatch))
+		want = legacyAppendU32(want, owner)
+		want = legacyAppendU32(want, uint32(count))
+		for i := uint64(0); i < uint64(count); i++ {
+			it := InvalidateItem{Page: gaddr.Addr{Hi: hi, Lo: lo + i*4096}, Version: version + i}
+			m.Items = append(m.Items, it)
+			want = legacyAppendAddr(want, it.Page)
+			want = legacyAppendU64(want, it.Version)
+		}
+		got := Marshal(m)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("marshal diverged from the hand-rolled layout:\n got %x\nwant %x", got, want)
+		}
+		back, err := Unmarshal(got)
+		if err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		ib := back.(*InvalidateBatch)
+		if ib.NewOwner != m.NewOwner || len(ib.Items) != len(m.Items) {
+			t.Fatalf("header did not round trip: owner=%d items=%d", ib.NewOwner, len(ib.Items))
+		}
+		for i := range m.Items {
+			if ib.Items[i] != m.Items[i] {
+				t.Fatalf("item %d did not round trip: got %+v want %+v", i, ib.Items[i], m.Items[i])
+			}
+		}
+		// Claim one item more than the bytes hold.
+		binary.LittleEndian.PutUint32(got[6:10], uint32(count)+1)
+		if _, err := Unmarshal(got); err == nil {
+			t.Fatal("an item count past the end of the input decoded")
+		}
 	})
 }

@@ -11,6 +11,7 @@ package wire
 
 import (
 	"fmt"
+	"sync"
 
 	"khazana/internal/enc"
 	"khazana/internal/frame"
@@ -36,9 +37,9 @@ const (
 	KindReserveSpace
 	KindSpaceGrant
 
-	KindPageReq   // retired: a single page is a PageReqBatch of one
-	KindPageGrant // retired: answered KindPageReq
-	KindInvalidate
+	KindPageReq    // retired: a single page is a PageReqBatch of one
+	KindPageGrant  // retired: answered KindPageReq
+	KindInvalidate // retired: a single page is an InvalidateBatch of one
 	KindPageFetch
 	KindPageData
 	KindUpdatePush // retired: a single page is an UpdateBatch of one
@@ -108,6 +109,8 @@ const (
 	KindRingLookup
 	KindRingReply
 	KindRingAnnounce
+
+	KindInvalidateBatch
 )
 
 // Msg is a wire message.
@@ -117,19 +120,39 @@ type Msg interface {
 	decode(d *enc.Decoder)
 }
 
-// Marshal serializes a message with its kind prefix.
+// encoders recycles Encoders (one handed to Msg.encode escapes, so a fresh
+// one per message is an allocation per RPC); scratch recycles the buffers
+// Marshal encodes into. Entries are pointers so Put does not allocate.
+var (
+	encoders = sync.Pool{New: func() any { return new(enc.Encoder) }}
+	scratch  = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// Marshal serializes a message with its kind prefix into a buffer of
+// exactly the encoded size: the message is encoded once into pooled
+// scratch space and copied out, so the only allocation is the result.
 func Marshal(m Msg) []byte {
-	return MarshalAppend(make([]byte, 0, 64), m)
+	sp := scratch.Get().(*[]byte)
+	buf := MarshalAppend((*sp)[:0], m)
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	*sp = buf
+	scratch.Put(sp)
+	return out
 }
 
 // MarshalAppend serializes a message with its kind prefix, appending to
 // dst (which may be a pooled transport buffer), and returns the extended
 // slice. The encoding is identical to Marshal's.
 func MarshalAppend(dst []byte, m Msg) []byte {
-	e := enc.NewEncoderWith(dst)
+	e := encoders.Get().(*enc.Encoder)
+	e.Reset(dst)
 	e.U16(uint16(m.Kind()))
 	m.encode(e)
-	return e.Bytes()
+	out := e.Bytes()
+	e.Reset(nil)
+	encoders.Put(e)
+	return out
 }
 
 // Unmarshal parses a message produced by Marshal.
@@ -160,7 +183,6 @@ var factories = map[Kind]func() Msg{
 	KindAttrSet:          func() Msg { return &AttrSet{} },
 	KindReserveSpace:     func() Msg { return &ReserveSpace{} },
 	KindSpaceGrant:       func() Msg { return &SpaceGrant{} },
-	KindInvalidate:       func() Msg { return &Invalidate{} },
 	KindPageFetch:        func() Msg { return &PageFetch{} },
 	KindPageData:         func() Msg { return &PageData{} },
 	KindVersionQuery:     func() Msg { return &VersionQuery{} },
@@ -218,6 +240,19 @@ var factories = map[Kind]func() Msg{
 	KindRingLookup:   func() Msg { return &RingLookup{} },
 	KindRingReply:    func() Msg { return &RingReply{} },
 	KindRingAnnounce: func() Msg { return &RingAnnounce{} },
+
+	KindInvalidateBatch: func() Msg { return &InvalidateBatch{} },
+}
+
+// TypeNames maps every live kind to prefix plus its message's Go type name
+// (e.g. "*wire.Ping"), for callers that label spans or logs per kind and
+// want the strings built once rather than formatted per message.
+func TypeNames(prefix string) map[Kind]string {
+	names := make(map[Kind]string, len(factories))
+	for k, factory := range factories {
+		names[k] = fmt.Sprintf("%s%T", prefix, factory())
+	}
+	return names
 }
 
 // --- infrastructure -----------------------------------------------------
@@ -361,27 +396,6 @@ func (m *SpaceGrant) decode(d *enc.Decoder) {
 }
 
 // --- consistency traffic --------------------------------------------------
-
-// Invalidate tells a node to drop its copy of a page because NewOwner is
-// taking exclusive ownership.
-type Invalidate struct {
-	Page     gaddr.Addr
-	NewOwner ktypes.NodeID
-	Version  uint64
-}
-
-// Kind implements Msg.
-func (*Invalidate) Kind() Kind { return KindInvalidate }
-func (m *Invalidate) encode(e *enc.Encoder) {
-	e.Addr(m.Page)
-	e.NodeID(m.NewOwner)
-	e.U64(m.Version)
-}
-func (m *Invalidate) decode(d *enc.Decoder) {
-	m.Page = d.Addr()
-	m.NewOwner = d.NodeID()
-	m.Version = d.U64()
-}
 
 // PageFetch asks a node holding a page for its current contents (Figure 2,
 // steps 7-9: the owner's daemon supplies a copy).
@@ -1458,6 +1472,50 @@ func (m *UpdateBatchResp) decode(d *enc.Decoder) {
 		}
 		m.Errs = append(m.Errs, s)
 		m.Versions = append(m.Versions, v)
+	}
+}
+
+// InvalidateItem names one page inside an InvalidateBatch and the version
+// the home held when it revoked the copy.
+type InvalidateItem struct {
+	Page    gaddr.Addr
+	Version uint64
+}
+
+// InvalidateBatch tells a node to drop its copies of a set of pages because
+// NewOwner is taking exclusive ownership (Figure 2, step 10): one RPC per
+// sharer covers every page of a write grant or of a region being freed.
+// The reply is an Ack. The count is 32-bit, as a freed region can hold more
+// pages than the 16-bit grant batches.
+type InvalidateBatch struct {
+	NewOwner ktypes.NodeID
+	Items    []InvalidateItem
+}
+
+// Kind implements Msg.
+func (*InvalidateBatch) Kind() Kind { return KindInvalidateBatch }
+func (m *InvalidateBatch) encode(e *enc.Encoder) {
+	e.NodeID(m.NewOwner)
+	e.U32(uint32(len(m.Items)))
+	for _, it := range m.Items {
+		e.Addr(it.Page)
+		e.U64(it.Version)
+	}
+}
+func (m *InvalidateBatch) decode(d *enc.Decoder) {
+	m.NewOwner = d.NodeID()
+	n := int(d.U32())
+	if d.Err() != nil || n == 0 {
+		return
+	}
+	// A hostile count must not size the allocation; an item is 24 bytes.
+	if n > d.Remaining()/24 {
+		d.Fail(enc.ErrTruncated)
+		return
+	}
+	m.Items = make([]InvalidateItem, n)
+	for i := range m.Items {
+		m.Items[i] = InvalidateItem{Page: d.Addr(), Version: d.U64()}
 	}
 }
 

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"khazana/internal/frame"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
@@ -38,7 +40,11 @@ func sampleMessages() []Msg {
 		&ReserveSpace{From: 2, Size: 1 << 30},
 		&SpaceGrant{Range: gaddr.Range{Start: gaddr.New(0, 1<<30), Size: 1 << 30}},
 		&SpaceGrant{Err: "no space"},
-		&Invalidate{Page: gaddr.New(0, 0x3000), NewOwner: 4, Version: 10},
+		&InvalidateBatch{NewOwner: 4, Items: []InvalidateItem{
+			{Page: gaddr.New(0, 0x3000), Version: 10},
+			{Page: gaddr.New(0, 0x4000), Version: 11},
+		}},
+		&InvalidateBatch{NewOwner: 1},
 		&PageFetch{Page: gaddr.New(0, 0x3000), Requester: 3},
 		&PageData{Found: true, Data: []byte{1, 2, 3}, Version: 11},
 		&VersionQuery{Page: gaddr.New(0, 0x4000)},
@@ -106,7 +112,7 @@ func sampleMessages() []Msg {
 				Name: "op.lock", StartUnixNano: 100, DurationNs: 250}},
 		},
 		&StatsReply{Node: 1},
-		&Traced{Trace: 0xABCD, Span: 0x1234, Inner: []byte{0x02, 0x00}},
+		&Traced{Trace: 0xABCD, Span: 0x1234, Inner: &Ping{From: 4, SentUnixNano: 99}},
 		&PageGrantBatch{
 			Grants: []PageGrantItem{{OK: true, Data: []byte("page"), Version: 3, Owner: 1}},
 			Spec: []SpecGrant{
@@ -158,34 +164,46 @@ func sampleMessages() []Msg {
 	}
 }
 
+// frameSlots returns the unexported frame slot behind every payload m
+// carries, a trace envelope's inner message included.
+func frameSlots(m Msg) []**frame.Frame {
+	var slots []**frame.Frame
+	switch msg := m.(type) {
+	case *Traced:
+		return frameSlots(msg.Inner)
+	case *PageData:
+		slots = append(slots, &msg.dataFrame)
+	case *ReplicaPut:
+		slots = append(slots, &msg.dataFrame)
+	case *PageGrantBatch:
+		for i := range msg.Grants {
+			slots = append(slots, &msg.Grants[i].dataFrame)
+		}
+		for i := range msg.Spec {
+			slots = append(slots, &msg.Spec[i].dataFrame)
+		}
+	case *ReleaseBatch:
+		for i := range msg.Items {
+			slots = append(slots, &msg.Items[i].dataFrame)
+		}
+	case *UpdateBatch:
+		for i := range msg.Items {
+			slots = append(slots, &msg.Items[i].dataFrame)
+		}
+	case *SnapshotGrantBatch:
+		for i := range msg.Items {
+			slots = append(slots, &msg.Items[i].dataFrame)
+		}
+	}
+	return slots
+}
+
 // detachFrames clears the unexported frame backing decoded payloads so
 // DeepEqual compares only the encoded fields. The frames are deliberately
 // leaked to the GC, never released, so the Data views stay valid.
 func detachFrames(m Msg) {
-	switch msg := m.(type) {
-	case *PageData:
-		msg.dataFrame = nil
-	case *ReplicaPut:
-		msg.dataFrame = nil
-	case *PageGrantBatch:
-		for i := range msg.Grants {
-			msg.Grants[i].dataFrame = nil
-		}
-		for i := range msg.Spec {
-			msg.Spec[i].dataFrame = nil
-		}
-	case *ReleaseBatch:
-		for i := range msg.Items {
-			msg.Items[i].dataFrame = nil
-		}
-	case *UpdateBatch:
-		for i := range msg.Items {
-			msg.Items[i].dataFrame = nil
-		}
-	case *SnapshotGrantBatch:
-		for i := range msg.Items {
-			msg.Items[i].dataFrame = nil
-		}
+	for _, slot := range frameSlots(m) {
+		*slot = nil
 	}
 }
 
@@ -202,6 +220,34 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 		detachFrames(got)
 		if !reflect.DeepEqual(got, m) {
 			t.Errorf("%T round trip mismatch:\n got %+v\nwant %+v", m, got, m)
+		}
+	}
+}
+
+// TestDecodedMessagesNeverAliasInput pins the contract the transports'
+// buffer pools rest on: the reader recycles its buffer right after
+// Unmarshal, before any handler runs, so nothing a decoded message holds —
+// a trace envelope's inner message included — may point into the input.
+func TestDecodedMessagesNeverAliasInput(t *testing.T) {
+	for _, m := range sampleMessages() {
+		forms := []Msg{m}
+		if m.Kind() != KindTraced {
+			forms = append(forms, &Traced{Trace: 1, Span: 2, Inner: m})
+		}
+		for _, form := range forms {
+			want := Marshal(form)
+			buf := append([]byte(nil), want...)
+			back, err := Unmarshal(buf)
+			if err != nil {
+				t.Fatalf("%T: unmarshal: %v", form, err)
+			}
+			for i := range buf {
+				buf[i] = 0xFF
+			}
+			if got := Marshal(back); !bytes.Equal(got, want) {
+				t.Errorf("%T (inner %T) changed when its input buffer was overwritten", form, m)
+			}
+			Recycle(back)
 		}
 	}
 }
@@ -330,7 +376,7 @@ func TestUnmarshalErrors(t *testing.T) {
 // them, and every later kind keeps the number it has always had.
 func TestRetiredKindsRejected(t *testing.T) {
 	for name, kind := range map[string]Kind{
-		"PageReq": KindPageReq, "PageGrant": KindPageGrant,
+		"PageReq": KindPageReq, "PageGrant": KindPageGrant, "Invalidate": KindInvalidate,
 		"UpdatePush": KindUpdatePush, "ReleaseNotify": KindReleaseNotify,
 	} {
 		body := append([]byte{byte(kind), byte(kind >> 8)}, make([]byte, 64)...)
@@ -340,15 +386,15 @@ func TestRetiredKindsRejected(t *testing.T) {
 	}
 	for kind, want := range map[Kind]Kind{
 		KindPageReq: 9, KindPageGrant: 10, KindInvalidate: 11,
-		KindUpdatePush: 14, KindVersionQuery: 15,
+		KindPageFetch: 12, KindUpdatePush: 14, KindVersionQuery: 15,
 		KindReleaseNotify: 17, KindReplicaPut: 18,
-		KindPageReqBatch: 51, KindRingAnnounce: 67,
+		KindPageReqBatch: 51, KindRingAnnounce: 67, KindInvalidateBatch: 68,
 	} {
 		if kind != want {
 			t.Errorf("kind renumbered: got %d, want %d", kind, want)
 		}
 	}
-	for _, m := range []Msg{&Invalidate{}, &VersionQuery{}, &ReplicaPut{}} {
+	for _, m := range []Msg{&PageFetch{}, &VersionQuery{}, &ReplicaPut{}, &InvalidateBatch{}} {
 		if back, err := Unmarshal(Marshal(m)); err != nil || back.Kind() != m.Kind() {
 			t.Errorf("%T after a retired kind did not round trip: %v", m, err)
 		}
