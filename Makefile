@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/khazlint
 
-.PHONY: all build test race vet lint lint-selftest fmt-check bench-module bench-scan bench-smoke telemetry-smoke clean
+.PHONY: all build test race vet lint lint-selftest fmt-check bench-module bench-scan alloc-gates bench-smoke telemetry-smoke clean
 
 all: build lint test bench-module
 
@@ -63,6 +63,14 @@ bench-module:
 # verification.
 bench-scan:
 	bash bench/run.sh --workload remote_scan --seed 1 --seconds 5 --trace 0
+
+# alloc-gates runs the absolute allocation budgets without the race
+# detector (which defeats sync.Pool and skips them): the local lock cycle
+# (one object), the remote read batch, grant marshalling, a span in a
+# caller-owned slot (0) and the uncontended lock table (0). An allocation
+# creeping back fails here, without a benchmark run.
+alloc-gates:
+	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency
 
 # bench-smoke runs every benchmark for a single iteration so bit-rotted
 # benchmark code fails CI instead of lingering until someone profiles.

@@ -2,6 +2,7 @@ package khazana_test
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -227,5 +228,105 @@ func TestMarshalGrantBatchAllocGate(t *testing.T) {
 	}
 	if cap(encoded) != len(encoded) {
 		t.Fatalf("marshaled grant has %d spare bytes of capacity", cap(encoded)-len(encoded))
+	}
+}
+
+// lockCycleCost runs Lock → op → Unlock cycles of one resident page
+// on the region's home node and returns the average objects and bytes
+// one cycle allocates (telemetry on, as in the default cluster).
+func lockCycleCost(t *testing.T, mode khazana.LockMode, op func(lk *khazana.Lock, start khazana.Addr)) (objects, bytes float64) {
+	t.Helper()
+	c, err := khazana.NewCluster(2, khazana.WithStoreDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const ps = 4096
+	n := c.Node(1)
+	start, err := n.Reserve(ctx, ps, khazana.Attrs{}, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Allocate(ctx, start, "bench"); err != nil {
+		t.Fatal(err)
+	}
+	rng := khazana.Range{Start: start, Size: ps}
+	cycle := func() {
+		lk, err := n.Lock(ctx, rng, mode, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		op(lk, start)
+		if err := lk.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Make the page resident, then warm the maps and pools.
+	lk, err := n.Lock(ctx, rng, khazana.LockWrite, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.Write(start, make([]byte, ps)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.Unlock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	// The cluster's background loops allocate too, and only ever add: the
+	// cheapest of three rounds is the cycle's own cost.
+	const cycles = 1000
+	objects, bytes = math.Inf(1), math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&after)
+		objects = math.Min(objects, float64(after.Mallocs-before.Mallocs)/cycles)
+		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/cycles)
+	}
+	return objects, bytes
+}
+
+// TestLocalLockCycleAllocGate is the object budget of the node-local lock
+// path: on the home node, with telemetry on, Lock(read, one resident page)
+// + ReadView + Unlock creates the lock context and nothing else — no span
+// context, no lock-table entry or gate, no descriptor clone, no page list,
+// pin list, dirty map or public wrapper. The budget of 3 objects and 320 B
+// leaves room for a map or pool growing once in a thousand cycles; any of
+// the fourteen objects the cycle used to allocate coming back fails it.
+// In write mode with one full-page Write the cycle measures 6 objects and
+// 576 B: the context, the dirty set the first Write now makes (two: map
+// and its first group), and CREW's write bookkeeping at the home (the
+// reset copyset, the invalidation and replication lists); the new page
+// frame comes out of the frame pool. Its budget is 8 objects and 1 KB — a
+// page frame allocated per write (4 KB) fails it.
+func TestLocalLockCycleAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the budgets assume pooled frames")
+	}
+	page := make([]byte, 4096)
+	objects, bytes := lockCycleCost(t, khazana.LockRead, func(lk *khazana.Lock, start khazana.Addr) {
+		if view, err := lk.ReadView(start, 4096); err != nil || len(view) != 4096 {
+			t.Fatalf("view of %d bytes: %v", len(view), err)
+		}
+	})
+	t.Logf("read cycle: %.2f objects, %.0f B", objects, bytes)
+	if objects > 3 || bytes > 320 {
+		t.Fatalf("a resident read lock cycle allocates %.2f objects / %.0f B, budget is 3 objects / 320 B", objects, bytes)
+	}
+	objects, bytes = lockCycleCost(t, khazana.LockWrite, func(lk *khazana.Lock, start khazana.Addr) {
+		if err := lk.Write(start, page); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("write cycle: %.2f objects, %.0f B", objects, bytes)
+	if objects > 8 || bytes > 1024 {
+		t.Fatalf("a resident write lock cycle allocates %.2f objects / %.0f B, budget is 8 objects / 1024 B", objects, bytes)
 	}
 }

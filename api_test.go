@@ -139,3 +139,36 @@ func TestClientStatsAndMigrateInproc(t *testing.T) {
 		t.Fatalf("home after client migrate = %v", home)
 	}
 }
+
+// TestGetAttrReturnsPrivateCopy: the daemon shares its published
+// descriptors between readers, so the public GetAttr must hand client code
+// a copy — scribbling on the result changes nothing anyone else sees.
+func TestGetAttrReturnsPrivateCopy(t *testing.T) {
+	c, err := NewCluster(1, WithStoreDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	n := c.Node(1)
+	attrs := Attrs{ACL: PrivateACL("alice").Grant("bob", PermRead)}
+	start, err := n.Reserve(ctx, 4096, attrs, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := n.GetAttr(ctx, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Home[0] = 99
+	d.Epoch = 99
+	d.Allocated = true
+	d.Attrs.ACL.Entries[0].Allow = PermAll
+	again, err := n.GetAttr(ctx, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Home[0] != 1 || again.Epoch == 99 || again.Allocated || again.Attrs.ACL.Entries[0].Allow != PermRead {
+		t.Fatalf("mutating a GetAttr result reached the daemon's descriptor: %+v", again)
+	}
+}

@@ -916,6 +916,15 @@ func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 	}
 	allReads := true
 	for i, mode := range msg.Modes {
+		if !mode.Valid() {
+			// The mode bytes come off the wire unchecked: refuse the batch
+			// before any page's lock is touched.
+			for j := range resp.Grants {
+				resp.Grants[j].Err = "not attempted: invalid lock mode in batch"
+			}
+			resp.Grants[i].Err = fmt.Sprintf("consistency: invalid lock mode %d", mode)
+			return resp, nil
+		}
 		if mode == ktypes.LockWriteShared {
 			msg.Modes[i] = ktypes.LockWrite
 		}

@@ -16,6 +16,7 @@ package consistency
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"khazana/internal/gaddr"
@@ -31,61 +32,90 @@ import (
 //   - LockWriteShared conflicts only with an exclusive writer (it coexists
 //     with readers and other shared writers; the region's protocol is
 //     responsible for merging).
+//
+// Invariant: an entry exists iff the page has a holder or a waiter, and a
+// waiter only ever parks behind a holder — so Held, Len and the migration
+// quiescence check see exactly the pages somebody holds. Entries live in
+// the map by value and a page's gate channel exists only while a waiter
+// is parked on it, so an uncontended acquire/release pair allocates
+// nothing.
 type LockTable struct {
 	mu    sync.Mutex
-	pages map[gaddr.Addr]*pageLock
+	pages map[gaddr.Addr]pageLock
 }
 
 type pageLock struct {
-	readers       int
-	sharedWriters int
+	readers       int32
+	sharedWriters int32
 	exclusive     bool
-	gate          chan struct{}
+	// waiters counts the goroutines parked on gate. The first waiter makes
+	// the gate; the release that wakes them closes and clears it, and the
+	// last waiter to give up (ctx done) clears it too.
+	waiters int32
+	gate    chan struct{}
 }
 
 // NewLockTable creates an empty lock table.
 func NewLockTable() *LockTable {
-	return &LockTable{pages: make(map[gaddr.Addr]*pageLock)}
+	return &LockTable{pages: make(map[gaddr.Addr]pageLock)}
 }
 
 // Acquire blocks until the page can be locked in the given mode or the
-// context is done.
+// context is done. An invalid mode fails immediately: no release could
+// ever admit it.
 func (lt *LockTable) Acquire(ctx context.Context, page gaddr.Addr, mode ktypes.LockMode) error {
+	if !mode.Valid() {
+		return fmt.Errorf("consistency: invalid lock mode %d", mode)
+	}
+	lt.mu.Lock()
 	for {
-		lt.mu.Lock()
-		pl, ok := lt.pages[page]
-		if !ok {
-			pl = &pageLock{gate: make(chan struct{})}
-			lt.pages[page] = pl
-		}
+		pl := lt.pages[page]
 		if pl.admit(mode) {
+			lt.pages[page] = pl
 			lt.mu.Unlock()
 			return nil
 		}
+		if pl.gate == nil {
+			pl.gate = make(chan struct{})
+		}
 		gate := pl.gate
+		pl.waiters++
+		lt.pages[page] = pl
 		lt.mu.Unlock()
 		select {
 		case <-gate:
+			lt.mu.Lock()
 		case <-ctx.Done():
+			lt.mu.Lock()
+			// Still parked on the entry's gate (no release raced the
+			// expiry): leave it, taking the gate along if nobody else waits.
+			if pl = lt.pages[page]; pl.gate == gate {
+				if pl.waiters--; pl.waiters == 0 {
+					pl.gate = nil
+				}
+				lt.pages[page] = pl
+			}
+			lt.mu.Unlock()
 			return ctx.Err()
 		}
 	}
 }
 
-// TryAcquire attempts a non-blocking lock, reporting success.
+// TryAcquire attempts a non-blocking lock, reporting success. A refused
+// attempt leaves the table untouched.
 func (lt *LockTable) TryAcquire(page gaddr.Addr, mode ktypes.LockMode) bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	pl, ok := lt.pages[page]
-	if !ok {
-		pl = &pageLock{gate: make(chan struct{})}
-		lt.pages[page] = pl
+	pl := lt.pages[page]
+	if !pl.admit(mode) {
+		return false
 	}
-	return pl.admit(mode)
+	lt.pages[page] = pl
+	return true
 }
 
 // admit grants the mode if compatible with current holders. Caller holds
-// the table mutex.
+// the table mutex and stores the entry back on success.
 func (pl *pageLock) admit(mode ktypes.LockMode) bool {
 	switch mode {
 	case ktypes.LockRead:
@@ -111,40 +141,27 @@ func (pl *pageLock) admit(mode ktypes.LockMode) bool {
 	}
 }
 
+// drop gives up one hold in mode, reporting whether there was one.
+func (pl *pageLock) drop(mode ktypes.LockMode) bool {
+	switch {
+	case mode == ktypes.LockRead && pl.readers > 0:
+		pl.readers--
+	case mode == ktypes.LockWrite && pl.exclusive:
+		pl.exclusive = false
+	case mode == ktypes.LockWriteShared && pl.sharedWriters > 0:
+		pl.sharedWriters--
+	default:
+		return false
+	}
+	return true
+}
+
 // Release drops a lock previously acquired in mode. Releasing an unheld
 // lock panics: it is a programming error in the daemon, not a runtime
 // condition.
 func (lt *LockTable) Release(page gaddr.Addr, mode ktypes.LockMode) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	pl, ok := lt.pages[page]
-	if !ok {
-		panic("consistency: release of unlocked page " + page.String())
-	}
-	switch mode {
-	case ktypes.LockRead:
-		if pl.readers == 0 {
-			panic("consistency: release of unheld read lock")
-		}
-		pl.readers--
-	case ktypes.LockWrite:
-		if !pl.exclusive {
-			panic("consistency: release of unheld write lock")
-		}
-		pl.exclusive = false
-	case ktypes.LockWriteShared:
-		if pl.sharedWriters == 0 {
-			panic("consistency: release of unheld write-shared lock")
-		}
-		pl.sharedWriters--
-	default:
-		panic("consistency: release with invalid mode")
-	}
-	// Wake waiters and reset the gate.
-	close(pl.gate)
-	pl.gate = make(chan struct{})
-	if pl.readers == 0 && pl.sharedWriters == 0 && !pl.exclusive {
-		delete(lt.pages, page)
+	if !lt.TryRelease(page, mode) {
+		panic(fmt.Sprintf("consistency: release of unheld %v lock on page %v", mode, page))
 	}
 }
 
@@ -156,32 +173,19 @@ func (lt *LockTable) TryRelease(page gaddr.Addr, mode ktypes.LockMode) bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	pl, ok := lt.pages[page]
-	if !ok {
+	if !ok || !pl.drop(mode) {
 		return false
 	}
-	switch mode {
-	case ktypes.LockRead:
-		if pl.readers == 0 {
-			return false
-		}
-		pl.readers--
-	case ktypes.LockWrite:
-		if !pl.exclusive {
-			return false
-		}
-		pl.exclusive = false
-	case ktypes.LockWriteShared:
-		if pl.sharedWriters == 0 {
-			return false
-		}
-		pl.sharedWriters--
-	default:
-		return false
+	// Wake the waiters, if any; each re-checks under the mutex and the
+	// losers park on a fresh gate.
+	if pl.gate != nil {
+		close(pl.gate)
+		pl.gate, pl.waiters = nil, 0
 	}
-	close(pl.gate)
-	pl.gate = make(chan struct{})
 	if pl.readers == 0 && pl.sharedWriters == 0 && !pl.exclusive {
 		delete(lt.pages, page)
+	} else {
+		lt.pages[page] = pl
 	}
 	return true
 }
@@ -191,8 +195,8 @@ func (lt *LockTable) TryRelease(page gaddr.Addr, mode ktypes.LockMode) bool {
 func (lt *LockTable) WriteLocked(page gaddr.Addr) bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	pl, ok := lt.pages[page]
-	return ok && (pl.exclusive || pl.sharedWriters > 0)
+	pl := lt.pages[page]
+	return pl.exclusive || pl.sharedWriters > 0
 }
 
 // Readers returns the number of read locks currently held on the page.
@@ -201,11 +205,7 @@ func (lt *LockTable) WriteLocked(page gaddr.Addr) bool {
 func (lt *LockTable) Readers(page gaddr.Addr) int {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	pl, ok := lt.pages[page]
-	if !ok {
-		return 0
-	}
-	return pl.readers
+	return int(lt.pages[page].readers)
 }
 
 // Held reports whether any lock is currently held on the page.

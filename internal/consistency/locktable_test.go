@@ -124,13 +124,6 @@ func TestLockContextCancel(t *testing.T) {
 	}
 }
 
-func TestLockInvalidMode(t *testing.T) {
-	lt := NewLockTable()
-	if lt.TryAcquire(lpage(1), ktypes.LockMode(99)) {
-		t.Fatal("invalid mode admitted")
-	}
-}
-
 func TestLockReleasePanics(t *testing.T) {
 	tests := []struct {
 		name string
@@ -199,5 +192,199 @@ func TestLockStress(t *testing.T) {
 	wg.Wait()
 	if counter != 8*200 {
 		t.Fatalf("counter = %d, want %d (write lock not exclusive)", counter, 8*200)
+	}
+}
+
+// An invalid mode never leaves an entry behind: a holderless entry would
+// read as locked forever and wedge MigrateRegion's quiescence check.
+func TestLockInvalidMode(t *testing.T) {
+	lt := NewLockTable()
+	for _, mode := range []ktypes.LockMode{0, 99} {
+		if lt.TryAcquire(lpage(1), mode) {
+			t.Fatalf("mode %d admitted", mode)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := lt.Acquire(ctx, lpage(1), mode)
+		waited := ctx.Err() != nil
+		cancel()
+		if err == nil || waited {
+			t.Fatalf("Acquire(mode %d) = %v, want an immediate error", mode, err)
+		}
+		if lt.Held(lpage(1)) || lt.Len() != 0 {
+			t.Fatalf("refused mode %d left an entry: held=%v len=%d", mode, lt.Held(lpage(1)), lt.Len())
+		}
+	}
+	// A conflicting TryAcquire is refused without touching the holder's entry.
+	if !lt.TryAcquire(lpage(1), ktypes.LockWrite) || lt.TryAcquire(lpage(1), ktypes.LockRead) {
+		t.Fatal("write then read: want admitted then refused")
+	}
+	lt.Release(lpage(1), ktypes.LockWrite)
+	if lt.Len() != 0 {
+		t.Fatalf("len = %d after the only holder released", lt.Len())
+	}
+}
+
+func TestLockTryReleaseUnheld(t *testing.T) {
+	lt := NewLockTable()
+	if lt.TryRelease(lpage(1), ktypes.LockRead) {
+		t.Fatal("TryRelease of a never-locked page reported held")
+	}
+	_ = lt.Acquire(context.Background(), lpage(1), ktypes.LockRead)
+	if lt.TryRelease(lpage(1), ktypes.LockWrite) || lt.TryRelease(lpage(1), 0) {
+		t.Fatal("TryRelease in a mode not held reported held")
+	}
+	if !lt.TryRelease(lpage(1), ktypes.LockRead) || lt.Len() != 0 {
+		t.Fatal("TryRelease of the held read lock failed or left an entry")
+	}
+}
+
+// waitParked blocks until want goroutines are parked on page's gate.
+func waitParked(t *testing.T, lt *LockTable, page gaddr.Addr, want int32) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		lt.mu.Lock()
+		got := lt.pages[page].waiters
+		lt.mu.Unlock()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters parked, want %d", got, want)
+		}
+	}
+}
+
+// N waiters behind one exclusive holder all wake on its release, exactly
+// one wins each round, and the table is empty once everyone is done.
+func TestLockWaitersAllWakeOneWins(t *testing.T) {
+	const waiters = 8
+	lt := NewLockTable()
+	ctx := context.Background()
+	if err := lt.Acquire(ctx, lpage(1), ktypes.LockWrite); err != nil {
+		t.Fatal(err)
+	}
+	var holders, wins int // guarded by the page's write lock
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := lt.Acquire(ctx, lpage(1), ktypes.LockWrite); err != nil {
+				t.Error(err)
+				return
+			}
+			if holders++; holders != 1 {
+				t.Errorf("%d exclusive holders at once", holders)
+			}
+			wins++
+			holders--
+			lt.Release(lpage(1), ktypes.LockWrite)
+		}()
+	}
+	waitParked(t, lt, lpage(1), waiters)
+	lt.Release(lpage(1), ktypes.LockWrite)
+	wg.Wait()
+	if wins != waiters {
+		t.Fatalf("%d of %d waiters ever won", wins, waiters)
+	}
+	if lt.Len() != 0 {
+		t.Fatalf("len = %d after every holder released", lt.Len())
+	}
+}
+
+// A waiter whose ctx expires leaves the table as it found it: the
+// holder's entry, no gate, no waiter count.
+func TestLockWaiterExpiryLeavesNoGate(t *testing.T) {
+	lt := NewLockTable()
+	if err := lt.Acquire(context.Background(), lpage(1), ktypes.LockWrite); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- lt.Acquire(ctx, lpage(1), ktypes.LockRead) }()
+	waitParked(t, lt, lpage(1), 1)
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("canceled Acquire succeeded")
+	}
+	lt.mu.Lock()
+	pl := lt.pages[lpage(1)]
+	lt.mu.Unlock()
+	if lt.Len() != 1 || pl.gate != nil || pl.waiters != 0 || !pl.exclusive {
+		t.Fatalf("after expiry: len=%d entry=%+v, want the holder's entry alone", lt.Len(), pl)
+	}
+	lt.Release(lpage(1), ktypes.LockWrite)
+	if lt.Len() != 0 {
+		t.Fatalf("len = %d after release", lt.Len())
+	}
+}
+
+// Writer → readers → writer hand-off never admits a reader beside a
+// writer: the counters below are only touched while holding the page lock.
+func TestLockReaderWriterHandoff(t *testing.T) {
+	lt := NewLockTable()
+	ctx := context.Background()
+	var mu sync.Mutex // guards the counters; the page lock guards the invariant
+	var readers, writers int
+	enter := func(mode ktypes.LockMode) {
+		mu.Lock()
+		defer mu.Unlock()
+		if mode == ktypes.LockWrite {
+			writers++
+		} else {
+			readers++
+		}
+		if writers > 1 || (writers == 1 && readers > 0) {
+			t.Errorf("%d writers beside %d readers", writers, readers)
+		}
+	}
+	leave := func(mode ktypes.LockMode) {
+		mu.Lock()
+		defer mu.Unlock()
+		if mode == ktypes.LockWrite {
+			writers--
+		} else {
+			readers--
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		mode := ktypes.LockRead
+		if i%3 == 0 {
+			mode = ktypes.LockWrite
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				if err := lt.Acquire(ctx, lpage(1), mode); err != nil {
+					t.Error(err)
+					return
+				}
+				enter(mode)
+				leave(mode)
+				lt.Release(lpage(1), mode)
+			}
+		}()
+	}
+	wg.Wait()
+	if lt.Len() != 0 {
+		t.Fatalf("len = %d after every holder released", lt.Len())
+	}
+}
+
+// TestLockUncontendedNoAlloc: entries live in the map by value and the
+// gate exists only while someone waits, so a warmed table grants and
+// releases an uncontended lock without allocating.
+func TestLockUncontendedNoAlloc(t *testing.T) {
+	lt := NewLockTable()
+	cycle := func() {
+		if !lt.TryAcquire(lpage(1), ktypes.LockRead) || !lt.TryRelease(lpage(1), ktypes.LockRead) {
+			t.Fatal("uncontended cycle refused")
+		}
+	}
+	cycle() // warm the map
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("uncontended TryAcquire+TryRelease allocates %.2f objects, want 0", avg)
 	}
 }

@@ -431,16 +431,14 @@ func (n *Node) ensureHomes(ctx context.Context, desc *region.Descriptor) (*regio
 	if len(homes) == len(desc.Home) {
 		return desc, false
 	}
-	n.descMu.Lock()
-	d, ok := n.authDescs[desc.Range.Start]
-	if !ok {
-		n.descMu.Unlock()
+	out := n.updateAuthDesc(desc.Range.Start, func(d *region.Descriptor) bool {
+		d.Home = homes
+		d.Epoch++
+		return true
+	})
+	if out == nil {
 		return desc, false
 	}
-	d.Home = homes
-	d.Epoch++
-	out := d.Clone()
-	n.descMu.Unlock()
 	n.rdir.Insert(out)
 	_ = n.mapSetHomes(ctx, out.Range.Start, homes)
 	// Record the membership change in the region's replicated log so

@@ -724,3 +724,48 @@ func TestReleaseProtocolRegion(t *testing.T) {
 		t.Fatalf("read %q", got)
 	}
 }
+
+// The op spans' durations feed the latency histograms: exactly one
+// lock-latency sample per granted lock and one release-latency sample per
+// unlock, while a refused Lock records its span but no grant latency.
+func TestLockLatencyObservedOncePerGrant(t *testing.T) {
+	_, nodes := testCluster(t, 1)
+	n := nodes[0]
+	ctx := context.Background()
+	start := mkRegion(t, n, 4096, region.Attrs{ACL: security.Private("alice")}, "alice")
+	rng := gaddr.Range{Start: start, Size: 4096}
+
+	spans := func(name string) (count int) {
+		for _, s := range n.TraceSpans() {
+			if s.Name == name {
+				count++
+			}
+		}
+		return count
+	}
+	locks, releases, lockSpans := n.mLockLatency.Count(), n.mReleaseLatency.Count(), spans("op.lock")
+	for i := 0; i < 3; i++ {
+		lc, err := n.Lock(ctx, rng, ktypes.LockRead, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Unlock(ctx, lc); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Unlock(ctx, lc); !errors.Is(err, ErrBadLock) {
+			t.Fatalf("second Unlock = %v, want ErrBadLock", err)
+		}
+	}
+	if _, err := n.Lock(ctx, rng, ktypes.LockRead, "mallory"); err == nil {
+		t.Fatal("stranger's lock granted")
+	}
+	if got := n.mLockLatency.Count() - locks; got != 3 {
+		t.Fatalf("%d lock-latency samples for 3 grants and 1 refusal", got)
+	}
+	if got := n.mReleaseLatency.Count() - releases; got != 3 {
+		t.Fatalf("%d release-latency samples for 3 unlocks", got)
+	}
+	if got := spans("op.lock") - lockSpans; got != 4 {
+		t.Fatalf("%d op.lock spans for 4 Lock calls", got)
+	}
+}

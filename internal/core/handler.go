@@ -172,7 +172,7 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 		if err != nil {
 			return &wire.CLockResp{Err: err.Error()}, nil
 		}
-		return &wire.CLockResp{LockID: lc.ID}, nil
+		return &wire.CLockResp{LockID: lc.id}, nil
 	case *wire.CUnlock:
 		lc, err := n.lockByID(msg.LockID)
 		if err != nil {
@@ -279,7 +279,7 @@ func (n *Node) handleCM(ctx context.Context, from ktypes.NodeID, page gaddr.Addr
 // first, then the region directory cache.
 func (n *Node) handleRegionLookup(msg *wire.RegionLookup) *wire.RegionInfo {
 	if n.mapDesc.Range.Contains(msg.Addr) {
-		return &wire.RegionInfo{Found: true, Desc: n.mapDesc.Clone()}
+		return &wire.RegionInfo{Found: true, Desc: n.mapDesc}
 	}
 	if d := n.authDesc(msg.Addr); d != nil {
 		return &wire.RegionInfo{Found: true, Desc: d}

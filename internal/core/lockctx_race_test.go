@@ -9,6 +9,7 @@ import (
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
+	"khazana/internal/ring"
 )
 
 // TestConcurrentLockContexts hammers the lock-context table from many
@@ -81,5 +82,61 @@ func TestConcurrentLockContexts(t *testing.T) {
 		if err := nodes[0].Unlock(ctx, lc); err != nil {
 			t.Fatalf("final unlock region %d: %v", i, err)
 		}
+	}
+}
+
+// TestLockSpanSlotsSurviveDetachedCast covers the two-slot rule: a Lock
+// whose cold lookup falls through the ring to the repair path re-announces
+// the region from a detached goroutine (ringCast) that keeps Lock's
+// context — the op.lock slot inside the lock context — and reads its span
+// while the caller is already in Unlock starting op.unlock. One slot
+// shared by both spans is a data race; two slots written once each are
+// not. Meaningful under -race.
+func TestLockSpanSlotsSurviveDetachedCast(t *testing.T) {
+	_, nodes := testCluster(t, 4)
+	ctx := context.Background()
+	heartbeatAll(nodes)
+	reader := nodes[3]
+
+	// A region neither of whose ring owners is its home or the reader:
+	// once the owners forget it, no ring answer exists and the lookup
+	// must walk, then cast the repair to both (remote) owners.
+	var start gaddr.Addr
+	var owners []*Node
+	for attempt := 0; owners == nil; attempt++ {
+		if attempt == 32 {
+			t.Skip("no region whose ring owners exclude its home and the reader")
+		}
+		home := nodes[attempt%3]
+		s := mkRegion(t, home, ring.BucketSize, region.Attrs{}, "alice")
+		ids := reader.currentRing().Owners(ring.BucketOf(s))
+		if containsNode(ids, home.cfg.ID) || containsNode(ids, reader.cfg.ID) {
+			continue
+		}
+		start = s
+		for _, id := range ids {
+			owners = append(owners, nodes[id-1])
+		}
+	}
+	settleRing(nodes)
+
+	rng := gaddr.Range{Start: start, Size: 4096}
+	for round := 0; round < 10; round++ {
+		for _, o := range owners {
+			o.ringTable.Remove(start)
+		}
+		reader.rdir.Remove(start)
+		fallbacks := reader.mRingFallbacks.Load()
+		lc, err := reader.Lock(ctx, rng, ktypes.LockRead, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reader.mRingFallbacks.Load() == fallbacks {
+			t.Fatal("the lookup did not take the repair path")
+		}
+		if err := reader.Unlock(ctx, lc); err != nil {
+			t.Fatal(err)
+		}
+		settleRing(nodes)
 	}
 }

@@ -30,7 +30,7 @@ func (n *Node) lookupRegion(ctx context.Context, addr gaddr.Addr) (*region.Descr
 	n.stats.Lookups.Add(1)
 	// Stage 0: the address map region itself is well known.
 	if n.mapDesc.Range.Contains(addr) {
-		return n.mapDesc.Clone(), nil
+		return n.mapDesc, nil
 	}
 	// Stage 0b: regions homed here are authoritative.
 	if d := n.authDesc(addr); d != nil {
@@ -101,7 +101,7 @@ func (n *Node) coldFlight(ctx context.Context, addr gaddr.Addr) (*region.Descrip
 			n.mStageRing.ObserveSince(stageStart)
 			n.trace("2:ring-one-hop")
 			n.rdir.Insert(d)
-			return d.Clone(), nil
+			return d, nil
 		}
 		// The ring could not resolve the address — owners unreachable or
 		// their tables missing the region. Steady state never gets here;
@@ -115,7 +115,7 @@ func (n *Node) coldFlight(ctx context.Context, addr gaddr.Addr) (*region.Descrip
 		n.mStageCluster.ObserveSince(stageStart)
 		n.rdir.Insert(d)
 		n.ringAnnounce(ctx, d)
-		return d.Clone(), nil
+		return d, nil
 	}
 	// Legacy stage 3: address map tree walk.
 	n.trace("2-3:address-map-lookup")
@@ -132,14 +132,15 @@ func (n *Node) coldFlight(ctx context.Context, addr gaddr.Addr) (*region.Descrip
 	n.mStageWalk.ObserveSince(stageStart)
 	n.rdir.Insert(d)
 	n.ringAnnounce(ctx, d)
-	return d.Clone(), nil
+	return d, nil
 }
 
-// authDesc returns a clone of the authoritative descriptor for the region
-// containing addr, when this node homes it. Regions are disjoint, so only
-// the one with the greatest start <= addr can contain it: a binary search
-// of the sorted start index replaces the full-map scan, which at
-// thousand-region fan-in dominated every request's handler time.
+// authDesc returns the authoritative descriptor for the region containing
+// addr, when this node homes it — the published, read-only copy (see
+// region.Descriptor). Regions are disjoint, so only the one with the
+// greatest start <= addr can contain it: a binary search of the sorted
+// start index replaces the full-map scan, which at thousand-region fan-in
+// dominated every request's handler time.
 func (n *Node) authDesc(addr gaddr.Addr) *region.Descriptor {
 	n.descMu.Lock()
 	defer n.descMu.Unlock()
@@ -150,7 +151,7 @@ func (n *Node) authDesc(addr gaddr.Addr) *region.Descriptor {
 		return nil
 	}
 	if d := n.authDescs[n.descIndex[i-1]]; d.Range.Contains(addr) {
-		return d.Clone()
+		return d
 	}
 	return nil
 }
@@ -160,10 +161,27 @@ func (n *Node) authDesc(addr gaddr.Addr) *region.Descriptor {
 func (n *Node) authDescByStart(start gaddr.Addr) *region.Descriptor {
 	n.descMu.Lock()
 	defer n.descMu.Unlock()
-	if d, ok := n.authDescs[start]; ok {
-		return d.Clone()
+	return n.authDescs[start]
+}
+
+// updateAuthDesc publishes a new version of the authoritative descriptor
+// starting at start — the one way a published descriptor changes: clone
+// the current version, let edit change the clone, store it in place of
+// the old one and return it. It returns nil, publishing nothing, when the
+// region is not homed here or edit declines.
+func (n *Node) updateAuthDesc(start gaddr.Addr, edit func(d *region.Descriptor) bool) *region.Descriptor {
+	n.descMu.Lock()
+	defer n.descMu.Unlock()
+	cur, ok := n.authDescs[start]
+	if !ok {
+		return nil
 	}
-	return nil
+	next := cur.Clone()
+	if !edit(next) {
+		return nil
+	}
+	n.authDescs[start] = next
+	return next
 }
 
 // putAuthDesc installs an authoritative descriptor, keeping the sorted
@@ -283,7 +301,7 @@ func (n *Node) refreshDescriptor(ctx context.Context, d *region.Descriptor) (*re
 	// listed home answers (e.g. the home list itself is stale).
 	if fresh, err := n.fetchDescriptorTolerant(ctx, d.Home, d.Range.Start); err == nil && fresh != nil {
 		n.rdir.Insert(fresh)
-		return fresh.Clone(), nil
+		return fresh, nil
 	}
 	return n.lookupRegion(ctx, d.Range.Start)
 }
@@ -310,7 +328,7 @@ func (n *Node) promoteHome(ctx context.Context, d *region.Descriptor) (*region.D
 		}
 		n.stats.Promotions.Add(1)
 		n.rdir.Insert(info.Desc)
-		return info.Desc.Clone(), nil
+		return info.Desc, nil
 	}
 	return nil, fmt.Errorf("%w: no home of %v reachable", ErrInaccessible, d.Range.Start)
 }
@@ -352,14 +370,10 @@ func (n *Node) promoteLocal(ctx context.Context, start gaddr.Addr) *region.Descr
 // half-promoted home would strand the region — so the map update
 // detaches from the caller's cancellation.
 func (n *Node) promoteFlight(ctx context.Context, start gaddr.Addr) *region.Descriptor {
-	n.descMu.Lock()
-	d, ok := n.authDescs[start]
-	if !ok || !d.HasHome(n.cfg.ID) {
-		n.descMu.Unlock()
+	snap := n.authDescByStart(start)
+	if snap == nil || !snap.HasHome(n.cfg.ID) {
 		return nil
 	}
-	snap := d.Clone()
-	n.descMu.Unlock()
 	if h, err := snap.PrimaryHome(); err == nil && h == n.cfg.ID {
 		// Already primary — a racing caller's flight finished first, or
 		// the caller's descriptor was stale. Nothing to reorder.
@@ -379,23 +393,25 @@ func (n *Node) promoteFlight(ctx context.Context, start gaddr.Addr) *region.Desc
 		n.replayRepl(start)
 	}
 
-	n.descMu.Lock()
-	d, ok = n.authDescs[start]
-	if !ok || !d.HasHome(n.cfg.ID) {
-		n.descMu.Unlock()
+	var homes []ktypes.NodeID
+	out := n.updateAuthDesc(start, func(d *region.Descriptor) bool {
+		if !d.HasHome(n.cfg.ID) {
+			return false
+		}
+		// Move self to the front of the home list.
+		homes = []ktypes.NodeID{n.cfg.ID}
+		for _, h := range d.Home {
+			if h != n.cfg.ID {
+				homes = append(homes, h)
+			}
+		}
+		d.Home = homes
+		d.Epoch++
+		return true
+	})
+	if out == nil {
 		return nil
 	}
-	// Move self to the front of the home list.
-	homes := []ktypes.NodeID{n.cfg.ID}
-	for _, h := range d.Home {
-		if h != n.cfg.ID {
-			homes = append(homes, h)
-		}
-	}
-	d.Home = homes
-	d.Epoch++
-	out := d.Clone()
-	n.descMu.Unlock()
 
 	n.stats.Promotions.Add(1)
 	n.mHomePromos.Add(1)

@@ -8,6 +8,7 @@ import (
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/pagedir"
+	"khazana/internal/region"
 	"khazana/internal/security"
 	"khazana/internal/wire"
 )
@@ -116,12 +117,11 @@ func (n *Node) migrateLocal(ctx context.Context, start gaddr.Addr, newHome ktype
 		return fmt.Errorf("core: migrate descriptor: %s", ack.Err)
 	}
 	// Commit locally and in the address map.
-	n.descMu.Lock()
-	if d, ok := n.authDescs[start]; ok {
+	n.updateAuthDesc(start, func(d *region.Descriptor) bool {
 		d.Home = homes
 		d.Epoch = updated.Epoch
-	}
-	n.descMu.Unlock()
+		return true
+	})
 	n.rdir.Insert(updated)
 	// Re-announce so one-hop cold lookups resolve to the new home.
 	n.ringAnnounce(ctx, updated)

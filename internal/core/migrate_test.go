@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
 	"khazana/internal/security"
+	"khazana/internal/wire"
 )
 
 func TestMigrateRegionHandoff(t *testing.T) {
@@ -130,6 +132,40 @@ func TestMigrateValidation(t *testing.T) {
 	// Migrating the middle of a region is rejected.
 	if err := nodes[0].MigrateRegion(ctx, start.MustAdd(16), 2, "admin"); !errors.Is(err, ErrNotRegionStart) {
 		t.Fatalf("mid-region migrate = %v", err)
+	}
+}
+
+// A PageReqBatch whose mode byte is not a lock mode is refused at the door:
+// an error reply at once, no lock-table entry left behind to read as a
+// held page, and the region still migrates.
+func TestInvalidModeBatchDoesNotWedgeMigration(t *testing.T) {
+	_, nodes := testCluster(t, 2)
+	start := mkRegion(t, nodes[0], 2*4096, region.Attrs{}, "admin")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	resp, err := nodes[1].tr.Request(ctx, 1, &wire.PageReqBatch{
+		Pages:     []gaddr.Addr{start, start.MustAdd(4096)},
+		Modes:     []ktypes.LockMode{ktypes.LockRead, 0},
+		Requester: 2,
+	})
+	if err != nil {
+		t.Fatalf("bad-mode batch: %v (the handler must answer, not wait)", err)
+	}
+	grants := resp.(*wire.PageGrantBatch).Grants
+	for i, g := range grants {
+		if g.OK || g.Err == "" {
+			t.Fatalf("grant %d of a batch with an invalid mode: %+v", i, g)
+		}
+	}
+	busy := nodes[0].cms[region.CREW].(interface{ PageBusy(gaddr.Addr) bool })
+	for _, page := range []gaddr.Addr{start, start.MustAdd(4096)} {
+		if busy.PageBusy(page) || nodes[0].locks.Held(page) {
+			t.Fatalf("page %v reads as locked after the refused batch", page)
+		}
+	}
+	if err := nodes[0].MigrateRegion(ctx, start, 2, "admin"); err != nil {
+		t.Fatalf("migrate after the refused batch: %v", err)
 	}
 }
 

@@ -292,15 +292,25 @@ func (n *Node) retryShardFor(page gaddr.Addr) *retryShard {
 	return &n.retryShards[(h>>32)&shardMask]
 }
 
+// lockInlinePages is how many pages (and pinned views) a lock context
+// stores inline; the paper's services lock a page or a few at a time
+// (§4.1), so the common context is a single heap object. Larger batches
+// spill to the heap.
+const lockInlinePages = 4
+
 // LockContext is the token returned by Lock and presented on read and
-// write operations (paper §2).
+// write operations (paper §2). It is the one heap object a resident lock
+// cycle creates, so it carries its own small storage, and it is never
+// reused: a second Unlock must find the context freed.
 type LockContext struct {
-	ID    uint64
-	Range gaddr.Range
-	Mode  ktypes.LockMode
+	id    uint64
+	rng   gaddr.Range
+	mode  ktypes.LockMode
+	freed bool // guarded by mu
 
 	desc  *region.Descriptor
 	pages []gaddr.Addr
+	// dirty is made by the first Write; a read lock never has one.
 	dirty map[gaddr.Addr]bool
 	// views pins the frames backing outstanding ReadView results; each
 	// entry holds one reference, released at Unlock.
@@ -312,7 +322,48 @@ type LockContext struct {
 	viewCount uint64
 	mu        sync.Mutex
 	node      *Node
-	freed     bool
+
+	// lockSpan and unlockSpan hold the op.lock and op.unlock span
+	// contexts. Two slots, each written once before its context is handed
+	// on: Lock's context outlives Lock in detached goroutines (ringCast),
+	// so Unlock must not overwrite it.
+	lockSpan, unlockSpan telemetry.Slot
+	pageBuf              [lockInlinePages]gaddr.Addr
+	viewBuf              [lockInlinePages]*frame.Frame
+}
+
+// ID returns the lock context identifier.
+func (lc *LockContext) ID() uint64 { return lc.id }
+
+// Mode returns the granted mode.
+func (lc *LockContext) Mode() ktypes.LockMode { return lc.mode }
+
+// Range returns the locked range.
+func (lc *LockContext) Range() gaddr.Range { return lc.rng }
+
+// Read copies count bytes starting at addr; see Node.Read.
+func (lc *LockContext) Read(addr gaddr.Addr, count uint64) ([]byte, error) {
+	return lc.node.Read(lc, addr, count)
+}
+
+// ReadView returns count bytes starting at addr as a zero-copy view
+// aliasing the locally cached page frame. The view must be treated as
+// read-only and stays valid only until Unlock, which unpins the backing
+// frame; callers needing the bytes longer must copy them or use Read.
+// Requests spanning a page boundary fall back to the copying path.
+func (lc *LockContext) ReadView(addr gaddr.Addr, count uint64) ([]byte, error) {
+	return lc.node.ReadView(lc, addr, count)
+}
+
+// Write copies data into the locked range at addr.
+func (lc *LockContext) Write(addr gaddr.Addr, data []byte) error {
+	return lc.node.Write(lc, addr, data)
+}
+
+// Unlock releases the lock. Release-side failures are retried in the
+// background and never surface here (§3.5).
+func (lc *LockContext) Unlock(ctx context.Context) error {
+	return lc.node.Unlock(ctx, lc)
 }
 
 // NewNode creates (but does not start) a daemon.

@@ -208,16 +208,14 @@ func (n *Node) setAllocated(ctx context.Context, start gaddr.Addr, principal kty
 			return err
 		}
 	}
-	n.descMu.Lock()
-	d, ok := n.authDescs[start]
-	if !ok {
-		n.descMu.Unlock()
+	out := n.updateAuthDesc(start, func(d *region.Descriptor) bool {
+		d.Allocated = alloc
+		d.Epoch++
+		return true
+	})
+	if out == nil {
 		return fmt.Errorf("%w: %v not homed here", ErrInaccessible, start)
 	}
-	d.Allocated = alloc
-	d.Epoch++
-	out := d.Clone()
-	n.descMu.Unlock()
 	n.rdir.Insert(out)
 	n.ringAnnounce(ctx, out)
 	if !alloc {
@@ -273,7 +271,8 @@ const (
 	teardownInvalidateTimeout = 2 * time.Second
 )
 
-// GetAttr returns the attributes of the region containing addr (§2).
+// GetAttr returns the attributes of the region containing addr (§2): the
+// published descriptor, read-only (see region.Descriptor).
 func (n *Node) GetAttr(ctx context.Context, addr gaddr.Addr) (*region.Descriptor, error) {
 	return n.lookupRegion(ctx, addr)
 }
@@ -310,16 +309,16 @@ func (n *Node) SetAttr(ctx context.Context, start gaddr.Addr, attrs region.Attrs
 			return err
 		}
 	}
-	n.descMu.Lock()
-	d, ok := n.authDescs[start]
-	if !ok {
-		n.descMu.Unlock()
+	// The published descriptor must not share the caller's ACL entries.
+	attrs.ACL.Entries = append([]security.Entry(nil), attrs.ACL.Entries...)
+	out := n.updateAuthDesc(start, func(d *region.Descriptor) bool {
+		d.Attrs = attrs
+		d.Epoch++
+		return true
+	})
+	if out == nil {
 		return fmt.Errorf("%w: %v not homed here", ErrInaccessible, start)
 	}
-	d.Attrs = attrs
-	d.Epoch++
-	out := d.Clone()
-	n.descMu.Unlock()
 	n.rdir.Insert(out)
 	n.ringAnnounce(ctx, out)
 	return nil
@@ -335,34 +334,47 @@ func (n *Node) Lock(ctx context.Context, rng gaddr.Range, mode ktypes.LockMode, 
 	if rng.Size == 0 {
 		return nil, errors.New("core: empty lock range")
 	}
-	// The op span roots the trace (or extends a remote caller's); every
-	// RPC below inherits its context through the transport envelope.
-	var fl telemetry.Flight
-	ctx, fl = telemetry.StartSpan(ctx, n.rec, uint32(n.cfg.ID), "op.lock")
-	defer fl.Finish()
-	lockStart := time.Now()
-	n.trace("1:obtain-region-descriptor")
-	desc, err := n.lookupRegion(ctx, rng.Start)
+	// The context comes first: it is the storage the op span lives in. The
+	// span roots the trace (or extends a remote caller's); every RPC below
+	// inherits its context through the transport envelope. Its duration is
+	// the grant latency, so one clock read at each end feeds both.
+	lc := &LockContext{rng: rng, mode: mode, node: n}
+	ctx, fl := telemetry.StartSpanIn(ctx, &lc.lockSpan, n.rec, uint32(n.cfg.ID), "op.lock")
+	err := n.grant(ctx, lc, principal)
+	took := fl.Finish()
 	if err != nil {
 		return nil, err
 	}
+	n.mLockLatency.Observe(uint64(took))
+	return lc, nil
+}
+
+// grant resolves lc's region, acquires and pins its pages and registers
+// the context; on error nothing stays held.
+func (n *Node) grant(ctx context.Context, lc *LockContext, principal ktypes.Principal) error {
+	rng, mode := lc.rng, lc.mode
+	n.trace("1:obtain-region-descriptor")
+	desc, err := n.lookupRegion(ctx, rng.Start)
+	if err != nil {
+		return err
+	}
 	if !desc.Range.ContainsRange(rng) {
-		return nil, fmt.Errorf("core: lock range %v escapes region %v", rng, desc.Range)
+		return fmt.Errorf("core: lock range %v escapes region %v", rng, desc.Range)
 	}
 	if err := desc.Attrs.ACL.CheckMode(principal, mode); err != nil {
-		return nil, err
+		return err
 	}
 	if desc, err = n.allocatedDesc(ctx, desc); err != nil {
-		return nil, err
+		return err
 	}
 	off, _ := desc.Range.OffsetOf(rng.Start)
-	pages := desc.Pages(off, rng.Size)
+	pages := desc.Range.AppendPages(lc.pageBuf[:0], off, rng.Size, uint64(desc.Attrs.PageSize))
 	n.trace("4:page-directory")
 	n.trace("5:invoke-consistency-manager")
 
 	cm, ok := n.cms[desc.Attrs.Protocol]
 	if !ok {
-		return nil, fmt.Errorf("core: no CM for protocol %v", desc.Attrs.Protocol)
+		return fmt.Errorf("core: no CM for protocol %v", desc.Attrs.Protocol)
 	}
 	// The whole page set — one page included — goes through the CM's batch
 	// API: one pipelined exchange per home, not one round trip per page.
@@ -379,35 +391,29 @@ func (n *Node) Lock(ctx context.Context, rng gaddr.Range, mode ktypes.LockMode, 
 		if isNoSuchRegion(err) {
 			n.forgetRegion(desc.Range.Start)
 		}
-		return nil, err
+		return err
 	}
 	for _, page := range pages {
 		n.store.Pin(page)
 	}
 	n.trace("11:lock-granted")
 
-	lc := &LockContext{
-		ID:    n.nextLID.Add(1),
-		Range: rng,
-		Mode:  mode,
-		desc:  desc,
-		pages: pages,
-		dirty: make(map[gaddr.Addr]bool),
-		node:  n,
-	}
-	ls := n.lockShardFor(lc.ID)
+	lc.id = n.nextLID.Add(1)
+	lc.desc = desc
+	lc.pages = pages
+	lc.views = lc.viewBuf[:0]
+	ls := n.lockShardFor(lc.id)
 	ls.mu.Lock()
-	ls.ctx[lc.ID] = lc
+	ls.ctx[lc.id] = lc
 	ls.mu.Unlock()
 	n.stats.LocksGranted.Add(1)
-	n.mLockLatency.ObserveSince(lockStart)
 	n.mBatchPages.Observe(uint64(len(pages)))
 
 	// Feed the cluster manager's hint cache (§3.1).
 	if n.manager != nil {
 		n.manager.AddHint(desc.Range.Start, n.cfg.ID)
 	}
-	return lc, nil
+	return nil
 }
 
 // allocatedDesc passes the §2 allocation gate: it returns desc if it shows
@@ -612,7 +618,7 @@ func (n *Node) Read(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte, err
 	if count == 0 {
 		return nil, nil
 	}
-	if !lc.Range.ContainsRange(gaddr.Range{Start: addr, Size: count}) {
+	if !lc.rng.ContainsRange(gaddr.Range{Start: addr, Size: count}) {
 		return nil, ErrOutOfRange
 	}
 	//khazana:block-ok lc.mu is per lock context; a disk-tier promotion under it stalls only this context's own callers (§3.4 tiered store)
@@ -663,7 +669,7 @@ func (n *Node) ReadView(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte,
 	if count == 0 {
 		return nil, nil
 	}
-	if !lc.Range.ContainsRange(gaddr.Range{Start: addr, Size: count}) {
+	if !lc.rng.ContainsRange(gaddr.Range{Start: addr, Size: count}) {
 		return nil, ErrOutOfRange
 	}
 	// One plain increment (batched to the registry at Unlock) is the
@@ -705,13 +711,13 @@ func (n *Node) Write(lc *LockContext, addr gaddr.Addr, data []byte) error {
 	if lc.freed {
 		return ErrBadLock
 	}
-	if !lc.Mode.Writes() {
-		return fmt.Errorf("%w: lock mode %v does not permit writes", ErrBadLock, lc.Mode)
+	if !lc.mode.Writes() {
+		return fmt.Errorf("%w: lock mode %v does not permit writes", ErrBadLock, lc.mode)
 	}
 	if len(data) == 0 {
 		return nil
 	}
-	if !lc.Range.ContainsRange(gaddr.Range{Start: addr, Size: uint64(len(data))}) {
+	if !lc.rng.ContainsRange(gaddr.Range{Start: addr, Size: uint64(len(data))}) {
 		return ErrOutOfRange
 	}
 	ps := uint64(lc.desc.Attrs.PageSize)
@@ -744,6 +750,9 @@ func (n *Node) Write(lc *LockContext, addr gaddr.Addr, data []byte) error {
 		f.Release()
 		if err != nil {
 			return err
+		}
+		if lc.dirty == nil {
+			lc.dirty = make(map[gaddr.Addr]bool, len(lc.pages))
 		}
 		lc.dirty[page] = true
 		n.dir.Update(page, func(e *pagedir.Entry) { e.Dirty = true })
@@ -778,26 +787,22 @@ func (n *Node) Unlock(ctx context.Context, lc *LockContext) error {
 		f.Release()
 	}
 
-	ls := n.lockShardFor(lc.ID)
+	ls := n.lockShardFor(lc.id)
 	ls.mu.Lock()
-	delete(ls.ctx, lc.ID)
+	delete(ls.ctx, lc.id)
 	ls.mu.Unlock()
 
 	cm := n.cms[lc.desc.Attrs.Protocol]
-	var fl telemetry.Flight
-	ctx, fl = telemetry.StartSpan(ctx, n.rec, uint32(n.cfg.ID), "op.unlock")
-	releaseStart := time.Now()
-	defer func() {
-		n.mReleaseLatency.ObserveSince(releaseStart)
-		fl.Finish()
-	}()
+	// The freed check above lets one Unlock through, so the second slot
+	// is written exactly once. The span's duration is the release latency.
+	ctx, fl := telemetry.StartSpanIn(ctx, &lc.unlockSpan, n.rec, uint32(n.cfg.ID), "op.unlock")
 	// One release pipeline for the whole page set, with per-page status
 	// back. §3.5: errors while releasing resources are not reflected to
 	// the client; only the pages whose release failed go to the
 	// background-retry queue, and their Dirty mark stays so the storage
 	// system will not discard them before the retried release delivers
 	// them (§3.4).
-	errs := cm.ReleaseBatch(ctx, lc.desc, lc.pages, lc.Mode, lc.dirty)
+	errs := cm.ReleaseBatch(ctx, lc.desc, lc.pages, lc.mode, lc.dirty)
 	for i, page := range lc.pages {
 		dirty := lc.dirty[page]
 		var rerr error
@@ -805,11 +810,12 @@ func (n *Node) Unlock(ctx context.Context, lc *LockContext) error {
 			rerr = errs[i]
 		}
 		if rerr != nil {
-			n.queueRetry(retryOp{desc: lc.desc, page: page, mode: lc.Mode, dirty: dirty})
+			n.queueRetry(retryOp{desc: lc.desc, page: page, mode: lc.mode, dirty: dirty})
 		} else if dirty {
 			n.dir.Update(page, func(e *pagedir.Entry) { e.Dirty = false })
 		}
 		_ = n.store.Unpin(page)
 	}
+	n.mReleaseLatency.Observe(uint64(fl.Finish()))
 	return nil
 }

@@ -110,7 +110,7 @@ func (n *Node) announceTo(ctx context.Context, owners []ktypes.NodeID, desc *reg
 		}
 		remote = append(remote, o)
 	}
-	n.ringCast(ctx, remote, &wire.RingAnnounce{Op: wire.RingOpPut, Desc: desc.Clone(), Start: desc.Range.Start, From: n.cfg.ID})
+	n.ringCast(ctx, remote, &wire.RingAnnounce{Op: wire.RingOpPut, Desc: desc, Start: desc.Range.Start, From: n.cfg.ID})
 }
 
 // forgetRegion purges every cached trace of a region this node knows to
@@ -218,7 +218,7 @@ func (n *Node) lookupViaRing(ctx context.Context, addr gaddr.Addr) *region.Descr
 // answer is trusted as current by the caller).
 func (n *Node) handleRingLookup(msg *wire.RingLookup) *wire.RingReply {
 	if n.mapDesc.Range.Contains(msg.Addr) {
-		return &wire.RingReply{Found: true, Desc: n.mapDesc.Clone()}
+		return &wire.RingReply{Found: true, Desc: n.mapDesc}
 	}
 	if d := n.authDesc(msg.Addr); d != nil {
 		return &wire.RingReply{Found: true, Desc: d}

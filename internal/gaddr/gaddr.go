@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -228,20 +229,26 @@ func (r Range) OffsetOf(a Addr) (uint64, bool) {
 // [off, off+n) of the range, for the given page size. It returns nil when
 // the span is empty or escapes the range.
 func (r Range) Pages(off, n, pageSize uint64) []Addr {
+	return r.AppendPages(nil, off, n, pageSize)
+}
+
+// AppendPages is Pages appending to dst, growing it at most once: a caller
+// with a buffer that usually fits enumerates without allocating.
+func (r Range) AppendPages(dst []Addr, off, n, pageSize uint64) []Addr {
 	if n == 0 || off+n < n || off+n > r.Size {
-		return nil
+		return dst
 	}
 	first := r.Start.MustAdd(off).AlignDown(pageSize)
 	last := r.Start.MustAdd(off + n - 1).AlignDown(pageSize)
 	span, _ := first.Distance(last)
-	pages := make([]Addr, 0, span/pageSize+1)
+	dst = slices.Grow(dst, int(span/pageSize)+1)
 	for p := first; ; p = p.MustAdd(pageSize) {
-		pages = append(pages, p)
+		dst = append(dst, p)
 		if p == last {
 			break
 		}
 	}
-	return pages
+	return dst
 }
 
 // String renders the range as "start+size".

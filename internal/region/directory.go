@@ -43,8 +43,9 @@ func NewDirectory(capacity int) *Directory {
 	}
 }
 
-// Lookup returns a copy of the cached descriptor for the region containing
-// a, if any. Returning a copy keeps callers from racing on cached state.
+// Lookup returns the cached descriptor for the region containing a, if
+// any. The result is the published copy every caller shares: read-only
+// (see Descriptor).
 func (dir *Directory) Lookup(a gaddr.Addr) (*Descriptor, bool) {
 	dir.mu.Lock()
 	defer dir.mu.Unlock()
@@ -65,7 +66,7 @@ func (dir *Directory) Lookup(a gaddr.Addr) (*Descriptor, bool) {
 	dir.clock++
 	ent.used = dir.clock
 	dir.hits++
-	return ent.desc.Clone(), true
+	return ent.desc, true
 }
 
 // Insert caches a descriptor, replacing any entry with the same start

@@ -167,6 +167,13 @@ func (a Attrs) Validate() error {
 // attributes plus home-node tracking state. Descriptors are cached in
 // region directories and may be stale; the home list is a hint, not truth
 // (§3.2).
+//
+// A descriptor is immutable once published — stored in a node's
+// authoritative table or a Directory, or returned by a lookup. Those
+// tables clone on the way in and hand out the stored pointer, so readers
+// share one copy without locking; a change is a new version: Clone, edit
+// the clone, store the new pointer. Only a descriptor the code built or
+// cloned itself, and has not yet published, may be written.
 type Descriptor struct {
 	// Range is the region's reserved span of global address space.
 	Range gaddr.Range

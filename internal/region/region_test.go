@@ -169,14 +169,20 @@ func TestDirectoryLookup(t *testing.T) {
 	}
 }
 
-func TestDirectoryLookupReturnsCopy(t *testing.T) {
+// Insert clones on the way in and Lookup hands out that one published
+// copy: the inserter may keep editing what it inserted, and every reader
+// shares the stored descriptor without a clone.
+func TestDirectoryPublishesOneImmutableCopy(t *testing.T) {
 	dir := NewDirectory(10)
-	dir.Insert(testDescriptor(gaddr.FromUint64(0x1000), 0x1000))
+	d := testDescriptor(gaddr.FromUint64(0x1000), 0x1000)
+	dir.Insert(d)
+	d.Home[0] = 99
 	got, _ := dir.Lookup(gaddr.FromUint64(0x1000))
-	got.Home[0] = 99
-	again, _ := dir.Lookup(gaddr.FromUint64(0x1000))
-	if again.Home[0] != 1 {
-		t.Fatal("Lookup returned a shared descriptor")
+	if got.Home[0] != 1 {
+		t.Fatal("Insert stored the caller's descriptor instead of a clone")
+	}
+	if again, _ := dir.Lookup(gaddr.FromUint64(0x1000)); again != got {
+		t.Fatal("two lookups of one published descriptor returned different copies")
 	}
 }
 

@@ -177,3 +177,45 @@ func TestWritePrometheus(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanContextNoAlloc: a span started into a caller-owned slot
+// allocates nothing from start to finish, and the slot is a full
+// context — a child started below a stdlib wrapper of it still finds the
+// span through the Value chain.
+func TestSpanContextNoAlloc(t *testing.T) {
+	rec := NewRecorder(8)
+	parent := context.Background()
+	slots := make([]Slot, 0, 256) // caller-owned; each slot is used once
+	var took time.Duration
+	if avg := testing.AllocsPerRun(200, func() {
+		slots = slots[:len(slots)+1]
+		_, fl := StartSpanIn(parent, &slots[len(slots)-1], rec, 1, "op")
+		took = fl.Finish()
+	}); avg != 0 {
+		t.Fatalf("span in a caller-owned slot allocates %.2f objects, want 0", avg)
+	}
+	if took <= 0 {
+		t.Fatalf("Finish returned %v, want the span's duration", took)
+	}
+
+	type userKey struct{}
+	var slot Slot
+	ctx, root := StartSpanIn(context.WithValue(parent, userKey{}, "kept"), &slot, rec, 1, "root")
+	wrapped, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if wrapped.Value(userKey{}) != "kept" {
+		t.Fatal("a value set above the span is hidden by the slot")
+	}
+	_, child := StartSpan(wrapped, rec, 2, "child")
+	child.Finish()
+	root.Finish()
+	spans := rec.Spans()
+	c, r := spans[len(spans)-2], spans[len(spans)-1]
+	if c.Name != "child" || c.Trace != r.Trace || c.Parent != r.Span {
+		t.Fatalf("child %+v does not descend from root %+v", c, r)
+	}
+	cancel()
+	if ctx.Err() != nil || wrapped.Err() == nil {
+		t.Fatal("cancellation must flow down through the slot, not up")
+	}
+}

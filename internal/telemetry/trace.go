@@ -34,15 +34,41 @@ type SpanContext struct {
 
 type ctxKey struct{}
 
+// Slot is the storage a span's context lives in: a context.Context that
+// wraps its parent and answers the span-context key itself, holding the
+// SpanContext by value so starting a span allocates nothing beyond the
+// slot. Whoever owns the memory owns the slot — core embeds two in every
+// lock context (one for op.lock, one for op.unlock); StartSpan and
+// ContextWith make a fresh one. A slot is written once, before its
+// context is handed to anything, and never reused: the context escapes
+// into goroutines that outlive the call that started the span, and they
+// read the slot whenever they look the span up.
+type Slot struct {
+	context.Context
+	sc SpanContext
+}
+
+// Value answers the span-context key from the slot and defers every other
+// key to the parent, so values set above the span (and stdlib wrappers
+// derived below it) keep working.
+func (s *Slot) Value(key any) any {
+	if _, ok := key.(ctxKey); ok {
+		return &s.sc
+	}
+	return s.Context.Value(key)
+}
+
 // ContextWith returns ctx carrying sc.
 func ContextWith(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, ctxKey{}, sc)
+	return &Slot{Context: ctx, sc: sc}
 }
 
 // FromContext extracts the span context, reporting whether one is set.
 func FromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(ctxKey{}).(SpanContext)
-	return sc, ok
+	if sc, ok := ctx.Value(ctxKey{}).(*SpanContext); ok {
+		return *sc, true
+	}
+	return SpanContext{}, false
 }
 
 // idCtr feeds the ID generator; seeded once so concurrent daemons in one
@@ -88,9 +114,12 @@ type SpanRecord struct {
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// Recorder is a bounded ring buffer of finished spans. Recording under a
-// mutex is fine: spans wrap RPC-bound operations, never the cached read
-// path.
+// Recorder is a bounded ring buffer of finished spans. Spans wrap every
+// Lock and Unlock (op.lock, op.unlock) as well as every traced RPC
+// handler; only the cached read between them (ReadView) records none.
+// Recording takes a mutex and copies one SpanRecord into the ring —
+// nothing is allocated — and the live span's context sits in a Slot its
+// starter owns (see Slot).
 type Recorder struct {
 	mu   sync.Mutex
 	buf  []SpanRecord
@@ -168,13 +197,24 @@ func StartSpan(ctx context.Context, rec *Recorder, node uint32, name string) (co
 	if rec == nil {
 		return ctx, Flight{}
 	}
+	return StartSpanIn(ctx, new(Slot), rec, node, name)
+}
+
+// StartSpanIn is StartSpan with the returned context stored in slot, which
+// the caller owns and has not used before (see Slot): nothing is
+// allocated.
+func StartSpanIn(ctx context.Context, slot *Slot, rec *Recorder, node uint32, name string) (context.Context, Flight) {
+	if rec == nil {
+		return ctx, Flight{}
+	}
 	f := Flight{rec: rec, node: node, name: name, start: time.Now(), span: NewSpanID()}
 	if sc, ok := FromContext(ctx); ok {
 		f.trace, f.parent = sc.Trace, sc.Span
 	} else {
 		f.trace = NewTraceID()
 	}
-	return ContextWith(ctx, SpanContext{Trace: f.trace, Span: f.span}), f
+	slot.Context, slot.sc = ctx, f.Context()
+	return slot, f
 }
 
 // ContinueSpan is StartSpan restricted to requests that already carry a
@@ -195,11 +235,14 @@ func (f Flight) Context() SpanContext {
 	return SpanContext{Trace: f.trace, Span: f.span}
 }
 
-// Finish records the span. Safe on the zero Flight.
-func (f Flight) Finish() {
+// Finish records the span and returns how long it ran, so a caller timing
+// the same interval into a histogram reads the clock once for both. The
+// zero Flight records nothing and returns 0.
+func (f Flight) Finish() time.Duration {
 	if f.rec == nil {
-		return
+		return 0
 	}
+	d := time.Since(f.start)
 	f.rec.Record(SpanRecord{
 		Trace:    f.trace,
 		Span:     f.span,
@@ -207,6 +250,7 @@ func (f Flight) Finish() {
 		Node:     f.node,
 		Name:     f.name,
 		Start:    f.start,
-		Duration: time.Since(f.start),
+		Duration: d,
 	})
+	return d
 }

@@ -266,9 +266,15 @@ func (n *Node) Free(ctx context.Context, start Addr, p Principal) error {
 	return n.core.Free(ctx, start, p)
 }
 
-// GetAttr fetches the descriptor of the region containing addr.
+// GetAttr fetches the descriptor of the region containing addr. The result
+// is the caller's own copy: the daemon shares its published descriptors
+// between readers and never hands one to client code.
 func (n *Node) GetAttr(ctx context.Context, addr Addr) (*Descriptor, error) {
-	return n.core.GetAttr(ctx, addr)
+	d, err := n.core.GetAttr(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return d.Clone(), nil
 }
 
 // SetAttr updates a region's attributes.
@@ -285,52 +291,12 @@ func (n *Node) MigrateRegion(ctx context.Context, start Addr, newHome NodeID, p 
 // Lock locks part of a region in the given mode and returns the lock
 // context for subsequent reads and writes (§2).
 func (n *Node) Lock(ctx context.Context, rng Range, mode LockMode, p Principal) (*Lock, error) {
-	lc, err := n.core.Lock(ctx, rng, mode, p)
-	if err != nil {
-		return nil, err
-	}
-	return &Lock{node: n, lc: lc}, nil
+	return n.core.Lock(ctx, rng, mode, p)
 }
 
-// Lock is a granted lock context.
-type Lock struct {
-	node *Node
-	lc   *core.LockContext
-}
-
-// ID returns the lock context identifier.
-func (l *Lock) ID() uint64 { return l.lc.ID }
-
-// Mode returns the granted mode.
-func (l *Lock) Mode() LockMode { return l.lc.Mode }
-
-// Range returns the locked range.
-func (l *Lock) Range() Range { return l.lc.Range }
-
-// Read copies count bytes starting at addr.
-func (l *Lock) Read(addr Addr, count uint64) ([]byte, error) {
-	return l.node.core.Read(l.lc, addr, count)
-}
-
-// ReadView returns count bytes starting at addr as a zero-copy view
-// aliasing the locally cached page frame. The view must be treated as
-// read-only and stays valid only until Unlock, which unpins the backing
-// frame; callers needing the bytes longer must copy them or use Read.
-// Requests spanning a page boundary fall back to the copying path.
-func (l *Lock) ReadView(addr Addr, count uint64) ([]byte, error) {
-	return l.node.core.ReadView(l.lc, addr, count)
-}
-
-// Write copies data into the locked range at addr.
-func (l *Lock) Write(addr Addr, data []byte) error {
-	return l.node.core.Write(l.lc, addr, data)
-}
-
-// Unlock releases the lock. Release-side failures are retried in the
-// background and never surface here (§3.5).
-func (l *Lock) Unlock(ctx context.Context) error {
-	return l.node.core.Unlock(ctx, l.lc)
-}
+// Lock is a granted lock context: ID, Mode and Range describe it; Read,
+// ReadView and Write access the locked range; Unlock releases it.
+type Lock = core.LockContext
 
 // Snapshot opens a snapshot context: a read-only view of the global
 // store that never blocks on writers and is never invalidated by them.
