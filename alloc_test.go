@@ -300,10 +300,10 @@ func lockCycleCost(t *testing.T, mode khazana.LockMode, op func(lk *khazana.Lock
 // pin list, dirty map or public wrapper. The budget of 3 objects and 320 B
 // leaves room for a map or pool growing once in a thousand cycles; any of
 // the fourteen objects the cycle used to allocate coming back fails it.
-// In write mode with one full-page Write the cycle measures 6 objects and
-// 576 B: the context, the dirty set the first Write now makes (two: map
-// and its first group), and CREW's write bookkeeping at the home (the
-// reset copyset, the invalidation and replication lists); the new page
+// In write mode with one full-page Write the cycle measures 4 objects and
+// 560 B: the context, the dirty set the first Write now makes (two: map
+// and its first group), and the release's replication list; a write
+// grant that revokes no copy stores no new copyset, and the new page
 // frame comes out of the frame pool. Its budget is 8 objects and 1 KB — a
 // page frame allocated per write (4 KB) fails it.
 func TestLocalLockCycleAllocGate(t *testing.T) {
@@ -328,5 +328,88 @@ func TestLocalLockCycleAllocGate(t *testing.T) {
 	t.Logf("write cycle: %.2f objects, %.0f B", objects, bytes)
 	if objects > 8 || bytes > 1024 {
 		t.Fatalf("a resident write lock cycle allocates %.2f objects / %.0f B, budget is 8 objects / 1024 B", objects, bytes)
+	}
+}
+
+// TestReplicatedWriteAllocGate is the object budget of the replicated
+// release: on a 4-node cluster, one 8-page write cycle (Lock, eight
+// full-page Writes, Unlock) from a node outside a MinReplicas-3 region's
+// home list — one PageReqBatch, one ReleaseBatch, a replicated-log append
+// and one UpdateBatch per secondary — averages at most 180 objects and
+// 24 KB. It measures about 120 objects and 14 KB. A write grant that
+// invalidated the secondary homes' failover copies (two more RPCs and
+// every page re-inserted), a log that copied its retained tail on every
+// commit, per-lookup copyset clones or a heap-allocated decoder per
+// message each break it.
+func TestReplicatedWriteAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the budgets assume pooled frames and buffers")
+	}
+	c, err := khazana.NewCluster(4, khazana.WithStoreDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const (
+		ps     = 4096
+		pages  = 8
+		cycles = 200
+	)
+	start, err := c.Node(1).Reserve(ctx, pages*ps, khazana.Attrs{MinReplicas: 3}, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Node(1).Allocate(ctx, start, "bench"); err != nil {
+		t.Fatal(err)
+	}
+	c.Node(1).Core().MaintainReplicas()
+	d, err := c.Node(1).GetAttr(ctx, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Home) != 3 {
+		t.Fatalf("home list %v, want 3 homes", d.Home)
+	}
+	var writer *khazana.Node
+	for i := 1; i <= 4; i++ {
+		if !d.HasHome(khazana.NodeID(i)) {
+			writer = c.Node(i)
+		}
+	}
+	rng := khazana.Range{Start: start, Size: pages * ps}
+	page := make([]byte, ps)
+	cycle := func(gen byte) {
+		lk, err := writer.Lock(ctx, rng, khazana.LockWrite, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		page[0] = gen
+		for p := uint64(0); p < pages; p++ {
+			if err := lk.Write(start.MustAdd(p*ps), page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lk.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // fill the log's tail, the pools and the maps
+		cycle(byte(i))
+	}
+	objects, bytes := math.Inf(1), math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			cycle(byte(i))
+		}
+		runtime.ReadMemStats(&after)
+		objects = math.Min(objects, float64(after.Mallocs-before.Mallocs)/cycles)
+		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/cycles)
+	}
+	t.Logf("replicated 8-page write cycle: %.2f objects, %.0f B", objects, bytes)
+	if objects > 180 || bytes > 24<<10 {
+		t.Fatalf("a replicated 8-page write cycle allocates %.2f objects / %.0f B, budget is 180 objects / 24 KB", objects, bytes)
 	}
 }

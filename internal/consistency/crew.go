@@ -3,6 +3,7 @@ package consistency
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,9 +34,10 @@ const (
 // style of directory-based software DSM (§3.1 likens the address map to
 // DSM directories). Global lock state lives at the home: concurrent read
 // locks are granted freely; a write lock waits until all read locks drain,
-// invalidates every other copy, and transfers ownership to the writer
-// (Figure 2, step 10). Dirty pages are written through to the home at
-// release time, so the home always holds current data when granting.
+// invalidates every other copy but the listed homes' replicas, and
+// transfers ownership to the writer (Figure 2, step 10). Dirty pages are
+// written through to the home at release time, so the home always holds
+// current data when granting.
 type CrewCM struct {
 	h Host
 	// glocks is the manager-side global lock table for pages homed here.
@@ -149,7 +151,7 @@ func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, page
 	// zero RPCs.
 	var acquired []gaddr.Addr
 	demand := pages
-	if !mode.Writes() {
+	if !mode.Writes() && !desc.HasHome(c.h.Self()) {
 		acquired, demand = c.consumeSpec(pages)
 		if len(demand) == 0 {
 			return pages, nil
@@ -157,6 +159,9 @@ func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, page
 	} else {
 		// A write acquire over a speculated page cannot use the read
 		// copy; drop the bookkeeping so its later release stays honest.
+		// Nor can a listed home read one: write grants leave a home's copy
+		// in place, so a spec grant from before the node joined the home
+		// list would outlive the next writer's grant.
 		c.forgetSpec(pages)
 	}
 	// One PageReqBatch round trip answers every page still in demand.
@@ -363,6 +368,13 @@ type sharerInval struct {
 // and the directory already names the new owner of the pages granted so
 // far. A batch that stops early thus returns an invalidated prefix, and the
 // caller's rollback only drops locks.
+//
+// A write grant never revokes the copy of a home listed in desc.Home; only
+// region teardown does. That copy is the region's failover copy (§3.5): it
+// stays the last committed version through the writer's hold, the release's
+// one UpdateBatch per replica refreshes it, and nobody reads it under a lock
+// without a grant — isHome is primary-only, every grant ships the page's
+// bytes, and speculate never grants to a listed home.
 func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, modeOf func(int) ktypes.LockMode, requester ktypes.NodeID) (int, error) {
 	var inval []sharerInval
 	for i, page := range pages {
@@ -387,12 +399,17 @@ func (c *CrewCM) homeGrantLocked(desc *region.Descriptor, page gaddr.Addr, mode 
 	c.h.Dir().Update(page, func(e *pagedir.Entry) {
 		e.HomedLocal = true
 		if mode.Writes() {
+			revoked := func(n ktypes.NodeID) bool { return n != requester && !desc.HasHome(n) }
 			for _, n := range e.Copyset {
-				if n != requester && n != self {
+				if revoked(n) {
 					inval = addInval(inval, n, wire.InvalidateItem{Page: page, Version: e.Version})
 				}
 			}
-			e.Copyset = []ktypes.NodeID{requester}
+			// The common grant revokes nothing and stores nothing.
+			if slices.ContainsFunc(e.Copyset, revoked) {
+				e.Copyset = slices.DeleteFunc(slices.Clone(e.Copyset), revoked)
+			}
+			e.AddSharer(requester)
 			e.Owner = requester
 			if requester == self {
 				e.State = pagedir.Owned
@@ -519,10 +536,10 @@ func (c *CrewCM) PublishedPages() int {
 
 // invalidateSharers sends each former sharer its InvalidateBatch on the
 // caller's context. A sharer that fails invalidation may still hold stale
-// copies, so it is pruned from every listed page's copyset: the reset in
-// homeGrantLocked already dropped it, but a concurrent re-add (e.g. a
-// replica push racing the fan-out) must not leave an unreachable node
-// listed as a valid copy holder. A dead sharer cannot serve stale reads
+// copies, so it is pruned from every listed page's copyset: homeGrantLocked
+// already dropped it, but a concurrent re-add (e.g. a replica push racing
+// the fan-out) must not leave an unreachable node listed as a valid copy
+// holder. A dead sharer cannot serve stale reads
 // either, so the grant proceeds, and each unconfirmed page is counted so
 // operators see the stale-copy risk.
 func (c *CrewCM) invalidateSharers(ctx context.Context, newOwner ktypes.NodeID, inval []sharerInval) {
@@ -785,7 +802,7 @@ func (c *CrewCM) logReleases(ctx context.Context, desc *region.Descriptor, pages
 			Page:  p,
 			Val:   entry.Version,
 			Node:  entry.Owner,
-			Nodes: append([]ktypes.NodeID(nil), entry.Copyset...),
+			Nodes: entry.Copyset,
 			Aux:   epoch,
 		})
 	}
@@ -801,7 +818,8 @@ func (c *CrewCM) logReleases(ctx context.Context, desc *region.Descriptor, pages
 // Each page's frame is loaded once and shared across the fan-out (every
 // SetFrame takes its own reference). Replication is best-effort — the
 // background replica maintenance loop (§3.5) re-pushes pages a secondary
-// missed.
+// missed. That loop skips copyset members, and write grants leave homes
+// listed, so a secondary that did not store a page leaves the copyset here.
 func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr) {
 	if len(pages) == 0 || len(desc.Home) < 2 {
 		return
@@ -838,13 +856,19 @@ func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages [
 			batch.Items[i].SetFrame(pd.f)
 		}
 		c.updateBatchPages.Observe(uint64(len(data)))
-		_, err := c.h.Request(ctx, n, batch)
+		resp, err := c.h.Request(ctx, n, batch)
 		batch.ReleaseFrames()
-		if err != nil {
-			return
-		}
-		for _, pd := range data {
-			c.h.Dir().Update(pd.page, func(e *pagedir.Entry) { e.AddSharer(n) })
+		r, _ := resp.(*wire.UpdateBatchResp)
+		for i, pd := range data {
+			stored := err == nil && r != nil && i < len(r.Errs) && r.Errs[i] == ""
+			c.h.Dir().Update(pd.page, func(e *pagedir.Entry) {
+				if !stored {
+					e.RemoveSharer(n)
+				} else if e.Version == pd.version {
+					// A newer release's write-through decides n's listing.
+					e.AddSharer(n)
+				}
+			})
 		}
 	})
 	for _, pd := range data {
@@ -958,10 +982,12 @@ func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 // manager lock: the requester is added to the copyset (so a later writer
 // invalidates its copy) and ships a validated snapshot, trading one
 // version of staleness in the worst race for a round trip per predicted
-// page — the §3.3 relaxation read-mostly services opt into.
+// page — the §3.3 relaxation read-mostly services opt into. A listed home
+// (this one included) is never speculated to: a write grant does not
+// invalidate a home's copy, so a spec grant there could be read stale.
 func (c *CrewCM) speculate(desc *region.Descriptor, requester ktypes.NodeID, pages []gaddr.Addr, resp *wire.PageGrantBatch) {
 	planner := c.h.ReadAhead()
-	if planner == nil || requester == c.h.Self() {
+	if planner == nil || desc.HasHome(requester) {
 		return
 	}
 	candidates := planner.Plan(desc, requester, pages)

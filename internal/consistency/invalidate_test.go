@@ -268,3 +268,277 @@ func TestUnreachableSharerPrunedFromEveryPage(t *testing.T) {
 		t.Fatalf("release: %v", errs)
 	}
 }
+
+// replicatedDesc builds a CREW descriptor of the given page count homed on
+// nodes 1 (primary), 2 and 3.
+func replicatedDesc(pages int) *region.Descriptor {
+	d := crewDesc(pages)
+	d.Home = []ktypes.NodeID{1, 2, 3}
+	return d
+}
+
+// TestWriteGrantSparesListedHomes: a write grant never revokes a listed
+// home's copy. With only homes and the writer in the copyset a grant sends
+// no InvalidateBatch at all; a non-home reader costs exactly one, to that
+// reader. The secondaries keep their committed copies through the hold,
+// stay in the copyset across grant, release and write-through, and the
+// release's UpdateBatch brings them the new contents.
+func TestWriteGrantSparesListedHomes(t *testing.T) {
+	const pageCount = 16
+	for _, tc := range []struct {
+		name   string
+		writer int // index into hosts; 0 is the primary home
+		reader bool
+	}{
+		{"home-local writer, homes only", 0, false},
+		{"remote writer, homes only", 3, false},
+		{"remote writer, one non-home reader", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := replicatedDesc(pageCount)
+			hosts := cluster(t, 5, d)
+			pages := d.Pages(0, d.Range.Size)
+			counts := make([]*invalCount, len(hosts))
+			for i, h := range hosts {
+				counts[i] = countInvalidations(h)
+			}
+			writer, home := hosts[tc.writer], hosts[0]
+			writeAll(t, writer, d, pages, 1) // the release replicates to 2 and 3
+			reader := hosts[4]
+			if tc.reader {
+				readAll(t, reader, d, pages)
+			}
+			checkHomesListed := func(when string) {
+				t.Helper()
+				for _, p := range pages {
+					e, _ := home.dir.Lookup(p)
+					for _, h := range d.Home {
+						if !e.InCopyset(h) {
+							t.Fatalf("%s: copyset of %v is %v, missing home %v", when, p, e.Copyset, h)
+						}
+					}
+				}
+			}
+			checkHomesListed("before the grant")
+
+			ctx := context.Background()
+			before, _ := writer.net.Stats()
+			if _, err := writer.cm(d).AcquireBatch(ctx, d, pages, ktypes.LockWrite); err != nil {
+				t.Fatalf("write batch: %v", err)
+			}
+			after, _ := writer.net.Stats()
+			wantRPCs := uint64(0)
+			if tc.writer != 0 {
+				wantRPCs++ // the PageReqBatch
+			}
+			if tc.reader {
+				wantRPCs++ // the reader's InvalidateBatch
+			}
+			if got := after - before; got != wantRPCs {
+				t.Errorf("write grant cost %d RPCs, want %d", got, wantRPCs)
+			}
+			for i, c := range counts {
+				wantBatches := int64(0)
+				if tc.reader && hosts[i] == reader {
+					wantBatches = 1
+				}
+				if b := c.batches.Load(); b != wantBatches {
+					t.Errorf("node %v received %d InvalidateBatch RPCs, want %d", hosts[i].id, b, wantBatches)
+				}
+			}
+			checkHomesListed("during the hold")
+			for _, p := range pages {
+				for _, s := range hosts[1:3] {
+					if got := snapshot(s, d, p); !resident(s, p) || got[0] != 1 {
+						t.Fatalf("secondary %v lost its committed copy of %v during the hold", s.id, p)
+					}
+				}
+				if tc.reader && resident(reader, p) {
+					t.Fatalf("non-home reader still holds %v after the write grant", p)
+				}
+			}
+
+			dirty := make(map[gaddr.Addr]bool, len(pages))
+			for _, p := range pages {
+				if err := storeBytes(writer, p, bytes.Repeat([]byte{2}, int(d.Attrs.PageSize))); err != nil {
+					t.Fatal(err)
+				}
+				dirty[p] = true
+			}
+			if errs := writer.cm(d).ReleaseBatch(ctx, d, pages, ktypes.LockWrite, dirty); errs != nil {
+				t.Fatalf("release: %v", errs)
+			}
+			checkHomesListed("after release and write-through")
+			for _, p := range pages {
+				for _, s := range hosts[1:3] {
+					if got := snapshot(s, d, p); got[0] != 2 {
+						t.Fatalf("secondary %v holds %#x on %v after the write-through, want 0x2", s.id, got[0], p)
+					}
+				}
+			}
+			if got := home.cm(d).(*CrewCM).InvalidateFailures(); got != 0 {
+				t.Fatalf("%d invalidations failed with every link up", got)
+			}
+		})
+	}
+}
+
+// nextPagePlanner speculates on the page after each demand batch.
+type nextPagePlanner struct{}
+
+func (nextPagePlanner) Plan(desc *region.Descriptor, _ ktypes.NodeID, pages []gaddr.Addr) []gaddr.Addr {
+	next, err := pages[len(pages)-1].Add(uint64(desc.Attrs.PageSize))
+	if err != nil || !desc.Range.Contains(next) {
+		return nil
+	}
+	return []gaddr.Addr{next}
+}
+
+func (nextPagePlanner) Granted(gaddr.Addr, ktypes.NodeID, []gaddr.Addr) {}
+
+// TestReadBatchFromHomeGetsNoSpecGrants: a write grant does not invalidate
+// a listed home's copy, so a speculative grant there could later be read
+// stale; the primary speculates only to requesters off the home list.
+func TestReadBatchFromHomeGetsNoSpecGrants(t *testing.T) {
+	d := replicatedDesc(4)
+	hosts := cluster(t, 4, d)
+	hosts[0].planner = nextPagePlanner{}
+	pages := d.Pages(0, d.Range.Size)
+	specs := func(h *testHost) int {
+		c := h.cm(d).(*CrewCM)
+		c.specMu.Lock()
+		defer c.specMu.Unlock()
+		return len(c.spec)
+	}
+	readAll(t, hosts[1], d, pages[:1])
+	if n := specs(hosts[1]); n != 0 {
+		t.Fatalf("secondary home received %d speculative grants, want 0", n)
+	}
+	readAll(t, hosts[3], d, pages[:1])
+	if n := specs(hosts[3]); n != 1 {
+		t.Fatalf("non-home reader received %d speculative grants, want 1 (the control)", n)
+	}
+}
+
+// TestHomeLeavingListIsInvalidated: the exemption follows the descriptor.
+// Once a new home list (a migration's or a shrink's) no longer names a
+// node, its copy is an ordinary sharer's and the next write grant
+// invalidates it.
+func TestHomeLeavingListIsInvalidated(t *testing.T) {
+	const pageCount = 4
+	d := replicatedDesc(pageCount)
+	hosts := cluster(t, 4, d)
+	pages := d.Pages(0, d.Range.Size)
+	writer, kept, dropped := hosts[3], hosts[1], hosts[2]
+	keptInvals, droppedInvals := countInvalidations(kept), countInvalidations(dropped)
+	writeAll(t, writer, d, pages, 1)
+
+	moved := d.Clone()
+	moved.Home = []ktypes.NodeID{1, 2}
+	moved.Epoch++
+	for _, h := range hosts {
+		h.descs = []*region.Descriptor{moved}
+	}
+	writeAll(t, writer, moved, pages, 2)
+	if b, it := droppedInvals.batches.Load(), droppedInvals.items.Load(); b != 1 || it != pageCount {
+		t.Fatalf("former home received %d InvalidateBatch RPCs naming %d pages, want 1 naming %d", b, it, pageCount)
+	}
+	if b := keptInvals.batches.Load(); b != 0 {
+		t.Fatalf("listed home received %d InvalidateBatch RPCs, want 0", b)
+	}
+	for _, p := range pages {
+		if resident(dropped, p) {
+			t.Fatalf("former home still holds %v", p)
+		}
+		if e, _ := hosts[0].dir.Lookup(p); e.InCopyset(dropped.id) {
+			t.Fatalf("copyset of %v is %v, still lists the former home", p, e.Copyset)
+		}
+		if got := snapshot(kept, moved, p); got[0] != 2 {
+			t.Fatalf("listed home holds %#x on %v, want 0x2", got[0], p)
+		}
+	}
+}
+
+// TestFailedWriteThroughLeavesCopyset: write grants keep the listed homes
+// in the copyset, so a secondary whose UpdateBatch fails must leave it —
+// replica maintenance re-pushes only to homes the copyset does not list.
+// The next write-through that reaches it lists it again.
+func TestFailedWriteThroughLeavesCopyset(t *testing.T) {
+	const pageCount = 4
+	d := replicatedDesc(pageCount)
+	hosts := cluster(t, 4, d)
+	pages := d.Pages(0, d.Range.Size)
+	home, reached, missed, writer := hosts[0], hosts[1], hosts[2], hosts[3]
+	writeAll(t, writer, d, pages, 1)
+
+	writer.net.Partition(home.id, missed.id)
+	writeAll(t, writer, d, pages, 2)
+	for _, p := range pages {
+		e, _ := home.dir.Lookup(p)
+		if e.InCopyset(missed.id) || !e.InCopyset(reached.id) {
+			t.Fatalf("copyset of %v is %v after %v missed the write-through, want %v listed and %v not",
+				p, e.Copyset, missed.id, reached.id, missed.id)
+		}
+		if got := snapshot(missed, d, p); got[0] != 1 {
+			t.Fatalf("partitioned secondary holds %#x on %v, want the old 0x1", got[0], p)
+		}
+	}
+
+	writer.net.Heal(home.id, missed.id)
+	writeAll(t, writer, d, pages, 3)
+	for _, p := range pages {
+		e, _ := home.dir.Lookup(p)
+		if !e.InCopyset(missed.id) {
+			t.Fatalf("copyset of %v is %v after a write-through reached %v", p, e.Copyset, missed.id)
+		}
+		if got := snapshot(missed, d, p); got[0] != 3 {
+			t.Fatalf("healed secondary holds %#x on %v, want 0x3", got[0], p)
+		}
+	}
+}
+
+// TestSpecGrantNotReadAfterJoiningHomes: a node that took a speculative
+// grant as an ordinary reader and then joined the home list keeps its
+// copy through the next write grant, which leaves homes alone. Its read
+// must go to the primary and wait out the writer, not consume the old
+// spec grant.
+func TestSpecGrantNotReadAfterJoiningHomes(t *testing.T) {
+	before := crewDesc(2)
+	before.Home = []ktypes.NodeID{1, 2}
+	hosts := cluster(t, 4, before)
+	hosts[0].planner = nextPagePlanner{}
+	pages := before.Pages(0, before.Range.Size)
+	joiner, writer := hosts[2], hosts[3]
+	readAll(t, joiner, before, pages[:1]) // speculates pages[1] to node 3
+	joinerCM := joiner.cm(before).(*CrewCM)
+	joinerCM.specMu.Lock()
+	_, ok := joinerCM.spec[pages[1]]
+	joinerCM.specMu.Unlock()
+	if !ok {
+		t.Fatal("no speculative grant to the future home (the precondition)")
+	}
+
+	after := before.Clone()
+	after.Home = []ktypes.NodeID{1, 2, 3}
+	after.Epoch++
+	for _, h := range hosts {
+		h.descs = []*region.Descriptor{after}
+	}
+	ctx := context.Background()
+	if _, err := writer.cm(after).AcquireBatch(ctx, after, pages[1:], ktypes.LockWrite); err != nil {
+		t.Fatal(err)
+	}
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	got, err := joinerCM.AcquireBatch(short, after, pages[1:], ktypes.LockRead)
+	cancel()
+	if err == nil {
+		t.Fatalf("new home read %v during another node's write hold", got)
+	}
+	if len(got) != 0 {
+		t.Fatalf("failed read returned held pages %v", got)
+	}
+	if errs := writer.cm(after).ReleaseBatch(ctx, after, pages[1:], ktypes.LockWrite, nil); errs != nil {
+		t.Fatal(errs)
+	}
+	readAll(t, joiner, after, pages[1:])
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
@@ -31,14 +32,22 @@ func TestPublishedDescriptorsImmutable(t *testing.T) {
 	}
 	var mu sync.Mutex
 	versions := make(map[uint64]string) // epoch -> fingerprint
+	fresh := make(chan struct{}, 1)     // signalled when a new epoch is sighted
 	sight := func(d *region.Descriptor) string {
 		fp := fingerprint(d)
 		mu.Lock()
 		defer mu.Unlock()
-		if prev, ok := versions[d.Epoch]; ok && prev != fp {
+		prev, ok := versions[d.Epoch]
+		if ok && prev != fp {
 			t.Errorf("epoch %d seen as %s and as %s", d.Epoch, prev, fp)
 		}
 		versions[d.Epoch] = fp
+		if !ok {
+			select {
+			case fresh <- struct{}{}:
+			default:
+			}
+		}
 		return fp
 	}
 
@@ -88,7 +97,22 @@ func TestPublishedDescriptorsImmutable(t *testing.T) {
 			t.Fatalf("migrate to %v: %v", to, err)
 		}
 	}
+	seen := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(versions)
+	}
 	for i := 0; i < 40; i++ {
+		// Let the readers sight a new version per round: on a busy host the
+		// mutators can otherwise finish before a reader is scheduled.
+	wait:
+		for seen() <= i {
+			select {
+			case <-fresh:
+			case <-time.After(time.Second):
+				break wait
+			}
+		}
 		attrs := region.Attrs{ACL: security.Open().Grant(ktypes.Principal(fmt.Sprint("v", i)), security.PermRead)}
 		if err := home.SetAttr(ctx, start, attrs, "admin"); err != nil {
 			t.Fatalf("SetAttr: %v", err)

@@ -19,8 +19,9 @@ import (
 )
 
 // replicatedRegion builds a MinReplicas-3 region homed on node 2 of a
-// 4-node cluster with its home list grown to [2 3 4], and one committed
-// write so the log carries a release delta.
+// 4-node cluster, with its home list grown to three by replica maintenance
+// (node 2 first, then whichever members maintenance picks, e.g. [2 1 3]),
+// and one committed write so the log carries a release delta.
 func replicatedRegion(t *testing.T) (*transport.Network, []*Node, gaddr.Addr) {
 	t.Helper()
 	net, nodes := testCluster(t, 4)
@@ -156,5 +157,108 @@ func TestPromoteLocalSingleflight(t *testing.T) {
 	}
 	if nodes[2].mHomePromos.Load() != 1 {
 		t.Fatalf("home_promotions = %d, want 1", nodes[2].mHomePromos.Load())
+	}
+}
+
+// TestWriteHoldKeepsReplicaForFailover: a write grant to a node outside the
+// home list does not revoke the secondary homes' copies — they are the
+// region's failover copies — so when the primary crashes during the
+// writer's hold, the promoted secondary serves the last acked release, not
+// a zero page.
+func TestWriteHoldKeepsReplicaForFailover(t *testing.T) {
+	net, nodes, start := replicatedRegion(t)
+	ctx := context.Background()
+	d := nodes[1].authDescByStart(start)
+	var writer *Node
+	for _, n := range nodes {
+		if !d.HasHome(n.cfg.ID) {
+			writer = n
+		}
+	}
+	rng := gaddr.Range{Start: start, Size: 4096}
+	lc, err := writer.Lock(ctx, rng, ktypes.LockWrite, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Write(lc, start, []byte("never released")); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range d.Home[1:] {
+		if f, ok := nodes[h-1].Store().Get(start); ok {
+			f.Release()
+		} else {
+			t.Errorf("secondary home %v dropped its replica while node %v holds the write lock", h, writer.cfg.ID)
+		}
+	}
+
+	net.Crash(d.Home[0])
+	promoted := nodes[d.Home[1]-1]
+	if nd := promoted.promoteLocal(ctx, start); nd == nil {
+		t.Fatal("promotion failed")
+	}
+	const want = "logged before crash"
+	rlc, err := promoted.Lock(ctx, rng, ktypes.LockRead, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := promoted.Read(rlc, start, uint64(len(want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("promoted home %v serves %q as the committed page, want %q", promoted.cfg.ID, got, want)
+	}
+	if err := promoted.Unlock(ctx, rlc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMissedWriteThroughRepairedByMaintenance: a secondary home that misses
+// a release's write-through is brought to the committed version by the
+// next replica-maintenance round, so a later promotion does not resume
+// from its stale copy.
+func TestMissedWriteThroughRepairedByMaintenance(t *testing.T) {
+	net, nodes, start := replicatedRegion(t)
+	ctx := context.Background()
+	primary := nodes[1]
+	d := primary.authDescByStart(start)
+	missed := nodes[d.Home[2]-1]
+	var writer *Node
+	for _, n := range nodes {
+		if !d.HasHome(n.cfg.ID) {
+			writer = n
+		}
+	}
+	const want = "written while partitioned"
+	net.Partition(primary.cfg.ID, missed.cfg.ID)
+	lc, err := writer.Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockWrite, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Write(lc, start, []byte(want)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Unlock(ctx, lc); err != nil {
+		t.Fatal(err)
+	}
+	net.Heal(primary.cfg.ID, missed.cfg.ID)
+
+	repairs := primary.mReplicaRepairs.Load()
+	primary.MaintainReplicas()
+	if primary.mReplicaRepairs.Load() == repairs {
+		t.Fatalf("maintenance repaired nothing on secondary %v", missed.cfg.ID)
+	}
+	f, ok := missed.Store().Get(start)
+	if !ok {
+		t.Fatalf("secondary %v holds no copy after maintenance", missed.cfg.ID)
+	}
+	got := string(f.Bytes()[:len(want)])
+	f.Release()
+	if got != want {
+		t.Fatalf("secondary %v holds %q after maintenance, want %q", missed.cfg.ID, got, want)
+	}
+	pe, _ := primary.dir.Lookup(start)
+	if me, _ := missed.dir.Lookup(start); me.Version != pe.Version {
+		t.Fatalf("secondary %v at version %d after maintenance, primary at %d", missed.cfg.ID, me.Version, pe.Version)
 	}
 }

@@ -147,6 +147,10 @@ type Decoder struct {
 // NewDecoder wraps a buffer for decoding.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
+// Reset points the decoder at b from its start, clearing any error, so one
+// Decoder serves many buffers. Reset(nil) drops the previous buffer.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{buf: b} }
+
 // Err returns the first error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
 

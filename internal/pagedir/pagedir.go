@@ -53,6 +53,9 @@ type Entry struct {
 	// page's home node; elsewhere a hint).
 	Owner ktypes.NodeID
 	// Copyset lists nodes holding copies (maintained by the home node).
+	// It is immutable once stored: Lookup hands the stored slice to every
+	// reader, so a writer replaces it (AddSharer and RemoveSharer build a
+	// new slice) and never edits its elements or appends into it.
 	Copyset []ktypes.NodeID
 	// Version counts committed writes to the page.
 	Version uint64
@@ -67,13 +70,6 @@ type Entry struct {
 	StampNode ktypes.NodeID
 }
 
-// clone deep-copies the entry.
-func (e *Entry) clone() Entry {
-	out := *e
-	out.Copyset = append([]ktypes.NodeID(nil), e.Copyset...)
-	return out
-}
-
 // InCopyset reports whether n is in the entry's copyset.
 func (e *Entry) InCopyset(n ktypes.NodeID) bool {
 	for _, c := range e.Copyset {
@@ -84,18 +80,20 @@ func (e *Entry) InCopyset(n ktypes.NodeID) bool {
 	return false
 }
 
-// AddSharer inserts n into the copyset if absent.
+// AddSharer inserts n into the copyset if absent. The full slice
+// expression makes append copy into a new array, leaving the published
+// copyset untouched.
 func (e *Entry) AddSharer(n ktypes.NodeID) {
 	if !e.InCopyset(n) {
-		e.Copyset = append(e.Copyset, n)
+		e.Copyset = append(e.Copyset[:len(e.Copyset):len(e.Copyset)], n)
 	}
 }
 
-// RemoveSharer removes n from the copyset.
+// RemoveSharer removes n from the copyset, building a new slice.
 func (e *Entry) RemoveSharer(n ktypes.NodeID) {
 	for i, c := range e.Copyset {
 		if c == n {
-			e.Copyset = append(e.Copyset[:i], e.Copyset[i+1:]...)
+			e.Copyset = append(e.Copyset[:i:i], e.Copyset[i+1:]...)
 			return
 		}
 	}
@@ -112,7 +110,8 @@ func New() *Dir {
 	return &Dir{entries: make(map[gaddr.Addr]*Entry)}
 }
 
-// Lookup returns a copy of the entry for the page.
+// Lookup returns a copy of the entry for the page. Its Copyset is the
+// stored slice, shared and read-only.
 func (d *Dir) Lookup(page gaddr.Addr) (Entry, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -120,7 +119,7 @@ func (d *Dir) Lookup(page gaddr.Addr) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	return e.clone(), true
+	return *e, true
 }
 
 // Update atomically mutates (creating if needed) the entry for page.

@@ -2,6 +2,7 @@ package pagedir
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -40,15 +41,106 @@ func TestUpdateCreatesAndMutates(t *testing.T) {
 	}
 }
 
-func TestLookupReturnsCopy(t *testing.T) {
+// TestLookupSharesPublishedCopyset: Lookup hands out the stored copyset
+// without copying it, and because AddSharer and RemoveSharer publish a new
+// slice, a copyset already handed out never changes.
+func TestLookupSharesPublishedCopyset(t *testing.T) {
 	d := New()
-	d.Update(pg(1), func(e *Entry) { e.AddSharer(2) })
-	got, _ := d.Lookup(pg(1))
-	got.Copyset[0] = 99
+	d.Update(pg(1), func(e *Entry) {
+		e.AddSharer(2)
+		e.AddSharer(3)
+	})
+	first, _ := d.Lookup(pg(1))
 	again, _ := d.Lookup(pg(1))
-	if again.Copyset[0] != 2 {
-		t.Fatal("Lookup shares copyset slice")
+	if &first.Copyset[0] != &again.Copyset[0] {
+		t.Fatal("Lookup copied the copyset")
 	}
+	if allocs := testing.AllocsPerRun(100, func() { d.Lookup(pg(1)) }); allocs != 0 {
+		t.Fatalf("Lookup allocates %.1f objects, want 0", allocs)
+	}
+	d.Update(pg(1), func(e *Entry) { e.AddSharer(4) })
+	added, _ := d.Lookup(pg(1))
+	d.Update(pg(1), func(e *Entry) { e.RemoveSharer(2) })
+	removed, _ := d.Lookup(pg(1))
+	d.Update(pg(1), func(e *Entry) { e.AddSharer(3) }) // present: no new slice
+	unchanged, _ := d.Lookup(pg(1))
+	for _, c := range []struct {
+		name string
+		got  []ktypes.NodeID
+		want string
+	}{
+		{"first", first.Copyset, "[n2 n3]"},
+		{"after AddSharer", added.Copyset, "[n2 n3 n4]"},
+		{"after RemoveSharer", removed.Copyset, "[n3 n4]"},
+		{"after re-adding a sharer", unchanged.Copyset, "[n3 n4]"},
+	} {
+		if got := fmt.Sprint(c.got); got != c.want {
+			t.Fatalf("%s copyset = %s, want %s", c.name, got, c.want)
+		}
+	}
+	if &removed.Copyset[0] != &unchanged.Copyset[0] {
+		t.Fatal("adding a present sharer published a new copyset")
+	}
+}
+
+// TestCopysetReadersRaceWriters: readers iterate copysets Lookup returned
+// while writers add, remove and reset sharers under Update. Under -race an
+// in-place write to a published slice is reported; without it, a reader
+// that sees its copyset change after the lookup fails the test.
+func TestCopysetReadersRaceWriters(t *testing.T) {
+	d := New()
+	const pages = 4
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e, _ := d.Lookup(pg(uint64(i % pages)))
+				before := fmt.Sprint(e.Copyset)
+				seen := make(map[ktypes.NodeID]bool, len(e.Copyset))
+				for _, n := range e.Copyset {
+					if seen[n] {
+						t.Errorf("copyset %v lists %v twice", e.Copyset, n)
+						return
+					}
+					seen[n] = true
+				}
+				if after := fmt.Sprint(e.Copyset); after != before {
+					t.Errorf("copyset changed after Lookup: %s -> %s", before, after)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 2000; i++ {
+				n := ktypes.NodeID(i%7 + 1)
+				d.Update(pg(uint64(i%pages)), func(e *Entry) {
+					switch (i + w) % 3 {
+					case 0:
+						e.AddSharer(n)
+					case 1:
+						e.RemoveSharer(n)
+					default:
+						e.Copyset = []ktypes.NodeID{n}
+					}
+				})
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
 }
 
 func TestCopysetOps(t *testing.T) {

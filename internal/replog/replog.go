@@ -241,7 +241,9 @@ func (rl *regionLog) advanceCommitLocked(to uint64) int {
 }
 
 // compactLocked drops committed entries beyond the retained tail and
-// returns how many were dropped.
+// returns how many were dropped. The tail moves down inside the existing
+// array, and the vacated slots are cleared so their Nodes slices can be
+// collected; nothing outside mu holds a view of entries (catchupMsg copies).
 func (rl *regionLog) compactLocked() int {
 	committed := rl.commit - rl.floor
 	if committed <= keepTail {
@@ -250,7 +252,9 @@ func (rl *regionLog) compactLocked() int {
 	drop := int(committed - keepTail)
 	rl.floorTerm = rl.entries[drop-1].Term
 	rl.floor += uint64(drop)
-	rl.entries = append([]wire.ReplEntry(nil), rl.entries[drop:]...)
+	kept := copy(rl.entries, rl.entries[drop:])
+	clear(rl.entries[kept:])
+	rl.entries = rl.entries[:kept]
 	return drop
 }
 

@@ -1,6 +1,7 @@
 package replog
 
 import (
+	"maps"
 	"sort"
 
 	"khazana/internal/enc"
@@ -22,7 +23,8 @@ type RegionState struct {
 	// Owner is the page's owner after its latest committed release.
 	Owner map[gaddr.Addr]ktypes.NodeID
 	// Copyset is the page's sharer set after its latest committed
-	// release.
+	// release. The slices are shared with the log entries (and, on the
+	// leader, the page directory) and are never modified in place.
 	Copyset map[gaddr.Addr][]ktypes.NodeID
 	// PubEpoch is the home's publish epoch after the latest committed
 	// release (snapshot cut counter).
@@ -49,7 +51,7 @@ func (s *RegionState) apply(en *wire.ReplEntry) {
 			s.PageVersion[en.Page] = en.Val
 		}
 		s.Owner[en.Page] = en.Node
-		s.Copyset[en.Page] = append([]ktypes.NodeID(nil), en.Nodes...)
+		s.Copyset[en.Page] = en.Nodes
 		if en.Aux > s.PubEpoch {
 			s.PubEpoch = en.Aux
 		}
@@ -61,26 +63,17 @@ func (s *RegionState) apply(en *wire.ReplEntry) {
 	}
 }
 
-// clone returns a deep copy safe to hand outside the log's locks.
+// clone returns a copy safe to hand outside the log's locks: its maps are
+// its own, and its copysets are shared, read-only.
 func (s *RegionState) clone() RegionState {
-	out := RegionState{
-		PageVersion: make(map[gaddr.Addr]uint64, len(s.PageVersion)),
-		Owner:       make(map[gaddr.Addr]ktypes.NodeID, len(s.Owner)),
-		Copyset:     make(map[gaddr.Addr][]ktypes.NodeID, len(s.Copyset)),
+	return RegionState{
+		PageVersion: maps.Clone(s.PageVersion),
+		Owner:       maps.Clone(s.Owner),
+		Copyset:     maps.Clone(s.Copyset),
 		PubEpoch:    s.PubEpoch,
 		Homes:       append([]ktypes.NodeID(nil), s.Homes...),
 		HomeEpoch:   s.HomeEpoch,
 	}
-	for p, v := range s.PageVersion {
-		out.PageVersion[p] = v
-	}
-	for p, o := range s.Owner {
-		out.Owner[p] = o
-	}
-	for p, cs := range s.Copyset {
-		out.Copyset[p] = append([]ktypes.NodeID(nil), cs...)
-	}
-	return out
 }
 
 // sortedPages returns the state's page keys in address order so the

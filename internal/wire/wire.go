@@ -120,11 +120,14 @@ type Msg interface {
 	decode(d *enc.Decoder)
 }
 
-// encoders recycles Encoders (one handed to Msg.encode escapes, so a fresh
-// one per message is an allocation per RPC); scratch recycles the buffers
-// Marshal encodes into. Entries are pointers so Put does not allocate.
+// encoders and decoders recycle the codec handed to Msg.encode and
+// Msg.decode (an interface call, so a fresh one per message escapes: an
+// allocation per RPC); scratch recycles the buffers Marshal encodes into.
+// Entries are pointers so Put does not allocate. No decode method retains
+// its Decoder, so one returns to the pool when Unmarshal does.
 var (
 	encoders = sync.Pool{New: func() any { return new(enc.Encoder) }}
+	decoders = sync.Pool{New: func() any { return new(enc.Decoder) }}
 	scratch  = sync.Pool{New: func() any { return new([]byte) }}
 )
 
@@ -157,7 +160,12 @@ func MarshalAppend(dst []byte, m Msg) []byte {
 
 // Unmarshal parses a message produced by Marshal.
 func Unmarshal(b []byte) (Msg, error) {
-	d := enc.NewDecoder(b)
+	d := decoders.Get().(*enc.Decoder)
+	d.Reset(b)
+	defer func() {
+		d.Reset(nil)
+		decoders.Put(d)
+	}()
 	kind := Kind(d.U16())
 	if d.Err() != nil {
 		return nil, fmt.Errorf("wire: %w", d.Err())
