@@ -67,12 +67,13 @@ bench-scan:
 # alloc-gates runs the absolute allocation budgets without the race
 # detector (which defeats sync.Pool and skips them): the local lock cycle
 # (one object), the remote read batch, grant marshalling, the replicated
-# 8-page write (180 objects), a span in a caller-owned slot (0), the
-# uncontended lock table (0), replog compaction (0) and Unmarshal (the
-# message only). An allocation creeping back fails here, without a
-# benchmark run.
+# 8-page write (180 objects), the region lifecycle cycle (200 objects), a
+# span in a caller-owned slot (0), the uncontended lock table (0), replog
+# compaction (0), Unmarshal (the message only), a full hint cache taking
+# a hint (0) and the tree-node codec (2 objects to decode, 0 to encode).
+# An allocation creeping back fails here, without a benchmark run.
 alloc-gates:
-	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire
+	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/addrmap
 
 # bench-smoke runs every benchmark for a single iteration so bit-rotted
 # benchmark code fails CI instead of lingering until someone profiles.

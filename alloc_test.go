@@ -413,3 +413,100 @@ func TestReplicatedWriteAllocGate(t *testing.T) {
 		t.Fatalf("a replicated 8-page write cycle allocates %.2f objects / %.0f B, budget is 180 objects / 24 KB", objects, bytes)
 	}
 }
+
+// TestRegionLifecycleAllocGate is the object budget of the region
+// lifecycle, the region_churn benchmark's cycle: on a 3-node cluster, node
+// 1 reserves, allocates and writes page 0 of a 16-page region, node 3
+// cold-opens the region created the cycle before, and node 1 unreserves
+// the region created 64 cycles ago. After 4 100 warm-up cycles — the
+// manager's 4 096-entry hint cache is full, so every new region's hint
+// evicts one — a cycle averages at most 200 objects; it measures about
+// 173. A hint cache that allocates a struct or slice per new region, a
+// tree-node decode that allocates per entry, or an encoder allocated per
+// map write each break it.
+func TestRegionLifecycleAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled frames and buffers")
+	}
+	c, err := khazana.NewCluster(3, khazana.WithStoreDir(t.TempDir()), khazana.WithMemPages(4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const (
+		ps     = 4096
+		pages  = 16
+		warm   = 4100
+		cycles = 500
+	)
+	creator, opener := c.Node(1), c.Node(3)
+	page := make([]byte, ps)
+	// live is a ring of the regions not yet unreserved; live[next] is the
+	// oldest, the one before it the newest.
+	var live [64]khazana.Addr
+	next := 0
+	create := func() khazana.Addr {
+		start, err := creator.Reserve(ctx, pages*ps, khazana.Attrs{}, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := creator.Allocate(ctx, start, "bench"); err != nil {
+			t.Fatal(err)
+		}
+		lk, err := creator.Lock(ctx, khazana.Range{Start: start, Size: ps}, khazana.LockWrite, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lk.Write(start, page); err != nil {
+			t.Fatal(err)
+		}
+		if err := lk.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return start
+	}
+	cycle := func() {
+		prev := live[(next+len(live)-1)%len(live)]
+		oldest := live[next]
+		live[next] = create()
+		next = (next + 1) % len(live)
+		// The previous cycle's ring announce has landed by now on an idle
+		// host; waiting for it keeps a loaded one on the same lookup path.
+		creator.Core().RingSettle()
+		lk, err := opener.Lock(ctx, khazana.Range{Start: prev, Size: ps}, khazana.LockRead, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view, err := lk.ReadView(prev, ps); err != nil || len(view) != ps {
+			t.Fatalf("cold open read %d bytes: %v", len(view), err)
+		}
+		if err := lk.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := creator.Unreserve(ctx, oldest, "bench"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range live {
+		live[i] = create()
+	}
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	objects, bytes := math.Inf(1), math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&after)
+		objects = math.Min(objects, float64(after.Mallocs-before.Mallocs)/cycles)
+		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/cycles)
+	}
+	t.Logf("region lifecycle cycle: %.2f objects, %.0f B", objects, bytes)
+	if objects > 200 {
+		t.Fatalf("a region lifecycle cycle allocates %.2f objects, budget is 200", objects)
+	}
+}

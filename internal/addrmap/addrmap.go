@@ -34,9 +34,11 @@ type PageIO interface {
 	// ReadPage returns the current contents of a map page (zero-filled
 	// if never written).
 	ReadPage(ctx context.Context, page gaddr.Addr) ([]byte, error)
-	// MutatePage applies fn to the page under a write lock and writes
-	// the result back. fn mutates data in place.
-	MutatePage(ctx context.Context, page gaddr.Addr, fn func(data []byte) error) error
+	// MutatePage applies fn to the page under a write lock. fn mutates
+	// data in place and reports whether it changed the page; only a
+	// changed page is written back, so a mutation that merely passes
+	// through a tree node leaves that page's version alone.
+	MutatePage(ctx context.Context, page gaddr.Addr, fn func(data []byte) (changed bool, err error)) error
 }
 
 // Geometry of the map region.
@@ -106,18 +108,32 @@ type node struct {
 	entries []nodeEntry
 }
 
+// nodeEntry mirrors one on-page entry record, which reserves MaxHomes
+// home slots, so decoding an entry allocates nothing.
 type nodeEntry struct {
-	kind  uint8
-	rng   gaddr.Range
-	homes []ktypes.NodeID // kindRegion
-	child uint64          // kindSubtree: map page index
+	kind   uint8
+	nhomes uint8 // kindRegion: homes[:nhomes] are set, the rest zero
+	homes  [MaxHomes]ktypes.NodeID
+	rng    gaddr.Range
+	child  uint64 // kindSubtree: map page index
+}
+
+// homeList returns the entry's home nodes; it aliases the entry.
+func (e *nodeEntry) homeList() []ktypes.NodeID { return e.homes[:e.nhomes] }
+
+// setHomes stores the first MaxHomes of homes (the list is
+// non-exhaustive).
+func (e *nodeEntry) setHomes(homes []ktypes.NodeID) {
+	e.homes = [MaxHomes]ktypes.NodeID{}
+	e.nhomes = uint8(copy(e.homes[:], homes))
 }
 
 func decodeNode(data []byte) (*node, error) {
 	if len(data) != PageSize {
 		return nil, fmt.Errorf("%w: page size %d", ErrCorrupt, len(data))
 	}
-	d := enc.NewDecoder(data[:headerSize])
+	var d enc.Decoder
+	d.Reset(data[:headerSize])
 	if got := d.U32(); got != magic {
 		if got == 0 {
 			// Never-written page: an empty node.
@@ -131,43 +147,42 @@ func decodeNode(data []byte) (*node, error) {
 	if count > maxEntries {
 		return nil, fmt.Errorf("%w: count %d", ErrCorrupt, count)
 	}
-	n.entries = make([]nodeEntry, 0, count)
-	for i := 0; i < count; i++ {
-		rec := data[headerSize+i*entrySize : headerSize+(i+1)*entrySize]
-		ed := enc.NewDecoder(rec)
-		ent := nodeEntry{kind: ed.U8()}
-		ent.rng = ed.Range()
+	n.entries = make([]nodeEntry, count)
+	for i := range n.entries {
+		ent := &n.entries[i]
+		d.Reset(data[headerSize+i*entrySize : headerSize+(i+1)*entrySize])
+		ent.kind = d.U8()
+		ent.rng = d.Range()
 		switch ent.kind {
 		case kindRegion:
-			hc := int(ed.U8())
-			if hc > MaxHomes {
-				return nil, fmt.Errorf("%w: home count %d", ErrCorrupt, hc)
+			ent.nhomes = d.U8()
+			if ent.nhomes > MaxHomes {
+				return nil, fmt.Errorf("%w: home count %d", ErrCorrupt, ent.nhomes)
 			}
-			for j := 0; j < MaxHomes; j++ {
-				id := ed.NodeID()
-				if j < hc {
-					ent.homes = append(ent.homes, id)
-				}
+			for j := range ent.homes[:ent.nhomes] {
+				ent.homes[j] = d.NodeID()
 			}
 		case kindSubtree:
-			ent.child = ed.U64()
+			ent.child = d.U64()
 		default:
 			return nil, fmt.Errorf("%w: entry kind %d", ErrCorrupt, ent.kind)
 		}
-		if ed.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, ed.Err())
+		if d.Err() != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, d.Err())
 		}
-		n.entries = append(n.entries, ent)
 	}
 	return n, nil
 }
 
-// encodeInto writes the node into a page buffer.
+// encodeInto writes the node into a page buffer in place: a full node
+// (headerSize + maxEntries*entrySize bytes) fits a page, so the encoder
+// appends into data's own storage and never reallocates.
 func (n *node) encodeInto(data []byte) error {
 	if len(n.entries) > maxEntries {
 		return fmt.Errorf("addrmap: node overflow: %d entries", len(n.entries))
 	}
-	e := enc.NewEncoder(PageSize)
+	var e enc.Encoder
+	e.Reset(data[:0])
 	e.U32(magic)
 	e.U16(uint16(len(n.entries)))
 	e.U16(0)
@@ -179,13 +194,9 @@ func (n *node) encodeInto(data []byte) error {
 		e.Range(ent.rng)
 		switch ent.kind {
 		case kindRegion:
-			e.U8(uint8(len(ent.homes)))
-			for j := 0; j < MaxHomes; j++ {
-				if j < len(ent.homes) {
-					e.NodeID(ent.homes[j])
-				} else {
-					e.NodeID(0)
-				}
+			e.U8(ent.nhomes)
+			for _, id := range ent.homes {
+				e.NodeID(id)
 			}
 		case kindSubtree:
 			e.U64(ent.child)
@@ -194,11 +205,7 @@ func (n *node) encodeInto(data []byte) error {
 			e.U8(0)
 		}
 	}
-	buf := e.Bytes()
-	copy(data, buf)
-	for i := len(buf); i < PageSize; i++ {
-		data[i] = 0
-	}
+	clear(data[e.Len():])
 	return nil
 }
 
@@ -208,29 +215,20 @@ func (n *node) encodeInto(data []byte) error {
 // itself is recorded as reserved so client reservations never collide with
 // tree pages. Idempotent.
 func (m *Map) Init(ctx context.Context, mapHomes []ktypes.NodeID) error {
-	return m.io.MutatePage(ctx, pageAddr(0), func(data []byte) error {
+	return m.io.MutatePage(ctx, pageAddr(0), func(data []byte) (bool, error) {
 		n, err := decodeNode(data)
 		if err == nil && len(n.entries) > 0 {
-			return nil // already initialized
+			return false, nil // already initialized
 		}
+		self := nodeEntry{kind: kindRegion, rng: gaddr.Range{Start: gaddr.Zero, Size: RegionSize}}
+		self.setHomes(mapHomes)
 		root := &node{
 			nextFreePage: 1,
 			cursor:       gaddr.FromUint64(RegionSize),
-			entries: []nodeEntry{{
-				kind:  kindRegion,
-				rng:   gaddr.Range{Start: gaddr.Zero, Size: RegionSize},
-				homes: clampHomes(mapHomes),
-			}},
+			entries:      []nodeEntry{self},
 		}
-		return root.encodeInto(data)
+		return true, root.encodeInto(data)
 	})
-}
-
-func clampHomes(homes []ktypes.NodeID) []ktypes.NodeID {
-	if len(homes) > MaxHomes {
-		homes = homes[:MaxHomes]
-	}
-	return append([]ktypes.NodeID(nil), homes...)
 }
 
 // ReserveRange advances the global cursor by size (aligned to align) and
@@ -245,22 +243,22 @@ func (m *Map) ReserveRange(ctx context.Context, size, align uint64) (gaddr.Range
 		align = PageSize
 	}
 	var out gaddr.Range
-	err := m.io.MutatePage(ctx, pageAddr(0), func(data []byte) error {
+	err := m.io.MutatePage(ctx, pageAddr(0), func(data []byte) (bool, error) {
 		root, err := decodeNode(data)
 		if err != nil {
-			return err
+			return false, err
 		}
 		start, err := root.cursor.AlignUp(align)
 		if err != nil {
-			return ErrSpaceExhausted
+			return false, ErrSpaceExhausted
 		}
 		end, err := start.Add(size)
 		if err != nil {
-			return ErrSpaceExhausted
+			return false, ErrSpaceExhausted
 		}
 		root.cursor = end
 		out = gaddr.Range{Start: start, Size: size}
-		return root.encodeInto(data)
+		return true, root.encodeInto(data)
 	})
 	return out, err
 }
@@ -280,25 +278,25 @@ func (m *Map) Insert(ctx context.Context, entry Entry) error {
 func (m *Map) insertAt(ctx context.Context, pageIdx uint64, entry Entry) error {
 	var descend uint64
 	var needSplit bool
-	err := m.io.MutatePage(ctx, pageAddr(pageIdx), func(data []byte) error {
+	err := m.io.MutatePage(ctx, pageAddr(pageIdx), func(data []byte) (bool, error) {
 		n, err := decodeNode(data)
 		if err != nil {
-			return err
+			return false, err
 		}
 		descend = 0
 		needSplit = false
 		for _, ent := range n.entries {
 			if ent.kind == kindSubtree && ent.rng.ContainsRange(entry.Range) {
 				descend = ent.child
-				return nil // descend without mutating
+				return false, nil // descend without mutating
 			}
 			if ent.rng.Overlaps(entry.Range) {
-				return fmt.Errorf("%w: %v overlaps %v", ErrOverlap, entry.Range, ent.rng)
+				return false, fmt.Errorf("%w: %v overlaps %v", ErrOverlap, entry.Range, ent.rng)
 			}
 		}
 		if len(n.entries) >= maxEntries {
 			needSplit = true
-			return nil
+			return false, nil
 		}
 		// Insert in sorted position.
 		pos := len(n.entries)
@@ -310,8 +308,9 @@ func (m *Map) insertAt(ctx context.Context, pageIdx uint64, entry Entry) error {
 		}
 		n.entries = append(n.entries, nodeEntry{})
 		copy(n.entries[pos+1:], n.entries[pos:])
-		n.entries[pos] = nodeEntry{kind: kindRegion, rng: entry.Range, homes: clampHomes(entry.Homes)}
-		return n.encodeInto(data)
+		n.entries[pos] = nodeEntry{kind: kindRegion, rng: entry.Range}
+		n.entries[pos].setHomes(entry.Homes)
+		return true, n.encodeInto(data)
 	})
 	if err != nil {
 		return err
@@ -339,17 +338,17 @@ func (m *Map) insertAt(ctx context.Context, pageIdx uint64, entry Entry) error {
 func (m *Map) split(ctx context.Context, pageIdx uint64) error {
 	// Allocate a child page index from the root header.
 	var childIdx uint64
-	err := m.io.MutatePage(ctx, pageAddr(0), func(data []byte) error {
+	err := m.io.MutatePage(ctx, pageAddr(0), func(data []byte) (bool, error) {
 		root, err := decodeNode(data)
 		if err != nil {
-			return err
+			return false, err
 		}
 		childIdx = root.nextFreePage
 		if childIdx*PageSize >= RegionSize {
-			return ErrSpaceExhausted
+			return false, ErrSpaceExhausted
 		}
 		root.nextFreePage++
-		return root.encodeInto(data)
+		return true, root.encodeInto(data)
 	})
 	if err != nil {
 		return err
@@ -370,21 +369,21 @@ func (m *Map) split(ctx context.Context, pageIdx uint64) error {
 	half := len(n.entries) / 2
 	moved := append([]nodeEntry(nil), n.entries[:half]...)
 	// Write the child first.
-	err = m.io.MutatePage(ctx, pageAddr(childIdx), func(data []byte) error {
+	err = m.io.MutatePage(ctx, pageAddr(childIdx), func(data []byte) (bool, error) {
 		child := &node{entries: moved}
-		return child.encodeInto(data)
+		return true, child.encodeInto(data)
 	})
 	if err != nil {
 		return err
 	}
 	// Swap the moved entries for a subtree pointer in the parent.
-	return m.io.MutatePage(ctx, pageAddr(pageIdx), func(data []byte) error {
+	return m.io.MutatePage(ctx, pageAddr(pageIdx), func(data []byte) (bool, error) {
 		n, err := decodeNode(data)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if len(n.entries) < half {
-			return nil
+			return false, nil
 		}
 		first := moved[0].rng.Start
 		last := moved[len(moved)-1].rng
@@ -399,7 +398,7 @@ func (m *Map) split(ctx context.Context, pageIdx uint64) error {
 			child: childIdx,
 		}
 		n.entries = append([]nodeEntry{sub}, n.entries[half:]...)
-		return n.encodeInto(data)
+		return true, n.encodeInto(data)
 	})
 }
 
@@ -431,7 +430,7 @@ func (m *Map) Lookup(ctx context.Context, addr gaddr.Addr) (Entry, int, error) {
 				found = true
 				break
 			}
-			return Entry{Range: ent.rng, Homes: append([]ktypes.NodeID(nil), ent.homes...)}, steps, nil
+			return Entry{Range: ent.rng, Homes: append([]ktypes.NodeID(nil), ent.homeList()...)}, steps, nil
 		}
 		if !found {
 			return Entry{}, steps, ErrNotFound
@@ -448,8 +447,7 @@ func (m *Map) Remove(ctx context.Context, start gaddr.Addr) error {
 // SetHomes updates the home-node list of the region starting at start
 // (e.g. after replica migration or failover).
 func (m *Map) SetHomes(ctx context.Context, start gaddr.Addr, homes []ktypes.NodeID) error {
-	h := clampHomes(homes)
-	return m.mutateEntry(ctx, 0, start, func(ent *nodeEntry) { ent.homes = h })
+	return m.mutateEntry(ctx, 0, start, func(ent *nodeEntry) { ent.setHomes(homes) })
 }
 
 // mutateEntry walks to the node holding the region that starts at start
@@ -457,17 +455,17 @@ func (m *Map) SetHomes(ctx context.Context, start gaddr.Addr, homes []ktypes.Nod
 func (m *Map) mutateEntry(ctx context.Context, pageIdx uint64, start gaddr.Addr, fn func(*nodeEntry)) error {
 	var descend uint64
 	var found bool
-	err := m.io.MutatePage(ctx, pageAddr(pageIdx), func(data []byte) error {
+	err := m.io.MutatePage(ctx, pageAddr(pageIdx), func(data []byte) (bool, error) {
 		n, err := decodeNode(data)
 		if err != nil {
-			return err
+			return false, err
 		}
 		descend, found = 0, false
 		for i := range n.entries {
 			ent := &n.entries[i]
 			if ent.kind == kindSubtree && ent.rng.Contains(start) {
 				descend = ent.child
-				return nil
+				return false, nil
 			}
 			if ent.kind == kindRegion && ent.rng.Start == start {
 				found = true
@@ -476,10 +474,10 @@ func (m *Map) mutateEntry(ctx context.Context, pageIdx uint64, start gaddr.Addr,
 				} else {
 					fn(ent)
 				}
-				return n.encodeInto(data)
+				return true, n.encodeInto(data)
 			}
 		}
-		return nil
+		return false, nil
 	})
 	if err != nil {
 		return err
@@ -517,7 +515,7 @@ func (m *Map) walkNode(ctx context.Context, pageIdx uint64, visit func(Entry) bo
 				return cont, err
 			}
 		case kindRegion:
-			if !visit(Entry{Range: ent.rng, Homes: append([]ktypes.NodeID(nil), ent.homes...)}) {
+			if !visit(Entry{Range: ent.rng, Homes: append([]ktypes.NodeID(nil), ent.homeList()...)}) {
 				return false, nil
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,9 +18,13 @@ type memIO struct {
 	mu    sync.Mutex
 	pages map[gaddr.Addr][]byte
 	reads int
+	// writes counts write-backs per page.
+	writes map[gaddr.Addr]int
 }
 
-func newMemIO() *memIO { return &memIO{pages: make(map[gaddr.Addr][]byte)} }
+func newMemIO() *memIO {
+	return &memIO{pages: make(map[gaddr.Addr][]byte), writes: make(map[gaddr.Addr]int)}
+}
 
 func (io *memIO) ReadPage(_ context.Context, page gaddr.Addr) ([]byte, error) {
 	io.mu.Lock()
@@ -32,17 +37,16 @@ func (io *memIO) ReadPage(_ context.Context, page gaddr.Addr) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-func (io *memIO) MutatePage(_ context.Context, page gaddr.Addr, fn func([]byte) error) error {
+func (io *memIO) MutatePage(_ context.Context, page gaddr.Addr, fn func([]byte) (bool, error)) error {
 	io.mu.Lock()
 	defer io.mu.Unlock()
-	data, ok := io.pages[page]
-	if !ok {
-		data = make([]byte, PageSize)
-	}
-	if err := fn(data); err != nil {
+	data := make([]byte, PageSize)
+	copy(data, io.pages[page])
+	if changed, err := fn(data); err != nil || !changed {
 		return err
 	}
 	io.pages[page] = data
+	io.writes[page]++
 	return nil
 }
 
@@ -414,5 +418,68 @@ func TestConcurrentInsertsSerializedByIO(t *testing.T) {
 	_ = m.Walk(ctx, func(Entry) bool { count++; return true })
 	if count != 65 {
 		t.Fatalf("walk count = %d, want 65", count)
+	}
+}
+
+// TestMutationsWriteBackOnlyChangedPages counts the pages each operation
+// writes back. A mutation that merely descends through a tree node, or
+// that changes nothing, must not write that node: every write-back bumps
+// the page's version and invalidates remote readers' cached copies.
+func TestMutationsWriteBackOnlyChangedPages(t *testing.T) {
+	m, io := newTestMap(t)
+	ctx := context.Background()
+	const regions = maxEntries + 10
+	chunk, err := m.ReserveRange(ctx, regions*0x2000+1<<20, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs []gaddr.Range
+	for i := 0; i < regions; i++ {
+		r := gaddr.Range{Start: chunk.Start.MustAdd(uint64(i) * 0x2000), Size: 0x1000}
+		rs = append(rs, r)
+		if err := m.Insert(ctx, Entry{Range: r, Homes: []ktypes.NodeID{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, child := pageAddr(0), pageAddr(1)
+	if _, steps, err := m.Lookup(ctx, rs[0].Start); err != nil || steps != 2 {
+		t.Fatalf("first region: %d lookup steps, %v; want it in the root's first child", steps, err)
+	}
+	last := rs[len(rs)-1]
+	for _, tc := range []struct {
+		name    string
+		op      func() error
+		wantErr error
+		want    map[gaddr.Addr]int
+	}{
+		{"init again", func() error { return m.Init(ctx, []ktypes.NodeID{2}) }, nil, nil},
+		{"lookup", func() error { _, _, err := m.Lookup(ctx, rs[0].Start); return err }, nil, nil},
+		{"walk", func() error { return m.Walk(ctx, func(Entry) bool { return true }) }, nil, nil},
+		{"set homes in child", func() error { return m.SetHomes(ctx, rs[1].Start, []ktypes.NodeID{4}) }, nil, map[gaddr.Addr]int{child: 1}},
+		{"remove from child", func() error { return m.Remove(ctx, rs[0].Start) }, nil, map[gaddr.Addr]int{child: 1}},
+		{"insert into child", func() error {
+			return m.Insert(ctx, Entry{Range: gaddr.Range{Start: rs[2].Start.MustAdd(0x1000), Size: 0x1000}})
+		}, nil, map[gaddr.Addr]int{child: 1}},
+		{"insert into root", func() error {
+			return m.Insert(ctx, Entry{Range: gaddr.Range{Start: last.Start.MustAdd(0x2000), Size: 0x1000}})
+		}, nil, map[gaddr.Addr]int{root: 1}},
+		{"remove unknown", func() error { return m.Remove(ctx, rs[0].Start) }, ErrNotFound, nil},
+		{"overlapping insert", func() error {
+			return m.Insert(ctx, Entry{Range: gaddr.Range{Start: rs[3].Start, Size: 0x1000}})
+		}, ErrOverlap, nil},
+		{"reserve range", func() error { _, err := m.ReserveRange(ctx, PageSize, PageSize); return err }, nil, map[gaddr.Addr]int{root: 1}},
+	} {
+		io.mu.Lock()
+		clear(io.writes)
+		io.mu.Unlock()
+		if err := tc.op(); !errors.Is(err, tc.wantErr) {
+			t.Fatalf("%s: %v, want %v", tc.name, err, tc.wantErr)
+		}
+		io.mu.Lock()
+		got := maps.Clone(io.writes)
+		io.mu.Unlock()
+		if !maps.Equal(got, tc.want) {
+			t.Fatalf("%s wrote back %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

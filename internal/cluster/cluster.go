@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -53,15 +54,41 @@ type Manager struct {
 	members map[ktypes.NodeID]*Member
 	// hints maps region start addresses to nodes recently known to cache
 	// the region.
-	hints   map[gaddr.Addr][]ktypes.NodeID
-	hintUse map[gaddr.Addr]uint64
-	clock   uint64
+	hints map[gaddr.Addr]*hint
+	// recent closes the hints' recency ring: recent.next is the most
+	// recently used hint, recent.prev the next eviction victim.
+	recent  hint
 	hintCap int
 	expiry  time.Duration
 	now     func() time.Time
 	// peers are managers of other clusters in the hierarchy (§3.1);
 	// queries that miss locally are forwarded to them.
 	peers []ktypes.NodeID
+}
+
+// hint records the nodes recently known to cache the region starting at
+// start. prev and next link it into the manager's recency ring.
+type hint struct {
+	start      gaddr.Addr
+	nodes      []ktypes.NodeID
+	prev, next *hint
+}
+
+// unlink takes h out of the recency ring.
+func (h *hint) unlink() {
+	h.prev.next = h.next
+	h.next.prev = h.prev
+	h.prev, h.next = nil, nil
+}
+
+// touchLocked makes h the most recently used hint.
+func (m *Manager) touchLocked(h *hint) {
+	if h.prev != nil {
+		h.unlink()
+	}
+	h.prev, h.next = &m.recent, m.recent.next
+	h.next.prev = h
+	m.recent.next = h
 }
 
 // Option configures a Manager.
@@ -95,12 +122,12 @@ func NewManager(self ktypes.NodeID, opts ...Option) *Manager {
 	m := &Manager{
 		self:    self,
 		members: make(map[ktypes.NodeID]*Member),
-		hints:   make(map[gaddr.Addr][]ktypes.NodeID),
-		hintUse: make(map[gaddr.Addr]uint64),
+		hints:   make(map[gaddr.Addr]*hint),
 		hintCap: DefaultHintCapacity,
 		expiry:  DefaultExpiry,
 		now:     time.Now,
 	}
+	m.recent.prev, m.recent.next = &m.recent, &m.recent
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -150,11 +177,11 @@ func (m *Manager) Leave(node ktypes.NodeID) {
 	if node != m.self {
 		delete(m.members, node)
 	}
-	for start, nodes := range m.hints {
-		m.hints[start] = removeNode(nodes, node)
-		if len(m.hints[start]) == 0 {
+	for start, h := range m.hints {
+		h.nodes = removeNode(h.nodes, node)
+		if len(h.nodes) == 0 {
+			h.unlink()
 			delete(m.hints, start)
-			delete(m.hintUse, start)
 		}
 	}
 }
@@ -185,33 +212,22 @@ func (m *Manager) AddHint(start gaddr.Addr, node ktypes.NodeID) {
 }
 
 func (m *Manager) addHintLocked(start gaddr.Addr, node ktypes.NodeID) {
-	m.clock++
-	nodes := m.hints[start]
-	for _, n := range nodes {
-		if n == node {
-			m.hintUse[start] = m.clock
-			return
+	h, ok := m.hints[start]
+	if !ok {
+		if len(m.hints) >= m.hintCap {
+			// Recycle the least recently used hint for the new start.
+			h = m.recent.prev
+			h.unlink()
+			delete(m.hints, h.start)
+			h.start, h.nodes = start, h.nodes[:0]
+		} else {
+			h = &hint{start: start}
 		}
+		m.hints[start] = h
 	}
-	if _, exists := m.hints[start]; !exists && len(m.hints) >= m.hintCap {
-		m.evictHintLocked()
-	}
-	m.hints[start] = append(nodes, node)
-	m.hintUse[start] = m.clock
-}
-
-func (m *Manager) evictHintLocked() {
-	var victim gaddr.Addr
-	var oldest uint64
-	first := true
-	for start, used := range m.hintUse {
-		if first || used < oldest {
-			victim, oldest, first = start, used, false
-		}
-	}
-	if !first {
-		delete(m.hints, victim)
-		delete(m.hintUse, victim)
+	m.touchLocked(h)
+	if !slices.Contains(h.nodes, node) {
+		h.nodes = append(h.nodes, node)
 	}
 }
 
@@ -223,32 +239,28 @@ func (m *Manager) Query(addr gaddr.Addr) (nodes []ktypes.NodeID, found bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// Exact region-start hit first.
-	if ns, ok := m.hints[addr]; ok {
-		m.clock++
-		m.hintUse[addr] = m.clock
-		alive := m.aliveOfLocked(ns)
+	if h, ok := m.hints[addr]; ok {
+		m.touchLocked(h)
+		alive := m.aliveOfLocked(h.nodes)
 		return alive, len(alive) > 0
 	}
 	// Otherwise the greatest hint start below addr (the region likely
 	// containing it). The hint carries no size, so this may be a false
 	// positive — the requester verifies with the named node.
-	var best gaddr.Addr
-	var bestNodes []ktypes.NodeID
-	have := false
-	for start, ns := range m.hints {
+	var best *hint
+	for start, h := range m.hints {
 		if addr.Less(start) {
 			continue
 		}
-		if !have || best.Less(start) {
-			best, bestNodes, have = start, ns, true
+		if best == nil || best.start.Less(start) {
+			best = h
 		}
 	}
-	if !have {
+	if best == nil {
 		return nil, false
 	}
-	m.clock++
-	m.hintUse[best] = m.clock
-	alive := m.aliveOfLocked(bestNodes)
+	m.touchLocked(best)
+	alive := m.aliveOfLocked(best.nodes)
 	return alive, len(alive) > 0
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"khazana/internal/addrmap"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
@@ -767,5 +768,42 @@ func TestLockLatencyObservedOncePerGrant(t *testing.T) {
 	}
 	if got := spans("op.lock") - lockSpans; got != 4 {
 		t.Fatalf("%d op.lock spans for 4 Lock calls", got)
+	}
+}
+
+// TestMapDescentLeavesParentVersion: unreserving a region that lives in a
+// child tree node rewrites that child only. Descending through the root
+// must not write the root back, or every unreserve would bump the root
+// page's version and invalidate each remote reader's cached root for
+// nothing.
+func TestMapDescentLeavesParentVersion(t *testing.T) {
+	_, nodes := testCluster(t, 2)
+	ctx := context.Background()
+	// More regions than a tree node holds: the root splits, and its first
+	// entries move to a child node on map page 1.
+	var starts []gaddr.Addr
+	for i := 0; i < 100; i++ {
+		starts = append(starts, mkRegion(t, nodes[1], 4096, region.Attrs{}, "alice"))
+	}
+	if _, steps, err := nodes[0].AddressMap().Lookup(ctx, starts[0]); err != nil || steps != 2 {
+		t.Fatalf("first region: %d lookup steps, %v; want it in the root's child", steps, err)
+	}
+	rootPage, childPage := gaddr.Zero, gaddr.FromUint64(addrmap.PageSize)
+	home := nodes[0] // the map home
+	root, _ := home.dir.Lookup(rootPage)
+	child, _ := home.dir.Lookup(childPage)
+	if err := nodes[1].Unreserve(ctx, starts[0], "alice"); err != nil {
+		t.Fatal(err)
+	}
+	rootAfter, _ := home.dir.Lookup(rootPage)
+	childAfter, _ := home.dir.Lookup(childPage)
+	if rootAfter.Version != root.Version {
+		t.Fatalf("root map page version %d → %d: the unreserve's descent wrote the root back", root.Version, rootAfter.Version)
+	}
+	if childAfter.Version <= child.Version {
+		t.Fatalf("child map page version %d → %d: the unreserve did not write the child", child.Version, childAfter.Version)
+	}
+	if _, _, err := nodes[0].AddressMap().Lookup(ctx, starts[0]); !errors.Is(err, addrmap.ErrNotFound) {
+		t.Fatalf("lookup of the unreserved region: %v", err)
 	}
 }

@@ -820,8 +820,10 @@ func (io mapIO) ReadPage(ctx context.Context, page gaddr.Addr) ([]byte, error) {
 }
 
 // MutatePage implements addrmap.PageIO. Map mutations run only at the map
-// home node, already serialized under n.mapMu.
-func (io mapIO) MutatePage(ctx context.Context, page gaddr.Addr, fn func([]byte) error) error {
+// home node, already serialized under n.mapMu. A page fn leaves unchanged
+// is neither stored nor released dirty, so its version (and every remote
+// reader's cached copy) stays put.
+func (io mapIO) MutatePage(ctx context.Context, page gaddr.Addr, fn func([]byte) (bool, error)) error {
 	if io.n.cfg.ID != io.n.cfg.MapHome {
 		return fmt.Errorf("core: map mutation on non-home node %v", io.n.cfg.ID)
 	}
@@ -841,7 +843,7 @@ func (io mapIO) MutatePage(ctx context.Context, page gaddr.Addr, fn func([]byte)
 		f = frame.AllocZero(addrmap.PageSize)
 	}
 	defer f.Release()
-	if err := fn(f.Bytes()); err != nil {
+	if changed, err := fn(f.Bytes()); err != nil || !changed {
 		return err
 	}
 	if err := io.n.store.Put(page, f); err != nil {
