@@ -66,14 +66,16 @@ bench-scan:
 
 # alloc-gates runs the absolute allocation budgets without the race
 # detector (which defeats sync.Pool and skips them): the local lock cycle
-# (one object), the remote read batch, grant marshalling, the replicated
-# 8-page write (180 objects), the region lifecycle cycle (200 objects), a
-# span in a caller-owned slot (0), the uncontended lock table (0), replog
-# compaction (0), Unmarshal (the message only), a full hint cache taking
-# a hint (0) and the tree-node codec (2 objects to decode, 0 to encode).
+# (one object), the remote read batch, a remote 16-page read window (95
+# objects), grant marshalling, the replicated 8-page write (180 objects),
+# the region lifecycle cycle (200 objects), a span in a caller-owned slot
+# (0), the uncontended lock table (0), replog compaction (0), Unmarshal
+# (the message only), a full hint cache taking a hint (0), the tree-node
+# codec (2 objects to decode, 0 to encode) and a RAM-tier Put of a
+# non-resident page (0).
 # An allocation creeping back fails here, without a benchmark run.
 alloc-gates:
-	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/addrmap
+	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/addrmap ./internal/store
 
 # bench-smoke runs every benchmark for a single iteration so bit-rotted
 # benchmark code fails CI instead of lingering until someone profiles.
@@ -81,9 +83,8 @@ alloc-gates:
 # allocation gate for cached zero-copy reads is TestCachedReadAllocGate.
 # The armed E15 gate then fails the leg if telemetry slows the cached
 # read path by more than 5% against the telemetry.Nop() baseline, and
-# the armed E16 gate fails it if the sequential sweep stops saving >=2x
-# grant RPCs or a multi-page release sends more than one update RPC per
-# replica. The armed E17 gate fails it if snapshot scans stop scaling
+# the armed E16 gate fails it if a multi-page release sends more than one
+# update RPC per replica. The armed E17 gate fails it if snapshot scans stop scaling
 # with reader count (>=1.4x from 1 to 4 readers) or the hot writer loses
 # more than 60% of its uncontended rate under 4 snapshot readers. The
 # snapshot path's own allocation gate is TestSnapshotViewAllocGate

@@ -205,6 +205,88 @@ func TestRemoteReadBatchAllocGate(t *testing.T) {
 	}
 }
 
+// TestRemoteReadWindowAllocGate is the object budget of one remote_scan
+// window: on 2 nodes, the home writes 16 pages, which invalidates the
+// reader's copies, and the reader takes a 16-page Lock → ReadView → Unlock
+// through the home's read lock — one grant batch and one release batch.
+// A window measures 89 objects (109 while the store allocated an entry per
+// re-fetched page and every remote release built an error map); the budget
+// is 95, so either one coming back breaks it.
+func TestRemoteReadWindowAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled frames and buffers")
+	}
+	c, err := khazana.NewCluster(2, khazana.WithStoreDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const (
+		ps     = 4096
+		pages  = 16
+		cycles = 200
+	)
+	home, reader := c.Node(1), c.Node(2)
+	start, err := home.Reserve(ctx, pages*ps, khazana.Attrs{}, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Allocate(ctx, start, "bench"); err != nil {
+		t.Fatal(err)
+	}
+	rng := khazana.Range{Start: start, Size: pages * ps}
+	page := make([]byte, ps)
+	window := func(gen byte) {
+		lk, err := home.Lock(ctx, rng, khazana.LockWrite, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		page[0] = gen
+		for p := uint64(0); p < pages; p++ {
+			if err := lk.Write(start.MustAdd(p*ps), page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lk.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rlk, err := reader.Lock(ctx, rng, khazana.LockRead, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := uint64(0); p < pages; p++ {
+			view, err := rlk.ReadView(start.MustAdd(p*ps), ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if view[0] != gen {
+				t.Fatalf("page %d holds generation %d, want %d", p, view[0], gen)
+			}
+		}
+		if err := rlk.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ { // fill the pools and the maps
+		window(byte(i))
+	}
+	objects := math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			window(byte(i))
+		}
+		runtime.ReadMemStats(&after)
+		objects = math.Min(objects, float64(after.Mallocs-before.Mallocs)/cycles)
+	}
+	t.Logf("remote 16-page read window: %.2f objects", objects)
+	if objects > 95 {
+		t.Fatalf("a remote 16-page read window allocates %.2f objects, budget is 95", objects)
+	}
+}
+
 // TestMarshalGrantBatchAllocGate: wire.Marshal encodes into pooled scratch
 // space and returns one exact-size copy, so marshaling a 16-page grant is
 // one allocation, not a buffer regrown from 64 bytes.

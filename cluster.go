@@ -38,7 +38,6 @@ type clusterConfig struct {
 	retry       time.Duration
 	replica     time.Duration
 	migration   time.Duration
-	noReadAhead bool
 	noTelemetry bool
 	noRing      bool
 	tracer      func(NodeID, string)
@@ -77,14 +76,6 @@ func WithBackground(heartbeat, retry, replica time.Duration) ClusterOption {
 // interval on every node.
 func WithAutoMigration(interval time.Duration) ClusterOption {
 	return func(c *clusterConfig) { c.migration = interval }
-}
-
-// WithNoReadAhead disables adaptive read-ahead grant pipelining on every
-// node: homes stop piggybacking speculative grants onto sequential
-// readers' lock batches. The prefetch benchmarks (E16) use it as the
-// baseline.
-func WithNoReadAhead() ClusterOption {
-	return func(c *clusterConfig) { c.noReadAhead = true }
 }
 
 // WithNoRing disables the consistent-hashing descriptor partition on
@@ -156,7 +147,6 @@ func NewCluster(count int, opts ...ClusterOption) (*Cluster, error) {
 			RetryInterval:     cfg.retry,
 			ReplicaInterval:   cfg.replica,
 			MigrationInterval: cfg.migration,
-			NoReadAhead:       cfg.noReadAhead,
 			NoTelemetry:       cfg.noTelemetry,
 			NoRing:            cfg.noRing,
 			Tracer:            tracer,
@@ -198,7 +188,6 @@ func (c *Cluster) AddNode() (*Node, error) {
 		RetryInterval:     c.cfg.retry,
 		ReplicaInterval:   c.cfg.replica,
 		MigrationInterval: c.cfg.migration,
-		NoReadAhead:       c.cfg.noReadAhead,
 		NoTelemetry:       c.cfg.noTelemetry,
 		NoRing:            c.cfg.noRing,
 		Tracer:            tracer,

@@ -45,7 +45,7 @@ func run(args []string) error {
 		"E11": experiments.E11StaleMap, "E12": experiments.E12Migration,
 		"E13": experiments.E13BatchedTransfers, "E14": experiments.E14ZeroCopy,
 		"E15": experiments.E15TelemetryOverhead,
-		"E16": experiments.E16PrefetchAndWriteThrough,
+		"E16": experiments.E16WriteThrough,
 		"E17": experiments.E17SnapshotScan,
 		"E18": experiments.E18FanIn,
 		"E19": experiments.E19Failover,

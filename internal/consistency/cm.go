@@ -37,14 +37,6 @@ type Host interface {
 	// grant-time snapshot); callers mark the page invalid in the
 	// directory so the next acquire refetches.
 	DropPage(page gaddr.Addr)
-	// StorePageSpeculative installs a read-ahead copy of a page on an
-	// evict-first basis: the copy may be reclaimed before any demand page
-	// and is dropped outright (false) when keeping it would cost a
-	// demand page its cache slot. The frame is borrowed, as in StorePage.
-	StorePageSpeculative(page gaddr.Addr, f *frame.Frame) bool
-	// ReadAhead returns the node's read-ahead planner, or nil when
-	// speculative grant pipelining is disabled.
-	ReadAhead() ReadAheadPlanner
 	// Dir returns the node's page directory.
 	Dir() *pagedir.Dir
 	// Locks returns the node's local lock table.
@@ -57,24 +49,9 @@ type Host interface {
 	Telemetry() *telemetry.Registry
 	// Repl returns the node's replicated region-metadata log, or nil
 	// when log replication is disabled. The concrete pointer type (not
-	// an interface) keeps a nil *replog.Log comparable to nil here —
-	// see the ReadAhead note on the host adapter.
+	// an interface) keeps a nil *replog.Log comparable to nil here: a
+	// typed nil inside an interface would not be.
 	Repl() *replog.Log
-}
-
-// ReadAheadPlanner predicts the pages a requester will lock next, from the
-// stream of demand batches the home has served it. The home consults Plan
-// on read-mode grant batches, filters out pages it cannot speculate on
-// (e.g. write-locked ones), and reports what actually shipped via Granted
-// so the planner's hit/waste accounting tracks real speculation only.
-// Implementations must be safe for concurrent use.
-type ReadAheadPlanner interface {
-	// Plan observes a demand batch and returns candidate pages to
-	// speculate on, all within desc's range.
-	Plan(desc *region.Descriptor, requester ktypes.NodeID, pages []gaddr.Addr) []gaddr.Addr
-	// Granted records the candidate pages that were actually piggybacked
-	// onto the reply.
-	Granted(regionStart gaddr.Addr, requester ktypes.NodeID, pages []gaddr.Addr)
 }
 
 // CM is a consistency manager: the per-protocol module that mediates lock

@@ -45,26 +45,7 @@ type CrewCM struct {
 	// invalFailures counts page invalidations that failed and pruned the
 	// sharer — each one is a copy some node may still hold stale.
 	invalFailures *telemetry.Counter
-
-	// specMu guards the speculative-grant bookkeeping below.
-	specMu sync.Mutex
-	// spec maps pages installed from a speculative grant (but not yet
-	// consumed) to the granted version. A demand read finding its page
-	// here with a valid local copy skips the home round trip entirely.
-	spec map[gaddr.Addr]uint64
-	// specHeld counts read holds acquired by consuming a speculative
-	// grant. No home global lock backs these holds, so their releases
-	// must not travel to the home — a remote TryRelease would decrement
-	// some genuine reader's lock count.
-	specHeld map[gaddr.Addr]int
-
-	// prefetchHits / prefetchWaste count speculated pages consumed
-	// without an RPC vs re-requested on demand (client side).
-	prefetchHits  *telemetry.Counter
-	prefetchWaste *telemetry.Counter
-	// specPages observes speculative pages piggybacked per grant reply
-	// (home side); updateBatchPages observes pages per write-through RPC.
-	specPages        *telemetry.Histogram
+	// updateBatchPages observes pages per write-through RPC.
 	updateBatchPages *telemetry.Histogram
 
 	// pubMu guards published and serializes every version-chain call; it
@@ -93,11 +74,6 @@ func NewCREW(h Host) *CrewCM {
 		h:                h,
 		glocks:           NewLockTable(),
 		invalFailures:    h.Telemetry().Counter(telemetry.MetricCrewInvalidateFailures),
-		spec:             make(map[gaddr.Addr]uint64),
-		specHeld:         make(map[gaddr.Addr]int),
-		prefetchHits:     h.Telemetry().Counter(telemetry.MetricPrefetchHits),
-		prefetchWaste:    h.Telemetry().Counter(telemetry.MetricPrefetchWaste),
-		specPages:        h.Telemetry().Histogram(telemetry.MetricPrefetchSpecPages),
 		updateBatchPages: h.Telemetry().Histogram(telemetry.MetricUpdateBatchPages),
 		published:        make(map[gaddr.Addr]*frame.Chain),
 		snapChainLen:     h.Telemetry().Histogram(telemetry.MetricSnapshotChainLen),
@@ -146,114 +122,13 @@ func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, page
 	if err != nil {
 		return nil, err
 	}
-	// Read batches first consume pages a speculative grant already
-	// delivered: those holds are local, so a fully speculated batch costs
-	// zero RPCs.
-	var acquired []gaddr.Addr
-	demand := pages
-	if !mode.Writes() && !desc.HasHome(c.h.Self()) {
-		acquired, demand = c.consumeSpec(pages)
-		if len(demand) == 0 {
-			return pages, nil
-		}
-	} else {
-		// A write acquire over a speculated page cannot use the read
-		// copy; drop the bookkeeping so its later release stays honest.
-		// Nor can a listed home read one: write grants leave a home's copy
-		// in place, so a spec grant from before the node joined the home
-		// list would outlive the next writer's grant.
-		c.forgetSpec(pages)
-	}
-	// One PageReqBatch round trip answers every page still in demand.
-	got, err := c.acquireFromHome(ctx, desc, home, demand, mode)
+	// One PageReqBatch round trip answers every page: each grant holds the
+	// page's global lock at the home until the matching release.
+	got, err := c.acquireFromHome(ctx, desc, home, pages, mode)
 	if err != nil {
-		return append(acquired, got...), err
+		return got, err
 	}
 	return pages, nil
-}
-
-// consumeSpec splits a read batch into pages satisfiable from unconsumed
-// speculative grants (returned first, now held locally) and pages that
-// still need the home. Every speculated page touched here leaves the spec
-// map: a hit converts to a specHeld read hold, a page whose local copy was
-// lost or invalidated since the grant counts as waste and rejoins the
-// demand set.
-func (c *CrewCM) consumeSpec(pages []gaddr.Addr) (consumed, demand []gaddr.Addr) {
-	c.specMu.Lock()
-	defer c.specMu.Unlock()
-	if len(c.spec) == 0 {
-		return nil, pages
-	}
-	demand = make([]gaddr.Addr, 0, len(pages))
-	for _, p := range pages {
-		sv, ok := c.spec[p]
-		if !ok {
-			demand = append(demand, p)
-			continue
-		}
-		delete(c.spec, p)
-		entry, _ := c.h.Dir().Lookup(p)
-		// A spec frame is stale the moment the node observes a newer
-		// version of the page (an update push, another grant): drop it
-		// rather than serve it, closing the read-ahead staleness window.
-		valid := entry.State != pagedir.Invalid && entry.Version <= sv
-		if valid {
-			if f, resident := c.h.LoadPage(p); resident {
-				f.Release()
-			} else {
-				valid = false
-			}
-		}
-		if !valid {
-			// The prefetch was evicted or invalidated before use.
-			c.prefetchWaste.Add(1)
-			demand = append(demand, p)
-			continue
-		}
-		c.prefetchHits.Add(1)
-		c.specHeld[p]++
-		consumed = append(consumed, p)
-	}
-	return consumed, demand
-}
-
-// forgetSpec drops unconsumed speculative-grant bookkeeping for pages
-// about to be acquired for writing, or whose region is gone.
-func (c *CrewCM) forgetSpec(pages []gaddr.Addr) {
-	c.specMu.Lock()
-	defer c.specMu.Unlock()
-	for _, p := range pages {
-		delete(c.spec, p)
-	}
-}
-
-// releaseSpecHeld filters pages whose read hold came from a speculative
-// grant, decrementing their hold counts, and returns the pages whose
-// releases must still travel to the home. Speculative holds have no
-// manager-side global lock, so sending their release would decrement a
-// lock some genuine reader holds.
-func (c *CrewCM) releaseSpecHeld(pages []gaddr.Addr, mode ktypes.LockMode) []gaddr.Addr {
-	if mode.Writes() {
-		return pages
-	}
-	c.specMu.Lock()
-	defer c.specMu.Unlock()
-	if len(c.specHeld) == 0 {
-		return pages
-	}
-	remote := make([]gaddr.Addr, 0, len(pages))
-	for _, p := range pages {
-		if n, ok := c.specHeld[p]; ok && n > 0 {
-			if n == 1 {
-				delete(c.specHeld, p)
-			} else {
-				c.specHeld[p] = n - 1
-			}
-			continue
-		}
-		remote = append(remote, p)
-	}
-	return remote
 }
 
 // acquireFromHome issues one PageReqBatch covering group to home and
@@ -309,44 +184,7 @@ func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, h
 			}
 		})
 	}
-	c.installSpecGrants(batch.Spec)
 	return acquired, firstErr
-}
-
-// installSpecGrants stores the read-ahead pages the home piggybacked onto
-// a grant reply. Installation is strictly best-effort: the store may drop
-// a frame rather than evict a demand page, and a dropped frame simply
-// leaves the next acquire to fetch on demand.
-func (c *CrewCM) installSpecGrants(spec []wire.SpecGrant) {
-	for i := range spec {
-		s := &spec[i]
-		f := s.TakeFrame()
-		if f == nil {
-			continue
-		}
-		// An invalidation that raced ahead of this grant already marked
-		// the page invalid at the speculated version; installing the
-		// frame would resurrect the stale copy as Shared. Drop it.
-		if entry, ok := c.h.Dir().Lookup(s.Page); ok &&
-			entry.State == pagedir.Invalid && entry.Version >= s.Version {
-			f.Release()
-			continue
-		}
-		kept := c.h.StorePageSpeculative(s.Page, f)
-		f.Release()
-		if !kept {
-			continue
-		}
-		c.h.Dir().Update(s.Page, func(e *pagedir.Entry) {
-			e.Version = s.Version
-			if e.State != pagedir.Owned {
-				e.State = pagedir.Shared
-			}
-		})
-		c.specMu.Lock()
-		c.spec[s.Page] = s.Version
-		c.specMu.Unlock()
-	}
 }
 
 // sharerInval lists the pages one sharer must drop for a grant batch.
@@ -373,8 +211,8 @@ type sharerInval struct {
 // region teardown does. That copy is the region's failover copy (§3.5): it
 // stays the last committed version through the writer's hold, the release's
 // one UpdateBatch per replica refreshes it, and nobody reads it under a lock
-// without a grant — isHome is primary-only, every grant ships the page's
-// bytes, and speculate never grants to a listed home.
+// without a grant — isHome is primary-only and every grant ships the page's
+// bytes.
 func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, modeOf func(int) ktypes.LockMode, requester ktypes.NodeID) (int, error) {
 	var inval []sharerInval
 	for i, page := range pages {
@@ -510,10 +348,8 @@ func (c *CrewCM) TrimPublished() int {
 	return freed
 }
 
-// ForgetPages drops what the CM retains for the pages of a freed or
-// destroyed region: their published version chains (a snapshot reader
-// keeps the frames it already pinned) and any unconsumed speculative
-// grants.
+// ForgetPages drops the published version chains of a freed or destroyed
+// region's pages (a snapshot reader keeps the frames it already pinned).
 func (c *CrewCM) ForgetPages(pages []gaddr.Addr) {
 	c.pubMu.Lock()
 	for _, p := range pages {
@@ -523,7 +359,6 @@ func (c *CrewCM) ForgetPages(pages []gaddr.Addr) {
 		}
 	}
 	c.pubMu.Unlock()
-	c.forgetSpec(pages)
 }
 
 // PublishedPages reports how many pages currently have a version chain
@@ -586,19 +421,13 @@ func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, page
 		c.replicate(ctx, desc, replicated)
 		return errs
 	}
-	remote := c.releaseSpecHeld(pages, mode)
-	if len(remote) == 0 {
-		// Every hold came from consumed speculative grants; nothing to
-		// tell the home.
-		return nil
-	}
 	home, err := homeOf(desc)
 	if err != nil {
 		return batchErrs(len(pages), err)
 	}
-	items := make([]wire.ReleaseItem, len(remote))
+	items := make([]wire.ReleaseItem, len(pages))
 	var frames []*frame.Frame
-	for i, p := range remote {
+	for i, p := range pages {
 		items[i] = wire.ReleaseItem{Page: p, Mode: mode, Dirty: dirty[p]}
 		if mode.Writes() && dirty[p] {
 			// Frames stay referenced until the request (and its marshal)
@@ -616,29 +445,25 @@ func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, page
 	}()
 	resp, err := c.h.Request(ctx, home, &wire.ReleaseBatch{From: c.h.Self(), Items: items})
 	if err != nil {
-		return batchErrs(len(pages), fmt.Errorf("consistency: crew release batch (%d pages) to %v: %w", len(remote), home, err))
+		return batchErrs(len(pages), fmt.Errorf("consistency: crew release batch (%d pages) to %v: %w", len(pages), home, err))
 	}
 	rb, ok := resp.(*wire.ReleaseBatchResp)
 	if !ok {
 		return batchErrs(len(pages), fmt.Errorf("consistency: crew release batch: unexpected reply %T", resp))
 	}
-	remoteErrs := make(map[gaddr.Addr]string, len(remote))
-	for i, p := range remote {
+	// The error slice is built only when a page failed, which almost no
+	// release does.
+	var errs []error
+	for i, p := range pages {
 		if i < len(rb.Errs) && rb.Errs[i] != "" {
-			remoteErrs[p] = rb.Errs[i]
+			if errs == nil {
+				errs = make([]error, len(pages))
+			}
+			errs[i] = fmt.Errorf("consistency: crew release %v to %v: %s", p, home, rb.Errs[i])
 			continue
 		}
 		if mode.Writes() && dirty[p] {
 			c.h.Dir().Update(p, func(e *pagedir.Entry) { e.Version++ })
-		}
-	}
-	var errs []error
-	for i, p := range pages {
-		if remote, ok := remoteErrs[p]; ok {
-			if errs == nil {
-				errs = make([]error, len(pages))
-			}
-			errs[i] = fmt.Errorf("consistency: crew release %v to %v: %s", p, home, remote)
 		}
 	}
 	return errs
@@ -699,8 +524,7 @@ func (c *CrewCM) homeRelease(desc *region.Descriptor, page gaddr.Addr, mode ktyp
 
 // SnapshotRead implements CM: committed copies without locks. At the
 // home it serves straight from the version chains; remotely it asks the
-// home in one SnapshotReqBatch round trip and uses the authoritative
-// versions in the reply to drop any speculative frame they prove stale.
+// home in one SnapshotReqBatch round trip.
 func (c *CrewCM) SnapshotRead(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, epoch uint64) ([]SnapPage, uint64, error) {
 	if isHome(c.h, desc) {
 		snaps, at := c.homeSnapshot(desc, pages, epoch)
@@ -710,14 +534,7 @@ func (c *CrewCM) SnapshotRead(ctx context.Context, desc *region.Descriptor, page
 	if err != nil {
 		return nil, 0, err
 	}
-	snaps, at, err := snapshotFromHome(ctx, c.h, desc, home, pages, epoch)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, sp := range snaps {
-		c.dropStaleSpec(sp.Page, sp.Version)
-	}
-	return snaps, at, nil
+	return snapshotFromHome(ctx, c.h, desc, home, pages, epoch)
 }
 
 // homeSnapshot serves a snapshot read at the manager. epoch 0 cuts at
@@ -756,28 +573,6 @@ func (c *CrewCM) homeSnapshot(desc *region.Descriptor, pages []gaddr.Addr, epoch
 		out = append(out, SnapPage{Page: p, Frame: f, Version: version})
 	}
 	return out, epoch
-}
-
-// dropStaleSpec discards an unconsumed speculative frame whose granted
-// version is older than a version the node has now observed from the
-// home, closing the read-ahead staleness window: the next demand read
-// refetches instead of serving the stale copy.
-func (c *CrewCM) dropStaleSpec(page gaddr.Addr, observed uint64) {
-	c.specMu.Lock()
-	sv, ok := c.spec[page]
-	if !ok || sv >= observed {
-		c.specMu.Unlock()
-		return
-	}
-	delete(c.spec, page)
-	c.specMu.Unlock()
-	c.prefetchWaste.Add(1)
-	c.h.DropPage(page)
-	c.h.Dir().Update(page, func(e *pagedir.Entry) {
-		if e.State != pagedir.Owned {
-			e.State = pagedir.Invalid
-		}
-	})
 }
 
 // logReleases appends one ReplOpRelease delta per released dirty page to
@@ -903,9 +698,7 @@ func (c *CrewCM) Handle(ctx context.Context, desc *region.Descriptor, from ktype
 }
 
 // handleInvalidateBatch is the sharer side of a write grant: every listed
-// copy is dropped and marked invalid under the new owner. An unconsumed
-// speculative grant for a listed page is stale too; forgetting it sends the
-// next read to the home.
+// copy is dropped and marked invalid under the new owner.
 func (c *CrewCM) handleInvalidateBatch(msg *wire.InvalidateBatch) {
 	for _, it := range msg.Items {
 		c.h.DropPage(it.Page)
@@ -914,11 +707,6 @@ func (c *CrewCM) handleInvalidateBatch(msg *wire.InvalidateBatch) {
 			e.Owner = msg.NewOwner
 		})
 	}
-	c.specMu.Lock()
-	for _, it := range msg.Items {
-		delete(c.spec, it.Page)
-	}
-	c.specMu.Unlock()
 }
 
 // handlePageReqBatch is the manager side of AcquireBatch: every page of
@@ -938,7 +726,6 @@ func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 		}
 		return resp, nil
 	}
-	allReads := true
 	for i, mode := range msg.Modes {
 		if !mode.Valid() {
 			// The mode bytes come off the wire unchecked: refuse the batch
@@ -952,7 +739,6 @@ func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 		if mode == ktypes.LockWriteShared {
 			msg.Modes[i] = ktypes.LockWrite
 		}
-		allReads = allReads && !mode.Writes()
 	}
 	granted, err := c.homeAcquireBatch(ctx, desc, msg.Pages, func(i int) ktypes.LockMode { return msg.Modes[i] }, msg.Requester)
 	for i, page := range msg.Pages[:granted] {
@@ -971,53 +757,8 @@ func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 			resp.Grants[i].Err = "not attempted: earlier page in batch failed"
 		}
 		resp.Grants[granted].Err = err.Error()
-	} else if allReads {
-		c.speculate(desc, msg.Requester, msg.Pages, resp)
 	}
 	return resp, nil
-}
-
-// speculate piggybacks read-ahead grants for the requester's predicted
-// next pages onto a fully granted read batch. Speculative grants carry no
-// manager lock: the requester is added to the copyset (so a later writer
-// invalidates its copy) and ships a validated snapshot, trading one
-// version of staleness in the worst race for a round trip per predicted
-// page — the §3.3 relaxation read-mostly services opt into. A listed home
-// (this one included) is never speculated to: a write grant does not
-// invalidate a home's copy, so a spec grant there could be read stale.
-func (c *CrewCM) speculate(desc *region.Descriptor, requester ktypes.NodeID, pages []gaddr.Addr, resp *wire.PageGrantBatch) {
-	planner := c.h.ReadAhead()
-	if planner == nil || desc.HasHome(requester) {
-		return
-	}
-	candidates := planner.Plan(desc, requester, pages)
-	if len(candidates) == 0 {
-		return
-	}
-	granted := make([]gaddr.Addr, 0, len(candidates))
-	for _, p := range candidates {
-		// Never speculate on a page under an active write lock: its
-		// contents are in flight at the writer.
-		if c.glocks.WriteLocked(p) {
-			continue
-		}
-		// Enter the copyset before reading the bytes: once listed, a
-		// writer's grant will invalidate the requester's copy, so the
-		// snapshot below cannot be silently left stale forever.
-		c.h.Dir().Update(p, func(e *pagedir.Entry) {
-			e.HomedLocal = true
-			e.AddSharer(requester)
-		})
-		entry, _ := c.h.Dir().Lookup(p)
-		s := wire.SpecGrant{Page: p, Version: entry.Version}
-		f := loadOrZero(c.h, desc, p)
-		s.SetFrame(f)
-		f.Release()
-		resp.Spec = append(resp.Spec, s)
-		granted = append(granted, p)
-	}
-	c.specPages.Observe(uint64(len(granted)))
-	planner.Granted(desc.Range.Start, requester, granted)
 }
 
 // handleReleaseBatch applies a batch of releases at the manager,

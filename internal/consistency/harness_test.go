@@ -37,9 +37,6 @@ type testHost struct {
 
 	clock atomic.Int64
 
-	// planner enables speculative read-ahead grants when set.
-	planner ReadAheadPlanner
-
 	// descs resolves pages to descriptors for inbound traffic.
 	descs []*region.Descriptor
 }
@@ -82,14 +79,6 @@ func (h *testHost) DropPage(page gaddr.Addr) {
 		delete(h.pages, page)
 	}
 }
-
-// StorePageSpeculative keeps every speculative copy: the harness has no
-// cache pressure, so evict-first semantics are exercised by store tests.
-func (h *testHost) StorePageSpeculative(page gaddr.Addr, f *frame.Frame) bool {
-	return h.StorePage(page, f) == nil
-}
-
-func (h *testHost) ReadAhead() ReadAheadPlanner { return h.planner }
 
 // Repl returns nil: the harness exercises CMs without log replication,
 // the crew_replog tests cover the append-before-ack path.

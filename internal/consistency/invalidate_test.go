@@ -383,43 +383,6 @@ func TestWriteGrantSparesListedHomes(t *testing.T) {
 	}
 }
 
-// nextPagePlanner speculates on the page after each demand batch.
-type nextPagePlanner struct{}
-
-func (nextPagePlanner) Plan(desc *region.Descriptor, _ ktypes.NodeID, pages []gaddr.Addr) []gaddr.Addr {
-	next, err := pages[len(pages)-1].Add(uint64(desc.Attrs.PageSize))
-	if err != nil || !desc.Range.Contains(next) {
-		return nil
-	}
-	return []gaddr.Addr{next}
-}
-
-func (nextPagePlanner) Granted(gaddr.Addr, ktypes.NodeID, []gaddr.Addr) {}
-
-// TestReadBatchFromHomeGetsNoSpecGrants: a write grant does not invalidate
-// a listed home's copy, so a speculative grant there could later be read
-// stale; the primary speculates only to requesters off the home list.
-func TestReadBatchFromHomeGetsNoSpecGrants(t *testing.T) {
-	d := replicatedDesc(4)
-	hosts := cluster(t, 4, d)
-	hosts[0].planner = nextPagePlanner{}
-	pages := d.Pages(0, d.Range.Size)
-	specs := func(h *testHost) int {
-		c := h.cm(d).(*CrewCM)
-		c.specMu.Lock()
-		defer c.specMu.Unlock()
-		return len(c.spec)
-	}
-	readAll(t, hosts[1], d, pages[:1])
-	if n := specs(hosts[1]); n != 0 {
-		t.Fatalf("secondary home received %d speculative grants, want 0", n)
-	}
-	readAll(t, hosts[3], d, pages[:1])
-	if n := specs(hosts[3]); n != 1 {
-		t.Fatalf("non-home reader received %d speculative grants, want 1 (the control)", n)
-	}
-}
-
 // TestHomeLeavingListIsInvalidated: the exemption follows the descriptor.
 // Once a new home list (a migration's or a shrink's) no longer names a
 // node, its copy is an ordinary sharer's and the next write grant
@@ -497,26 +460,17 @@ func TestFailedWriteThroughLeavesCopyset(t *testing.T) {
 	}
 }
 
-// TestSpecGrantNotReadAfterJoiningHomes: a node that took a speculative
-// grant as an ordinary reader and then joined the home list keeps its
-// copy through the next write grant, which leaves homes alone. Its read
-// must go to the primary and wait out the writer, not consume the old
-// spec grant.
-func TestSpecGrantNotReadAfterJoiningHomes(t *testing.T) {
+// TestJoinedHomeReadWaitsOutWriter: a node that read a page as an ordinary
+// sharer and then joined the home list keeps its copy through the next
+// write grant, which leaves homes alone. Its read must still go to the
+// primary and wait out the writer, not serve the copy it kept.
+func TestJoinedHomeReadWaitsOutWriter(t *testing.T) {
 	before := crewDesc(2)
 	before.Home = []ktypes.NodeID{1, 2}
 	hosts := cluster(t, 4, before)
-	hosts[0].planner = nextPagePlanner{}
 	pages := before.Pages(0, before.Range.Size)
 	joiner, writer := hosts[2], hosts[3]
-	readAll(t, joiner, before, pages[:1]) // speculates pages[1] to node 3
-	joinerCM := joiner.cm(before).(*CrewCM)
-	joinerCM.specMu.Lock()
-	_, ok := joinerCM.spec[pages[1]]
-	joinerCM.specMu.Unlock()
-	if !ok {
-		t.Fatal("no speculative grant to the future home (the precondition)")
-	}
+	readAll(t, joiner, before, pages)
 
 	after := before.Clone()
 	after.Home = []ktypes.NodeID{1, 2, 3}
@@ -525,11 +479,14 @@ func TestSpecGrantNotReadAfterJoiningHomes(t *testing.T) {
 		h.descs = []*region.Descriptor{after}
 	}
 	ctx := context.Background()
-	if _, err := writer.cm(after).AcquireBatch(ctx, after, pages[1:], ktypes.LockWrite); err != nil {
+	if _, err := writer.cm(after).AcquireBatch(ctx, after, pages, ktypes.LockWrite); err != nil {
 		t.Fatal(err)
 	}
+	if !resident(joiner, pages[0]) {
+		t.Fatal("the write grant revoked a listed home's copy (the precondition)")
+	}
 	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-	got, err := joinerCM.AcquireBatch(short, after, pages[1:], ktypes.LockRead)
+	got, err := joiner.cm(after).AcquireBatch(short, after, pages, ktypes.LockRead)
 	cancel()
 	if err == nil {
 		t.Fatalf("new home read %v during another node's write hold", got)
@@ -537,8 +494,8 @@ func TestSpecGrantNotReadAfterJoiningHomes(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("failed read returned held pages %v", got)
 	}
-	if errs := writer.cm(after).ReleaseBatch(ctx, after, pages[1:], ktypes.LockWrite, nil); errs != nil {
+	if errs := writer.cm(after).ReleaseBatch(ctx, after, pages, ktypes.LockWrite, nil); errs != nil {
 		t.Fatal(errs)
 	}
-	readAll(t, joiner, after, pages[1:])
+	readAll(t, joiner, after, pages)
 }

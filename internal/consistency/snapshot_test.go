@@ -7,7 +7,6 @@ import (
 
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
-	"khazana/internal/pagedir"
 	"khazana/internal/region"
 )
 
@@ -166,79 +165,6 @@ func TestCREWSnapshotPinnedEpochStable(t *testing.T) {
 		t.Errorf("fresh snapshot = %q, want version-3", got)
 	}
 	releaseSnaps(snaps)
-}
-
-func TestCREWSnapshotDropsStaleSpec(t *testing.T) {
-	d := testDesc(region.CREW)
-	hosts := cluster(t, 2, d)
-	page := d.Range.Start
-	crew := hosts[1].cm(d).(*CrewCM)
-
-	// Plant a speculative grant at version 1 on node 2.
-	if err := storeBytes(hosts[1], page, []byte("spec copy")); err != nil {
-		t.Fatal(err)
-	}
-	hosts[1].dir.Update(page, func(e *pagedir.Entry) {
-		e.State = pagedir.Shared
-		e.Version = 1
-	})
-	crew.specMu.Lock()
-	crew.spec[page] = 1
-	crew.specMu.Unlock()
-
-	// Observing the same version keeps the prefetch.
-	crew.dropStaleSpec(page, 1)
-	crew.specMu.Lock()
-	_, kept := crew.spec[page]
-	crew.specMu.Unlock()
-	if !kept {
-		t.Fatal("spec frame dropped on observing its own version")
-	}
-
-	// Observing a newer committed version retires it: the frame goes, the
-	// directory entry invalidates, and the next demand read refetches.
-	crew.dropStaleSpec(page, 2)
-	crew.specMu.Lock()
-	_, kept = crew.spec[page]
-	crew.specMu.Unlock()
-	if kept {
-		t.Error("spec entry survived observing a newer version")
-	}
-	if resident(hosts[1], page) {
-		t.Error("stale spec frame still resident")
-	}
-	if entry, ok := hosts[1].dir.Lookup(page); ok && entry.State != pagedir.Invalid {
-		t.Errorf("stale spec page state = %v, want Invalid", entry.State)
-	}
-}
-
-func TestCREWConsumeSpecRejectsNewerObservedVersion(t *testing.T) {
-	d := testDesc(region.CREW)
-	hosts := cluster(t, 2, d)
-	page := d.Range.Start
-	crew := hosts[1].cm(d).(*CrewCM)
-
-	if err := storeBytes(hosts[1], page, []byte("spec copy")); err != nil {
-		t.Fatal(err)
-	}
-	// The spec frame was granted at version 1, but the node has since
-	// observed version 2 (say, via an update push): consuming it would
-	// serve stale bytes under a fresh read lock.
-	hosts[1].dir.Update(page, func(e *pagedir.Entry) {
-		e.State = pagedir.Shared
-		e.Version = 2
-	})
-	crew.specMu.Lock()
-	crew.spec[page] = 1
-	crew.specMu.Unlock()
-
-	consumed, demand := crew.consumeSpec([]gaddr.Addr{page})
-	if len(consumed) != 0 {
-		t.Errorf("stale spec frame consumed: %v", consumed)
-	}
-	if len(demand) != 1 || demand[0] != page {
-		t.Errorf("stale page not demoted to demand fetch: %v", demand)
-	}
 }
 
 func TestCREWTrimPublishedSparesPinnedVersions(t *testing.T) {

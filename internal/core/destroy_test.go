@@ -153,24 +153,20 @@ func TestStaleDescriptorForgottenOnUse(t *testing.T) {
 
 // TestDestroyFreesPerRegionState: create/destroy cycles must leave every
 // table keyed by region or page at the home where it started — the replog
-// instance, the read-ahead planner's streams, CREW's version chains, the
-// page directory and the store.
+// instance, CREW's version chains, the page directory and the store.
 func TestDestroyFreesPerRegionState(t *testing.T) {
 	_, nodes := testCluster(t, 3)
 	ctx := context.Background()
 	home := nodes[0]
 	crew := home.cms[region.CREW].(*consistency.CrewCM)
-	type sizes struct{ repl, streams, chains, dir, mem, auth int }
+	type sizes struct{ repl, chains, dir, mem, auth int }
 	measure := func() sizes {
-		home.prefetch.mu.Lock()
-		defer home.prefetch.mu.Unlock()
 		return sizes{
-			repl:    home.repl.Regions(),
-			streams: len(home.prefetch.streams),
-			chains:  crew.PublishedPages(),
-			dir:     home.dir.Len(),
-			mem:     home.store.Mem().Len(),
-			auth:    len(home.authStarts()),
+			repl:   home.repl.Regions(),
+			chains: crew.PublishedPages(),
+			dir:    home.dir.Len(),
+			mem:    home.store.Mem().Len(),
+			auth:   len(home.authStarts()),
 		}
 	}
 	cycle := func(replicas uint8) {
@@ -190,7 +186,7 @@ func TestDestroyFreesPerRegionState(t *testing.T) {
 		if err := home.Unlock(ctx, lc); err != nil {
 			t.Fatal(err)
 		}
-		// A remote page-by-page reader opens a read-ahead stream.
+		// A remote page-by-page reader joins the pages' copysets.
 		for p := uint64(0); p < 2; p++ {
 			rlc, err := nodes[2].Lock(ctx, gaddr.Range{Start: start.MustAdd(p * 4096), Size: 4096}, ktypes.LockRead, "alice")
 			if err != nil {

@@ -77,12 +77,6 @@ type Config struct {
 	MigrationInterval time.Duration
 	// Migration tunes the policy; the zero value selects defaults.
 	Migration MigrationPolicy
-	// NoReadAhead disables adaptive read-ahead grant pipelining: the
-	// node stops speculating when homing regions and ignores
-	// speculative grants piggybacked by other homes. It exists for
-	// benchmarks comparing the two paths (E16) and as an escape hatch;
-	// the default (false) speculates.
-	NoReadAhead bool
 	// NoRing disables the consistent-hashing descriptor partition: cold
 	// lookups skip the one-hop ring stage and descriptors are not
 	// announced to ring owners, restoring the legacy cluster-hint /
@@ -160,10 +154,6 @@ type Node struct {
 	// access tracks per-region consistency traffic for the migration
 	// policy.
 	access *accessTracker
-
-	// prefetch plans speculative read-ahead grants for regions homed
-	// here; nil when Config.NoReadAhead disables the pipeline.
-	prefetch *prefetchPlanner
 
 	// repl is the consensus-replicated region-metadata log: homes append
 	// release/ownership deltas before acking, standby replicas replay
@@ -465,9 +455,6 @@ func NewNode(cfg Config) (*Node, error) {
 			n.standbys.Observe(start, leader, term, lastIndex)
 		},
 	})
-	if !cfg.NoReadAhead {
-		n.prefetch = newPrefetchPlanner()
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = consistency.NewRegistry()
@@ -760,23 +747,6 @@ func (h hostView) StorePage(page gaddr.Addr, f *frame.Frame) error {
 // any unpinned RAM copy are gone, so the next acquire refetches.
 func (h hostView) DropPage(page gaddr.Addr) {
 	h.n.store.Discard(page)
-}
-
-// StorePageSpeculative implements consistency.Host: read-ahead copies
-// land in the RAM tier on an evict-first basis and are dropped rather
-// than kept when the tier is full of demand pages.
-func (h hostView) StorePageSpeculative(page gaddr.Addr, f *frame.Frame) bool {
-	return h.n.store.PutSpeculative(page, f)
-}
-
-// ReadAhead implements consistency.Host. The untyped-nil return when
-// read-ahead is disabled matters: a typed nil *prefetchPlanner inside the
-// interface would defeat the CMs' `planner == nil` guard.
-func (h hostView) ReadAhead() consistency.ReadAheadPlanner {
-	if h.n.prefetch == nil {
-		return nil
-	}
-	return h.n.prefetch
 }
 
 // Repl implements consistency.Host, handing CMs the node's replicated

@@ -160,7 +160,6 @@ func (n *Node) Unreserve(ctx context.Context, start gaddr.Addr, principal ktypes
 	n.dropAuthDesc(start)
 	n.access.forget(start)
 	n.repl.Forget(start)
-	n.prefetch.forget(start)
 	n.forgetRegion(start)
 	n.ringDestroy(ctx, desc)
 	if err := n.mapRemove(ctx, start); err != nil {

@@ -331,9 +331,8 @@ func E10PageSize(cfg Config) (Result, error) {
 		// This experiment isolates how page size amortizes per-page fetch
 		// round trips, so the scan below locks one page at a time (a
 		// multi-page lock, measured separately in E13, costs one RPC
-		// regardless of page size) and read-ahead, which would fetch the
-		// next pages unasked, is off.
-		c, err := newCluster(cfg, 3, khazana.WithNoReadAhead())
+		// regardless of page size).
+		c, err := newCluster(cfg, 3)
 		if err != nil {
 			return res, err
 		}

@@ -64,7 +64,7 @@ func All(cfg Config) ([]Result, error) {
 		E1Figure1, E2Figure2, E3LookupPath, E4Scalability, E5Consistency,
 		E6Replication, E7Filesystem, E8Objects, E9Failure, E10PageSize,
 		E11StaleMap, E12Migration, E13BatchedTransfers, E14ZeroCopy,
-		E15TelemetryOverhead, E16PrefetchAndWriteThrough, E17SnapshotScan,
+		E15TelemetryOverhead, E16WriteThrough, E17SnapshotScan,
 		E18FanIn, E19Failover, E20RingLookup,
 	}
 	out := make([]Result, 0, len(runs))

@@ -40,7 +40,7 @@ type EvictFunc func(page gaddr.Addr, f *frame.Frame) error
 // never victimized. Each resident page holds one frame reference.
 type MemStore struct {
 	mu      sync.Mutex
-	pages   map[gaddr.Addr]*memPage
+	pages   map[gaddr.Addr]memPage
 	cap     int
 	clock   uint64
 	onEvict EvictFunc
@@ -52,16 +52,13 @@ type MemStore struct {
 	reclaim func() int
 }
 
+// memPage is one resident page, kept by value in the map so a page
+// re-fetched after an invalidation costs no allocation: every mutator
+// writes the entry back.
 type memPage struct {
 	f      *frame.Frame
 	used   uint64
 	pinned int
-	// speculative marks a page installed by read-ahead before any demand
-	// touched it: it is victimized first under pressure and dropped
-	// outright (not demoted to disk), so a wasted prefetch never costs a
-	// demand-fetched page its cache slot. The first Get promotes the page
-	// to demand status.
-	speculative bool
 }
 
 // DefaultMemCapacity is the default number of resident pages.
@@ -74,8 +71,11 @@ func NewMemStore(capacity int, onEvict EvictFunc) *MemStore {
 	if capacity <= 0 {
 		capacity = DefaultMemCapacity
 	}
+	// The map grows with the resident set rather than being sized for
+	// capacity up front: by-value entries would make every node's start-up
+	// pay for a full table most nodes never fill.
 	return &MemStore{
-		pages:   make(map[gaddr.Addr]*memPage, capacity),
+		pages:   make(map[gaddr.Addr]memPage),
 		cap:     capacity,
 		onEvict: onEvict,
 	}
@@ -90,9 +90,13 @@ func (s *MemStore) Get(page gaddr.Addr) (*frame.Frame, bool) {
 	if !ok {
 		return nil, false
 	}
-	s.clock++
-	p.used = s.clock
-	p.speculative = false
+	// A pinned page is no eviction candidate, and its last Unpin stamps
+	// its recency, so only an unpinned page's entry is written back here.
+	if p.pinned == 0 {
+		s.clock++
+		p.used = s.clock
+		s.pages[page] = p
+	}
 	return p.f.Retain(), true
 }
 
@@ -120,6 +124,7 @@ func (s *MemStore) Put(page gaddr.Addr, f *frame.Frame) error {
 		//khazana:frame-owner the resident memPage holds the store's reference
 		p.f = f.Retain()
 		p.used = s.clock
+		s.pages[page] = p
 		old.Release()
 		return nil
 	}
@@ -129,7 +134,7 @@ func (s *MemStore) Put(page gaddr.Addr, f *frame.Frame) error {
 		}
 	}
 	//khazana:frame-owner the resident memPage holds the store's reference
-	s.pages[page] = &memPage{f: f.Retain(), used: s.clock}
+	s.pages[page] = memPage{f: f.Retain(), used: s.clock}
 	return nil
 }
 
@@ -142,33 +147,6 @@ func (s *MemStore) PutBytes(page gaddr.Addr, data []byte) error {
 	return err
 }
 
-// PutSpeculative stores a read-ahead frame without ever costing a demand
-// page its slot: a full store may only evict another speculative page to
-// make room, and when none exists the incoming frame is dropped (returns
-// false). Refreshing an already-resident page keeps its current demand /
-// speculative status. The frame is borrowed, as in Put.
-func (s *MemStore) PutSpeculative(page gaddr.Addr, f *frame.Frame) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock++
-	if p, ok := s.pages[page]; ok {
-		old := p.f
-		//khazana:frame-owner the resident memPage holds the store's reference
-		p.f = f.Retain()
-		p.used = s.clock
-		old.Release()
-		return true
-	}
-	if len(s.pages) >= s.cap {
-		if !s.evictSpeculativeLocked() {
-			return false
-		}
-	}
-	//khazana:frame-owner the resident memPage holds the store's reference
-	s.pages[page] = &memPage{f: f.Retain(), used: s.clock, speculative: true}
-	return true
-}
-
 // SetReclaimer installs the version-chain give-back hook (see the
 // reclaim field). Call before the store sees traffic.
 func (s *MemStore) SetReclaimer(fn func() int) {
@@ -177,29 +155,26 @@ func (s *MemStore) SetReclaimer(fn func() int) {
 	s.reclaim = fn
 }
 
-// evictLocked victimizes the least recently used unpinned page,
-// preferring speculative pages (unconsumed read-ahead) over demand
-// pages. Before a demand page is demoted, retained old page versions are
-// reclaimed — they are the cheapest memory to give back and must never
-// cost a demand page its slot.
+// evictLocked victimizes the least recently used unpinned page. Before a
+// page is demoted, retained old page versions are reclaimed — they are
+// the cheapest memory to give back and must never cost a resident page
+// its slot.
 func (s *MemStore) evictLocked() error {
-	if s.evictSpeculativeLocked() {
-		return nil
-	}
 	if s.reclaim != nil {
 		s.reclaim()
 	}
 	var victim gaddr.Addr
-	var vp *memPage
+	var vp memPage
+	found := false
 	for page, p := range s.pages {
 		if p.pinned > 0 {
 			continue
 		}
-		if vp == nil || p.used < vp.used {
-			victim, vp = page, p
+		if !found || p.used < vp.used {
+			victim, vp, found = page, p, true
 		}
 	}
-	if vp == nil {
+	if !found {
 		return ErrFull
 	}
 	if s.onEvict != nil {
@@ -210,29 +185,6 @@ func (s *MemStore) evictLocked() error {
 	delete(s.pages, victim)
 	vp.f.Release()
 	return nil
-}
-
-// evictSpeculativeLocked drops the least recently used unpinned
-// speculative page, if any. Speculative pages are clean by construction
-// (never written, never the only copy), so they are discarded without the
-// onEvict demotion a demand page gets.
-func (s *MemStore) evictSpeculativeLocked() bool {
-	var victim gaddr.Addr
-	var vp *memPage
-	for page, p := range s.pages {
-		if !p.speculative || p.pinned > 0 {
-			continue
-		}
-		if vp == nil || p.used < vp.used {
-			victim, vp = page, p
-		}
-	}
-	if vp == nil {
-		return false
-	}
-	delete(s.pages, victim)
-	vp.f.Release()
-	return true
 }
 
 // Delete drops the page if present.
@@ -266,15 +218,6 @@ func (s *MemStore) DeleteUnpinned(page gaddr.Addr) bool {
 	return true
 }
 
-// Speculative reports whether the page is resident as unconsumed
-// read-ahead (test and diagnostics accessor).
-func (s *MemStore) Speculative(page gaddr.Addr) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pages[page]
-	return ok && p.speculative
-}
-
 // Pin marks the page non-victimizable. Pins nest.
 func (s *MemStore) Pin(page gaddr.Addr) bool {
 	s.mu.Lock()
@@ -284,10 +227,12 @@ func (s *MemStore) Pin(page gaddr.Addr) bool {
 		return false
 	}
 	p.pinned++
+	s.pages[page] = p
 	return true
 }
 
-// Unpin releases one pin.
+// Unpin releases one pin. The page counts as used until its pins drop,
+// so Unpin refreshes its recency.
 func (s *MemStore) Unpin(page gaddr.Addr) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,6 +241,9 @@ func (s *MemStore) Unpin(page gaddr.Addr) error {
 		return ErrNotPinned
 	}
 	p.pinned--
+	s.clock++
+	p.used = s.clock
+	s.pages[page] = p
 	return nil
 }
 

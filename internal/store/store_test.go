@@ -92,6 +92,33 @@ func TestMemDeleteReleasesFrame(t *testing.T) {
 	f.Release()
 }
 
+// TestMemStorePutNoAlloc: resident pages are kept by value, so a page
+// re-fetched after an invalidation — Put of a non-resident page into a
+// store with room, later Deleted — allocates nothing.
+func TestMemStorePutNoAlloc(t *testing.T) {
+	s := NewMemStore(16, nil)
+	for i := uint64(0); i < 4; i++ {
+		if err := s.PutBytes(page(100+i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := frame.Copy([]byte("refetched"))
+	defer f.Release()
+	avg := testing.AllocsPerRun(200, func() {
+		for i := uint64(0); i < 8; i++ {
+			if err := s.Put(page(i), f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := uint64(0); i < 8; i++ {
+			s.Delete(page(i))
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("8 Puts of non-resident pages and their Deletes allocate %.2f objects, want 0", avg)
+	}
+}
+
 func TestMemLRUEviction(t *testing.T) {
 	var evicted []gaddr.Addr
 	s := NewMemStore(3, func(p gaddr.Addr, _ *frame.Frame) error {
@@ -116,6 +143,32 @@ func TestMemLRUEviction(t *testing.T) {
 	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
+	}
+}
+
+// TestMemUnpinRefreshesRecency: a page read under a pin counts as used
+// until the pin drops, so pages stored while it was pinned go first.
+func TestMemUnpinRefreshesRecency(t *testing.T) {
+	var evicted []gaddr.Addr
+	s := NewMemStore(3, func(p gaddr.Addr, _ *frame.Frame) error {
+		evicted = append(evicted, p)
+		return nil
+	})
+	_ = s.PutBytes(page(1), []byte{1})
+	s.Pin(page(1))
+	if f, ok := s.Get(page(1)); ok {
+		f.Release()
+	}
+	_ = s.PutBytes(page(2), []byte{2})
+	_ = s.PutBytes(page(3), []byte{3})
+	if err := s.Unpin(page(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBytes(page(4), []byte{4}); err != nil {
+		t.Fatal(err)
+	}
+	if len(evicted) != 1 || evicted[0] != page(2) {
+		t.Fatalf("evicted = %v, want [page 2]", evicted)
 	}
 }
 
@@ -445,13 +498,5 @@ func TestMemReclaimerRunsBeforeDemandEviction(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("reclaimer ran %d times under pressure, want 1", calls)
-	}
-	// Speculative pressure is absorbed by dropping speculative pages, not
-	// by the reclaimer.
-	f := frame.Copy([]byte("s"))
-	s.PutSpeculative(page(4), f)
-	f.Release()
-	if calls != 1 {
-		t.Fatalf("reclaimer ran %d times after speculative churn, want 1", calls)
 	}
 }

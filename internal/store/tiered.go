@@ -98,15 +98,6 @@ func (t *Tiered) PutBytes(page gaddr.Addr, data []byte) error {
 	return t.mem.PutBytes(page, data)
 }
 
-// PutSpeculative stores a read-ahead frame in RAM on an evict-last basis:
-// it may displace other speculative pages but never a demand page, and
-// reports whether the frame was kept. Speculative pages live only in the
-// RAM tier — they are re-fetchable by definition, so they are never
-// demoted to disk.
-func (t *Tiered) PutSpeculative(page gaddr.Addr, f *frame.Frame) bool {
-	return t.mem.PutSpeculative(page, f)
-}
-
 // Flush forces the page to the persistent tier (used for locally homed
 // pages whose directory information must survive restarts, §3.4).
 func (t *Tiered) Flush(page gaddr.Addr) error {
@@ -148,9 +139,9 @@ func (t *Tiered) Delete(page gaddr.Addr) {
 // Discard removes the page from both tiers unless a lock context has the
 // RAM copy pinned, in which case the RAM copy survives (the holder keeps
 // its grant-time snapshot) while the disk copy still goes. Invalidation
-// uses this so a speculative consumer racing a writer reads stale-but-real
-// bytes, never zeros; the directory's invalid mark forces a refetch on the
-// next acquire.
+// uses this so a holder whose context outlives its lock at the home reads
+// stale-but-real bytes, never zeros; the directory's invalid mark forces a
+// refetch on the next acquire.
 func (t *Tiered) Discard(page gaddr.Addr) {
 	t.mem.DeleteUnpinned(page)
 	t.disk.Delete(page)

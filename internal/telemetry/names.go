@@ -74,15 +74,13 @@ const (
 	// MetricCrewInvalidateFailures counts CREW invalidations that failed
 	// and pruned the sharer from the copyset.
 	MetricCrewInvalidateFailures = "consistency.crew_invalidate_failures"
-	// MetricPrefetchSpecPages observes speculative read-ahead pages
-	// piggybacked per grant reply (home side; unitless size histogram).
+	// MetricPrefetchSpecPages, MetricPrefetchHits and MetricPrefetchWaste
+	// named the retired read-ahead grants' instruments. Nothing registers
+	// them any more; they stay only so the benchmark module, which still
+	// reads them (as zero), keeps compiling.
 	MetricPrefetchSpecPages = "consistency.prefetch_spec_pages"
-	// MetricPrefetchHits counts demand reads satisfied by a previously
-	// speculated page without an RPC.
-	MetricPrefetchHits = "consistency.prefetch_hits"
-	// MetricPrefetchWaste counts speculated pages that were re-requested
-	// on demand (the prefetch was lost or invalidated before use).
-	MetricPrefetchWaste = "consistency.prefetch_waste"
+	MetricPrefetchHits      = "consistency.prefetch_hits"
+	MetricPrefetchWaste     = "consistency.prefetch_waste"
 	// MetricUpdateBatchPages observes pages per batched replication
 	// write-through RPC (unitless size histogram).
 	MetricUpdateBatchPages = "consistency.update_batch_pages"

@@ -110,8 +110,7 @@ func (g *PageGrantItem) SetFrame(f *frame.Frame) { setFrame(&g.dataFrame, &g.Dat
 // caller.
 func (g *PageGrantItem) TakeFrame() *frame.Frame { return takeFrame(&g.dataFrame, g.Data) }
 
-// ReleaseFrames implements FrameCarrier: releases every demand grant's and
-// speculative grant's frame.
+// ReleaseFrames implements FrameCarrier: releases every grant's frame.
 func (m *PageGrantBatch) ReleaseFrames() {
 	if m == nil {
 		return
@@ -120,19 +119,7 @@ func (m *PageGrantBatch) ReleaseFrames() {
 		g := &m.Grants[i]
 		setFrame(&g.dataFrame, &g.Data, nil)
 	}
-	for i := range m.Spec {
-		s := &m.Spec[i]
-		setFrame(&s.dataFrame, &s.Data, nil)
-	}
 }
-
-// SetFrame attaches f as this speculative grant's payload. Use via
-// &batch.Spec[i] so the slice element itself holds the reference.
-func (s *SpecGrant) SetFrame(f *frame.Frame) { setFrame(&s.dataFrame, &s.Data, f) }
-
-// TakeFrame transfers ownership of the speculative payload frame to the
-// caller.
-func (s *SpecGrant) TakeFrame() *frame.Frame { return takeFrame(&s.dataFrame, s.Data) }
 
 // SetFrame attaches f as this release item's dirty payload. Use via
 // &batch.Items[i].

@@ -126,16 +126,14 @@ func FuzzUpdateBatchRespWire(f *testing.F) {
 	})
 }
 
-// FuzzPageGrantBatchSpecWire proves both halves of the speculative-grant
-// compatibility contract: a batch without speculation is byte-identical to
-// the legacy PageGrantBatch encoding (old decoders never see the new
-// section), and a batch with a trailing Spec section round-trips the
-// speculative pages, frames included, without disturbing the demand
-// grants.
-func FuzzPageGrantBatchSpecWire(f *testing.F) {
-	f.Add([]byte("demand"), []byte("spec one"), []byte(""), uint64(5), "late")
-	f.Add([]byte{}, bytes.Repeat([]byte{0x5A}, 4096), []byte{7}, uint64(0), "")
-	f.Fuzz(func(t *testing.T, demand, s1, s2 []byte, version uint64, errStr string) {
+// FuzzPageGrantBatchWire pins the PageGrantBatch layout: the bytes match
+// the hand-rolled encoding and round-trip. A batch carrying the retired
+// trailing section (a u16 count, then page, payload and version per item)
+// is rejected by Unmarshal, not half-decoded.
+func FuzzPageGrantBatchWire(f *testing.F) {
+	f.Add([]byte("demand"), []byte("old tail"), uint64(5), "late")
+	f.Add([]byte{}, bytes.Repeat([]byte{0x5A}, 4096), uint64(0), "")
+	f.Fuzz(func(t *testing.T, demand, tail []byte, version uint64, errStr string) {
 		m := &PageGrantBatch{Grants: []PageGrantItem{
 			{OK: true, Version: version, Owner: 1},
 			{OK: false, Version: version + 1, Owner: 2, Err: errStr},
@@ -143,99 +141,32 @@ func FuzzPageGrantBatchSpecWire(f *testing.F) {
 		if len(demand) > 0 {
 			m.Grants[0].Data = append([]byte(nil), demand...)
 		}
-		// No Spec section: bytes must match the legacy encoding exactly.
 		plain := Marshal(m)
 		legacy := legacyPageGrantBatch(m.Grants)
 		if !bytes.Equal(plain, legacy) {
-			t.Fatalf("spec-free batch diverged from legacy format:\n got %x\nwant %x", plain, legacy)
+			t.Fatalf("batch diverged from the hand-rolled layout:\n got %x\nwant %x", plain, legacy)
 		}
 		back, err := Unmarshal(plain)
 		if err != nil {
-			t.Fatalf("unmarshal legacy bytes: %v", err)
-		}
-		if gb := back.(*PageGrantBatch); len(gb.Spec) != 0 {
-			t.Fatalf("legacy bytes decoded with %d phantom spec grants", len(gb.Spec))
-		} else {
-			gb.ReleaseFrames()
-		}
-
-		// With speculation: the legacy prefix is untouched and the Spec
-		// section round-trips.
-		specPages := []gaddr.Addr{{Hi: 2, Lo: 0x200000}, {Hi: 2, Lo: 0x201000}}
-		m.Spec = []SpecGrant{
-			{Page: specPages[0], Version: version + 2},
-			{Page: specPages[1], Version: version + 3},
-		}
-		var frames []*frame.Frame
-		for i, d := range [][]byte{s1, s2} {
-			if len(d) == 0 {
-				continue
-			}
-			fr := frame.Copy(d)
-			if i == 0 {
-				m.Spec[i].SetFrame(fr)
-			} else {
-				m.Spec[i].Data = append([]byte(nil), d...)
-			}
-			frames = append(frames, fr)
-		}
-		full := Marshal(m)
-		if !bytes.Equal(full[:len(legacy)], legacy) {
-			t.Fatal("spec section disturbed the legacy demand-grant prefix")
-		}
-		wantTail := legacyAppendU16(nil, uint16(len(m.Spec)))
-		for i := range m.Spec {
-			s := &m.Spec[i]
-			wantTail = legacyAppendAddr(wantTail, s.Page)
-			wantTail = legacyAppendBytes32(wantTail, s.Data)
-			wantTail = legacyAppendU64(wantTail, s.Version)
-		}
-		if !bytes.Equal(full[len(legacy):], wantTail) {
-			t.Fatalf("spec section encoding diverged:\n got %x\nwant %x", full[len(legacy):], wantTail)
-		}
-		m.ReleaseFrames()
-		for _, fr := range frames {
-			fr.Release()
-		}
-
-		back, err = Unmarshal(full)
-		if err != nil {
-			t.Fatalf("unmarshal with spec: %v", err)
+			t.Fatalf("unmarshal: %v", err)
 		}
 		gb := back.(*PageGrantBatch)
-		if len(gb.Grants) != 2 || len(gb.Spec) != 2 {
-			t.Fatalf("got %d grants / %d spec, want 2 / 2", len(gb.Grants), len(gb.Spec))
-		}
 		wantDemand := demand
 		if len(wantDemand) == 0 {
 			wantDemand = nil
 		}
-		if !bytes.Equal(gb.Grants[0].Data, wantDemand) {
-			t.Fatal("demand grant payload did not round trip alongside spec")
-		}
-		for i, d := range [][]byte{s1, s2} {
-			wantData := d
-			if len(wantData) == 0 {
-				wantData = nil
-			}
-			s := &gb.Spec[i]
-			if s.Page != specPages[i] || !bytes.Equal(s.Data, wantData) {
-				t.Fatalf("spec grant %d did not round trip", i)
-			}
-			df := s.TakeFrame()
-			if len(wantData) > 0 {
-				if df == nil {
-					t.Fatalf("spec grant %d decoded without frame backing", i)
-				}
-				if !bytes.Equal(df.Bytes(), wantData) || df.Version() != s.Version {
-					t.Fatalf("spec grant %d decoded frame mismatch", i)
-				}
-			}
-			if df != nil {
-				df.Release()
-			}
+		if len(gb.Grants) != 2 || !bytes.Equal(gb.Grants[0].Data, wantDemand) || gb.Grants[1].Err != errStr {
+			t.Fatal("grants did not round trip")
 		}
 		gb.ReleaseFrames()
+
+		old := legacyAppendU16(append([]byte(nil), legacy...), 1)
+		old = legacyAppendAddr(old, gaddr.Addr{Hi: 2, Lo: 0x200000})
+		old = legacyAppendBytes32(old, tail)
+		old = legacyAppendU64(old, version+2)
+		if got, err := Unmarshal(old); err == nil {
+			t.Fatalf("a batch with the retired trailing section decoded as %+v", got)
+		}
 	})
 }
 

@@ -1,6 +1,8 @@
 // Package wire defines Khazana's inter-node and client-daemon message set
 // and its binary framing. Every message implements Msg; Marshal prefixes
-// the payload with a 16-bit kind so Unmarshal can dispatch.
+// the payload with a 16-bit kind so Unmarshal can dispatch. A message's
+// encoding has no optional sections: Unmarshal rejects trailing bytes and
+// releases whatever frames the rejected message had decoded.
 //
 // The message groups mirror the paper's protocols: region descriptor
 // lookup (§3.2), consistency-manager traffic for lock grants, fetches,
@@ -177,6 +179,7 @@ func Unmarshal(b []byte) (Msg, error) {
 	m := factory()
 	m.decode(d)
 	if err := d.Finish(); err != nil {
+		Recycle(m)
 		return nil, fmt.Errorf("wire: decode kind %d: %w", kind, err)
 	}
 	return m, nil
@@ -1178,29 +1181,10 @@ type PageGrantItem struct {
 	dataFrame *frame.Frame
 }
 
-// SpecGrant is a speculative read grant piggybacked on a PageGrantBatch:
-// the home predicts the requester's next pages from its access pattern and
-// ships their contents ahead of demand (§3.3 read-ahead pipelining). Unlike
-// demand grants, speculative grants are keyed by explicit page address —
-// they answer pages that were never requested.
-type SpecGrant struct {
-	Page    gaddr.Addr
-	Data    []byte
-	Version uint64
-
-	// dataFrame, when non-nil, backs Data with a refcounted page frame
-	// (see frame.go); it is never encoded.
-	dataFrame *frame.Frame
-}
-
 // PageGrantBatch answers PageReqBatch with one grant per requested page,
-// in request order, optionally followed by speculative read-ahead grants
-// for predicted pages. The Spec section is encoded only when present, so
-// a batch without speculation is byte-identical to the legacy format and
-// old decoders never see it.
+// in request order.
 type PageGrantBatch struct {
 	Grants []PageGrantItem
-	Spec   []SpecGrant
 }
 
 // Kind implements Msg.
@@ -1213,14 +1197,6 @@ func (m *PageGrantBatch) encode(e *enc.Encoder) {
 		e.U64(g.Version)
 		e.NodeID(g.Owner)
 		e.String(g.Err)
-	}
-	if len(m.Spec) > 0 {
-		e.U16(uint16(len(m.Spec)))
-		for _, s := range m.Spec {
-			e.Addr(s.Page)
-			e.Bytes32(s.Data)
-			e.U64(s.Version)
-		}
 	}
 }
 func (m *PageGrantBatch) decode(d *enc.Decoder) {
@@ -1251,34 +1227,6 @@ func (m *PageGrantBatch) decode(d *enc.Decoder) {
 			}
 			m.Grants = append(m.Grants, g)
 		}
-	}
-	// Optional trailing speculative section: absent in legacy batches.
-	if d.Remaining() == 0 {
-		return
-	}
-	sn := int(d.U16())
-	if d.Err() != nil || sn == 0 {
-		return
-	}
-	m.Spec = make([]SpecGrant, 0, sn)
-	for i := 0; i < sn; i++ {
-		var s SpecGrant
-		s.Page = d.Addr()
-		s.dataFrame = d.Bytes32Frame()
-		if s.dataFrame != nil {
-			s.Data = s.dataFrame.Bytes()
-		}
-		s.Version = d.U64()
-		if d.Err() != nil {
-			if s.dataFrame != nil {
-				s.dataFrame.Release()
-			}
-			return
-		}
-		if s.dataFrame != nil {
-			s.dataFrame.SetVersion(s.Version)
-		}
-		m.Spec = append(m.Spec, s)
 	}
 }
 

@@ -114,10 +114,9 @@ func sampleMessages() []Msg {
 		&StatsReply{Node: 1},
 		&Traced{Trace: 0xABCD, Span: 0x1234, Inner: &Ping{From: 4, SentUnixNano: 99}},
 		&PageGrantBatch{
-			Grants: []PageGrantItem{{OK: true, Data: []byte("page"), Version: 3, Owner: 1}},
-			Spec: []SpecGrant{
-				{Page: gaddr.New(0, 0x4000), Data: []byte("ahead"), Version: 4},
-				{Page: gaddr.New(0, 0x5000), Data: []byte("ahead2"), Version: 5},
+			Grants: []PageGrantItem{
+				{OK: true, Data: []byte("page"), Version: 3, Owner: 1},
+				{OK: false, Err: "not attempted"},
 			},
 		},
 		&UpdateBatch{From: 2, Items: []UpdateItem{
@@ -178,9 +177,6 @@ func frameSlots(m Msg) []**frame.Frame {
 	case *PageGrantBatch:
 		for i := range msg.Grants {
 			slots = append(slots, &msg.Grants[i].dataFrame)
-		}
-		for i := range msg.Spec {
-			slots = append(slots, &msg.Spec[i].dataFrame)
 		}
 	case *ReleaseBatch:
 		for i := range msg.Items {

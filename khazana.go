@@ -139,10 +139,8 @@ type NodeConfig struct {
 	MigrationInterval time.Duration
 	// Registry supplies custom consistency protocols (nil = built-ins).
 	Registry *consistency.Registry
-	// NoReadAhead disables adaptive read-ahead grant pipelining (the
-	// speculative grants a home piggybacks onto sequential readers'
-	// lock batches). Benchmarks use it as the E16 baseline; the default
-	// (false) speculates.
+	// Deprecated: NoReadAhead is ignored. Every remote read takes the
+	// home's read lock, so there is no read-ahead left to disable.
 	NoReadAhead bool
 	// NoRing disables the consistent-hashing descriptor partition: cold
 	// lookups skip the one-hop ring stage and fall straight to the
@@ -192,7 +190,6 @@ func StartNode(ctx context.Context, cfg NodeConfig) (*Node, error) {
 		ReplicaInterval:   cfg.ReplicaInterval,
 		MigrationInterval: cfg.MigrationInterval,
 		Registry:          cfg.Registry,
-		NoReadAhead:       cfg.NoReadAhead,
 		NoRing:            cfg.NoRing,
 		NoTelemetry:       cfg.NoTelemetry,
 		Tracer:            cfg.Tracer,
