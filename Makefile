@@ -66,16 +66,16 @@ bench-scan:
 
 # alloc-gates runs the absolute allocation budgets without the race
 # detector (which defeats sync.Pool and skips them): the local lock cycle
-# (one object), the remote read batch, a remote 16-page read window (95
-# objects), grant marshalling, the replicated 8-page write (180 objects),
-# the region lifecycle cycle (200 objects), a span in a caller-owned slot
+# (one object), the remote read batch, a remote 16-page read window (55
+# objects), grant marshalling, the replicated 8-page write (112 objects),
+# the region lifecycle cycle (180 objects), a span in a caller-owned slot
 # (0), the uncontended lock table (0), replog compaction (0), Unmarshal
-# (the message only), a full hint cache taking a hint (0), the tree-node
-# codec (2 objects to decode, 0 to encode) and a RAM-tier Put of a
-# non-resident page (0).
+# (the message only, traced or not), a full hint cache taking a hint (0),
+# the tree-node codec (2 objects to decode, 0 to encode), a RAM-tier Put
+# of a non-resident page (0) and a copyset revoked and re-added (0).
 # An allocation creeping back fails here, without a benchmark run.
 alloc-gates:
-	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/addrmap ./internal/store
+	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/addrmap ./internal/store ./internal/pagedir
 
 # bench-smoke runs every benchmark for a single iteration so bit-rotted
 # benchmark code fails CI instead of lingering until someone profiles.

@@ -209,9 +209,11 @@ func TestRemoteReadBatchAllocGate(t *testing.T) {
 // window: on 2 nodes, the home writes 16 pages, which invalidates the
 // reader's copies, and the reader takes a 16-page Lock → ReadView → Unlock
 // through the home's read lock — one grant batch and one release batch.
-// A window measures 89 objects (109 while the store allocated an entry per
-// re-fetched page and every remote release built an error map); the budget
-// is 95, so either one coming back breaks it.
+// A window measures 49 objects: 89 while every write grant and the next
+// read grant each built a new copyset per page, every RPC built its trace
+// envelope twice and every release reply listed an error per page, 109
+// while the store also allocated an entry per re-fetched page. The budget
+// is 55, so any one of them coming back breaks it.
 func TestRemoteReadWindowAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled frames and buffers")
@@ -282,8 +284,8 @@ func TestRemoteReadWindowAllocGate(t *testing.T) {
 		objects = math.Min(objects, float64(after.Mallocs-before.Mallocs)/cycles)
 	}
 	t.Logf("remote 16-page read window: %.2f objects", objects)
-	if objects > 95 {
-		t.Fatalf("a remote 16-page read window allocates %.2f objects, budget is 95", objects)
+	if objects > 55 {
+		t.Fatalf("a remote 16-page read window allocates %.2f objects, budget is 55", objects)
 	}
 }
 
@@ -417,12 +419,14 @@ func TestLocalLockCycleAllocGate(t *testing.T) {
 // release: on a 4-node cluster, one 8-page write cycle (Lock, eight
 // full-page Writes, Unlock) from a node outside a MinReplicas-3 region's
 // home list — one PageReqBatch, one ReleaseBatch, a replicated-log append
-// and one UpdateBatch per secondary — averages at most 180 objects and
-// 24 KB. It measures about 120 objects and 14 KB. A write grant that
-// invalidated the secondary homes' failover copies (two more RPCs and
-// every page re-inserted), a log that copied its retained tail on every
-// commit, per-lookup copyset clones or a heap-allocated decoder per
-// message each break it.
+// and one UpdateBatch per secondary — averages at most 112 objects and
+// 24 KB. It measures about 104 objects and 13 KB (118 while every RPC
+// built its trace envelope twice and release replies always listed an
+// error per page). A write grant that invalidated the
+// secondary homes' failover copies (two more RPCs and every page
+// re-inserted), a log that copied its retained tail on every commit,
+// per-lookup copyset clones, a heap-allocated decoder per message or the
+// envelopes coming back each break it.
 func TestReplicatedWriteAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards entries under the race detector; the budgets assume pooled frames and buffers")
@@ -491,8 +495,8 @@ func TestReplicatedWriteAllocGate(t *testing.T) {
 		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/cycles)
 	}
 	t.Logf("replicated 8-page write cycle: %.2f objects, %.0f B", objects, bytes)
-	if objects > 180 || bytes > 24<<10 {
-		t.Fatalf("a replicated 8-page write cycle allocates %.2f objects / %.0f B, budget is 180 objects / 24 KB", objects, bytes)
+	if objects > 112 || bytes > 24<<10 {
+		t.Fatalf("a replicated 8-page write cycle allocates %.2f objects / %.0f B, budget is 112 objects / 24 KB", objects, bytes)
 	}
 }
 
@@ -502,10 +506,12 @@ func TestReplicatedWriteAllocGate(t *testing.T) {
 // cold-opens the region created the cycle before, and node 1 unreserves
 // the region created 64 cycles ago. After 4 100 warm-up cycles — the
 // manager's 4 096-entry hint cache is full, so every new region's hint
-// evicts one — a cycle averages at most 200 objects; it measures about
-// 173. A hint cache that allocates a struct or slice per new region, a
-// tree-node decode that allocates per entry, or an encoder allocated per
-// map write each break it.
+// evicts one — a cycle averages at most 180 objects; it measures about
+// 161 (169 while copysets were rebuilt and every RPC built its trace
+// envelope twice). A hint cache
+// that allocates a struct or slice per new region, a tree-node decode that
+// allocates per entry, or an encoder allocated per map write each break
+// it.
 func TestRegionLifecycleAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled frames and buffers")
@@ -588,7 +594,7 @@ func TestRegionLifecycleAllocGate(t *testing.T) {
 		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/cycles)
 	}
 	t.Logf("region lifecycle cycle: %.2f objects, %.0f B", objects, bytes)
-	if objects > 200 {
-		t.Fatalf("a region lifecycle cycle allocates %.2f objects, budget is 200", objects)
+	if objects > 180 {
+		t.Fatalf("a region lifecycle cycle allocates %.2f objects, budget is 180", objects)
 	}
 }

@@ -3,7 +3,6 @@ package consistency
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -244,9 +243,7 @@ func (c *CrewCM) homeGrantLocked(desc *region.Descriptor, page gaddr.Addr, mode 
 				}
 			}
 			// The common grant revokes nothing and stores nothing.
-			if slices.ContainsFunc(e.Copyset, revoked) {
-				e.Copyset = slices.DeleteFunc(slices.Clone(e.Copyset), revoked)
-			}
+			e.RemoveSharers(revoked)
 			e.AddSharer(requester)
 			e.Owner = requester
 			if requester == self {
@@ -769,7 +766,7 @@ func (c *CrewCM) handleReleaseBatch(ctx context.Context, desc *region.Descriptor
 	if !isHome(c.h, desc) {
 		return nil, ErrNotHome
 	}
-	resp := &wire.ReleaseBatchResp{Errs: make([]string, len(msg.Items))}
+	resp := &wire.ReleaseBatchResp{}
 	var replicated []gaddr.Addr
 	for i := range msg.Items {
 		it := &msg.Items[i]
@@ -786,6 +783,9 @@ func (c *CrewCM) handleReleaseBatch(ctx context.Context, desc *region.Descriptor
 			f.Release()
 		}
 		if err != nil {
+			if resp.Errs == nil {
+				resp.Errs = make([]string, len(msg.Items))
+			}
 			resp.Errs[i] = err.Error()
 			continue
 		}

@@ -39,6 +39,9 @@ type testHost struct {
 
 	// descs resolves pages to descriptors for inbound traffic.
 	descs []*region.Descriptor
+
+	// failStore, when set, makes StorePage of the pages it reports fail.
+	failStore func(gaddr.Addr) bool
 }
 
 var _ Host = (*testHost)(nil)
@@ -62,6 +65,9 @@ func (h *testHost) LoadPage(page gaddr.Addr) (*frame.Frame, bool) {
 func (h *testHost) StorePage(page gaddr.Addr, f *frame.Frame) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.failStore != nil && h.failStore(page) {
+		return fmt.Errorf("testHost: store of %v failed", page)
+	}
 	old := h.pages[page]
 	//khazana:frame-owner the page map holds one reference per entry
 	h.pages[page] = f.Retain()

@@ -499,3 +499,63 @@ func TestJoinedHomeReadWaitsOutWriter(t *testing.T) {
 	}
 	readAll(t, joiner, after, pages)
 }
+
+// TestReleaseBatchRespErrsOnlyOnFailure: the home answers an all-OK remote
+// release batch with an empty error list — the reply's count and nothing
+// else — and a batch whose third page fails its write-through with that
+// failure at index 2 and every other page committed.
+func TestReleaseBatchRespErrsOnlyOnFailure(t *testing.T) {
+	d := crewDesc(4)
+	hosts := cluster(t, 2, d)
+	home, writer := hosts[0], hosts[1]
+	pages := d.Pages(0, d.Range.Size)
+	var reply *wire.ReleaseBatchResp
+	home.tr.SetHandler(func(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
+		resp, err := home.handle(ctx, from, m)
+		if rb, ok := resp.(*wire.ReleaseBatchResp); ok {
+			reply = rb
+		}
+		return resp, err
+	})
+
+	writeAll(t, writer, d, pages, 1)
+	if reply == nil || len(reply.Errs) != 0 {
+		t.Fatalf("all-OK release replied %+v, want an empty error list", reply)
+	}
+	if got := len(wire.Marshal(reply)); got != 4 {
+		t.Fatalf("all-OK release reply encodes as %d bytes, want 4 (kind and count)", got)
+	}
+
+	ctx := context.Background()
+	if _, err := writer.cm(d).AcquireBatch(ctx, d, pages, ktypes.LockWrite); err != nil {
+		t.Fatal(err)
+	}
+	dirty := make(map[gaddr.Addr]bool, len(pages))
+	for _, p := range pages {
+		if err := storeBytes(writer, p, bytes.Repeat([]byte{2}, int(d.Attrs.PageSize))); err != nil {
+			t.Fatal(err)
+		}
+		dirty[p] = true
+	}
+	home.failStore = func(p gaddr.Addr) bool { return p == pages[2] }
+	errs := writer.cm(d).ReleaseBatch(ctx, d, pages, ktypes.LockWrite, dirty)
+	home.failStore = nil
+	if len(reply.Errs) != len(pages) {
+		t.Fatalf("release with one failing page replied %q, want %d entries", reply.Errs, len(pages))
+	}
+	for i, p := range pages {
+		want := byte(2)
+		if i == 2 {
+			want = 1
+		}
+		if failed := i == 2; (reply.Errs[i] != "") != failed || (errs[i] != nil) != failed {
+			t.Fatalf("page %d: reply %q, error %v; want a failure only at index 2", i, reply.Errs[i], errs[i])
+		}
+		if got := snapshot(home, d, p)[0]; got != want {
+			t.Fatalf("page %d holds %d at the home, want %d", i, got, want)
+		}
+		if home.cm(d).(*CrewCM).PageBusy(p) {
+			t.Fatalf("page %d is still locked at the home", i)
+		}
+	}
+}

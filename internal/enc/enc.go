@@ -77,25 +77,6 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// Reserve32 appends a 32-bit length placeholder for a section whose size
-// is known only once it is encoded, and returns its position for Patch32.
-func (e *Encoder) Reserve32() int {
-	at := len(e.buf)
-	e.U32(0)
-	return at
-}
-
-// Patch32 fills the placeholder Reserve32 left at position at with the
-// number of bytes appended since, producing the same bytes Bytes32 would
-// have for that section without a second buffer.
-func (e *Encoder) Patch32(at int) {
-	n := len(e.buf) - at - 4
-	if n > math.MaxUint32 {
-		panic("enc: byte string too long")
-	}
-	binary.LittleEndian.PutUint32(e.buf[at:], uint32(n))
-}
-
 // Bytes32 appends a byte string with a 32-bit length prefix.
 func (e *Encoder) Bytes32(b []byte) {
 	if len(b) > math.MaxUint32 {

@@ -9,6 +9,7 @@ package pagedir
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"khazana/internal/enc"
@@ -49,21 +50,24 @@ type Entry struct {
 	Page gaddr.Addr
 	// State is this node's local copy state.
 	State State
-	// Owner is the node believed to own the page (meaningful on the
-	// page's home node; elsewhere a hint).
-	Owner ktypes.NodeID
-	// Copyset lists nodes holding copies (maintained by the home node).
-	// It is immutable once stored: Lookup hands the stored slice to every
-	// reader, so a writer replaces it (AddSharer and RemoveSharer build a
-	// new slice) and never edits its elements or appends into it.
-	Copyset []ktypes.NodeID
-	// Version counts committed writes to the page.
-	Version uint64
 	// Dirty marks a locally modified copy not yet propagated.
 	Dirty bool
 	// HomedLocal marks pages whose home is this node; their directory
 	// information is persistent (§3.4).
 	HomedLocal bool
+	// Owner is the node believed to own the page (meaningful on the
+	// page's home node; elsewhere a hint).
+	Owner ktypes.NodeID
+	// Copyset lists nodes holding copies (maintained by the home node).
+	// It is immutable once stored: Lookup hands the stored slice to every
+	// reader, so setCopyset replaces it and never edits it in place.
+	Copyset []ktypes.NodeID
+	// spare is the copyset setCopyset last replaced, as immutable. The
+	// one-byte fields above sit together so that with it the entry still
+	// packs into 96 bytes.
+	spare []ktypes.NodeID
+	// Version counts committed writes to the page.
+	Version uint64
 	// Stamp is the last-writer-wins timestamp for the eventual protocol.
 	Stamp int64
 	// StampNode breaks Stamp ties.
@@ -80,23 +84,45 @@ func (e *Entry) InCopyset(n ktypes.NodeID) bool {
 	return false
 }
 
-// AddSharer inserts n into the copyset if absent. The full slice
-// expression makes append copy into a new array, leaving the published
-// copyset untouched.
+// AddSharer inserts n into the copyset if absent.
 func (e *Entry) AddSharer(n ktypes.NodeID) {
 	if !e.InCopyset(n) {
-		e.Copyset = append(e.Copyset[:len(e.Copyset):len(e.Copyset)], n)
+		e.setCopyset(func(ktypes.NodeID) bool { return false }, n)
 	}
 }
 
-// RemoveSharer removes n from the copyset, building a new slice.
+// RemoveSharer removes n from the copyset.
 func (e *Entry) RemoveSharer(n ktypes.NodeID) {
-	for i, c := range e.Copyset {
-		if c == n {
-			e.Copyset = append(e.Copyset[:i:i], e.Copyset[i+1:]...)
-			return
+	e.RemoveSharers(func(c ktypes.NodeID) bool { return c == n })
+}
+
+// RemoveSharers removes every member drop reports from the copyset.
+func (e *Entry) RemoveSharers(drop func(ktypes.NodeID) bool) {
+	if slices.ContainsFunc(e.Copyset, drop) {
+		e.setCopyset(drop)
+	}
+}
+
+// setCopyset is the only way a copyset changes: to its members drop
+// rejects plus add (non-members), all distinct. When spare holds exactly
+// that set — a write grant revoking the readers the last read grant added —
+// the two swap; otherwise a new slice is built and the old one is spare.
+func (e *Entry) setCopyset(drop func(ktypes.NodeID) bool, add ...ktypes.NodeID) {
+	size, match := len(add), true
+	for _, c := range e.Copyset {
+		if !drop(c) {
+			size++
+			match = match && slices.Contains(e.spare, c)
 		}
 	}
+	for _, c := range add {
+		match = match && slices.Contains(e.spare, c)
+	}
+	if !match || len(e.spare) != size {
+		next := append(make([]ktypes.NodeID, 0, len(e.Copyset)+len(add)), e.Copyset...)
+		e.spare = append(slices.DeleteFunc(next, drop), add...)
+	}
+	e.Copyset, e.spare = e.spare, e.Copyset
 }
 
 // Dir is a node's page directory.

@@ -3,6 +3,8 @@ package pagedir
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -141,6 +143,96 @@ func TestCopysetReadersRaceWriters(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
+}
+
+// TestCopysetModel runs seeded random AddSharer, RemoveSharer and
+// RemoveSharers calls against a map model: membership matches after every
+// step, and every copyset Lookup ever returned still holds what it held
+// when returned — swapping spare back in never writes a published slice.
+func TestCopysetModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := New()
+		const pages = 3
+		model := make([]map[ktypes.NodeID]bool, pages)
+		for i := range model {
+			model[i] = make(map[ktypes.NodeID]bool)
+		}
+		type handed struct {
+			got  []ktypes.NodeID
+			want string
+		}
+		var seen []handed
+		swaps := 0
+		for step := 0; step < 500; step++ {
+			p := rng.Intn(pages)
+			n := ktypes.NodeID(rng.Intn(5) + 1)
+			before, _ := d.Lookup(pg(uint64(p)))
+			switch rng.Intn(3) {
+			case 0:
+				d.Update(pg(uint64(p)), func(e *Entry) { e.AddSharer(n) })
+				model[p][n] = true
+			case 1:
+				d.Update(pg(uint64(p)), func(e *Entry) { e.RemoveSharer(n) })
+				delete(model[p], n)
+			default:
+				keep := ktypes.NodeID(rng.Intn(5) + 1)
+				drop := func(c ktypes.NodeID) bool { return c != keep && c%2 == n%2 }
+				d.Update(pg(uint64(p)), func(e *Entry) { e.RemoveSharers(drop) })
+				for c := range model[p] {
+					if drop(c) {
+						delete(model[p], c)
+					}
+				}
+			}
+			e, _ := d.Lookup(pg(uint64(p)))
+			got := make(map[ktypes.NodeID]bool, len(e.Copyset))
+			for _, c := range e.Copyset {
+				if got[c] {
+					t.Fatalf("seed %d step %d: copyset %v lists %v twice", seed, step, e.Copyset, c)
+				}
+				got[c] = true
+			}
+			if !maps.Equal(got, model[p]) {
+				t.Fatalf("seed %d step %d: copyset %v, model %v", seed, step, e.Copyset, model[p])
+			}
+			if len(e.Copyset) > 0 && len(before.spare) > 0 && &e.Copyset[0] == &before.spare[0] {
+				swaps++
+			}
+			seen = append(seen, handed{e.Copyset, fmt.Sprint(e.Copyset)})
+		}
+		if swaps == 0 {
+			t.Fatalf("seed %d: no step swapped spare back in", seed)
+		}
+		for i, h := range seen {
+			if now := fmt.Sprint(h.got); now != h.want {
+				t.Fatalf("seed %d: copyset handed out at step %d changed from %s to %s", seed, i, h.want, now)
+			}
+		}
+	}
+}
+
+// TestCopysetPingPongNoAlloc: a write grant revoking a reader and the next
+// read grant re-adding it swap between the two copysets, so after the first
+// round neither move allocates.
+func TestCopysetPingPongNoAlloc(t *testing.T) {
+	d := New()
+	d.Update(pg(1), func(e *Entry) {
+		e.AddSharer(1)
+		e.AddSharer(2)
+	})
+	revoked := func(n ktypes.NodeID) bool { return n == 2 }
+	round := func() {
+		d.Update(pg(1), func(e *Entry) { e.RemoveSharers(revoked) })
+		d.Update(pg(1), func(e *Entry) { e.AddSharer(2) })
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a revoke and re-add round allocates %.1f objects, want 0", allocs)
+	}
+	if e, _ := d.Lookup(pg(1)); fmt.Sprint(e.Copyset) != "[n1 n2]" {
+		t.Fatalf("copyset after the rounds = %v, want [n1 n2]", e.Copyset)
+	}
 }
 
 func TestCopysetOps(t *testing.T) {

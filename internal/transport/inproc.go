@@ -242,7 +242,7 @@ func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.
 	tm.inflight.Add(1)
 	defer tm.inflight.Add(-1)
 
-	inbound, n, err := ep.carry(ctx, to, delay, marshalPooled(0, wrapTraced(ctx, m)))
+	inbound, n, err := ep.carry(ctx, to, delay, marshalRequest(ctx, 0, m))
 	ep.net.requests.Add(1)
 	ep.net.bytes.Add(n)
 	tm.bytesOut.Add(n)
@@ -261,23 +261,24 @@ func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.
 	ep.net.bytes.Add(n)
 	dtm.bytesOut.Add(n)
 	tm.bytesIn.Add(n)
-	return resp, err
+	return resp.msg, err
 }
 
 // carry moves one marshaled message across the link to or from peer: it
 // sleeps the flight time, re-checks reachability (a partition or crash
 // that happened while the message was in flight loses it), decodes, and
 // returns the buffer to the pool. n is the message's encoded size.
-func (ep *inprocEndpoint) carry(ctx context.Context, peer ktypes.NodeID, delay time.Duration, bp *[]byte) (m wire.Msg, n uint64, err error) {
+// Responses are never traced, so their callers take only m.msg.
+func (ep *inprocEndpoint) carry(ctx context.Context, peer ktypes.NodeID, delay time.Duration, bp *[]byte) (m request, n uint64, err error) {
 	defer putFrameBuf(bp)
 	n = uint64(len(*bp))
 	if err := sleepCtx(ctx, delay); err != nil {
-		return nil, n, err
+		return m, n, err
 	}
 	if _, _, err := ep.net.route(ep.id, peer); err != nil {
-		return nil, n, err
+		return m, n, err
 	}
-	m, err = wire.Unmarshal(*bp)
+	m, err = decodeRequest(*bp)
 	return m, n, err
 }
 

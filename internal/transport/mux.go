@@ -238,7 +238,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, m wire.Msg) (wire.Msg, error) 
 	// no intermediate payload allocation. The buffer (possibly grown by
 	// the append) goes back to the pool once written. Traced requests
 	// gain an envelope.
-	wp := marshalPooled(8, wrapTraced(ctx, m))
+	wp := marshalRequest(ctx, 8, m)
 	binary.LittleEndian.PutUint32((*wp)[0:4], uint32(len(*wp)-4))
 	binary.LittleEndian.PutUint32((*wp)[4:8], id)
 
@@ -516,7 +516,7 @@ func (t *TCP) serveMux(conn net.Conn) {
 	var resident atomic.Int32
 	overflow := func(w muxWork) {
 		defer t.wg.Done()
-		t.handleMux(from, w.id, w.msg, out, done)
+		t.handleMux(from, w.id, w.req, out, done)
 		if resident.Add(1) > muxHandlerWorkers {
 			resident.Add(-1)
 			return
@@ -525,7 +525,7 @@ func (t *TCP) serveMux(conn net.Conn) {
 		for {
 			select {
 			case w := <-work:
-				t.handleMux(from, w.id, w.msg, out, done)
+				t.handleMux(from, w.id, w.req, out, done)
 			case <-done:
 				return
 			}
@@ -549,7 +549,7 @@ func (t *TCP) serveMux(conn net.Conn) {
 			return
 		}
 		id := binary.LittleEndian.Uint32(frame[0:4])
-		msg, err := wire.Unmarshal(frame[4:])
+		req, err := decodeRequest(frame[4:])
 		putFrameBuf(bp)
 		if err != nil {
 			// Framing survived but the payload is garbage: report it on
@@ -558,10 +558,10 @@ func (t *TCP) serveMux(conn net.Conn) {
 			continue
 		}
 		select {
-		case work <- muxWork{id: id, msg: msg}:
+		case work <- muxWork{id: id, req: req}:
 		default:
 			t.wg.Add(1)
-			go overflow(muxWork{id: id, msg: msg})
+			go overflow(muxWork{id: id, req: req})
 			// Let the new handler (and any drained workers) run before
 			// reading further ahead of them; TCP flow control holds the
 			// backlog meanwhile.
@@ -573,14 +573,14 @@ func (t *TCP) serveMux(conn net.Conn) {
 // muxWork is one inbound frame awaiting a handler worker.
 type muxWork struct {
 	id  uint32
-	msg wire.Msg
+	req request
 }
 
 // handleMux runs one inbound frame's handler — on a resident worker or
 // an overflow goroutine, so the demux loop keeps reading while handlers
 // work — and queues the tagged response.
-func (t *TCP) handleMux(from ktypes.NodeID, id uint32, msg wire.Msg, out chan *[]byte, done chan struct{}) {
-	rp, err := serve(context.Background(), t.getHandler(), t.metrics(), from, msg, 9)
+func (t *TCP) handleMux(from ktypes.NodeID, id uint32, req request, out chan *[]byte, done chan struct{}) {
+	rp, err := serve(context.Background(), t.getHandler(), t.metrics(), from, req, 9)
 	if err != nil {
 		muxSend(muxErrFrame(id, err), out, done)
 		return

@@ -93,42 +93,55 @@ func marshalPooled(hdr int, m wire.Msg) *[]byte {
 	return bp
 }
 
+// marshalRequest is marshalPooled inside a trace envelope when ctx carries
+// a span context; untraced requests keep the pre-telemetry wire format.
+func marshalRequest(ctx context.Context, hdr int, m wire.Msg) *[]byte {
+	sc, ok := telemetry.FromContext(ctx)
+	if !ok {
+		return marshalPooled(hdr, m)
+	}
+	bp := getFrameBuf(hdr)
+	*bp = wire.AppendTraced(*bp, uint64(sc.Trace), uint64(sc.Span), m)
+	return bp
+}
+
+// request is an inbound message and its trace envelope's span context.
+type request struct {
+	msg    wire.Msg
+	sc     telemetry.SpanContext
+	traced bool
+}
+
+// decodeRequest decodes an inbound payload, unwrapping a trace envelope.
+func decodeRequest(b []byte) (request, error) {
+	m, trace, span, traced, err := wire.UnmarshalRequest(b)
+	return request{m, telemetry.SpanContext{Trace: telemetry.TraceID(trace), Span: telemetry.SpanID(span)}, traced}, err
+}
+
 // serve runs one inbound request through h and marshals the response into
 // a pooled buffer behind hdr bytes of header: the dispatch step both
-// transports share, so that on every path the frames msg and the response
-// hold are released by the time it returns — after the response is
-// serialized, as it may alias the inbound message's frame. A traced request
-// is unwrapped first and its handler's context carries the sender's span
-// context, so the handler's spans join the caller's trace. A nil h yields
-// ErrNoHandler; any other error is the handler's.
-func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.NodeID, msg wire.Msg, hdr int) (*[]byte, error) {
-	defer wire.Recycle(msg)
-	if t, ok := msg.(*wire.Traced); ok {
-		ctx = telemetry.ContextWith(ctx, telemetry.SpanContext{Trace: telemetry.TraceID(t.Trace), Span: telemetry.SpanID(t.Span)})
-		msg = t.Inner
+// transports share, so that on every path the frames the request and the
+// response hold are released by the time it returns — after the response
+// is serialized, as it may alias the inbound message's frame. A traced
+// request's handler context carries the sender's span context, so the
+// handler's spans join the caller's trace. A nil h yields ErrNoHandler;
+// any other error is the handler's.
+func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.NodeID, req request, hdr int) (*[]byte, error) {
+	defer wire.Recycle(req.msg)
+	if req.traced {
+		ctx = telemetry.ContextWith(ctx, req.sc)
 	}
 	if h == nil {
 		return nil, ErrNoHandler
 	}
 	tm.inflight.Add(1)
-	resp, err := h(ctx, from, msg)
+	resp, err := h(ctx, from, req.msg)
 	tm.inflight.Add(-1)
 	if err != nil {
 		return nil, err
 	}
 	defer wire.Recycle(resp)
 	return marshalPooled(hdr, resp), nil
-}
-
-// wrapTraced wraps m in a trace envelope when ctx carries a span context.
-// Untraced requests return m unchanged, so their encoding stays
-// byte-identical to the pre-telemetry wire format.
-func wrapTraced(ctx context.Context, m wire.Msg) wire.Msg {
-	sc, ok := telemetry.FromContext(ctx)
-	if !ok {
-		return m
-	}
-	return &wire.Traced{Trace: uint64(sc.Trace), Span: uint64(sc.Span), Inner: m}
 }
 
 // TelemetrySetter is implemented by transports that can report metrics

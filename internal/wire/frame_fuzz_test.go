@@ -50,8 +50,8 @@ func legacyPageGrantBatch(grants []PageGrantItem) []byte {
 
 // legacyTraced is the trace envelope's encoding as the two-step encoder
 // emitted it: the inner message marshaled on its own, then copied into the
-// envelope as a length-prefixed byte string. It stays as the oracle the
-// single-pass encoder is held to.
+// envelope as a length-prefixed byte string. It stays as the oracle
+// AppendTraced, which encodes in place, is held to.
 func legacyTraced(trace, span uint64, inner []byte) []byte {
 	b := legacyAppendU16(nil, uint16(KindTraced))
 	b = legacyAppendU64(b, trace)
@@ -61,10 +61,10 @@ func legacyTraced(trace, span uint64, inner []byte) []byte {
 
 // FuzzTracedEnvelope proves the trace-header compatibility contract. A
 // message marshaled without a span context is byte-identical to the legacy
-// (pre-telemetry) encoding with no envelope prefix. Wrapped, the
-// single-pass envelope is byte-identical to the legacy two-step one, for
-// the fuzzed grant and for every sample message, and decoding it yields the
-// inner message back with frames that recycle cleanly.
+// (pre-telemetry) encoding with no envelope prefix. Wrapped by AppendTraced,
+// the fuzzed grant and every sample message are byte-identical to the
+// legacy two-step envelope, and UnmarshalRequest yields the inner message
+// and IDs back with frames that recycle cleanly.
 func FuzzTracedEnvelope(f *testing.F) {
 	f.Add(true, []byte("page contents"), uint64(7), uint32(3), "", uint64(0xA), uint64(0xB))
 	f.Add(false, []byte{}, uint64(0), uint32(0), "conflict", uint64(1), uint64(2))
@@ -81,40 +81,52 @@ func FuzzTracedEnvelope(f *testing.F) {
 		}
 
 		for _, inner := range append(sampleMessages(), m) {
-			if inner.Kind() == KindTraced {
-				continue // envelopes do not nest
+			env := legacyTraced(trace, span, Marshal(inner))
+			// AppendTraced writes after whatever header dst already holds.
+			if got := AppendTraced([]byte{0xDE, 0xAD}, trace, span, inner); !bytes.Equal(got[2:], env) || got[0] != 0xDE {
+				t.Fatalf("%T: AppendTraced diverged from the two-step encoding:\n got %x\nwant %x", inner, got[2:], env)
 			}
-			env := Marshal(&Traced{Trace: trace, Span: span, Inner: inner})
-			if want := legacyTraced(trace, span, Marshal(inner)); !bytes.Equal(env, want) {
-				t.Fatalf("%T: single-pass envelope diverged from the two-step encoding:\n got %x\nwant %x", inner, env, want)
-			}
-			back, err := Unmarshal(env)
-			if err != nil {
-				t.Fatalf("%T: unmarshal envelope: %v", inner, err)
-			}
-			tr, isTraced := back.(*Traced)
-			if !isTraced {
-				t.Fatalf("%T: envelope decoded as %T", inner, back)
-			}
-			if tr.Trace != trace || tr.Span != span {
-				t.Fatalf("trace context did not round trip: got (%x,%x) want (%x,%x)",
-					tr.Trace, tr.Span, trace, span)
-			}
-			// The decoded inner message re-encodes to the same bytes, so
-			// nothing was lost or reordered inside the envelope.
-			if again := Marshal(tr.Inner); !bytes.Equal(again, Marshal(inner)) {
-				t.Fatalf("%T: inner message changed inside the envelope", inner)
-			}
-			held := heldFrames(tr.Inner)
-			Recycle(tr)
-			for _, fr := range held {
-				if fr.Refs() != 1 {
-					t.Fatalf("%T: recycling the envelope left a frame with %d refs, want 1", inner, fr.Refs())
-				}
-				fr.Release()
-			}
+			checkUnmarshalRequest(t, inner, env, trace, span)
 		}
 	})
+}
+
+// checkUnmarshalRequest decodes env, inner's trace envelope, with
+// UnmarshalRequest: it yields inner's bytes and the IDs with traced set, and
+// the message owns its frames alone. inner's own bytes decode as Unmarshal
+// decodes them, untraced.
+func checkUnmarshalRequest(t *testing.T, inner Msg, env []byte, trace, span uint64) {
+	t.Helper()
+	want := Marshal(inner)
+	m, gotTrace, gotSpan, traced, err := UnmarshalRequest(env)
+	if err != nil || !traced || gotTrace != trace || gotSpan != span {
+		t.Fatalf("%T: UnmarshalRequest of the envelope = (%x, %x, traced %v, %v), want (%x, %x, traced)", inner, gotTrace, gotSpan, traced, err, trace, span)
+	}
+	if again := Marshal(m); !bytes.Equal(again, want) {
+		t.Fatalf("%T: UnmarshalRequest changed the inner message", inner)
+	}
+	held := heldFrames(m)
+	Recycle(m)
+	for _, fr := range held {
+		if fr.Refs() != 1 {
+			t.Fatalf("%T: recycling the request left a frame with %d refs, want 1", inner, fr.Refs())
+		}
+		fr.Release()
+	}
+
+	plain, err := Unmarshal(want)
+	if err != nil {
+		t.Fatalf("%T: unmarshal: %v", inner, err)
+	}
+	m, gotTrace, gotSpan, traced, err = UnmarshalRequest(want)
+	if err != nil || traced || gotTrace != 0 || gotSpan != 0 {
+		t.Fatalf("%T: UnmarshalRequest of an untraced body = (%x, %x, traced %v, %v)", inner, gotTrace, gotSpan, traced, err)
+	}
+	if m.Kind() != plain.Kind() || !bytes.Equal(Marshal(m), Marshal(plain)) {
+		t.Fatalf("%T: UnmarshalRequest and Unmarshal disagree on an untraced body", inner)
+	}
+	Recycle(m)
+	Recycle(plain)
 }
 
 // heldFrames retains and returns every frame a decoded message's payloads
@@ -130,17 +142,43 @@ func heldFrames(m Msg) []*frame.Frame {
 }
 
 // TestTracedRejectsNestedAndEmpty: an envelope must wrap exactly one
-// non-envelope message.
+// non-envelope message, and is not a message Unmarshal accepts. An envelope
+// rejected for a stray byte after its inner message leaves no page frame
+// behind: rejecting one around a 64 KB page allocates no more than
+// rejecting one around an empty page.
 func TestTracedRejectsNestedAndEmpty(t *testing.T) {
-	inner := Marshal(&Traced{Trace: 1, Span: 2, Inner: &Ping{From: 1}})
-	if m, err := Unmarshal(legacyTraced(3, 4, inner)); err == nil {
-		t.Errorf("nested envelope decoded as %T", m)
+	inner := AppendTraced(nil, 1, 2, &Ping{From: 1})
+	if m, err := Unmarshal(inner); err == nil {
+		t.Errorf("Unmarshal decoded a trace envelope as %T", m)
 	}
-	if m, err := Unmarshal(legacyTraced(3, 4, nil)); err == nil {
-		t.Errorf("empty envelope decoded as %T", m)
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		{"nested envelope", legacyTraced(3, 4, inner)},
+		{"empty envelope", legacyTraced(3, 4, nil)},
+		{"envelope around an unknown kind", legacyTraced(3, 4, []byte{0xff, 0xff})},
+		{"envelope with a trailing byte", append(legacyTraced(3, 4, Marshal(&Ping{From: 1})), 0)},
+		{"truncated envelope", legacyTraced(3, 4, Marshal(&Ping{From: 1}))[:10]},
+	} {
+		if m, _, _, _, err := UnmarshalRequest(c.b); err == nil {
+			t.Errorf("%s decoded as %T", c.name, m)
+		}
 	}
-	if m, err := Unmarshal(legacyTraced(3, 4, []byte{0xff, 0xff})); err == nil {
-		t.Errorf("envelope around an unknown kind decoded as %T", m)
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; a released frame is seen by its reuse")
+	}
+	rejectAllocs := func(payload []byte) float64 {
+		pd := &PageData{Found: true, Version: 1, Data: payload}
+		b := append(legacyTraced(3, 4, Marshal(pd)), 0)
+		return testing.AllocsPerRun(100, func() {
+			if _, _, _, _, err := UnmarshalRequest(b); err == nil {
+				t.Fatal("an envelope with a trailing byte decoded")
+			}
+		})
+	}
+	if empty, page := rejectAllocs(nil), rejectAllocs(make([]byte, 64<<10)); page > empty {
+		t.Errorf("rejecting an envelope around a page allocates %.1f objects, %.1f around an empty one: its frame leaked", page, empty)
 	}
 }
 

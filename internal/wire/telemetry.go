@@ -2,7 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
+	"fmt"
 
 	"khazana/internal/enc"
 	"khazana/internal/ktypes"
@@ -151,60 +151,46 @@ func (m *StatsReply) decode(d *enc.Decoder) {
 	}
 }
 
-// Traced is the optional trace envelope. When a request context carries a
-// span context, the transport wraps the message in a Traced envelope; the
-// receiving transport unwraps it and hands the handler a context carrying
-// the sender's trace and span IDs. Messages sent without a span context
-// are never wrapped, so their encoding is byte-identical to the
-// pre-telemetry format (the frame fuzzers prove this).
+// The trace envelope is optional. When a request context carries a span
+// context, the transport encodes the request with AppendTraced; the
+// receiver's UnmarshalRequest hands back the inner message and the sender's
+// trace and span IDs. The envelope is never a message of its own. Requests
+// sent without a span context are never wrapped, so their encoding is
+// byte-identical to the pre-telemetry format (the frame fuzzers prove it).
 //
-// On the wire the envelope is the trace and span IDs, then the inner
-// message's own Marshal bytes behind a 32-bit length. encode writes them in
-// place and patches the length; decode decodes Inner eagerly, so a decoded
-// envelope never aliases the transport buffer it came from.
-type Traced struct {
-	Trace uint64
-	Span  uint64
-	// Inner is the wrapped message. It is never itself a Traced.
-	Inner Msg
+// On the wire the envelope is KindTraced, the trace and span IDs, then the
+// inner message's own Marshal bytes behind a 32-bit length.
+
+// AppendTraced appends m inside a trace envelope carrying trace and span
+// to dst, encoding m in place and patching its length.
+func AppendTraced(dst []byte, trace, span uint64, m Msg) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(KindTraced))
+	dst = binary.LittleEndian.AppendUint64(dst, trace)
+	dst = binary.LittleEndian.AppendUint64(dst, span)
+	at := len(dst)
+	dst = MarshalAppend(append(dst, 0, 0, 0, 0), m)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
 }
 
-// Kind implements Msg.
-func (*Traced) Kind() Kind { return KindTraced }
-
-func (m *Traced) encode(e *enc.Encoder) {
-	e.U64(m.Trace)
-	e.U64(m.Span)
-	at := e.Reserve32()
-	e.U16(uint16(m.Inner.Kind()))
-	m.Inner.encode(e)
-	e.Patch32(at)
-}
-
-func (m *Traced) decode(d *enc.Decoder) {
-	m.Trace = d.U64()
-	m.Span = d.U64()
+// UnmarshalRequest parses an inbound request: a message Unmarshal accepts,
+// or one inside a trace envelope, whose inner message and IDs it returns
+// with traced set. The inner message is decoded eagerly, so it never
+// aliases b. Unmarshal rejects KindTraced, so an envelope inside an
+// envelope — never sent — fails without recursing on hostile input.
+func UnmarshalRequest(b []byte) (m Msg, trace, span uint64, traced bool, err error) {
+	if len(b) < 2 || Kind(binary.LittleEndian.Uint16(b)) != KindTraced {
+		m, err = Unmarshal(b)
+		return m, 0, 0, false, err
+	}
+	d := enc.NewDecoder(b[2:])
+	trace, span = d.U64(), d.U64()
 	body := d.View32()
-	if d.Err() != nil {
-		return
+	if err := d.Finish(); err != nil {
+		return nil, 0, 0, false, fmt.Errorf("wire: decode trace envelope: %w", err)
 	}
-	// An envelope inside an envelope is never sent; refusing it bounds
-	// the decode recursion on hostile input.
-	if len(body) >= 2 && Kind(binary.LittleEndian.Uint16(body)) == KindTraced {
-		d.Fail(errors.New("wire: nested trace envelope"))
-		return
+	if m, err = Unmarshal(body); err != nil {
+		return nil, 0, 0, false, err
 	}
-	inner, err := Unmarshal(body)
-	if err != nil {
-		d.Fail(err)
-		return
-	}
-	m.Inner = inner
-}
-
-// ReleaseFrames implements FrameCarrier for the wrapped message.
-func (m *Traced) ReleaseFrames() {
-	if m != nil {
-		Recycle(m.Inner)
-	}
+	return m, trace, span, true, nil
 }

@@ -96,7 +96,7 @@ const (
 
 	KindStatsQuery
 	KindStatsReply
-	KindTraced
+	KindTraced // the trace envelope, not a message: see AppendTraced
 
 	KindUpdateBatch
 	KindUpdateBatchResp
@@ -160,7 +160,8 @@ func MarshalAppend(dst []byte, m Msg) []byte {
 	return out
 }
 
-// Unmarshal parses a message produced by Marshal.
+// Unmarshal parses a message produced by Marshal. A trace envelope is not a
+// message: it is rejected as an unknown kind (see UnmarshalRequest).
 func Unmarshal(b []byte) (Msg, error) {
 	d := decoders.Get().(*enc.Decoder)
 	d.Reset(b)
@@ -237,7 +238,6 @@ var factories = map[Kind]func() Msg{
 	KindReleaseBatchResp: func() Msg { return &ReleaseBatchResp{} },
 	KindStatsQuery:       func() Msg { return &StatsQuery{} },
 	KindStatsReply:       func() Msg { return &StatsReply{} },
-	KindTraced:           func() Msg { return &Traced{} },
 	KindUpdateBatch:      func() Msg { return &UpdateBatch{} },
 	KindUpdateBatchResp:  func() Msg { return &UpdateBatchResp{} },
 
@@ -1294,7 +1294,8 @@ func (m *ReleaseBatch) decode(d *enc.Decoder) {
 }
 
 // ReleaseBatchResp answers ReleaseBatch with a per-item error string in
-// request order; "" means that release was applied.
+// request order; "" means that release was applied. An empty list means
+// every page was released: a home lists errors only when a page fails.
 type ReleaseBatchResp struct {
 	Errs []string
 }

@@ -112,7 +112,6 @@ func sampleMessages() []Msg {
 				Name: "op.lock", StartUnixNano: 100, DurationNs: 250}},
 		},
 		&StatsReply{Node: 1},
-		&Traced{Trace: 0xABCD, Span: 0x1234, Inner: &Ping{From: 4, SentUnixNano: 99}},
 		&PageGrantBatch{
 			Grants: []PageGrantItem{
 				{OK: true, Data: []byte("page"), Version: 3, Owner: 1},
@@ -164,12 +163,10 @@ func sampleMessages() []Msg {
 }
 
 // frameSlots returns the unexported frame slot behind every payload m
-// carries, a trace envelope's inner message included.
+// carries.
 func frameSlots(m Msg) []**frame.Frame {
 	var slots []**frame.Frame
 	switch msg := m.(type) {
-	case *Traced:
-		return frameSlots(msg.Inner)
 	case *PageData:
 		slots = append(slots, &msg.dataFrame)
 	case *ReplicaPut:
@@ -222,26 +219,21 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 
 // TestDecodedMessagesNeverAliasInput pins the contract the transports'
 // buffer pools rest on: the reader recycles its buffer right after
-// Unmarshal, before any handler runs, so nothing a decoded message holds —
-// a trace envelope's inner message included — may point into the input.
+// decoding, before any handler runs, so nothing a decoded message holds —
+// plain or unwrapped from a trace envelope — may point into the input.
 func TestDecodedMessagesNeverAliasInput(t *testing.T) {
 	for _, m := range sampleMessages() {
-		forms := []Msg{m}
-		if m.Kind() != KindTraced {
-			forms = append(forms, &Traced{Trace: 1, Span: 2, Inner: m})
-		}
-		for _, form := range forms {
-			want := Marshal(form)
-			buf := append([]byte(nil), want...)
-			back, err := Unmarshal(buf)
+		want := Marshal(m)
+		for _, buf := range [][]byte{append([]byte(nil), want...), AppendTraced(nil, 1, 2, m)} {
+			back, _, _, traced, err := UnmarshalRequest(buf)
 			if err != nil {
-				t.Fatalf("%T: unmarshal: %v", form, err)
+				t.Fatalf("%T: unmarshal: %v", m, err)
 			}
 			for i := range buf {
 				buf[i] = 0xFF
 			}
 			if got := Marshal(back); !bytes.Equal(got, want) {
-				t.Errorf("%T (inner %T) changed when its input buffer was overwritten", form, m)
+				t.Errorf("%T (traced %v) changed when its input buffer was overwritten", m, traced)
 			}
 			Recycle(back)
 		}
