@@ -67,7 +67,7 @@ bench-scan:
 # alloc-gates runs the absolute allocation budgets without the race
 # detector (which defeats sync.Pool and skips them): the local lock cycle
 # (one object), the remote read batch, a remote 16-page read window (55
-# objects), grant marshalling, the replicated 8-page write (112 objects),
+# objects), grant marshalling, the replicated 8-page write (82 objects),
 # the region lifecycle cycle (180 objects), a span in a caller-owned slot
 # (0), the uncontended lock table (0), replog compaction (0), Unmarshal
 # (the message only, traced or not), a full hint cache taking a hint (0),

@@ -415,32 +415,20 @@ func TestLocalLockCycleAllocGate(t *testing.T) {
 	}
 }
 
-// TestReplicatedWriteAllocGate is the object budget of the replicated
-// release: on a 4-node cluster, one 8-page write cycle (Lock, eight
-// full-page Writes, Unlock) from a node outside a MinReplicas-3 region's
-// home list — one PageReqBatch, one ReleaseBatch, a replicated-log append
-// and one UpdateBatch per secondary — averages at most 112 objects and
-// 24 KB. It measures about 104 objects and 13 KB (118 while every RPC
-// built its trace envelope twice and release replies always listed an
-// error per page). A write grant that invalidated the
-// secondary homes' failover copies (two more RPCs and every page
-// re-inserted), a log that copied its retained tail on every commit,
-// per-lookup copyset clones, a heap-allocated decoder per message or the
-// envelopes coming back each break it.
-func TestReplicatedWriteAllocGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool discards entries under the race detector; the budgets assume pooled frames and buffers")
-	}
+// replicatedWriter builds a 4-node cluster with an 8-page MinReplicas-3
+// region and returns the cluster and one write cycle — Lock, eight
+// full-page Writes, Unlock — from the node outside the region's home list.
+func replicatedWriter(t *testing.T) (*khazana.Cluster, func(gen byte)) {
+	t.Helper()
 	c, err := khazana.NewCluster(4, khazana.WithStoreDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	ctx := context.Background()
 	const (
-		ps     = 4096
-		pages  = 8
-		cycles = 200
+		ps    = 4096
+		pages = 8
 	)
 	start, err := c.Node(1).Reserve(ctx, pages*ps, khazana.Attrs{MinReplicas: 3}, "bench")
 	if err != nil {
@@ -465,7 +453,7 @@ func TestReplicatedWriteAllocGate(t *testing.T) {
 	}
 	rng := khazana.Range{Start: start, Size: pages * ps}
 	page := make([]byte, ps)
-	cycle := func(gen byte) {
+	return c, func(gen byte) {
 		lk, err := writer.Lock(ctx, rng, khazana.LockWrite, "bench")
 		if err != nil {
 			t.Fatal(err)
@@ -480,6 +468,26 @@ func TestReplicatedWriteAllocGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestReplicatedWriteAllocGate is the object budget of the replicated
+// release: on a 4-node cluster, one 8-page write cycle (Lock, eight
+// full-page Writes, Unlock) from a node outside a MinReplicas-3 region's
+// home list — one PageReqBatch, one ReleaseBatch and one replicated-log
+// append per secondary carrying the entries and the pages' bytes —
+// averages at most 82 objects and 12 KB. It measures about 74 objects and
+// 10.4 KB (104 and 12.8 KB while the log append and the bytes went to each
+// secondary in two messages). A write grant that invalidated the
+// secondary homes' failover copies (two more RPCs and every page
+// re-inserted), a log that copied its retained tail on every commit,
+// per-lookup copyset clones, a heap-allocated decoder per message or a
+// second message per secondary each break it.
+func TestReplicatedWriteAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the budgets assume pooled frames and buffers")
+	}
+	_, cycle := replicatedWriter(t)
+	const cycles = 200
 	for i := 0; i < 100; i++ { // fill the log's tail, the pools and the maps
 		cycle(byte(i))
 	}
@@ -495,8 +503,28 @@ func TestReplicatedWriteAllocGate(t *testing.T) {
 		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/cycles)
 	}
 	t.Logf("replicated 8-page write cycle: %.2f objects, %.0f B", objects, bytes)
-	if objects > 112 || bytes > 24<<10 {
-		t.Fatalf("a replicated 8-page write cycle allocates %.2f objects / %.0f B, budget is 112 objects / 24 KB", objects, bytes)
+	if objects > 82 || bytes > 12<<10 {
+		t.Fatalf("a replicated 8-page write cycle allocates %.2f objects / %.0f B, budget is 82 objects / 12 KB", objects, bytes)
+	}
+}
+
+// TestReplicatedReleaseRoundTrips: the same write cycle makes exactly four
+// RPCs — the PageReqBatch and the ReleaseBatch to the home, and one
+// replicated-log append per secondary that carries the released pages
+// with the entries. Background traffic can only add to a cycle's count,
+// so the least of several cycles is the cycle's own.
+func TestReplicatedReleaseRoundTrips(t *testing.T) {
+	c, cycle := replicatedWriter(t)
+	cycle(0) // the writer learns the descriptor
+	least := uint64(math.MaxUint64)
+	for i := 1; i <= 10; i++ {
+		before, _ := c.Network.Stats()
+		cycle(byte(i))
+		after, _ := c.Network.Stats()
+		least = min(least, after-before)
+	}
+	if least != 4 {
+		t.Fatalf("a replicated 8-page write cycle makes %d RPCs, want 4", least)
 	}
 }
 

@@ -47,10 +47,8 @@ type Host interface {
 	// Telemetry returns the node's metrics registry; nil disables
 	// instrumentation (instruments resolved from nil are no-ops).
 	Telemetry() *telemetry.Registry
-	// Repl returns the node's replicated region-metadata log, or nil
-	// when log replication is disabled. The concrete pointer type (not
-	// an interface) keeps a nil *replog.Log comparable to nil here: a
-	// typed nil inside an interface would not be.
+	// Repl returns the node's replicated region-metadata log, never nil:
+	// a replicated region's releases reach its secondary homes through it.
 	Repl() *replog.Log
 }
 

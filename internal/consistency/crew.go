@@ -2,7 +2,9 @@ package consistency
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +23,8 @@ const (
 	// maxInvalidateFanout bounds concurrent InvalidateBatch RPCs (one per
 	// sharer) per grant batch.
 	maxInvalidateFanout = 8
-	// maxReplicateFanout bounds concurrent write-through UpdateBatch RPCs
-	// per release.
+	// maxReplicateFanout bounds concurrent UpdateBatch RPCs per eventual
+	// gossip round.
 	maxReplicateFanout = 8
 )
 
@@ -44,7 +46,7 @@ type CrewCM struct {
 	// invalFailures counts page invalidations that failed and pruned the
 	// sharer — each one is a copy some node may still hold stale.
 	invalFailures *telemetry.Counter
-	// updateBatchPages observes pages per write-through RPC.
+	// updateBatchPages observes pages per write-through message.
 	updateBatchPages *telemetry.Histogram
 
 	// pubMu guards published and serializes every version-chain call; it
@@ -209,7 +211,7 @@ type sharerInval struct {
 // A write grant never revokes the copy of a home listed in desc.Home; only
 // region teardown does. That copy is the region's failover copy (§3.5): it
 // stays the last committed version through the writer's hold, the release's
-// one UpdateBatch per replica refreshes it, and nobody reads it under a lock
+// one log append per replica refreshes it, and nobody reads it under a lock
 // without a grant — isHome is primary-only and every grant ships the page's
 // bytes.
 func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, modeOf func(int) ktypes.LockMode, requester ktypes.NodeID) (int, error) {
@@ -414,7 +416,6 @@ func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, page
 				replicated = append(replicated, p)
 			}
 		}
-		c.logReleases(ctx, desc, replicated)
 		c.replicate(ctx, desc, replicated)
 		return errs
 	}
@@ -572,99 +573,58 @@ func (c *CrewCM) homeSnapshot(desc *region.Descriptor, pages []gaddr.Addr, epoch
 	return out, epoch
 }
 
-// logReleases appends one ReplOpRelease delta per released dirty page to
-// the region's replicated metadata log before the release is acked, so a
-// standby that wins the failover election already knows each page's
-// committed version, owner, copyset, and publish epoch — closing the
-// §3.5 lost-release window for the common home-crash case. Only metadata
-// rides the log; page contents still travel the replicate() write-through
-// (one UpdateBatch RPC per replica, the E16 invariant). A disabled log or
-// a single-home region is a no-op.
-func (c *CrewCM) logReleases(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr) {
-	l := c.h.Repl()
-	if l == nil || len(pages) == 0 || len(desc.Home) < 2 {
-		return
-	}
-	epoch := c.pubEpoch.Load()
-	entries := make([]wire.ReplEntry, 0, len(pages))
-	for _, p := range pages {
-		entry, _ := c.h.Dir().Lookup(p)
-		entries = append(entries, wire.ReplEntry{
-			Op:    wire.ReplOpRelease,
-			Page:  p,
-			Val:   entry.Version,
-			Node:  entry.Owner,
-			Nodes: entry.Copyset,
-			Aux:   epoch,
-		})
-	}
-	// ErrNotLeader can surface during a failover race (this node was
-	// deposed between the grant and the release); the release itself
-	// still completed and the §3.5 background loops re-converge the
-	// metadata, so the error is not propagated to the releaser.
-	_ = l.Append(ctx, desc, entries...)
-}
-
-// replicate writes released dirty pages through to the region's secondary
-// homes: one UpdateBatch per replica covering every page of the release.
-// Each page's frame is loaded once and shared across the fan-out (every
-// SetFrame takes its own reference). Replication is best-effort — the
-// background replica maintenance loop (§3.5) re-pushes pages a secondary
-// missed. That loop skips copyset members, and write grants leave homes
-// listed, so a secondary that did not store a page leaves the copyset here.
+// replicate makes a release durable and writes it through in one round:
+// each secondary home gets one replicated-log append carrying a
+// ReplOpRelease entry per released page — version, owner, copyset and
+// publish epoch, what a standby that wins the failover election resumes
+// from (§3.5) — and the page's bytes, which it stores before it appends.
+// Each frame is loaded once and shared by every message. Write grants
+// leave homes listed and replica maintenance (§3.5) re-pushes only to
+// homes the copyset omits, so a secondary that did not ack leaves the
+// copyset; one that acked joins it unless a newer release moved the page.
 func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr) {
 	if len(pages) == 0 || len(desc.Home) < 2 {
 		return
 	}
-	self := c.h.Self()
-	type pageData struct {
-		page    gaddr.Addr
-		f       *frame.Frame
-		version uint64
-	}
-	data := make([]pageData, 0, len(pages))
+	self, epoch := c.h.Self(), c.pubEpoch.Load()
+	entries := make([]wire.ReplEntry, 0, len(pages))
+	items := make([]wire.UpdateItem, 0, len(pages))
 	for _, p := range pages {
-		//khazana:frame-owner released after the replication fan-out below
 		f, ok := c.h.LoadPage(p)
 		if !ok {
 			continue
 		}
-		entry, _ := c.h.Dir().Lookup(p)
-		data = append(data, pageData{page: p, f: f, version: entry.Version})
+		e, _ := c.h.Dir().Lookup(p)
+		entries = append(entries, wire.ReplEntry{Op: wire.ReplOpRelease, Page: p, Val: e.Version, Node: e.Owner, Nodes: e.Copyset, Aux: epoch})
+		items = append(items, wire.UpdateItem{Page: p, Version: e.Version, Origin: self})
+		items[len(items)-1].SetFrame(f)
+		f.Release()
 	}
-	if len(data) == 0 {
+	if len(items) == 0 {
 		return
 	}
-	var targets []ktypes.NodeID
-	for _, n := range desc.Home {
-		if n != self {
-			targets = append(targets, n)
+	// ErrNotLeader can surface during a failover race (this node was
+	// deposed between the grant and the release); the release itself
+	// still completed and the §3.5 background loops re-converge, so the
+	// error is not propagated; the copysets still follow who acked.
+	acked, err := c.h.Repl().AppendPages(ctx, desc, items, entries...)
+	if err == nil {
+		for range len(desc.Home) - 1 { // one per message sent
+			c.updateBatchPages.Observe(uint64(len(items)))
 		}
 	}
-	FanOut(targets, maxReplicateFanout, func(n ktypes.NodeID) {
-		batch := &wire.UpdateBatch{From: self, Items: make([]wire.UpdateItem, len(data))}
-		for i, pd := range data {
-			batch.Items[i] = wire.UpdateItem{Page: pd.page, Version: pd.version, Origin: self}
-			batch.Items[i].SetFrame(pd.f)
-		}
-		c.updateBatchPages.Observe(uint64(len(data)))
-		resp, err := c.h.Request(ctx, n, batch)
-		batch.ReleaseFrames()
-		r, _ := resp.(*wire.UpdateBatchResp)
-		for i, pd := range data {
-			stored := err == nil && r != nil && i < len(r.Errs) && r.Errs[i] == ""
-			c.h.Dir().Update(pd.page, func(e *pagedir.Entry) {
-				if !stored {
+	for _, it := range items {
+		c.h.Dir().Update(it.Page, func(e *pagedir.Entry) {
+			for _, n := range desc.Home {
+				switch {
+				case n == self:
+				case !slices.Contains(acked, n):
 					e.RemoveSharer(n)
-				} else if e.Version == pd.version {
-					// A newer release's write-through decides n's listing.
+				case e.Version == it.Version:
 					e.AddSharer(n)
 				}
-			})
-		}
-	})
-	for _, pd := range data {
-		pd.f.Release()
+			}
+		})
 	}
 }
 
@@ -675,8 +635,8 @@ func (c *CrewCM) Handle(ctx context.Context, desc *region.Descriptor, from ktype
 		return c.handlePageReqBatch(ctx, desc, msg)
 	case *wire.ReleaseBatch:
 		return c.handleReleaseBatch(ctx, desc, msg)
-	case *wire.UpdateBatch:
-		return c.handleUpdateBatch(desc, from, msg)
+	case *wire.ReplAppend:
+		return c.handleReplAppend(from, msg), nil
 	case *wire.InvalidateBatch:
 		c.handleInvalidateBatch(msg)
 		return &wire.Ack{}, nil
@@ -793,48 +753,59 @@ func (c *CrewCM) handleReleaseBatch(ctx context.Context, desc *region.Descriptor
 			replicated = append(replicated, it.Page)
 		}
 	}
-	c.logReleases(ctx, desc, replicated)
 	c.replicate(ctx, desc, replicated)
 	return resp, nil
 }
 
-// handleUpdateBatch applies a batched write-through at a secondary home:
-// every page is stored and its directory entry refreshed when the pushed
-// version is at least as new as the local one, mirroring the per-page
-// ReplicaPut semantics.
-func (c *CrewCM) handleUpdateBatch(desc *region.Descriptor, from ktypes.NodeID, msg *wire.UpdateBatch) (wire.Msg, error) {
-	_ = desc
+// handleReplAppend is a secondary home's side of a replicated release:
+// the pages are stored first, so the entries naming them are appended —
+// and acked — only once their bytes are here. An append from a stale term
+// stores nothing, and a failed store NACKs without appending.
+func (c *CrewCM) handleReplAppend(from ktypes.NodeID, msg *wire.ReplAppend) wire.Msg {
+	l := c.h.Repl()
+	if _, term := l.Leader(msg.Region); msg.Term < term {
+		return l.HandleAppend(msg)
+	}
+	for i := range msg.Pages {
+		if err := c.storeUpdate(from, &msg.Pages[i]); err != nil {
+			return &wire.ReplAck{Term: msg.Term, Err: err.Error()}
+		}
+	}
+	return l.HandleAppend(msg)
+}
+
+// storeUpdate installs one page of a release's append at a secondary,
+// comparing before it stores: a page older than the version held here is
+// skipped, so a late write-through never overwrites newer bytes. The
+// page's push lock makes compare, store and label one step.
+func (c *CrewCM) storeUpdate(from ktypes.NodeID, it *wire.UpdateItem) error {
+	mu := c.h.Dir().PushLock(it.Page)
+	mu.Lock()
+	defer mu.Unlock()
+	if e, _ := c.h.Dir().Lookup(it.Page); it.Version < e.Version {
+		return nil
+	}
+	f := it.TakeFrame()
+	if f == nil {
+		return errors.New("update without contents")
+	}
+	err := c.h.StorePage(it.Page, f)
+	f.Release()
+	if err != nil {
+		return err
+	}
 	self := c.h.Self()
-	resp := &wire.UpdateBatchResp{
-		Errs:     make([]string, len(msg.Items)),
-		Versions: make([]uint64, len(msg.Items)),
-	}
-	for i := range msg.Items {
-		it := &msg.Items[i]
-		f := it.TakeFrame()
-		if f == nil {
-			resp.Errs[i] = "update without contents"
-			continue
-		}
-		err := c.h.StorePage(it.Page, f)
-		f.Release()
-		if err != nil {
-			resp.Errs[i] = err.Error()
-			continue
-		}
-		c.h.Dir().Update(it.Page, func(e *pagedir.Entry) {
-			if it.Version >= e.Version {
-				e.Version = it.Version
-				if e.State != pagedir.Owned {
-					e.State = pagedir.Shared
-				}
+	c.h.Dir().Update(it.Page, func(e *pagedir.Entry) {
+		if it.Version >= e.Version {
+			e.Version = it.Version
+			if e.State != pagedir.Owned {
+				e.State = pagedir.Shared
 			}
-			e.AddSharer(self)
-			e.AddSharer(from)
-		})
-		resp.Versions[i] = it.Version
-	}
-	return resp, nil
+		}
+		e.AddSharer(self)
+		e.AddSharer(from)
+	})
+	return nil
 }
 
 // handlePageFetch serves a copy of a locally resident page; it is shared

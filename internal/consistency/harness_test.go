@@ -42,6 +42,15 @@ type testHost struct {
 
 	// failStore, when set, makes StorePage of the pages it reports fail.
 	failStore func(gaddr.Addr) bool
+	// storing, when set, sees every StorePage before it takes effect.
+	storing func(gaddr.Addr, *frame.Frame)
+
+	// repl is the host's replicated log, routed over net like a node's.
+	repl *replog.Log
+
+	// intercept, when set, sees every inbound message first; a non-nil
+	// error drops the message and is what its sender sees.
+	intercept func(from ktypes.NodeID, m wire.Msg) error
 }
 
 var _ Host = (*testHost)(nil)
@@ -63,6 +72,9 @@ func (h *testHost) LoadPage(page gaddr.Addr) (*frame.Frame, bool) {
 }
 
 func (h *testHost) StorePage(page gaddr.Addr, f *frame.Frame) error {
+	if h.storing != nil {
+		h.storing(page, f)
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.failStore != nil && h.failStore(page) {
@@ -86,9 +98,7 @@ func (h *testHost) DropPage(page gaddr.Addr) {
 	}
 }
 
-// Repl returns nil: the harness exercises CMs without log replication,
-// the crew_replog tests cover the append-before-ack path.
-func (h *testHost) Repl() *replog.Log { return nil }
+func (h *testHost) Repl() *replog.Log { return h.repl }
 
 func (h *testHost) Dir() *pagedir.Dir              { return h.dir }
 func (h *testHost) Locks() *LockTable              { return h.locks }
@@ -122,6 +132,11 @@ func pageOf(m wire.Msg) (gaddr.Addr, bool) {
 			return gaddr.Addr{}, false
 		}
 		return msg.Items[0].Page, true
+	case *wire.ReplAppend:
+		if len(msg.Pages) == 0 {
+			return gaddr.Addr{}, false
+		}
+		return msg.Pages[0].Page, true
 	case *wire.SnapshotReqBatch:
 		if len(msg.Pages) == 0 {
 			return gaddr.Addr{}, false
@@ -131,7 +146,27 @@ func pageOf(m wire.Msg) (gaddr.Addr, bool) {
 	return gaddr.Addr{}, false
 }
 
+// handle routes inbound traffic as a node does: a release's append and
+// other CM traffic to the CM of the page's region, the rest of the log's
+// traffic to the log.
 func (h *testHost) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
+	if h.intercept != nil {
+		if err := h.intercept(from, m); err != nil {
+			return nil, err
+		}
+	}
+	return h.route(ctx, from, m)
+}
+
+func (h *testHost) route(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
+	switch msg := m.(type) {
+	case *wire.ReplAppend:
+		if len(msg.Pages) == 0 {
+			return h.repl.HandleAppend(msg), nil
+		}
+	case *wire.ReplPromote:
+		return h.repl.HandleVote(msg), nil
+	}
 	page, ok := pageOf(m)
 	if !ok {
 		return nil, fmt.Errorf("testHost: unroutable %T", m)
@@ -166,6 +201,7 @@ func cluster(t *testing.T, n int, descs ...*region.Descriptor) []*testHost {
 			pages: make(map[gaddr.Addr]*frame.Frame),
 			descs: descs,
 		}
+		h.repl = replog.New(replog.Config{Self: id, Send: tr.Request})
 		h.cms = reg.Build(h)
 		tr.SetHandler(h.handle)
 		hosts[i] = h

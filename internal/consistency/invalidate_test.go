@@ -282,7 +282,7 @@ func replicatedDesc(pages int) *region.Descriptor {
 // no InvalidateBatch at all; a non-home reader costs exactly one, to that
 // reader. The secondaries keep their committed copies through the hold,
 // stay in the copyset across grant, release and write-through, and the
-// release's UpdateBatch brings them the new contents.
+// release's log append brings them the new contents.
 func TestWriteGrantSparesListedHomes(t *testing.T) {
 	const pageCount = 16
 	for _, tc := range []struct {
@@ -423,7 +423,7 @@ func TestHomeLeavingListIsInvalidated(t *testing.T) {
 }
 
 // TestFailedWriteThroughLeavesCopyset: write grants keep the listed homes
-// in the copyset, so a secondary whose UpdateBatch fails must leave it —
+// in the copyset, so a secondary whose write-through fails must leave it —
 // replica maintenance re-pushes only to homes the copyset does not list.
 // The next write-through that reaches it lists it again.
 func TestFailedWriteThroughLeavesCopyset(t *testing.T) {

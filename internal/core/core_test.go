@@ -501,6 +501,33 @@ func TestReplicaMaintenanceAndFailover(t *testing.T) {
 	}
 }
 
+// TestLateReplicaPutKeepsNewerBytes: a replica push older than the version
+// a node holds — a late maintenance or migration push — is acknowledged
+// but neither stores its bytes nor moves the page's label back.
+func TestLateReplicaPutKeepsNewerBytes(t *testing.T) {
+	_, nodes := testCluster(t, 2)
+	ctx := context.Background()
+	start := mkRegion(t, nodes[0], 4096, region.Attrs{}, "")
+	push := func(version uint64, fill byte) {
+		t.Helper()
+		put := &wire.ReplicaPut{Page: start, Data: bytes.Repeat([]byte{fill}, 4096), Version: version, From: 1}
+		if resp, err := nodes[0].Request(ctx, 2, put); err != nil {
+			t.Fatalf("push of v%d: %v", version, err)
+		} else if ack, ok := resp.(*wire.Ack); !ok || ack.Err != "" {
+			t.Fatalf("push of v%d answered %+v", version, resp)
+		}
+	}
+	push(5, 0x55)
+	push(4, 0x44) // late
+	got, ok := nodes[1].Store().GetCopy(start)
+	if !ok {
+		t.Fatal("replica holds no copy")
+	}
+	if e, _ := nodes[1].PageDir().Lookup(start); got[0] != 0x55 || e.Version != 5 {
+		t.Fatalf("replica holds %#x labeled v%d after a late push, want 0x55 labeled v5", got[0], e.Version)
+	}
+}
+
 func TestEvictionToDiskAndBack(t *testing.T) {
 	_, nodes := testCluster(t, 1, func(i int, cfg *Config) {
 		cfg.MemPages = 4

@@ -262,3 +262,58 @@ func TestMissedWriteThroughRepairedByMaintenance(t *testing.T) {
 		t.Fatalf("secondary %v at version %d after maintenance, primary at %d", missed.cfg.ID, me.Version, pe.Version)
 	}
 }
+
+// TestTwoHomeTakeoverWritesThrough: a two-home region has no ballot
+// majority without its dead primary, so the survivor takes over without an
+// election; it still leads the region's log, so once the old home is back
+// the survivor's next release reaches it in that release's own append,
+// without a replica-maintenance round.
+func TestTwoHomeTakeoverWritesThrough(t *testing.T) {
+	net, nodes := testCluster(t, 3)
+	ctx := context.Background()
+	start := mkRegion(t, nodes[1], 4096, region.Attrs{MinReplicas: 2}, "alice")
+	nodes[1].SendHeartbeat()
+	nodes[1].MaintainReplicas()
+	d := nodes[1].authDescByStart(start)
+	if d == nil || len(d.Home) != 2 {
+		t.Fatalf("home list = %v, want 2 homes", d)
+	}
+	rng := gaddr.Range{Start: start, Size: 4096}
+	write := func(n *Node, data string) {
+		t.Helper()
+		lc, err := n.Lock(ctx, rng, ktypes.LockWrite, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Write(lc, start, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Unlock(ctx, lc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(nodes[1], "before the crash")
+
+	old, survivor := nodes[d.Home[0]-1], nodes[d.Home[1]-1]
+	net.Crash(old.cfg.ID)
+	if nd := survivor.promoteLocal(ctx, start); nd == nil {
+		t.Fatal("promotion failed")
+	}
+	if leader, _ := survivor.Repl().Leader(start); leader != survivor.cfg.ID {
+		t.Fatalf("log leader after the takeover = %v, want the survivor %v", leader, survivor.cfg.ID)
+	}
+	net.Restart(old.cfg.ID)
+	const want = "after the takeover"
+	write(survivor, want)
+
+	f, ok := old.Store().Get(start)
+	if !ok {
+		t.Fatalf("old home %v holds no copy", old.cfg.ID)
+	}
+	got := string(f.Bytes()[:len(want)])
+	f.Release()
+	se, _ := survivor.dir.Lookup(start)
+	if oe, _ := old.dir.Lookup(start); got != want || oe.Version != se.Version {
+		t.Fatalf("old home %v holds %q at v%d, want %q at the survivor's v%d", old.cfg.ID, got, oe.Version, want, se.Version)
+	}
+}

@@ -80,6 +80,9 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 
 	// --- replicated region-metadata log ------------------------------------
 	case *wire.ReplAppend:
+		if len(msg.Pages) > 0 { // a release's: its CM stores the pages first
+			return n.handleCM(ctx, from, msg.Pages[0].Page, m)
+		}
 		return n.repl.HandleAppend(msg), nil
 	case *wire.ReplPromote:
 		return n.repl.HandleVote(msg), nil
@@ -290,10 +293,16 @@ func (n *Node) handleRegionLookup(msg *wire.RegionLookup) *wire.RegionInfo {
 	return &wire.RegionInfo{Found: false}
 }
 
-// handleReplicaPut installs a pushed replica page. The inbound frame is
-// taken off the message (zero-copy when the transport decoded into a
-// frame) and handed to the store.
+// handleReplicaPut installs a pushed replica page, under its push lock,
+// unless it is older than the version held here. The inbound frame is
+// taken off the message (zero-copy when decoded into a frame).
 func (n *Node) handleReplicaPut(msg *wire.ReplicaPut) (wire.Msg, error) {
+	mu := n.dir.PushLock(msg.Page)
+	mu.Lock()
+	defer mu.Unlock()
+	if e, _ := n.dir.Lookup(msg.Page); msg.Version < e.Version {
+		return &wire.Ack{}, nil
+	}
 	f := msg.TakeFrame()
 	if f == nil {
 		return nil, fmt.Errorf("core: replica put %v: no data", msg.Page)

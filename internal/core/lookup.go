@@ -385,12 +385,15 @@ func (n *Node) promoteFlight(ctx context.Context, start gaddr.Addr) *region.Desc
 	// primary, so the candidate must win an election before taking over —
 	// the term number fences off any deposed primary that comes back. A
 	// two-home region cannot form a quorum without its dead primary and
-	// keeps the legacy ad-hoc takeover below.
+	// keeps the legacy ad-hoc takeover below, taking the log's leadership
+	// unelected so its releases still reach the other home.
 	if len(snap.Home) >= 3 {
 		if !n.campaignFor(ctx, snap) {
 			return nil
 		}
 		n.replayRepl(start)
+	} else {
+		n.repl.Seize(start)
 	}
 
 	var homes []ktypes.NodeID

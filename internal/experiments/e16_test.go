@@ -9,8 +9,8 @@ import (
 func TestE16WriteThrough(t *testing.T) { runAndCheck(t, "E16", E16WriteThrough) }
 
 // TestE16WriteThroughGate enforces the write-through bar in CI: every
-// multi-page release must write through with exactly one update RPC per
-// replica. The count is deterministic, but the run is heavier than a unit
+// multi-page release must write through with exactly one RPC per replica,
+// and those must be its only RPCs. The count is deterministic, but the run is heavier than a unit
 // test, so the gate only arms when the bench-smoke leg sets
 // KHAZANA_E16_GATE=1; the plain test suite checks the same shape via
 // TestE16WriteThrough.
@@ -24,11 +24,11 @@ func TestE16WriteThroughGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := uint64(e16WriteCycles * e16Secondaries)
-	t.Logf("write-through: %d update RPCs for %d releases to %d replicas",
-		batched.updateRPCs, e16WriteCycles, e16Secondaries)
-	if batched.updateRPCs != want {
-		t.Fatalf("batched write-through sent %d update RPCs, want exactly %d (one per replica per release)",
-			batched.updateRPCs, want)
+	t.Logf("write-through: %d update RPCs, %d RPCs in all, for %d releases to %d replicas",
+		batched.updateRPCs, batched.requests, e16WriteCycles, e16Secondaries)
+	if batched.updateRPCs != want || batched.requests != want {
+		t.Fatalf("batched write-through sent %d update RPCs and %d in all, want exactly %d of each (one per replica per release)",
+			batched.updateRPCs, batched.requests, want)
 	}
 }
 

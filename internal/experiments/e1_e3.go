@@ -54,7 +54,9 @@ func E1Figure1(cfg Config) (Result, error) {
 		Detail: "physical copies on n3 (home) and n5 (cached replica)"})
 
 	// Node 1 accesses the data: Khazana is responsible for locating a
-	// copy and providing it to the requester.
+	// copy and providing it to the requester. The accesses are judged by
+	// the RPCs they make: one timing swings with load.
+	reqs0, _ := c.Network.Stats()
 	firstDur, err := timeOp(func() error {
 		data, err := readOnce(ctx, c.Node(1), start, 4096)
 		if err != nil {
@@ -68,6 +70,7 @@ func E1Figure1(cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	reqs1, _ := c.Network.Stats()
 	repeatDur, err := timeOp(func() error {
 		_, err := readOnce(ctx, c.Node(1), start, 4096)
 		return err
@@ -75,9 +78,11 @@ func E1Figure1(cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	reqs2, _ := c.Network.Stats()
+	firstRPCs, repeatRPCs := reqs1-reqs0, reqs2-reqs1
 	res.Rows = append(res.Rows,
-		Row{Name: "n1 first access", Value: fmtDur(firstDur), Detail: "descriptor lookup + remote page fetch"},
-		Row{Name: "n1 repeat access", Value: fmtDur(repeatDur), Detail: "region directory hit + CREW read grant"},
+		Row{Name: "n1 first access", Value: fmtDur(firstDur), Detail: fmt.Sprintf("%d RPCs: descriptor lookup + remote page fetch", firstRPCs)},
+		Row{Name: "n1 repeat access", Value: fmtDur(repeatDur), Detail: fmt.Sprintf("%d RPCs: region directory hit + CREW read grant", repeatRPCs)},
 	)
 	// Every node can access the region (location transparency).
 	okFrom := 0
@@ -87,7 +92,7 @@ func E1Figure1(cfg Config) (Result, error) {
 		}
 	}
 	res.Rows = append(res.Rows, Row{Name: "nodes with access", Value: fmt.Sprintf("%d/5", okFrom)})
-	res.Pass = okFrom == 5 && copies == 2 && repeatDur < firstDur
+	res.Pass = okFrom == 5 && copies == 2 && repeatRPCs < firstRPCs
 	return res, nil
 }
 

@@ -129,6 +129,13 @@ func (e *Entry) setCopyset(drop func(ktypes.NodeID) bool, add ...ktypes.NodeID) 
 type Dir struct {
 	mu      sync.Mutex
 	entries map[gaddr.Addr]*Entry
+	pushMu  [64]sync.Mutex // stripes PushLock
+}
+
+// PushLock returns page's lock for installing a pushed copy, held across
+// the version check, the store and the label so racing pushes serialize.
+func (d *Dir) PushLock(page gaddr.Addr) *sync.Mutex {
+	return &d.pushMu[(page.Hi^page.Lo>>12)%uint64(len(d.pushMu))]
 }
 
 // New creates an empty page directory.

@@ -15,9 +15,9 @@
 // heartbeats (appends double as lease refreshes; elections are only
 // triggered by the existing unreachable-home detection in the client
 // retry path), and a log-up-to-date vote rule that steers leadership
-// to the most current standby. Page contents never ride the log —
-// they travel on the ordinary replication data path — so the log stays
-// compact and the E16 one-update-RPC-per-replica invariant holds.
+// to the most current standby. A release's append carries the released
+// pages' bytes too, which a standby stores before it appends; the log
+// retains only entries, and catch-up appends carry no pages.
 package replog
 
 import (
@@ -258,24 +258,32 @@ func (rl *regionLog) compactLocked() int {
 	return drop
 }
 
-// Append appends entries to the region's log as its leader, replicates
-// them to the other listed homes, and returns once a majority of the
-// home list (counting self) holds them. Entries need only Op and the
-// op's payload fields; Index, Term, and Region are stamped here. A
-// single-home region commits immediately with no network. If quorum
-// is not reached within ackTimeout the entries commit locally anyway
-// (degraded mode, counted) — Khazana favors availability here, and the
-// log-up-to-date election rule keeps a lagging standby from winning
-// leadership over a current one. Returns ErrNotLeader when another
-// node holds the region's leadership.
+// Append is AppendPages without pages.
 func (l *Log) Append(ctx context.Context, desc *region.Descriptor, entries ...wire.ReplEntry) error {
+	_, err := l.AppendPages(ctx, desc, nil, entries...)
+	return err
+}
+
+// AppendPages appends entries to the region's log as its leader, sends
+// them with pages (the contents they name; the log takes over the frame
+// references) to the other listed homes, one message each, and returns
+// the followers that acked once a majority of the home list (counting
+// self) holds them. Entries need only Op and the op's payload fields;
+// Index, Term, and Region are stamped here. A single-home region commits
+// immediately with no network. If quorum is not reached within ackTimeout
+// the entries commit locally anyway (degraded mode, counted) — Khazana
+// favors availability here, and the log-up-to-date election rule keeps a
+// lagging standby from winning leadership over a current one. Returns
+// ErrNotLeader when another node holds the region's leadership.
+func (l *Log) AppendPages(ctx context.Context, desc *region.Descriptor, pages []wire.UpdateItem, entries ...wire.ReplEntry) ([]ktypes.NodeID, error) {
 	if len(entries) == 0 {
-		return nil
+		wire.ReleaseItems(pages)
+		return nil, nil
 	}
 	rl := l.region(desc.Range.Start)
 	// appendMu is held across the follower RPCs below: per-region
-	// appends must replicate in index order, and the quorum wait is
-	// the entire point of the critical section.
+	// appends — and so their pages — must replicate in index order, and
+	// the quorum wait is the entire point of the critical section.
 	rl.appendMu.Lock() //khazana:block-ok serializes per-region appends across quorum RPCs
 	defer rl.appendMu.Unlock()
 
@@ -294,7 +302,8 @@ func (l *Log) Append(ctx context.Context, desc *region.Descriptor, entries ...wi
 			}
 		} else {
 			rl.mu.Unlock()
-			return ErrNotLeader
+			wire.ReleaseItems(pages)
+			return nil, ErrNotLeader
 		}
 	}
 	term := rl.term
@@ -321,20 +330,22 @@ func (l *Log) Append(ctx context.Context, desc *region.Descriptor, entries ...wi
 	}
 	quorum := len(desc.Home)/2 + 1
 	needed := quorum - 1 // acks beyond self
-	deposedBy := uint64(0)
+	deposedBy, maxTerm, acked := uint64(0), uint64(0), []ktypes.NodeID(nil)
 	if needed > 0 && len(followers) > 0 {
 		msg := &wire.ReplAppend{
 			Region: desc.Range.Start, From: l.self, Term: term,
 			PrevIndex: prevIdx, PrevTerm: prevTerm, Commit: commit,
-			Entries: entries,
+			Entries: entries, Pages: pages,
 		}
 		//khazana:block-ok per-region appends must replicate in index order; the quorum wait is the critical section's point
-		acks, maxTerm := l.replicate(ctx, rl, followers, msg, term)
+		acked, maxTerm = l.replicate(ctx, rl, followers, msg, term)
 		if maxTerm > term {
 			deposedBy = maxTerm
-		} else if acks < needed {
+		} else if len(acked) < needed {
 			l.degraded.Add(1)
 		}
+	} else {
+		wire.ReleaseItems(pages)
 	}
 
 	rl.mu.Lock()
@@ -346,7 +357,7 @@ func (l *Log) Append(ctx context.Context, desc *region.Descriptor, entries ...wi
 			rl.leader = 0
 		}
 		rl.mu.Unlock()
-		return ErrNotLeader
+		return acked, ErrNotLeader
 	}
 	var dropped int
 	if rl.term == term && rl.leader == l.self {
@@ -357,17 +368,23 @@ func (l *Log) Append(ctx context.Context, desc *region.Descriptor, entries ...wi
 		l.addTail(-dropped)
 	}
 	l.commitLat.ObserveSince(start)
-	return nil
+	return acked, nil
 }
 
+// errLogGap is the one NACK a catch-up repairs.
+const errLogGap = "log gap"
+
 // replicate ships one append to every follower in parallel and returns
-// how many acked plus the highest term seen in replies. A follower
-// that rejects for a log gap is caught up with a state snapshot and
-// the full uncommitted tail in one retry.
-func (l *Log) replicate(ctx context.Context, rl *regionLog, followers []ktypes.NodeID, msg *wire.ReplAppend, term uint64) (int, uint64) {
+// the followers that acked (filtered in place from followers) plus the
+// highest term seen in replies. A follower that rejects for a log gap has
+// stored the append's pages already and is caught up, without them, with
+// a state snapshot and the full uncommitted tail in one retry. msg's
+// frames are released once no send can still read them.
+func (l *Log) replicate(ctx context.Context, rl *regionLog, followers []ktypes.NodeID, msg *wire.ReplAppend, term uint64) ([]ktypes.NodeID, uint64) {
 	tctx, cancel := context.WithTimeout(ctx, ackTimeout)
 	defer cancel()
 	type result struct {
+		node ktypes.NodeID
 		ok   bool
 		term uint64
 	}
@@ -376,44 +393,43 @@ func (l *Log) replicate(ctx context.Context, rl *regionLog, followers []ktypes.N
 		f := f
 		go func() {
 			reply, err := l.send(tctx, f, msg)
-			ack, isAck := reply.(*wire.ReplAck)
-			if err != nil || !isAck {
-				ch <- result{}
-				return
+			if ack, _ := reply.(*wire.ReplAck); err == nil && ack != nil && !ack.OK && ack.Term <= term && ack.Err == errLogGap {
+				// Log gap at the follower: catch it up with a snapshot of
+				// the committed state plus the entire uncommitted tail.
+				reply, err = l.send(tctx, f, l.catchupMsg(rl, msg, term))
 			}
-			if ack.OK || ack.Term > term {
-				ch <- result{ok: ack.OK, term: ack.Term}
-				return
-			}
-			// Log gap at the follower: catch it up with a snapshot of
-			// the committed state plus the entire uncommitted tail.
-			cu := l.catchupMsg(rl, msg, term)
-			reply, err = l.send(tctx, f, cu)
+			r := result{node: f}
 			if ack, isAck := reply.(*wire.ReplAck); err == nil && isAck {
-				ch <- result{ok: ack.OK, term: ack.Term}
-				return
+				r.ok, r.term = ack.OK, ack.Term
 			}
-			ch <- result{}
+			ch <- r
 		}()
 	}
-	acks, maxTerm := 0, uint64(0)
-	for i := 0; i < len(followers); i++ {
+	acked, maxTerm, answered := followers[:0], uint64(0), 0
+collect:
+	for answered < len(followers) && maxTerm <= term {
 		select {
 		case r := <-ch:
+			answered++
 			if r.ok {
-				acks++
+				acked = append(acked, r.node)
 			}
-			if r.term > maxTerm {
-				maxTerm = r.term
-			}
+			maxTerm = max(maxTerm, r.term)
 		case <-tctx.Done():
-			return acks, maxTerm
-		}
-		if maxTerm > term {
-			return acks, maxTerm
+			break collect
 		}
 	}
-	return acks, maxTerm
+	if answered == len(followers) {
+		msg.ReleaseFrames()
+		return acked, maxTerm
+	}
+	go func(left int) { // stragglers of a timeout or a deposing reply
+		for ; left > 0; left-- {
+			<-ch
+		}
+		msg.ReleaseFrames()
+	}(len(followers) - answered)
+	return acked, maxTerm
 }
 
 // catchupMsg builds a snapshot-bearing append: committed state cut at
@@ -436,8 +452,8 @@ func (l *Log) catchupMsg(rl *regionLog, base *wire.ReplAppend, term uint64) *wir
 	}
 }
 
-// HandleAppend applies a leader's append on a follower and returns the
-// ack. Exported for the node's RPC dispatch.
+// HandleAppend applies a leader's append, its pages already stored, on a
+// follower and returns the ack. Exported for the node's RPC dispatch.
 func (l *Log) HandleAppend(m *wire.ReplAppend) *wire.ReplAck {
 	rl := l.region(m.Region)
 	rl.mu.Lock()
@@ -473,7 +489,7 @@ func (l *Log) HandleAppend(m *wire.ReplAppend) *wire.ReplAck {
 	// Raft consistency check: we must hold the leader's previous entry
 	// at the same term, else the leader retries with a snapshot.
 	if pt, ok := rl.termAtLocked(m.PrevIndex); !ok || (m.PrevIndex > 0 && pt != m.PrevTerm) {
-		ack := &wire.ReplAck{Term: rl.term, Ack: rl.commit, Err: "log gap"}
+		ack := &wire.ReplAck{Term: rl.term, Ack: rl.commit, Err: errLogGap}
 		if delta != 0 {
 			l.addTail(delta)
 		}
@@ -628,6 +644,17 @@ func (l *Log) Campaign(ctx context.Context, desc *region.Descriptor) bool {
 		return true
 	}
 	return false
+}
+
+// Seize leads the region unelected, at a term above any seen here: the
+// legacy two-home takeover (§3.5), which has no ballot majority without
+// the dead primary. The term fences the old primary once it returns.
+func (l *Log) Seize(start gaddr.Addr) {
+	rl := l.region(start)
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	rl.term = max(rl.term, rl.votedTerm) + 1
+	rl.votedTerm, rl.votedFor, rl.leader, rl.lastAppend = rl.term, l.self, l.self, l.now()
 }
 
 // Leader returns the region's known leader and term (0,0 when the

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"khazana/internal/frame"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
@@ -415,4 +416,103 @@ func TestConcurrentAppendsStayOrdered(t *testing.T) {
 				p, lst.PageVersion[p], fst.PageVersion[p], perWriter)
 		}
 	}
+}
+
+// TestAppendPagesShipsPagesOnce: a release's pages ride the append to each
+// follower once. AppendPages returns the followers that acked; a NACK for
+// anything but a log gap gets no catch-up, and the catch-up behind a log gap
+// carries no pages. The pages' frames stay referenced while a send that
+// outlived the append's wait can still read them.
+func TestAppendPagesShipsPagesOnce(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		logs     = map[ktypes.NodeID]*Log{}
+		received = map[ktypes.NodeID][]*wire.ReplAppend{}
+		refuse   = true        // node 3 NACKs page-carrying appends
+		stall    chan struct{} // when set, node 3 blocks until it closes
+	)
+	send := func(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
+		app := m.(*wire.ReplAppend)
+		mu.Lock()
+		received[to] = append(received[to], &wire.ReplAppend{Entries: app.Entries, Pages: app.Pages})
+		nack, wait := to == 3 && refuse && len(app.Pages) > 0, stall
+		mu.Unlock()
+		if to == 3 && wait != nil {
+			<-wait
+			return nil, ctx.Err()
+		}
+		if nack {
+			return &wire.ReplAck{Term: app.Term, Err: "store failed"}, nil
+		}
+		return logs[to].HandleAppend(app), nil
+	}
+	for _, id := range []ktypes.NodeID{1, 2, 3} {
+		logs[id] = New(Config{Self: id, Send: send})
+	}
+	desc := testDesc(1, 2, 3)
+	ctx := context.Background()
+	appendPage := func(ctx context.Context, version uint64) ([]ktypes.NodeID, *frame.Frame) {
+		t.Helper()
+		f := frame.Copy([]byte{byte(version)})
+		page := []wire.UpdateItem{{Page: gaddr.New(1, 0x10000), Version: version, Origin: 1}}
+		page[0].SetFrame(f)
+		acked, err := logs[1].AppendPages(ctx, desc, page, releaseEntry(0x10000, version, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acked, f
+	}
+	count := func(to ktypes.NodeID) (msgs, withPages int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, m := range received[to] {
+			if len(m.Pages) > 0 {
+				withPages++
+			}
+		}
+		return len(received[to]), withPages
+	}
+
+	acked, f := appendPage(ctx, 1)
+	if len(acked) != 1 || acked[0] != 2 {
+		t.Fatalf("acked %v, want [2]", acked)
+	}
+	if msgs, _ := count(3); msgs != 1 {
+		t.Fatalf("a refusing follower got %d messages, want 1: no catch-up", msgs)
+	}
+	if f.Refs() != 1 {
+		t.Fatalf("the page frame has %d refs after every follower answered, want the caller's 1", f.Refs())
+	}
+	f.Release()
+
+	mu.Lock()
+	refuse = false
+	mu.Unlock()
+	acked, f = appendPage(ctx, 2) // node 3 lacks entry 1: a log gap
+	f.Release()
+	if len(acked) != 2 {
+		t.Fatalf("acked %v after the catch-up, want both followers", acked)
+	}
+	if msgs, withPages := count(3); msgs != 3 || withPages != 2 {
+		t.Fatalf("node 3 got %d messages, %d with pages; want 3, the catch-up without pages", msgs, withPages)
+	}
+	if msgs, withPages := count(2); msgs != 2 || withPages != 2 {
+		t.Fatalf("node 2 got %d messages, %d with pages; want one per append, each with its pages", msgs, withPages)
+	}
+
+	release := make(chan struct{})
+	mu.Lock()
+	stall = release
+	mu.Unlock()
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	acked, f = appendPage(short, 3)
+	if len(acked) != 1 || acked[0] != 2 {
+		t.Fatalf("acked %v with node 3 stalled, want [2]", acked)
+	}
+	if f.Refs() < 2 {
+		t.Fatal("the page frame was released while a send could still read it")
+	}
+	f.Release()
+	close(release)
 }

@@ -13,9 +13,9 @@ import (
 // RegionState is the materialized result of replaying a region's
 // metadata log up to its commit index: everything a standby needs to
 // resume as primary home without a lost-release window. Page contents
-// travel on the ordinary replication data path (UpdateBatch/ReplicaPut);
-// the log carries only the control state naming which versions exist
-// and who holds them.
+// arrive beside the entries (a release's append carries them) or on the
+// replication data path (UpdateBatch/ReplicaPut); the state holds only
+// the control state naming which versions exist and who holds them.
 type RegionState struct {
 	// PageVersion is the committed version of each page released at the
 	// home (only pages that have seen a write release appear).

@@ -155,8 +155,21 @@ func (m *UpdateBatch) ReleaseFrames() {
 	if m == nil {
 		return
 	}
-	for i := range m.Items {
-		it := &m.Items[i]
+	ReleaseItems(m.Items)
+}
+
+// ReleaseFrames implements FrameCarrier: releases every page's frame.
+func (m *ReplAppend) ReleaseFrames() {
+	if m == nil {
+		return
+	}
+	ReleaseItems(m.Pages)
+}
+
+// ReleaseItems drops the frame reference each update item holds.
+func ReleaseItems(items []UpdateItem) {
+	for i := range items {
+		it := &items[i]
 		setFrame(&it.dataFrame, &it.Data, nil)
 	}
 }

@@ -5,7 +5,8 @@
 // copyset changes, page-directory version updates, publish-epoch
 // advances, and home-list changes. ReplAppend carries entries (and,
 // for far-behind followers, a state snapshot) from the leader to its
-// standbys; ReplAck answers both appends and votes; ReplPromote is a
+// standbys, a release's with the released pages' bytes; ReplAck answers
+// both appends and votes; ReplPromote is a
 // standby's election request after the leader's lease expires.
 //
 // PrevIndex/PrevTerm carry the Raft-style log-consistency check: a
@@ -86,6 +87,8 @@ func DecodeReplEntry(d *enc.Decoder) ReplEntry {
 // commit index. When SnapIndex is non-zero the append carries a full
 // region-state snapshot (SnapState, encoded replog.RegionState) cut at
 // SnapIndex/SnapTerm for a follower behind the leader's compacted tail.
+// Pages, the trailer after SnapState (UpdateBatch's item codec), holds the
+// bytes a release's entries name; the follower stores them first.
 type ReplAppend struct {
 	Region    gaddr.Addr
 	From      ktypes.NodeID
@@ -97,6 +100,7 @@ type ReplAppend struct {
 	SnapIndex uint64
 	SnapTerm  uint64
 	SnapState []byte
+	Pages     []UpdateItem
 }
 
 // Kind implements Msg.
@@ -115,6 +119,7 @@ func (m *ReplAppend) encode(e *enc.Encoder) {
 	e.U64(m.SnapIndex)
 	e.U64(m.SnapTerm)
 	e.Bytes32(m.SnapState)
+	encodeUpdateItems(e, m.Pages)
 }
 func (m *ReplAppend) decode(d *enc.Decoder) {
 	m.Region = d.Addr()
@@ -137,6 +142,7 @@ func (m *ReplAppend) decode(d *enc.Decoder) {
 	m.SnapIndex = d.U64()
 	m.SnapTerm = d.U64()
 	m.SnapState = d.Bytes32()
+	m.Pages = decodeUpdateItems(d)
 }
 
 // ReplAck answers both ReplAppend and ReplPromote. For appends, OK

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"khazana/internal/enc"
+	"khazana/internal/frame"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 )
@@ -30,15 +32,20 @@ func legacyAppendReplEntry(b []byte, en ReplEntry) []byte {
 }
 
 // FuzzReplAppendWire proves the append encoding is the documented layout
-// (header, count-prefixed entries, snapshot trailer) and round-trips,
-// entries and snapshot state included.
+// (header, count-prefixed entries, snapshot trailer, then the page trailer:
+// UpdateBatch's count-prefixed item bodies) and round-trips, entries,
+// snapshot state and frame-backed pages included. Cutting the encoding
+// anywhere inside the page trailer fails the decode and leaves no frame
+// referenced.
 func FuzzReplAppendWire(f *testing.F) {
 	f.Add(uint64(3), uint64(7), uint64(6), uint32(2), uint64(0x2000),
-		uint64(5), uint64(9), uint64(2), []byte{})
+		uint64(5), uint64(9), uint64(2), []byte{}, uint8(0), []byte{})
 	f.Add(uint64(0), uint64(1), uint64(0), uint32(1), uint64(1)<<40,
-		uint64(0), uint64(0), uint64(0), bytes.Repeat([]byte{0x5A}, 64))
+		uint64(0), uint64(0), uint64(0), bytes.Repeat([]byte{0x5A}, 64), uint8(0), []byte{})
+	f.Add(uint64(4), uint64(11), uint64(10), uint32(1), uint64(0x3000),
+		uint64(12), uint64(7), uint64(0), []byte{}, uint8(2), bytes.Repeat([]byte{0xC3}, 4096))
 	f.Fuzz(func(t *testing.T, term, prev, commit uint64, from uint32,
-		pageLo, val, aux, snapIdx uint64, snap []byte) {
+		pageLo, val, aux, snapIdx uint64, snap []byte, nPages uint8, data []byte) {
 		region := gaddr.Addr{Hi: 2, Lo: 0x1000}
 		entries := []ReplEntry{
 			{
@@ -52,10 +59,20 @@ func FuzzReplAppendWire(f *testing.F) {
 				Op: ReplOpHomes, Nodes: []ktypes.NodeID{3, 1}, Val: val + 1,
 			},
 		}
+		var pages []UpdateItem
+		for i := 0; i < int(nPages%3); i++ {
+			it := UpdateItem{Page: gaddr.Addr{Hi: 2, Lo: pageLo + uint64(i)<<12}, Version: val + uint64(i), Origin: ktypes.NodeID(from)}
+			if len(data) > 0 {
+				fr := frame.Copy(data)
+				it.SetFrame(fr)
+				fr.Release()
+			}
+			pages = append(pages, it)
+		}
 		m := &ReplAppend{
 			Region: region, From: ktypes.NodeID(from), Term: term,
 			PrevIndex: prev, PrevTerm: term, Commit: commit, Entries: entries,
-			SnapIndex: snapIdx, SnapTerm: term, SnapState: snap,
+			SnapIndex: snapIdx, SnapTerm: term, SnapState: snap, Pages: pages,
 		}
 		got := Marshal(m)
 
@@ -73,6 +90,11 @@ func FuzzReplAppendWire(f *testing.F) {
 		want = legacyAppendU64(want, snapIdx)
 		want = legacyAppendU64(want, term)
 		want = legacyAppendBytes32(want, snap)
+		want = legacyAppendU16(want, uint16(len(pages)))
+		for _, it := range pages {
+			want = legacyUpdateItemBody(want, it.Page, it.Data, it.Version, it.Stamp, it.Origin)
+		}
+		m.ReleaseFrames()
 		if !bytes.Equal(got, want) {
 			t.Fatalf("repl append diverged from documented layout:\n got %x\nwant %x", got, want)
 		}
@@ -108,6 +130,52 @@ func FuzzReplAppendWire(f *testing.F) {
 		}
 		if r.SnapIndex != snapIdx || r.SnapTerm != term || !bytes.Equal(r.SnapState, wantSnap) {
 			t.Fatal("snapshot trailer did not round trip")
+		}
+		if len(r.Pages) != len(pages) {
+			t.Fatalf("page count did not round trip: %d, want %d", len(r.Pages), len(pages))
+		}
+		held := heldFrames(r)
+		for i, it := range r.Pages {
+			w := pages[i]
+			if it.Page != w.Page || it.Version != w.Version || it.Origin != w.Origin {
+				t.Fatalf("page %d scalar fields did not round trip", i)
+			}
+			if !bytes.Equal(it.Data, data) {
+				t.Fatalf("page %d contents did not round trip", i)
+			}
+			if len(data) > 0 && (it.dataFrame == nil || it.dataFrame.Version() != w.Version) {
+				t.Fatalf("page %d decoded without a frame stamped with its version", i)
+			}
+		}
+		Recycle(r)
+		for _, fr := range held {
+			if fr.Refs() != 1 {
+				t.Fatalf("recycling the append left a page frame with %d refs, want 1", fr.Refs())
+			}
+			fr.Release()
+		}
+
+		// A cut inside the page trailer fails the decode, and recycling the
+		// rejected message drops the frames of the pages decoded before it.
+		if len(pages) == 2 && len(data) > 0 {
+			cut := want[:len(want)-1]
+			if m, err := Unmarshal(cut); err == nil {
+				t.Fatalf("a truncated page trailer decoded as %T", m)
+			}
+			d := enc.NewDecoder(cut[2:])
+			part := &ReplAppend{}
+			part.decode(d)
+			if d.Finish() == nil || len(part.Pages) != 1 {
+				t.Fatalf("a cut in the second page decoded %d pages without error, want 1 and an error", len(part.Pages))
+			}
+			held := heldFrames(part)
+			Recycle(part)
+			for _, fr := range held {
+				if fr.Refs() != 1 {
+					t.Fatalf("recycling a truncated append left a page frame with %d refs, want 1", fr.Refs())
+				}
+				fr.Release()
+			}
 		}
 	})
 }

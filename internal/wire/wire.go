@@ -1354,8 +1354,18 @@ type UpdateBatch struct {
 func (*UpdateBatch) Kind() Kind { return KindUpdateBatch }
 func (m *UpdateBatch) encode(e *enc.Encoder) {
 	e.NodeID(m.From)
-	e.U16(uint16(len(m.Items)))
-	for _, it := range m.Items {
+	encodeUpdateItems(e, m.Items)
+}
+func (m *UpdateBatch) decode(d *enc.Decoder) {
+	m.From = d.NodeID()
+	m.Items = decodeUpdateItems(d)
+}
+
+// encodeUpdateItems writes the item codec UpdateBatch and ReplAppend's page
+// trailer share: a count, then page, contents, version, stamp and origin.
+func encodeUpdateItems(e *enc.Encoder, items []UpdateItem) {
+	e.U16(uint16(len(items)))
+	for _, it := range items {
 		e.Addr(it.Page)
 		e.Bytes32(it.Data)
 		e.U64(it.Version)
@@ -1363,20 +1373,19 @@ func (m *UpdateBatch) encode(e *enc.Encoder) {
 		e.NodeID(it.Origin)
 	}
 }
-func (m *UpdateBatch) decode(d *enc.Decoder) {
-	m.From = d.NodeID()
+
+// decodeUpdateItems reads them back into version-stamped pooled frames. On
+// an error it returns the complete items, which Unmarshal's Recycle frees.
+func decodeUpdateItems(d *enc.Decoder) []UpdateItem {
 	n := int(d.U16())
 	if d.Err() != nil || n == 0 {
-		return
+		return nil
 	}
-	m.Items = make([]UpdateItem, 0, n)
+	items := make([]UpdateItem, 0, n)
 	for i := 0; i < n; i++ {
 		var it UpdateItem
 		it.Page = d.Addr()
 		it.dataFrame = d.Bytes32Frame()
-		if it.dataFrame != nil {
-			it.Data = it.dataFrame.Bytes()
-		}
 		it.Version = d.U64()
 		it.Stamp = d.I64()
 		it.Origin = d.NodeID()
@@ -1384,13 +1393,15 @@ func (m *UpdateBatch) decode(d *enc.Decoder) {
 			if it.dataFrame != nil {
 				it.dataFrame.Release()
 			}
-			return
+			return items
 		}
 		if it.dataFrame != nil {
+			it.Data = it.dataFrame.Bytes()
 			it.dataFrame.SetVersion(it.Version)
 		}
-		m.Items = append(m.Items, it)
+		items = append(items, it)
 	}
+	return items
 }
 
 // UpdateBatchResp answers UpdateBatch with parallel per-item results in

@@ -145,6 +145,7 @@ func sampleMessages() []Msg {
 				{Index: 8, Term: 3, Region: gaddr.New(0, 0x40000000),
 					Op: ReplOpHomes, Nodes: []ktypes.NodeID{2, 1, 3}, Val: 11},
 			},
+			Pages: []UpdateItem{{Page: gaddr.New(0, 0x40001000), Data: []byte("released"), Version: 9, Origin: 2}},
 		},
 		&ReplAppend{Region: gaddr.New(0, 0x40000000), From: 2, Term: 4,
 			SnapIndex: 8, SnapTerm: 3, SnapState: []byte("state")},
@@ -182,6 +183,10 @@ func frameSlots(m Msg) []**frame.Frame {
 	case *UpdateBatch:
 		for i := range msg.Items {
 			slots = append(slots, &msg.Items[i].dataFrame)
+		}
+	case *ReplAppend:
+		for i := range msg.Pages {
+			slots = append(slots, &msg.Pages[i].dataFrame)
 		}
 	case *SnapshotGrantBatch:
 		for i := range msg.Items {
