@@ -64,16 +64,18 @@ bench-module:
 bench-scan:
 	bash bench/run.sh --workload remote_scan --seed 1 --seconds 5 --trace 0
 
-# alloc-gates runs the absolute allocation budgets without the race
+# alloc-gates runs the absolute object and byte budgets without the race
 # detector (which defeats sync.Pool and skips them): the local lock cycle
 # (one object), the remote read batch, a remote 16-page read window (55
 # objects), grant marshalling, the replicated 8-page write (82 objects),
-# the region lifecycle cycle (180 objects), a span in a caller-owned slot
-# (0), the uncontended lock table (0), replog compaction (0), Unmarshal
-# (the message only, traced or not), a full hint cache taking a hint (0),
-# the tree-node codec (2 objects to decode, 0 to encode), a RAM-tier Put
-# of a non-resident page (0) and a copyset revoked and re-added (0).
-# An allocation creeping back fails here, without a benchmark run.
+# the region lifecycle cycle (180 objects and 10 KB), a span in a
+# caller-owned slot (0), the uncontended lock table (0), replog compaction
+# (0), Unmarshal (the message only, traced or not), a full hint cache
+# taking a hint (0), the tree-node codec (0 to decode or encode), map
+# operations on a 79-entry root (no node copy: at most 2 objects per
+# mutated page), a RAM-tier Put of a non-resident page (0) and a copyset
+# revoked and re-added (0). An allocation creeping back fails here,
+# without a benchmark run.
 alloc-gates:
 	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/addrmap ./internal/store ./internal/pagedir
 

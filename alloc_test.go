@@ -528,18 +528,17 @@ func TestReplicatedReleaseRoundTrips(t *testing.T) {
 	}
 }
 
-// TestRegionLifecycleAllocGate is the object budget of the region
-// lifecycle, the region_churn benchmark's cycle: on a 3-node cluster, node
-// 1 reserves, allocates and writes page 0 of a 16-page region, node 3
-// cold-opens the region created the cycle before, and node 1 unreserves
-// the region created 64 cycles ago. After 4 100 warm-up cycles — the
-// manager's 4 096-entry hint cache is full, so every new region's hint
-// evicts one — a cycle averages at most 180 objects; it measures about
-// 161 (169 while copysets were rebuilt and every RPC built its trace
-// envelope twice). A hint cache
-// that allocates a struct or slice per new region, a tree-node decode that
-// allocates per entry, or an encoder allocated per map write each break
-// it.
+// TestRegionLifecycleAllocGate is the object and byte budget of the
+// region lifecycle, the region_churn benchmark's cycle: on a 3-node
+// cluster, node 1 reserves, allocates and writes page 0 of a 16-page
+// region, node 3 cold-opens the region created the cycle before, and node
+// 1 unreserves the region created 64 cycles ago. After 4 100 warm-up
+// cycles — the manager's 4 096-entry hint cache is full, so every new
+// region's hint evicts one — a cycle averages at most 180 objects and
+// 10 KB. It measures about 154 objects and 7.9 KB; while every map edit
+// copied its tree node to the heap it measured 24 KB. A hint cache that
+// allocates a struct or slice per new region, a tree-node decode that
+// allocates, or an encoder allocated per map write each break it.
 func TestRegionLifecycleAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled frames and buffers")
@@ -624,5 +623,8 @@ func TestRegionLifecycleAllocGate(t *testing.T) {
 	t.Logf("region lifecycle cycle: %.2f objects, %.0f B", objects, bytes)
 	if objects > 180 {
 		t.Fatalf("a region lifecycle cycle allocates %.2f objects, budget is 180", objects)
+	}
+	if bytes > 10<<10 {
+		t.Fatalf("a region lifecycle cycle allocates %.0f B, budget is 10 KB", bytes)
 	}
 }

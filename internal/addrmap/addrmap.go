@@ -21,6 +21,7 @@ package addrmap
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -128,36 +129,41 @@ func (e *nodeEntry) setHomes(homes []ktypes.NodeID) {
 	e.nhomes = uint8(copy(e.homes[:], homes))
 }
 
-func decodeNode(data []byte) (*node, error) {
+// nodeBuf holds a decoded node's entries. Callers declare one as a local
+// variable, so decoding a tree page copies nothing to the heap; the spare
+// slot absorbs an insert's shift.
+type nodeBuf [maxEntries + 1]nodeEntry
+
+// decodeNode parses a tree page; the node's entries alias buf.
+func decodeNode(data []byte, buf *nodeBuf) (node, error) {
 	if len(data) != PageSize {
-		return nil, fmt.Errorf("%w: page size %d", ErrCorrupt, len(data))
+		return node{}, fmt.Errorf("%w: page size %d", ErrCorrupt, len(data))
 	}
 	var d enc.Decoder
 	d.Reset(data[:headerSize])
 	if got := d.U32(); got != magic {
 		if got == 0 {
 			// Never-written page: an empty node.
-			return &node{}, nil
+			return node{entries: buf[:0]}, nil
 		}
-		return nil, fmt.Errorf("%w: magic %#x", ErrCorrupt, got)
+		return node{}, fmt.Errorf("%w: magic %#x", ErrCorrupt, got)
 	}
 	count := int(d.U16())
 	d.U16() // pad
-	n := &node{nextFreePage: d.U64(), cursor: d.Addr()}
+	n := node{nextFreePage: d.U64(), cursor: d.Addr()}
 	if count > maxEntries {
-		return nil, fmt.Errorf("%w: count %d", ErrCorrupt, count)
+		return node{}, fmt.Errorf("%w: count %d", ErrCorrupt, count)
 	}
-	n.entries = make([]nodeEntry, count)
+	n.entries = buf[:count]
 	for i := range n.entries {
 		ent := &n.entries[i]
 		d.Reset(data[headerSize+i*entrySize : headerSize+(i+1)*entrySize])
-		ent.kind = d.U8()
-		ent.rng = d.Range()
+		*ent = nodeEntry{kind: d.U8(), rng: d.Range()}
 		switch ent.kind {
 		case kindRegion:
 			ent.nhomes = d.U8()
 			if ent.nhomes > MaxHomes {
-				return nil, fmt.Errorf("%w: home count %d", ErrCorrupt, ent.nhomes)
+				return node{}, fmt.Errorf("%w: home count %d", ErrCorrupt, ent.nhomes)
 			}
 			for j := range ent.homes[:ent.nhomes] {
 				ent.homes[j] = d.NodeID()
@@ -165,10 +171,10 @@ func decodeNode(data []byte) (*node, error) {
 		case kindSubtree:
 			ent.child = d.U64()
 		default:
-			return nil, fmt.Errorf("%w: entry kind %d", ErrCorrupt, ent.kind)
+			return node{}, fmt.Errorf("%w: entry kind %d", ErrCorrupt, ent.kind)
 		}
 		if d.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, d.Err())
+			return node{}, fmt.Errorf("%w: %v", ErrCorrupt, d.Err())
 		}
 	}
 	return n, nil
@@ -211,22 +217,20 @@ func (n *node) encodeInto(data []byte) error {
 
 // --- operations ---------------------------------------------------------------
 
-// Init writes the initial root node if the map is empty. The map region
-// itself is recorded as reserved so client reservations never collide with
-// tree pages. Idempotent.
+// Init writes the initial root node if the root page was never written.
+// The map region itself is recorded as reserved so client reservations
+// never collide with tree pages. Idempotent. A root that does not decode
+// is reported as ErrCorrupt and left alone: overwriting it would forget
+// every region and rewind the cursor over chunks already handed out.
 func (m *Map) Init(ctx context.Context, mapHomes []ktypes.NodeID) error {
 	return m.io.MutatePage(ctx, pageAddr(0), func(data []byte) (bool, error) {
-		n, err := decodeNode(data)
-		if err == nil && len(n.entries) > 0 {
-			return false, nil // already initialized
+		var buf nodeBuf
+		if _, err := decodeNode(data, &buf); err != nil || binary.LittleEndian.Uint32(data) != 0 {
+			return false, err // corrupt, or already initialized
 		}
-		self := nodeEntry{kind: kindRegion, rng: gaddr.Range{Start: gaddr.Zero, Size: RegionSize}}
-		self.setHomes(mapHomes)
-		root := &node{
-			nextFreePage: 1,
-			cursor:       gaddr.FromUint64(RegionSize),
-			entries:      []nodeEntry{self},
-		}
+		root := node{nextFreePage: 1, cursor: gaddr.FromUint64(RegionSize), entries: buf[:1]}
+		root.entries[0] = nodeEntry{kind: kindRegion, rng: gaddr.Range{Start: gaddr.Zero, Size: RegionSize}}
+		root.entries[0].setHomes(mapHomes)
 		return true, root.encodeInto(data)
 	})
 }
@@ -244,7 +248,8 @@ func (m *Map) ReserveRange(ctx context.Context, size, align uint64) (gaddr.Range
 	}
 	var out gaddr.Range
 	err := m.io.MutatePage(ctx, pageAddr(0), func(data []byte) (bool, error) {
-		root, err := decodeNode(data)
+		var buf nodeBuf
+		root, err := decodeNode(data, &buf)
 		if err != nil {
 			return false, err
 		}
@@ -272,20 +277,24 @@ func (m *Map) Insert(ctx context.Context, entry Entry) error {
 	return m.insertAt(ctx, 0, entry)
 }
 
+// errNodeFull tells insertAt that the node must split before it takes
+// the entry; it never leaves the package.
+var errNodeFull = errors.New("addrmap: node full")
+
 // insertAt descends from map page index pageIdx to the node that should
 // hold the entry, splitting full nodes on the way back up is avoided by
 // splitting eagerly: a full node is split before insertion.
 func (m *Map) insertAt(ctx context.Context, pageIdx uint64, entry Entry) error {
 	var descend uint64
-	var needSplit bool
 	err := m.io.MutatePage(ctx, pageAddr(pageIdx), func(data []byte) (bool, error) {
-		n, err := decodeNode(data)
+		var buf nodeBuf
+		n, err := decodeNode(data, &buf)
 		if err != nil {
 			return false, err
 		}
 		descend = 0
-		needSplit = false
-		for _, ent := range n.entries {
+		pos := len(n.entries) // sorted position
+		for i, ent := range n.entries {
 			if ent.kind == kindSubtree && ent.rng.ContainsRange(entry.Range) {
 				descend = ent.child
 				return false, nil // descend without mutating
@@ -293,38 +302,29 @@ func (m *Map) insertAt(ctx context.Context, pageIdx uint64, entry Entry) error {
 			if ent.rng.Overlaps(entry.Range) {
 				return false, fmt.Errorf("%w: %v overlaps %v", ErrOverlap, entry.Range, ent.rng)
 			}
-		}
-		if len(n.entries) >= maxEntries {
-			needSplit = true
-			return false, nil
-		}
-		// Insert in sorted position.
-		pos := len(n.entries)
-		for i, ent := range n.entries {
-			if entry.Range.Start.Less(ent.rng.Start) {
+			if pos == len(n.entries) && entry.Range.Start.Less(ent.rng.Start) {
 				pos = i
-				break
 			}
 		}
-		n.entries = append(n.entries, nodeEntry{})
+		if len(n.entries) >= maxEntries {
+			return false, errNodeFull
+		}
+		n.entries = n.entries[:len(n.entries)+1]
 		copy(n.entries[pos+1:], n.entries[pos:])
 		n.entries[pos] = nodeEntry{kind: kindRegion, rng: entry.Range}
 		n.entries[pos].setHomes(entry.Homes)
 		return true, n.encodeInto(data)
 	})
-	if err != nil {
-		return err
-	}
-	if descend != 0 {
-		return m.insertAt(ctx, descend, entry)
-	}
-	if needSplit {
+	switch {
+	case errors.Is(err, errNodeFull):
 		if err := m.split(ctx, pageIdx); err != nil {
 			return err
 		}
 		return m.insertAt(ctx, pageIdx, entry)
+	case err == nil && descend != 0:
+		return m.insertAt(ctx, descend, entry)
 	}
-	return nil
+	return err
 }
 
 // split moves the lower half of a full node's entries into a fresh child
@@ -339,7 +339,8 @@ func (m *Map) split(ctx context.Context, pageIdx uint64) error {
 	// Allocate a child page index from the root header.
 	var childIdx uint64
 	err := m.io.MutatePage(ctx, pageAddr(0), func(data []byte) (bool, error) {
-		root, err := decodeNode(data)
+		var buf nodeBuf
+		root, err := decodeNode(data, &buf)
 		if err != nil {
 			return false, err
 		}
@@ -354,12 +355,15 @@ func (m *Map) split(ctx context.Context, pageIdx uint64) error {
 		return err
 	}
 	// Decide what moves (mutations are serialized by the caller, so this
-	// read cannot race another writer).
-	data, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
+	// read cannot race another writer). The callbacks below decode the
+	// page again rather than capture these entries, which would move the
+	// buffer to the heap.
+	parent, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
 	if err != nil {
 		return err
 	}
-	n, err := decodeNode(data)
+	var buf nodeBuf
+	n, err := decodeNode(parent, &buf)
 	if err != nil {
 		return err
 	}
@@ -367,37 +371,35 @@ func (m *Map) split(ctx context.Context, pageIdx uint64) error {
 		return nil // nothing to split
 	}
 	half := len(n.entries) / 2
-	moved := append([]nodeEntry(nil), n.entries[:half]...)
+	first := n.entries[0].rng.Start
+	coverEnd, ok := n.entries[half-1].rng.End()
+	if !ok {
+		coverEnd = gaddr.Max
+	}
+	coverSize, _ := first.Distance(coverEnd)
+	sub := nodeEntry{kind: kindSubtree, rng: gaddr.Range{Start: first, Size: coverSize}, child: childIdx}
 	// Write the child first.
 	err = m.io.MutatePage(ctx, pageAddr(childIdx), func(data []byte) (bool, error) {
-		child := &node{entries: moved}
-		return true, child.encodeInto(data)
+		var buf nodeBuf
+		n, err := decodeNode(parent, &buf)
+		if err != nil {
+			return false, err
+		}
+		n = node{entries: n.entries[:half]}
+		return true, n.encodeInto(data)
 	})
 	if err != nil {
 		return err
 	}
 	// Swap the moved entries for a subtree pointer in the parent.
 	return m.io.MutatePage(ctx, pageAddr(pageIdx), func(data []byte) (bool, error) {
-		n, err := decodeNode(data)
-		if err != nil {
+		var buf nodeBuf
+		n, err := decodeNode(data, &buf)
+		if err != nil || len(n.entries) < half {
 			return false, err
 		}
-		if len(n.entries) < half {
-			return false, nil
-		}
-		first := moved[0].rng.Start
-		last := moved[len(moved)-1].rng
-		coverEnd, ok := last.End()
-		if !ok {
-			coverEnd = gaddr.Max
-		}
-		coverSize, _ := first.Distance(coverEnd)
-		sub := nodeEntry{
-			kind:  kindSubtree,
-			rng:   gaddr.Range{Start: first, Size: coverSize},
-			child: childIdx,
-		}
-		n.entries = append([]nodeEntry{sub}, n.entries[half:]...)
+		n.entries = n.entries[half-1:]
+		n.entries[0] = sub
 		return true, n.encodeInto(data)
 	})
 }
@@ -409,13 +411,14 @@ func (m *Map) split(ctx context.Context, pageIdx uint64) error {
 func (m *Map) Lookup(ctx context.Context, addr gaddr.Addr) (Entry, int, error) {
 	pageIdx := uint64(0)
 	steps := 0
+	var buf nodeBuf
 	for {
 		steps++
 		data, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
 		if err != nil {
 			return Entry{}, steps, err
 		}
-		n, err := decodeNode(data)
+		n, err := decodeNode(data, &buf)
 		if err != nil {
 			return Entry{}, steps, err
 		}
@@ -441,54 +444,46 @@ func (m *Map) Lookup(ctx context.Context, addr gaddr.Addr) (Entry, int, error) {
 
 // Remove deletes the region starting at start (unreserve, §3.1).
 func (m *Map) Remove(ctx context.Context, start gaddr.Addr) error {
-	return m.mutateEntry(ctx, 0, start, nil)
+	return m.mutateEntry(ctx, 0, start, nil, true)
 }
 
 // SetHomes updates the home-node list of the region starting at start
 // (e.g. after replica migration or failover).
 func (m *Map) SetHomes(ctx context.Context, start gaddr.Addr, homes []ktypes.NodeID) error {
-	return m.mutateEntry(ctx, 0, start, func(ent *nodeEntry) { ent.setHomes(homes) })
+	return m.mutateEntry(ctx, 0, start, homes, false)
 }
 
 // mutateEntry walks to the node holding the region that starts at start
-// and applies fn; fn == nil deletes the entry.
-func (m *Map) mutateEntry(ctx context.Context, pageIdx uint64, start gaddr.Addr, fn func(*nodeEntry)) error {
+// and deletes the entry if remove is set, else sets its homes.
+func (m *Map) mutateEntry(ctx context.Context, pageIdx uint64, start gaddr.Addr, homes []ktypes.NodeID, remove bool) error {
 	var descend uint64
-	var found bool
 	err := m.io.MutatePage(ctx, pageAddr(pageIdx), func(data []byte) (bool, error) {
-		n, err := decodeNode(data)
+		var buf nodeBuf
+		n, err := decodeNode(data, &buf)
 		if err != nil {
 			return false, err
 		}
-		descend, found = 0, false
-		for i := range n.entries {
-			ent := &n.entries[i]
+		descend = 0
+		for i, ent := range n.entries {
 			if ent.kind == kindSubtree && ent.rng.Contains(start) {
 				descend = ent.child
 				return false, nil
 			}
 			if ent.kind == kindRegion && ent.rng.Start == start {
-				found = true
-				if fn == nil {
+				if remove {
 					n.entries = append(n.entries[:i], n.entries[i+1:]...)
 				} else {
-					fn(ent)
+					n.entries[i].setHomes(homes)
 				}
 				return true, n.encodeInto(data)
 			}
 		}
-		return false, nil
+		return false, ErrNotFound
 	})
-	if err != nil {
-		return err
+	if err == nil && descend != 0 {
+		return m.mutateEntry(ctx, descend, start, homes, remove)
 	}
-	if descend != 0 {
-		return m.mutateEntry(ctx, descend, start, fn)
-	}
-	if !found {
-		return ErrNotFound
-	}
-	return nil
+	return err
 }
 
 // Walk visits every region entry in address order, for diagnostics and
@@ -503,7 +498,8 @@ func (m *Map) walkNode(ctx context.Context, pageIdx uint64, visit func(Entry) bo
 	if err != nil {
 		return false, err
 	}
-	n, err := decodeNode(data)
+	var buf nodeBuf
+	n, err := decodeNode(data, &buf)
 	if err != nil {
 		return false, err
 	}
@@ -533,7 +529,8 @@ func (m *Map) depthOf(ctx context.Context, pageIdx uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := decodeNode(data)
+	var buf nodeBuf
+	n, err := decodeNode(data, &buf)
 	if err != nil {
 		return 0, err
 	}

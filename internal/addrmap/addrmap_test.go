@@ -1,7 +1,9 @@
 package addrmap
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -315,6 +317,124 @@ func TestCorruptNodeRejected(t *testing.T) {
 	io.mu.Unlock()
 	if _, _, err := m.Lookup(ctx, gaddr.Zero); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt lookup err = %v", err)
+	}
+}
+
+// TestInitRefusesCorruptRoot damages a populated root and initializes the
+// map again, as a genesis restart does: Init must report ErrCorrupt and
+// leave the page alone. Writing a fresh root over it would forget every
+// region and rewind the cursor, so the next reservation would hand out a
+// chunk already in use.
+func TestInitRefusesCorruptRoot(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(page []byte)
+	}{
+		{"magic", func(page []byte) { page[0] = 0xFF }},
+		{"entry count", func(page []byte) { binary.LittleEndian.PutUint16(page[4:], maxEntries+1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, io := newTestMap(t)
+			ctx := context.Background()
+			chunk, err := m.ReserveRange(ctx, 1<<20, PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Insert(ctx, Entry{Range: gaddr.Range{Start: chunk.Start, Size: PageSize}, Homes: []ktypes.NodeID{1}}); err != nil {
+				t.Fatal(err)
+			}
+			io.mu.Lock()
+			tc.damage(io.pages[pageAddr(0)])
+			damaged := bytes.Clone(io.pages[pageAddr(0)])
+			clear(io.writes)
+			io.mu.Unlock()
+			if err := m.Init(ctx, []ktypes.NodeID{1}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Init over a damaged root: %v, want ErrCorrupt", err)
+			}
+			io.mu.Lock()
+			defer io.mu.Unlock()
+			if io.writes[pageAddr(0)] != 0 || !bytes.Equal(io.pages[pageAddr(0)], damaged) {
+				t.Fatal("Init rewrote a damaged root")
+			}
+		})
+	}
+}
+
+// flatIO is a single-threaded PageIO over preallocated pages that
+// allocates nothing itself, so what a test measures through it is the
+// map's own cost.
+type flatIO struct {
+	pages   [2][PageSize]byte
+	scratch [PageSize]byte
+}
+
+func (io *flatIO) page(a gaddr.Addr) []byte { return io.pages[a.Lo/PageSize][:] }
+
+func (io *flatIO) ReadPage(_ context.Context, a gaddr.Addr) ([]byte, error) { return io.page(a), nil }
+
+func (io *flatIO) MutatePage(_ context.Context, a gaddr.Addr, fn func([]byte) (bool, error)) error {
+	copy(io.scratch[:], io.page(a))
+	if changed, err := fn(io.scratch[:]); err != nil || !changed {
+		return err
+	}
+	copy(io.page(a), io.scratch[:])
+	return nil
+}
+
+// TestMapOpsAllocGate holds every map operation on a 79-entry root to a
+// budget that does not grow with the node: no operation copies the node
+// or its entries off the page. What is left is fixed per call: the PageIO
+// callback with the result it hands back (2 objects per mutated page) and
+// the caller's own copy of a looked-up home list (1). Copying the node
+// costs one object more, and 4.5 KB on a full node.
+func TestMapOpsAllocGate(t *testing.T) {
+	m := New(new(flatIO))
+	ctx := context.Background()
+	if err := m.Init(ctx, []ktypes.NodeID{1}); err != nil {
+		t.Fatal(err)
+	}
+	chunk, err := m.ReserveRange(ctx, maxEntries*PageSize, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := func(i int) gaddr.Range {
+		return gaddr.Range{Start: chunk.Start.MustAdd(uint64(i) * PageSize), Size: PageSize}
+	}
+	homes := []ktypes.NodeID{1, 2, 3, 4}
+	for i := 0; i < maxEntries-2; i++ { // 78 regions beside the map's own
+		if err := m.Insert(ctx, Entry{Range: region(i), Homes: homes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last, mid := region(maxEntries-2), region(maxEntries/2).Start
+	for _, op := range []struct {
+		name   string
+		budget float64
+		run    func() error
+	}{
+		{"insert and remove", 4, func() error {
+			if err := m.Insert(ctx, Entry{Range: last, Homes: homes}); err != nil {
+				return err
+			}
+			return m.Remove(ctx, last.Start)
+		}},
+		{"set homes", 2, func() error { return m.SetHomes(ctx, mid, homes) }},
+		{"reserve range", 2, func() error { _, err := m.ReserveRange(ctx, PageSize, PageSize); return err }},
+		{"lookup", 1, func() error { _, _, err := m.Lookup(ctx, mid); return err }},
+	} {
+		var err error
+		got := testing.AllocsPerRun(100, func() {
+			if e := op.run(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		t.Logf("%s: %.0f objects", op.name, got)
+		if got > op.budget {
+			t.Errorf("%s on a %d-entry root allocates %.0f objects, budget is %.0f", op.name, maxEntries-1, got, op.budget)
+		}
 	}
 }
 

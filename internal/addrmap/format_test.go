@@ -83,11 +83,12 @@ func TestNodePageFormatGolden(t *testing.T) {
 			}
 		}
 	}
-	n, err := decodeNode(want)
+	var buf nodeBuf
+	n, err := decodeNode(want, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(n, goldenNode()) {
+	if !reflect.DeepEqual(&n, goldenNode()) {
 		t.Fatalf("decoded golden page = %+v, want %+v", n, goldenNode())
 	}
 }
@@ -107,7 +108,8 @@ func FuzzDecodeNode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		data := make([]byte, PageSize)
 		copy(data, in)
-		n, err := decodeNode(data)
+		var buf, againBuf nodeBuf
+		n, err := decodeNode(data, &buf)
 		if err != nil {
 			return
 		}
@@ -115,7 +117,7 @@ func FuzzDecodeNode(f *testing.F) {
 		if err := n.encodeInto(first); err != nil {
 			t.Fatalf("re-encoding a decoded node: %v", err)
 		}
-		again, err := decodeNode(first)
+		again, err := decodeNode(first, &againBuf)
 		if err != nil {
 			t.Fatalf("decoding a re-encoded node: %v", err)
 		}
@@ -135,8 +137,8 @@ func FuzzDecodeNode(f *testing.F) {
 }
 
 // TestTreeNodeAllocGate is the object budget of the tree-node codec:
-// decoding a full node allocates the node and its entry slice and nothing
-// per entry, and encoding writes straight into the page.
+// decoding a full node fills the caller's buffer and allocates nothing,
+// and encoding writes straight into the page.
 func TestTreeNodeAllocGate(t *testing.T) {
 	full := &node{nextFreePage: 3, cursor: gaddr.FromUint64(RegionSize)}
 	for i := 0; i < maxEntries; i++ {
@@ -149,7 +151,8 @@ func TestTreeNodeAllocGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	decodes := testing.AllocsPerRun(100, func() {
-		if n, err := decodeNode(page); err != nil || len(n.entries) != maxEntries {
+		var buf nodeBuf
+		if n, err := decodeNode(page, &buf); err != nil || len(n.entries) != maxEntries {
 			t.Fatalf("decode: %d entries, %v", len(n.entries), err)
 		}
 	})
@@ -159,8 +162,8 @@ func TestTreeNodeAllocGate(t *testing.T) {
 		}
 	})
 	t.Logf("full node: decode %.0f objects, encode %.0f", decodes, encodes)
-	if decodes > 2 {
-		t.Fatalf("decoding a full %d-entry node allocates %.0f objects, budget is 2", maxEntries, decodes)
+	if decodes != 0 {
+		t.Fatalf("decoding a full %d-entry node allocates %.0f objects, want 0", maxEntries, decodes)
 	}
 	if encodes != 0 {
 		t.Fatalf("encoding a full node allocates %.0f objects, want 0", encodes)

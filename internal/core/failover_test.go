@@ -317,3 +317,55 @@ func TestTwoHomeTakeoverWritesThrough(t *testing.T) {
 		t.Fatalf("old home %v holds %q at v%d, want %q at the survivor's v%d", old.cfg.ID, got, oe.Version, want, se.Version)
 	}
 }
+
+// TestPromotedHomeServesCommittedBytes: a release from a node outside the
+// home list carries its bytes to the secondaries in the append that
+// commits it, so once the release is acked the primary can die and the
+// promoted secondary grants a read of exactly that release, bytes and
+// version, with no replica-maintenance round in between.
+func TestPromotedHomeServesCommittedBytes(t *testing.T) {
+	net, nodes, start := replicatedRegion(t)
+	ctx := context.Background()
+	primary := nodes[1]
+	d := primary.authDescByStart(start)
+	var writer *Node
+	for _, n := range nodes {
+		if !d.HasHome(n.cfg.ID) {
+			writer = n
+		}
+	}
+	rng := gaddr.Range{Start: start, Size: 4096}
+	const want = "acked before the crash"
+	lc, err := writer.Lock(ctx, rng, ktypes.LockWrite, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Write(lc, start, []byte(want)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Unlock(ctx, lc); err != nil {
+		t.Fatal(err)
+	}
+	committed, _ := primary.dir.Lookup(start)
+
+	net.Crash(primary.cfg.ID)
+	promoted := nodes[d.Home[1]-1]
+	if nd := promoted.promoteLocal(ctx, start); nd == nil {
+		t.Fatal("promotion failed")
+	}
+	rlc, err := promoted.Lock(ctx, rng, ktypes.LockRead, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := promoted.Read(rlc, start, uint64(len(want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, _ := promoted.dir.Lookup(start)
+	if err := promoted.Unlock(ctx, rlc); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want || pe.Version != committed.Version {
+		t.Fatalf("promoted home %v grants %q at v%d, want the acked release %q at v%d", promoted.cfg.ID, got, pe.Version, want, committed.Version)
+	}
+}
