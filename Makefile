@@ -81,35 +81,9 @@ alloc-gates:
 
 # bench-smoke runs every benchmark for a single iteration so bit-rotted
 # benchmark code fails CI instead of lingering until someone profiles.
-# -benchmem keeps allocation figures visible in CI logs; the hard
-# allocation gate for cached zero-copy reads is TestCachedReadAllocGate.
-# The armed E15 gate then fails the leg if telemetry slows the cached
-# read path by more than 5% against the telemetry.Nop() baseline, and
-# the armed E16 gate fails it if a multi-page release sends more than one
-# update RPC per replica. The armed E17 gate fails it if snapshot scans stop scaling
-# with reader count (>=1.4x from 1 to 4 readers) or the hot writer loses
-# more than 60% of its uncontended rate under 4 snapshot readers. The
-# snapshot path's own allocation gate is TestSnapshotViewAllocGate
-# (budget: 0 allocs per cached view). The armed E18 gate fails the leg
-# if, at full fan-in (4000 concurrent TCP clients at one daemon), the
-# daemon holds more than 4 connections or any client sees an error. The
-# armed E19 gate fails it if killing a home under a live
-# lock/write/unlock workload takes the client more than 2s to resume
-# (lease timeout + one election, with margin), loses an acked release,
-# or surfaces any client-visible error.
-# The armed E20 gate fails it if cold descriptor lookups through the
-# consistent-hash ring stop being flat across 16->256-node clusters
-# (max/min > 3x), drop below 10x over the tree-walk fallback at 256
-# nodes, fall back to the walk in steady state, or cannot resolve a
-# region after every bucket owner crashes.
+# -benchmem keeps allocation figures visible in CI logs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
-	KHAZANA_E15_GATE=1 $(GO) test -run TestE15TelemetryOverheadGate -count=1 -v ./internal/experiments/
-	KHAZANA_E16_GATE=1 $(GO) test -run TestE16WriteThroughGate -count=1 -v ./internal/experiments/
-	KHAZANA_E17_GATE=1 $(GO) test -run TestE17SnapshotScanGate -count=1 -v ./internal/experiments/
-	KHAZANA_E18_GATE=1 $(GO) test -run TestE18FanInGate -count=1 -v ./internal/experiments/
-	KHAZANA_E19_GATE=1 $(GO) test -run TestE19FailoverGate -count=1 -v ./internal/experiments/
-	KHAZANA_E20_GATE=1 $(GO) test -run TestE20RingLookupGate -count=1 -v ./internal/experiments/
 
 # telemetry-smoke boots a real khazanad with the HTTP debug listener and
 # curls the export surface: /metrics must serve Prometheus text and JSON,

@@ -8,6 +8,7 @@ import (
 
 	"khazana"
 	"khazana/internal/frame"
+	"khazana/internal/telemetry"
 	"khazana/internal/wire"
 )
 
@@ -417,8 +418,9 @@ func TestLocalLockCycleAllocGate(t *testing.T) {
 
 // replicatedWriter builds a 4-node cluster with an 8-page MinReplicas-3
 // region and returns the cluster and one write cycle — Lock, eight
-// full-page Writes, Unlock — from the node outside the region's home list.
-func replicatedWriter(t *testing.T) (*khazana.Cluster, func(gen byte)) {
+// full-page Writes, Unlock — from the node outside the region's home list,
+// or from the region's primary home when byHome is set.
+func replicatedWriter(t *testing.T, byHome bool) (*khazana.Cluster, func(gen byte)) {
 	t.Helper()
 	c, err := khazana.NewCluster(4, khazana.WithStoreDir(t.TempDir()))
 	if err != nil {
@@ -445,8 +447,8 @@ func replicatedWriter(t *testing.T) (*khazana.Cluster, func(gen byte)) {
 	if len(d.Home) != 3 {
 		t.Fatalf("home list %v, want 3 homes", d.Home)
 	}
-	var writer *khazana.Node
-	for i := 1; i <= 4; i++ {
+	writer := c.Node(int(d.Home[0]))
+	for i := 1; i <= 4 && !byHome; i++ {
 		if !d.HasHome(khazana.NodeID(i)) {
 			writer = c.Node(i)
 		}
@@ -486,7 +488,7 @@ func TestReplicatedWriteAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards entries under the race detector; the budgets assume pooled frames and buffers")
 	}
-	_, cycle := replicatedWriter(t)
+	_, cycle := replicatedWriter(t, false)
 	const cycles = 200
 	for i := 0; i < 100; i++ { // fill the log's tail, the pools and the maps
 		cycle(byte(i))
@@ -511,20 +513,46 @@ func TestReplicatedWriteAllocGate(t *testing.T) {
 // TestReplicatedReleaseRoundTrips: the same write cycle makes exactly four
 // RPCs — the PageReqBatch and the ReleaseBatch to the home, and one
 // replicated-log append per secondary that carries the released pages
-// with the entries. Background traffic can only add to a cycle's count,
-// so the least of several cycles is the cycle's own.
+// with the entries. Written by the primary home, it makes only the two
+// appends. The home's update-batch histogram observes once per append
+// sent, so it names the two log appends among the cycle's RPCs.
+// Background traffic can only add to a cycle's count, so the least of
+// several cycles is the cycle's own.
 func TestReplicatedReleaseRoundTrips(t *testing.T) {
-	c, cycle := replicatedWriter(t)
-	cycle(0) // the writer learns the descriptor
-	least := uint64(math.MaxUint64)
-	for i := 1; i <= 10; i++ {
-		before, _ := c.Network.Stats()
-		cycle(byte(i))
-		after, _ := c.Network.Stats()
-		least = min(least, after-before)
-	}
-	if least != 4 {
-		t.Fatalf("a replicated 8-page write cycle makes %d RPCs, want 4", least)
+	for _, tc := range []struct {
+		name   string
+		byHome bool
+		want   uint64
+	}{
+		{"non-home writer", false, 4},
+		{"home writer", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, cycle := replicatedWriter(t, tc.byHome)
+			cycle(0) // the writer learns the descriptor
+			appends := func() uint64 {
+				for _, h := range c.Node(1).Core().MetricsSnapshot().Histograms {
+					if h.Name == telemetry.MetricUpdateBatchPages {
+						return h.Count
+					}
+				}
+				return 0
+			}
+			least := uint64(math.MaxUint64)
+			for i := 1; i <= 10; i++ {
+				before, _ := c.Network.Stats()
+				appended := appends()
+				cycle(byte(i))
+				after, _ := c.Network.Stats()
+				least = min(least, after-before)
+				if got := appends() - appended; got != 2 {
+					t.Fatalf("cycle %d sent %d log appends carrying pages, want one per secondary (2)", i, got)
+				}
+			}
+			if least != tc.want {
+				t.Fatalf("a replicated 8-page write cycle makes %d RPCs, want %d", least, tc.want)
+			}
+		})
 	}
 }
 

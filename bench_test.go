@@ -434,154 +434,6 @@ func BenchmarkE11StaleMap(b *testing.B) {
 	})
 }
 
-// --- E13: batched multi-page transfers --------------------------------------
-
-// BenchmarkE13Batching measures a remote write lock/unlock cycle over a
-// multi-page region, reporting the wire cost as rpcs/op, which should
-// stay pinned at two (one PageReqBatch, one ReleaseBatch to the single
-// home) at every page count. The per-page comparison — two RPCs per page,
-// which dominate as soon as links have latency — is E13's table in
-// cmd/kbench.
-func BenchmarkE13Batching(b *testing.B) {
-	for _, pages := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
-			c, err := khazana.NewCluster(2, khazana.WithStoreDir(b.TempDir()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(c.Close)
-			size := uint64(pages) * 4096
-			start := benchRegion(b, c.Node(1), size, khazana.Attrs{})
-			benchWrite(b, c.Node(1), start, make([]byte, size))
-			ctx := context.Background()
-			cycle := func() {
-				lk, err := c.Node(2).Lock(ctx, khazana.Range{Start: start, Size: size}, khazana.LockWrite, "bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := lk.Write(start, []byte("cycle")); err != nil {
-					b.Fatal(err)
-				}
-				if err := lk.Unlock(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Warm node 2's descriptor cache off the clock.
-			cycle()
-			reqs0, _ := c.Network.Stats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cycle()
-			}
-			b.StopTimer()
-			reqs1, _ := c.Network.Stats()
-			b.ReportMetric(float64(reqs1-reqs0)/float64(b.N), "rpcs/op")
-		})
-	}
-}
-
-// --- E14: zero-copy frame pipeline -------------------------------------------
-
-// BenchmarkE14ZeroCopy measures the allocation cost of cached reads
-// through the zero-copy view path against the copying Read path, and the
-// steady-state cost of a cold remote fetch. Run with -benchmem: the view
-// should report ~0 B/op while the copy pays the page buffer every call,
-// and the fetch's page data should ride pooled frames (no per-op
-// page-sized allocation beyond the protocol's fixed costs).
-func BenchmarkE14ZeroCopy(b *testing.B) {
-	c := benchCluster(b, 2)
-	ctx := context.Background()
-	const ps = 4096
-	start := benchRegion(b, c.Node(1), ps, khazana.Attrs{})
-	benchWrite(b, c.Node(1), start, bytes.Repeat([]byte("z"), ps))
-
-	b.Run("cached-view", func(b *testing.B) {
-		lk, err := c.Node(1).Lock(ctx, khazana.Range{Start: start, Size: ps}, khazana.LockRead, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.SetBytes(ps)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := lk.ReadView(start, ps); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if err := lk.Unlock(ctx); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("cached-copy", func(b *testing.B) {
-		lk, err := c.Node(1).Lock(ctx, khazana.Range{Start: start, Size: ps}, khazana.LockRead, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.SetBytes(ps)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := lk.Read(start, ps); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if err := lk.Unlock(ctx); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("remote-fetch", func(b *testing.B) {
-		benchRead(b, c.Node(2), start, ps) // warm descriptors and pools
-		b.ReportAllocs()
-		b.SetBytes(ps)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c.Node(2).Core().Store().Delete(start)
-			c.Node(2).Core().PageDir().Delete(start)
-			b.StartTimer()
-			benchRead(b, c.Node(2), start, ps)
-		}
-	})
-}
-
-// --- E20: descriptor partition -----------------------------------------------
-
-// BenchmarkE20RingLookup measures a cold descriptor lookup through the
-// consistent-hash ring (one RPC hop to a bucket owner) against the
-// legacy cold path on a WithNoRing cluster (manager hint + verify, tree
-// walk on miss). The reader's region directory is dropped every
-// iteration so each lookup starts cold.
-func BenchmarkE20RingLookup(b *testing.B) {
-	run := func(b *testing.B, opts ...khazana.ClusterOption) {
-		opts = append([]khazana.ClusterOption{khazana.WithStoreDir(b.TempDir())}, opts...)
-		c, err := khazana.NewCluster(8, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(c.Close)
-		ctx := context.Background()
-		start := benchRegion(b, c.Node(2), 4096, khazana.Attrs{})
-		for i := 1; i <= c.Len(); i++ {
-			c.Node(i).Core().SendHeartbeat()
-		}
-		for i := 1; i <= c.Len(); i++ {
-			c.Node(i).Core().RingSettle()
-		}
-		reader := c.Node(8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			reader.Core().RegionDir().Remove(start)
-			if _, err := reader.GetAttr(ctx, start); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("ring-one-hop", func(b *testing.B) { run(b) })
-	b.Run("legacy-cold", func(b *testing.B) { run(b, khazana.WithNoRing()) })
-}
-
 // BenchmarkExperimentHarness runs one fast harness pass end to end, so the
 // full experiment pipeline is exercised by `go test -bench`.
 func BenchmarkExperimentHarness(b *testing.B) {

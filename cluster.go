@@ -30,17 +30,16 @@ type Cluster struct {
 type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
-	dir         string
-	memPages    int
-	diskPages   int
-	latency     time.Duration
-	heartbeat   time.Duration
-	retry       time.Duration
-	replica     time.Duration
-	migration   time.Duration
-	noTelemetry bool
-	noRing      bool
-	tracer      func(NodeID, string)
+	dir       string
+	memPages  int
+	diskPages int
+	latency   time.Duration
+	heartbeat time.Duration
+	retry     time.Duration
+	replica   time.Duration
+	migration time.Duration
+	noRing    bool
+	tracer    func(NodeID, string)
 }
 
 // WithStoreDir roots every node's disk tier under dir (default: a temp
@@ -80,16 +79,9 @@ func WithAutoMigration(interval time.Duration) ClusterOption {
 
 // WithNoRing disables the consistent-hashing descriptor partition on
 // every node, restoring the paper's cluster-hint / tree-walk lookup path
-// for cold misses. The lookup benchmarks (E20) and the paper-faithful
-// trace reproductions (E2, E3) use it as the baseline.
+// for cold misses. The paper-faithful reproductions (E2, E3) use it.
 func WithNoRing() ClusterOption {
 	return func(c *clusterConfig) { c.noRing = true }
-}
-
-// WithNoTelemetry disables the metrics registry and trace recorder on
-// every node. The telemetry-overhead benchmarks use it as the baseline.
-func WithNoTelemetry() ClusterOption {
-	return func(c *clusterConfig) { c.noTelemetry = true }
 }
 
 // WithTracer installs a Figure-2 step tracer on every node.
@@ -147,7 +139,6 @@ func NewCluster(count int, opts ...ClusterOption) (*Cluster, error) {
 			RetryInterval:     cfg.retry,
 			ReplicaInterval:   cfg.replica,
 			MigrationInterval: cfg.migration,
-			NoTelemetry:       cfg.noTelemetry,
 			NoRing:            cfg.noRing,
 			Tracer:            tracer,
 		})
@@ -163,8 +154,7 @@ func NewCluster(count int, opts ...ClusterOption) (*Cluster, error) {
 // AddNode starts one more daemon and attaches it to the cluster,
 // exercising dynamic membership (§3.1: machines can dynamically enter and
 // leave Khazana). The new daemon inherits the cluster's options, so a
-// WithNoRing (or cache-bounded, telemetry-free, ...) cluster stays
-// homogeneous as it grows.
+// WithNoRing (or cache-bounded) cluster stays homogeneous as it grows.
 func (c *Cluster) AddNode() (*Node, error) {
 	id := ktypes.NodeID(len(c.nodes) + 1)
 	tr, err := c.Network.Attach(id)
@@ -188,7 +178,6 @@ func (c *Cluster) AddNode() (*Node, error) {
 		RetryInterval:     c.cfg.retry,
 		ReplicaInterval:   c.cfg.replica,
 		MigrationInterval: c.cfg.migration,
-		NoTelemetry:       c.cfg.noTelemetry,
 		NoRing:            c.cfg.noRing,
 		Tracer:            tracer,
 	})

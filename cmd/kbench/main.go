@@ -1,4 +1,4 @@
-// kbench runs the Khazana reproduction experiments (E1–E20, see DESIGN.md
+// kbench runs the Khazana reproduction experiments (E1–E12, see DESIGN.md
 // §4) and prints one table per experiment: the paper-derived prediction,
 // the measured rows, and whether the predicted shape held.
 //
@@ -43,15 +43,8 @@ func run(args []string) error {
 		"E7": experiments.E7Filesystem, "E8": experiments.E8Objects,
 		"E9": experiments.E9Failure, "E10": experiments.E10PageSize,
 		"E11": experiments.E11StaleMap, "E12": experiments.E12Migration,
-		"E13": experiments.E13BatchedTransfers, "E14": experiments.E14ZeroCopy,
-		"E15": experiments.E15TelemetryOverhead,
-		"E16": experiments.E16WriteThrough,
-		"E17": experiments.E17SnapshotScan,
-		"E18": experiments.E18FanIn,
-		"E19": experiments.E19Failover,
-		"E20": experiments.E20RingLookup,
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20"}
+	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}
 	selected := order
 	if *runList != "" {
 		selected = nil

@@ -403,20 +403,17 @@ func (n *Node) MaintainReplicas() {
 		if desc == nil || desc.Attrs.MinReplicas <= 1 {
 			continue
 		}
-		if desc, changed := n.ensureHomes(ctx, desc); changed {
-			n.pushReplicas(ctx, desc)
-		} else {
-			n.pushReplicas(ctx, desc)
-		}
+		n.pushReplicas(ctx, n.ensureHomes(ctx, desc))
 	}
 }
 
 // ensureHomes extends the region's home list with alive members up to
-// MinReplicas, recording the change in the map and the descriptor.
-func (n *Node) ensureHomes(ctx context.Context, desc *region.Descriptor) (*region.Descriptor, bool) {
+// MinReplicas, recording the change in the map and the descriptor. It
+// returns the descriptor as it now stands.
+func (n *Node) ensureHomes(ctx context.Context, desc *region.Descriptor) *region.Descriptor {
 	want := int(desc.Attrs.MinReplicas)
 	if len(desc.Home) >= want {
-		return desc, false
+		return desc
 	}
 	alive := n.Members()
 	homes := append([]ktypes.NodeID(nil), desc.Home...)
@@ -429,7 +426,7 @@ func (n *Node) ensureHomes(ctx context.Context, desc *region.Descriptor) (*regio
 		}
 	}
 	if len(homes) == len(desc.Home) {
-		return desc, false
+		return desc
 	}
 	out := n.updateAuthDesc(desc.Range.Start, func(d *region.Descriptor) bool {
 		d.Home = homes
@@ -437,7 +434,7 @@ func (n *Node) ensureHomes(ctx context.Context, desc *region.Descriptor) (*regio
 		return true
 	})
 	if out == nil {
-		return desc, false
+		return desc
 	}
 	n.rdir.Insert(out)
 	_ = n.mapSetHomes(ctx, out.Range.Start, homes)
@@ -460,7 +457,7 @@ func (n *Node) ensureHomes(ctx context.Context, desc *region.Descriptor) (*regio
 		_, _ = n.tr.Request(ctx, h, &wire.AttrSet{Desc: out, Principal: out.Attrs.ACL.Owner})
 	}
 	n.ringAnnounce(ctx, out)
-	return out, true
+	return out
 }
 
 // pushReplicas copies locally stored pages of the region to its secondary

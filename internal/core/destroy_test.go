@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -250,45 +251,50 @@ func (k *kindCounter) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg)
 }
 
 // TestSinglePageLockIsBatchOfOne pins the wire cost of the only transfer
-// path at its smallest: a remote single-page Lock+Unlock is exactly one
-// PageReqBatch and one ReleaseBatch, nothing else.
+// path: a remote Lock+Unlock of one page is exactly one PageReqBatch and
+// one ReleaseBatch, nothing else, and so is one of 4 or 16 pages — the
+// cost does not grow with the page count.
 func TestSinglePageLockIsBatchOfOne(t *testing.T) {
-	counter := &kindCounter{kinds: make(map[wire.Kind]int)}
-	_, nodes := testCluster(t, 2, func(i int, cfg *Config) {
-		if i == 1 {
-			counter.Transport = cfg.Transport
-			cfg.Transport = counter
-		}
-	})
-	ctx := context.Background()
-	start := mkRegion(t, nodes[0], 4*4096, region.Attrs{}, "alice")
-	rng := gaddr.Range{Start: start.MustAdd(4096), Size: 4096}
-	cycle := func(mode ktypes.LockMode) {
-		lc, err := nodes[1].Lock(ctx, rng, mode, "alice")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mode.Writes() {
-			if err := nodes[1].Write(lc, rng.Start, []byte("one page")); err != nil {
-				t.Fatal(err)
+	for _, pages := range []uint64{1, 4, 16} {
+		t.Run(fmt.Sprintf("pages=%d", pages), func(t *testing.T) {
+			counter := &kindCounter{kinds: make(map[wire.Kind]int)}
+			_, nodes := testCluster(t, 2, func(i int, cfg *Config) {
+				if i == 1 {
+					counter.Transport = cfg.Transport
+					cfg.Transport = counter
+				}
+			})
+			ctx := context.Background()
+			start := mkRegion(t, nodes[0], (pages+1)*4096, region.Attrs{}, "alice")
+			rng := gaddr.Range{Start: start.MustAdd(4096), Size: pages * 4096}
+			cycle := func(mode ktypes.LockMode) {
+				lc, err := nodes[1].Lock(ctx, rng, mode, "alice")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mode.Writes() {
+					if err := nodes[1].Write(lc, rng.Start, []byte("one page")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := nodes[1].Unlock(ctx, lc); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if err := nodes[1].Unlock(ctx, lc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cycle(ktypes.LockRead) // warm the descriptor cache off the count
-	for _, mode := range []ktypes.LockMode{ktypes.LockWrite, ktypes.LockRead} {
-		counter.mu.Lock()
-		counter.kinds = make(map[wire.Kind]int)
-		counter.mu.Unlock()
-		cycle(mode)
-		counter.mu.Lock()
-		got := counter.kinds
-		counter.mu.Unlock()
-		if len(got) != 2 || got[wire.KindPageReqBatch] != 1 || got[wire.KindReleaseBatch] != 1 {
-			t.Fatalf("mode %v: single-page remote lock cycle sent %v, want one PageReqBatch (%d) and one ReleaseBatch (%d)",
-				mode, got, wire.KindPageReqBatch, wire.KindReleaseBatch)
-		}
+			cycle(ktypes.LockRead) // warm the descriptor cache off the count
+			for _, mode := range []ktypes.LockMode{ktypes.LockWrite, ktypes.LockRead} {
+				counter.mu.Lock()
+				counter.kinds = make(map[wire.Kind]int)
+				counter.mu.Unlock()
+				cycle(mode)
+				counter.mu.Lock()
+				got := counter.kinds
+				counter.mu.Unlock()
+				if len(got) != 2 || got[wire.KindPageReqBatch] != 1 || got[wire.KindReleaseBatch] != 1 {
+					t.Fatalf("mode %v: remote lock cycle sent %v, want one PageReqBatch (%d) and one ReleaseBatch (%d)",
+						mode, got, wire.KindPageReqBatch, wire.KindReleaseBatch)
+				}
+			}
+		})
 	}
 }

@@ -90,9 +90,6 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 	// --- replication ------------------------------------------------------
 	case *wire.ReplicaPut:
 		return n.handleReplicaPut(msg)
-	case *wire.CopysetQuery:
-		entry, _ := n.dir.Lookup(msg.Page)
-		return &wire.CopysetInfo{Owner: entry.Owner, Nodes: entry.Copyset}, nil
 
 	// --- address map mutations (map home only) -----------------------------
 	case *wire.ReserveSpace:

@@ -80,9 +80,8 @@ type Config struct {
 	// NoRing disables the consistent-hashing descriptor partition: cold
 	// lookups skip the one-hop ring stage and descriptors are not
 	// announced to ring owners, restoring the legacy cluster-hint /
-	// tree-walk path. It exists for benchmarks comparing the two paths
-	// (E20, and the paper-faithful E2/E3 reproductions) and as an escape
-	// hatch; the default (false) uses the ring.
+	// tree-walk path. It exists for the paper-faithful E2/E3
+	// reproductions and as an escape hatch; the default uses the ring.
 	NoRing bool
 	// Registry supplies consistency protocols; nil uses the built-ins.
 	Registry *consistency.Registry
@@ -91,12 +90,8 @@ type Config struct {
 	// Tracer, when set, observes the named protocol steps of Figure 2.
 	Tracer func(step string)
 	// Telemetry supplies the metrics registry and trace recorder; nil
-	// creates a private registry unless NoTelemetry is set.
+	// creates a private registry.
 	Telemetry *telemetry.Registry
-	// NoTelemetry disables metrics and tracing entirely (instruments
-	// become nil no-ops). Benchmarks use it to measure instrumentation
-	// overhead (E15).
-	NoTelemetry bool
 }
 
 // DefaultChunkSize is the default address-space chunk a daemon manages
@@ -377,7 +372,7 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("core: store dir required")
 	}
 	tel := cfg.Telemetry
-	if tel == nil && !cfg.NoTelemetry {
+	if tel == nil {
 		tel = telemetry.New()
 	}
 	n := &Node{

@@ -673,7 +673,7 @@ func (n *Node) ReadView(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte,
 	}
 	// One plain increment (batched to the registry at Unlock) is the
 	// entire telemetry cost of the cached-read hot path: no atomics, no
-	// clock reads, no spans (see the E15 overhead gate).
+	// clock reads, no spans (TestCachedReadAllocGate holds it allocation-free).
 	lc.viewCount++
 	ps := uint64(lc.desc.Attrs.PageSize)
 	pageOff := addr.Offset(ps)

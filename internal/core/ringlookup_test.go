@@ -4,13 +4,17 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
 	"khazana/internal/ring"
+	"khazana/internal/transport"
+	"khazana/internal/wire"
 )
 
 // settleRing waits for every node's in-flight announces to drain.
@@ -203,4 +207,112 @@ func TestRebalanceOnlyMovedReannounce(t *testing.T) {
 		t.Fatalf("rebalance re-announced %d of %d descriptors; consistent hashing should move only a fraction", moves, regions)
 	}
 	t.Logf("rebalance moved %d of %d descriptors", moves, regions)
+}
+
+// ringCluster starts n nodes, the last one's requests counted by kind,
+// and creates one 4 KB region on each of nodes 2..n-1. Regions on distinct
+// nodes come from distinct address-space chunks, so they fall in distinct
+// ring buckets. Every node then converges on the full membership view and
+// its announces land.
+func ringCluster(t *testing.T, n int) (*transport.Network, []*Node, *kindCounter, []gaddr.Addr) {
+	t.Helper()
+	counter := &kindCounter{kinds: make(map[wire.Kind]int)}
+	net, nodes := testCluster(t, n, func(i int, cfg *Config) {
+		if i == n-1 {
+			counter.Transport = cfg.Transport
+			cfg.Transport = counter
+		}
+	})
+	heartbeatAll(nodes)
+	starts := make([]gaddr.Addr, 0, n-2)
+	for _, home := range nodes[1 : n-1] {
+		starts = append(starts, mkRegion(t, home, 4096, region.Attrs{}, "alice"))
+	}
+	heartbeatAll(nodes)
+	settleRing(nodes)
+	return net, nodes, counter, starts
+}
+
+// TestColdLookupIsOneHop: at 16 and 64 nodes, a cold lookup by a node
+// that does not own the region's bucket is exactly one RingLookup RPC —
+// no tree walk, no fallback — however many members and regions exist.
+func TestColdLookupIsOneHop(t *testing.T) {
+	for _, n := range []int{16, 64} {
+		t.Run(fmt.Sprintf("nodes=%d", n), func(t *testing.T) {
+			_, nodes, counter, starts := ringCluster(t, n)
+			ctx := context.Background()
+			reader := nodes[n-1]
+			walks, fallbacks := reader.Statistics().TreeWalks.Load(), reader.mRingFallbacks.Load()
+			remote := 0
+			for _, s := range starts {
+				if containsNode(reader.currentRing().Owners(ring.BucketOf(s)), reader.cfg.ID) {
+					continue
+				}
+				remote++
+				reader.rdir.Remove(s)
+				counter.mu.Lock()
+				counter.kinds = make(map[wire.Kind]int)
+				counter.mu.Unlock()
+				d, err := reader.GetAttr(ctx, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Range.Start != s {
+					t.Fatalf("lookup of %v resolved to %v", s, d.Range)
+				}
+				counter.mu.Lock()
+				got := counter.kinds
+				counter.mu.Unlock()
+				if len(got) != 1 || got[wire.KindRingLookup] != 1 {
+					t.Fatalf("cold lookup of %v sent %v, want one RingLookup (%d)", s, got, wire.KindRingLookup)
+				}
+			}
+			if remote == 0 {
+				t.Fatal("the reader owns every region's bucket; no remote lookup ran")
+			}
+			if w := reader.Statistics().TreeWalks.Load() - walks; w != 0 {
+				t.Fatalf("%d tree walks, want 0", w)
+			}
+			if f := reader.mRingFallbacks.Load() - fallbacks; f != 0 {
+				t.Fatalf("%d ring fallbacks, want 0", f)
+			}
+		})
+	}
+}
+
+// TestOwnersCrashedLookupRepairs crashes every ring owner of one region's
+// bucket, none of them the region's home, the manager or the reader. A
+// cold lookup must still resolve the region, through the counted repair
+// fallback behind the ring.
+func TestOwnersCrashedLookupRepairs(t *testing.T) {
+	const n = 12
+	net, nodes, _, starts := ringCluster(t, n)
+	reader := nodes[n-1]
+	for i, s := range starts {
+		home := nodes[i+1]
+		owners := reader.currentRing().Owners(ring.BucketOf(s))
+		if len(owners) == 0 || containsNode(owners, 1) || containsNode(owners, home.cfg.ID) || containsNode(owners, reader.cfg.ID) {
+			continue
+		}
+		for _, o := range owners {
+			net.Crash(o)
+		}
+		reader.rdir.Remove(s)
+		fallbacks := reader.mRingFallbacks.Load()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		d, err := reader.GetAttr(ctx, s)
+		cancel()
+		if err != nil {
+			t.Fatalf("lookup with every bucket owner (%v) crashed: %v", owners, err)
+		}
+		want := home.authDesc(s)
+		if d.Range != want.Range || !slices.Equal(d.Home, want.Home) {
+			t.Fatalf("repaired lookup resolved %v homed at %v, want %v homed at %v", d.Range, d.Home, want.Range, want.Home)
+		}
+		if reader.mRingFallbacks.Load() == fallbacks {
+			t.Fatal("the lookup resolved without counting a ring fallback")
+		}
+		return
+	}
+	t.Fatal("no region's bucket owners exclude its home, the manager and the reader")
 }

@@ -330,8 +330,7 @@ func E10PageSize(cfg Config) (Result, error) {
 	for _, ps := range []uint32{4096, 16384, 65536} {
 		// This experiment isolates how page size amortizes per-page fetch
 		// round trips, so the scan below locks one page at a time (a
-		// multi-page lock, measured separately in E13, costs one RPC
-		// regardless of page size).
+		// multi-page lock costs one RPC regardless of page size).
 		c, err := newCluster(cfg, 3)
 		if err != nil {
 			return res, err

@@ -58,26 +58,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// All runs every experiment in order.
-func All(cfg Config) ([]Result, error) {
-	runs := []func(Config) (Result, error){
-		E1Figure1, E2Figure2, E3LookupPath, E4Scalability, E5Consistency,
-		E6Replication, E7Filesystem, E8Objects, E9Failure, E10PageSize,
-		E11StaleMap, E12Migration, E13BatchedTransfers, E14ZeroCopy,
-		E15TelemetryOverhead, E16WriteThrough, E17SnapshotScan,
-		E18FanIn, E19Failover, E20RingLookup,
-	}
-	out := make([]Result, 0, len(runs))
-	for _, run := range runs {
-		r, err := run(cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", r.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // newCluster builds an experiment cluster.
 func newCluster(cfg Config, n int, opts ...khazana.ClusterOption) (*khazana.Cluster, error) {
 	base := []khazana.ClusterOption{khazana.WithLatency(cfg.Latency)}
@@ -127,7 +107,7 @@ func writeOnce(ctx context.Context, n *khazana.Node, start khazana.Addr, data []
 }
 
 // eachPage runs fn under its own lock on every page of [start,
-// start+size): the per-page baseline legs (E10's scan, E13) are this loop —
+// start+size): the per-page baseline leg (E10's scan) is this loop —
 // a batch of one, two RPCs, per remote page — not a mode inside the daemon.
 func eachPage(ctx context.Context, n *khazana.Node, start khazana.Addr, size, pageSize uint64, mode khazana.LockMode, fn func(lk *khazana.Lock, page khazana.Addr) error) error {
 	for off := uint64(0); off < size; off += pageSize {

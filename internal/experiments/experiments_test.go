@@ -44,5 +44,3 @@ func TestE9Failure(t *testing.T)     { runAndCheck(t, "E9", E9Failure) }
 func TestE10PageSize(t *testing.T)   { runAndCheck(t, "E10", E10PageSize) }
 func TestE11StaleMap(t *testing.T)   { runAndCheck(t, "E11", E11StaleMap) }
 func TestE12Migration(t *testing.T)  { runAndCheck(t, "E12", E12Migration) }
-func TestE13Batching(t *testing.T)   { runAndCheck(t, "E13", E13BatchedTransfers) }
-func TestE14ZeroCopy(t *testing.T)   { runAndCheck(t, "E14", E14ZeroCopy) }

@@ -36,8 +36,8 @@ const BucketShift = 30
 const BucketSize = uint64(1) << BucketShift
 
 // DefaultVirtualNodes is the number of ring points per physical node.
-// 64 keeps the per-node ownership imbalance under ~15% for the cluster
-// sizes E20 exercises while keeping Build cheap enough to run on every
+// 64 keeps the per-node ownership imbalance under ~15% for clusters of
+// 16 to 256 nodes while keeping Build cheap enough to run on every
 // membership change.
 const DefaultVirtualNodes = 64
 

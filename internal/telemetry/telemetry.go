@@ -14,7 +14,7 @@
 // exactly one plain counter increment batched under a mutex it already
 // holds (even an uncontended atomic add is ~8% of that path), so telemetry
 // keeps it at zero allocations and within noise of the uninstrumented
-// build (experiment E15 gates this).
+// build.
 package telemetry
 
 import (

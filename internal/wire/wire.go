@@ -50,8 +50,8 @@ const (
 	KindReleaseNotify // retired: a single page is a ReleaseBatch of one
 
 	KindReplicaPut
-	KindCopysetQuery
-	KindCopysetInfo
+	KindCopysetQuery // retired: no sender
+	KindCopysetInfo  // retired: answered KindCopysetQuery
 
 	KindJoin
 	KindClusterView
@@ -200,8 +200,6 @@ var factories = map[Kind]func() Msg{
 	KindVersionQuery:     func() Msg { return &VersionQuery{} },
 	KindVersionInfo:      func() Msg { return &VersionInfo{} },
 	KindReplicaPut:       func() Msg { return &ReplicaPut{} },
-	KindCopysetQuery:     func() Msg { return &CopysetQuery{} },
-	KindCopysetInfo:      func() Msg { return &CopysetInfo{} },
 	KindJoin:             func() Msg { return &Join{} },
 	KindClusterView:      func() Msg { return &ClusterView{} },
 	KindHeartbeat:        func() Msg { return &Heartbeat{} },
@@ -518,33 +516,6 @@ func (m *ReplicaPut) decode(d *enc.Decoder) {
 	if m.dataFrame != nil {
 		m.dataFrame.SetVersion(m.Version)
 	}
-}
-
-// CopysetQuery asks a page's home which nodes hold copies.
-type CopysetQuery struct {
-	Page gaddr.Addr
-}
-
-// Kind implements Msg.
-func (*CopysetQuery) Kind() Kind              { return KindCopysetQuery }
-func (m *CopysetQuery) encode(e *enc.Encoder) { e.Addr(m.Page) }
-func (m *CopysetQuery) decode(d *enc.Decoder) { m.Page = d.Addr() }
-
-// CopysetInfo answers CopysetQuery.
-type CopysetInfo struct {
-	Owner ktypes.NodeID
-	Nodes []ktypes.NodeID
-}
-
-// Kind implements Msg.
-func (*CopysetInfo) Kind() Kind { return KindCopysetInfo }
-func (m *CopysetInfo) encode(e *enc.Encoder) {
-	e.NodeID(m.Owner)
-	e.NodeIDs(m.Nodes)
-}
-func (m *CopysetInfo) decode(d *enc.Decoder) {
-	m.Owner = d.NodeID()
-	m.Nodes = d.NodeIDs()
 }
 
 // --- cluster membership -----------------------------------------------------

@@ -50,8 +50,6 @@ func sampleMessages() []Msg {
 		&VersionQuery{Page: gaddr.New(0, 0x4000)},
 		&VersionInfo{Found: true, Version: 12},
 		&ReplicaPut{Page: gaddr.New(0, 0x6000), Data: []byte("replica"), Version: 4, From: 1},
-		&CopysetQuery{Page: gaddr.New(0, 0x6000)},
-		&CopysetInfo{Owner: 1, Nodes: []ktypes.NodeID{1, 2, 3}},
 		&Join{Node: 6, Addr: "127.0.0.1:9999"},
 		&ClusterView{Manager: 1, Members: []ktypes.NodeID{1, 2, 3, 6}},
 		&Heartbeat{Node: 2, FreeTotal: 1 << 40, FreeMax: 1 << 30, Regions: []gaddr.Addr{gaddr.New(0, 0x1000)}},
@@ -365,12 +363,13 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 // TestRetiredKindsRejected pins the wire contract left by deleting the
-// per-page messages: their kind numbers stay reserved, Unmarshal refuses
+// per-page messages and the copyset query: their kind numbers stay reserved, Unmarshal refuses
 // them, and every later kind keeps the number it has always had.
 func TestRetiredKindsRejected(t *testing.T) {
 	for name, kind := range map[string]Kind{
 		"PageReq": KindPageReq, "PageGrant": KindPageGrant, "Invalidate": KindInvalidate,
 		"UpdatePush": KindUpdatePush, "ReleaseNotify": KindReleaseNotify,
+		"CopysetQuery": KindCopysetQuery, "CopysetInfo": KindCopysetInfo,
 	} {
 		body := append([]byte{byte(kind), byte(kind >> 8)}, make([]byte, 64)...)
 		if m, err := Unmarshal(body); err == nil {
@@ -380,7 +379,7 @@ func TestRetiredKindsRejected(t *testing.T) {
 	for kind, want := range map[Kind]Kind{
 		KindPageReq: 9, KindPageGrant: 10, KindInvalidate: 11,
 		KindPageFetch: 12, KindUpdatePush: 14, KindVersionQuery: 15,
-		KindReleaseNotify: 17, KindReplicaPut: 18,
+		KindReleaseNotify: 17, KindReplicaPut: 18, KindCopysetInfo: 20, KindJoin: 21,
 		KindPageReqBatch: 51, KindRingAnnounce: 67, KindInvalidateBatch: 68,
 	} {
 		if kind != want {

@@ -144,11 +144,8 @@ type NodeConfig struct {
 	NoReadAhead bool
 	// NoRing disables the consistent-hashing descriptor partition: cold
 	// lookups skip the one-hop ring stage and fall straight to the
-	// paper's cluster-hint / tree-walk path (the E20 baseline).
+	// paper's cluster-hint / tree-walk path (the E2/E3 baseline).
 	NoRing bool
-	// NoTelemetry disables the metrics registry and trace recorder; the
-	// overhead benchmarks use it to measure the instrumented paths bare.
-	NoTelemetry bool
 	// Tracer observes Figure-2 protocol steps (diagnostics).
 	Tracer func(step string)
 }
@@ -191,7 +188,6 @@ func StartNode(ctx context.Context, cfg NodeConfig) (*Node, error) {
 		MigrationInterval: cfg.MigrationInterval,
 		Registry:          cfg.Registry,
 		NoRing:            cfg.NoRing,
-		NoTelemetry:       cfg.NoTelemetry,
 		Tracer:            cfg.Tracer,
 	})
 	if err != nil {

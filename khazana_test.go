@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"khazana/internal/telemetry"
 	"khazana/internal/transport"
 )
 
@@ -453,5 +454,203 @@ func TestConcurrentClientsTCPEndToEnd(t *testing.T) {
 	}
 	if want := uint64(2 * clients * cycles); st.LocksGranted < want {
 		t.Fatalf("daemon granted %d locks, want >= %d", st.LocksGranted, want)
+	}
+}
+
+// TestTCPFanInSharesConnections: 256 clients run lock/write/unlock cycles
+// on private regions through one TCP client transport against one daemon.
+// Every client sees no error, and the daemon's open-connection gauge never
+// exceeds 4: the multiplexed transport carries every in-flight request
+// over a few shared sockets, so connections do not grow with clients.
+func TestTCPFanInSharesConnections(t *testing.T) {
+	const (
+		clients = 256
+		cycles  = 10
+		connCap = 4
+	)
+	ctx := context.Background()
+	daemon, err := StartNode(ctx, NodeConfig{
+		ID:         1,
+		ListenAddr: "127.0.0.1:0",
+		StoreDir:   filepath.Join(t.TempDir(), "n1"),
+		Genesis:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer daemon.Close()
+	tr, err := transport.NewTCP(ClientID(1), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.AddPeer(1, daemon.Addr())
+
+	setup := NewClient(tr, 1, "bench")
+	starts := make([]Addr, clients)
+	for i := range starts {
+		if starts[i], err = setup.Reserve(ctx, 4096, Attrs{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := setup.Allocate(ctx, starts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var peak int64
+	sample := func() {
+		for _, g := range daemon.Core().MetricsSnapshot().Gauges {
+			if g.Name == telemetry.MetricTransportConnsOpen {
+				peak = max(peak, g.Value)
+			}
+		}
+	}
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				sample()
+			case <-done:
+				sample()
+				return
+			}
+		}
+	}()
+
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i := range starts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cli := NewClient(tr, 1, "bench")
+			data := make([]byte, 64)
+			for j := 0; j < cycles && errs[i] == nil; j++ {
+				lk, err := cli.Lock(ctx, Range{Start: starts[i], Size: uint64(len(data))}, LockWrite)
+				if err != nil {
+					errs[i] = err
+					break
+				}
+				errs[i] = lk.Write(ctx, starts[i], data)
+				if err := lk.Unlock(ctx); errs[i] == nil {
+					errs[i] = err
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(done)
+	<-sampled
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	if peak == 0 || peak > connCap {
+		t.Fatalf("daemon held a peak of %d connections for %d clients, want 1..%d", peak, clients, connCap)
+	}
+}
+
+// TestFailoverUnderLiveWorkload kills a MinReplicas-3 region's home in the
+// middle of a client's lock/write/unlock cycle (§3.5). The release that
+// straddles the crash is queued and acked; the client's next lock elects
+// a log standby, which resumes from the replicated log. The client sees
+// no error, the queued release drains after RunRetries, exactly one node
+// other than the old home wins the election, and a fresh reader reads back
+// the last acked sequence. The context is only a hang guard: failover
+// time depends on host load, so it is not bounded here.
+func TestFailoverUnderLiveWorkload(t *testing.T) {
+	c := newTestCluster(t, 5, WithLatency(100*time.Microsecond))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	home, client := c.Node(2), c.Node(5)
+	start, err := home.Reserve(ctx, 4096, Attrs{MinReplicas: 3}, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Allocate(ctx, start, "bench"); err != nil {
+		t.Fatal(err)
+	}
+	// Background loops are off: refresh the home's membership view, then
+	// grow the home list so the standbys exist and follow the region's log.
+	home.Core().SendHeartbeat()
+	home.Core().MaintainReplicas()
+	d, err := home.GetAttr(ctx, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Home) < 3 || d.Home[0] != 2 {
+		t.Fatalf("home list %v, want node 2 first and 3 homes", d.Home)
+	}
+
+	seq, lastAck := 0, 0
+	cycle := func() {
+		seq++
+		lk, err := client.Lock(ctx, Range{Start: start, Size: 4096}, LockWrite, "bench")
+		if err != nil {
+			t.Fatalf("seq %d: lock: %v", seq, err)
+		}
+		if err := lk.Write(start, []byte(fmt.Sprintf("seq=%08d", seq))); err != nil {
+			t.Fatalf("seq %d: write: %v", seq, err)
+		}
+		if seq == 16 { // the home dies after the grant, before the release
+			c.Crash(2)
+		}
+		if err := lk.Unlock(ctx); err != nil {
+			t.Fatalf("seq %d: unlock: %v", seq, err)
+		}
+		lastAck = seq
+	}
+	for seq < 16 {
+		cycle()
+	}
+	if client.Core().PendingRetries() == 0 {
+		t.Fatal("the release straddling the crash was not queued for retry")
+	}
+	for seq < 31 {
+		cycle()
+	}
+	client.Core().RunRetries()
+	if n := client.Core().PendingRetries(); n != 0 {
+		t.Fatalf("%d releases still queued after RunRetries", n)
+	}
+
+	// A node that never touched the region reads through the new home.
+	lk, err := c.Node(4).Lock(ctx, Range{Start: start, Size: 12}, LockRead, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := lk.Read(start, 12)
+	if uerr := lk.Unlock(ctx); err == nil {
+		err = uerr
+	}
+	if want := fmt.Sprintf("seq=%08d", lastAck); err != nil || string(got) != want {
+		t.Fatalf("read back %q (%v), want the last acked %q", got, err, want)
+	}
+
+	var leader NodeID
+	for _, h := range d.Home[1:] {
+		l, _ := c.Node(int(h)).Core().Repl().Leader(start)
+		if leader == 0 {
+			leader = l
+		}
+		if l != leader {
+			t.Fatalf("standbys disagree on the leader: %d and %d", leader, l)
+		}
+	}
+	if leader == 0 || leader == 2 {
+		t.Fatalf("elected successor %d, want a standby other than the old home 2", leader)
+	}
+	var wins uint64
+	for _, n := range c.Nodes() {
+		wins += counterValue(n, telemetry.MetricReplFailovers)
+	}
+	if wins != 1 {
+		t.Fatalf("%d elections won, want exactly one", wins)
 	}
 }

@@ -196,37 +196,3 @@ func TestClientMetricsTracesPing(t *testing.T) {
 		t.Fatalf("ping RTT = %v, want > 0", rtt)
 	}
 }
-
-// TestNoTelemetryDisablesRecording proves the Nop configuration: no
-// registry, no spans, and Statistics keeps working on nil counters.
-func TestNoTelemetryDisablesRecording(t *testing.T) {
-	c := newTestCluster(t, 2, WithNoTelemetry())
-	ctx := context.Background()
-	n1 := c.Node(1)
-
-	start, err := n1.Reserve(ctx, 4096, Attrs{}, "quiet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n1.Allocate(ctx, start, "quiet"); err != nil {
-		t.Fatal(err)
-	}
-	lk, err := c.Node(2).Lock(ctx, Range{Start: start, Size: 4096}, LockWrite, "quiet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lk.ReadView(start, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := lk.Unlock(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := c.Node(2).Core().TraceSpans(); len(got) != 0 {
-		t.Fatalf("NoTelemetry node recorded %d spans: %+v", len(got), got)
-	}
-	snap := c.Node(2).Core().MetricsSnapshot()
-	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
-		t.Fatalf("NoTelemetry node produced a snapshot: %+v", snap)
-	}
-}
