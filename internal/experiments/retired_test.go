@@ -1,0 +1,339 @@
+package experiments
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"khazana"
+	"khazana/internal/telemetry"
+)
+
+// The experiments E13–E17 measured this repository's own extensions; their
+// runners and timing gates are gone, and the wall-clock numbers they
+// printed are recorded in EXPERIMENTS.md "Retired to tests". The tests
+// below keep each experiment's counted or correctness claim, end to end
+// through the public API, under the experiment's name.
+
+// TestE13Batching: a remote multi-page lock/unlock cycle is one acquire
+// and one release to the single home, while locking the same pages one at
+// a time pays at least two RPCs per page.
+func TestE13Batching(t *testing.T) {
+	ctx := context.Background()
+	const ps = 4096
+	for _, pages := range []int{16, 64} {
+		t.Run(fmt.Sprintf("%dpages", pages), func(t *testing.T) {
+			c, err := newCluster(fastCfg(t), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			size := uint64(pages) * ps
+			start, err := mkRegion(ctx, c.Node(1), size, khazana.Attrs{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeOnce(ctx, c.Node(1), start, make([]byte, size)); err != nil {
+				t.Fatal(err)
+			}
+			// Warm node 2's descriptor cache so each cycle is pure
+			// lock/fetch/release traffic.
+			if err := writeOnce(ctx, c.Node(2), start, []byte("warm")); err != nil {
+				t.Fatal(err)
+			}
+			rpcs := func(fn func() error) uint64 {
+				t.Helper()
+				reqs0, _ := c.Network.Stats()
+				if err := fn(); err != nil {
+					t.Fatal(err)
+				}
+				reqs1, _ := c.Network.Stats()
+				return reqs1 - reqs0
+			}
+			batched := rpcs(func() error {
+				return writeOnce(ctx, c.Node(2), start, []byte("batched?"))
+			})
+			perPage := rpcs(func() error {
+				return eachPage(ctx, c.Node(2), start, size, ps, khazana.LockWrite, func(lk *khazana.Lock, page khazana.Addr) error {
+					if page != start {
+						return nil
+					}
+					return lk.Write(start, []byte("per-page"))
+				})
+			})
+			t.Logf("%d pages: batched %d RPCs, per-page %d RPCs", pages, batched, perPage)
+			if batched > 4 {
+				t.Errorf("batched cycle over %d pages sent %d RPCs, want at most 4", pages, batched)
+			}
+			if perPage < 2*uint64(pages) {
+				t.Errorf("per-page cycle over %d pages sent %d RPCs, want at least %d", pages, perPage, 2*pages)
+			}
+		})
+	}
+}
+
+// TestE14ZeroCopy: a cached zero-copy view allocates no page-sized data,
+// the copying read pays at least one page buffer per call, and the view
+// allocates at least 75% fewer bytes.
+func TestE14ZeroCopy(t *testing.T) {
+	c, err := newCluster(fastCfg(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const ps = 4096
+	start, err := mkRegion(ctx, c.Node(1), ps, khazana.Attrs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeOnce(ctx, c.Node(1), start, make([]byte, ps)); err != nil {
+		t.Fatal(err)
+	}
+	lk, err := c.Node(1).Lock(ctx, khazana.Range{Start: start, Size: ps}, khazana.LockRead, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lk.Unlock(ctx)
+	viewAllocs, viewBytes := measureAllocs(t, 2000, func() error {
+		_, err := lk.ReadView(start, ps)
+		return err
+	})
+	copyAllocs, copyBytes := measureAllocs(t, 2000, func() error {
+		_, err := lk.Read(start, ps)
+		return err
+	})
+	reduction := 100 * (1 - viewBytes/copyBytes)
+	t.Logf("view %.1f allocs/op %.0f B/op; copy %.1f allocs/op %.0f B/op; %.1f%% fewer bytes",
+		viewAllocs, viewBytes, copyAllocs, copyBytes, reduction)
+	if viewBytes >= ps/4 {
+		t.Errorf("zero-copy view allocates %.0f B/op, want under %d", viewBytes, ps/4)
+	}
+	if copyBytes < ps {
+		t.Errorf("copying read allocates %.0f B/op, want at least one %d-byte page", copyBytes, ps)
+	}
+	if reduction < 75 {
+		t.Errorf("view allocates %.1f%% fewer bytes than the copy, want at least 75%%", reduction)
+	}
+}
+
+// TestE15TelemetryOverhead: with telemetry on, the cached read view stays
+// allocation-free, and the registry observes both the cached reads and the
+// batched cross-node lock/release cycles.
+func TestE15TelemetryOverhead(t *testing.T) {
+	c, err := newCluster(fastCfg(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const ps, batchPages = 4096, 8
+	start, err := mkRegion(ctx, c.Node(1), ps*batchPages, khazana.Attrs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeOnce(ctx, c.Node(1), start, make([]byte, ps*batchPages)); err != nil {
+		t.Fatal(err)
+	}
+
+	lk, err := c.Node(1).Lock(ctx, khazana.Range{Start: start, Size: ps}, khazana.LockRead, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink byte
+	read := func() error {
+		v, err := lk.ReadView(start, ps)
+		if err != nil {
+			return err
+		}
+		sink += v[0]
+		return nil
+	}
+	if err := read(); err != nil { // warm the view pin
+		t.Fatal(err)
+	}
+	readAllocs, _ := measureAllocs(t, 5000, read)
+	if err := lk.Unlock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_ = sink
+
+	for i := 0; i < 4; i++ {
+		wl, err := c.Node(2).Lock(ctx, khazana.Range{Start: start, Size: ps * batchPages}, khazana.LockWrite, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wl.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var readViews, lockBatches uint64
+	for _, cs := range c.Node(1).Core().MetricsSnapshot().Counters {
+		if cs.Name == telemetry.MetricReadViews {
+			readViews = cs.Value
+		}
+	}
+	for _, hs := range c.Node(2).Core().MetricsSnapshot().Histograms {
+		if hs.Name == telemetry.MetricLockBatchPages {
+			lockBatches = hs.Count
+		}
+	}
+	t.Logf("cached view %.2f allocs/op; recorded %d read views, %d lock batches", readAllocs, readViews, lockBatches)
+	if readAllocs >= 0.5 {
+		t.Errorf("cached read view with telemetry on allocates %.2f objects/op, want 0", readAllocs)
+	}
+	if readViews == 0 || lockBatches == 0 {
+		t.Errorf("registry recorded %d read views and %d lock batches, want both > 0", readViews, lockBatches)
+	}
+}
+
+// TestE16WriteThrough: each multi-page release by the home of a
+// MinReplicas=3 region reaches each of its two secondaries in exactly one
+// RPC, the log append that carries the dirty pages, and sends nothing else.
+func TestE16WriteThrough(t *testing.T) {
+	const (
+		ps          = 4096
+		cycles      = 4
+		pages       = 8
+		secondaries = 2
+	)
+	c, err := newCluster(fastCfg(t), secondaries+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const size = uint64(pages * ps)
+	start, err := mkRegion(ctx, c.Node(1), size, khazana.Attrs{MinReplicas: secondaries + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeOnce(ctx, c.Node(1), start, make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	// Extend the home list and seed the replicas, so the measured releases
+	// write through to a stable replica set.
+	c.Node(1).Core().MaintainReplicas()
+
+	reqs0, _ := c.Network.Stats()
+	updates0 := updateBatches(c.Node(1))
+	data := make([]byte, size)
+	for cycle := 0; cycle < cycles; cycle++ {
+		data[0] = byte(cycle + 1)
+		if err := writeOnce(ctx, c.Node(1), start, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs1, _ := c.Network.Stats()
+	requests, updates := reqs1-reqs0, updateBatches(c.Node(1))-updates0
+	const want = cycles * secondaries
+	if updates != want || requests != want {
+		t.Fatalf("%d releases to %d replicas sent %d page-carrying appends and %d RPCs in all, want exactly %d of each",
+			cycles, secondaries, updates, requests, want)
+	}
+}
+
+// updateBatches is the node's count of page-carrying replication messages.
+func updateBatches(n *khazana.Node) uint64 {
+	for _, hs := range n.Core().MetricsSnapshot().Histograms {
+		if hs.Name == telemetry.MetricUpdateBatchPages {
+			return hs.Count
+		}
+	}
+	return 0
+}
+
+// TestE17SnapshotScan: while a writer on another node holds the write lock
+// on a page with uncommitted bytes, concurrent snapshot scanners sweep
+// every page of the region without waiting for it, and see the committed
+// value.
+func TestE17SnapshotScan(t *testing.T) {
+	const (
+		ps      = 4096
+		pages   = 8
+		readers = 4
+		sweeps  = 10
+	)
+	c, err := newCluster(fastCfg(t), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const size = uint64(pages * ps)
+	start, err := mkRegion(ctx, c.Node(1), size, khazana.Attrs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeOnce(ctx, c.Node(2), start, []byte("committed")); err != nil {
+		t.Fatal(err)
+	}
+	lk, err := c.Node(2).Lock(ctx, khazana.Range{Start: start, Size: ps}, khazana.LockWrite, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.Write(start, []byte("in-flight")); err != nil {
+		t.Fatal(err)
+	}
+
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < sweeps; s++ {
+				snap := c.Node(3).Snapshot("bench")
+				for p := uint64(0); p < pages; p++ {
+					v, err := snap.View(ctx, start.MustAdd(p*ps), 9)
+					if err == nil && p == 0 && string(v) != "committed" {
+						err = fmt.Errorf("snapshot of the locked page = %q, want committed", v)
+					}
+					if err != nil {
+						snap.Close()
+						errs <- err
+						return
+					}
+				}
+				snap.Close()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("snapshot scans blocked on the held write lock")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := lk.Unlock(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// measureAllocs reports the mean heap allocations and bytes per call of fn
+// over runs calls. Background goroutines (heartbeats, gossip) can add
+// noise; callers use enough runs to drown it and assert with headroom.
+func measureAllocs(t *testing.T, runs int, fn func() error) (allocsPerOp, bytesPerOp float64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / float64(runs),
+		float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+}
