@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"khazana/internal/ktypes"
+	"khazana/internal/telemetry"
 	"khazana/internal/transport"
 	"khazana/internal/wire"
 )
@@ -193,30 +194,32 @@ type Stats struct {
 	Members        []NodeID
 }
 
-// Stats fetches the daemon's counters.
+// Stats fetches the daemon's counters: the named ones of its telemetry
+// snapshot.
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	resp, err := c.call(ctx, &wire.StatsReq{})
+	m, err := c.Metrics(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sr, ok := resp.(*wire.StatsResp)
-	if !ok {
-		return nil, fmt.Errorf("khazana: unexpected reply %T", resp)
+	st := &Stats{Node: m.Node, Members: m.Members}
+	fields := map[string]*uint64{
+		telemetry.MetricLookups:           &st.Lookups,
+		telemetry.MetricLookupDirHits:     &st.DirHits,
+		telemetry.MetricLookupClusterHits: &st.ClusterHits,
+		telemetry.MetricLookupTreeWalks:   &st.TreeWalks,
+		telemetry.MetricLocksGranted:      &st.LocksGranted,
+		telemetry.MetricReleaseRetries:    &st.ReleaseRetries,
+		telemetry.MetricPromotions:        &st.Promotions,
+		telemetry.MetricMemPages:          &st.MemPages,
+		telemetry.MetricDiskPages:         &st.DiskPages,
+		telemetry.MetricHomedRegions:      &st.HomedRegions,
 	}
-	return &Stats{
-		Node:           sr.Node,
-		Lookups:        sr.Lookups,
-		DirHits:        sr.DirHits,
-		ClusterHits:    sr.ClusterHits,
-		TreeWalks:      sr.TreeWalks,
-		LocksGranted:   sr.LocksGranted,
-		ReleaseRetries: sr.ReleaseRetries,
-		Promotions:     sr.Promotions,
-		MemPages:       sr.MemPages,
-		DiskPages:      sr.DiskPages,
-		HomedRegions:   sr.HomedRegions,
-		Members:        sr.Members,
-	}, nil
+	for _, v := range append(m.Counters, m.Gauges...) {
+		if p, ok := fields[v.Name]; ok {
+			*p = uint64(v.Value)
+		}
+	}
+	return st, nil
 }
 
 // MetricValue is one named counter or gauge from a daemon's registry.
@@ -236,9 +239,10 @@ type HistogramValue struct {
 }
 
 // Metrics is a daemon's full telemetry snapshot: every registered
-// counter, gauge, and histogram, by name.
+// counter, gauge, and histogram, by name, and its membership view.
 type Metrics struct {
 	Node       NodeID
+	Members    []NodeID
 	Counters   []MetricValue
 	Gauges     []MetricValue
 	Histograms []HistogramValue
@@ -273,7 +277,7 @@ func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Metrics{Node: sr.Node}
+	m := &Metrics{Node: sr.Node, Members: sr.Members}
 	for _, cc := range sr.Counters {
 		m.Counters = append(m.Counters, MetricValue{Name: cc.Name, Value: int64(cc.Value)})
 	}

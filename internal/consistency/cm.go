@@ -302,3 +302,118 @@ func snapshotReply(snaps []SnapPage, epoch uint64) *wire.SnapshotGrantBatch {
 	}
 	return batch
 }
+
+// StoreUpdates installs pushed page copies — a release's append at a
+// secondary home, a replica-maintenance or migration push — comparing
+// before it stores: an item older than the version held here is skipped,
+// so a late push never overwrites newer bytes. The page's push lock makes
+// compare, store and label one step. Each stored item's frame is taken
+// off the message; the first failure stops the install and is returned.
+func StoreUpdates(h Host, from ktypes.NodeID, items []wire.UpdateItem) error {
+	for i := range items {
+		if err := storeUpdate(h, from, &items[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func storeUpdate(h Host, from ktypes.NodeID, it *wire.UpdateItem) error {
+	mu := h.Dir().PushLock(it.Page)
+	mu.Lock()
+	defer mu.Unlock()
+	if e, _ := h.Dir().Lookup(it.Page); it.Version < e.Version {
+		return nil
+	}
+	f := it.TakeFrame()
+	if f == nil {
+		return fmt.Errorf("consistency: update of %v without contents", it.Page)
+	}
+	err := h.StorePage(it.Page, f)
+	f.Release()
+	if err != nil {
+		return err
+	}
+	self := h.Self()
+	h.Dir().Update(it.Page, func(e *pagedir.Entry) {
+		if it.Version >= e.Version {
+			e.Version = it.Version
+			if e.State != pagedir.Owned {
+				e.State = pagedir.Shared
+			}
+		}
+		e.AddSharer(self)
+		e.AddSharer(from)
+	})
+	return nil
+}
+
+// serveFetch is the release and eventual protocols' side of a PageFetch
+// (Figure 2 steps 7-9: the daemon supplies a copy out of local storage).
+// The home records the requester as a copy holder. A requester whose copy
+// is no older than the version here is told so without the bytes.
+func serveFetch(h Host, desc *region.Descriptor, msg *wire.PageFetch) wire.Msg {
+	if isHome(h, desc) {
+		h.Dir().Update(msg.Page, func(e *pagedir.Entry) {
+			e.HomedLocal = true
+			e.AddSharer(msg.Requester)
+		})
+	}
+	entry, _ := h.Dir().Lookup(msg.Page)
+	if msg.Holds && msg.Have >= entry.Version {
+		return &wire.PageData{Found: true, Version: entry.Version, Current: true}
+	}
+	f, ok := h.LoadPage(msg.Page)
+	if !ok {
+		return &wire.PageData{Found: false}
+	}
+	pd := &wire.PageData{Found: true, Version: entry.Version}
+	pd.SetFrame(f)
+	f.Release()
+	return pd
+}
+
+// fetchFromHome is the release and eventual protocols' one page fetch: a
+// PageFetch to the region's home carrying, when holds is set, have: the
+// version of the copy held here. A home no newer answers Current, and
+// then the frame is nil. Otherwise it returns the home's bytes (zeroes for a page
+// never written), which the caller owns, and their version.
+func fetchFromHome(ctx context.Context, h Host, desc *region.Descriptor, page gaddr.Addr, holds bool, have uint64) (*frame.Frame, uint64, error) {
+	home, err := homeOf(desc)
+	if err != nil {
+		return nil, 0, err
+	}
+	resp, err := h.Request(ctx, home, &wire.PageFetch{Page: page, Requester: h.Self(), Holds: holds, Have: have})
+	if err != nil {
+		return nil, 0, fmt.Errorf("consistency: fetch %v: %w", page, err)
+	}
+	pd, ok := resp.(*wire.PageData)
+	if !ok {
+		return nil, 0, fmt.Errorf("consistency: fetch %v: unexpected reply %T", page, resp)
+	}
+	if pd.Current {
+		return nil, pd.Version, nil
+	}
+	f := pd.TakeFrame() // nil when the home holds none
+	if f == nil {
+		f = zeroFill(desc)
+	}
+	return f, pd.Version, nil
+}
+
+// acquireEach is the release and eventual protocols' AcquireBatch: neither
+// has a home-side batch grant, so each page takes its local lock and then
+// ready brings its copy up to the protocol's standard. A failure releases
+// that page's lock and returns the held prefix.
+func acquireEach(ctx context.Context, h Host, pages []gaddr.Addr, mode ktypes.LockMode, ready func(gaddr.Addr) error) ([]gaddr.Addr, error) {
+	for i, p := range pages {
+		if err := h.Locks().Acquire(ctx, p, mode); err != nil {
+			return pages[:i:i], fmt.Errorf("%w: %v", ErrConflict, err)
+		}
+		if err := ready(p); err != nil {
+			h.Locks().Release(p, mode)
+			return pages[:i:i], err
+		}
+	}
+	return pages, nil
+}

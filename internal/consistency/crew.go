@@ -2,7 +2,6 @@ package consistency
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -646,8 +645,6 @@ func (c *CrewCM) Handle(ctx context.Context, desc *region.Descriptor, from ktype
 		}
 		snaps, epoch := c.homeSnapshot(desc, msg.Pages, msg.Epoch)
 		return snapshotReply(snaps, epoch), nil
-	case *wire.PageFetch:
-		return handlePageFetch(c.h, msg), nil
 	//khazana:wire-default non-CM kinds are unroutable here by design
 	default:
 		return nil, fmt.Errorf("%w: crew got %T", ErrUnknownMsg, m)
@@ -766,59 +763,8 @@ func (c *CrewCM) handleReplAppend(from ktypes.NodeID, msg *wire.ReplAppend) wire
 	if _, term := l.Leader(msg.Region); msg.Term < term {
 		return l.HandleAppend(msg)
 	}
-	for i := range msg.Pages {
-		if err := c.storeUpdate(from, &msg.Pages[i]); err != nil {
-			return &wire.ReplAck{Term: msg.Term, Err: err.Error()}
-		}
+	if err := StoreUpdates(c.h, from, msg.Pages); err != nil {
+		return &wire.ReplAck{Term: msg.Term, Err: err.Error()}
 	}
 	return l.HandleAppend(msg)
-}
-
-// storeUpdate installs one page of a release's append at a secondary,
-// comparing before it stores: a page older than the version held here is
-// skipped, so a late write-through never overwrites newer bytes. The
-// page's push lock makes compare, store and label one step.
-func (c *CrewCM) storeUpdate(from ktypes.NodeID, it *wire.UpdateItem) error {
-	mu := c.h.Dir().PushLock(it.Page)
-	mu.Lock()
-	defer mu.Unlock()
-	if e, _ := c.h.Dir().Lookup(it.Page); it.Version < e.Version {
-		return nil
-	}
-	f := it.TakeFrame()
-	if f == nil {
-		return errors.New("update without contents")
-	}
-	err := c.h.StorePage(it.Page, f)
-	f.Release()
-	if err != nil {
-		return err
-	}
-	self := c.h.Self()
-	c.h.Dir().Update(it.Page, func(e *pagedir.Entry) {
-		if it.Version >= e.Version {
-			e.Version = it.Version
-			if e.State != pagedir.Owned {
-				e.State = pagedir.Shared
-			}
-		}
-		e.AddSharer(self)
-		e.AddSharer(from)
-	})
-	return nil
-}
-
-// handlePageFetch serves a copy of a locally resident page; it is shared
-// by all protocols (Figure 2 steps 7-9: the daemon supplies a copy out of
-// local storage).
-func handlePageFetch(h Host, msg *wire.PageFetch) wire.Msg {
-	f, ok := h.LoadPage(msg.Page)
-	if !ok {
-		return &wire.PageData{Found: false}
-	}
-	entry, _ := h.Dir().Lookup(msg.Page)
-	pd := &wire.PageData{Found: true, Version: entry.Version}
-	pd.SetFrame(f)
-	f.Release()
-	return pd
 }

@@ -90,51 +90,21 @@ var _ CM = (*EventualCM)(nil)
 // Protocol implements CM.
 func (c *EventualCM) Protocol() region.Protocol { return region.Eventual }
 
-// acquire takes the local lock on one page; it is the loop body of
-// AcquireBatch. The only remote traffic is a one-time fetch when the node
-// has no replica at all — the fast-response property.
-func (c *EventualCM) acquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode) error {
-	if err := c.h.Locks().Acquire(ctx, page, mode); err != nil {
-		return fmt.Errorf("%w: %v", ErrConflict, err)
-	}
-	resident := false
-	if lf, ok := c.h.LoadPage(page); ok {
-		resident = true
-		lf.Release()
-	}
-	if resident || isHome(c.h, desc) {
-		if isHome(c.h, desc) {
-			c.h.Dir().Update(page, func(e *pagedir.Entry) { e.HomedLocal = true })
-		}
+// ensureReplica gives an acquired page a local replica. The only remote
+// traffic is a one-time fetch when the node has none and is not the
+// home — the fast-response property.
+func (c *EventualCM) ensureReplica(ctx context.Context, desc *region.Descriptor, page gaddr.Addr) error {
+	if isHome(c.h, desc) {
+		c.h.Dir().Update(page, func(e *pagedir.Entry) { e.HomedLocal = true })
 		return nil
 	}
-	if err := c.fetchInitial(ctx, desc, page); err != nil {
-		c.h.Locks().Release(page, mode)
-		return err
+	if lf, ok := c.h.LoadPage(page); ok {
+		lf.Release()
+		return nil
 	}
-	return nil
-}
-
-// fetchInitial pulls the first local replica from the home.
-func (c *EventualCM) fetchInitial(ctx context.Context, desc *region.Descriptor, page gaddr.Addr) error {
-	home, err := homeOf(desc)
+	f, version, err := fetchFromHome(ctx, c.h, desc, page, false, 0)
 	if err != nil {
 		return err
-	}
-	resp, err := c.h.Request(ctx, home, &wire.PageFetch{Page: page, Requester: c.h.Self()})
-	if err != nil {
-		return fmt.Errorf("consistency: eventual fetch %v: %w", page, err)
-	}
-	pd, ok := resp.(*wire.PageData)
-	if !ok {
-		return fmt.Errorf("consistency: eventual fetch %v: unexpected reply %T", page, resp)
-	}
-	var f *frame.Frame
-	if pd.Found {
-		f = pd.TakeFrame()
-	}
-	if f == nil {
-		f = zeroFill(desc)
 	}
 	defer f.Release()
 	c.mu.Lock()
@@ -149,7 +119,7 @@ func (c *EventualCM) fetchInitial(ctx context.Context, desc *region.Descriptor, 
 	c.setAuthLocked(page, f)
 	c.h.Dir().Update(page, func(e *pagedir.Entry) {
 		e.State = pagedir.Shared
-		e.Version = pd.Version
+		e.Version = version
 	})
 	return nil
 }
@@ -301,12 +271,7 @@ func (c *EventualCM) gossipBatch(ctx context.Context, updates []gossipUpdate) {
 // acquires from the local replica, so batching buys nothing beyond the
 // rare initial fetches.
 func (c *EventualCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
-	for i, p := range pages {
-		if err := c.acquire(ctx, desc, p, mode); err != nil {
-			return pages[:i:i], err
-		}
-	}
-	return pages, nil
+	return acquireEach(ctx, c.h, pages, mode, func(p gaddr.Addr) error { return c.ensureReplica(ctx, desc, p) })
 }
 
 // ReleaseBatch implements CM: the batch's dirty pages claim one clock
@@ -495,13 +460,7 @@ func (c *EventualCM) applyInbound(home bool, page gaddr.Addr, uf *frame.Frame, s
 func (c *EventualCM) Handle(ctx context.Context, desc *region.Descriptor, from ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 	switch msg := m.(type) {
 	case *wire.PageFetch:
-		if isHome(c.h, desc) {
-			c.h.Dir().Update(msg.Page, func(e *pagedir.Entry) {
-				e.HomedLocal = true
-				e.AddSharer(msg.Requester)
-			})
-		}
-		return handlePageFetch(c.h, msg), nil
+		return serveFetch(c.h, desc, msg), nil
 	case *wire.UpdateBatch:
 		// A batched push: a replica site releasing several dirty pages at
 		// once, another home's gossip round, or a background retry drain.

@@ -125,8 +125,6 @@ func pageOf(m wire.Msg) (gaddr.Addr, bool) {
 		return msg.Items[0].Page, true
 	case *wire.PageFetch:
 		return msg.Page, true
-	case *wire.VersionQuery:
-		return msg.Page, true
 	case *wire.UpdateBatch:
 		if len(msg.Items) == 0 {
 			return gaddr.Addr{}, false

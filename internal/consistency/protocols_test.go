@@ -194,29 +194,35 @@ func TestReleaseWriteVisibleAtNextAcquire(t *testing.T) {
 	}
 }
 
+// TestReleaseCachedReadAvoidsRefetch counts what a reader's acquire costs:
+// one PageFetch that validates its copy. A current copy comes back as
+// Current with no page bytes; a stale one comes back with them, in the
+// same round trip.
 func TestReleaseCachedReadAvoidsRefetch(t *testing.T) {
 	d := testDesc(region.Release)
 	hosts := cluster(t, 2, d)
 	page := d.Range.Start
-	net := hosts[0].tr.(interface {
-		Self() ktypes.NodeID
-	})
-	_ = net
+	pageSize := uint64(d.Attrs.PageSize)
+	read := func(what string, want byte, withBytes bool) {
+		t.Helper()
+		rpcs, wireBytes := hosts[0].net.Stats()
+		got := lockRead(t, hosts[1], d, page)
+		rpcs2, wireBytes2 := hosts[0].net.Stats()
+		rpcs, wireBytes = rpcs2-rpcs, wireBytes2-wireBytes
+		if got[0] != want {
+			t.Fatalf("%s read = %q, want %q", what, got[0], want)
+		}
+		if rpcs != 1 || (wireBytes >= pageSize) != withBytes {
+			t.Fatalf("%s read cost %d RPCs and %d wire bytes, want 1 RPC %s page bytes", what, rpcs, wireBytes,
+				map[bool]string{true: "with", false: "without"}[withBytes])
+		}
+	}
 
 	lockWrite(t, hosts[0], d, page, func(data []byte) { copy(data, "x") })
-	_ = lockRead(t, hosts[1], d, page) // fetches
-	// Second read: version matches, no PageFetch should be needed. We
-	// can't count messages directly here, but we can verify the cached
-	// entry version equals home's so the fetch branch is skipped.
-	entry, _ := hosts[1].Dir().Lookup(page)
-	homeEntry, _ := hosts[0].Dir().Lookup(page)
-	if entry.Version != homeEntry.Version {
-		t.Fatalf("cached version %d != home %d", entry.Version, homeEntry.Version)
-	}
-	got := lockRead(t, hosts[1], d, page)
-	if got[0] != 'x' {
-		t.Fatalf("cached read = %q", got[0])
-	}
+	read("first", 'x', true)
+	read("cached", 'x', false)
+	lockWrite(t, hosts[0], d, page, func(data []byte) { copy(data, "y") })
+	read("stale", 'y', true)
 }
 
 func TestReleaseConcurrentWritersLastPushWins(t *testing.T) {

@@ -33,22 +33,10 @@ var _ CM = (*ReleaseCM)(nil)
 // Protocol implements CM.
 func (c *ReleaseCM) Protocol() region.Protocol { return region.Release }
 
-// acquire takes the local lock on one page and validates its copy
-// against the home; it is the loop body of AcquireBatch.
-func (c *ReleaseCM) acquire(ctx context.Context, desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode) error {
-	if err := c.h.Locks().Acquire(ctx, page, mode); err != nil {
-		return fmt.Errorf("%w: %v", ErrConflict, err)
-	}
-	if err := c.validate(ctx, desc, page); err != nil {
-		c.h.Locks().Release(page, mode)
-		return err
-	}
-	return nil
-}
-
 // validate brings the local copy up to date with the home at acquire
-// time. Validation is mode-independent: readers and writers alike need a
-// current copy before the lock is usable.
+// time, in one PageFetch that carries the version held here: a current
+// copy costs the round trip and no bytes. Validation is mode-independent:
+// readers and writers alike need a current copy before the lock is usable.
 func (c *ReleaseCM) validate(ctx context.Context, desc *region.Descriptor, page gaddr.Addr) error {
 	if isHome(c.h, desc) {
 		c.h.Dir().Update(page, func(e *pagedir.Entry) {
@@ -59,53 +47,23 @@ func (c *ReleaseCM) validate(ctx context.Context, desc *region.Descriptor, page 
 		})
 		return nil
 	}
-	home, err := homeOf(desc)
-	if err != nil {
+	var entry pagedir.Entry
+	holds := false
+	if lf, ok := c.h.LoadPage(page); ok {
+		lf.Release()
+		entry, holds = c.h.Dir().Lookup(page)
+	}
+	f, version, err := fetchFromHome(ctx, c.h, desc, page, holds, entry.Version)
+	if err != nil || f == nil { // nil: the copy here is current
 		return err
 	}
-	entry, haveEntry := c.h.Dir().Lookup(page)
-	haveData := false
-	if lf, ok := c.h.LoadPage(page); ok {
-		haveData = true
-		lf.Release()
-	}
-
-	resp, err := c.h.Request(ctx, home, &wire.VersionQuery{Page: page})
-	if err != nil {
-		return fmt.Errorf("consistency: release validate %v: %w", page, err)
-	}
-	vi, ok := resp.(*wire.VersionInfo)
-	if !ok {
-		return fmt.Errorf("consistency: release validate %v: unexpected reply %T", page, resp)
-	}
-	fresh := haveData && haveEntry && entry.Version >= vi.Version
-	if fresh {
-		return nil
-	}
-	fetchResp, err := c.h.Request(ctx, home, &wire.PageFetch{Page: page, Requester: c.h.Self()})
-	if err != nil {
-		return fmt.Errorf("consistency: release fetch %v: %w", page, err)
-	}
-	pd, ok := fetchResp.(*wire.PageData)
-	if !ok {
-		return fmt.Errorf("consistency: release fetch %v: unexpected reply %T", page, fetchResp)
-	}
-	var f *frame.Frame
-	if pd.Found {
-		f = pd.TakeFrame()
-	}
-	if f == nil {
-		// Never written: an allocated page reads as zeroes.
-		f = zeroFill(desc)
-	}
-	err = c.h.StorePage(page, f)
-	f.Release()
-	if err != nil {
+	defer f.Release()
+	if err := c.h.StorePage(page, f); err != nil {
 		return fmt.Errorf("consistency: release store %v: %w", page, err)
 	}
 	c.h.Dir().Update(page, func(e *pagedir.Entry) {
 		e.State = pagedir.Shared
-		e.Version = pd.Version
+		e.Version = version
 	})
 	return nil
 }
@@ -127,15 +85,10 @@ func (c *ReleaseCM) SnapshotRead(ctx context.Context, desc *region.Descriptor, p
 }
 
 // AcquireBatch implements CM page by page: release consistency has no
-// home-side batch grant, and its acquire path is one version check per
+// home-side batch grant, and its acquire path is one validating fetch per
 // page.
 func (c *ReleaseCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
-	for i, p := range pages {
-		if err := c.acquire(ctx, desc, p, mode); err != nil {
-			return pages[:i:i], err
-		}
-	}
-	return pages, nil
+	return acquireEach(ctx, c.h, pages, mode, func(p gaddr.Addr) error { return c.validate(ctx, desc, p) })
 }
 
 // ReleaseBatch implements CM. Dirty contents propagate to the home here —
@@ -229,25 +182,11 @@ func (c *ReleaseCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, p
 // Handle implements CM.
 func (c *ReleaseCM) Handle(ctx context.Context, desc *region.Descriptor, from ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 	switch msg := m.(type) {
-	case *wire.VersionQuery:
+	case *wire.PageFetch:
 		if !isHome(c.h, desc) {
 			return nil, ErrNotHome
 		}
-		entry, ok := c.h.Dir().Lookup(msg.Page)
-		if !ok {
-			return &wire.VersionInfo{Found: false, Version: 0}, nil
-		}
-		return &wire.VersionInfo{Found: true, Version: entry.Version}, nil
-	case *wire.PageFetch:
-		if isHome(c.h, desc) {
-			// Track the fetcher so future protocols (and replica
-			// maintenance) know who caches the page.
-			c.h.Dir().Update(msg.Page, func(e *pagedir.Entry) {
-				e.HomedLocal = true
-				e.AddSharer(msg.Requester)
-			})
-		}
-		return handlePageFetch(c.h, msg), nil
+		return serveFetch(c.h, desc, msg), nil
 	case *wire.SnapshotReqBatch:
 		if !isHome(c.h, desc) {
 			return nil, ErrNotHome

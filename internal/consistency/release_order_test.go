@@ -184,7 +184,6 @@ func TestConcurrentPushesKeepNewerBytes(t *testing.T) {
 	d := replicatedDesc(1)
 	hosts := cluster(t, 3, d)
 	sec, page := hosts[1], d.Range.Start
-	cm := sec.cm(d).(*CrewCM)
 	item := func(version uint64) *wire.UpdateItem {
 		it := &wire.UpdateItem{Page: page, Version: version, Origin: 1}
 		f := frame.Copy(bytes.Repeat([]byte{byte(version)}, int(d.Attrs.PageSize)))
@@ -208,7 +207,7 @@ func TestConcurrentPushesKeepNewerBytes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer close(done)
-			if err := cm.storeUpdate(1, it); err != nil {
+			if err := storeUpdate(sec, 1, it); err != nil {
 				t.Errorf("push of v%d: %v", it.Version, err)
 			}
 		}()

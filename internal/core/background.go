@@ -460,34 +460,72 @@ func (n *Node) ensureHomes(ctx context.Context, desc *region.Descriptor) *region
 	return out
 }
 
-// pushReplicas copies locally stored pages of the region to its secondary
-// homes.
+// pushReplicas copies locally stored pages of the region to each
+// secondary home not yet in their copysets. Each pushed page is a repair:
+// a secondary that should already hold it (write-through or an earlier
+// maintenance round) but did not. A failed chunk adds no sharer, so the
+// next round repeats it.
 func (n *Node) pushReplicas(ctx context.Context, desc *region.Descriptor) {
 	if len(desc.Home) < 2 {
 		return
 	}
-	for _, page := range desc.Pages(0, desc.Range.Size) {
-		f, ok := n.store.Get(page)
-		if !ok {
-			continue // never written; zero-fills everywhere
+	pages := desc.Pages(0, desc.Range.Size)
+	for _, h := range desc.Home[1:] {
+		if h == n.cfg.ID {
+			continue
 		}
-		// One frame reference backs the sends to every secondary home;
-		// the messages carry only byte views.
-		entry, _ := n.dir.Lookup(page)
-		for _, h := range desc.Home[1:] {
-			if h == n.cfg.ID || entry.InCopyset(h) {
-				continue
-			}
-			if _, err := n.tr.Request(ctx, h, &wire.ReplicaPut{Page: page, Data: f.Bytes(), Version: entry.Version, From: n.cfg.ID}); err == nil {
-				n.dir.Update(page, func(e *pagedir.Entry) { e.AddSharer(h) })
-				// Each push here is a repair: a secondary that should
-				// already hold the page (write-through or an earlier
-				// maintenance round) but does not.
-				n.mReplicaRepairs.Add(1)
+		var missing []gaddr.Addr
+		for _, page := range pages {
+			if e, _ := n.dir.Lookup(page); !e.InCopyset(h) {
+				missing = append(missing, page)
 			}
 		}
-		f.Release()
+		pushed, _ := n.pushPages(ctx, h, missing)
+		n.mReplicaRepairs.Add(uint64(pushed))
 	}
+}
+
+// replicaPutBytes caps the page bytes one ReplicaPut carries, well under
+// the transport's 4 MiB pooled frame.
+const replicaPutBytes = 1 << 20
+
+// pushPages sends the locally stored ones of pages to a node as
+// ReplicaPuts of at most replicaPutBytes of page bytes each; pages never
+// written are skipped, as they zero-fill everywhere. The target joins the
+// copyset of every page it acked. It returns how many pages that was,
+// stopping at the first chunk that failed.
+func (n *Node) pushPages(ctx context.Context, to ktypes.NodeID, pages []gaddr.Addr) (int, error) {
+	pushed, size := 0, 0
+	put := &wire.ReplicaPut{From: n.cfg.ID}
+	for i, page := range pages {
+		if f, ok := n.store.Get(page); ok {
+			entry, _ := n.dir.Lookup(page)
+			it := wire.UpdateItem{Page: page, Version: entry.Version, Origin: n.cfg.ID}
+			it.SetFrame(f)
+			f.Release()
+			put.Items = append(put.Items, it)
+			size += len(it.Data)
+		}
+		if len(put.Items) == 0 || (size < replicaPutBytes && i < len(pages)-1) {
+			continue
+		}
+		resp, err := n.tr.Request(ctx, to, put)
+		if ack, ok := resp.(*wire.Ack); err == nil && ok && ack.Err != "" {
+			err = errors.New(ack.Err)
+		}
+		// The items held their frames, and so their Data views, until the
+		// request was marshaled.
+		put.ReleaseFrames()
+		if err != nil {
+			return pushed, fmt.Errorf("core: replica push to %v: %w", to, err)
+		}
+		for _, it := range put.Items {
+			n.dir.Update(it.Page, func(e *pagedir.Entry) { e.AddSharer(to) })
+		}
+		pushed += len(put.Items)
+		put.Items, size = put.Items[:0], 0
+	}
+	return pushed, nil
 }
 
 func containsNode(ns []ktypes.NodeID, id ktypes.NodeID) bool {

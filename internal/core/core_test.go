@@ -510,7 +510,7 @@ func TestLateReplicaPutKeepsNewerBytes(t *testing.T) {
 	start := mkRegion(t, nodes[0], 4096, region.Attrs{}, "")
 	push := func(version uint64, fill byte) {
 		t.Helper()
-		put := &wire.ReplicaPut{Page: start, Data: bytes.Repeat([]byte{fill}, 4096), Version: version, From: 1}
+		put := &wire.ReplicaPut{From: 1, Items: []wire.UpdateItem{{Page: start, Data: bytes.Repeat([]byte{fill}, 4096), Version: version}}}
 		if resp, err := nodes[0].Request(ctx, 2, put); err != nil {
 			t.Fatalf("push of v%d: %v", version, err)
 		} else if ack, ok := resp.(*wire.Ack); !ok || ack.Err != "" {
@@ -750,6 +750,53 @@ func TestReleaseProtocolRegion(t *testing.T) {
 	_ = nodes[0].Unlock(ctx, rlc)
 	if string(got) != "rc data" {
 		t.Fatalf("read %q", got)
+	}
+}
+
+// A release-protocol copy at version 0 is still a copy: a non-home node
+// whose push of a fresh page failed keeps its bytes when it locks the
+// page again, and the queued retry then delivers those bytes home.
+func TestReleaseRelockBeforeRetryKeepsDirtyCopy(t *testing.T) {
+	net, nodes := testCluster(t, 3)
+	ctx := context.Background()
+	start := mkRegion(t, nodes[1], 4096, region.Attrs{Level: region.Relaxed}, "")
+	rng := gaddr.Range{Start: start, Size: 4096}
+
+	lc, err := nodes[2].Lock(ctx, rng, ktypes.LockWrite, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[2].Write(lc, start, []byte("unpushed")); err != nil {
+		t.Fatal(err)
+	}
+	net.Partition(3, 2)
+	if err := nodes[2].Unlock(ctx, lc); err != nil {
+		t.Fatalf("release errors must not surface (§3.5): %v", err)
+	}
+	if nodes[2].PendingRetries() == 0 {
+		t.Fatal("failed release should be queued")
+	}
+	net.Heal(3, 2)
+
+	read := func(n *Node) string {
+		t.Helper()
+		lc, err := n.Lock(ctx, rng, ktypes.LockRead, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = n.Unlock(ctx, lc) }()
+		got, _ := n.Read(lc, start, 8)
+		return string(got)
+	}
+	if got := read(nodes[2]); got != "unpushed" {
+		t.Fatalf("writer reads %q before the retry, want its own bytes", got)
+	}
+	nodes[2].RunRetries()
+	if n := nodes[2].PendingRetries(); n != 0 {
+		t.Fatalf("%d releases still queued after RunRetries", n)
+	}
+	if got := read(nodes[0]); got != "unpushed" {
+		t.Fatalf("third node reads %q after the retry", got)
 	}
 }
 

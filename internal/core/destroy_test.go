@@ -250,6 +250,13 @@ func (k *kindCounter) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg)
 	return k.Transport.Request(ctx, to, m)
 }
 
+// count reports how many requests of one kind were sent so far.
+func (k *kindCounter) count(kind wire.Kind) int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.kinds[kind]
+}
+
 // TestSinglePageLockIsBatchOfOne pins the wire cost of the only transfer
 // path: a remote Lock+Unlock of one page is exactly one PageReqBatch and
 // one ReleaseBatch, nothing else, and so is one of 4 or 16 pages — the

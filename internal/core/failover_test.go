@@ -69,9 +69,8 @@ func TestReleaseAppendsToReplicatedLog(t *testing.T) {
 		if slast != last {
 			t.Fatalf("standby %d last=%d, want %d", h, slast, last)
 		}
-		info, ok := standby.Standbys().Lookup(start)
-		if !ok || info.Leader != 2 {
-			t.Fatalf("standby %d table = %+v ok=%v, want leader 2", h, info, ok)
+		if leader, _ := standby.Repl().Leader(start); leader != 2 {
+			t.Fatalf("standby %d follows leader %v, want 2", h, leader)
 		}
 	}
 }

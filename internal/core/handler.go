@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"khazana/internal/consistency"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
-	"khazana/internal/pagedir"
 	"khazana/internal/region"
 	"khazana/internal/telemetry"
 	"khazana/internal/wire"
@@ -35,8 +35,6 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 		}
 		return n.handleCM(ctx, from, msg.Items[0].Page, m)
 	case *wire.PageFetch:
-		return n.handleCM(ctx, from, msg.Page, m)
-	case *wire.VersionQuery:
 		return n.handleCM(ctx, from, msg.Page, m)
 	case *wire.PageReqBatch:
 		if len(msg.Pages) == 0 {
@@ -89,7 +87,7 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 
 	// --- replication ------------------------------------------------------
 	case *wire.ReplicaPut:
-		return n.handleReplicaPut(msg)
+		return ackErr(consistency.StoreUpdates(hostView{n}, msg.From, msg.Items)), nil
 
 	// --- address map mutations (map home only) -----------------------------
 	case *wire.ReserveSpace:
@@ -199,8 +197,6 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 	// --- migration and introspection ---------------------------------------
 	case *wire.Migrate:
 		return ackErr(n.MigrateRegion(ctx, msg.Start, msg.NewHome, msg.Principal)), nil
-	case *wire.StatsReq:
-		return n.statsResp(), nil
 	case *wire.StatsQuery:
 		return n.statsReply(msg.IncludeSpans), nil
 
@@ -288,36 +284,6 @@ func (n *Node) handleRegionLookup(msg *wire.RegionLookup) *wire.RegionInfo {
 		return &wire.RegionInfo{Found: true, Desc: d}
 	}
 	return &wire.RegionInfo{Found: false}
-}
-
-// handleReplicaPut installs a pushed replica page, under its push lock,
-// unless it is older than the version held here. The inbound frame is
-// taken off the message (zero-copy when decoded into a frame).
-func (n *Node) handleReplicaPut(msg *wire.ReplicaPut) (wire.Msg, error) {
-	mu := n.dir.PushLock(msg.Page)
-	mu.Lock()
-	defer mu.Unlock()
-	if e, _ := n.dir.Lookup(msg.Page); msg.Version < e.Version {
-		return &wire.Ack{}, nil
-	}
-	f := msg.TakeFrame()
-	if f == nil {
-		return nil, fmt.Errorf("core: replica put %v: no data", msg.Page)
-	}
-	err := n.store.Put(msg.Page, f)
-	f.Release()
-	if err != nil {
-		return nil, err
-	}
-	n.dir.Update(msg.Page, func(e *pagedir.Entry) {
-		if msg.Version >= e.Version {
-			e.Version = msg.Version
-			e.State = pagedir.Shared
-		}
-		e.AddSharer(n.cfg.ID)
-		e.AddSharer(msg.From)
-	})
-	return &wire.Ack{}, nil
 }
 
 // askPeerManagers forwards a missed query to peer cluster managers.

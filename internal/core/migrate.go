@@ -81,22 +81,9 @@ func (n *Node) migrateLocal(ctx context.Context, start gaddr.Addr, newHome ktype
 			return ErrBusyRegion
 		}
 	}
-	// Ship every locally stored page. The frame stays alive (and its
-	// Data view valid) across the RPC.
-	for _, page := range pages {
-		f, ok := n.store.Get(page)
-		if !ok {
-			continue // never written; zero-fills at the new home too
-		}
-		entry, _ := n.dir.Lookup(page)
-		resp, err := n.tr.Request(ctx, newHome, &wire.ReplicaPut{Page: page, Data: f.Bytes(), Version: entry.Version, From: n.cfg.ID})
-		f.Release()
-		if err != nil {
-			return fmt.Errorf("core: migrate page %v: %w", page, err)
-		}
-		if ack, ok := resp.(*wire.Ack); ok && ack.Err != "" {
-			return fmt.Errorf("core: migrate page %v: %s", page, ack.Err)
-		}
+	// Ship every locally stored page, a byte-capped chunk per round trip.
+	if _, err := n.pushPages(ctx, newHome, pages); err != nil {
+		return fmt.Errorf("core: migrate: %w", err)
 	}
 	// Hand over the descriptor: new home first, this node demoted to
 	// secondary.
@@ -139,30 +126,12 @@ func (n *Node) migrateLocal(ctx context.Context, start gaddr.Addr, newHome ktype
 	return nil
 }
 
-// statsResp builds a StatsResp snapshot.
-func (n *Node) statsResp() *wire.StatsResp {
-	return &wire.StatsResp{
-		Node:           n.cfg.ID,
-		Lookups:        n.stats.Lookups.Load(),
-		DirHits:        n.stats.DirHits.Load(),
-		ClusterHits:    n.stats.ClusterHits.Load(),
-		TreeWalks:      n.stats.TreeWalks.Load(),
-		LocksGranted:   n.stats.LocksGranted.Load(),
-		ReleaseRetries: n.stats.ReleaseRetries.Load(),
-		Promotions:     n.stats.Promotions.Load(),
-		MemPages:       uint64(n.store.Mem().Len()),
-		DiskPages:      uint64(n.store.Disk().Len()),
-		HomedRegions:   uint64(len(n.authStarts())),
-		Members:        n.Members(),
-	}
-}
-
 // statsReply serves the full telemetry snapshot over the wire: every
-// registered counter, gauge, and histogram, plus the span ring when the
-// caller asks for it.
+// registered counter, gauge, and histogram, the membership view, plus the
+// span ring when the caller asks for it.
 func (n *Node) statsReply(includeSpans bool) *wire.StatsReply {
 	snap := n.MetricsSnapshot()
-	reply := &wire.StatsReply{Node: n.cfg.ID}
+	reply := &wire.StatsReply{Node: n.cfg.ID, Members: n.Members()}
 	for _, c := range snap.Counters {
 		reply.Counters = append(reply.Counters, wire.NamedCounter{Name: c.Name, Value: c.Value})
 	}

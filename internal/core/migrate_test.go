@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -10,13 +11,47 @@ import (
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
 	"khazana/internal/security"
+	"khazana/internal/telemetry"
 	"khazana/internal/wire"
 )
 
-func TestMigrateRegionHandoff(t *testing.T) {
-	_, nodes := testCluster(t, 3)
+// fillPages writes count whole pages from start under one write lock,
+// page i filled with byte i+1.
+func fillPages(t *testing.T, n *Node, start gaddr.Addr, count int) {
+	t.Helper()
 	ctx := context.Background()
-	start := mkRegion(t, nodes[0], 2*4096, region.Attrs{}, "admin")
+	lc, err := n.Lock(ctx, gaddr.Range{Start: start, Size: uint64(count) * 4096}, ktypes.LockWrite, "admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < count; i++ {
+		if err := n.Write(lc, start.MustAdd(uint64(i)*4096), bytes.Repeat([]byte{byte(i + 1)}, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Unlock(ctx, lc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pushedPages is the 4 MiB the push tests write: 1 024 pages of 4 KiB.
+const pushedPages = 1024
+
+// wantReplicaPuts is the ReplicaPuts one target costs for pushedPages:
+// one per replicaPutBytes of page bytes.
+const wantReplicaPuts = (pushedPages*4096 + replicaPutBytes - 1) / replicaPutBytes
+
+func TestMigrateRegionHandoff(t *testing.T) {
+	counter := &kindCounter{kinds: make(map[wire.Kind]int)}
+	_, nodes := testCluster(t, 3, func(i int, cfg *Config) {
+		if i == 0 {
+			counter.Transport = cfg.Transport
+			cfg.Transport = counter
+		}
+	})
+	ctx := context.Background()
+	start := mkRegion(t, nodes[0], pushedPages*4096, region.Attrs{}, "admin")
+	fillPages(t, nodes[0], start, pushedPages)
 
 	lc, err := nodes[0].Lock(ctx, gaddr.Range{Start: start, Size: 8192}, ktypes.LockWrite, "admin")
 	if err != nil {
@@ -30,6 +65,10 @@ func TestMigrateRegionHandoff(t *testing.T) {
 
 	if err := nodes[0].MigrateRegion(ctx, start, 3, "admin"); err != nil {
 		t.Fatal(err)
+	}
+	// The pages travel in byte-capped chunks, not one message per page.
+	if got := counter.count(wire.KindReplicaPut); got != wantReplicaPuts {
+		t.Fatalf("migration sent %d ReplicaPuts for %d pages, want %d", got, pushedPages, wantReplicaPuts)
 	}
 	// The new primary home is node 3 everywhere that matters.
 	d := nodes[2].authDescByStart(start)
@@ -67,6 +106,50 @@ func TestMigrateRegionHandoff(t *testing.T) {
 	_ = nodes[1].Unlock(ctx, wlc)
 	if data, ok := nodes[2].Store().GetCopy(start); !ok || string(data[:10]) != "after move" {
 		t.Fatalf("new home store = %q, %v", data[:10], ok)
+	}
+}
+
+// TestMaintainReplicasBatches: a home growing a MinReplicas-3 region onto
+// two new secondaries pushes its 1 024 written pages to each in
+// byte-capped ReplicaPuts, and each secondary then holds every page's
+// bytes at the home's version.
+func TestMaintainReplicasBatches(t *testing.T) {
+	counter := &kindCounter{kinds: make(map[wire.Kind]int)}
+	_, nodes := testCluster(t, 3, func(i int, cfg *Config) {
+		if i == 0 {
+			counter.Transport = cfg.Transport
+			cfg.Transport = counter
+		}
+	})
+	start := mkRegion(t, nodes[0], pushedPages*4096, region.Attrs{MinReplicas: 3}, "admin")
+	fillPages(t, nodes[0], start, pushedPages)
+
+	nodes[0].MaintainReplicas()
+	if got := counter.count(wire.KindReplicaPut); got != 2*wantReplicaPuts {
+		t.Fatalf("maintenance sent %d ReplicaPuts, want %d", got, 2*wantReplicaPuts)
+	}
+	d := nodes[0].authDescByStart(start)
+	if len(d.Home) != 3 {
+		t.Fatalf("homes = %v, want 3", d.Home)
+	}
+	for _, h := range d.Home[1:] {
+		sec := nodes[h-1]
+		for i := 0; i < pushedPages; i++ {
+			page := start.MustAdd(uint64(i) * 4096)
+			want, _ := nodes[0].PageDir().Lookup(page)
+			got, ok := sec.Store().GetCopy(page)
+			if !ok {
+				t.Fatalf("secondary %v lacks page %d", h, i)
+			}
+			if e, _ := sec.PageDir().Lookup(page); got[0] != byte(i+1) || e.Version != want.Version {
+				t.Fatalf("secondary %v page %d: byte %#x v%d, want %#x v%d", h, i, got[0], e.Version, byte(i+1), want.Version)
+			}
+		}
+	}
+	// A second round finds every secondary in the copysets: nothing moves.
+	nodes[0].MaintainReplicas()
+	if got := counter.count(wire.KindReplicaPut); got != 2*wantReplicaPuts {
+		t.Fatalf("a converged round sent %d more ReplicaPuts", got-2*wantReplicaPuts)
 	}
 }
 
@@ -177,12 +260,28 @@ func TestStatsRPC(t *testing.T) {
 	_ = nodes[1].Write(lc, start, []byte("x"))
 	_ = nodes[1].Unlock(ctx, lc)
 
-	resp := nodes[0].statsResp()
-	if resp.Node != 1 || resp.HomedRegions != 1 {
+	counter := func(r *wire.StatsReply, name string) uint64 {
+		for _, c := range r.Counters {
+			if c.Name == name {
+				return c.Value
+			}
+		}
+		return 0
+	}
+	homed := func(r *wire.StatsReply) int64 {
+		for _, g := range r.Gauges {
+			if g.Name == telemetry.MetricHomedRegions {
+				return g.Value
+			}
+		}
+		return 0
+	}
+	resp := nodes[0].statsReply(false)
+	if resp.Node != 1 || homed(resp) != 1 {
 		t.Fatalf("stats = %+v", resp)
 	}
-	r2 := nodes[1].statsResp()
-	if r2.LocksGranted == 0 || r2.Lookups == 0 {
+	r2 := nodes[1].statsReply(false)
+	if counter(r2, telemetry.MetricLocksGranted) == 0 || counter(r2, telemetry.MetricLookups) == 0 {
 		t.Fatalf("node 2 stats = %+v", r2)
 	}
 	if len(resp.Members) < 2 {

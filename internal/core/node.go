@@ -155,10 +155,6 @@ type Node struct {
 	// them, and failover promotes whichever standby wins an election.
 	repl *replog.Log
 
-	// standbys tracks the regions this node follows as a log replica,
-	// fed by the replog observer on every replicated append.
-	standbys *cluster.StandbyTable
-
 	// ringMu guards ringState, the current consistent-hashing partition
 	// of region descriptors (nil when Config.NoRing disables it or
 	// before the first membership view). ringTable is this node's
@@ -216,6 +212,7 @@ type Node struct {
 	mStageWalk      *telemetry.Histogram
 	gMemPages       *telemetry.Gauge
 	gDiskPages      *telemetry.Gauge
+	gHomedRegions   *telemetry.Gauge
 }
 
 // Stats counts daemon activity. The fields are registry-backed counters
@@ -415,6 +412,7 @@ func NewNode(cfg Config) (*Node, error) {
 		mStageWalk:      tel.Histogram(telemetry.MetricLookupStageWalk),
 		gMemPages:       tel.Gauge(telemetry.MetricMemPages),
 		gDiskPages:      tel.Gauge(telemetry.MetricDiskPages),
+		gHomedRegions:   tel.Gauge(telemetry.MetricHomedRegions),
 	}
 	n.ringTable = ring.NewTable()
 	n.flights = make(map[gaddr.Addr]chan struct{})
@@ -438,7 +436,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	st.SetMissCounter(tel.Counter(telemetry.MetricMemMisses))
 	n.store = st
-	n.standbys = cluster.NewStandbyTable()
 	n.repl = replog.New(replog.Config{
 		Self: cfg.ID,
 		Dir:  cfg.StoreDir,
@@ -446,9 +443,6 @@ func NewNode(cfg Config) (*Node, error) {
 			return n.tr.Request(ctx, to, m)
 		},
 		Tel: tel,
-		Observer: func(start gaddr.Addr, leader ktypes.NodeID, term, lastIndex uint64) {
-			n.standbys.Observe(start, leader, term, lastIndex)
-		},
 	})
 	reg := cfg.Registry
 	if reg == nil {
@@ -568,6 +562,7 @@ func (n *Node) Telemetry() *telemetry.Registry { return n.tel }
 func (n *Node) MetricsSnapshot() telemetry.Snapshot {
 	n.gMemPages.Set(int64(n.store.Mem().Len()))
 	n.gDiskPages.Set(int64(n.store.Disk().Len()))
+	n.gHomedRegions.Set(int64(len(n.authStarts())))
 	return n.tel.Snapshot()
 }
 
@@ -610,9 +605,6 @@ func (n *Node) AddressMap() *addrmap.Map { return n.amap }
 // Repl exposes the replicated region-metadata log (diagnostics, tests,
 // and experiments).
 func (n *Node) Repl() *replog.Log { return n.repl }
-
-// Standbys exposes the standby-replica table (diagnostics and tests).
-func (n *Node) Standbys() *cluster.StandbyTable { return n.standbys }
 
 // Ring exposes the node's current consistent-hashing partition view
 // (nil when disabled or before the first membership sync); diagnostics,

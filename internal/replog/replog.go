@@ -74,22 +74,17 @@ type Config struct {
 	Now func() time.Time
 	// LeaseTimeout overrides DefaultLeaseTimeout when positive.
 	LeaseTimeout time.Duration
-	// Observer, when non-nil, is told about follower-side progress
-	// after every accepted append — the hook cluster standby tracking
-	// hangs off.
-	Observer func(region gaddr.Addr, leader ktypes.NodeID, term, lastIndex uint64)
 }
 
 // Log is a node's collection of per-region replicated metadata logs:
 // leader for the regions this node is primary home of, follower for
 // the regions it stands by.
 type Log struct {
-	self     ktypes.NodeID
-	dir      string
-	send     SendFunc
-	now      func() time.Time
-	lease    time.Duration
-	observer func(region gaddr.Addr, leader ktypes.NodeID, term, lastIndex uint64)
+	self  ktypes.NodeID
+	dir   string
+	send  SendFunc
+	now   func() time.Time
+	lease time.Duration
 
 	mu      sync.Mutex
 	regions map[gaddr.Addr]*regionLog
@@ -134,13 +129,12 @@ type regionLog struct {
 // New builds a Log. Call Load afterwards to restore a durable tail.
 func New(cfg Config) *Log {
 	l := &Log{
-		self:     cfg.Self,
-		dir:      cfg.Dir,
-		send:     cfg.Send,
-		now:      cfg.Now,
-		lease:    cfg.LeaseTimeout,
-		observer: cfg.Observer,
-		regions:  make(map[gaddr.Addr]*regionLog),
+		self:    cfg.Self,
+		dir:     cfg.Dir,
+		send:    cfg.Send,
+		now:     cfg.Now,
+		lease:   cfg.LeaseTimeout,
+		regions: make(map[gaddr.Addr]*regionLog),
 	}
 	if l.now == nil {
 		l.now = time.Now
@@ -519,14 +513,10 @@ func (l *Log) HandleAppend(m *wire.ReplAppend) *wire.ReplAck {
 		delta -= rl.advanceCommitLocked(m.Commit)
 	}
 	ack := &wire.ReplAck{Term: rl.term, Ack: rl.lastIndexLocked(), OK: true}
-	leader, term, last := rl.leader, rl.term, rl.lastIndexLocked()
 	rl.mu.Unlock()
 
 	if delta != 0 {
 		l.addTail(delta)
-	}
-	if l.observer != nil {
-		l.observer(m.Region, leader, term, last)
 	}
 	return ack
 }

@@ -280,37 +280,6 @@ func TestDeposedLeaderGetsErrNotLeader(t *testing.T) {
 	}
 }
 
-func TestObserverSeesFollowerProgress(t *testing.T) {
-	n := newNet()
-	var mu sync.Mutex
-	var gotLeader ktypes.NodeID
-	var gotLast uint64
-	follower := New(Config{
-		Self: 2,
-		Send: func(context.Context, ktypes.NodeID, wire.Msg) (wire.Msg, error) {
-			return nil, errors.New("unused")
-		},
-		Observer: func(_ gaddr.Addr, leader ktypes.NodeID, _ uint64, last uint64) {
-			mu.Lock()
-			gotLeader, gotLast = leader, last
-			mu.Unlock()
-		},
-	})
-	n.mu.Lock()
-	n.logs[2] = follower
-	n.mu.Unlock()
-	leader := n.add(1, "", 0)
-	desc := testDesc(1, 2)
-	if err := leader.Append(context.Background(), desc, releaseEntry(0x10000, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if gotLeader != 1 || gotLast != 1 {
-		t.Fatalf("observer saw leader=%d last=%d, want 1/1", gotLeader, gotLast)
-	}
-}
-
 func TestDurableTailRoundTrips(t *testing.T) {
 	dir := t.TempDir()
 	n := newNet()

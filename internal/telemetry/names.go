@@ -26,6 +26,9 @@ const (
 	// MetricPromotions counts emergency home promotions after an
 	// unreachable home.
 	MetricPromotions = "core.promotions"
+	// MetricHomedRegions gauges the regions this node is a home of,
+	// primary or secondary.
+	MetricHomedRegions = "core.homed_regions"
 	// MetricReadViews counts zero-copy cached read views served. This is
 	// the only instrument on the cached-read hot path.
 	MetricReadViews = "core.read_views"

@@ -6,8 +6,8 @@ import (
 
 // Frame-backed payloads.
 //
-// Messages that carry page contents (PageData, ReplicaPut, and the items
-// of the batch messages) can attach a refcounted frame behind their Data
+// Messages that carry page contents (PageData and the items of the batch
+// messages) can attach a refcounted frame behind their Data
 // field:
 //
 //   - Send side: SetFrame(f) points Data at f's bytes and takes the
@@ -84,22 +84,6 @@ func (m *PageData) ReleaseFrames() {
 	setFrame(&m.dataFrame, &m.Data, nil)
 }
 
-// --- ReplicaPut -------------------------------------------------------------
-
-// SetFrame attaches f as the replicated page contents.
-func (m *ReplicaPut) SetFrame(f *frame.Frame) { setFrame(&m.dataFrame, &m.Data, f) }
-
-// TakeFrame transfers ownership of the payload frame to the caller.
-func (m *ReplicaPut) TakeFrame() *frame.Frame { return takeFrame(&m.dataFrame, m.Data) }
-
-// ReleaseFrames implements FrameCarrier.
-func (m *ReplicaPut) ReleaseFrames() {
-	if m == nil {
-		return
-	}
-	setFrame(&m.dataFrame, &m.Data, nil)
-}
-
 // --- batched items ----------------------------------------------------------
 
 // SetFrame attaches f as this grant item's payload. Use via
@@ -152,6 +136,14 @@ func (it *UpdateItem) TakeFrame() *frame.Frame { return takeFrame(&it.dataFrame,
 
 // ReleaseFrames implements FrameCarrier: releases every item's frame.
 func (m *UpdateBatch) ReleaseFrames() {
+	if m == nil {
+		return
+	}
+	ReleaseItems(m.Items)
+}
+
+// ReleaseFrames implements FrameCarrier: releases every item's frame.
+func (m *ReplicaPut) ReleaseFrames() {
 	if m == nil {
 		return
 	}

@@ -12,9 +12,8 @@ import (
 // `khazctl stats` and `khazctl trace`, and the optional trace envelope the
 // transports wrap around requests that carry a span context.
 //
-// Unlike the fixed-field StatsResp (kept for compatibility), StatsReply
-// carries the full metrics registry by name, so new instruments reach
-// operators without another wire change.
+// StatsReply carries the full metrics registry by name, so new instruments
+// reach operators without another wire change.
 
 // StatsQuery asks a daemon for its full telemetry snapshot.
 type StatsQuery struct {
@@ -60,14 +59,15 @@ type SpanStat struct {
 	DurationNs    int64
 }
 
-// StatsReply carries a daemon's metrics registry snapshot and, on
-// request, its recorded trace spans.
+// StatsReply carries a daemon's metrics registry snapshot, its membership
+// view and, on request, its recorded trace spans.
 type StatsReply struct {
 	Node     ktypes.NodeID
 	Counters []NamedCounter
 	Gauges   []NamedGauge
 	Hists    []HistStat
 	Spans    []SpanStat
+	Members  []ktypes.NodeID
 }
 
 // Kind implements Msg.
@@ -105,6 +105,7 @@ func (m *StatsReply) encode(e *enc.Encoder) {
 		e.I64(s.StartUnixNano)
 		e.I64(s.DurationNs)
 	}
+	e.NodeIDs(m.Members)
 }
 
 func (m *StatsReply) decode(d *enc.Decoder) {
@@ -149,6 +150,7 @@ func (m *StatsReply) decode(d *enc.Decoder) {
 			m.Spans[i].DurationNs = d.I64()
 		}
 	}
+	m.Members = d.NodeIDs()
 }
 
 // The trace envelope is optional. When a request context carries a span

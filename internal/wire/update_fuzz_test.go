@@ -26,7 +26,9 @@ func legacyUpdateItemBody(b []byte, page gaddr.Addr, data []byte, version uint64
 // FuzzUpdateBatchWire proves the UpdateBatch encoding contract: a batch is
 // its items' (page, contents, version, stamp, origin) bodies behind a
 // (from, count) prefix, and the frame-backed marshal path is
-// byte-identical to the bare-slice one.
+// byte-identical to the bare-slice one. The same items sent as a
+// ReplicaPut encode to the same body behind ReplicaPut's kind and decode
+// back to the same items.
 func FuzzUpdateBatchWire(f *testing.F) {
 	f.Add([]byte("page one"), []byte(""), uint64(7), int64(42), uint32(3), uint32(9))
 	f.Add([]byte{}, bytes.Repeat([]byte{0xEE}, 4096), uint64(0), int64(-1), uint32(0), uint32(1))
@@ -63,6 +65,10 @@ func FuzzUpdateBatchWire(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("batch marshal diverged from the hand-rolled item bodies:\n got %x\nwant %x", got, want)
 		}
+		put := Marshal(&ReplicaPut{From: m.From, Items: m.Items})
+		if !bytes.Equal(put[2:], want[2:]) || Kind(binary.LittleEndian.Uint16(put)) != KindReplicaPut {
+			t.Fatalf("replica put diverged from the batch's item bodies:\n got %x\nwant %x", put, want)
+		}
 		m.ReleaseFrames()
 		for _, fr := range frames {
 			fr.Release()
@@ -76,6 +82,21 @@ func FuzzUpdateBatchWire(f *testing.F) {
 		if ub.From != ktypes.NodeID(from) || len(ub.Items) != 2 {
 			t.Fatalf("header did not round trip: from=%d items=%d", ub.From, len(ub.Items))
 		}
+		backPut, err := Unmarshal(put)
+		if err != nil {
+			t.Fatalf("unmarshal replica put: %v", err)
+		}
+		rp := backPut.(*ReplicaPut)
+		if rp.From != ub.From || len(rp.Items) != len(ub.Items) {
+			t.Fatalf("replica put header did not round trip: from=%d items=%d", rp.From, len(rp.Items))
+		}
+		for i := range rp.Items {
+			a, b := rp.Items[i], ub.Items[i]
+			if !bytes.Equal(a.Data, b.Data) || a.Page != b.Page || a.Version != b.Version || a.Stamp != b.Stamp || a.Origin != b.Origin {
+				t.Fatalf("replica put item %d differs from the batch's", i)
+			}
+		}
+		rp.ReleaseFrames()
 		for i, d := range [][]byte{d1, d2} {
 			wantData := d
 			if len(wantData) == 0 {

@@ -44,9 +44,9 @@ const (
 	KindInvalidate // retired: a single page is an InvalidateBatch of one
 	KindPageFetch
 	KindPageData
-	KindUpdatePush // retired: a single page is an UpdateBatch of one
-	KindVersionQuery
-	KindVersionInfo
+	KindUpdatePush    // retired: a single page is an UpdateBatch of one
+	KindVersionQuery  // retired: a PageFetch with Holds set validates a copy
+	KindVersionInfo   // retired: answered KindVersionQuery
 	KindReleaseNotify // retired: a single page is a ReleaseBatch of one
 
 	KindReplicaPut
@@ -86,8 +86,8 @@ const (
 	KindObjResult
 
 	KindMigrate
-	KindStatsReq
-	KindStatsResp
+	KindStatsReq  // retired: StatsQuery carries every counter
+	KindStatsResp // retired: answered KindStatsReq
 
 	KindPageReqBatch
 	KindPageGrantBatch
@@ -197,8 +197,6 @@ var factories = map[Kind]func() Msg{
 	KindSpaceGrant:       func() Msg { return &SpaceGrant{} },
 	KindPageFetch:        func() Msg { return &PageFetch{} },
 	KindPageData:         func() Msg { return &PageData{} },
-	KindVersionQuery:     func() Msg { return &VersionQuery{} },
-	KindVersionInfo:      func() Msg { return &VersionInfo{} },
 	KindReplicaPut:       func() Msg { return &ReplicaPut{} },
 	KindJoin:             func() Msg { return &Join{} },
 	KindClusterView:      func() Msg { return &ClusterView{} },
@@ -228,8 +226,6 @@ var factories = map[Kind]func() Msg{
 	KindObjInvoke:        func() Msg { return &ObjInvoke{} },
 	KindObjResult:        func() Msg { return &ObjResult{} },
 	KindMigrate:          func() Msg { return &Migrate{} },
-	KindStatsReq:         func() Msg { return &StatsReq{} },
-	KindStatsResp:        func() Msg { return &StatsResp{} },
 	KindPageReqBatch:     func() Msg { return &PageReqBatch{} },
 	KindPageGrantBatch:   func() Msg { return &PageGrantBatch{} },
 	KindReleaseBatch:     func() Msg { return &ReleaseBatch{} },
@@ -407,10 +403,15 @@ func (m *SpaceGrant) decode(d *enc.Decoder) {
 // --- consistency traffic --------------------------------------------------
 
 // PageFetch asks a node holding a page for its current contents (Figure 2,
-// steps 7-9: the owner's daemon supplies a copy).
+// steps 7-9: the owner's daemon supplies a copy). Holds reports that the
+// requester already has a copy, at version Have: a home whose version is
+// no newer answers Current with no bytes, so one round trip both
+// validates a cached copy and refreshes a stale one.
 type PageFetch struct {
 	Page      gaddr.Addr
 	Requester ktypes.NodeID
+	Holds     bool
+	Have      uint64
 }
 
 // Kind implements Msg.
@@ -418,17 +419,23 @@ func (*PageFetch) Kind() Kind { return KindPageFetch }
 func (m *PageFetch) encode(e *enc.Encoder) {
 	e.Addr(m.Page)
 	e.NodeID(m.Requester)
+	e.Bool(m.Holds)
+	e.U64(m.Have)
 }
 func (m *PageFetch) decode(d *enc.Decoder) {
 	m.Page = d.Addr()
 	m.Requester = d.NodeID()
+	m.Holds = d.Bool()
+	m.Have = d.U64()
 }
 
-// PageData answers PageFetch.
+// PageData answers PageFetch. Current reports that the requester's copy
+// (PageFetch.Have) is already at Version, and then Data is empty.
 type PageData struct {
 	Found   bool
 	Data    []byte
 	Version uint64
+	Current bool
 
 	// dataFrame, when non-nil, backs Data with a refcounted page frame
 	// (see frame.go); it is never encoded.
@@ -441,6 +448,7 @@ func (m *PageData) encode(e *enc.Encoder) {
 	e.Bool(m.Found)
 	e.Bytes32(m.Data)
 	e.U64(m.Version)
+	e.Bool(m.Current)
 }
 func (m *PageData) decode(d *enc.Decoder) {
 	m.Found = d.Bool()
@@ -452,70 +460,29 @@ func (m *PageData) decode(d *enc.Decoder) {
 	if m.dataFrame != nil {
 		m.dataFrame.SetVersion(m.Version)
 	}
-}
-
-// VersionQuery asks a page's home for its current version, used by the
-// release protocol to validate a cached copy at acquire time.
-type VersionQuery struct {
-	Page gaddr.Addr
-}
-
-// Kind implements Msg.
-func (*VersionQuery) Kind() Kind              { return KindVersionQuery }
-func (m *VersionQuery) encode(e *enc.Encoder) { e.Addr(m.Page) }
-func (m *VersionQuery) decode(d *enc.Decoder) { m.Page = d.Addr() }
-
-// VersionInfo answers VersionQuery.
-type VersionInfo struct {
-	Found   bool
-	Version uint64
-}
-
-// Kind implements Msg.
-func (*VersionInfo) Kind() Kind { return KindVersionInfo }
-func (m *VersionInfo) encode(e *enc.Encoder) {
-	e.Bool(m.Found)
-	e.U64(m.Version)
-}
-func (m *VersionInfo) decode(d *enc.Decoder) {
-	m.Found = d.Bool()
-	m.Version = d.U64()
+	m.Current = d.Bool()
 }
 
 // --- replication ------------------------------------------------------------
 
-// ReplicaPut pushes a page copy to another node to satisfy a region's
-// minimum replica count (paper §3.5).
+// ReplicaPut pushes page copies to another node to satisfy a region's
+// minimum replica count (paper §3.5) or to hand a region to a new home:
+// a byte-capped chunk of one region's pages in UpdateBatch's item codec.
+// The receiver installs every item compare-then-store and answers one Ack.
 type ReplicaPut struct {
-	Page    gaddr.Addr
-	Data    []byte
-	Version uint64
-	From    ktypes.NodeID
-
-	// dataFrame, when non-nil, backs Data with a refcounted page frame
-	// (see frame.go); it is never encoded.
-	dataFrame *frame.Frame
+	From  ktypes.NodeID
+	Items []UpdateItem
 }
 
 // Kind implements Msg.
 func (*ReplicaPut) Kind() Kind { return KindReplicaPut }
 func (m *ReplicaPut) encode(e *enc.Encoder) {
-	e.Addr(m.Page)
-	e.Bytes32(m.Data)
-	e.U64(m.Version)
 	e.NodeID(m.From)
+	encodeUpdateItems(e, m.Items)
 }
 func (m *ReplicaPut) decode(d *enc.Decoder) {
-	m.Page = d.Addr()
-	m.dataFrame = d.Bytes32Frame()
-	if m.dataFrame != nil {
-		m.Data = m.dataFrame.Bytes()
-	}
-	m.Version = d.U64()
 	m.From = d.NodeID()
-	if m.dataFrame != nil {
-		m.dataFrame.SetVersion(m.Version)
-	}
+	m.Items = decodeUpdateItems(d)
 }
 
 // --- cluster membership -----------------------------------------------------
@@ -1041,61 +1008,6 @@ func (m *Migrate) decode(d *enc.Decoder) {
 	m.Principal = ktypes.Principal(d.String())
 }
 
-// StatsReq asks a daemon for its counters.
-type StatsReq struct{}
-
-// Kind implements Msg.
-func (*StatsReq) Kind() Kind            { return KindStatsReq }
-func (m *StatsReq) encode(*enc.Encoder) {}
-func (m *StatsReq) decode(*enc.Decoder) {}
-
-// StatsResp carries a daemon's activity counters and resource usage.
-type StatsResp struct {
-	Node           ktypes.NodeID
-	Lookups        uint64
-	DirHits        uint64
-	ClusterHits    uint64
-	TreeWalks      uint64
-	LocksGranted   uint64
-	ReleaseRetries uint64
-	Promotions     uint64
-	MemPages       uint64
-	DiskPages      uint64
-	HomedRegions   uint64
-	Members        []ktypes.NodeID
-}
-
-// Kind implements Msg.
-func (*StatsResp) Kind() Kind { return KindStatsResp }
-func (m *StatsResp) encode(e *enc.Encoder) {
-	e.NodeID(m.Node)
-	e.U64(m.Lookups)
-	e.U64(m.DirHits)
-	e.U64(m.ClusterHits)
-	e.U64(m.TreeWalks)
-	e.U64(m.LocksGranted)
-	e.U64(m.ReleaseRetries)
-	e.U64(m.Promotions)
-	e.U64(m.MemPages)
-	e.U64(m.DiskPages)
-	e.U64(m.HomedRegions)
-	e.NodeIDs(m.Members)
-}
-func (m *StatsResp) decode(d *enc.Decoder) {
-	m.Node = d.NodeID()
-	m.Lookups = d.U64()
-	m.DirHits = d.U64()
-	m.ClusterHits = d.U64()
-	m.TreeWalks = d.U64()
-	m.LocksGranted = d.U64()
-	m.ReleaseRetries = d.U64()
-	m.Promotions = d.U64()
-	m.MemPages = d.U64()
-	m.DiskPages = d.U64()
-	m.HomedRegions = d.U64()
-	m.Members = d.NodeIDs()
-}
-
 // --- batched consistency traffic ------------------------------------------
 
 // PageReqBatch asks a home node for lock credentials on a set of pages in
@@ -1332,8 +1244,8 @@ func (m *UpdateBatch) decode(d *enc.Decoder) {
 	m.Items = decodeUpdateItems(d)
 }
 
-// encodeUpdateItems writes the item codec UpdateBatch and ReplAppend's page
-// trailer share: a count, then page, contents, version, stamp and origin.
+// encodeUpdateItems writes the item codec UpdateBatch, ReplicaPut and
+// ReplAppend's page trailer share: a count, then page, contents, version, stamp and origin.
 func encodeUpdateItems(e *enc.Encoder, items []UpdateItem) {
 	e.U16(uint16(len(items)))
 	for _, it := range items {

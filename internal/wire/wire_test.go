@@ -46,10 +46,14 @@ func sampleMessages() []Msg {
 		}},
 		&InvalidateBatch{NewOwner: 1},
 		&PageFetch{Page: gaddr.New(0, 0x3000), Requester: 3},
+		&PageFetch{Page: gaddr.New(0, 0x3000), Requester: 3, Holds: true, Have: 12},
 		&PageData{Found: true, Data: []byte{1, 2, 3}, Version: 11},
-		&VersionQuery{Page: gaddr.New(0, 0x4000)},
-		&VersionInfo{Found: true, Version: 12},
-		&ReplicaPut{Page: gaddr.New(0, 0x6000), Data: []byte("replica"), Version: 4, From: 1},
+		&PageData{Found: true, Version: 12, Current: true},
+		&ReplicaPut{From: 1, Items: []UpdateItem{
+			{Page: gaddr.New(0, 0x6000), Data: []byte("replica"), Version: 4, Origin: 1},
+			{Page: gaddr.New(0, 0x7000), Data: []byte("second"), Version: 9, Origin: 1},
+		}},
+		&ReplicaPut{From: 2},
 		&Join{Node: 6, Addr: "127.0.0.1:9999"},
 		&ClusterView{Manager: 1, Members: []ktypes.NodeID{1, 2, 3, 6}},
 		&Heartbeat{Node: 2, FreeTotal: 1 << 40, FreeMax: 1 << 30, Regions: []gaddr.Addr{gaddr.New(0, 0x1000)}},
@@ -79,9 +83,6 @@ func sampleMessages() []Msg {
 		&ObjResult{Result: []byte("ok")},
 		&ObjResult{Err: "no such method"},
 		&Migrate{Start: gaddr.New(0, 0x60000000), NewHome: 3, Principal: "admin"},
-		&StatsReq{},
-		&StatsResp{Node: 2, Lookups: 10, DirHits: 8, TreeWalks: 1, MemPages: 5,
-			HomedRegions: 3, Members: []ktypes.NodeID{1, 2}},
 		&PageReqBatch{
 			Pages:     []gaddr.Addr{gaddr.New(0, 0x3000), gaddr.New(0, 0x4000)},
 			Modes:     []ktypes.LockMode{ktypes.LockRead, ktypes.LockWrite},
@@ -108,6 +109,7 @@ func sampleMessages() []Msg {
 			},
 			Spans: []SpanStat{{Trace: 7, Span: 8, Parent: 9, Node: 3,
 				Name: "op.lock", StartUnixNano: 100, DurationNs: 250}},
+			Members: []ktypes.NodeID{1, 3},
 		},
 		&StatsReply{Node: 1},
 		&PageGrantBatch{
@@ -169,7 +171,9 @@ func frameSlots(m Msg) []**frame.Frame {
 	case *PageData:
 		slots = append(slots, &msg.dataFrame)
 	case *ReplicaPut:
-		slots = append(slots, &msg.dataFrame)
+		for i := range msg.Items {
+			slots = append(slots, &msg.Items[i].dataFrame)
+		}
 	case *PageGrantBatch:
 		for i := range msg.Grants {
 			slots = append(slots, &msg.Grants[i].dataFrame)
@@ -363,13 +367,16 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 // TestRetiredKindsRejected pins the wire contract left by deleting the
-// per-page messages and the copyset query: their kind numbers stay reserved, Unmarshal refuses
-// them, and every later kind keeps the number it has always had.
+// per-page messages, the copyset and version queries and the fixed-field
+// stats pair: their kind numbers stay reserved, Unmarshal refuses them,
+// and every later kind keeps the number it has always had.
 func TestRetiredKindsRejected(t *testing.T) {
 	for name, kind := range map[string]Kind{
 		"PageReq": KindPageReq, "PageGrant": KindPageGrant, "Invalidate": KindInvalidate,
 		"UpdatePush": KindUpdatePush, "ReleaseNotify": KindReleaseNotify,
 		"CopysetQuery": KindCopysetQuery, "CopysetInfo": KindCopysetInfo,
+		"VersionQuery": KindVersionQuery, "VersionInfo": KindVersionInfo,
+		"StatsReq": KindStatsReq, "StatsResp": KindStatsResp,
 	} {
 		body := append([]byte{byte(kind), byte(kind >> 8)}, make([]byte, 64)...)
 		if m, err := Unmarshal(body); err == nil {
@@ -386,7 +393,7 @@ func TestRetiredKindsRejected(t *testing.T) {
 			t.Errorf("kind renumbered: got %d, want %d", kind, want)
 		}
 	}
-	for _, m := range []Msg{&PageFetch{}, &VersionQuery{}, &ReplicaPut{}, &InvalidateBatch{}} {
+	for _, m := range []Msg{&PageFetch{}, &ReplicaPut{}, &InvalidateBatch{}} {
 		if back, err := Unmarshal(Marshal(m)); err != nil || back.Kind() != m.Kind() {
 			t.Errorf("%T after a retired kind did not round trip: %v", m, err)
 		}
