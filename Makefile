@@ -71,13 +71,14 @@ bench-scan:
 # the region lifecycle cycle (180 objects and 10 KB), a span in a
 # caller-owned slot (0), the uncontended lock table (0), replog compaction
 # (0), Unmarshal (the message only, traced or not), a full hint cache
-# taking a hint (0), the tree-node codec (0 to decode or encode), map
+# taking a hint (0), a full region directory taking a new descriptor (the
+# clone only), the tree-node codec (0 to decode or encode), map
 # operations on a 79-entry root (no node copy: at most 2 objects per
 # mutated page), a RAM-tier Put of a non-resident page (0) and a copyset
 # revoked and re-added (0). An allocation creeping back fails here,
 # without a benchmark run.
 alloc-gates:
-	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/addrmap ./internal/store ./internal/pagedir
+	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/region ./internal/addrmap ./internal/store ./internal/pagedir
 
 # bench-smoke runs every benchmark for a single iteration so bit-rotted
 # benchmark code fails CI instead of lingering until someone profiles.

@@ -22,6 +22,7 @@ import (
 
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
+	"khazana/internal/region"
 	"khazana/internal/wire"
 )
 
@@ -53,83 +54,26 @@ type Manager struct {
 	self    ktypes.NodeID
 	members map[ktypes.NodeID]*Member
 	// hints maps region start addresses to nodes recently known to cache
-	// the region.
-	hints map[gaddr.Addr]*hint
-	// recent closes the hints' recency ring: recent.next is the most
-	// recently used hint, recent.prev the next eviction victim.
-	recent  hint
-	hintCap int
-	expiry  time.Duration
-	now     func() time.Time
+	// the region. It is read and written under mu.
+	hints *region.Index[*hint]
+	now   func() time.Time
 	// peers are managers of other clusters in the hierarchy (§3.1);
 	// queries that miss locally are forwarded to them.
 	peers []ktypes.NodeID
 }
 
-// hint records the nodes recently known to cache the region starting at
-// start. prev and next link it into the manager's recency ring.
+// hint records the nodes recently known to cache one region.
 type hint struct {
-	start      gaddr.Addr
-	nodes      []ktypes.NodeID
-	prev, next *hint
-}
-
-// unlink takes h out of the recency ring.
-func (h *hint) unlink() {
-	h.prev.next = h.next
-	h.next.prev = h.prev
-	h.prev, h.next = nil, nil
-}
-
-// touchLocked makes h the most recently used hint.
-func (m *Manager) touchLocked(h *hint) {
-	if h.prev != nil {
-		h.unlink()
-	}
-	h.prev, h.next = &m.recent, m.recent.next
-	h.next.prev = h
-	m.recent.next = h
-}
-
-// Option configures a Manager.
-type Option func(*Manager)
-
-// WithHintCapacity bounds the hint cache.
-func WithHintCapacity(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.hintCap = n
-		}
-	}
-}
-
-// WithExpiry sets the heartbeat expiry.
-func WithExpiry(d time.Duration) Option {
-	return func(m *Manager) {
-		if d > 0 {
-			m.expiry = d
-		}
-	}
-}
-
-// WithClock injects a time source (tests).
-func WithClock(now func() time.Time) Option {
-	return func(m *Manager) { m.now = now }
+	nodes []ktypes.NodeID
 }
 
 // NewManager creates the manager state for node self.
-func NewManager(self ktypes.NodeID, opts ...Option) *Manager {
+func NewManager(self ktypes.NodeID) *Manager {
 	m := &Manager{
 		self:    self,
 		members: make(map[ktypes.NodeID]*Member),
-		hints:   make(map[gaddr.Addr]*hint),
-		hintCap: DefaultHintCapacity,
-		expiry:  DefaultExpiry,
+		hints:   region.NewIndex[*hint](DefaultHintCapacity),
 		now:     time.Now,
-	}
-	m.recent.prev, m.recent.next = &m.recent, &m.recent
-	for _, opt := range opts {
-		opt(m)
 	}
 	// The manager is always a member of its own cluster.
 	m.members[self] = &Member{ID: self, LastSeen: m.now()}
@@ -177,12 +121,15 @@ func (m *Manager) Leave(node ktypes.NodeID) {
 	if node != m.self {
 		delete(m.members, node)
 	}
-	for start, h := range m.hints {
-		h.nodes = removeNode(h.nodes, node)
+	var empty []gaddr.Addr
+	m.hints.Range(func(start gaddr.Addr, h *hint) {
+		h.nodes = slices.DeleteFunc(h.nodes, func(n ktypes.NodeID) bool { return n == node })
 		if len(h.nodes) == 0 {
-			h.unlink()
-			delete(m.hints, start)
+			empty = append(empty, start)
 		}
+	})
+	for _, start := range empty {
+		m.hints.Delete(start)
 	}
 }
 
@@ -212,60 +159,39 @@ func (m *Manager) AddHint(start gaddr.Addr, node ktypes.NodeID) {
 }
 
 func (m *Manager) addHintLocked(start gaddr.Addr, node ktypes.NodeID) {
-	h, ok := m.hints[start]
-	if !ok {
-		if len(m.hints) >= m.hintCap {
-			// Recycle the least recently used hint for the new start.
-			h = m.recent.prev
-			h.unlink()
-			delete(m.hints, h.start)
-			h.start, h.nodes = start, h.nodes[:0]
-		} else {
-			h = &hint{start: start}
+	m.hints.Update(start, func(h *hint, ok bool) (*hint, bool) {
+		switch {
+		case h == nil:
+			h = &hint{}
+		case !ok:
+			// Recycle the evicted hint's node list for the new start.
+			h.nodes = h.nodes[:0]
 		}
-		m.hints[start] = h
-	}
-	m.touchLocked(h)
-	if !slices.Contains(h.nodes, node) {
-		h.nodes = append(h.nodes, node)
-	}
+		if !slices.Contains(h.nodes, node) {
+			h.nodes = append(h.nodes, node)
+		}
+		return h, true
+	})
 }
 
 // Query answers "which nearby nodes cache the region containing addr?"
-// from the hint cache. Hints are indexed by region start, so the caller
-// passes any address and the manager scans (hint cache is small and
-// bounded). Stale hints are possible and tolerated (§3.2).
+// from the hint cache: the hint with the greatest start <= addr names the
+// region likely containing it. The hint carries no size, so this may be a
+// false positive — the requester verifies with the named node. Stale
+// hints are possible and tolerated (§3.2).
 func (m *Manager) Query(addr gaddr.Addr) (nodes []ktypes.NodeID, found bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Exact region-start hit first.
-	if h, ok := m.hints[addr]; ok {
-		m.touchLocked(h)
-		alive := m.aliveOfLocked(h.nodes)
-		return alive, len(alive) > 0
-	}
-	// Otherwise the greatest hint start below addr (the region likely
-	// containing it). The hint carries no size, so this may be a false
-	// positive — the requester verifies with the named node.
-	var best *hint
-	for start, h := range m.hints {
-		if addr.Less(start) {
-			continue
-		}
-		if best == nil || best.start.Less(start) {
-			best = h
-		}
-	}
-	if best == nil {
+	h, ok := m.hints.Floor(addr, nil)
+	if !ok {
 		return nil, false
 	}
-	m.touchLocked(best)
-	alive := m.aliveOfLocked(best.nodes)
+	alive := m.aliveOfLocked(h.nodes)
 	return alive, len(alive) > 0
 }
 
 func (m *Manager) aliveOfLocked(ns []ktypes.NodeID) []ktypes.NodeID {
-	cutoff := m.now().Add(-m.expiry)
+	cutoff := m.now().Add(-DefaultExpiry)
 	out := make([]ktypes.NodeID, 0, len(ns))
 	for _, n := range ns {
 		if mem, ok := m.members[n]; ok && (n == m.self || mem.LastSeen.After(cutoff)) {
@@ -302,7 +228,7 @@ func (m *Manager) Walk(ctx context.Context, addr gaddr.Addr, lookup LookupFunc, 
 func (m *Manager) Alive() []ktypes.NodeID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cutoff := m.now().Add(-m.expiry)
+	cutoff := m.now().Add(-DefaultExpiry)
 	out := make([]ktypes.NodeID, 0, len(m.members))
 	for id, mem := range m.members {
 		if id == m.self || mem.LastSeen.After(cutoff) {
@@ -369,17 +295,5 @@ func (m *Manager) viewLocked() *wire.ClusterView {
 
 // HintCount returns the number of cached region hints.
 func (m *Manager) HintCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.hints)
-}
-
-func removeNode(ns []ktypes.NodeID, node ktypes.NodeID) []ktypes.NodeID {
-	out := ns[:0]
-	for _, n := range ns {
-		if n != node {
-			out = append(out, n)
-		}
-	}
-	return out
+	return m.hints.Len()
 }

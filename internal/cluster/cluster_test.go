@@ -7,6 +7,7 @@ import (
 
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
+	"khazana/internal/region"
 	"khazana/internal/wire"
 )
 
@@ -16,8 +17,21 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
-func newTestManager(c *fakeClock) *Manager   { return NewManager(1, WithClock(c.now)) }
 func start(n uint64) gaddr.Addr              { return gaddr.FromUint64(n * 0x100000) }
+
+// newTestManager is a manager reading time from c.
+func newTestManager(c *fakeClock) *Manager {
+	m := NewManager(1)
+	m.now = c.now
+	return m
+}
+
+// newBoundedManager is a manager whose hint cache holds capacity hints.
+func newBoundedManager(c *fakeClock, capacity int) *Manager {
+	m := newTestManager(c)
+	m.hints = region.NewIndex[*hint](capacity)
+	return m
+}
 
 func TestJoinAndView(t *testing.T) {
 	c := newFakeClock()
@@ -134,7 +148,7 @@ func TestHeartbeatCarriesRegionHints(t *testing.T) {
 
 func TestHintEviction(t *testing.T) {
 	c := newFakeClock()
-	m := NewManager(1, WithClock(c.now), WithHintCapacity(3))
+	m := newBoundedManager(c, 3)
 	m.Join(2, "")
 	for i := uint64(1); i <= 3; i++ {
 		m.AddHint(start(i), 2)
@@ -145,10 +159,7 @@ func TestHintEviction(t *testing.T) {
 	if m.HintCount() != 3 {
 		t.Fatalf("hint count = %d", m.HintCount())
 	}
-	m.mu.Lock()
-	_, hint2 := m.hints[start(2)]
-	m.mu.Unlock()
-	if hint2 {
+	if _, hint2 := m.hints.Get(start(2)); hint2 {
 		t.Fatal("LRU hint should be evicted")
 	}
 	if _, found := m.Query(start(4)); !found {

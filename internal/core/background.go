@@ -123,9 +123,11 @@ func (n *Node) SendHeartbeat() {
 		pingCancel()
 	}
 	total, max := n.FreeSpace()
-	regions := n.authStarts()
-	if len(regions) > 32 {
-		regions = regions[:32]
+	// Report the newest regions: the manager is least likely to know them.
+	descs := n.homedDescs()
+	var regions []gaddr.Addr
+	for _, d := range descs[len(descs)-min(len(descs), 32):] {
+		regions = append(regions, d.Range.Start)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -398,9 +400,8 @@ func (n *Node) replicaLoop() {
 func (n *Node) MaintainReplicas() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	for _, start := range n.authStarts() {
-		desc := n.authDescByStart(start)
-		if desc == nil || desc.Attrs.MinReplicas <= 1 {
+	for _, desc := range n.homedDescs() {
+		if desc.Attrs.MinReplicas <= 1 {
 			continue
 		}
 		n.pushReplicas(ctx, n.ensureHomes(ctx, desc))

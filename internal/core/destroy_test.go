@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
+	"khazana/internal/ring"
 	"khazana/internal/transport"
 	"khazana/internal/wire"
 )
@@ -167,7 +169,7 @@ func TestDestroyFreesPerRegionState(t *testing.T) {
 			chains: crew.PublishedPages(),
 			dir:    home.dir.Len(),
 			mem:    home.store.Mem().Len(),
-			auth:   len(home.authStarts()),
+			auth:   home.authDescs.Len(),
 		}
 	}
 	cycle := func(replicas uint8) {
@@ -303,5 +305,79 @@ func TestSinglePageLockIsBatchOfOne(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTeardownClearsSharerDirectory: a destroy's InvalidateBatch makes a
+// sharer forget the region, including a sharer that owns none of its
+// buckets and so never hears the ring's destroy cast, while a write
+// grant's InvalidateBatch leaves the directory alone. Each region spans a
+// whole bucket; after every destroy the sharer's directory holds exactly
+// the regions that are still live.
+func TestTeardownClearsSharerDirectory(t *testing.T) {
+	_, nodes := testCluster(t, 3)
+	ctx := context.Background()
+	home, sharer := nodes[0], nodes[2]
+	attrs := region.Attrs{PageSize: region.MaxPageSize}
+	base := sharer.RegionDir().Len()
+	var live, destroyed []gaddr.Addr
+	for round := 0; len(destroyed) < 6; round++ {
+		if round == 100 {
+			t.Fatalf("only %d of 100 regions avoided the sharer's buckets", len(destroyed)+len(live))
+		}
+		start := mkRegion(t, home, ring.BucketSize, attrs, "")
+		desc, err := home.GetAttr(ctx, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(home.Ring().RangeOwners(desc.Range), sharer.ID()) {
+			if err := home.Unreserve(ctx, start, ""); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		// The sharer reads page 0, the home's write grant revokes that copy
+		// without costing the sharer its directory entry, and the sharer
+		// reads the page again.
+		page := gaddr.Range{Start: start, Size: region.MaxPageSize}
+		lockUnlock(t, sharer, page, ktypes.LockRead)
+		lockUnlock(t, home, page, ktypes.LockWrite)
+		if _, ok := sharer.RegionDir().Lookup(start); !ok {
+			t.Fatalf("round %d: a write grant's invalidation dropped the sharer's directory entry", round)
+		}
+		lockUnlock(t, sharer, page, ktypes.LockRead)
+		live = append(live, start)
+		if len(live) < 3 {
+			continue
+		}
+		if err := home.Unreserve(ctx, live[0], ""); err != nil {
+			t.Fatal(err)
+		}
+		destroyed, live = append(destroyed, live[0]), live[1:]
+		for _, s := range destroyed {
+			if _, ok := sharer.RegionDir().Lookup(s); ok {
+				t.Fatalf("round %d: sharer %v still caches destroyed region %v", round, sharer.ID(), s)
+			}
+		}
+		for _, s := range live {
+			if _, ok := sharer.RegionDir().Lookup(s); !ok {
+				t.Fatalf("round %d: sharer %v lost live region %v", round, sharer.ID(), s)
+			}
+		}
+		if got := sharer.RegionDir().Len(); got != base+len(live) {
+			t.Fatalf("round %d: sharer caches %d descriptors, want %d", round, got, base+len(live))
+		}
+	}
+}
+
+func lockUnlock(t *testing.T, n *Node, rng gaddr.Range, mode ktypes.LockMode) {
+	t.Helper()
+	ctx := context.Background()
+	lc, err := n.Lock(ctx, rng, mode, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Unlock(ctx, lc); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -33,7 +33,15 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 		if len(msg.Items) == 0 {
 			return nil, fmt.Errorf("core: %v got empty invalidate batch", n.cfg.ID)
 		}
-		return n.handleCM(ctx, from, msg.Items[0].Page, m)
+		page := msg.Items[0].Page
+		reply, err := n.handleCM(ctx, from, page, m)
+		if msg.NewOwner == ktypes.NilNode {
+			// A teardown (dropRegionPages): the region is gone.
+			if d, ok := n.rdir.Lookup(page); ok {
+				n.forgetRegion(d.Range.Start)
+			}
+		}
+		return reply, err
 	case *wire.PageFetch:
 		return n.handleCM(ctx, from, msg.Page, m)
 	case *wire.PageReqBatch:

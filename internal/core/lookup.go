@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"khazana/internal/gaddr"
@@ -137,94 +136,51 @@ func (n *Node) coldFlight(ctx context.Context, addr gaddr.Addr) (*region.Descrip
 
 // authDesc returns the authoritative descriptor for the region containing
 // addr, when this node homes it — the published, read-only copy (see
-// region.Descriptor). Regions are disjoint, so only the one with the
-// greatest start <= addr can contain it: a binary search of the sorted
-// start index replaces the full-map scan, which at thousand-region fan-in
-// dominated every request's handler time.
+// region.Descriptor).
 func (n *Node) authDesc(addr gaddr.Addr) *region.Descriptor {
-	n.descMu.Lock()
-	defer n.descMu.Unlock()
-	i := sort.Search(len(n.descIndex), func(i int) bool {
-		return n.descIndex[i].Cmp(addr) > 0
-	})
-	if i == 0 {
-		return nil
-	}
-	if d := n.authDescs[n.descIndex[i-1]]; d.Range.Contains(addr) {
-		return d
-	}
-	return nil
+	d, _ := n.authDescs.Floor(addr, func(d *region.Descriptor) bool { return d.Range.Contains(addr) })
+	return d
 }
 
 // authDescByStart returns the authoritative descriptor starting exactly at
 // start.
 func (n *Node) authDescByStart(start gaddr.Addr) *region.Descriptor {
-	n.descMu.Lock()
-	defer n.descMu.Unlock()
-	return n.authDescs[start]
+	d, _ := n.authDescs.Get(start)
+	return d
 }
 
 // updateAuthDesc publishes a new version of the authoritative descriptor
 // starting at start — the one way a published descriptor changes: clone
 // the current version, let edit change the clone, store it in place of
 // the old one and return it. It returns nil, publishing nothing, when the
-// region is not homed here or edit declines.
+// region is not homed here or edit declines. edit runs under the index's
+// lock, so it takes no lock.
 func (n *Node) updateAuthDesc(start gaddr.Addr, edit func(d *region.Descriptor) bool) *region.Descriptor {
-	n.descMu.Lock()
-	defer n.descMu.Unlock()
-	cur, ok := n.authDescs[start]
-	if !ok {
-		return nil
-	}
-	next := cur.Clone()
-	if !edit(next) {
-		return nil
-	}
-	n.authDescs[start] = next
-	return next
-}
-
-// putAuthDesc installs an authoritative descriptor, keeping the sorted
-// start index in step with the map.
-func (n *Node) putAuthDesc(d *region.Descriptor) {
-	n.descMu.Lock()
-	defer n.descMu.Unlock()
-	start := d.Range.Start
-	if _, ok := n.authDescs[start]; !ok {
-		i := sort.Search(len(n.descIndex), func(i int) bool {
-			return n.descIndex[i].Cmp(start) > 0
-		})
-		n.descIndex = append(n.descIndex, gaddr.Addr{})
-		copy(n.descIndex[i+1:], n.descIndex[i:])
-		n.descIndex[i] = start
-	}
-	n.authDescs[start] = d.Clone()
-}
-
-// dropAuthDesc removes an authoritative descriptor and its index entry.
-func (n *Node) dropAuthDesc(start gaddr.Addr) {
-	n.descMu.Lock()
-	defer n.descMu.Unlock()
-	if _, ok := n.authDescs[start]; !ok {
-		return
-	}
-	delete(n.authDescs, start)
-	i := sort.Search(len(n.descIndex), func(i int) bool {
-		return n.descIndex[i].Cmp(start) >= 0
+	var out *region.Descriptor
+	n.authDescs.Update(start, func(cur *region.Descriptor, ok bool) (*region.Descriptor, bool) {
+		if !ok {
+			return nil, false
+		}
+		next := cur.Clone()
+		if !edit(next) {
+			return cur, true
+		}
+		out = next
+		return next, true
 	})
-	if i < len(n.descIndex) && n.descIndex[i] == start {
-		n.descIndex = append(n.descIndex[:i], n.descIndex[i+1:]...)
-	}
+	return out
 }
 
-// authStarts lists the starts of regions homed here.
-func (n *Node) authStarts() []gaddr.Addr {
-	n.descMu.Lock()
-	defer n.descMu.Unlock()
-	out := make([]gaddr.Addr, 0, len(n.authDescs))
-	for s := range n.authDescs {
-		out = append(out, s)
-	}
+// putAuthDesc installs a clone of an authoritative descriptor.
+func (n *Node) putAuthDesc(d *region.Descriptor) {
+	n.authDescs.Put(d.Range.Start, d.Clone())
+}
+
+// homedDescs lists the authoritative descriptors of regions homed here,
+// oldest first (region starts only grow): published copies, read-only.
+func (n *Node) homedDescs() []*region.Descriptor {
+	var out []*region.Descriptor
+	n.authDescs.Range(func(_ gaddr.Addr, d *region.Descriptor) { out = append(out, d) })
 	return out
 }
 

@@ -120,12 +120,9 @@ type Node struct {
 	// mapDesc is the well-known bootstrap descriptor for the map region.
 	mapDesc *region.Descriptor
 
-	// descMu guards authoritative descriptors for regions homed here;
-	// descIndex is their starts kept sorted so containment lookups
-	// binary-search instead of scanning the map.
-	descMu    sync.Mutex
-	authDescs map[gaddr.Addr]*region.Descriptor
-	descIndex []gaddr.Addr
+	// authDescs holds the authoritative descriptors of regions homed
+	// here, by start.
+	authDescs *region.Index[*region.Descriptor]
 
 	// chunkMu guards the local pool of reserved-but-unused space.
 	chunkMu sync.Mutex
@@ -377,8 +374,8 @@ func NewNode(cfg Config) (*Node, error) {
 		tr:        cfg.Transport,
 		dir:       pagedir.New(),
 		locks:     consistency.NewLockTable(),
-		rdir:      region.NewDirectory(0),
-		authDescs: make(map[gaddr.Addr]*region.Descriptor),
+		rdir:      region.NewDirectory(),
+		authDescs: region.NewIndex[*region.Descriptor](0),
 		promo:     make(map[gaddr.Addr]chan struct{}),
 		access:    newAccessTracker(),
 		stop:      make(chan struct{}),
@@ -562,7 +559,7 @@ func (n *Node) Telemetry() *telemetry.Registry { return n.tel }
 func (n *Node) MetricsSnapshot() telemetry.Snapshot {
 	n.gMemPages.Set(int64(n.store.Mem().Len()))
 	n.gDiskPages.Set(int64(n.store.Disk().Len()))
-	n.gHomedRegions.Set(int64(len(n.authStarts())))
+	n.gHomedRegions.Set(int64(n.authDescs.Len()))
 	return n.tel.Snapshot()
 }
 

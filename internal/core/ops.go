@@ -156,8 +156,8 @@ func (n *Node) Unreserve(ctx context.Context, start gaddr.Addr, principal ktypes
 	}
 	// Home-side teardown: drop pages, descriptor, every per-region table
 	// keyed by this start, and the map entry.
-	n.dropRegionPages(ctx, desc)
-	n.dropAuthDesc(start)
+	n.dropRegionPages(ctx, desc, ktypes.NilNode)
+	n.authDescs.Delete(start)
 	n.access.forget(start)
 	n.repl.Forget(start)
 	n.forgetRegion(start)
@@ -218,7 +218,7 @@ func (n *Node) setAllocated(ctx context.Context, start gaddr.Addr, principal kty
 	n.rdir.Insert(out)
 	n.ringAnnounce(ctx, out)
 	if !alloc {
-		n.dropRegionPages(ctx, out)
+		n.dropRegionPages(ctx, out, n.cfg.ID)
 	}
 	return nil
 }
@@ -228,8 +228,9 @@ func (n *Node) setAllocated(ctx context.Context, start gaddr.Addr, principal kty
 // an unreachable sharer delays the teardown by one timeout however many
 // pages it shared. Teardown completes even if the requesting client goes
 // away mid-operation, so the deadline derives from the caller's values but
-// not its cancellation.
-func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor) {
+// not its cancellation. The batches name newOwner as the pages' owner; a
+// teardown names no owner (NilNode), and a sharer then forgets the region.
+func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor, newOwner ktypes.NodeID) {
 	pages := desc.Pages(0, desc.Range.Size)
 	bySharer := make(map[ktypes.NodeID][]wire.InvalidateItem)
 	for _, page := range pages {
@@ -252,7 +253,7 @@ func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor) {
 		reqCtx, cancel := context.WithTimeout(base, teardownInvalidateTimeout)
 		defer cancel()
 		//khazana:ignore-err best-effort invalidation during teardown; an unreachable sharer cannot serve the region after the map entry is gone
-		_, _ = n.tr.Request(reqCtx, sharer, &wire.InvalidateBatch{NewOwner: n.cfg.ID, Items: bySharer[sharer]})
+		_, _ = n.tr.Request(reqCtx, sharer, &wire.InvalidateBatch{NewOwner: newOwner, Items: bySharer[sharer]})
 	})
 	for _, page := range pages {
 		n.store.Delete(page)

@@ -61,14 +61,13 @@ func (n *Node) savePagedir() error {
 }
 
 func (n *Node) saveRegions() error {
-	n.descMu.Lock()
+	descs := n.homedDescs()
 	e := enc.NewEncoder(256)
 	e.U32(regionsMagic)
-	e.U32(uint32(len(n.authDescs)))
-	for _, d := range n.authDescs {
+	e.U32(uint32(len(descs)))
+	for _, d := range descs {
 		d.EncodeTo(e)
 	}
-	n.descMu.Unlock()
 	path := filepath.Join(n.cfg.StoreDir, regionsFile)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, e.Bytes(), 0o644); err != nil {

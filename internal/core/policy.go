@@ -90,11 +90,8 @@ func (n *Node) RunMigrationPolicy(ctx context.Context, p MigrationPolicy) []gadd
 		p = DefaultMigrationPolicy()
 	}
 	var moved []gaddr.Addr
-	for _, start := range n.authStarts() {
-		desc := n.authDescByStart(start)
-		if desc == nil {
-			continue
-		}
+	for _, desc := range n.homedDescs() {
+		start := desc.Range.Start
 		if home, err := desc.PrimaryHome(); err != nil || home != n.cfg.ID {
 			continue
 		}

@@ -55,11 +55,7 @@ func (n *Node) ringSync(ctx context.Context) {
 // that keeps churn cheap). old == nil is the initial sync: everything
 // homed here is announced, but nothing counts as a move.
 func (n *Node) ringRebalance(ctx context.Context, old, next *ring.Ring) {
-	for _, start := range n.authStarts() {
-		desc := n.authDescByStart(start)
-		if desc == nil {
-			continue
-		}
+	for _, desc := range n.homedDescs() {
 		newOwners := next.RangeOwners(desc.Range)
 		if old != nil {
 			oldOwners := old.RangeOwners(desc.Range)
@@ -76,7 +72,7 @@ func (n *Node) ringRebalance(ctx context.Context, old, next *ring.Ring) {
 				}
 				losers = append(losers, o)
 			}
-			n.ringCast(ctx, losers, &wire.RingAnnounce{Op: wire.RingOpWithdraw, Start: start, From: n.cfg.ID})
+			n.ringCast(ctx, losers, &wire.RingAnnounce{Op: wire.RingOpWithdraw, Start: desc.Range.Start, From: n.cfg.ID})
 		}
 		n.announceTo(ctx, newOwners, desc)
 	}

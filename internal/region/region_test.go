@@ -144,8 +144,13 @@ func TestDescriptorEncodeDecode(t *testing.T) {
 	}
 }
 
+// newDirectory is a directory caching at most capacity descriptors.
+func newDirectory(capacity int) *Directory {
+	return &Directory{NewIndex[*Descriptor](capacity)}
+}
+
 func TestDirectoryLookup(t *testing.T) {
-	dir := NewDirectory(10)
+	dir := newDirectory(10)
 	d1 := testDescriptor(gaddr.FromUint64(0x10000), 0x4000)
 	d2 := testDescriptor(gaddr.FromUint64(0x20000), 0x1000)
 	dir.Insert(d1)
@@ -163,17 +168,13 @@ func TestDirectoryLookup(t *testing.T) {
 	if _, ok := dir.Lookup(gaddr.FromUint64(0x0)); ok {
 		t.Fatal("Lookup before all should miss")
 	}
-	hits, misses := dir.Stats()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("stats = %d hits, %d misses", hits, misses)
-	}
 }
 
 // Insert clones on the way in and Lookup hands out that one published
 // copy: the inserter may keep editing what it inserted, and every reader
 // shares the stored descriptor without a clone.
 func TestDirectoryPublishesOneImmutableCopy(t *testing.T) {
-	dir := NewDirectory(10)
+	dir := newDirectory(10)
 	d := testDescriptor(gaddr.FromUint64(0x1000), 0x1000)
 	dir.Insert(d)
 	d.Home[0] = 99
@@ -187,7 +188,7 @@ func TestDirectoryPublishesOneImmutableCopy(t *testing.T) {
 }
 
 func TestDirectoryEpochPreference(t *testing.T) {
-	dir := NewDirectory(10)
+	dir := newDirectory(10)
 	d := testDescriptor(gaddr.FromUint64(0x1000), 0x1000)
 	d.Epoch = 5
 	d.Home = []ktypes.NodeID{3}
@@ -214,7 +215,7 @@ func TestDirectoryEpochPreference(t *testing.T) {
 }
 
 func TestDirectoryEviction(t *testing.T) {
-	dir := NewDirectory(3)
+	dir := newDirectory(3)
 	for i := uint64(0); i < 3; i++ {
 		dir.Insert(testDescriptor(gaddr.FromUint64(i*0x10000), 0x1000))
 	}
@@ -238,7 +239,7 @@ func TestDirectoryEviction(t *testing.T) {
 }
 
 func TestDirectoryRemove(t *testing.T) {
-	dir := NewDirectory(10)
+	dir := newDirectory(10)
 	d := testDescriptor(gaddr.FromUint64(0x1000), 0x1000)
 	dir.Insert(d)
 	dir.Remove(d.ID())
@@ -253,7 +254,7 @@ func TestDirectoryRemove(t *testing.T) {
 }
 
 func TestDirectoryConcurrent(t *testing.T) {
-	dir := NewDirectory(64)
+	dir := newDirectory(64)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -318,7 +319,7 @@ func TestQuickDescriptorRoundTrip(t *testing.T) {
 // address finds the right region.
 func TestQuickDirectoryContainment(t *testing.T) {
 	f := func(seeds []uint16) bool {
-		dir := NewDirectory(len(seeds) + 1)
+		dir := newDirectory(len(seeds) + 1)
 		var inserted []gaddr.Range
 		for _, s := range seeds {
 			start := gaddr.FromUint64(uint64(s) * 0x10000)

@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"sort"
 	"sync"
 
 	"khazana/internal/gaddr"
@@ -15,16 +14,16 @@ import (
 // epoch on conflicting announces so a late replay of an old home set
 // cannot clobber a newer one.
 type Table struct {
-	mu      sync.Mutex
-	byStart map[gaddr.Addr]*region.Descriptor
-	starts  []gaddr.Addr // sorted; containment index
+	descs *region.Index[*region.Descriptor]
 
-	// gone holds the starts of the most recently destroyed regions.
-	// Announces are asynchronous and unordered, so a Put issued before a
-	// region's destroy can arrive after it; Insert refuses those. Region
-	// starts are never reused (the address map's cursor only advances),
-	// so refusing one is always right; goneFIFO forgets the oldest beyond
-	// maxGone to bound the memory.
+	// mu orders inserts and destroys with the tombstones. gone holds the
+	// starts of the most recently destroyed regions. Announces are
+	// asynchronous and unordered, so a Put issued before a region's
+	// destroy can arrive after it; Insert refuses those. Region starts are
+	// never reused (the address map's cursor only advances), so refusing
+	// one is always right; goneFIFO forgets the oldest beyond maxGone to
+	// bound the memory.
+	mu       sync.Mutex
 	gone     map[gaddr.Addr]struct{}
 	goneFIFO []gaddr.Addr
 	goneNext int
@@ -37,8 +36,8 @@ const maxGone = 4096
 // NewTable creates an empty authoritative table.
 func NewTable() *Table {
 	return &Table{
-		byStart: make(map[gaddr.Addr]*region.Descriptor),
-		gone:    make(map[gaddr.Addr]struct{}),
+		descs: region.NewIndex[*region.Descriptor](0),
+		gone:  make(map[gaddr.Addr]struct{}),
 	}
 }
 
@@ -55,38 +54,28 @@ func (t *Table) Insert(d *region.Descriptor) bool {
 	if _, dead := t.gone[d.Range.Start]; dead {
 		return false
 	}
-	if have, ok := t.byStart[d.Range.Start]; ok {
-		if d.Epoch < have.Epoch {
-			return false
+	changed := false
+	t.descs.Update(d.Range.Start, func(have *region.Descriptor, ok bool) (*region.Descriptor, bool) {
+		if ok && d.Epoch < have.Epoch {
+			return have, true
 		}
-		t.byStart[d.Range.Start] = d.Clone()
-		return true
-	}
-	t.byStart[d.Range.Start] = d.Clone()
-	i := sort.Search(len(t.starts), func(i int) bool {
-		return d.Range.Start.Less(t.starts[i])
+		changed = true
+		return d.Clone(), true
 	})
-	t.starts = append(t.starts, gaddr.Addr{})
-	copy(t.starts[i+1:], t.starts[i:])
-	t.starts[i] = d.Range.Start
-	return true
+	return changed
 }
 
 // Remove drops the descriptor starting at start, if present. The region
 // still exists (this owner merely lost its partition), so a later Insert
 // is accepted.
-func (t *Table) Remove(start gaddr.Addr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.removeLocked(start)
-}
+func (t *Table) Remove(start gaddr.Addr) { t.descs.Delete(start) }
 
 // Destroy drops the descriptor starting at start and remembers the start
 // as destroyed, so a stale announce cannot re-teach it.
 func (t *Table) Destroy(start gaddr.Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.removeLocked(start)
+	t.descs.Delete(start)
 	if _, dead := t.gone[start]; dead {
 		return
 	}
@@ -108,48 +97,11 @@ func (t *Table) Destroyed(start gaddr.Addr) bool {
 	return dead
 }
 
-func (t *Table) removeLocked(start gaddr.Addr) {
-	if _, ok := t.byStart[start]; !ok {
-		return
-	}
-	delete(t.byStart, start)
-	i := sort.Search(len(t.starts), func(i int) bool {
-		return !t.starts[i].Less(start)
-	})
-	if i < len(t.starts) && t.starts[i] == start {
-		t.starts = append(t.starts[:i], t.starts[i+1:]...)
-	}
-}
-
 // Lookup returns a clone of the descriptor whose range contains a.
 func (t *Table) Lookup(a gaddr.Addr) (*region.Descriptor, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i := sort.Search(len(t.starts), func(i int) bool {
-		return a.Less(t.starts[i])
-	})
-	if i == 0 {
-		return nil, false
-	}
-	d := t.byStart[t.starts[i-1]]
-	if d == nil || !d.Range.Contains(a) {
+	d, ok := t.descs.Floor(a, func(d *region.Descriptor) bool { return d.Range.Contains(a) })
+	if !ok {
 		return nil, false
 	}
 	return d.Clone(), true
-}
-
-// Starts returns the sorted region starts currently held.
-func (t *Table) Starts() []gaddr.Addr {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]gaddr.Addr, len(t.starts))
-	copy(out, t.starts)
-	return out
-}
-
-// Len returns the number of descriptors held.
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byStart)
 }
