@@ -66,19 +66,20 @@ bench-scan:
 
 # alloc-gates runs the absolute object and byte budgets without the race
 # detector (which defeats sync.Pool and skips them): the local lock cycle
-# (one object), the remote read batch, a remote 16-page read window (55
-# objects), grant marshalling, the replicated 8-page write (82 objects),
+# (one object), the remote read batch, a remote 16-page read window (38
+# objects), grant marshalling, the replicated 8-page write (56 objects),
 # the region lifecycle cycle (180 objects and 10 KB), a span in a
 # caller-owned slot (0), the uncontended lock table (0), replog compaction
 # (0), Unmarshal (the message only, traced or not), a full hint cache
 # taking a hint (0), a full region directory taking a new descriptor (the
 # clone only), the tree-node codec (0 to decode or encode), map
 # operations on a 79-entry root (no node copy: at most 2 objects per
-# mutated page), a RAM-tier Put of a non-resident page (0) and a copyset
-# revoked and re-added (0). An allocation creeping back fails here,
-# without a benchmark run.
+# mutated page), a RAM-tier Put of a non-resident page (0), a copyset
+# revoked and re-added (0) and a loopback mux round trip (3 objects, the
+# messages only). An allocation creeping back fails here, without a
+# benchmark run.
 alloc-gates:
-	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/region ./internal/addrmap ./internal/store ./internal/pagedir
+	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/region ./internal/addrmap ./internal/store ./internal/pagedir ./internal/transport
 
 # bench-smoke runs every benchmark for a single iteration so bit-rotted
 # benchmark code fails CI instead of lingering until someone profiles.

@@ -210,11 +210,13 @@ func TestRemoteReadBatchAllocGate(t *testing.T) {
 // window: on 2 nodes, the home writes 16 pages, which invalidates the
 // reader's copies, and the reader takes a 16-page Lock → ReadView → Unlock
 // through the home's read lock — one grant batch and one release batch.
-// A window measures 49 objects: 89 while every write grant and the next
-// read grant each built a new copyset per page, every RPC built its trace
-// envelope twice and every release reply listed an error per page, 109
-// while the store also allocated an entry per re-fetched page. The budget
-// is 55, so any one of them coming back breaks it.
+// A window measures 37 objects: 49 while a served RPC made two tracing
+// slots (the envelope's and the handler span's) and the requester built
+// its granted-page list on every grant, 89 while every write grant and the
+// next read grant each built a new copyset per page, every RPC built its
+// trace envelope twice and every release reply listed an error per page,
+// 109 while the store also allocated an entry per re-fetched page. The
+// budget is 38, so any one of them coming back breaks it.
 func TestRemoteReadWindowAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled frames and buffers")
@@ -285,8 +287,8 @@ func TestRemoteReadWindowAllocGate(t *testing.T) {
 		objects = math.Min(objects, float64(after.Mallocs-before.Mallocs)/cycles)
 	}
 	t.Logf("remote 16-page read window: %.2f objects", objects)
-	if objects > 55 {
-		t.Fatalf("a remote 16-page read window allocates %.2f objects, budget is 55", objects)
+	if objects > 38 {
+		t.Fatalf("a remote 16-page read window allocates %.2f objects, budget is 38", objects)
 	}
 }
 
@@ -477,9 +479,11 @@ func replicatedWriter(t *testing.T, byHome bool) (*khazana.Cluster, func(gen byt
 // full-page Writes, Unlock) from a node outside a MinReplicas-3 region's
 // home list — one PageReqBatch, one ReleaseBatch and one replicated-log
 // append per secondary carrying the entries and the pages' bytes —
-// averages at most 82 objects and 12 KB. It measures about 74 objects and
-// 10.4 KB (104 and 12.8 KB while the log append and the bytes went to each
-// secondary in two messages). A write grant that invalidated the
+// averages at most 56 objects and 10.5 KB. It measures about 49 objects
+// and 10.0 KB: 74 and 10.4 KB while each decoded log entry had its own
+// copyset, the release lists grew by append and a served RPC made two
+// tracing slots; 104 and 12.8 KB while the log append and the bytes went
+// to each secondary in two messages. A write grant that invalidated the
 // secondary homes' failover copies (two more RPCs and every page
 // re-inserted), a log that copied its retained tail on every commit,
 // per-lookup copyset clones, a heap-allocated decoder per message or a
@@ -505,8 +509,8 @@ func TestReplicatedWriteAllocGate(t *testing.T) {
 		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/cycles)
 	}
 	t.Logf("replicated 8-page write cycle: %.2f objects, %.0f B", objects, bytes)
-	if objects > 82 || bytes > 12<<10 {
-		t.Fatalf("a replicated 8-page write cycle allocates %.2f objects / %.0f B, budget is 82 objects / 12 KB", objects, bytes)
+	if objects > 56 || bytes > 10.5*1024 {
+		t.Fatalf("a replicated 8-page write cycle allocates %.2f objects / %.0f B, budget is 56 objects / 10.5 KB", objects, bytes)
 	}
 }
 

@@ -124,17 +124,14 @@ func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, page
 	}
 	// One PageReqBatch round trip answers every page: each grant holds the
 	// page's global lock at the home until the matching release.
-	got, err := c.acquireFromHome(ctx, desc, home, pages, mode)
-	if err != nil {
-		return got, err
-	}
-	return pages, nil
+	return c.acquireFromHome(ctx, desc, home, pages, mode)
 }
 
 // acquireFromHome issues one PageReqBatch covering group to home and
 // applies the per-page grants, returning the pages whose locks are now
-// held (including pages granted remotely but failing the local store, so
-// the caller's rollback frees them at the home).
+// held: the granted prefix of group, without a list of its own (including
+// pages granted remotely but failing the local store, so the caller's
+// rollback frees them at the home).
 func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, home ktypes.NodeID, group []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
 	modes := make([]ktypes.LockMode, len(group))
 	for i := range modes {
@@ -151,18 +148,17 @@ func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, h
 	if len(batch.Grants) != len(group) {
 		return nil, fmt.Errorf("consistency: crew acquire batch: %d grants for %d pages", len(batch.Grants), len(group))
 	}
-	acquired := make([]gaddr.Addr, 0, len(group))
 	var firstErr error
 	for i := range batch.Grants {
 		g := &batch.Grants[i]
 		page := group[i]
 		if !g.OK {
+			// The home grants a prefix of the batch and refuses the rest.
 			if firstErr == nil {
 				firstErr = fmt.Errorf("consistency: crew acquire %v: %s", page, g.Err)
 			}
-			continue
+			return group[:i:i], firstErr
 		}
-		acquired = append(acquired, page)
 		if g.Data != nil {
 			f := g.TakeFrame()
 			err := c.h.StorePage(page, f)
@@ -184,7 +180,7 @@ func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, h
 			}
 		})
 	}
-	return acquired, firstErr
+	return group, firstErr
 }
 
 // sharerInval lists the pages one sharer must drop for a grant batch.
@@ -224,15 +220,15 @@ func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, 
 				return i, fmt.Errorf("%w: %v", ErrConflict, err)
 			}
 		}
-		inval = c.homeGrantLocked(desc, page, mode, requester, inval)
+		inval = c.homeGrantLocked(desc, page, mode, requester, inval, len(pages)-i)
 	}
 	c.invalidateSharers(ctx, requester, inval)
 	return len(pages), nil
 }
 
 // homeGrantLocked updates directory state after the global lock is held,
-// appending the copies a write grant revokes to inval.
-func (c *CrewCM) homeGrantLocked(desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, requester ktypes.NodeID, inval []sharerInval) []sharerInval {
+// appending the copies a write grant revokes to inval (see addInval).
+func (c *CrewCM) homeGrantLocked(desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, requester ktypes.NodeID, inval []sharerInval, left int) []sharerInval {
 	self := c.h.Self()
 	c.h.Dir().Update(page, func(e *pagedir.Entry) {
 		e.HomedLocal = true
@@ -240,7 +236,7 @@ func (c *CrewCM) homeGrantLocked(desc *region.Descriptor, page gaddr.Addr, mode 
 			revoked := func(n ktypes.NodeID) bool { return n != requester && !desc.HasHome(n) }
 			for _, n := range e.Copyset {
 				if revoked(n) {
-					inval = addInval(inval, n, wire.InvalidateItem{Page: page, Version: e.Version})
+					inval = addInval(inval, n, wire.InvalidateItem{Page: page, Version: e.Version}, left)
 				}
 			}
 			// The common grant revokes nothing and stores nothing.
@@ -270,15 +266,16 @@ func (c *CrewCM) homeGrantLocked(desc *region.Descriptor, page gaddr.Addr, mode 
 	return inval
 }
 
-// addInval appends item to node's list; sharers per batch are few.
-func addInval(inval []sharerInval, node ktypes.NodeID, item wire.InvalidateItem) []sharerInval {
+// addInval appends item to node's list, which a new sharer sizes for the
+// left pages of the batch from this one on; sharers per batch are few.
+func addInval(inval []sharerInval, node ktypes.NodeID, item wire.InvalidateItem, left int) []sharerInval {
 	for i := range inval {
 		if inval[i].node == node {
 			inval[i].items = append(inval[i].items, item)
 			return inval
 		}
 	}
-	return append(inval, sharerInval{node: node, items: []wire.InvalidateItem{item}})
+	return append(inval, sharerInval{node: node, items: append(make([]wire.InvalidateItem, 0, left), item)})
 }
 
 // captureCommitted ensures the page's version chain holds the currently
@@ -412,7 +409,8 @@ func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, page
 				continue
 			}
 			if mode.Writes() && dirty[p] {
-				replicated = append(replicated, p)
+				// Sized once, at the first dirty page, for the rest.
+				replicated = append(slices.Grow(replicated, len(pages)-i), p)
 			}
 		}
 		c.replicate(ctx, desc, replicated)
@@ -432,7 +430,7 @@ func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, page
 			f := loadOrZero(c.h, desc, p)
 			items[i].Data = f.Bytes()
 			//khazana:frame-owner released after the batch RPC below
-			frames = append(frames, f)
+			frames = append(slices.Grow(frames, len(pages)-i), f)
 		}
 	}
 	defer func() {
@@ -747,7 +745,7 @@ func (c *CrewCM) handleReleaseBatch(ctx context.Context, desc *region.Descriptor
 			continue
 		}
 		if mode.Writes() && it.Dirty {
-			replicated = append(replicated, it.Page)
+			replicated = append(slices.Grow(replicated, len(msg.Items)-i), it.Page)
 		}
 	}
 	c.replicate(ctx, desc, replicated)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"khazana/internal/frame"
 	"khazana/internal/gaddr"
@@ -275,21 +276,25 @@ func (d *Decoder) Range() gaddr.Range {
 func (d *Decoder) NodeID() ktypes.NodeID { return ktypes.NodeID(d.U32()) }
 
 // NodeIDs reads a count-prefixed slice of node identifiers.
-func (d *Decoder) NodeIDs() []ktypes.NodeID {
+func (d *Decoder) NodeIDs() []ktypes.NodeID { return d.AppendNodeIDs(nil, 0) }
+
+// AppendNodeIDs reads a count-prefixed slice of node identifiers onto dst,
+// growing it (as far as the input can fill) for more slices of this length
+// after it, so a message's run of copysets shares one array.
+func (d *Decoder) AppendNodeIDs(dst []ktypes.NodeID, more int) []ktypes.NodeID {
 	n := int(d.U16())
 	if d.err != nil {
-		return nil
+		return dst
 	}
 	if d.Remaining() < n*4 {
 		d.err = ErrTruncated
-		return nil
+		return dst
 	}
-	if n == 0 {
-		return nil
+	if cap(dst)-len(dst) < n {
+		dst = slices.Grow(dst, min(n*(1+more), d.Remaining()/4))
 	}
-	out := make([]ktypes.NodeID, n)
-	for i := range out {
-		out[i] = d.NodeID()
+	for range n {
+		dst = append(dst, d.NodeID())
 	}
-	return out
+	return dst
 }

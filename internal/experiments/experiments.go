@@ -13,6 +13,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,6 +162,31 @@ func opsPerSecond(cfg Config, workers int, fn func(worker int) error) (float64, 
 		return 0, err
 	}
 	return float64(ops.Load()) / elapsed, nil
+}
+
+// countRPCs returns the median of five counts of the RPCs op makes, each
+// between two quiet points of the network (so the ring announces op casts
+// are its own), which one run's background traffic cannot move.
+func countRPCs(c *khazana.Cluster, op func() error) (uint64, error) {
+	quiet := func() uint64 {
+		for {
+			r1, _ := c.Network.Stats()
+			time.Sleep(20 * time.Millisecond)
+			if r2, _ := c.Network.Stats(); r1 == r2 {
+				return r2
+			}
+		}
+	}
+	var counts [5]uint64
+	for i := range counts {
+		before := quiet()
+		if err := op(); err != nil {
+			return 0, err
+		}
+		counts[i] = quiet() - before
+	}
+	slices.Sort(counts[:])
+	return counts[len(counts)/2], nil
 }
 
 func fmtDur(d time.Duration) string {

@@ -17,9 +17,12 @@ import (
 // Starts are kept sorted, so Get and Floor are binary searches. A bounded
 // index also keeps its entries on a recency ring: Get, Floor and Update
 // make an entry the most recently used, and a new start inserted into a
-// full index evicts the least recently used entry in O(1). A removed or
-// evicted entry is reused by the next insert, so an index whose size
-// holds steady allocates no entry.
+// full index evicts the least recently used entry, found in O(1). Removing
+// it and inserting the new start shift the sorted slice in O(n): about 7 %
+// of region_churn's CPU (2-vCPU host) in the full 4 096-entry hint cache,
+// which the per-Lock AddHint keeps full. A removed or evicted entry is
+// reused by the next insert, so an index whose size holds steady allocates
+// no entry.
 //
 // The index owns its mutex. Every callback (Floor's match, Update's fn,
 // Range's fn) runs under it, so a callback takes no lock and does not call

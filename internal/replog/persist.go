@@ -93,13 +93,9 @@ func (l *Log) Load() error {
 		rl.floor = d.U64()
 		rl.floorTerm = d.U64()
 		rl.commit = d.U64()
-		n := int(d.U32())
-		for j := 0; j < n; j++ {
-			en := wire.DecodeReplEntry(d)
-			if d.Err() != nil {
-				return fmt.Errorf("replog: restore: region %d entry %d: %w", i, j, d.Err())
-			}
-			rl.entries = append(rl.entries, en)
+		rl.entries = wire.DecodeReplEntries(d, int(d.U32()))
+		if d.Err() != nil {
+			return fmt.Errorf("replog: restore: region %d entries: %w", i, d.Err())
 		}
 		rl.state = DecodeRegionState(d)
 		if d.Err() != nil {

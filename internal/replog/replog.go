@@ -261,14 +261,15 @@ func (l *Log) Append(ctx context.Context, desc *region.Descriptor, entries ...wi
 // AppendPages appends entries to the region's log as its leader, sends
 // them with pages (the contents they name; the log takes over the frame
 // references) to the other listed homes, one message each, and returns
-// the followers that acked once a majority of the home list (counting
-// self) holds them. Entries need only Op and the op's payload fields;
-// Index, Term, and Region are stamped here. A single-home region commits
-// immediately with no network. If quorum is not reached within ackTimeout
-// the entries commit locally anyway (degraded mode, counted) — Khazana
-// favors availability here, and the log-up-to-date election rule keeps a
-// lagging standby from winning leadership over a current one. Returns
-// ErrNotLeader when another node holds the region's leadership.
+// the followers that acked once every follower answered or ackTimeout
+// passed (a deposing reply ends the wait early), not once a majority holds
+// them. Entries need only Op and the op's payload fields; Index, Term, and
+// Region are stamped here. A single-home region commits at once with no
+// network. If fewer than a majority of the home list (counting self)
+// acked, the entries commit locally anyway (degraded mode, counted) —
+// Khazana favors availability here, and the log-up-to-date election rule
+// keeps a lagging standby from winning leadership over a current one.
+// Returns ErrNotLeader when another node holds the region's leadership.
 func (l *Log) AppendPages(ctx context.Context, desc *region.Descriptor, pages []wire.UpdateItem, entries ...wire.ReplEntry) ([]ktypes.NodeID, error) {
 	if len(entries) == 0 {
 		wire.ReleaseItems(pages)

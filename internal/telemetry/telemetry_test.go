@@ -143,6 +143,45 @@ func TestSpanParenting(t *testing.T) {
 	}
 }
 
+// TestContinueSpanClaimsEnvelope: a handler span continued from a
+// transport's envelope (ContextWith) takes over the envelope's slot, so a
+// served request costs one slot, and the span is the envelope's child. The
+// slot is claimed once: a second ContinueSpan below the handler's span
+// makes a slot of its own and leaves the handler's span in place.
+func TestContinueSpanClaimsEnvelope(t *testing.T) {
+	rec := NewRecorder(8)
+	sender := SpanContext{Trace: 7, Span: 9}
+	var handler, nested context.Context
+	if avg := testing.AllocsPerRun(100, func() {
+		env := ContextWith(context.Background(), sender)
+		var fl Flight
+		handler, fl = ContinueSpan(env, rec, 2, "handler")
+		if handler != env {
+			t.Fatal("the handler span did not claim the envelope's slot")
+		}
+		fl.Finish()
+	}); avg != 1 {
+		t.Fatalf("an envelope plus its handler span allocate %.2f objects, want 1 (the envelope)", avg)
+	}
+	hsc, _ := FromContext(handler)
+	nested, fl := ContinueSpan(handler, rec, 2, "nested")
+	fl.Finish()
+	if nested == handler {
+		t.Fatal("a claimed slot was claimed again")
+	}
+	if got, _ := FromContext(handler); got != hsc {
+		t.Fatalf("the handler's span context changed to %+v after a nested span", got)
+	}
+	spans := rec.Spans()
+	h, n := spans[len(spans)-2], spans[len(spans)-1]
+	if h.Trace != sender.Trace || h.Parent != sender.Span || h.Span != hsc.Span {
+		t.Fatalf("handler span %+v is not the sender's child", h)
+	}
+	if n.Trace != sender.Trace || n.Parent != h.Span {
+		t.Fatalf("nested span %+v is not the handler span's child", n)
+	}
+}
+
 func TestIDsUnique(t *testing.T) {
 	seen := make(map[TraceID]bool)
 	for i := 0; i < 1000; i++ {

@@ -48,6 +48,13 @@ type Slot struct {
 	sc SpanContext
 }
 
+// envelope is ContextWith's slot, open until the ContinueSpan it is handed
+// to claims it: written a second time before anything else has seen it.
+type envelope struct {
+	Slot
+	open bool
+}
+
 // Value answers the span-context key from the slot and defers every other
 // key to the parent, so values set above the span (and stdlib wrappers
 // derived below it) keep working.
@@ -58,9 +65,9 @@ func (s *Slot) Value(key any) any {
 	return s.Context.Value(key)
 }
 
-// ContextWith returns ctx carrying sc.
+// ContextWith returns ctx carrying sc in an envelope for one handler.
 func ContextWith(ctx context.Context, sc SpanContext) context.Context {
-	return &Slot{Context: ctx, sc: sc}
+	return &envelope{Slot: Slot{Context: ctx, sc: sc}, open: true}
 }
 
 // FromContext extracts the span context, reporting whether one is set.
@@ -219,10 +226,15 @@ func StartSpanIn(ctx context.Context, slot *Slot, rec *Recorder, node uint32, na
 
 // ContinueSpan is StartSpan restricted to requests that already carry a
 // trace: handlers use it so untraced background traffic does not mint new
-// root traces.
+// root traces. It claims an open envelope, so a served request costs one slot.
 func ContinueSpan(ctx context.Context, rec *Recorder, node uint32, name string) (context.Context, Flight) {
 	if rec == nil {
 		return ctx, Flight{}
+	}
+	if e, ok := ctx.(*envelope); ok && e.open {
+		f := Flight{rec: rec, node: node, name: name, start: time.Now(), span: NewSpanID(), trace: e.sc.Trace, parent: e.sc.Span}
+		e.sc, e.open = f.Context(), false
+		return e, f
 	}
 	if _, ok := FromContext(ctx); !ok {
 		return ctx, Flight{}

@@ -65,12 +65,14 @@ const (
 // frameWriter batches a connection's outbound frames: each flush writes
 // the triggering frame plus everything already queued behind it in one
 // writev-backed call. Under fan-in this is the mux protocol's syscall
-// advantage: hundreds of concurrent requests ride one write.
+// advantage: hundreds of concurrent requests ride one write. bufs, the
+// writev's view of scratch, lives here so a flush allocates nothing.
 type frameWriter struct {
 	conn    net.Conn
 	ch      <-chan *[]byte
 	held    []*[]byte
 	scratch [][]byte
+	bufs    net.Buffers
 }
 
 // flush writes first plus any immediately available queued frames,
@@ -90,8 +92,8 @@ drain:
 			break drain
 		}
 	}
-	bufs := net.Buffers(w.scratch)
-	_, err := bufs.WriteTo(w.conn)
+	w.bufs = w.scratch
+	_, err := w.bufs.WriteTo(w.conn)
 	for _, bp := range w.held {
 		putFrameBuf(bp)
 	}

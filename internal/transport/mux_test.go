@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -275,7 +276,7 @@ func FuzzMuxFrameRoundTrip(f *testing.F) {
 		binary.LittleEndian.PutUint32(req[0:4], uint32(len(req)-4))
 		binary.LittleEndian.PutUint32(req[4:8], id)
 		copy(req[8:], payload)
-		bp, err := readFrame(bytes.NewReader(req))
+		bp, err := readFrame(bufio.NewReader(bytes.NewReader(req)))
 		if err != nil {
 			t.Fatalf("request readFrame: %v", err)
 		}
@@ -294,7 +295,7 @@ func FuzzMuxFrameRoundTrip(f *testing.F) {
 		binary.LittleEndian.PutUint32(resp[4:8], id)
 		resp[8] = status
 		copy(resp[9:], payload)
-		bp, err = readFrame(bytes.NewReader(resp))
+		bp, err = readFrame(bufio.NewReader(bytes.NewReader(resp)))
 		if err != nil {
 			t.Fatalf("response readFrame: %v", err)
 		}

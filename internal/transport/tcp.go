@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -250,15 +251,16 @@ func (t *TCP) serveConn(conn net.Conn) {
 // with putFrameBuf once finished with the slice; messages decoded from it
 // may be retained because the decoder moves payloads into their own
 // pooled frames.
-func readFrame(r io.Reader) (*[]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+func readFrame(r *bufio.Reader) (*[]byte, error) {
+	lenBuf, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := binary.LittleEndian.Uint32(lenBuf)
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
+	r.Discard(4) //khazana:ignore-err Peek(4) succeeded, so four bytes are buffered
 	bp := getFrameBuf(int(n))
 	if _, err := io.ReadFull(r, *bp); err != nil {
 		putFrameBuf(bp)

@@ -63,19 +63,38 @@ func (en *ReplEntry) EncodeTo(e *enc.Encoder) {
 	e.U64(en.Aux)
 }
 
-// DecodeReplEntry reads one entry from d.
-func DecodeReplEntry(d *enc.Decoder) ReplEntry {
-	var en ReplEntry
-	en.Index = d.U64()
-	en.Term = d.U64()
-	en.Region = d.Addr()
-	en.Op = d.U8()
-	en.Page = d.Addr()
-	en.Node = d.NodeID()
-	en.Nodes = d.NodeIDs()
-	en.Val = d.U64()
-	en.Aux = d.U64()
-	return en
+// replEntryMinLen is the encoded size of an entry with an empty copyset.
+const replEntryMinLen = 71
+
+// DecodeReplEntries reads n entries from d. Their copysets share one array,
+// each capped (a[i:j:j]) so that an append to one entry's Nodes copies it
+// instead of writing into the next entry's; copysets are never modified in
+// place.
+func DecodeReplEntries(d *enc.Decoder, n int) []ReplEntry {
+	if d.Remaining() < n*replEntryMinLen {
+		d.Fail(enc.ErrTruncated)
+	}
+	if n == 0 || d.Err() != nil {
+		return nil
+	}
+	out := make([]ReplEntry, n)
+	var ids []ktypes.NodeID
+	for i := range out {
+		en := &out[i]
+		en.Index = d.U64()
+		en.Term = d.U64()
+		en.Region = d.Addr()
+		en.Op = d.U8()
+		en.Page = d.Addr()
+		en.Node = d.NodeID()
+		from := len(ids)
+		if ids = d.AppendNodeIDs(ids, n-1-i); len(ids) > from {
+			en.Nodes = ids[from:len(ids):len(ids)]
+		}
+		en.Val = d.U64()
+		en.Aux = d.U64()
+	}
+	return out
 }
 
 // ReplAppend replicates log entries from a region's leader (primary
@@ -128,17 +147,7 @@ func (m *ReplAppend) decode(d *enc.Decoder) {
 	m.PrevIndex = d.U64()
 	m.PrevTerm = d.U64()
 	m.Commit = d.U64()
-	n := int(d.U16())
-	if d.Err() == nil && n > 0 {
-		m.Entries = make([]ReplEntry, 0, n)
-		for i := 0; i < n; i++ {
-			en := DecodeReplEntry(d)
-			if d.Err() != nil {
-				return
-			}
-			m.Entries = append(m.Entries, en)
-		}
-	}
+	m.Entries = DecodeReplEntries(d, int(d.U16()))
 	m.SnapIndex = d.U64()
 	m.SnapTerm = d.U64()
 	m.SnapState = d.Bytes32()

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"khazana/internal/frame"
 	"khazana/internal/gaddr"
@@ -323,6 +324,54 @@ func TestBatchMessageRoundTrips(t *testing.T) {
 		if _, err := Unmarshal(full[:cut]); err == nil {
 			t.Errorf("ReleaseBatch cut=%d should fail", cut)
 		}
+	}
+}
+
+// TestReplAppendCopysetsShareOneArray: a decoded append's copysets share
+// one array, each capped at its own length, so an append to one entry's
+// copyset copies instead of overwriting the next entry's, and the message
+// re-encodes byte for byte. An entry with no copyset stays nil.
+func TestReplAppendCopysetsShareOneArray(t *testing.T) {
+	region := gaddr.New(2, 0)
+	m := &ReplAppend{Region: region, From: 1, Term: 3, Commit: 4}
+	for i, nodes := range [][]ktypes.NodeID{{1, 2, 3}, {2, 3}, nil, {4, 1, 2}, {3}} {
+		m.Entries = append(m.Entries, ReplEntry{
+			Index: uint64(i + 1), Term: 3, Region: region, Op: ReplOpRelease,
+			Page: gaddr.New(2, uint64(i)<<12), Node: 2, Nodes: nodes, Val: uint64(i), Aux: 7,
+		})
+	}
+	b := Marshal(m)
+	got, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := got.(*ReplAppend).Entries
+	if !reflect.DeepEqual(entries, m.Entries) {
+		t.Fatalf("decoded entries %+v, want %+v", entries, m.Entries)
+	}
+	if !bytes.Equal(Marshal(got), b) {
+		t.Fatal("decoded append does not re-encode byte for byte")
+	}
+	var prev []ktypes.NodeID
+	for i, en := range entries {
+		if en.Nodes == nil {
+			continue
+		}
+		if cap(en.Nodes) != len(en.Nodes) {
+			t.Fatalf("entry %d copyset has capacity %d for %d nodes", i, cap(en.Nodes), len(en.Nodes))
+		}
+		next := unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev)*int(unsafe.Sizeof(ktypes.NodeID(0))))
+		if prev != nil && next != unsafe.Pointer(&en.Nodes[0]) {
+			t.Fatalf("entry %d copyset does not follow the previous one in a shared array", i)
+		}
+		prev = en.Nodes
+	}
+	grown := append(entries[0].Nodes, 9)
+	if !reflect.DeepEqual(entries[1].Nodes, m.Entries[1].Nodes) || grown[3] != 9 {
+		t.Fatalf("appending to entry 0's copyset changed entry 1's: %v", entries[1].Nodes)
+	}
+	if len(Marshal(&ReplAppend{Entries: []ReplEntry{{}}}))-len(Marshal(&ReplAppend{})) != replEntryMinLen {
+		t.Fatalf("an entry with no copyset does not encode in replEntryMinLen (%d) bytes", replEntryMinLen)
 	}
 }
 
