@@ -1,3 +1,17 @@
+// Package consistency implements Khazana's consistency management
+// framework (paper §3.3): program modules called Consistency Managers
+// (CMs) run at each replica site and cooperate to implement the required
+// level of consistency among replicas. A Khazana node treats lock requests
+// as indications of intent to access in the specified mode and obtains the
+// local CM's permission before granting them; the CM checks for conflicts
+// with ongoing operations and, if necessary, delays granting locks until
+// the conflict is resolved.
+//
+// Three protocols ship, matching the paper: CREW (Concurrent Read
+// Exclusive Write, the prototype's only model, §5), release consistency
+// (used for the address map tree nodes), and an eventual protocol for
+// clients that tolerate temporarily out-of-date data. New protocols are
+// plugged in by registering them (§5).
 package consistency
 
 import (
@@ -18,29 +32,29 @@ import (
 )
 
 // Host is the node-side environment a consistency manager runs in: access
-// to the local daemon's storage, page directory, lock table, and peers.
-// The daemon implements Host; tests provide a lightweight harness.
+// to the local daemon's storage, page directory and peers. The daemon
+// implements Host; tests provide a lightweight harness.
 type Host interface {
 	// Self returns the local node's ID.
 	Self() ktypes.NodeID
 	// Request performs an RPC to a peer daemon.
 	Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error)
+	// Pages returns the node's page directory: a page table per region,
+	// whose records hold each page's directory entry, lock slot and
+	// version chain.
+	Pages() *pagedir.Dir
 	// LoadPage returns the local copy of a page, if resident. The caller
 	// owns the returned frame (one reference) and must Release it; the
 	// frame is shared, so its contents are immutable.
-	LoadPage(page gaddr.Addr) (*frame.Frame, bool)
+	LoadPage(p *pagedir.Page) (*frame.Frame, bool)
 	// StorePage replaces the local copy of a page. The frame is
 	// borrowed: the host takes its own reference.
-	StorePage(page gaddr.Addr, f *frame.Frame) error
+	StorePage(p *pagedir.Page, f *frame.Frame) error
 	// DropPage discards the local copy of a page. A copy pinned by an
 	// active lock context may survive locally (the holder keeps its
 	// grant-time snapshot); callers mark the page invalid in the
 	// directory so the next acquire refetches.
-	DropPage(page gaddr.Addr)
-	// Dir returns the node's page directory.
-	Dir() *pagedir.Dir
-	// Locks returns the node's local lock table.
-	Locks() *LockTable
+	DropPage(p *pagedir.Page)
 	// Clock returns a monotonic-enough timestamp for last-writer-wins
 	// ordering in the eventual protocol.
 	Clock() int64
@@ -64,13 +78,13 @@ type CM interface {
 	// actually acquired: on success that is pages itself; on error it is
 	// the already-held subset, which the caller must release to roll back.
 	AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error)
-	// ReleaseBatch drops the locks on a set of pages; dirty marks the
-	// pages whose local copies were modified under a write-mode lock (nil
-	// means none were). It returns nil when every release succeeded, else
-	// a slice aligned with pages holding the per-page error (nil entries
-	// succeeded), so the caller can queue background retries for just the
-	// failures.
-	ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty map[gaddr.Addr]bool) []error
+	// ReleaseBatch drops the locks on a set of pages; dirty, aligned with
+	// pages, marks those whose local copies were modified under a
+	// write-mode lock (nil means none were). It returns nil when every
+	// release succeeded, else a slice aligned with pages holding the
+	// per-page error (nil entries succeeded), so the caller can queue
+	// background retries for just the failures.
+	ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty []bool) []error
 	// Handle processes protocol traffic arriving from a peer CM.
 	Handle(ctx context.Context, desc *region.Descriptor, from ktypes.NodeID, m wire.Msg) (wire.Msg, error)
 	// SnapshotRead returns committed copies of the given pages (sorted
@@ -170,21 +184,21 @@ func zeroFill(desc *region.Descriptor) *frame.Frame {
 // loadOrZero returns the local page frame, zero-filling for allocated
 // pages never written. The caller owns the returned frame (one
 // reference) and must Release it.
-func loadOrZero(h Host, desc *region.Descriptor, page gaddr.Addr) *frame.Frame {
-	if f, ok := h.LoadPage(page); ok {
+func loadOrZero(h Host, desc *region.Descriptor, p *pagedir.Page) *frame.Frame {
+	if f, ok := h.LoadPage(p); ok {
 		return f
 	}
 	return zeroFill(desc)
 }
 
-// storeBytes copies plain bytes into the host's page store via a
-// transient frame, for decode paths that hold no frame.
-func storeBytes(h Host, page gaddr.Addr, data []byte) error {
-	f := frame.Copy(data)
-	err := h.StorePage(page, f)
-	f.Release()
-	return err
+// tableOf returns the region's page table, made on the region's first
+// touch here: a batch finds it once and reaches every page by arithmetic.
+func tableOf(h Host, desc *region.Descriptor) *pagedir.Table {
+	return h.Pages().Table(desc.Range.Start, desc.Range.Size, uint64(desc.Attrs.PageSize))
 }
+
+// isDirty reports dirty[i] of a ReleaseBatch dirty set.
+func isDirty(dirty []bool, i int) bool { return dirty != nil && dirty[i] }
 
 // FanOut runs fn once per target with at most limit concurrent calls and
 // waits for all of them: the bounded worker-pool idiom shared by the
@@ -233,15 +247,13 @@ func homeOf(desc *region.Descriptor) (ktypes.NodeID, error) {
 // construction (the release protocol's home between releases, the
 // eventual protocol everywhere). The caller owns every returned frame.
 func snapshotFromStore(h Host, desc *region.Descriptor, pages []gaddr.Addr) []SnapPage {
+	tab := tableOf(h, desc)
 	out := make([]SnapPage, 0, len(pages))
 	for _, p := range pages {
 		//khazana:frame-owner snapshot pages hand their frames to the SnapshotRead caller
-		f := loadOrZero(h, desc, p)
-		var version uint64
-		if e, ok := h.Dir().Lookup(p); ok {
-			version = e.Version
-		}
-		out = append(out, SnapPage{Page: p, Frame: f, Version: version})
+		f := loadOrZero(h, desc, tab.Touch(p))
+		e, _ := tab.Lookup(p)
+		out = append(out, SnapPage{Page: p, Frame: f, Version: e.Version})
 	}
 	return out
 }
@@ -303,39 +315,45 @@ func snapshotReply(snaps []SnapPage, epoch uint64) *wire.SnapshotGrantBatch {
 	return batch
 }
 
-// StoreUpdates installs pushed page copies — a release's append at a
-// secondary home, a replica-maintenance or migration push — comparing
-// before it stores: an item older than the version held here is skipped,
-// so a late push never overwrites newer bytes. The page's push lock makes
-// compare, store and label one step. Each stored item's frame is taken
-// off the message; the first failure stops the install and is returned.
-func StoreUpdates(h Host, from ktypes.NodeID, items []wire.UpdateItem) error {
+// StoreUpdates installs pushed page copies of desc's region — a release's
+// append at a secondary home, a replica-maintenance or migration push —
+// comparing before it stores: an item older than the version held here is
+// skipped, so a late push never overwrites newer bytes. The table's push
+// lock makes compare, store and label one step. Each stored item's frame
+// is taken off the message; the first failure stops the install and is
+// returned.
+func StoreUpdates(h Host, desc *region.Descriptor, from ktypes.NodeID, items []wire.UpdateItem) error {
+	tab := tableOf(h, desc)
+	mu := tab.PushLock()
+	mu.Lock()
+	defer mu.Unlock()
 	for i := range items {
-		if err := storeUpdate(h, from, &items[i]); err != nil {
+		if err := storeUpdate(h, tab, from, &items[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func storeUpdate(h Host, from ktypes.NodeID, it *wire.UpdateItem) error {
-	mu := h.Dir().PushLock(it.Page)
-	mu.Lock()
-	defer mu.Unlock()
-	if e, _ := h.Dir().Lookup(it.Page); it.Version < e.Version {
+func storeUpdate(h Host, tab *pagedir.Table, from ktypes.NodeID, it *wire.UpdateItem) error {
+	p := tab.Touch(it.Page)
+	if p == nil {
+		return fmt.Errorf("consistency: update of %v outside its region", it.Page)
+	}
+	if e, _ := tab.Lookup(it.Page); it.Version < e.Version {
 		return nil
 	}
 	f := it.TakeFrame()
 	if f == nil {
 		return fmt.Errorf("consistency: update of %v without contents", it.Page)
 	}
-	err := h.StorePage(it.Page, f)
+	err := h.StorePage(p, f)
 	f.Release()
 	if err != nil {
 		return err
 	}
 	self := h.Self()
-	h.Dir().Update(it.Page, func(e *pagedir.Entry) {
+	tab.Update(it.Page, func(e *pagedir.Entry) {
 		if it.Version >= e.Version {
 			e.Version = it.Version
 			if e.State != pagedir.Owned {
@@ -353,17 +371,24 @@ func storeUpdate(h Host, from ktypes.NodeID, it *wire.UpdateItem) error {
 // The home records the requester as a copy holder. A requester whose copy
 // is no older than the version here is told so without the bytes.
 func serveFetch(h Host, desc *region.Descriptor, msg *wire.PageFetch) wire.Msg {
-	if isHome(h, desc) {
-		h.Dir().Update(msg.Page, func(e *pagedir.Entry) {
-			e.HomedLocal = true
-			e.AddSharer(msg.Requester)
-		})
+	tab := tableOf(h, desc)
+	home := isHome(h, desc)
+	var entry pagedir.Entry
+	var rec *pagedir.Page
+	tab.With(msg.Page, func(p *pagedir.Page) {
+		if home {
+			p.HomedLocal = true
+			p.AddSharer(msg.Requester)
+		}
+		entry, rec = p.Entry, p
+	})
+	if rec == nil {
+		return &wire.PageData{Found: false}
 	}
-	entry, _ := h.Dir().Lookup(msg.Page)
 	if msg.Holds && msg.Have >= entry.Version {
 		return &wire.PageData{Found: true, Version: entry.Version, Current: true}
 	}
-	f, ok := h.LoadPage(msg.Page)
+	f, ok := h.LoadPage(rec)
 	if !ok {
 		return &wire.PageData{Found: false}
 	}
@@ -405,13 +430,13 @@ func fetchFromHome(ctx context.Context, h Host, desc *region.Descriptor, page ga
 // has a home-side batch grant, so each page takes its local lock and then
 // ready brings its copy up to the protocol's standard. A failure releases
 // that page's lock and returns the held prefix.
-func acquireEach(ctx context.Context, h Host, pages []gaddr.Addr, mode ktypes.LockMode, ready func(gaddr.Addr) error) ([]gaddr.Addr, error) {
+func acquireEach(ctx context.Context, tab *pagedir.Table, pages []gaddr.Addr, mode ktypes.LockMode, ready func(gaddr.Addr) error) ([]gaddr.Addr, error) {
 	for i, p := range pages {
-		if err := h.Locks().Acquire(ctx, p, mode); err != nil {
+		if err := tab.Acquire(ctx, p, mode); err != nil {
 			return pages[:i:i], fmt.Errorf("%w: %v", ErrConflict, err)
 		}
 		if err := ready(p); err != nil {
-			h.Locks().Release(p, mode)
+			tab.TryRelease(p, mode)
 			return pages[:i:i], err
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"khazana/internal/frame"
@@ -38,25 +37,19 @@ const (
 // transfers ownership to the writer (Figure 2, step 10). Dirty pages are
 // written through to the home at release time, so the home always holds
 // current data when granting.
+//
+// The manager-side global lock of a page homed here is its record's lock
+// slot, and the record also keeps the page's committed version chain:
+// snapshot reads are granted from it immediately, without waiting on or
+// invalidating the writer's exclusive hold.
 type CrewCM struct {
 	h Host
-	// glocks is the manager-side global lock table for pages homed here.
-	glocks *LockTable
 	// invalFailures counts page invalidations that failed and pruned the
 	// sharer — each one is a copy some node may still hold stale.
 	invalFailures *telemetry.Counter
 	// updateBatchPages observes pages per write-through message.
 	updateBatchPages *telemetry.Histogram
 
-	// pubMu guards published and serializes every version-chain call; it
-	// is a leaf lock — nothing is acquired under it — so the store's
-	// mutex and the global lock table order freely before it.
-	pubMu sync.Mutex
-	// published retains the committed version chain of every locally
-	// homed page that has seen a write: snapshot reads are granted from
-	// here immediately, without waiting on or invalidating the writer's
-	// exclusive hold.
-	published map[gaddr.Addr]*frame.Chain
 	// pubEpoch is the home's publish clock: every committed frame enters
 	// its chain at a fresh epoch, and a snapshot pins one epoch as its
 	// consistent cut across pages.
@@ -72,10 +65,8 @@ type CrewCM struct {
 func NewCREW(h Host) *CrewCM {
 	return &CrewCM{
 		h:                h,
-		glocks:           NewLockTable(),
 		invalFailures:    h.Telemetry().Counter(telemetry.MetricCrewInvalidateFailures),
 		updateBatchPages: h.Telemetry().Histogram(telemetry.MetricUpdateBatchPages),
-		published:        make(map[gaddr.Addr]*frame.Chain),
 		snapChainLen:     h.Telemetry().Histogram(telemetry.MetricSnapshotChainLen),
 		snapReclaimed:    h.Telemetry().Counter(telemetry.MetricSnapshotReclaimed),
 	}
@@ -89,11 +80,6 @@ var _ CM = (*CrewCM)(nil)
 
 // Protocol implements CM.
 func (c *CrewCM) Protocol() region.Protocol { return region.CREW }
-
-// PageBusy reports whether the manager-side global lock table holds any
-// lock on the page (used to find quiescent points, e.g. before region
-// migration).
-func (c *CrewCM) PageBusy(page gaddr.Addr) bool { return c.glocks.Held(page) }
 
 // AcquireBatch implements CM. Every acquisition — local or remote — funnels
 // through the home's global lock table, which yields CREW's invariant: any
@@ -112,7 +98,7 @@ func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, page
 		mode = ktypes.LockWrite
 	}
 	if isHome(c.h, desc) {
-		granted, err := c.homeAcquireBatch(ctx, desc, pages, func(int) ktypes.LockMode { return mode }, c.h.Self())
+		granted, err := c.homeAcquireBatch(ctx, desc, pages, func(int) ktypes.LockMode { return mode }, c.h.Self(), nil)
 		if err != nil {
 			return pages[:granted:granted], err
 		}
@@ -149,6 +135,7 @@ func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, h
 		return nil, fmt.Errorf("consistency: crew acquire batch: %d grants for %d pages", len(batch.Grants), len(group))
 	}
 	var firstErr error
+	tab := tableOf(c.h, desc)
 	for i := range batch.Grants {
 		g := &batch.Grants[i]
 		page := group[i]
@@ -161,7 +148,7 @@ func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, h
 		}
 		if g.Data != nil {
 			f := g.TakeFrame()
-			err := c.h.StorePage(page, f)
+			err := c.h.StorePage(tab.Touch(page), f)
 			f.Release()
 			if err != nil {
 				if firstErr == nil {
@@ -170,7 +157,7 @@ func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, h
 				continue
 			}
 		}
-		c.h.Dir().Update(page, func(e *pagedir.Entry) {
+		tab.Update(page, func(e *pagedir.Entry) {
 			e.Version = g.Version
 			e.Owner = g.Owner
 			if mode.Writes() {
@@ -209,59 +196,78 @@ type sharerInval struct {
 // one log append per replica refreshes it, and nobody reads it under a lock
 // without a grant — isHome is primary-only and every grant ships the page's
 // bytes.
-func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, modeOf func(int) ktypes.LockMode, requester ktypes.NodeID) (int, error) {
+func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, modeOf func(int) ktypes.LockMode, requester ktypes.NodeID, grants []wire.PageGrantItem) (int, error) {
+	tab := tableOf(c.h, desc)
 	var inval []sharerInval
 	for i, page := range pages {
 		mode := modeOf(i)
-		if !c.glocks.TryAcquire(page, mode) {
-			c.invalidateSharers(ctx, requester, inval)
+		var capture, locked bool
+		var version uint64
+		grant := func(p *pagedir.Page) {
+			if locked = locked || p.TryLock(mode); !locked {
+				return
+			}
+			inval = c.homeGrantLocked(desc, p, mode, requester, inval, len(pages)-i)
+			version = p.Version
+			if grants != nil {
+				grants[i] = wire.PageGrantItem{OK: true, Version: p.Version, Owner: p.Owner}
+			}
+			// A write grant seeds the page's version chain with the
+			// committed pre-write copy before the writer can touch it:
+			// snapshot reads arriving during the exclusive hold are served
+			// from the chain without waiting.
+			capture = mode.Writes() && !chainHolds(p.Chain, p.Version)
+		}
+		tab.With(page, grant)
+		if !locked {
+			c.invalidateSharers(ctx, tab, requester, inval)
 			inval = nil
-			if err := c.glocks.Acquire(ctx, page, mode); err != nil {
+			if err := tab.Acquire(ctx, page, mode); err != nil {
 				return i, fmt.Errorf("%w: %v", ErrConflict, err)
 			}
+			locked = true
+			tab.With(page, grant)
 		}
-		inval = c.homeGrantLocked(desc, page, mode, requester, inval, len(pages)-i)
+		if capture {
+			p := tab.Rec(page)
+			f := loadOrZero(c.h, desc, p)
+			f.SetVersion(version)
+			c.publish(tab, page, f, version)
+			f.Release()
+		}
 	}
-	c.invalidateSharers(ctx, requester, inval)
+	c.invalidateSharers(ctx, tab, requester, inval)
 	return len(pages), nil
 }
 
-// homeGrantLocked updates directory state after the global lock is held,
-// appending the copies a write grant revokes to inval (see addInval).
-func (c *CrewCM) homeGrantLocked(desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, requester ktypes.NodeID, inval []sharerInval, left int) []sharerInval {
-	self := c.h.Self()
-	c.h.Dir().Update(page, func(e *pagedir.Entry) {
-		e.HomedLocal = true
-		if mode.Writes() {
-			revoked := func(n ktypes.NodeID) bool { return n != requester && !desc.HasHome(n) }
-			for _, n := range e.Copyset {
-				if revoked(n) {
-					inval = addInval(inval, n, wire.InvalidateItem{Page: page, Version: e.Version}, left)
-				}
-			}
-			// The common grant revokes nothing and stores nothing.
-			e.RemoveSharers(revoked)
-			e.AddSharer(requester)
-			e.Owner = requester
-			if requester == self {
-				e.State = pagedir.Owned
-			} else {
-				// The home's own copy goes stale the moment the
-				// writer modifies the page.
-				e.State = pagedir.Invalid
-			}
-		} else {
-			e.AddSharer(requester)
-			if requester == self && e.State == pagedir.Invalid {
-				e.State = pagedir.Shared
-			}
+// homeGrantLocked updates the page's directory entry once its global lock
+// is held, under the table's mutex, appending the copies a write grant
+// revokes to inval (see addInval).
+func (c *CrewCM) homeGrantLocked(desc *region.Descriptor, e *pagedir.Page, mode ktypes.LockMode, requester ktypes.NodeID, inval []sharerInval, left int) []sharerInval {
+	e.HomedLocal = true
+	if !mode.Writes() {
+		e.AddSharer(requester)
+		if requester == c.h.Self() && e.State == pagedir.Invalid {
+			e.State = pagedir.Shared
 		}
-	})
-	if mode.Writes() {
-		// Seed the page's version chain with the committed pre-write copy
-		// before the writer can touch it: snapshot reads arriving during
-		// the exclusive hold are served from the chain without waiting.
-		c.captureCommitted(desc, page)
+		return inval
+	}
+	revoked := func(n ktypes.NodeID) bool { return n != requester && !desc.HasHome(n) }
+	for _, n := range e.Copyset {
+		if revoked(n) {
+			inval = addInval(inval, n, wire.InvalidateItem{Page: e.Page, Version: e.Version}, left)
+		}
+	}
+	// The common grant revokes nothing and stores nothing.
+	e.RemoveSharers(revoked)
+	e.AddSharer(requester)
+	e.Owner = requester
+	if requester == c.h.Self() {
+		e.State = pagedir.Owned
+	} else {
+		// The home's own copy goes stale the moment the writer modifies
+		// the page.
+		e.State = pagedir.Invalid
 	}
 	return inval
 }
@@ -278,49 +284,37 @@ func addInval(inval []sharerInval, node ktypes.NodeID, item wire.InvalidateItem,
 	return append(inval, sharerInval{node: node, items: append(make([]wire.InvalidateItem, 0, left), item)})
 }
 
-// captureCommitted ensures the page's version chain holds the currently
-// committed copy, publishing the store's frame when the chain is absent
-// or behind. It runs under the page's global write lock, before the
-// writer mutates anything, so the store copy it captures is committed by
-// construction. The shared store frame is protected from the writer's
-// in-place mutation by refcounting: with the chain holding a reference,
-// the writer's Exclusive() copy-on-writes instead.
-func (c *CrewCM) captureCommitted(desc *region.Descriptor, page gaddr.Addr) {
-	entry, _ := c.h.Dir().Lookup(page)
-	c.pubMu.Lock()
-	if ch, ok := c.published[page]; ok {
-		if v, ok := ch.LatestVersion(); ok && v >= entry.Version {
-			c.pubMu.Unlock()
-			return
-		}
+// chainHolds reports whether a version chain already holds version or a
+// newer one.
+func chainHolds(ch *frame.Chain, version uint64) bool {
+	if ch == nil {
+		return false
 	}
-	c.pubMu.Unlock()
-	// Load outside pubMu (the store's mutex never nests inside it).
-	f := loadOrZero(c.h, desc, page)
-	f.SetVersion(entry.Version)
-	c.publish(page, f, entry.Version)
-	f.Release()
+	v, ok := ch.LatestVersion()
+	return ok && v >= version
 }
 
 // publish appends f (borrowed; the chain takes its own reference) to the
 // page's version chain at a fresh epoch, unless the chain already holds
 // a version at least as new, and retires unpinned old versions past the
-// retention cap.
-func (c *CrewCM) publish(page gaddr.Addr, f *frame.Frame, version uint64) {
-	c.pubMu.Lock()
-	ch, ok := c.published[page]
-	if !ok {
-		ch = frame.NewChain()
-		c.published[page] = ch
+// retention cap. The shared store frame it may be handed is protected
+// from a writer's in-place mutation by refcounting: with the chain
+// holding a reference, the writer's Exclusive() copy-on-writes instead.
+func (c *CrewCM) publish(tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, version uint64) {
+	freed, chainLen := 0, 0
+	tab.With(page, func(p *pagedir.Page) {
+		if chainHolds(p.Chain, version) {
+			return
+		}
+		if p.Chain == nil {
+			p.Chain = frame.NewChain()
+		}
+		freed = p.Chain.Publish(f.Retain(), c.pubEpoch.Add(1))
+		chainLen = p.Chain.Len()
+	})
+	if chainLen > 0 {
+		c.snapChainLen.Observe(uint64(chainLen))
 	}
-	if v, ok := ch.LatestVersion(); ok && v >= version {
-		c.pubMu.Unlock()
-		return
-	}
-	freed := ch.Publish(f.Retain(), c.pubEpoch.Add(1))
-	chainLen := ch.Len()
-	c.pubMu.Unlock()
-	c.snapChainLen.Observe(uint64(chainLen))
 	if freed > 0 {
 		c.snapReclaimed.Add(uint64(freed))
 	}
@@ -331,37 +325,18 @@ func (c *CrewCM) publish(page gaddr.Addr, f *frame.Frame, version uint64) {
 // calls it on eviction pressure, so old versions always give back memory
 // before any demand page is victimized.
 func (c *CrewCM) TrimPublished() int {
-	c.pubMu.Lock()
 	freed := 0
-	for _, ch := range c.published {
-		freed += ch.Trim()
+	for _, t := range c.h.Pages().Tables() {
+		t.Each(func(p *pagedir.Page) {
+			if p.Chain != nil {
+				freed += p.Chain.Trim()
+			}
+		})
 	}
-	c.pubMu.Unlock()
 	if freed > 0 {
 		c.snapReclaimed.Add(uint64(freed))
 	}
 	return freed
-}
-
-// ForgetPages drops the published version chains of a freed or destroyed
-// region's pages (a snapshot reader keeps the frames it already pinned).
-func (c *CrewCM) ForgetPages(pages []gaddr.Addr) {
-	c.pubMu.Lock()
-	for _, p := range pages {
-		if ch, ok := c.published[p]; ok {
-			ch.Close()
-			delete(c.published, p)
-		}
-	}
-	c.pubMu.Unlock()
-}
-
-// PublishedPages reports how many pages currently have a version chain
-// (diagnostics and tests).
-func (c *CrewCM) PublishedPages() int {
-	c.pubMu.Lock()
-	defer c.pubMu.Unlock()
-	return len(c.published)
 }
 
 // invalidateSharers sends each former sharer its InvalidateBatch on the
@@ -372,7 +347,7 @@ func (c *CrewCM) PublishedPages() int {
 // holder. A dead sharer cannot serve stale reads
 // either, so the grant proceeds, and each unconfirmed page is counted so
 // operators see the stale-copy risk.
-func (c *CrewCM) invalidateSharers(ctx context.Context, newOwner ktypes.NodeID, inval []sharerInval) {
+func (c *CrewCM) invalidateSharers(ctx context.Context, tab *pagedir.Table, newOwner ktypes.NodeID, inval []sharerInval) {
 	if len(inval) == 0 {
 		return // the common grant; skip building the escaping closure
 	}
@@ -380,7 +355,7 @@ func (c *CrewCM) invalidateSharers(ctx context.Context, newOwner ktypes.NodeID, 
 		if _, err := c.h.Request(ctx, s.node, &wire.InvalidateBatch{NewOwner: newOwner, Items: s.items}); err != nil {
 			c.invalFailures.Add(uint64(len(s.items)))
 			for _, it := range s.items {
-				c.h.Dir().Update(it.Page, func(e *pagedir.Entry) { e.RemoveSharer(s.node) })
+				tab.Update(it.Page, func(e *pagedir.Entry) { e.RemoveSharer(s.node) })
 			}
 		}
 	})
@@ -390,30 +365,31 @@ func (c *CrewCM) invalidateSharers(ctx context.Context, newOwner ktypes.NodeID, 
 // table directly, and remote releases for a home travel in one
 // ReleaseBatch RPC whose reply carries per-page status, so a single failed
 // write-through queues one background retry instead of sinking the batch.
-func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty map[gaddr.Addr]bool) []error {
+func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty []bool) []error {
 	if len(pages) == 0 {
 		return nil
 	}
 	if mode == ktypes.LockWriteShared {
 		mode = ktypes.LockWrite
 	}
+	tab := tableOf(c.h, desc)
 	if isHome(c.h, desc) {
 		var errs []error
 		var replicated []gaddr.Addr
 		for i, p := range pages {
-			if err := c.homeRelease(desc, p, mode, dirty[p], c.h.Self(), nil); err != nil {
+			if err := c.homeRelease(desc, tab, p, mode, isDirty(dirty, i), c.h.Self(), nil); err != nil {
 				if errs == nil {
 					errs = make([]error, len(pages))
 				}
 				errs[i] = err
 				continue
 			}
-			if mode.Writes() && dirty[p] {
+			if mode.Writes() && isDirty(dirty, i) {
 				// Sized once, at the first dirty page, for the rest.
 				replicated = append(slices.Grow(replicated, len(pages)-i), p)
 			}
 		}
-		c.replicate(ctx, desc, replicated)
+		c.replicate(ctx, desc, tab, replicated)
 		return errs
 	}
 	home, err := homeOf(desc)
@@ -423,11 +399,11 @@ func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, page
 	items := make([]wire.ReleaseItem, len(pages))
 	var frames []*frame.Frame
 	for i, p := range pages {
-		items[i] = wire.ReleaseItem{Page: p, Mode: mode, Dirty: dirty[p]}
-		if mode.Writes() && dirty[p] {
+		items[i] = wire.ReleaseItem{Page: p, Mode: mode, Dirty: isDirty(dirty, i)}
+		if mode.Writes() && isDirty(dirty, i) {
 			// Frames stay referenced until the request (and its marshal)
 			// completes, so the views in Data never dangle.
-			f := loadOrZero(c.h, desc, p)
+			f := loadOrZero(c.h, desc, tab.Touch(p))
 			items[i].Data = f.Bytes()
 			//khazana:frame-owner released after the batch RPC below
 			frames = append(slices.Grow(frames, len(pages)-i), f)
@@ -457,8 +433,8 @@ func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, page
 			errs[i] = fmt.Errorf("consistency: crew release %v to %v: %s", p, home, rb.Errs[i])
 			continue
 		}
-		if mode.Writes() && dirty[p] {
-			c.h.Dir().Update(p, func(e *pagedir.Entry) { e.Version++ })
+		if mode.Writes() && isDirty(dirty, i) {
+			tab.Update(p, func(e *pagedir.Entry) { e.Version++ })
 		}
 	}
 	return errs
@@ -467,53 +443,63 @@ func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, page
 // homeRelease applies a release at the manager. A failed write-through is
 // reported to the releaser — losing it would silently drop the only
 // current copy of the page's contents at the home — but the global lock
-// is released regardless so the page does not wedge.
-func (c *CrewCM) homeRelease(desc *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, dirty bool, from ktypes.NodeID, f *frame.Frame) error {
+// is released regardless so the page does not wedge. The committed
+// contents enter the page's version chain in the same step that bumps its
+// version and drops the lock: snapshot readers pinned to older epochs
+// keep their versions, new snapshots see this one.
+func (c *CrewCM) homeRelease(desc *region.Descriptor, tab *pagedir.Table, page gaddr.Addr, mode ktypes.LockMode, dirty bool, from ktypes.NodeID, f *frame.Frame) error {
 	var storeErr error
+	var committed *frame.Frame
 	if mode.Writes() && dirty {
-		// Write-through: the home stores the new contents so later
-		// grants are served locally (and replica maintenance has a
-		// current copy). The frame is borrowed from the caller.
+		rec := tab.Touch(page)
+		// Write-through: the home stores the new contents so later grants
+		// are served locally (and replica maintenance has a current copy).
+		// The frame is borrowed from the caller; a home-local writer
+		// already stored its contents.
 		if f != nil {
-			if err := c.h.StorePage(page, f); err != nil {
+			if err := c.h.StorePage(rec, f); err != nil {
 				storeErr = fmt.Errorf("consistency: crew write-through %v: %w", page, err)
 			}
+			committed = f.Retain()
+		} else {
+			committed = loadOrZero(c.h, desc, rec)
 		}
-		if storeErr == nil {
-			self := c.h.Self()
-			var newVersion uint64
-			c.h.Dir().Update(page, func(e *pagedir.Entry) {
-				e.Version++
-				newVersion = e.Version
-				e.AddSharer(self)
-				// The write-through makes the home's copy current again;
-				// the ownership hint returns home with it.
-				e.Owner = self
-				if from == self {
-					e.State = pagedir.Owned
-				} else {
-					e.State = pagedir.Shared
-				}
-			})
-			// Publish the committed contents into the page's version
-			// chain: snapshot readers pinned to older epochs keep their
-			// versions, new snapshots see this one.
-			if f != nil {
-				f.SetVersion(newVersion)
-				c.publish(page, f, newVersion)
+		defer committed.Release()
+	}
+	self := c.h.Self()
+	freed, chainLen := 0, 0
+	tab.With(page, func(p *pagedir.Page) {
+		if committed != nil && storeErr == nil {
+			p.Version++
+			p.AddSharer(self)
+			// The write-through makes the home's copy current again; the
+			// ownership hint returns home with it.
+			p.Owner = self
+			if from == self {
+				p.State = pagedir.Owned
 			} else {
-				// Home-local release: the writer already stored the new
-				// contents locally.
-				nf := loadOrZero(c.h, desc, page)
-				nf.SetVersion(newVersion)
-				c.publish(page, nf, newVersion)
-				nf.Release()
+				p.State = pagedir.Shared
+			}
+			committed.SetVersion(p.Version)
+			if p.Chain == nil {
+				p.Chain = frame.NewChain()
+			}
+			if !chainHolds(p.Chain, p.Version) {
+				freed = p.Chain.Publish(committed.Retain(), c.pubEpoch.Add(1))
+				chainLen = p.Chain.Len()
 			}
 		}
+		// Unlock tolerates an unheld lock: after a failover this home may
+		// receive a (retried) release for a grant the failed primary
+		// issued.
+		p.Unlock(mode)
+	})
+	if chainLen > 0 {
+		c.snapChainLen.Observe(uint64(chainLen))
 	}
-	// TryRelease: after a failover this home may receive a (retried)
-	// release for a grant the failed primary issued; tolerate it.
-	c.glocks.TryRelease(page, mode)
+	if freed > 0 {
+		c.snapReclaimed.Add(uint64(freed))
+	}
 	return storeErr
 }
 
@@ -544,28 +530,28 @@ func (c *CrewCM) homeSnapshot(desc *region.Descriptor, pages []gaddr.Addr, epoch
 	if epoch == 0 {
 		epoch = c.pubEpoch.Load()
 	}
+	tab := tableOf(c.h, desc)
 	out := make([]SnapPage, 0, len(pages))
-	for _, p := range pages {
+	for _, page := range pages {
 		var (
 			f       *frame.Frame
 			version uint64
 		)
-		c.pubMu.Lock()
-		if ch, ok := c.published[p]; ok {
-			//khazana:frame-owner the pinned version is handed to the SnapshotRead caller
-			if cf, _, ok := ch.At(epoch); ok {
-				f = cf
-				version = cf.Version()
+		tab.With(page, func(p *pagedir.Page) {
+			version = p.Version
+			if p.Chain == nil {
+				return
 			}
-		}
-		c.pubMu.Unlock()
+			//khazana:frame-owner the pinned version is handed to the SnapshotRead caller
+			if cf, _, ok := p.Chain.At(epoch); ok {
+				f, version = cf, cf.Version()
+			}
+		})
 		if f == nil {
 			//khazana:frame-owner the committed store copy is handed to the SnapshotRead caller
-			f = loadOrZero(c.h, desc, p)
-			entry, _ := c.h.Dir().Lookup(p)
-			version = entry.Version
+			f = loadOrZero(c.h, desc, tab.Touch(page))
 		}
-		out = append(out, SnapPage{Page: p, Frame: f, Version: version})
+		out = append(out, SnapPage{Page: page, Frame: f, Version: version})
 	}
 	return out, epoch
 }
@@ -579,7 +565,7 @@ func (c *CrewCM) homeSnapshot(desc *region.Descriptor, pages []gaddr.Addr, epoch
 // leave homes listed and replica maintenance (§3.5) re-pushes only to
 // homes the copyset omits, so a secondary that did not ack leaves the
 // copyset; one that acked joins it unless a newer release moved the page.
-func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr) {
+func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, tab *pagedir.Table, pages []gaddr.Addr) {
 	if len(pages) == 0 || len(desc.Home) < 2 {
 		return
 	}
@@ -587,11 +573,11 @@ func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages [
 	entries := make([]wire.ReplEntry, 0, len(pages))
 	items := make([]wire.UpdateItem, 0, len(pages))
 	for _, p := range pages {
-		f, ok := c.h.LoadPage(p)
+		f, ok := c.h.LoadPage(tab.Touch(p))
 		if !ok {
 			continue
 		}
-		e, _ := c.h.Dir().Lookup(p)
+		e, _ := tab.Lookup(p)
 		entries = append(entries, wire.ReplEntry{Op: wire.ReplOpRelease, Page: p, Val: e.Version, Node: e.Owner, Nodes: e.Copyset, Aux: epoch})
 		items = append(items, wire.UpdateItem{Page: p, Version: e.Version, Origin: self})
 		items[len(items)-1].SetFrame(f)
@@ -611,7 +597,7 @@ func (c *CrewCM) replicate(ctx context.Context, desc *region.Descriptor, pages [
 		}
 	}
 	for _, it := range items {
-		c.h.Dir().Update(it.Page, func(e *pagedir.Entry) {
+		tab.Update(it.Page, func(e *pagedir.Entry) {
 			for _, n := range desc.Home {
 				switch {
 				case n == self:
@@ -633,9 +619,9 @@ func (c *CrewCM) Handle(ctx context.Context, desc *region.Descriptor, from ktype
 	case *wire.ReleaseBatch:
 		return c.handleReleaseBatch(ctx, desc, msg)
 	case *wire.ReplAppend:
-		return c.handleReplAppend(from, msg), nil
+		return c.handleReplAppend(desc, from, msg), nil
 	case *wire.InvalidateBatch:
-		c.handleInvalidateBatch(msg)
+		c.handleInvalidateBatch(desc, msg)
 		return &wire.Ack{}, nil
 	case *wire.SnapshotReqBatch:
 		if !isHome(c.h, desc) {
@@ -651,10 +637,13 @@ func (c *CrewCM) Handle(ctx context.Context, desc *region.Descriptor, from ktype
 
 // handleInvalidateBatch is the sharer side of a write grant: every listed
 // copy is dropped and marked invalid under the new owner.
-func (c *CrewCM) handleInvalidateBatch(msg *wire.InvalidateBatch) {
+func (c *CrewCM) handleInvalidateBatch(desc *region.Descriptor, msg *wire.InvalidateBatch) {
+	tab := tableOf(c.h, desc)
 	for _, it := range msg.Items {
-		c.h.DropPage(it.Page)
-		c.h.Dir().Update(it.Page, func(e *pagedir.Entry) {
+		if p := tab.Rec(it.Page); p != nil {
+			c.h.DropPage(p)
+		}
+		tab.Update(it.Page, func(e *pagedir.Entry) {
 			e.State = pagedir.Invalid
 			e.Owner = msg.NewOwner
 		})
@@ -692,15 +681,10 @@ func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 			msg.Modes[i] = ktypes.LockWrite
 		}
 	}
-	granted, err := c.homeAcquireBatch(ctx, desc, msg.Pages, func(i int) ktypes.LockMode { return msg.Modes[i] }, msg.Requester)
+	granted, err := c.homeAcquireBatch(ctx, desc, msg.Pages, func(i int) ktypes.LockMode { return msg.Modes[i] }, msg.Requester, resp.Grants)
+	tab := tableOf(c.h, desc)
 	for i, page := range msg.Pages[:granted] {
-		entry, _ := c.h.Dir().Lookup(page)
-		resp.Grants[i] = wire.PageGrantItem{
-			OK:      true,
-			Version: entry.Version,
-			Owner:   entry.Owner,
-		}
-		f := loadOrZero(c.h, desc, page)
+		f := loadOrZero(c.h, desc, tab.Rec(page))
 		resp.Grants[i].SetFrame(f)
 		f.Release()
 	}
@@ -722,6 +706,7 @@ func (c *CrewCM) handleReleaseBatch(ctx context.Context, desc *region.Descriptor
 		return nil, ErrNotHome
 	}
 	resp := &wire.ReleaseBatchResp{}
+	tab := tableOf(c.h, desc)
 	var replicated []gaddr.Addr
 	for i := range msg.Items {
 		it := &msg.Items[i]
@@ -733,7 +718,7 @@ func (c *CrewCM) handleReleaseBatch(ctx context.Context, desc *region.Descriptor
 		if it.Data != nil {
 			f = it.TakeFrame()
 		}
-		err := c.homeRelease(desc, it.Page, mode, it.Dirty, msg.From, f)
+		err := c.homeRelease(desc, tab, it.Page, mode, it.Dirty, msg.From, f)
 		if f != nil {
 			f.Release()
 		}
@@ -748,7 +733,7 @@ func (c *CrewCM) handleReleaseBatch(ctx context.Context, desc *region.Descriptor
 			replicated = append(slices.Grow(replicated, len(msg.Items)-i), it.Page)
 		}
 	}
-	c.replicate(ctx, desc, replicated)
+	c.replicate(ctx, desc, tab, replicated)
 	return resp, nil
 }
 
@@ -756,12 +741,12 @@ func (c *CrewCM) handleReleaseBatch(ctx context.Context, desc *region.Descriptor
 // the pages are stored first, so the entries naming them are appended —
 // and acked — only once their bytes are here. An append from a stale term
 // stores nothing, and a failed store NACKs without appending.
-func (c *CrewCM) handleReplAppend(from ktypes.NodeID, msg *wire.ReplAppend) wire.Msg {
+func (c *CrewCM) handleReplAppend(desc *region.Descriptor, from ktypes.NodeID, msg *wire.ReplAppend) wire.Msg {
 	l := c.h.Repl()
 	if _, term := l.Leader(msg.Region); msg.Term < term {
 		return l.HandleAppend(msg)
 	}
-	if err := StoreUpdates(c.h, from, msg.Pages); err != nil {
+	if err := StoreUpdates(c.h, desc, from, msg.Pages); err != nil {
 		return &wire.ReplAck{Term: msg.Term, Err: err.Error()}
 	}
 	return l.HandleAppend(msg)

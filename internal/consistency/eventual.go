@@ -93,12 +93,13 @@ func (c *EventualCM) Protocol() region.Protocol { return region.Eventual }
 // ensureReplica gives an acquired page a local replica. The only remote
 // traffic is a one-time fetch when the node has none and is not the
 // home — the fast-response property.
-func (c *EventualCM) ensureReplica(ctx context.Context, desc *region.Descriptor, page gaddr.Addr) error {
+func (c *EventualCM) ensureReplica(ctx context.Context, desc *region.Descriptor, tab *pagedir.Table, page gaddr.Addr) error {
 	if isHome(c.h, desc) {
-		c.h.Dir().Update(page, func(e *pagedir.Entry) { e.HomedLocal = true })
+		tab.Update(page, func(e *pagedir.Entry) { e.HomedLocal = true })
 		return nil
 	}
-	if lf, ok := c.h.LoadPage(page); ok {
+	rec := tab.Touch(page)
+	if lf, ok := c.h.LoadPage(rec); ok {
 		lf.Release()
 		return nil
 	}
@@ -109,15 +110,16 @@ func (c *EventualCM) ensureReplica(ctx context.Context, desc *region.Descriptor,
 	defer f.Release()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if lf, already := c.h.LoadPage(page); already {
+	//khazana:block-ok c.mu pairs a page's bytes with its LWW stamp; a disk-tier promotion under it stalls only this protocol's installs (§3.4 tiered store)
+	if lf, already := c.h.LoadPage(rec); already {
 		lf.Release()
 		return nil // a concurrent update beat us to it
 	}
-	if err := c.h.StorePage(page, f); err != nil {
+	if err := c.h.StorePage(rec, f); err != nil {
 		return err
 	}
 	c.setAuthLocked(page, f)
-	c.h.Dir().Update(page, func(e *pagedir.Entry) {
+	tab.Update(page, func(e *pagedir.Entry) {
 		e.State = pagedir.Shared
 		e.Version = version
 	})
@@ -139,14 +141,15 @@ func (c *EventualCM) setAuthLocked(page gaddr.Addr, f *frame.Frame) {
 // state under last-writer-wins. f is borrowed; f == nil means "the bytes
 // already in the local store" (a local write claiming its stamp). Caller
 // holds c.mu.
-func (c *EventualCM) applyLocked(page gaddr.Addr, f *frame.Frame, stamp int64, origin ktypes.NodeID) (bool, error) {
-	entry, _ := c.h.Dir().Lookup(page)
+func (c *EventualCM) applyLocked(tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, stamp int64, origin ktypes.NodeID) (bool, error) {
+	entry, _ := tab.Lookup(page)
 	if !newerStamp(stamp, origin, &entry) {
 		return false, nil
 	}
+	rec := tab.Touch(page)
 	if f == nil {
 		//khazana:frame-owner the loaded reference transfers into the auth map below
-		stored, ok := c.h.LoadPage(page)
+		stored, ok := c.h.LoadPage(rec)
 		if !ok {
 			return false, fmt.Errorf("consistency: eventual claim %v: no local data", page)
 		}
@@ -158,12 +161,12 @@ func (c *EventualCM) applyLocked(page gaddr.Addr, f *frame.Frame, stamp int64, o
 			old.Release()
 		}
 	} else {
-		if err := c.h.StorePage(page, f); err != nil {
+		if err := c.h.StorePage(rec, f); err != nil {
 			return false, err
 		}
 		c.setAuthLocked(page, f)
 	}
-	c.h.Dir().Update(page, func(e *pagedir.Entry) {
+	tab.Update(page, func(e *pagedir.Entry) {
 		e.Stamp = stamp
 		e.StampNode = origin
 		e.Version++
@@ -184,14 +187,15 @@ func newerStamp(stamp int64, node ktypes.NodeID, e *pagedir.Entry) bool {
 // applyPending installs any update parked while the write lock was held.
 // When the home applies a parked update it still owes the copyset a
 // gossip round, or replicas that missed it would never converge.
-func (c *EventualCM) applyPending(ctx context.Context, desc *region.Descriptor, page gaddr.Addr) {
+func (c *EventualCM) applyPending(ctx context.Context, desc *region.Descriptor, tab *pagedir.Table, page gaddr.Addr) {
 	c.mu.Lock()
 	upd, ok := c.pending[page]
 	var applied bool
 	if ok {
 		delete(c.pending, page)
 		var err error
-		applied, err = c.applyLocked(page, upd.f, upd.stamp, upd.origin)
+		//khazana:block-ok c.mu pairs a page's bytes with its LWW stamp; a disk-tier promotion under it stalls only this protocol's installs (§3.4 tiered store)
+		applied, err = c.applyLocked(tab, page, upd.f, upd.stamp, upd.origin)
 		if err != nil {
 			// The local replica stays a version old; it converges on the
 			// next accepted update. Count the miss so operators can see
@@ -201,7 +205,7 @@ func (c *EventualCM) applyPending(ctx context.Context, desc *region.Descriptor, 
 	}
 	c.mu.Unlock()
 	if applied && isHome(c.h, desc) {
-		c.gossipBatch(ctx, []gossipUpdate{{page: page, f: upd.f, stamp: upd.stamp, origin: upd.origin}})
+		c.gossipBatch(ctx, tab, []gossipUpdate{{page: page, f: upd.f, stamp: upd.stamp, origin: upd.origin}})
 	}
 	if ok && upd.f != nil {
 		upd.f.Release()
@@ -226,7 +230,7 @@ type gossipUpdate struct {
 // converges on the next accepted one (or stays a version old, which this
 // protocol permits), but each missed page counts a push failure so
 // divergence stays observable.
-func (c *EventualCM) gossipBatch(ctx context.Context, updates []gossipUpdate) {
+func (c *EventualCM) gossipBatch(ctx context.Context, tab *pagedir.Table, updates []gossipUpdate) {
 	if len(updates) == 0 {
 		return
 	}
@@ -235,7 +239,7 @@ func (c *EventualCM) gossipBatch(ctx context.Context, updates []gossipUpdate) {
 	var order []ktypes.NodeID
 	for i := range updates {
 		u := &updates[i]
-		entry, ok := c.h.Dir().Lookup(u.page)
+		entry, ok := tab.Lookup(u.page)
 		if !ok {
 			continue
 		}
@@ -271,7 +275,8 @@ func (c *EventualCM) gossipBatch(ctx context.Context, updates []gossipUpdate) {
 // acquires from the local replica, so batching buys nothing beyond the
 // rare initial fetches.
 func (c *EventualCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
-	return acquireEach(ctx, c.h, pages, mode, func(p gaddr.Addr) error { return c.ensureReplica(ctx, desc, p) })
+	tab := tableOf(c.h, desc)
+	return acquireEach(ctx, tab, pages, mode, func(p gaddr.Addr) error { return c.ensureReplica(ctx, desc, tab, p) })
 }
 
 // ReleaseBatch implements CM: the batch's dirty pages claim one clock
@@ -279,14 +284,15 @@ func (c *EventualCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, 
 // single RPC to the home from a replica site, or one gossip batch per
 // copyset member at the home. Local locks always release, and updates
 // parked while a write lock was held apply on the way out.
-func (c *EventualCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty map[gaddr.Addr]bool) []error {
+func (c *EventualCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty []bool) []error {
 	if len(pages) == 0 {
 		return nil
 	}
+	tab := tableOf(c.h, desc)
 	defer func() {
 		for _, p := range pages {
-			c.applyPending(ctx, desc, p)
-			c.h.Locks().Release(p, mode)
+			c.applyPending(ctx, desc, tab, p)
+			tab.TryRelease(p, mode)
 		}
 	}()
 	if !mode.Writes() {
@@ -308,10 +314,11 @@ func (c *EventualCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, 
 	var claimed []gossipUpdate
 	c.mu.Lock()
 	for i, p := range pages {
-		if !dirty[p] {
+		if !isDirty(dirty, i) {
 			continue
 		}
-		ok, err := c.applyLocked(p, nil, stamp, self)
+		//khazana:block-ok c.mu pairs a page's bytes with its LWW stamp; a disk-tier promotion under it stalls only this protocol's installs (§3.4 tiered store)
+		ok, err := c.applyLocked(tab, p, nil, stamp, self)
 		if err != nil {
 			setErr(i, err)
 			continue
@@ -320,7 +327,7 @@ func (c *EventualCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, 
 			// A newer update won while we were writing; our bytes lose
 			// under LWW. Roll the store back to the winning contents.
 			if auth, okA := c.auth[p]; okA {
-				if serr := c.h.StorePage(p, auth); serr != nil {
+				if serr := c.h.StorePage(tab.Touch(p), auth); serr != nil {
 					setErr(i, serr)
 				}
 			}
@@ -342,9 +349,9 @@ func (c *EventualCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, 
 	}
 	if isHome(c.h, desc) {
 		for _, u := range claimed {
-			c.h.Dir().Update(u.page, func(e *pagedir.Entry) { e.HomedLocal = true })
+			tab.Update(u.page, func(e *pagedir.Entry) { e.HomedLocal = true })
 		}
-		c.gossipBatch(ctx, claimed)
+		c.gossipBatch(ctx, tab, claimed)
 		return errs
 	}
 	home, err := homeOf(desc)
@@ -378,7 +385,8 @@ func (c *EventualCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, 
 				continue
 			}
 			c.mu.Lock()
-			_, aerr := c.applyLocked(it.Page, af, it.Stamp, it.Origin)
+			//khazana:block-ok c.mu pairs a page's bytes with its LWW stamp; a disk-tier promotion under it stalls only this protocol's installs (§3.4 tiered store)
+			_, aerr := c.applyLocked(tab, it.Page, af, it.Stamp, it.Origin)
 			c.mu.Unlock()
 			af.Release()
 			if aerr != nil {
@@ -420,9 +428,9 @@ func (r *inboundResult) release() {
 // applyInbound processes one pushed update: park it under an active local
 // write lock, or apply it via last-writer-wins. Ownership of uf transfers
 // in; the result's frames transfer back out (release() them when done).
-func (c *EventualCM) applyInbound(home bool, page gaddr.Addr, uf *frame.Frame, stamp int64, origin ktypes.NodeID) (inboundResult, error) {
+func (c *EventualCM) applyInbound(tab *pagedir.Table, home bool, page gaddr.Addr, uf *frame.Frame, stamp int64, origin ktypes.NodeID) (inboundResult, error) {
 	if home {
-		c.h.Dir().Update(page, func(e *pagedir.Entry) {
+		tab.Update(page, func(e *pagedir.Entry) {
 			e.HomedLocal = true
 			e.AddSharer(origin)
 		})
@@ -430,7 +438,7 @@ func (c *EventualCM) applyInbound(home bool, page gaddr.Addr, uf *frame.Frame, s
 	c.mu.Lock()
 	var applied bool
 	var err error
-	if c.h.Locks().WriteLocked(page) {
+	if tab.WriteLocked(page) {
 		// A local writer is active: park the update; it is applied
 		// (LWW) when the lock releases.
 		if prev, ok := c.pending[page]; !ok || stamp > prev.stamp ||
@@ -443,9 +451,10 @@ func (c *EventualCM) applyInbound(home bool, page gaddr.Addr, uf *frame.Frame, s
 			uf = nil
 		}
 	} else {
-		applied, err = c.applyLocked(page, uf, stamp, origin)
+		//khazana:block-ok c.mu pairs a page's bytes with its LWW stamp; a disk-tier promotion under it stalls only this protocol's installs (§3.4 tiered store)
+		applied, err = c.applyLocked(tab, page, uf, stamp, origin)
 	}
-	entry, _ := c.h.Dir().Lookup(page)
+	entry, _ := tab.Lookup(page)
 	var af *frame.Frame
 	if a, ok := c.auth[page]; ok {
 		// Pin the authoritative bytes for the reply while the mutex is
@@ -468,11 +477,12 @@ func (c *EventualCM) Handle(ctx context.Context, desc *region.Descriptor, from k
 		// mirrors the batch with the authoritative per-page state so the
 		// pusher reconciles losses in one pass.
 		home := isHome(c.h, desc)
+		tab := tableOf(c.h, desc)
 		resp := &wire.UpdateBatch{From: c.h.Self(), Items: make([]wire.UpdateItem, len(msg.Items))}
 		var accepted []gossipUpdate
 		for i := range msg.Items {
 			it := &msg.Items[i]
-			res, err := c.applyInbound(home, it.Page, it.TakeFrame(), it.Stamp, it.Origin)
+			res, err := c.applyInbound(tab, home, it.Page, it.TakeFrame(), it.Stamp, it.Origin)
 			if err != nil {
 				// Best-effort, like gossip itself: the reply still
 				// carries the authoritative state for this page, and the
@@ -490,7 +500,7 @@ func (c *EventualCM) Handle(ctx context.Context, desc *region.Descriptor, from k
 			res.release()
 		}
 		if home && len(accepted) > 0 {
-			c.gossipBatch(ctx, accepted)
+			c.gossipBatch(ctx, tab, accepted)
 			for _, u := range accepted {
 				u.f.Release()
 			}

@@ -18,18 +18,17 @@ import (
 	"khazana/internal/wire"
 )
 
-// testHost is a minimal Host: an in-memory page store, a page directory,
-// a lock table, and a transport endpoint, with CM traffic routed by the
+// testHost is a minimal Host: an in-memory page store, a page directory
+// and a transport endpoint, with CM traffic routed by the
 // shared test descriptor's protocol.
 type testHost struct {
 	id ktypes.NodeID
 	// net is the simulated network every host of the cluster shares.
-	net   *transport.Network
-	tr    transport.Transport
-	dir   *pagedir.Dir
-	locks *LockTable
-	tel   *telemetry.Registry
-	cms   map[region.Protocol]CM
+	net *transport.Network
+	tr  transport.Transport
+	dir *pagedir.Dir
+	tel *telemetry.Registry
+	cms map[region.Protocol]CM
 
 	mu sync.Mutex
 	// pages holds one frame reference per entry.
@@ -61,17 +60,18 @@ func (h *testHost) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (w
 	return h.tr.Request(ctx, to, m)
 }
 
-func (h *testHost) LoadPage(page gaddr.Addr) (*frame.Frame, bool) {
+func (h *testHost) LoadPage(p *pagedir.Page) (*frame.Frame, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	f, ok := h.pages[page]
+	f, ok := h.pages[p.Page]
 	if !ok {
 		return nil, false
 	}
 	return f.Retain(), true
 }
 
-func (h *testHost) StorePage(page gaddr.Addr, f *frame.Frame) error {
+func (h *testHost) StorePage(p *pagedir.Page, f *frame.Frame) error {
+	page := p.Page
 	if h.storing != nil {
 		h.storing(page, f)
 	}
@@ -89,19 +89,37 @@ func (h *testHost) StorePage(page gaddr.Addr, f *frame.Frame) error {
 	return nil
 }
 
-func (h *testHost) DropPage(page gaddr.Addr) {
+func (h *testHost) DropPage(p *pagedir.Page) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if f, ok := h.pages[page]; ok {
+	if f, ok := h.pages[p.Page]; ok {
 		f.Release()
-		delete(h.pages, page)
+		delete(h.pages, p.Page)
 	}
+}
+
+// rec returns page's record in its region's page table.
+func (h *testHost) rec(page gaddr.Addr) *pagedir.Page {
+	for _, d := range h.descs {
+		if d.Range.Contains(page) {
+			return tableOf(h, d).Touch(page)
+		}
+	}
+	return h.dir.Touch(page)
+}
+
+// storeBytes stores a copy of data as the page's local copy.
+func storeBytes(h Host, page gaddr.Addr, data []byte) error {
+	f := frame.Copy(data)
+	err := h.StorePage(h.(*testHost).rec(page), f)
+	f.Release()
+	return err
 }
 
 func (h *testHost) Repl() *replog.Log { return h.repl }
 
+func (h *testHost) Pages() *pagedir.Dir            { return h.dir }
 func (h *testHost) Dir() *pagedir.Dir              { return h.dir }
-func (h *testHost) Locks() *LockTable              { return h.locks }
 func (h *testHost) Clock() int64                   { return h.clock.Add(1) }
 func (h *testHost) Telemetry() *telemetry.Registry { return h.tel }
 
@@ -194,7 +212,6 @@ func cluster(t *testing.T, n int, descs ...*region.Descriptor) []*testHost {
 			net:   net,
 			tr:    tr,
 			dir:   pagedir.New(),
-			locks: NewLockTable(),
 			tel:   telemetry.New(),
 			pages: make(map[gaddr.Addr]*frame.Frame),
 			descs: descs,
@@ -225,7 +242,7 @@ func (h *testHost) cm(d *region.Descriptor) CM { return h.cms[d.Attrs.Protocol] 
 
 // snapshot returns a private copy of the page's current (or zero) bytes.
 func snapshot(h *testHost, d *region.Descriptor, page gaddr.Addr) []byte {
-	f := loadOrZero(h, d, page)
+	f := loadOrZero(h, d, h.rec(page))
 	data := append([]byte(nil), f.Bytes()...)
 	f.Release()
 	return data
@@ -233,7 +250,7 @@ func snapshot(h *testHost, d *region.Descriptor, page gaddr.Addr) []byte {
 
 // resident reports whether the host holds a local copy of the page.
 func resident(h *testHost, page gaddr.Addr) bool {
-	f, ok := h.LoadPage(page)
+	f, ok := h.LoadPage(h.rec(page))
 	if ok {
 		f.Release()
 	}
@@ -248,7 +265,7 @@ func acquirePage(ctx context.Context, cm CM, d *region.Descriptor, page gaddr.Ad
 
 // releasePage drops one page's lock: a batch of one.
 func releasePage(ctx context.Context, cm CM, d *region.Descriptor, page gaddr.Addr, mode ktypes.LockMode, dirty bool) error {
-	if errs := cm.ReleaseBatch(ctx, d, []gaddr.Addr{page}, mode, map[gaddr.Addr]bool{page: dirty}); errs != nil {
+	if errs := cm.ReleaseBatch(ctx, d, []gaddr.Addr{page}, mode, []bool{dirty}); errs != nil {
 		return errs[0]
 	}
 	return nil

@@ -58,12 +58,12 @@ func writeAll(t *testing.T, h *testHost, d *region.Descriptor, pages []gaddr.Add
 	if _, err := h.cm(d).AcquireBatch(ctx, d, pages, ktypes.LockWrite); err != nil {
 		t.Fatalf("%v write batch: %v", h.id, err)
 	}
-	dirty := make(map[gaddr.Addr]bool, len(pages))
-	for _, p := range pages {
+	dirty := make([]bool, len(pages))
+	for i, p := range pages {
 		if err := storeBytes(h, p, bytes.Repeat([]byte{fill}, int(d.Attrs.PageSize))); err != nil {
 			t.Fatal(err)
 		}
-		dirty[p] = true
+		dirty[i] = true
 	}
 	if errs := h.cm(d).ReleaseBatch(ctx, d, pages, ktypes.LockWrite, dirty); errs != nil {
 		t.Fatalf("%v write release: %v", h.id, errs)
@@ -358,12 +358,12 @@ func TestWriteGrantSparesListedHomes(t *testing.T) {
 				}
 			}
 
-			dirty := make(map[gaddr.Addr]bool, len(pages))
-			for _, p := range pages {
+			dirty := make([]bool, len(pages))
+			for i, p := range pages {
 				if err := storeBytes(writer, p, bytes.Repeat([]byte{2}, int(d.Attrs.PageSize))); err != nil {
 					t.Fatal(err)
 				}
-				dirty[p] = true
+				dirty[i] = true
 			}
 			if errs := writer.cm(d).ReleaseBatch(ctx, d, pages, ktypes.LockWrite, dirty); errs != nil {
 				t.Fatalf("release: %v", errs)
@@ -530,12 +530,12 @@ func TestReleaseBatchRespErrsOnlyOnFailure(t *testing.T) {
 	if _, err := writer.cm(d).AcquireBatch(ctx, d, pages, ktypes.LockWrite); err != nil {
 		t.Fatal(err)
 	}
-	dirty := make(map[gaddr.Addr]bool, len(pages))
-	for _, p := range pages {
+	dirty := make([]bool, len(pages))
+	for i, p := range pages {
 		if err := storeBytes(writer, p, bytes.Repeat([]byte{2}, int(d.Attrs.PageSize))); err != nil {
 			t.Fatal(err)
 		}
-		dirty[p] = true
+		dirty[i] = true
 	}
 	home.failStore = func(p gaddr.Addr) bool { return p == pages[2] }
 	errs := writer.cm(d).ReleaseBatch(ctx, d, pages, ktypes.LockWrite, dirty)
@@ -554,7 +554,7 @@ func TestReleaseBatchRespErrsOnlyOnFailure(t *testing.T) {
 		if got := snapshot(home, d, p)[0]; got != want {
 			t.Fatalf("page %d holds %d at the home, want %d", i, got, want)
 		}
-		if home.cm(d).(*CrewCM).PageBusy(p) {
+		if tableOf(home, d).Held(p) {
 			t.Fatalf("page %d is still locked at the home", i)
 		}
 	}

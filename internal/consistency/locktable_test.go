@@ -2,15 +2,51 @@ package consistency
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
+	"khazana/internal/pagedir"
 )
 
 func lpage(n uint64) gaddr.Addr { return gaddr.FromUint64(n * 0x1000) }
+
+// LockTable is the lock slots of one page table spanning every test page:
+// the lock table a CM reaches through its region's page records.
+type LockTable struct{ *pagedir.Table }
+
+func NewLockTable() *LockTable {
+	return &LockTable{pagedir.New().Table(gaddr.Zero, 1<<32, 0x1000)}
+}
+
+// TryAcquire attempts a non-blocking lock, reporting success.
+func (lt *LockTable) TryAcquire(page gaddr.Addr, mode ktypes.LockMode) bool {
+	ok := false
+	lt.With(page, func(p *pagedir.Page) { ok = p.TryLock(mode) })
+	return ok
+}
+
+// Release drops a lock previously acquired in mode; releasing an unheld
+// lock is a programming error in these tests.
+func (lt *LockTable) Release(page gaddr.Addr, mode ktypes.LockMode) {
+	if !lt.TryRelease(page, mode) {
+		panic(fmt.Sprintf("release of unheld %v lock on page %v", mode, page))
+	}
+}
+
+// Len counts the pages with a holder.
+func (lt *LockTable) Len() int {
+	n := 0
+	lt.Each(func(p *pagedir.Page) {
+		if p.Held() {
+			n++
+		}
+	})
+	return n
+}
 
 func TestLockModeCompatibility(t *testing.T) {
 	tests := []struct {
@@ -242,9 +278,7 @@ func TestLockTryReleaseUnheld(t *testing.T) {
 func waitParked(t *testing.T, lt *LockTable, page gaddr.Addr, want int32) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		lt.mu.Lock()
-		got := lt.pages[page].waiters
-		lt.mu.Unlock()
+		got := int32(lt.Waiters(page))
 		if got == want {
 			return
 		}
@@ -307,11 +341,9 @@ func TestLockWaiterExpiryLeavesNoGate(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("canceled Acquire succeeded")
 	}
-	lt.mu.Lock()
-	pl := lt.pages[lpage(1)]
-	lt.mu.Unlock()
-	if lt.Len() != 1 || pl.gate != nil || pl.waiters != 0 || !pl.exclusive {
-		t.Fatalf("after expiry: len=%d entry=%+v, want the holder's entry alone", lt.Len(), pl)
+	// The last waiter to leave clears the gate with the count.
+	if lt.Len() != 1 || lt.Waiters(lpage(1)) != 0 || !lt.WriteLocked(lpage(1)) {
+		t.Fatalf("after expiry: len=%d waiters=%d, want the holder's lock alone", lt.Len(), lt.Waiters(lpage(1)))
 	}
 	lt.Release(lpage(1), ktypes.LockWrite)
 	if lt.Len() != 0 {
@@ -373,7 +405,7 @@ func TestLockReaderWriterHandoff(t *testing.T) {
 	}
 }
 
-// TestLockUncontendedNoAlloc: entries live in the map by value and the
+// TestLockUncontendedNoAlloc: lock slots live in the page records and the
 // gate exists only while someone waits, so a warmed table grants and
 // releases an uncontended lock without allocating.
 func TestLockUncontendedNoAlloc(t *testing.T) {

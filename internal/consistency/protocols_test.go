@@ -449,7 +449,7 @@ func TestHandlerPathThroughTransport(t *testing.T) {
 	hosts := cluster(t, 2, d)
 	page := d.Range.Start
 	lockWrite(t, hosts[1], d, page, func(data []byte) { copy(data, "thru") })
-	f, ok := hosts[0].LoadPage(page)
+	f, ok := hosts[0].LoadPage(hosts[0].rec(page))
 	if !ok {
 		t.Fatal("home store missing page")
 	}

@@ -37,9 +37,9 @@ func (c *ReleaseCM) Protocol() region.Protocol { return region.Release }
 // time, in one PageFetch that carries the version held here: a current
 // copy costs the round trip and no bytes. Validation is mode-independent:
 // readers and writers alike need a current copy before the lock is usable.
-func (c *ReleaseCM) validate(ctx context.Context, desc *region.Descriptor, page gaddr.Addr) error {
+func (c *ReleaseCM) validate(ctx context.Context, desc *region.Descriptor, tab *pagedir.Table, page gaddr.Addr) error {
 	if isHome(c.h, desc) {
-		c.h.Dir().Update(page, func(e *pagedir.Entry) {
+		tab.Update(page, func(e *pagedir.Entry) {
 			e.HomedLocal = true
 			if e.State == pagedir.Invalid {
 				e.State = pagedir.Shared
@@ -47,21 +47,22 @@ func (c *ReleaseCM) validate(ctx context.Context, desc *region.Descriptor, page 
 		})
 		return nil
 	}
+	rec := tab.Touch(page)
 	var entry pagedir.Entry
 	holds := false
-	if lf, ok := c.h.LoadPage(page); ok {
+	if lf, ok := c.h.LoadPage(rec); ok {
 		lf.Release()
-		entry, holds = c.h.Dir().Lookup(page)
+		entry, holds = tab.Lookup(page)
 	}
 	f, version, err := fetchFromHome(ctx, c.h, desc, page, holds, entry.Version)
 	if err != nil || f == nil { // nil: the copy here is current
 		return err
 	}
 	defer f.Release()
-	if err := c.h.StorePage(page, f); err != nil {
+	if err := c.h.StorePage(rec, f); err != nil {
 		return fmt.Errorf("consistency: release store %v: %w", page, err)
 	}
-	c.h.Dir().Update(page, func(e *pagedir.Entry) {
+	tab.Update(page, func(e *pagedir.Entry) {
 		e.State = pagedir.Shared
 		e.Version = version
 	})
@@ -88,60 +89,60 @@ func (c *ReleaseCM) SnapshotRead(ctx context.Context, desc *region.Descriptor, p
 // home-side batch grant, and its acquire path is one validating fetch per
 // page.
 func (c *ReleaseCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
-	return acquireEach(ctx, c.h, pages, mode, func(p gaddr.Addr) error { return c.validate(ctx, desc, p) })
+	tab := tableOf(c.h, desc)
+	return acquireEach(ctx, tab, pages, mode, func(p gaddr.Addr) error { return c.validate(ctx, desc, tab, p) })
 }
 
 // ReleaseBatch implements CM. Dirty contents propagate to the home here —
 // the essence of release consistency — in a single UpdateBatch RPC, with
 // the per-item reply errors aligned so one failed store queues one
 // background retry. Local locks always release.
-func (c *ReleaseCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty map[gaddr.Addr]bool) []error {
+func (c *ReleaseCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty []bool) []error {
 	if len(pages) == 0 {
 		return nil
 	}
+	tab := tableOf(c.h, desc)
 	defer func() {
 		for _, p := range pages {
-			c.h.Locks().Release(p, mode)
+			tab.TryRelease(p, mode)
 		}
 	}()
 	if !mode.Writes() {
 		return nil
 	}
 	if isHome(c.h, desc) {
-		for _, p := range pages {
-			if !dirty[p] {
-				continue
+		for i, p := range pages {
+			if isDirty(dirty, i) {
+				tab.Update(p, func(e *pagedir.Entry) {
+					e.Version++
+					e.HomedLocal = true
+				})
 			}
-			c.h.Dir().Update(p, func(e *pagedir.Entry) {
-				e.Version++
-				e.HomedLocal = true
-			})
 		}
 		return nil
 	}
-	var dirtyPages []gaddr.Addr
-	for _, p := range pages {
-		if dirty[p] {
-			dirtyPages = append(dirtyPages, p)
+	var idx []int // of the dirty pages
+	for i := range pages {
+		if isDirty(dirty, i) {
+			idx = append(idx, i)
 		}
 	}
-	if len(dirtyPages) == 0 {
+	if len(idx) == 0 {
 		return nil
 	}
 	home, err := homeOf(desc)
 	if err != nil {
 		return batchErrs(len(pages), err)
 	}
-	batch := &wire.UpdateBatch{From: c.h.Self(), Items: make([]wire.UpdateItem, len(dirtyPages))}
-	var frames []*frame.Frame
-	for i, p := range dirtyPages {
-		batch.Items[i] = wire.UpdateItem{Page: p, Origin: c.h.Self()}
+	batch := &wire.UpdateBatch{From: c.h.Self(), Items: make([]wire.UpdateItem, len(idx))}
+	frames := make([]*frame.Frame, len(idx))
+	for j, i := range idx {
+		batch.Items[j] = wire.UpdateItem{Page: pages[i], Origin: c.h.Self()}
 		// Frames stay referenced until the request (and its marshal)
 		// completes, so the views in Data never dangle.
-		f := loadOrZero(c.h, desc, p)
-		batch.Items[i].Data = f.Bytes()
 		//khazana:frame-owner released after the batch RPC below
-		frames = append(frames, f)
+		frames[j] = loadOrZero(c.h, desc, tab.Touch(pages[i]))
+		batch.Items[j].Data = frames[j].Bytes()
 	}
 	defer func() {
 		for _, f := range frames {
@@ -150,30 +151,24 @@ func (c *ReleaseCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, p
 	}()
 	resp, err := c.h.Request(ctx, home, batch)
 	if err != nil {
-		return batchErrs(len(pages), fmt.Errorf("consistency: release push batch (%d pages) to %v: %w", len(dirtyPages), home, err))
+		return batchErrs(len(pages), fmt.Errorf("consistency: release push batch (%d pages) to %v: %w", len(idx), home, err))
 	}
 	ub, ok := resp.(*wire.UpdateBatchResp)
 	if !ok {
 		return batchErrs(len(pages), fmt.Errorf("consistency: release push batch: unexpected reply %T", resp))
 	}
-	remoteErrs := make(map[gaddr.Addr]string, len(dirtyPages))
-	for i, p := range dirtyPages {
-		if i < len(ub.Errs) && ub.Errs[i] != "" {
-			remoteErrs[p] = ub.Errs[i]
-			continue
-		}
-		if i < len(ub.Versions) {
-			v := ub.Versions[i]
-			c.h.Dir().Update(p, func(e *pagedir.Entry) { e.Version = v })
-		}
-	}
 	var errs []error
-	for i, p := range pages {
-		if remote, ok := remoteErrs[p]; ok {
+	for j, i := range idx {
+		if j < len(ub.Errs) && ub.Errs[j] != "" {
 			if errs == nil {
 				errs = make([]error, len(pages))
 			}
-			errs[i] = fmt.Errorf("consistency: release push %v to %v: %s", p, home, remote)
+			errs[i] = fmt.Errorf("consistency: release push %v to %v: %s", pages[i], home, ub.Errs[j])
+			continue
+		}
+		if j < len(ub.Versions) {
+			v := ub.Versions[j]
+			tab.Update(pages[i], func(e *pagedir.Entry) { e.Version = v })
 		}
 	}
 	return errs
@@ -198,6 +193,7 @@ func (c *ReleaseCM) Handle(ctx context.Context, desc *region.Descriptor, from kt
 		if !isHome(c.h, desc) {
 			return nil, ErrNotHome
 		}
+		tab := tableOf(c.h, desc)
 		resp := &wire.UpdateBatchResp{
 			Errs:     make([]string, len(msg.Items)),
 			Versions: make([]uint64, len(msg.Items)),
@@ -205,7 +201,7 @@ func (c *ReleaseCM) Handle(ctx context.Context, desc *region.Descriptor, from kt
 		for i := range msg.Items {
 			it := &msg.Items[i]
 			f := it.TakeFrame()
-			newVersion, err := c.applyPush(it.Page, f, from)
+			newVersion, err := c.applyPush(tab, it.Page, f, from)
 			if f != nil {
 				f.Release()
 			}
@@ -226,14 +222,14 @@ func (c *ReleaseCM) Handle(ctx context.Context, desc *region.Descriptor, from kt
 // version, and track the pusher as a copy holder — returning the page's
 // new version. The frame is borrowed; nil means the pusher held no data
 // (version bump only).
-func (c *ReleaseCM) applyPush(page gaddr.Addr, f *frame.Frame, from ktypes.NodeID) (uint64, error) {
+func (c *ReleaseCM) applyPush(tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, from ktypes.NodeID) (uint64, error) {
 	if f != nil {
-		if err := c.h.StorePage(page, f); err != nil {
+		if err := c.h.StorePage(tab.Touch(page), f); err != nil {
 			return 0, err
 		}
 	}
 	var newVersion uint64
-	c.h.Dir().Update(page, func(e *pagedir.Entry) {
+	tab.Update(page, func(e *pagedir.Entry) {
 		e.HomedLocal = true
 		e.Version++
 		e.State = pagedir.Shared

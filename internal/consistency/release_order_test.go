@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"khazana/internal/frame"
 	"khazana/internal/gaddr"
@@ -28,7 +29,7 @@ func carriesPages(m wire.Msg) bool {
 // frameVersion returns the version of the frame h stores for page, 0 when
 // it stores none.
 func frameVersion(h *testHost, page gaddr.Addr) uint64 {
-	f, ok := h.LoadPage(page)
+	f, ok := h.LoadPage(h.rec(page))
 	if !ok {
 		return 0
 	}
@@ -207,7 +208,7 @@ func TestConcurrentPushesKeepNewerBytes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer close(done)
-			if err := storeUpdate(sec, 1, it); err != nil {
+			if err := StoreUpdates(sec, d, 1, unsafe.Slice(it, 1)); err != nil {
 				t.Errorf("push of v%d: %v", it.Version, err)
 			}
 		}()

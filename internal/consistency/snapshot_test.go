@@ -96,7 +96,7 @@ func TestCREWSnapshotBypassesLockTable(t *testing.T) {
 	hosts := cluster(t, 3, d)
 	page := d.Range.Start
 	ctx := context.Background()
-	crew := hosts[0].cm(d).(*CrewCM)
+	glocks := &LockTable{tableOf(hosts[0], d)} // the home's page table: its records hold the global locks
 
 	lockWrite(t, hosts[1], d, page, func(b []byte) { copy(b, "base") })
 
@@ -105,7 +105,7 @@ func TestCREWSnapshotBypassesLockTable(t *testing.T) {
 	if err := acquirePage(ctx, hosts[1].cm(d), d, page, ktypes.LockWrite); err != nil {
 		t.Fatal(err)
 	}
-	if crew.glocks.TryAcquire(page, ktypes.LockRead) {
+	if glocks.TryAcquire(page, ktypes.LockRead) {
 		t.Fatal("lock-table read admitted under an exclusive writer — test premise broken")
 	}
 
@@ -113,7 +113,7 @@ func TestCREWSnapshotBypassesLockTable(t *testing.T) {
 	// manager's lock table as a reader.
 	snaps, _ := snapRead(t, hosts[2], d, 0, page)
 	releaseSnaps(snaps)
-	if n := crew.glocks.Readers(page); n != 0 {
+	if n := glocks.Readers(page); n != 0 {
 		t.Errorf("global lock table shows %d readers after snapshot, want 0", n)
 	}
 

@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"khazana/internal/consistency"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
+	"khazana/internal/pagedir"
 	"khazana/internal/region"
 	"khazana/internal/ring"
 	"khazana/internal/transport"
@@ -161,12 +161,20 @@ func TestDestroyFreesPerRegionState(t *testing.T) {
 	_, nodes := testCluster(t, 3)
 	ctx := context.Background()
 	home := nodes[0]
-	crew := home.cms[region.CREW].(*consistency.CrewCM)
-	type sizes struct{ repl, chains, dir, mem, auth int }
+	type sizes struct{ repl, tables, chains, dir, mem, auth int }
 	measure := func() sizes {
+		chains := 0
+		for _, t := range home.dir.Tables() {
+			t.Each(func(p *pagedir.Page) {
+				if p.Chain != nil {
+					chains++
+				}
+			})
+		}
 		return sizes{
 			repl:   home.repl.Regions(),
-			chains: crew.PublishedPages(),
+			tables: len(home.dir.Tables()),
+			chains: chains,
 			dir:    home.dir.Len(),
 			mem:    home.store.Mem().Len(),
 			auth:   home.authDescs.Len(),

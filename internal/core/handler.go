@@ -95,7 +95,14 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 
 	// --- replication ------------------------------------------------------
 	case *wire.ReplicaPut:
-		return ackErr(consistency.StoreUpdates(hostView{n}, msg.From, msg.Items)), nil
+		if len(msg.Items) == 0 {
+			return &wire.Ack{}, nil
+		}
+		desc, err := n.lookupRegion(ctx, msg.Items[0].Page)
+		if err != nil {
+			return ackErr(err), nil
+		}
+		return ackErr(consistency.StoreUpdates(hostView{n}, desc, msg.From, msg.Items)), nil
 
 	// --- address map mutations (map home only) -----------------------------
 	case *wire.ReserveSpace:

@@ -70,14 +70,13 @@ func (n *Node) migrateLocal(ctx context.Context, start gaddr.Addr, newHome ktype
 	if !containsNode(n.Members(), newHome) {
 		return fmt.Errorf("core: migration target %v is not a known member", newHome)
 	}
-	// Quiescence check: no page of the region may be locked — in the
-	// local lock table (release/eventual protocols) or the protocol's
-	// own global lock state (CREW's manager-side table).
-	type pageBusier interface{ PageBusy(gaddr.Addr) bool }
-	busyCM, _ := n.cms[desc.Attrs.Protocol].(pageBusier)
+	// Quiescence check: no page of the region may be locked — locally
+	// (release/eventual protocols) or globally (CREW's manager side); both
+	// are the page records' lock slots.
+	tab := n.table(desc)
 	pages := desc.Pages(0, desc.Range.Size)
 	for _, page := range pages {
-		if n.locks.Held(page) || (busyCM != nil && busyCM.PageBusy(page)) {
+		if tab.Held(page) {
 			return ErrBusyRegion
 		}
 	}
@@ -117,7 +116,7 @@ func (n *Node) migrateLocal(ctx context.Context, start gaddr.Addr, newHome ktype
 	}
 	// This node's copies remain valid replicas; mark them shared.
 	for _, page := range pages {
-		n.dir.Update(page, func(e *pagedir.Entry) {
+		tab.Update(page, func(e *pagedir.Entry) {
 			if e.State == pagedir.Owned {
 				e.State = pagedir.Shared
 			}

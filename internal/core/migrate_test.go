@@ -241,9 +241,8 @@ func TestInvalidModeBatchDoesNotWedgeMigration(t *testing.T) {
 			t.Fatalf("grant %d of a batch with an invalid mode: %+v", i, g)
 		}
 	}
-	busy := nodes[0].cms[region.CREW].(interface{ PageBusy(gaddr.Addr) bool })
 	for _, page := range []gaddr.Addr{start, start.MustAdd(4096)} {
-		if busy.PageBusy(page) || nodes[0].locks.Held(page) {
+		if tab := nodes[0].dir.Find(page); tab != nil && tab.Held(page) {
 			t.Fatalf("page %v reads as locked after the refused batch", page)
 		}
 	}

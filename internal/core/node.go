@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"khazana/internal/addrmap"
 	"khazana/internal/cluster"
@@ -104,11 +105,12 @@ type Node struct {
 	cfg   Config
 	tr    transport.Transport
 	store *store.Tiered
-	dir   *pagedir.Dir
-	locks *consistency.LockTable
-	rdir  *region.Directory
-	cms   map[region.Protocol]consistency.CM
-	amap  *addrmap.Map
+	// dir holds a page table per region touched here; its records carry
+	// each page's directory entry, lock slot, version chain and RAM frame.
+	dir  *pagedir.Dir
+	rdir *region.Directory
+	cms  map[region.Protocol]consistency.CM
+	amap *addrmap.Map
 
 	// manager is non-nil when this node is the cluster manager.
 	manager *cluster.Manager
@@ -286,11 +288,17 @@ type LockContext struct {
 	rng   gaddr.Range
 	mode  ktypes.LockMode
 	freed bool // guarded by mu
+	// written reports that a Write marked pages dirty (see dirty); it and
+	// dirtyBuf, a small context's marks, ride in the word mode starts.
+	written  bool
+	dirtyBuf [lockInlinePages]bool
 
 	desc  *region.Descriptor
 	pages []gaddr.Addr
-	// dirty is made by the first Write; a read lock never has one.
-	dirty map[gaddr.Addr]bool
+	// dirtyHeap is the first of a larger context's dirty marks, made by
+	// its first Write. A pointer, not a slice header, keeps the context in
+	// the 288-byte size class the cached-read path allocates.
+	dirtyHeap *bool
 	// views pins the frames backing outstanding ReadView results; each
 	// entry holds one reference, released at Unlock.
 	views []*frame.Frame
@@ -309,6 +317,18 @@ type LockContext struct {
 	lockSpan, unlockSpan telemetry.Slot
 	pageBuf              [lockInlinePages]gaddr.Addr
 	viewBuf              [lockInlinePages]*frame.Frame
+}
+
+// dirty returns the context's dirty set, aligned with pages: the pages a
+// Write touched, nil when none was.
+func (lc *LockContext) dirty() []bool {
+	switch {
+	case !lc.written:
+		return nil
+	case len(lc.pages) <= lockInlinePages:
+		return lc.dirtyBuf[:len(lc.pages)]
+	}
+	return unsafe.Slice(lc.dirtyHeap, len(lc.pages))
 }
 
 // ID returns the lock context identifier.
@@ -373,7 +393,6 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:       cfg,
 		tr:        cfg.Transport,
 		dir:       pagedir.New(),
-		locks:     consistency.NewLockTable(),
 		rdir:      region.NewDirectory(),
 		authDescs: region.NewIndex[*region.Descriptor](0),
 		promo:     make(map[gaddr.Addr]chan struct{}),
@@ -427,6 +446,7 @@ func NewNode(cfg Config) (*Node, error) {
 		DiskPages:   cfg.DiskPages,
 		Dir:         cfg.StoreDir,
 		OnDiskEvict: n.onDiskEvict,
+		Pages:       n.dir,
 	})
 	if err != nil {
 		return nil, err
@@ -713,35 +733,32 @@ func (h hostView) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wi
 	return h.n.tr.Request(ctx, to, m)
 }
 
+// Pages implements consistency.Host.
+func (h hostView) Pages() *pagedir.Dir { return h.n.dir }
+
 // LoadPage implements consistency.Host. The returned frame carries one
 // reference owned by the caller.
-func (h hostView) LoadPage(page gaddr.Addr) (*frame.Frame, bool) {
-	return h.n.store.Get(page)
+func (h hostView) LoadPage(p *pagedir.Page) (*frame.Frame, bool) {
+	return h.n.store.GetPage(p)
 }
 
 // StorePage implements consistency.Host. The frame is borrowed; the
 // store takes its own reference.
-func (h hostView) StorePage(page gaddr.Addr, f *frame.Frame) error {
-	return h.n.store.Put(page, f)
+func (h hostView) StorePage(p *pagedir.Page, f *frame.Frame) error {
+	return h.n.store.PutPage(p, f)
 }
 
 // DropPage implements consistency.Host. Discard is pin-aware: a frame
 // pinned by an active lock context survives in RAM as that holder's
 // snapshot (it can never read zeroes mid-hold), while the disk copy and
 // any unpinned RAM copy are gone, so the next acquire refetches.
-func (h hostView) DropPage(page gaddr.Addr) {
-	h.n.store.Discard(page)
+func (h hostView) DropPage(p *pagedir.Page) {
+	h.n.store.Discard(p)
 }
 
 // Repl implements consistency.Host, handing CMs the node's replicated
 // region-metadata log so homes can append deltas before acking releases.
 func (h hostView) Repl() *replog.Log { return h.n.repl }
-
-// Dir implements consistency.Host.
-func (h hostView) Dir() *pagedir.Dir { return h.n.dir }
-
-// Locks implements consistency.Host.
-func (h hostView) Locks() *consistency.LockTable { return h.n.locks }
 
 // Clock implements consistency.Host.
 func (h hostView) Clock() int64 { return h.n.now() }
@@ -786,7 +803,7 @@ func (io mapIO) MutatePage(ctx context.Context, page gaddr.Addr, fn func([]byte)
 	if _, err := cm.AcquireBatch(ctx, io.n.mapDesc, pages, ktypes.LockWrite); err != nil {
 		return err
 	}
-	var dirty map[gaddr.Addr]bool
+	var dirty []bool
 	defer func() { cm.ReleaseBatch(ctx, io.n.mapDesc, pages, ktypes.LockWrite, dirty) }()
 	var f *frame.Frame
 	if got, ok := io.n.store.Get(page); ok {
@@ -803,6 +820,6 @@ func (io mapIO) MutatePage(ctx context.Context, page gaddr.Addr, fn func([]byte)
 	if err := io.n.store.Put(page, f); err != nil {
 		return err
 	}
-	dirty = map[gaddr.Addr]bool{page: true}
+	dirty = []bool{true}
 	return nil
 }

@@ -231,19 +231,14 @@ func (n *Node) setAllocated(ctx context.Context, start gaddr.Addr, principal kty
 // not its cancellation. The batches name newOwner as the pages' owner; a
 // teardown names no owner (NilNode), and a sharer then forgets the region.
 func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor, newOwner ktypes.NodeID) {
-	pages := desc.Pages(0, desc.Range.Size)
 	bySharer := make(map[ktypes.NodeID][]wire.InvalidateItem)
-	for _, page := range pages {
-		entry, ok := n.dir.Lookup(page)
-		if !ok {
-			continue
-		}
-		for _, sharer := range entry.Copyset {
+	n.table(desc).Each(func(p *pagedir.Page) {
+		for _, sharer := range p.Copyset {
 			if sharer != n.cfg.ID {
-				bySharer[sharer] = append(bySharer[sharer], wire.InvalidateItem{Page: page, Version: entry.Version})
+				bySharer[sharer] = append(bySharer[sharer], wire.InvalidateItem{Page: p.Page, Version: p.Version})
 			}
 		}
-	}
+	})
 	sharers := make([]ktypes.NodeID, 0, len(bySharer))
 	for sharer := range bySharer {
 		sharers = append(sharers, sharer)
@@ -255,13 +250,33 @@ func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor, new
 		//khazana:ignore-err best-effort invalidation during teardown; an unreachable sharer cannot serve the region after the map entry is gone
 		_, _ = n.tr.Request(reqCtx, sharer, &wire.InvalidateBatch{NewOwner: newOwner, Items: bySharer[sharer]})
 	})
-	for _, page := range pages {
-		n.store.Delete(page)
-		n.dir.Delete(page)
+	n.dropTable(desc.Range.Start)
+}
+
+// dropTable discards a region's page table: its pages' local copies in
+// both tiers, directory entries, lock slots and version chains (a
+// snapshot reader keeps the frames it already pinned).
+func (n *Node) dropTable(start gaddr.Addr) {
+	tab := n.dir.Drop(start)
+	if tab == nil {
+		return
 	}
-	if crew, ok := n.cms[region.CREW].(*consistency.CrewCM); ok {
-		crew.ForgetPages(pages)
+	var recs []*pagedir.Page
+	tab.Each(func(p *pagedir.Page) {
+		if p.Chain != nil {
+			p.Chain.Close()
+			p.Chain = nil
+		}
+		recs = append(recs, p)
+	})
+	for _, p := range recs {
+		n.store.DeletePage(p)
 	}
+}
+
+// table returns the region's page table, made on its first touch here.
+func (n *Node) table(desc *region.Descriptor) *pagedir.Table {
+	return n.dir.Table(desc.Range.Start, desc.Range.Size, uint64(desc.Attrs.PageSize))
 }
 
 // A region teardown sends at most maxTeardownFanout InvalidateBatch RPCs at
@@ -393,8 +408,9 @@ func (n *Node) grant(ctx context.Context, lc *LockContext, principal ktypes.Prin
 		}
 		return err
 	}
+	tab := n.table(desc)
 	for _, page := range pages {
-		n.store.Pin(page)
+		n.store.Pin(tab.Touch(page))
 	}
 	n.trace("11:lock-granted")
 
@@ -630,6 +646,7 @@ func (n *Node) Read(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte, err
 func (n *Node) readLocked(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte, error) {
 	out := make([]byte, count)
 	ps := uint64(lc.desc.Attrs.PageSize)
+	tab := n.table(lc.desc)
 	for covered := uint64(0); covered < count; {
 		cur := addr.MustAdd(covered)
 		page := cur.AlignDown(ps)
@@ -638,7 +655,7 @@ func (n *Node) readLocked(lc *LockContext, addr gaddr.Addr, count uint64) ([]byt
 		if chunk > count-covered {
 			chunk = count - covered
 		}
-		f, ok := n.store.Get(page)
+		f, ok := n.store.GetPage(tab.Touch(page))
 		if ok {
 			copy(out[covered:covered+chunk], f.Bytes()[pageOff:])
 			f.Release()
@@ -684,7 +701,7 @@ func (n *Node) ReadView(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte,
 	}
 	page := addr.AlignDown(ps)
 	//khazana:block-ok lc.mu is per lock context; a disk-tier promotion under it stalls only this context's own callers (§3.4 tiered store)
-	f, ok := n.store.Get(page)
+	f, ok := n.store.GetPage(n.table(lc.desc).Touch(page))
 	if !ok {
 		// Never written: an allocated page reads as zeroes.
 		f = frame.AllocZero(int(ps))
@@ -721,6 +738,7 @@ func (n *Node) Write(lc *LockContext, addr gaddr.Addr, data []byte) error {
 		return ErrOutOfRange
 	}
 	ps := uint64(lc.desc.Attrs.PageSize)
+	tab := n.table(lc.desc)
 	for covered := uint64(0); covered < uint64(len(data)); {
 		cur := addr.MustAdd(covered)
 		page := cur.AlignDown(ps)
@@ -730,8 +748,9 @@ func (n *Node) Write(lc *LockContext, addr gaddr.Addr, data []byte) error {
 			chunk = uint64(len(data)) - covered
 		}
 		var f *frame.Frame
+		p := tab.Touch(page)
 		//khazana:block-ok lc.mu is per lock context; a disk-tier promotion under it stalls only this context's own callers (§3.4 tiered store)
-		switch got, ok := n.store.Get(page); {
+		switch got, ok := n.store.GetPage(p); {
 		case chunk == ps:
 			// Full-page overwrite: no need to read the old contents.
 			if ok {
@@ -746,16 +765,22 @@ func (n *Node) Write(lc *LockContext, addr gaddr.Addr, data []byte) error {
 			f = frame.AllocZero(int(ps))
 		}
 		copy(f.Bytes()[pageOff:], data[covered:covered+chunk])
-		err := n.store.Put(page, f)
+		err := n.store.PutPage(p, f)
 		f.Release()
 		if err != nil {
 			return err
 		}
-		if lc.dirty == nil {
-			lc.dirty = make(map[gaddr.Addr]bool, len(lc.pages))
+		if !lc.written {
+			lc.written = true
+			if len(lc.pages) > lockInlinePages {
+				lc.dirtyHeap = &make([]bool, len(lc.pages))[0]
+			}
 		}
-		lc.dirty[page] = true
-		n.dir.Update(page, func(e *pagedir.Entry) { e.Dirty = true })
+		// Pages are consecutive from lc.pages[0].
+		if off, _ := lc.pages[0].Distance(page); !lc.dirty()[off/ps] {
+			lc.dirty()[off/ps] = true
+			tab.Update(page, func(e *pagedir.Entry) { e.Dirty = true })
+		}
 		covered += chunk
 	}
 	return nil
@@ -802,9 +827,10 @@ func (n *Node) Unlock(ctx context.Context, lc *LockContext) error {
 	// background-retry queue, and their Dirty mark stays so the storage
 	// system will not discard them before the retried release delivers
 	// them (§3.4).
-	errs := cm.ReleaseBatch(ctx, lc.desc, lc.pages, lc.mode, lc.dirty)
+	dirtySet, tab := lc.dirty(), n.table(lc.desc)
+	errs := cm.ReleaseBatch(ctx, lc.desc, lc.pages, lc.mode, dirtySet)
 	for i, page := range lc.pages {
-		dirty := lc.dirty[page]
+		dirty := dirtySet != nil && dirtySet[i]
 		var rerr error
 		if errs != nil {
 			rerr = errs[i]
@@ -812,9 +838,9 @@ func (n *Node) Unlock(ctx context.Context, lc *LockContext) error {
 		if rerr != nil {
 			n.queueRetry(retryOp{desc: lc.desc, page: page, mode: lc.mode, dirty: dirty})
 		} else if dirty {
-			n.dir.Update(page, func(e *pagedir.Entry) { e.Dirty = false })
+			tab.Update(page, func(e *pagedir.Entry) { e.Dirty = false })
 		}
-		_ = n.store.Unpin(page)
+		_ = n.store.Unpin(tab.Touch(page))
 	}
 	n.mReleaseLatency.Observe(uint64(fl.Finish()))
 	return nil

@@ -116,6 +116,7 @@ func (n *Node) announceTo(ctx context.Context, owners []ktypes.NodeID, desc *reg
 func (n *Node) forgetRegion(start gaddr.Addr) {
 	n.rdir.Remove(start)
 	n.ringTable.Destroy(start)
+	n.dropTable(start)
 }
 
 // ringDestroy tells a destroyed region's bucket owners to forget it. Like

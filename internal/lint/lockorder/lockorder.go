@@ -2,11 +2,10 @@
 // violate the canonical order, and re-entrant acquisitions of the same
 // mutex.
 //
-// core.Node guards four independent pieces of state with four mutexes.
-// Any function that ever holds two of them concurrently must acquire them
-// in the canonical order
+// Any function that ever holds two of core.Node's ordered mutexes
+// concurrently must acquire them in the canonical order
 //
-//	descMu → chunkMu → lockMu → appMu
+//	chunkMu → appMu
 //
 // or two call paths taking them in opposite orders can deadlock the
 // daemon. The analysis is intra-procedural and syntactic: within each
@@ -41,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 const GuardedType = "khazana/internal/core.Node"
 
 // Order is the canonical acquisition order of the guarded mutex fields.
-var Order = []string{"descMu", "chunkMu", "lockMu", "appMu"}
+var Order = []string{"chunkMu", "appMu"}
 
 func rank(field string) int {
 	for i, f := range Order {

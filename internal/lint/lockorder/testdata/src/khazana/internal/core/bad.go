@@ -1,20 +1,20 @@
 package core
 
-// inverted acquires descMu while lockMu is held — backwards relative to
-// the canonical descMu → chunkMu → lockMu → appMu order.
+// inverted acquires chunkMu while appMu is held — backwards relative to
+// the canonical chunkMu → appMu order.
 func (n *Node) inverted() {
-	n.lockMu.Lock()
-	defer n.lockMu.Unlock()
-	n.descMu.Lock() // want `canonical order`
-	n.descMu.Unlock()
+	n.appMu.Lock()
+	defer n.appMu.Unlock()
+	n.chunkMu.Lock() // want `canonical order`
+	n.chunkMu.Unlock()
 }
 
 // reenter takes the same mutex twice on one path.
 func (n *Node) reenter() {
-	n.descMu.Lock()
-	defer n.descMu.Unlock()
-	n.descMu.Lock() // want `re-entrant acquisition`
-	n.descMu.Unlock()
+	n.chunkMu.Lock()
+	defer n.chunkMu.Unlock()
+	n.chunkMu.Lock() // want `re-entrant acquisition`
+	n.chunkMu.Unlock()
 }
 
 // invertedBranch only misorders on one branch; the clone-per-branch

@@ -1,34 +1,30 @@
 package core
 
-// ordered nests all four mutexes in the canonical order.
+// ordered nests both mutexes in the canonical order.
 func (n *Node) ordered() {
-	n.descMu.Lock()
-	defer n.descMu.Unlock()
 	n.chunkMu.Lock()
 	defer n.chunkMu.Unlock()
-	n.lockMu.Lock()
 	n.appMu.Lock()
 	n.appMu.Unlock()
-	n.lockMu.Unlock()
 }
 
 // sequential releases before taking an earlier-ranked mutex, so no two
 // are ever held together.
 func (n *Node) sequential() {
-	n.lockMu.Lock()
-	n.lockMu.Unlock()
-	n.descMu.Lock()
-	n.descMu.Unlock()
+	n.appMu.Lock()
+	n.appMu.Unlock()
+	n.chunkMu.Lock()
+	n.chunkMu.Unlock()
 }
 
 // concurrent spawns a goroutine: its body starts with nothing held, so
-// taking descMu there is fine even while appMu is held here.
+// taking chunkMu there is fine even while appMu is held here.
 func (n *Node) concurrent(done chan struct{}) {
 	n.appMu.Lock()
 	defer n.appMu.Unlock()
 	go func() {
-		n.descMu.Lock()
-		n.descMu.Unlock()
+		n.chunkMu.Lock()
+		n.chunkMu.Unlock()
 		close(done)
 	}()
 }

@@ -7,8 +7,6 @@ import "sync"
 
 // Node mirrors the guarded mutex fields of the real core.Node.
 type Node struct {
-	descMu  sync.Mutex
 	chunkMu sync.Mutex
-	lockMu  sync.Mutex
 	appMu   sync.Mutex
 }

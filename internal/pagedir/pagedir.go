@@ -10,11 +10,12 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"khazana/internal/enc"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
+	"khazana/internal/region"
 )
 
 // State is the local validity state of a page copy.
@@ -125,83 +126,168 @@ func (e *Entry) setCopyset(drop func(ktypes.NodeID) bool, add ...ktypes.NodeID) 
 	e.Copyset, e.spare = e.spare, e.Copyset
 }
 
-// Dir is a node's page directory.
+// Dir is a node's page directory: the page tables of the regions this
+// node has touched, indexed by region start, so a batch finds its table
+// once and reaches every page by arithmetic. An address outside every
+// registered region gets a one-page table of its own.
 type Dir struct {
-	mu      sync.Mutex
-	entries map[gaddr.Addr]*Entry
-	pushMu  [64]sync.Mutex // stripes PushLock
-}
-
-// PushLock returns page's lock for installing a pushed copy, held across
-// the version check, the store and the label so racing pushes serialize.
-func (d *Dir) PushLock(page gaddr.Addr) *sync.Mutex {
-	return &d.pushMu[(page.Hi^page.Lo>>12)%uint64(len(d.pushMu))]
+	idx *region.Index[*Table]
+	// last is the table Table returned most recently: a node's operations
+	// mostly reach one region several times in a row, and a hit here
+	// skips the index's mutex and search.
+	last atomic.Pointer[Table]
 }
 
 // New creates an empty page directory.
-func New() *Dir {
-	return &Dir{entries: make(map[gaddr.Addr]*Entry)}
+func New() *Dir { return &Dir{idx: region.NewIndex[*Table](0)} }
+
+// Table returns the page table of the region [start, start+size) with
+// the given page size, making it on the region's first touch.
+func (d *Dir) Table(start gaddr.Addr, size, pageSize uint64) *Table {
+	if t := d.last.Load(); t != nil && t.start == start && t.size == size && !t.dropped.Load() {
+		return t
+	}
+	var t, replaced *Table
+	made := false
+	d.idx.Update(start, func(old *Table, ok bool) (*Table, bool) {
+		if t = old; !ok || old.size != size {
+			t, made = newTable(start, size, pageSize), true
+			if ok {
+				replaced = old
+			}
+		}
+		return t, true
+	})
+	if made {
+		t.adopt(replaced)
+		for last := t.start.MustAdd(t.size - 1); ; {
+			o, _ := d.idx.Floor(last, nil)
+			if o == nil || o == t {
+				break
+			}
+			d.idx.Delete(o.start)
+			t.adopt(o)
+		}
+	}
+	d.last.Store(t)
+	return t
+}
+
+// adopt moves into t the records of o, a table that lay inside t's range:
+// a one-page table its page got before the region was known here.
+func (t *Table) adopt(o *Table) {
+	if o == nil {
+		return
+	}
+	o.dropped.Store(true)
+	o.Each(func(p *Page) {
+		t.mu.Lock()
+		if s, _ := t.slot(p.Page, true); s != nil && s.Load() == nil {
+			s.Store(p)
+		}
+		t.mu.Unlock()
+	})
+}
+
+// Find returns the table covering page, or nil.
+func (d *Dir) Find(page gaddr.Addr) *Table {
+	t, _ := d.idx.Floor(page, func(t *Table) bool { return t.covers(page) })
+	return t
+}
+
+// touch returns page's table, giving a page outside every region a
+// one-page table.
+func (d *Dir) touch(page gaddr.Addr) *Table {
+	if t := d.Find(page); t != nil {
+		return t
+	}
+	return d.Table(page, 1, 1)
+}
+
+// Rec returns page's record, or nil if the page was never touched.
+func (d *Dir) Rec(page gaddr.Addr) *Page {
+	if t := d.Find(page); t != nil {
+		return t.Rec(page)
+	}
+	return nil
+}
+
+// Touch returns page's record, making it (and, outside every region, a
+// one-page table) on first touch.
+func (d *Dir) Touch(page gaddr.Addr) *Page { return d.touch(page).Touch(page) }
+
+// Drop removes the table starting at start and returns it, or nil.
+func (d *Dir) Drop(start gaddr.Addr) *Table {
+	var t *Table
+	d.idx.Update(start, func(old *Table, _ bool) (*Table, bool) {
+		t = old
+		return nil, false
+	})
+	if t != nil {
+		t.dropped.Store(true)
+	}
+	return t
+}
+
+// Tables returns every table, by start.
+func (d *Dir) Tables() []*Table {
+	var out []*Table
+	d.idx.Range(func(_ gaddr.Addr, t *Table) { out = append(out, t) })
+	return out
 }
 
 // Lookup returns a copy of the entry for the page. Its Copyset is the
 // stored slice, shared and read-only.
 func (d *Dir) Lookup(page gaddr.Addr) (Entry, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[page]
-	if !ok {
-		return Entry{}, false
+	if t := d.Find(page); t != nil {
+		return t.Lookup(page)
 	}
-	return *e, true
+	return Entry{}, false
 }
 
 // Update atomically mutates (creating if needed) the entry for page.
-func (d *Dir) Update(page gaddr.Addr, fn func(*Entry)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[page]
-	if !ok {
-		e = &Entry{Page: page}
-		d.entries[page] = e
-	}
-	fn(e)
-}
+func (d *Dir) Update(page gaddr.Addr, fn func(*Entry)) { d.touch(page).Update(page, fn) }
 
 // Delete removes the entry for page.
 func (d *Dir) Delete(page gaddr.Addr) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.entries, page)
+	if t := d.Find(page); t != nil {
+		t.Delete(page)
+	}
+}
+
+// entries calls fn on every listed entry, under its table's mutex.
+func (d *Dir) entries(fn func(*Entry)) {
+	for _, t := range d.Tables() {
+		t.Each(func(p *Page) {
+			if p.lock.listed {
+				fn(&p.Entry)
+			}
+		})
+	}
 }
 
 // Len returns the number of entries.
 func (d *Dir) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.entries)
+	n := 0
+	d.entries(func(*Entry) { n++ })
+	return n
 }
 
 // Pages returns all tracked page addresses.
 func (d *Dir) Pages() []gaddr.Addr {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]gaddr.Addr, 0, len(d.entries))
-	for p := range d.entries {
-		out = append(out, p)
-	}
+	var out []gaddr.Addr
+	d.entries(func(e *Entry) { out = append(out, e.Page) })
 	return out
 }
 
 // HomedPages returns the pages homed locally.
 func (d *Dir) HomedPages() []gaddr.Addr {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var out []gaddr.Addr
-	for p, e := range d.entries {
+	d.entries(func(e *Entry) {
 		if e.HomedLocal {
-			out = append(out, p)
+			out = append(out, e.Page)
 		}
-	}
+	})
 	return out
 }
 
@@ -211,13 +297,12 @@ const persistMagic = 0x4b50_4449 // "KPDI"
 // SaveTo writes the locally homed entries (the persistent part of the
 // directory, §3.4) to w.
 func (d *Dir) SaveTo(w io.Writer) error {
-	d.mu.Lock()
-	var homed []*Entry
-	for _, e := range d.entries {
+	var homed []Entry
+	d.entries(func(e *Entry) {
 		if e.HomedLocal {
-			homed = append(homed, e)
+			homed = append(homed, *e)
 		}
-	}
+	})
 	e := enc.NewEncoder(64 * len(homed))
 	e.U32(persistMagic)
 	e.U32(uint32(len(homed)))
@@ -231,7 +316,6 @@ func (d *Dir) SaveTo(w io.Writer) error {
 		e.I64(ent.Stamp)
 		e.NodeID(ent.StampNode)
 	}
-	d.mu.Unlock()
 	_, err := w.Write(e.Bytes())
 	return err
 }
@@ -248,9 +332,9 @@ func (d *Dir) LoadFrom(r io.Reader) error {
 		return fmt.Errorf("pagedir: bad magic %#x", magic)
 	}
 	n := dec.U32()
-	entries := make([]*Entry, 0, n)
+	entries := make([]Entry, 0, n)
 	for i := uint32(0); i < n; i++ {
-		ent := &Entry{HomedLocal: true}
+		ent := Entry{HomedLocal: true}
 		ent.Page = dec.Addr()
 		ent.State = State(dec.U8())
 		ent.Owner = dec.NodeID()
@@ -267,10 +351,8 @@ func (d *Dir) LoadFrom(r io.Reader) error {
 	if err := dec.Finish(); err != nil {
 		return fmt.Errorf("pagedir: %w", err)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, ent := range entries {
-		d.entries[ent.Page] = ent
+		d.Update(ent.Page, func(e *Entry) { *e = ent })
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -404,5 +405,71 @@ func TestQuickPersistRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPageTableFirstTouchAllocGate: a region's page table costs its slots
+// on the region's first touch and one record per page touched, so a
+// 16-page region first touched at one page makes three objects (table,
+// slots, record) of at most 400 bytes, a second page one more object,
+// and a page touched again nothing. The index entry of a dropped table is
+// reused by the next region.
+func TestPageTableFirstTouchAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const ps, pages = 0x1000, 16
+	d := New()
+	next := uint64(1 << 20)
+	region := func() *Table {
+		next += pages * ps
+		return d.Table(gaddr.FromUint64(next), pages*ps, ps)
+	}
+	for i := 0; i < 4; i++ { // size the index
+		d.Drop(region().Start())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const cycles = 100
+	for i := 0; i < cycles; i++ {
+		tab := region()
+		tab.Update(tab.Start(), func(e *Entry) { e.Version++ })
+		d.Drop(tab.Start())
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / cycles
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / cycles
+	t.Logf("first touch of a 16-page region: %.2f objects, %.0f B", objects, bytes)
+	if objects > 3 || bytes > 400 {
+		t.Fatalf("first touch of a 16-page region allocates %.2f objects and %.0f B, budget is 3 and 400", objects, bytes)
+	}
+	tab := region()
+	tab.Touch(tab.Start())
+	if n := testing.AllocsPerRun(100, func() { tab.Touch(tab.Start()) }); n != 0 {
+		t.Fatalf("touching a page again allocates %.1f objects, want 0", n)
+	}
+	i := uint64(0)
+	if n := testing.AllocsPerRun(10, func() { i++; tab.Touch(tab.Start().MustAdd(i * ps)) }); n != 1 {
+		t.Fatalf("first touch of a further page allocates %.1f objects, want 1", n)
+	}
+}
+
+// TestPageTableAdoptsEarlierEntries: entries made before their region's
+// table (a restored directory, a standalone store) live in one-page
+// tables, and the region's table takes them over when it is made,
+// including the one at the region's own start.
+func TestPageTableAdoptsEarlierEntries(t *testing.T) {
+	d := New()
+	for _, n := range []uint64{1, 3} {
+		d.Update(pg(n), func(e *Entry) { e.Version = n * 10 })
+	}
+	tab := d.Table(pg(1), 4*0x1000, 0x1000)
+	for _, n := range []uint64{1, 3} {
+		if e, ok := d.Lookup(pg(n)); !ok || e.Version != n*10 || d.Find(pg(n)) != tab {
+			t.Fatalf("page %d after its region's table was made: %+v (found %v)", n, e, ok)
+		}
+	}
+	if got := len(d.Tables()); got != 1 {
+		t.Fatalf("%d tables, want the region's alone", got)
 	}
 }

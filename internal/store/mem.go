@@ -19,6 +19,7 @@ import (
 
 	"khazana/internal/frame"
 	"khazana/internal/gaddr"
+	"khazana/internal/pagedir"
 )
 
 // Errors returned by stores.
@@ -37,12 +38,14 @@ type EvictFunc func(page gaddr.Addr, f *frame.Frame) error
 
 // MemStore is the main-memory tier: a bounded page cache with LRU
 // victimization. Pinned pages (pages under an active lock context) are
-// never victimized. Each resident page holds one frame reference.
+// never victimized. A resident page's frame, pins and recency live in its
+// page-directory record (pagedir.Page.Mem), guarded by the store's mutex;
+// each resident page holds one frame reference.
 type MemStore struct {
 	mu      sync.Mutex
-	pages   map[gaddr.Addr]memPage
-	cap     int
-	clock   uint64
+	dir     *pagedir.Dir
+	lru     pagedir.LRU
+	n, cap  int
 	onEvict EvictFunc
 	// reclaim, when set, gives back memory held outside the cache proper
 	// (old page versions retained for snapshot readers) and returns the
@@ -52,52 +55,50 @@ type MemStore struct {
 	reclaim func() int
 }
 
-// memPage is one resident page, kept by value in the map so a page
-// re-fetched after an invalidation costs no allocation: every mutator
-// writes the entry back.
-type memPage struct {
-	f      *frame.Frame
-	used   uint64
-	pinned int
-}
-
 // DefaultMemCapacity is the default number of resident pages.
 const DefaultMemCapacity = 4096
 
-// NewMemStore creates a memory tier holding at most capacity pages.
-// onEvict (optional) observes victimized pages; capacity <= 0 selects the
-// default.
+// NewMemStore creates a memory tier holding at most capacity pages, with
+// a page directory of its own. onEvict (optional) observes victimized
+// pages; capacity <= 0 selects the default.
 func NewMemStore(capacity int, onEvict EvictFunc) *MemStore {
+	return newMemStore(nil, capacity, onEvict)
+}
+
+func newMemStore(dir *pagedir.Dir, capacity int, onEvict EvictFunc) *MemStore {
 	if capacity <= 0 {
 		capacity = DefaultMemCapacity
 	}
-	// The map grows with the resident set rather than being sized for
-	// capacity up front: by-value entries would make every node's start-up
-	// pay for a full table most nodes never fill.
-	return &MemStore{
-		pages:   make(map[gaddr.Addr]memPage),
-		cap:     capacity,
-		onEvict: onEvict,
+	if dir == nil {
+		dir = pagedir.New()
 	}
+	s := &MemStore{dir: dir, cap: capacity, onEvict: onEvict}
+	s.lru.Init()
+	return s
 }
 
 // Get returns the page's frame with a reference the caller must Release.
 // The frame is shared: treat its contents as immutable.
 func (s *MemStore) Get(page gaddr.Addr) (*frame.Frame, bool) {
+	if p := s.dir.Rec(page); p != nil {
+		return s.GetPage(p)
+	}
+	return nil, false
+}
+
+// GetPage is Get by record.
+func (s *MemStore) GetPage(p *pagedir.Page) (*frame.Frame, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pages[page]
-	if !ok {
+	if p.Mem.Frame == nil {
 		return nil, false
 	}
 	// A pinned page is no eviction candidate, and its last Unpin stamps
-	// its recency, so only an unpinned page's entry is written back here.
-	if p.pinned == 0 {
-		s.clock++
-		p.used = s.clock
-		s.pages[page] = p
+	// its recency.
+	if p.Mem.Pins == 0 {
+		s.lru.Front(p)
 	}
-	return p.f.Retain(), true
+	return p.Mem.Frame.Retain(), true
 }
 
 // GetCopy returns a private copy of the page's contents, for callers
@@ -116,25 +117,27 @@ func (s *MemStore) GetCopy(page gaddr.Addr) ([]byte, bool) {
 // if the store is full. The frame is borrowed: the store takes its own
 // reference and the caller keeps (and still owns) its reference.
 func (s *MemStore) Put(page gaddr.Addr, f *frame.Frame) error {
+	return s.PutPage(s.dir.Touch(page), f)
+}
+
+// PutPage is Put by record.
+func (s *MemStore) PutPage(p *pagedir.Page, f *frame.Frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.clock++
-	if p, ok := s.pages[page]; ok {
-		old := p.f
-		//khazana:frame-owner the resident memPage holds the store's reference
-		p.f = f.Retain()
-		p.used = s.clock
-		s.pages[page] = p
-		old.Release()
-		return nil
-	}
-	if len(s.pages) >= s.cap {
+	old := p.Mem.Frame
+	if old == nil && s.n >= s.cap {
 		if err := s.evictLocked(); err != nil {
 			return err
 		}
 	}
-	//khazana:frame-owner the resident memPage holds the store's reference
-	s.pages[page] = memPage{f: f.Retain(), used: s.clock}
+	//khazana:frame-owner the resident record holds the store's reference
+	p.Mem.Frame = f.Retain()
+	s.lru.Front(p)
+	if old != nil {
+		old.Release()
+	} else {
+		s.n++
+	}
 	return nil
 }
 
@@ -163,112 +166,106 @@ func (s *MemStore) evictLocked() error {
 	if s.reclaim != nil {
 		s.reclaim()
 	}
-	var victim gaddr.Addr
-	var vp memPage
-	found := false
-	for page, p := range s.pages {
-		if p.pinned > 0 {
-			continue
-		}
-		if !found || p.used < vp.used {
-			victim, vp, found = page, p, true
-		}
-	}
-	if !found {
+	victim := s.lru.Oldest(func(p *pagedir.Page) bool { return p.Mem.Pins == 0 })
+	if victim == nil {
 		return ErrFull
 	}
 	if s.onEvict != nil {
-		if err := s.onEvict(victim, vp.f); err != nil {
-			return fmt.Errorf("store: evict %v: %w", victim, err)
+		if err := s.onEvict(victim.Page, victim.Mem.Frame); err != nil {
+			return fmt.Errorf("store: evict %v: %w", victim.Page, err)
 		}
 	}
-	delete(s.pages, victim)
-	vp.f.Release()
+	s.dropLocked(victim)
 	return nil
+}
+
+func (s *MemStore) dropLocked(p *pagedir.Page) {
+	s.lru.Remove(p)
+	p.Mem.Frame.Release()
+	p.Mem.Frame, p.Mem.Pins = nil, 0
+	s.n--
 }
 
 // Delete drops the page if present.
 func (s *MemStore) Delete(page gaddr.Addr) {
+	if p := s.dir.Rec(page); p != nil {
+		s.DeletePage(p)
+	}
+}
+
+// DeletePage is Delete by record.
+func (s *MemStore) DeletePage(p *pagedir.Page) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pages[page]
-	if !ok {
-		return
+	if p.Mem.Frame != nil {
+		s.dropLocked(p)
 	}
-	delete(s.pages, page)
-	p.f.Release()
 }
 
 // DeleteUnpinned drops the page unless a lock context has it pinned, and
 // reports whether the page is gone. A pinned page survives so the holder
 // keeps reading its grant-time snapshot; the caller is expected to mark
 // the page invalid in the directory so the next acquire refetches.
-func (s *MemStore) DeleteUnpinned(page gaddr.Addr) bool {
+func (s *MemStore) DeleteUnpinned(p *pagedir.Page) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pages[page]
-	if !ok {
+	if p.Mem.Frame == nil {
 		return true
 	}
-	if p.pinned > 0 {
+	if p.Mem.Pins > 0 {
 		return false
 	}
-	delete(s.pages, page)
-	p.f.Release()
+	s.dropLocked(p)
 	return true
 }
 
 // Pin marks the page non-victimizable. Pins nest.
-func (s *MemStore) Pin(page gaddr.Addr) bool {
+func (s *MemStore) Pin(p *pagedir.Page) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pages[page]
-	if !ok {
+	if p.Mem.Frame == nil {
 		return false
 	}
-	p.pinned++
-	s.pages[page] = p
+	p.Mem.Pins++
 	return true
 }
 
 // Unpin releases one pin. The page counts as used until its pins drop,
 // so Unpin refreshes its recency.
-func (s *MemStore) Unpin(page gaddr.Addr) error {
+func (s *MemStore) Unpin(p *pagedir.Page) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pages[page]
-	if !ok || p.pinned == 0 {
+	if p.Mem.Frame == nil || p.Mem.Pins == 0 {
 		return ErrNotPinned
 	}
-	p.pinned--
-	s.clock++
-	p.used = s.clock
-	s.pages[page] = p
+	p.Mem.Pins--
+	s.lru.Front(p)
 	return nil
 }
 
 // Contains reports residency without touching LRU state.
 func (s *MemStore) Contains(page gaddr.Addr) bool {
+	p := s.dir.Rec(page)
+	if p == nil {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.pages[page]
-	return ok
+	return p.Mem.Frame != nil
 }
 
 // Len returns the number of resident pages.
 func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.pages)
+	return s.n
 }
 
 // Pages returns the resident page addresses.
 func (s *MemStore) Pages() []gaddr.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]gaddr.Addr, 0, len(s.pages))
-	for page := range s.pages {
-		out = append(out, page)
-	}
+	out := make([]gaddr.Addr, 0, s.n)
+	s.lru.Each(func(p *pagedir.Page) { out = append(out, p.Page) })
 	return out
 }

@@ -155,13 +155,13 @@ func TestMemUnpinRefreshesRecency(t *testing.T) {
 		return nil
 	})
 	_ = s.PutBytes(page(1), []byte{1})
-	s.Pin(page(1))
+	s.Pin(s.dir.Touch(page(1)))
 	if f, ok := s.Get(page(1)); ok {
 		f.Release()
 	}
 	_ = s.PutBytes(page(2), []byte{2})
 	_ = s.PutBytes(page(3), []byte{3})
-	if err := s.Unpin(page(1)); err != nil {
+	if err := s.Unpin(s.dir.Touch(page(1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutBytes(page(4), []byte{4}); err != nil {
@@ -176,13 +176,13 @@ func TestMemPinPreventsEviction(t *testing.T) {
 	s := NewMemStore(2, nil)
 	_ = s.PutBytes(page(1), []byte{1})
 	_ = s.PutBytes(page(2), []byte{2})
-	if !s.Pin(page(1)) || !s.Pin(page(2)) {
+	if !s.Pin(s.dir.Touch(page(1))) || !s.Pin(s.dir.Touch(page(2))) {
 		t.Fatal("pin failed")
 	}
 	if err := s.PutBytes(page(3), []byte{3}); !errors.Is(err, ErrFull) {
 		t.Fatalf("err = %v, want ErrFull", err)
 	}
-	if err := s.Unpin(page(1)); err != nil {
+	if err := s.Unpin(s.dir.Touch(page(1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutBytes(page(3), []byte{3}); err != nil {
@@ -199,18 +199,18 @@ func TestMemPinPreventsEviction(t *testing.T) {
 func TestMemPinNesting(t *testing.T) {
 	s := NewMemStore(1, nil)
 	_ = s.PutBytes(page(1), []byte{1})
-	s.Pin(page(1))
-	s.Pin(page(1))
-	_ = s.Unpin(page(1))
+	s.Pin(s.dir.Touch(page(1)))
+	s.Pin(s.dir.Touch(page(1)))
+	_ = s.Unpin(s.dir.Touch(page(1)))
 	// Still pinned once.
 	if err := s.PutBytes(page(2), nil); !errors.Is(err, ErrFull) {
 		t.Fatalf("err = %v", err)
 	}
-	_ = s.Unpin(page(1))
-	if err := s.Unpin(page(1)); !errors.Is(err, ErrNotPinned) {
+	_ = s.Unpin(s.dir.Touch(page(1)))
+	if err := s.Unpin(s.dir.Touch(page(1))); !errors.Is(err, ErrNotPinned) {
 		t.Fatalf("extra unpin err = %v", err)
 	}
-	if s.Pin(page(9)) {
+	if s.Pin(s.dir.Touch(page(9))) {
 		t.Fatal("pin of absent page should fail")
 	}
 }

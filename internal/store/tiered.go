@@ -5,6 +5,7 @@ import (
 
 	"khazana/internal/frame"
 	"khazana/internal/gaddr"
+	"khazana/internal/pagedir"
 	"khazana/internal/telemetry"
 )
 
@@ -33,6 +34,9 @@ type Config struct {
 	Dir string
 	// OnDiskEvict runs before a page leaves the node entirely.
 	OnDiskEvict EvictFunc
+	// Pages is the page directory whose records hold the RAM tier's
+	// frames; nil gives the store a directory of its own.
+	Pages *pagedir.Dir
 }
 
 // NewTiered builds the two-level hierarchy.
@@ -43,7 +47,7 @@ func NewTiered(cfg Config) (*Tiered, error) {
 	}
 	t := &Tiered{disk: disk}
 	// RAM victimization demotes to disk.
-	t.mem = NewMemStore(cfg.MemPages, func(page gaddr.Addr, f *frame.Frame) error {
+	t.mem = newMemStore(cfg.Pages, cfg.MemPages, func(page gaddr.Addr, f *frame.Frame) error {
 		return t.disk.Put(page, f)
 	})
 	return t, nil
@@ -62,17 +66,22 @@ func (t *Tiered) SetReclaimer(fn func() int) { t.mem.SetReclaimer(fn) }
 // disk-resident pages to RAM. The frame is shared: treat its contents as
 // immutable.
 func (t *Tiered) Get(page gaddr.Addr) (*frame.Frame, bool) {
-	if f, ok := t.mem.Get(page); ok {
+	return t.GetPage(t.mem.dir.Touch(page))
+}
+
+// GetPage is Get by record.
+func (t *Tiered) GetPage(p *pagedir.Page) (*frame.Frame, bool) {
+	if f, ok := t.mem.GetPage(p); ok {
 		return f, true
 	}
 	t.memMisses.Add(1)
-	f, ok := t.disk.Get(page)
+	f, ok := t.disk.Get(p.Page)
 	if !ok {
 		return nil, false
 	}
 	// Promote; a failure to promote is not fatal — the data is valid.
 	//khazana:ignore-err promotion to RAM is a cache optimization; the disk copy remains authoritative
-	_ = t.mem.Put(page, f)
+	_ = t.mem.PutPage(p, f)
 	return f, true
 }
 
@@ -92,6 +101,9 @@ func (t *Tiered) GetCopy(page gaddr.Addr) ([]byte, bool) {
 func (t *Tiered) Put(page gaddr.Addr, f *frame.Frame) error {
 	return t.mem.Put(page, f)
 }
+
+// PutPage is Put by record.
+func (t *Tiered) PutPage(p *pagedir.Page, f *frame.Frame) error { return t.mem.PutPage(p, f) }
 
 // PutBytes stores a copy of data for the page.
 func (t *Tiered) PutBytes(page gaddr.Addr, data []byte) error {
@@ -136,15 +148,21 @@ func (t *Tiered) Delete(page gaddr.Addr) {
 	t.disk.Delete(page)
 }
 
+// DeletePage is Delete by record.
+func (t *Tiered) DeletePage(p *pagedir.Page) {
+	t.mem.DeletePage(p)
+	t.disk.Delete(p.Page)
+}
+
 // Discard removes the page from both tiers unless a lock context has the
 // RAM copy pinned, in which case the RAM copy survives (the holder keeps
 // its grant-time snapshot) while the disk copy still goes. Invalidation
 // uses this so a holder whose context outlives its lock at the home reads
 // stale-but-real bytes, never zeros; the directory's invalid mark forces a
 // refetch on the next acquire.
-func (t *Tiered) Discard(page gaddr.Addr) {
-	t.mem.DeleteUnpinned(page)
-	t.disk.Delete(page)
+func (t *Tiered) Discard(p *pagedir.Page) {
+	t.mem.DeleteUnpinned(p)
+	t.disk.Delete(p.Page)
 }
 
 // Contains reports residency in either tier.
@@ -153,10 +171,10 @@ func (t *Tiered) Contains(page gaddr.Addr) bool {
 }
 
 // Pin protects a page from RAM victimization while locked.
-func (t *Tiered) Pin(page gaddr.Addr) bool { return t.mem.Pin(page) }
+func (t *Tiered) Pin(p *pagedir.Page) bool { return t.mem.Pin(p) }
 
 // Unpin releases a pin.
-func (t *Tiered) Unpin(page gaddr.Addr) error { return t.mem.Unpin(page) }
+func (t *Tiered) Unpin(p *pagedir.Page) error { return t.mem.Unpin(p) }
 
 // Mem exposes the RAM tier for inspection.
 func (t *Tiered) Mem() *MemStore { return t.mem }
