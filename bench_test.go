@@ -384,9 +384,14 @@ func BenchmarkE10PageSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				// Cold cache each iteration: drop node 2's copies.
+				core := c.Node(2).Core()
 				for _, page := range pagesOf(start, regionSize, ps) {
-					c.Node(2).Core().Store().Delete(page)
-					c.Node(2).Core().PageDir().Delete(page)
+					if tab := core.PageDir().Find(page); tab != nil {
+						if rec := tab.Rec(page); rec != nil {
+							core.Store().DeletePage(rec)
+						}
+						tab.Delete(page)
+					}
 				}
 				b.StartTimer()
 				benchRead(b, c.Node(2), start, regionSize)

@@ -197,6 +197,13 @@ func tableOf(h Host, desc *region.Descriptor) *pagedir.Table {
 	return h.Pages().Table(desc.Range.Start, desc.Range.Size, uint64(desc.Attrs.PageSize))
 }
 
+// heldTable returns the region's page table for a release: the one its
+// acquire made, or nil once a teardown here dropped it. It never makes a
+// table, so a release after a teardown brings nothing back.
+func heldTable(h Host, desc *region.Descriptor) *pagedir.Table {
+	return h.Pages().At(desc.Range.Start)
+}
+
 // isDirty reports dirty[i] of a ReleaseBatch dirty set.
 func isDirty(dirty []bool, i int) bool { return dirty != nil && dirty[i] }
 
@@ -436,7 +443,7 @@ func acquireEach(ctx context.Context, tab *pagedir.Table, pages []gaddr.Addr, mo
 			return pages[:i:i], fmt.Errorf("%w: %v", ErrConflict, err)
 		}
 		if err := ready(p); err != nil {
-			tab.TryRelease(p, mode)
+			tab.Release(p, mode)
 			return pages[:i:i], err
 		}
 	}

@@ -372,7 +372,10 @@ func (c *CrewCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, page
 	if mode == ktypes.LockWriteShared {
 		mode = ktypes.LockWrite
 	}
-	tab := tableOf(c.h, desc)
+	tab := heldTable(c.h, desc)
+	if tab == nil {
+		return nil // the region was torn down here during the hold
+	}
 	if isHome(c.h, desc) {
 		var errs []error
 		var replicated []gaddr.Addr

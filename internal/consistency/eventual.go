@@ -288,11 +288,14 @@ func (c *EventualCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, 
 	if len(pages) == 0 {
 		return nil
 	}
-	tab := tableOf(c.h, desc)
+	tab := heldTable(c.h, desc)
+	if tab == nil {
+		return nil // the region was torn down here during the hold
+	}
 	defer func() {
 		for _, p := range pages {
 			c.applyPending(ctx, desc, tab, p)
-			tab.TryRelease(p, mode)
+			tab.Release(p, mode)
 		}
 	}()
 	if !mode.Writes() {

@@ -105,7 +105,15 @@ func (h *testHost) rec(page gaddr.Addr) *pagedir.Page {
 			return tableOf(h, d).Touch(page)
 		}
 	}
-	return h.dir.Touch(page)
+	panic(fmt.Sprintf("page %v outside every test region", page))
+}
+
+// entryOf returns the page's directory entry on h, if h lists one.
+func entryOf(h *testHost, page gaddr.Addr) (pagedir.Entry, bool) {
+	if tab := h.dir.Find(page); tab != nil {
+		return tab.Lookup(page)
+	}
+	return pagedir.Entry{}, false
 }
 
 // storeBytes stores a copy of data as the page's local copy.
@@ -119,7 +127,6 @@ func storeBytes(h Host, page gaddr.Addr, data []byte) error {
 func (h *testHost) Repl() *replog.Log { return h.repl }
 
 func (h *testHost) Pages() *pagedir.Dir            { return h.dir }
-func (h *testHost) Dir() *pagedir.Dir              { return h.dir }
 func (h *testHost) Clock() int64                   { return h.clock.Add(1) }
 func (h *testHost) Telemetry() *telemetry.Registry { return h.tel }
 

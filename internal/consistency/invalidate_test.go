@@ -131,14 +131,14 @@ func TestWriteBatchInvalidatesOncePerSharer(t *testing.T) {
 					if resident(hosts[s], p) {
 						t.Fatalf("sharer %v still holds %v after the write grant", hosts[s].id, p)
 					}
-					if e, _ := hosts[s].dir.Lookup(p); e.State != pagedir.Invalid || e.Owner != writer.id {
+					if e, _ := entryOf(hosts[s], p); e.State != pagedir.Invalid || e.Owner != writer.id {
 						t.Fatalf("sharer %v directory for %v: state %v owner %v, want invalid under %v",
 							hosts[s].id, p, e.State, e.Owner, writer.id)
 					}
 				}
 			}
 			for _, p := range pages {
-				if e, _ := hosts[0].dir.Lookup(p); len(e.Copyset) != 1 || !e.InCopyset(writer.id) {
+				if e, _ := entryOf(hosts[0], p); len(e.Copyset) != 1 || !e.InCopyset(writer.id) {
 					t.Fatalf("home copyset for %v is %v, want only the writer %v", p, e.Copyset, writer.id)
 				}
 			}
@@ -256,7 +256,7 @@ func TestUnreachableSharerPrunedFromEveryPage(t *testing.T) {
 		t.Errorf("reachable sharer received %d InvalidateBatch RPCs naming %d pages, want 1 naming %d", b, it, pageCount)
 	}
 	for _, p := range pages {
-		e, _ := home.dir.Lookup(p)
+		e, _ := entryOf(home, p)
 		if e.InCopyset(cut.id) || e.InCopyset(reachable.id) || !e.InCopyset(home.id) {
 			t.Fatalf("copyset of %v is %v, want only the writer", p, e.Copyset)
 		}
@@ -311,7 +311,7 @@ func TestWriteGrantSparesListedHomes(t *testing.T) {
 			checkHomesListed := func(when string) {
 				t.Helper()
 				for _, p := range pages {
-					e, _ := home.dir.Lookup(p)
+					e, _ := entryOf(home, p)
 					for _, h := range d.Home {
 						if !e.InCopyset(h) {
 							t.Fatalf("%s: copyset of %v is %v, missing home %v", when, p, e.Copyset, h)
@@ -413,7 +413,7 @@ func TestHomeLeavingListIsInvalidated(t *testing.T) {
 		if resident(dropped, p) {
 			t.Fatalf("former home still holds %v", p)
 		}
-		if e, _ := hosts[0].dir.Lookup(p); e.InCopyset(dropped.id) {
+		if e, _ := entryOf(hosts[0], p); e.InCopyset(dropped.id) {
 			t.Fatalf("copyset of %v is %v, still lists the former home", p, e.Copyset)
 		}
 		if got := snapshot(kept, moved, p); got[0] != 2 {
@@ -437,7 +437,7 @@ func TestFailedWriteThroughLeavesCopyset(t *testing.T) {
 	writer.net.Partition(home.id, missed.id)
 	writeAll(t, writer, d, pages, 2)
 	for _, p := range pages {
-		e, _ := home.dir.Lookup(p)
+		e, _ := entryOf(home, p)
 		if e.InCopyset(missed.id) || !e.InCopyset(reached.id) {
 			t.Fatalf("copyset of %v is %v after %v missed the write-through, want %v listed and %v not",
 				p, e.Copyset, missed.id, reached.id, missed.id)
@@ -450,7 +450,7 @@ func TestFailedWriteThroughLeavesCopyset(t *testing.T) {
 	writer.net.Heal(home.id, missed.id)
 	writeAll(t, writer, d, pages, 3)
 	for _, p := range pages {
-		e, _ := home.dir.Lookup(p)
+		e, _ := entryOf(home, p)
 		if !e.InCopyset(missed.id) {
 			t.Fatalf("copyset of %v is %v after a write-through reached %v", p, e.Copyset, missed.id)
 		}

@@ -2,7 +2,6 @@ package consistency
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -15,26 +14,20 @@ import (
 func lpage(n uint64) gaddr.Addr { return gaddr.FromUint64(n * 0x1000) }
 
 // LockTable is the lock slots of one page table spanning every test page:
-// the lock table a CM reaches through its region's page records.
+// the lock table a CM reaches through its region's page records. Acquire,
+// Release, TryRelease and the queries are the table's own.
 type LockTable struct{ *pagedir.Table }
 
 func NewLockTable() *LockTable {
 	return &LockTable{pagedir.New().Table(gaddr.Zero, 1<<32, 0x1000)}
 }
 
-// TryAcquire attempts a non-blocking lock, reporting success.
+// TryAcquire attempts a non-blocking lock, reporting success: a CM's
+// grant under the table's mutex.
 func (lt *LockTable) TryAcquire(page gaddr.Addr, mode ktypes.LockMode) bool {
 	ok := false
 	lt.With(page, func(p *pagedir.Page) { ok = p.TryLock(mode) })
 	return ok
-}
-
-// Release drops a lock previously acquired in mode; releasing an unheld
-// lock is a programming error in these tests.
-func (lt *LockTable) Release(page gaddr.Addr, mode ktypes.LockMode) {
-	if !lt.TryRelease(page, mode) {
-		panic(fmt.Sprintf("release of unheld %v lock on page %v", mode, page))
-	}
 }
 
 // Len counts the pages with a holder.
@@ -341,9 +334,8 @@ func TestLockWaiterExpiryLeavesNoGate(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("canceled Acquire succeeded")
 	}
-	// The last waiter to leave clears the gate with the count.
-	if lt.Len() != 1 || lt.Waiters(lpage(1)) != 0 || !lt.WriteLocked(lpage(1)) {
-		t.Fatalf("after expiry: len=%d waiters=%d, want the holder's lock alone", lt.Len(), lt.Waiters(lpage(1)))
+	if lt.Len() != 1 || lt.Gated(lpage(1)) || lt.Waiters(lpage(1)) != 0 || !lt.WriteLocked(lpage(1)) {
+		t.Fatalf("after expiry: len=%d gated=%v waiters=%d, want the holder's lock alone", lt.Len(), lt.Gated(lpage(1)), lt.Waiters(lpage(1)))
 	}
 	lt.Release(lpage(1), ktypes.LockWrite)
 	if lt.Len() != 0 {

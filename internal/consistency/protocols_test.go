@@ -174,7 +174,7 @@ func TestCREWVersionAdvancesPerWrite(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		lockWrite(t, hosts[1], d, page, func(data []byte) { data[0]++ })
 	}
-	entry, ok := hosts[0].Dir().Lookup(page)
+	entry, ok := entryOf(hosts[0], page)
 	if !ok || entry.Version != 3 {
 		t.Fatalf("home version = %d, %v; want 3", entry.Version, ok)
 	}

@@ -101,10 +101,13 @@ func (c *ReleaseCM) ReleaseBatch(ctx context.Context, desc *region.Descriptor, p
 	if len(pages) == 0 {
 		return nil
 	}
-	tab := tableOf(c.h, desc)
+	tab := heldTable(c.h, desc)
+	if tab == nil {
+		return nil // the region was torn down here during the hold
+	}
 	defer func() {
 		for _, p := range pages {
-			tab.TryRelease(p, mode)
+			tab.Release(p, mode)
 		}
 	}()
 	if !mode.Writes() {

@@ -82,8 +82,8 @@ func TestLateWriteThroughKeepsNewerBytes(t *testing.T) {
 	}
 
 	for _, p := range pages {
-		want, _ := home.dir.Lookup(p)
-		got, _ := late.dir.Lookup(p)
+		want, _ := entryOf(home, p)
+		got, _ := entryOf(late, p)
 		if b := snapshot(late, d, p); b[0] != 3 || got.Version != want.Version || frameVersion(late, p) != want.Version {
 			t.Fatalf("secondary holds %#x labeled v%d (frame v%d) on %v after the late write-through, want 0x3 labeled v%d",
 				b[0], got.Version, frameVersion(late, p), p, want.Version)
@@ -167,7 +167,7 @@ func TestStaleTermAppendStoresNothing(t *testing.T) {
 	if resident(sec, page) {
 		t.Fatal("the stale-term append's page was stored")
 	}
-	if e, _ := sec.dir.Lookup(page); e.Version != 0 {
+	if e, _ := entryOf(sec, page); e.Version != 0 {
 		t.Fatalf("the stale-term append moved the page to v%d", e.Version)
 	}
 	if _, last := sec.repl.Progress(d.Range.Start); last != 0 {
@@ -223,7 +223,7 @@ func TestConcurrentPushesKeepNewerBytes(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	e, _ := sec.dir.Lookup(page)
+	e, _ := entryOf(sec, page)
 	if b := snapshot(sec, d, page); b[0] != 3 || e.Version != 3 {
 		t.Fatalf("secondary holds %#x labeled v%d after concurrent pushes, want 0x3 labeled v3", b[0], e.Version)
 	}

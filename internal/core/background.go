@@ -259,25 +259,26 @@ func (n *Node) RunRetries() {
 		}
 	}
 	for _, key := range crewOrder {
-		n.retryCrewBatch(ctx, key.home, crew[key])
+		n.retryCrewBatch(ctx, key.home, n.dir.At(key.start), crew[key])
 	}
 	for _, key := range pushOrder {
-		n.retryPushBatch(ctx, key.home, key.proto, push[key])
+		n.retryPushBatch(ctx, key.home, key.proto, n.dir.At(key.start), push[key])
 	}
 }
 
 // retryPushBatch redoes the network half of failed dirty releases under
 // the release or eventual protocol: one UpdateBatch to the home covering
-// every queued page of one region (§3.5). Per-item failures requeue
+// every queued page of one region (§3.5), whose page table is tab (nil
+// once the region was torn down here). Per-item failures requeue
 // individually.
-func (n *Node) retryPushBatch(ctx context.Context, home ktypes.NodeID, proto region.Protocol, ops []retryOp) {
+func (n *Node) retryPushBatch(ctx context.Context, home ktypes.NodeID, proto region.Protocol, tab *pagedir.Table, ops []retryOp) {
 	batch := &wire.UpdateBatch{From: n.cfg.ID, Items: make([]wire.UpdateItem, 0, len(ops))}
 	// Frames stay referenced by the batch until the request (and its
 	// marshal) completes, so the views in Data never dangle.
 	defer batch.ReleaseFrames()
 	live := make([]retryOp, 0, len(ops))
 	for _, op := range ops {
-		f, ok := n.store.Get(op.page)
+		f, ok := n.storedFrame(tab, op.page)
 		if !ok {
 			// The page left the node since the release failed; the
 			// disk-eviction path only lets a dirty page go after pushing
@@ -320,7 +321,7 @@ func (n *Node) retryPushBatch(ctx context.Context, home ktypes.NodeID, proto reg
 		}
 		// Delivered: the local copy is no longer the only holder of the
 		// update, so it may be victimized again.
-		n.dir.Update(op.page, func(e *pagedir.Entry) { e.Dirty = false })
+		tab.Update(op.page, func(e *pagedir.Entry) { e.Dirty = false })
 		n.stats.ReleaseRetries.Add(1)
 	}
 }
@@ -330,8 +331,9 @@ func (n *Node) retryPushBatch(ctx context.Context, home ktypes.NodeID, proto reg
 // was already torn down when the releases first ran, so the batch is
 // assembled raw rather than through the CM (whose ReleaseBatch would try
 // to release local locks again); the home's lock table tolerates
-// re-releasing a lock the requester no longer holds.
-func (n *Node) retryCrewBatch(ctx context.Context, home ktypes.NodeID, ops []retryOp) {
+// re-releasing a lock the requester no longer holds. tab is the region's
+// page table, nil once the region was torn down here.
+func (n *Node) retryCrewBatch(ctx context.Context, home ktypes.NodeID, tab *pagedir.Table, ops []retryOp) {
 	batch := &wire.ReleaseBatch{From: n.cfg.ID, Items: make([]wire.ReleaseItem, 0, len(ops))}
 	live := make([]retryOp, 0, len(ops))
 	//khazana:frame-owner released after the batch RPC below
@@ -344,7 +346,7 @@ func (n *Node) retryCrewBatch(ctx context.Context, home ktypes.NodeID, ops []ret
 	for _, op := range ops {
 		item := wire.ReleaseItem{Page: op.page, Mode: op.mode, Dirty: op.dirty}
 		if op.dirty {
-			f, ok := n.store.Get(op.page)
+			f, ok := n.storedFrame(tab, op.page)
 			if !ok {
 				// Already delivered by the disk-eviction path (§3.4).
 				n.stats.ReleaseRetries.Add(1)
@@ -373,7 +375,7 @@ func (n *Node) retryCrewBatch(ctx context.Context, home ktypes.NodeID, ops []ret
 			continue
 		}
 		if op.dirty {
-			n.dir.Update(op.page, func(e *pagedir.Entry) { e.Dirty = false })
+			tab.Update(op.page, func(e *pagedir.Entry) { e.Dirty = false })
 		}
 		n.stats.ReleaseRetries.Add(1)
 	}
@@ -471,17 +473,18 @@ func (n *Node) pushReplicas(ctx context.Context, desc *region.Descriptor) {
 		return
 	}
 	pages := desc.Pages(0, desc.Range.Size)
+	tab := n.table(desc)
 	for _, h := range desc.Home[1:] {
 		if h == n.cfg.ID {
 			continue
 		}
 		var missing []gaddr.Addr
 		for _, page := range pages {
-			if e, _ := n.dir.Lookup(page); !e.InCopyset(h) {
+			if e, _ := tab.Lookup(page); !e.InCopyset(h) {
 				missing = append(missing, page)
 			}
 		}
-		pushed, _ := n.pushPages(ctx, h, missing)
+		pushed, _ := n.pushPages(ctx, h, tab, missing)
 		n.mReplicaRepairs.Add(uint64(pushed))
 	}
 }
@@ -490,17 +493,17 @@ func (n *Node) pushReplicas(ctx context.Context, desc *region.Descriptor) {
 // the transport's 4 MiB pooled frame.
 const replicaPutBytes = 1 << 20
 
-// pushPages sends the locally stored ones of pages to a node as
+// pushPages sends the locally stored ones of pages, all in tab, to a node as
 // ReplicaPuts of at most replicaPutBytes of page bytes each; pages never
 // written are skipped, as they zero-fill everywhere. The target joins the
 // copyset of every page it acked. It returns how many pages that was,
 // stopping at the first chunk that failed.
-func (n *Node) pushPages(ctx context.Context, to ktypes.NodeID, pages []gaddr.Addr) (int, error) {
+func (n *Node) pushPages(ctx context.Context, to ktypes.NodeID, tab *pagedir.Table, pages []gaddr.Addr) (int, error) {
 	pushed, size := 0, 0
 	put := &wire.ReplicaPut{From: n.cfg.ID}
 	for i, page := range pages {
-		if f, ok := n.store.Get(page); ok {
-			entry, _ := n.dir.Lookup(page)
+		if f, ok := n.storedFrame(tab, page); ok {
+			entry, _ := tab.Lookup(page)
 			it := wire.UpdateItem{Page: page, Version: entry.Version, Origin: n.cfg.ID}
 			it.SetFrame(f)
 			f.Release()
@@ -521,7 +524,7 @@ func (n *Node) pushPages(ctx context.Context, to ktypes.NodeID, pages []gaddr.Ad
 			return pushed, fmt.Errorf("core: replica push to %v: %w", to, err)
 		}
 		for _, it := range put.Items {
-			n.dir.Update(it.Page, func(e *pagedir.Entry) { e.AddSharer(to) })
+			tab.Update(it.Page, func(e *pagedir.Entry) { e.AddSharer(to) })
 		}
 		pushed += len(put.Items)
 		put.Items, size = put.Items[:0], 0

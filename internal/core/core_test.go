@@ -14,6 +14,7 @@ import (
 	"khazana/internal/addrmap"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
+	"khazana/internal/pagedir"
 	"khazana/internal/region"
 	"khazana/internal/security"
 	"khazana/internal/transport"
@@ -68,6 +69,24 @@ func mkRegion(t *testing.T, n *Node, size uint64, attrs region.Attrs, principal 
 		t.Fatal(err)
 	}
 	return start
+}
+
+// storedCopy returns a private copy of the page's contents in n's store.
+func storedCopy(n *Node, page gaddr.Addr) ([]byte, bool) {
+	f, ok := n.Store().Get(page)
+	if !ok {
+		return nil, false
+	}
+	defer f.Release()
+	return append([]byte(nil), f.Bytes()...), true
+}
+
+// entryOf returns the page's directory entry on n, if n lists one.
+func entryOf(n *Node, page gaddr.Addr) (pagedir.Entry, bool) {
+	if tab := n.dir.Find(page); tab != nil {
+		return tab.Lookup(page)
+	}
+	return pagedir.Entry{}, false
 }
 
 func TestSingleNodeLifecycle(t *testing.T) {
@@ -519,11 +538,11 @@ func TestLateReplicaPutKeepsNewerBytes(t *testing.T) {
 	}
 	push(5, 0x55)
 	push(4, 0x44) // late
-	got, ok := nodes[1].Store().GetCopy(start)
+	got, ok := storedCopy(nodes[1], start)
 	if !ok {
 		t.Fatal("replica holds no copy")
 	}
-	if e, _ := nodes[1].PageDir().Lookup(start); got[0] != 0x55 || e.Version != 5 {
+	if e, _ := entryOf(nodes[1], start); got[0] != 0x55 || e.Version != 5 {
 		t.Fatalf("replica holds %#x labeled v%d after a late push, want 0x55 labeled v5", got[0], e.Version)
 	}
 }
@@ -864,13 +883,13 @@ func TestMapDescentLeavesParentVersion(t *testing.T) {
 	}
 	rootPage, childPage := gaddr.Zero, gaddr.FromUint64(addrmap.PageSize)
 	home := nodes[0] // the map home
-	root, _ := home.dir.Lookup(rootPage)
-	child, _ := home.dir.Lookup(childPage)
+	root, _ := entryOf(home, rootPage)
+	child, _ := entryOf(home, childPage)
 	if err := nodes[1].Unreserve(ctx, starts[0], "alice"); err != nil {
 		t.Fatal(err)
 	}
-	rootAfter, _ := home.dir.Lookup(rootPage)
-	childAfter, _ := home.dir.Lookup(childPage)
+	rootAfter, _ := entryOf(home, rootPage)
+	childAfter, _ := entryOf(home, childPage)
 	if rootAfter.Version != root.Version {
 		t.Fatalf("root map page version %d → %d: the unreserve's descent wrote the root back", root.Version, rootAfter.Version)
 	}

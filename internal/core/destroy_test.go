@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -89,7 +90,7 @@ func TestUnreserveStalledSharerCostsOneTimeout(t *testing.T) {
 	}
 	last := rng.Start.MustAdd((pageCount - 1) * 4096)
 	for _, p := range []gaddr.Addr{rng.Start, last} {
-		if e, _ := nodes[0].PageDir().Lookup(p); !e.InCopyset(3) {
+		if e, _ := entryOf(nodes[0], p); !e.InCopyset(3) {
 			t.Fatalf("node 3 is not a sharer of %v: %v", p, e.Copyset)
 		}
 	}
@@ -109,10 +110,10 @@ func TestUnreserveStalledSharerCostsOneTimeout(t *testing.T) {
 		t.Fatal("home still resolves the destroyed region")
 	}
 	for _, p := range []gaddr.Addr{rng.Start, last} {
-		if _, ok := nodes[0].PageDir().Lookup(p); ok {
+		if _, ok := entryOf(nodes[0], p); ok {
 			t.Fatalf("page %v survived the destroy in the home's directory", p)
 		}
-		if _, ok := nodes[0].Store().GetCopy(p); ok {
+		if _, ok := storedCopy(nodes[0], p); ok {
 			t.Fatalf("page %v survived the destroy in the home's store", p)
 		}
 	}
@@ -387,5 +388,66 @@ func lockUnlock(t *testing.T, n *Node, rng gaddr.Range, mode ktypes.LockMode) {
 	}
 	if err := n.Unlock(ctx, lc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTeardownUnderRemoteReadHold: a region destroyed while a sharer holds
+// a read lock on it leaves that holder reading the bytes it was granted,
+// never zeroes, through its own page table. The teardown takes the
+// table out of the sharer's directory, and neither the holder's reads nor
+// its Unlock bring one back; the copies kept for it go at the Unlock.
+func TestTeardownUnderRemoteReadHold(t *testing.T) {
+	_, nodes := testCluster(t, 2)
+	ctx := context.Background()
+	home, sharer := nodes[0], nodes[1]
+	const ps = 4096
+	rng := gaddr.Range{Start: mkRegion(t, home, 2*ps, region.Attrs{}, ""), Size: 2 * ps}
+	want := make([]byte, rng.Size)
+	for i := range want {
+		want[i] = byte(i%251 + 1)
+	}
+	wlc, err := home.Lock(ctx, rng, ktypes.LockWrite, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Write(wlc, rng.Start, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Unlock(ctx, wlc); err != nil {
+		t.Fatal(err)
+	}
+	tables, resident := len(sharer.dir.Tables()), sharer.Store().Mem().Len()
+	lc, err := sharer.Lock(ctx, rng, ktypes.LockRead, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sharer.dir.Tables()); got != tables+1 {
+		t.Fatalf("sharer holds %d page tables under the lock, want %d", got, tables+1)
+	}
+	if err := home.Unreserve(ctx, rng.Start, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sharer.dir.Tables()); got != tables {
+		t.Fatalf("sharer holds %d page tables after the teardown, want %d", got, tables)
+	}
+	got, err := sharer.Read(lc, rng.Start, rng.Size)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read under the hold after the teardown = %v, %v; want the granted bytes", got[:8], err)
+	}
+	view, err := sharer.ReadView(lc, rng.Start.MustAdd(ps), 8)
+	if err != nil || !bytes.Equal(view, want[ps:ps+8]) {
+		t.Fatalf("view under the hold after the teardown = %v, %v; want %v", view, err, want[ps:ps+8])
+	}
+	if got := len(sharer.dir.Tables()); got != tables {
+		t.Fatalf("reads after the teardown left %d page tables, want %d", got, tables)
+	}
+	if err := sharer.Unlock(ctx, lc); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sharer.dir.Tables()); got != tables {
+		t.Fatalf("Unlock after the teardown left %d page tables, want %d", got, tables)
+	}
+	if got := sharer.Store().Mem().Len(); got != resident {
+		t.Fatalf("sharer's RAM tier holds %d pages after the Unlock, want the %d from before the lock", got, resident)
 	}
 }

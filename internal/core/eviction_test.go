@@ -46,7 +46,7 @@ func TestDirtyPageEvictionPushesHome(t *testing.T) {
 	if nodes[1].PendingRetries() != 1 {
 		t.Fatalf("retries = %d", nodes[1].PendingRetries())
 	}
-	entry, _ := nodes[1].PageDir().Lookup(start)
+	entry, _ := entryOf(nodes[1], start)
 	if !entry.Dirty {
 		t.Fatal("page must stay dirty while the release is undelivered")
 	}

@@ -78,7 +78,7 @@ func TestReleaseAppendsToReplicatedLog(t *testing.T) {
 func TestFailoverResumesFromLog(t *testing.T) {
 	net, nodes, start := replicatedRegion(t)
 	page := start
-	homeEntry, _ := nodes[1].PageDir().Lookup(page)
+	homeEntry, _ := entryOf(nodes[1], page)
 	if homeEntry.Version == 0 {
 		t.Fatal("home has no committed version to lose")
 	}
@@ -99,7 +99,7 @@ func TestFailoverResumesFromLog(t *testing.T) {
 	}
 	// Resume-from-log restored the release metadata the dead home had
 	// acknowledged: same committed version, no lost release.
-	got, _ := nodes[2].PageDir().Lookup(page)
+	got, _ := entryOf(nodes[2], page)
 	if got.Version < homeEntry.Version {
 		t.Fatalf("replayed version %d, want >= %d", got.Version, homeEntry.Version)
 	}
@@ -256,8 +256,8 @@ func TestMissedWriteThroughRepairedByMaintenance(t *testing.T) {
 	if got != want {
 		t.Fatalf("secondary %v holds %q after maintenance, want %q", missed.cfg.ID, got, want)
 	}
-	pe, _ := primary.dir.Lookup(start)
-	if me, _ := missed.dir.Lookup(start); me.Version != pe.Version {
+	pe, _ := entryOf(primary, start)
+	if me, _ := entryOf(missed, start); me.Version != pe.Version {
 		t.Fatalf("secondary %v at version %d after maintenance, primary at %d", missed.cfg.ID, me.Version, pe.Version)
 	}
 }
@@ -311,8 +311,8 @@ func TestTwoHomeTakeoverWritesThrough(t *testing.T) {
 	}
 	got := string(f.Bytes()[:len(want)])
 	f.Release()
-	se, _ := survivor.dir.Lookup(start)
-	if oe, _ := old.dir.Lookup(start); got != want || oe.Version != se.Version {
+	se, _ := entryOf(survivor, start)
+	if oe, _ := entryOf(old, start); got != want || oe.Version != se.Version {
 		t.Fatalf("old home %v holds %q at v%d, want %q at the survivor's v%d", old.cfg.ID, got, oe.Version, want, se.Version)
 	}
 }
@@ -345,7 +345,7 @@ func TestPromotedHomeServesCommittedBytes(t *testing.T) {
 	if err := writer.Unlock(ctx, lc); err != nil {
 		t.Fatal(err)
 	}
-	committed, _ := primary.dir.Lookup(start)
+	committed, _ := entryOf(primary, start)
 
 	net.Crash(primary.cfg.ID)
 	promoted := nodes[d.Home[1]-1]
@@ -360,7 +360,7 @@ func TestPromotedHomeServesCommittedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, _ := promoted.dir.Lookup(start)
+	pe, _ := entryOf(promoted, start)
 	if err := promoted.Unlock(ctx, rlc); err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func TestBorrowedFrameStableAcrossWriter(t *testing.T) {
 	if string(f.Bytes()[:6]) != "before" {
 		t.Fatalf("borrowed frame mutated under the reader: %q", f.Bytes()[:6])
 	}
-	if got, ok := n.Store().GetCopy(start); !ok || string(got[:6]) != "after!" {
+	if got, ok := storedCopy(n, start); !ok || string(got[:6]) != "after!" {
 		t.Fatalf("store after write = %q, %v", got[:6], ok)
 	}
 }

@@ -347,7 +347,7 @@ func (n *Node) promoteFlight(ctx context.Context, start gaddr.Addr) *region.Desc
 		if !n.campaignFor(ctx, snap) {
 			return nil
 		}
-		n.replayRepl(start)
+		n.replayRepl(snap)
 	} else {
 		n.repl.Seize(start)
 	}
@@ -408,15 +408,16 @@ func (n *Node) campaignFor(ctx context.Context, d *region.Descriptor) bool {
 // so grants issued by the new home start from the exact state the dead
 // primary had acknowledged. Page contents refetch on demand; the
 // metadata is what a crash must not lose.
-func (n *Node) replayRepl(start gaddr.Addr) {
-	state, ok := n.repl.Snapshot(start)
+func (n *Node) replayRepl(desc *region.Descriptor) {
+	state, ok := n.repl.Snapshot(desc.Range.Start)
 	if !ok {
 		return
 	}
+	tab := n.table(desc)
 	for page, ver := range state.PageVersion {
 		owner := state.Owner[page]
 		copyset := state.Copyset[page]
-		n.dir.Update(page, func(e *pagedir.Entry) {
+		tab.Update(page, func(e *pagedir.Entry) {
 			e.HomedLocal = true
 			if ver >= e.Version {
 				e.Version = ver

@@ -81,7 +81,7 @@ func (n *Node) migrateLocal(ctx context.Context, start gaddr.Addr, newHome ktype
 		}
 	}
 	// Ship every locally stored page, a byte-capped chunk per round trip.
-	if _, err := n.pushPages(ctx, newHome, pages); err != nil {
+	if _, err := n.pushPages(ctx, newHome, tab, pages); err != nil {
 		return fmt.Errorf("core: migrate: %w", err)
 	}
 	// Hand over the descriptor: new home first, this node demoted to

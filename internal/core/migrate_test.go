@@ -104,7 +104,7 @@ func TestMigrateRegionHandoff(t *testing.T) {
 	}
 	_ = nodes[1].Write(wlc, start, []byte("after move"))
 	_ = nodes[1].Unlock(ctx, wlc)
-	if data, ok := nodes[2].Store().GetCopy(start); !ok || string(data[:10]) != "after move" {
+	if data, ok := storedCopy(nodes[2], start); !ok || string(data[:10]) != "after move" {
 		t.Fatalf("new home store = %q, %v", data[:10], ok)
 	}
 }
@@ -136,12 +136,12 @@ func TestMaintainReplicasBatches(t *testing.T) {
 		sec := nodes[h-1]
 		for i := 0; i < pushedPages; i++ {
 			page := start.MustAdd(uint64(i) * 4096)
-			want, _ := nodes[0].PageDir().Lookup(page)
-			got, ok := sec.Store().GetCopy(page)
+			want, _ := entryOf(nodes[0], page)
+			got, ok := storedCopy(sec, page)
 			if !ok {
 				t.Fatalf("secondary %v lacks page %d", h, i)
 			}
-			if e, _ := sec.PageDir().Lookup(page); got[0] != byte(i+1) || e.Version != want.Version {
+			if e, _ := entryOf(sec, page); got[0] != byte(i+1) || e.Version != want.Version {
 				t.Fatalf("secondary %v page %d: byte %#x v%d, want %#x v%d", h, i, got[0], e.Version, byte(i+1), want.Version)
 			}
 		}
@@ -285,5 +285,36 @@ func TestStatsRPC(t *testing.T) {
 	}
 	if len(resp.Members) < 2 {
 		t.Fatalf("members = %v", resp.Members)
+	}
+}
+
+// TestReplicaPutToNodeWithoutRegion: a replica push reaches a node whose
+// region directory does not hold the region yet, as a migration's does
+// before the descriptor follows. The node resolves the region and stores
+// the pages at the pusher's versions.
+func TestReplicaPutToNodeWithoutRegion(t *testing.T) {
+	_, nodes := testCluster(t, 3)
+	ctx := context.Background()
+	const pages = 4
+	start := mkRegion(t, nodes[0], pages*4096, region.Attrs{}, "")
+	fillPages(t, nodes[0], start, pages)
+	target := nodes[2]
+	target.rdir.Remove(start)
+	if _, ok := target.RegionDir().Lookup(start); ok {
+		t.Fatal("target still caches the region")
+	}
+	desc := nodes[0].authDescByStart(start)
+	tab := nodes[0].table(desc)
+	pushed, err := nodes[0].pushPages(ctx, target.ID(), tab, desc.Pages(0, desc.Range.Size))
+	if err != nil || pushed != pages {
+		t.Fatalf("pushed %d of %d pages: %v", pushed, pages, err)
+	}
+	for i := uint64(0); i < pages; i++ {
+		page := start.MustAdd(i * 4096)
+		want, _ := entryOf(nodes[0], page)
+		got, ok := storedCopy(target, page)
+		if e, _ := entryOf(target, page); !ok || got[0] != byte(i+1) || e.Version != want.Version {
+			t.Fatalf("page %d on the target: stored %v, byte %d, version %d; want byte %d, version %d", i, ok, got[0], e.Version, i+1, want.Version)
+		}
 	}
 }

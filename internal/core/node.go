@@ -284,21 +284,28 @@ const lockInlinePages = 4
 // cycle creates, so it carries its own small storage, and it is never
 // reused: a second Unlock must find the context freed.
 type LockContext struct {
-	id    uint64
-	rng   gaddr.Range
-	mode  ktypes.LockMode
-	freed bool // guarded by mu
-	// written reports that a Write marked pages dirty (see dirty); it and
-	// dirtyBuf, a small context's marks, ride in the word mode starts.
-	written  bool
+	id uint64
+	// off and size are the locked range, off counted from the region's
+	// start (see Range).
+	off, size uint64
+	mode      ktypes.LockMode
+	freed     bool // guarded by mu
+	// dirtyBuf holds a small context's dirty marks (see dirtyMarks).
 	dirtyBuf [lockInlinePages]bool
 
-	desc  *region.Descriptor
+	desc *region.Descriptor
+	// tab is the region's page table, fixed at the grant. A teardown
+	// during the hold drops it from the directory; the holder still reads
+	// the copies it pinned through it, and Unlock drops them.
+	tab   *pagedir.Table
 	pages []gaddr.Addr
-	// dirtyHeap is the first of a larger context's dirty marks, made by
-	// its first Write. A pointer, not a slice header, keeps the context in
-	// the 288-byte size class the cached-read path allocates.
-	dirtyHeap *bool
+	// dirtyMarks is the first of the context's dirty marks, aligned with
+	// pages and set by its first Write: dirtyBuf for a context of at most
+	// lockInlinePages pages, else a heap array. The context measures 288
+	// bytes, the size class the cached-read path allocates; a []bool
+	// here, or a gaddr.Range in place of off and size, would move it to
+	// the 320-byte class.
+	dirtyMarks *bool
 	// views pins the frames backing outstanding ReadView results; each
 	// entry holds one reference, released at Unlock.
 	views []*frame.Frame
@@ -322,13 +329,10 @@ type LockContext struct {
 // dirty returns the context's dirty set, aligned with pages: the pages a
 // Write touched, nil when none was.
 func (lc *LockContext) dirty() []bool {
-	switch {
-	case !lc.written:
+	if lc.dirtyMarks == nil {
 		return nil
-	case len(lc.pages) <= lockInlinePages:
-		return lc.dirtyBuf[:len(lc.pages)]
 	}
-	return unsafe.Slice(lc.dirtyHeap, len(lc.pages))
+	return unsafe.Slice(lc.dirtyMarks, len(lc.pages))
 }
 
 // ID returns the lock context identifier.
@@ -338,7 +342,9 @@ func (lc *LockContext) ID() uint64 { return lc.id }
 func (lc *LockContext) Mode() ktypes.LockMode { return lc.mode }
 
 // Range returns the locked range.
-func (lc *LockContext) Range() gaddr.Range { return lc.rng }
+func (lc *LockContext) Range() gaddr.Range {
+	return gaddr.Range{Start: lc.desc.Range.Start.MustAdd(lc.off), Size: lc.size}
+}
 
 // Read copies count bytes starting at addr; see Node.Read.
 func (lc *LockContext) Read(addr gaddr.Addr, count uint64) ([]byte, error) {
@@ -682,9 +688,13 @@ func (n *Node) now() int64 {
 // cache must invoke the consistency protocol before victimizing a page).
 // The frame is borrowed for the duration of the call.
 func (n *Node) onDiskEvict(page gaddr.Addr, f *frame.Frame) error {
-	entry, ok := n.dir.Lookup(page)
+	tab := n.dir.Find(page)
+	if tab == nil {
+		return nil
+	}
+	entry, ok := tab.Lookup(page)
 	if !ok || !entry.Dirty {
-		n.dir.Delete(page)
+		tab.Delete(page)
 		return nil
 	}
 	// A dirty page must be pushed home before leaving the node.
@@ -714,8 +724,18 @@ func (n *Node) onDiskEvict(page gaddr.Addr, f *frame.Frame) error {
 	if r, ok := resp.(*wire.UpdateBatchResp); ok && len(r.Errs) > 0 && r.Errs[0] != "" {
 		return fmt.Errorf("core: evict dirty %v: %s", page, r.Errs[0])
 	}
-	n.dir.Delete(page)
+	tab.Delete(page)
 	return nil
+}
+
+// storedFrame returns the page's local copy, held in tab (nil once the
+// page's region was torn down here), with a reference the caller must
+// Release.
+func (n *Node) storedFrame(tab *pagedir.Table, page gaddr.Addr) (*frame.Frame, bool) {
+	if tab == nil {
+		return nil, false
+	}
+	return n.store.GetPage(tab.Touch(page))
 }
 
 // --- consistency.Host implementation --------------------------------------
@@ -783,11 +803,12 @@ func (io mapIO) ReadPage(ctx context.Context, page gaddr.Addr) ([]byte, error) {
 		return nil, err
 	}
 	defer cm.ReleaseBatch(ctx, io.n.mapDesc, pages, ktypes.LockRead, nil)
-	data, ok := io.n.store.GetCopy(page)
+	f, ok := io.n.storedFrame(io.n.table(io.n.mapDesc), page)
 	if !ok {
-		data = make([]byte, addrmap.PageSize)
+		return make([]byte, addrmap.PageSize), nil
 	}
-	return data, nil
+	defer f.Release()
+	return append([]byte(nil), f.Bytes()...), nil
 }
 
 // MutatePage implements addrmap.PageIO. Map mutations run only at the map
@@ -805,8 +826,9 @@ func (io mapIO) MutatePage(ctx context.Context, page gaddr.Addr, fn func([]byte)
 	}
 	var dirty []bool
 	defer func() { cm.ReleaseBatch(ctx, io.n.mapDesc, pages, ktypes.LockWrite, dirty) }()
+	rec := io.n.table(io.n.mapDesc).Touch(page)
 	var f *frame.Frame
-	if got, ok := io.n.store.Get(page); ok {
+	if got, ok := io.n.store.GetPage(rec); ok {
 		// Copy-on-write: the store (and possibly remote readers) share
 		// the frame, so take a private copy before mutating.
 		f = got.Exclusive()
@@ -817,7 +839,7 @@ func (io mapIO) MutatePage(ctx context.Context, page gaddr.Addr, fn func([]byte)
 	if changed, err := fn(f.Bytes()); err != nil || !changed {
 		return err
 	}
-	if err := io.n.store.Put(page, f); err != nil {
+	if err := io.n.store.PutPage(rec, f); err != nil {
 		return err
 	}
 	dirty = []bool{true}

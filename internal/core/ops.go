@@ -232,13 +232,16 @@ func (n *Node) setAllocated(ctx context.Context, start gaddr.Addr, principal kty
 // teardown names no owner (NilNode), and a sharer then forgets the region.
 func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor, newOwner ktypes.NodeID) {
 	bySharer := make(map[ktypes.NodeID][]wire.InvalidateItem)
-	n.table(desc).Each(func(p *pagedir.Page) {
-		for _, sharer := range p.Copyset {
-			if sharer != n.cfg.ID {
-				bySharer[sharer] = append(bySharer[sharer], wire.InvalidateItem{Page: p.Page, Version: p.Version})
+	tab := n.dir.At(desc.Range.Start)
+	if tab != nil {
+		tab.Each(func(p *pagedir.Page) {
+			for _, sharer := range p.Copyset {
+				if sharer != n.cfg.ID {
+					bySharer[sharer] = append(bySharer[sharer], wire.InvalidateItem{Page: p.Page, Version: p.Version})
+				}
 			}
-		}
-	})
+		})
+	}
 	sharers := make([]ktypes.NodeID, 0, len(bySharer))
 	for sharer := range bySharer {
 		sharers = append(sharers, sharer)
@@ -250,17 +253,22 @@ func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor, new
 		//khazana:ignore-err best-effort invalidation during teardown; an unreachable sharer cannot serve the region after the map entry is gone
 		_, _ = n.tr.Request(reqCtx, sharer, &wire.InvalidateBatch{NewOwner: newOwner, Items: bySharer[sharer]})
 	})
-	n.dropTable(desc.Range.Start)
+	if tab != nil && newOwner != ktypes.NilNode {
+		// A Free keeps the region, and so its table and the lock slots of
+		// live holds; every copy goes, a pinned one too, so the next grant
+		// reads zeroes. A teardown's table leaves with the region, in the
+		// forgetRegion that follows.
+		n.clearTable(tab, n.store.DeletePage)
+	}
+	// A page stored on disk but not touched since a restart has no record.
+	for off, ps := uint64(0), uint64(desc.Attrs.PageSize); off < desc.Range.Size; off += ps {
+		n.store.Disk().Delete(desc.Range.Start.MustAdd(off))
+	}
 }
 
-// dropTable discards a region's page table: its pages' local copies in
-// both tiers, directory entries, lock slots and version chains (a
-// snapshot reader keeps the frames it already pinned).
-func (n *Node) dropTable(start gaddr.Addr) {
-	tab := n.dir.Drop(start)
-	if tab == nil {
-		return
-	}
+// clearTable discards the directory entries and version chains of tab's
+// pages, and their local copies through drop; the lock slots stay.
+func (n *Node) clearTable(tab *pagedir.Table, drop func(*pagedir.Page)) {
 	var recs []*pagedir.Page
 	tab.Each(func(p *pagedir.Page) {
 		if p.Chain != nil {
@@ -270,7 +278,8 @@ func (n *Node) dropTable(start gaddr.Addr) {
 		recs = append(recs, p)
 	})
 	for _, p := range recs {
-		n.store.DeletePage(p)
+		tab.Delete(p.Page)
+		drop(p)
 	}
 }
 
@@ -353,9 +362,9 @@ func (n *Node) Lock(ctx context.Context, rng gaddr.Range, mode ktypes.LockMode, 
 	// span roots the trace (or extends a remote caller's); every RPC below
 	// inherits its context through the transport envelope. Its duration is
 	// the grant latency, so one clock read at each end feeds both.
-	lc := &LockContext{rng: rng, mode: mode, node: n}
+	lc := &LockContext{mode: mode, node: n}
 	ctx, fl := telemetry.StartSpanIn(ctx, &lc.lockSpan, n.rec, uint32(n.cfg.ID), "op.lock")
-	err := n.grant(ctx, lc, principal)
+	err := n.grant(ctx, lc, rng, principal)
 	took := fl.Finish()
 	if err != nil {
 		return nil, err
@@ -364,10 +373,10 @@ func (n *Node) Lock(ctx context.Context, rng gaddr.Range, mode ktypes.LockMode, 
 	return lc, nil
 }
 
-// grant resolves lc's region, acquires and pins its pages and registers
-// the context; on error nothing stays held.
-func (n *Node) grant(ctx context.Context, lc *LockContext, principal ktypes.Principal) error {
-	rng, mode := lc.rng, lc.mode
+// grant resolves the region of rng, acquires and pins its pages for lc and
+// registers the context; on error nothing stays held.
+func (n *Node) grant(ctx context.Context, lc *LockContext, rng gaddr.Range, principal ktypes.Principal) error {
+	mode := lc.mode
 	n.trace("1:obtain-region-descriptor")
 	desc, err := n.lookupRegion(ctx, rng.Start)
 	if err != nil {
@@ -415,7 +424,9 @@ func (n *Node) grant(ctx context.Context, lc *LockContext, principal ktypes.Prin
 	n.trace("11:lock-granted")
 
 	lc.id = n.nextLID.Add(1)
+	lc.off, lc.size = off, rng.Size
 	lc.desc = desc
+	lc.tab = tab
 	lc.pages = pages
 	lc.views = lc.viewBuf[:0]
 	ls := n.lockShardFor(lc.id)
@@ -634,7 +645,7 @@ func (n *Node) Read(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte, err
 	if count == 0 {
 		return nil, nil
 	}
-	if !lc.rng.ContainsRange(gaddr.Range{Start: addr, Size: count}) {
+	if !lc.Range().ContainsRange(gaddr.Range{Start: addr, Size: count}) {
 		return nil, ErrOutOfRange
 	}
 	//khazana:block-ok lc.mu is per lock context; a disk-tier promotion under it stalls only this context's own callers (§3.4 tiered store)
@@ -646,7 +657,6 @@ func (n *Node) Read(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte, err
 func (n *Node) readLocked(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte, error) {
 	out := make([]byte, count)
 	ps := uint64(lc.desc.Attrs.PageSize)
-	tab := n.table(lc.desc)
 	for covered := uint64(0); covered < count; {
 		cur := addr.MustAdd(covered)
 		page := cur.AlignDown(ps)
@@ -655,7 +665,7 @@ func (n *Node) readLocked(lc *LockContext, addr gaddr.Addr, count uint64) ([]byt
 		if chunk > count-covered {
 			chunk = count - covered
 		}
-		f, ok := n.store.GetPage(tab.Touch(page))
+		f, ok := n.store.GetPage(lc.tab.Touch(page))
 		if ok {
 			copy(out[covered:covered+chunk], f.Bytes()[pageOff:])
 			f.Release()
@@ -686,7 +696,7 @@ func (n *Node) ReadView(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte,
 	if count == 0 {
 		return nil, nil
 	}
-	if !lc.rng.ContainsRange(gaddr.Range{Start: addr, Size: count}) {
+	if !lc.Range().ContainsRange(gaddr.Range{Start: addr, Size: count}) {
 		return nil, ErrOutOfRange
 	}
 	// One plain increment (batched to the registry at Unlock) is the
@@ -701,7 +711,7 @@ func (n *Node) ReadView(lc *LockContext, addr gaddr.Addr, count uint64) ([]byte,
 	}
 	page := addr.AlignDown(ps)
 	//khazana:block-ok lc.mu is per lock context; a disk-tier promotion under it stalls only this context's own callers (§3.4 tiered store)
-	f, ok := n.store.GetPage(n.table(lc.desc).Touch(page))
+	f, ok := n.store.GetPage(lc.tab.Touch(page))
 	if !ok {
 		// Never written: an allocated page reads as zeroes.
 		f = frame.AllocZero(int(ps))
@@ -734,11 +744,11 @@ func (n *Node) Write(lc *LockContext, addr gaddr.Addr, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	if !lc.rng.ContainsRange(gaddr.Range{Start: addr, Size: uint64(len(data))}) {
+	if !lc.Range().ContainsRange(gaddr.Range{Start: addr, Size: uint64(len(data))}) {
 		return ErrOutOfRange
 	}
 	ps := uint64(lc.desc.Attrs.PageSize)
-	tab := n.table(lc.desc)
+	tab := lc.tab
 	for covered := uint64(0); covered < uint64(len(data)); {
 		cur := addr.MustAdd(covered)
 		page := cur.AlignDown(ps)
@@ -770,10 +780,10 @@ func (n *Node) Write(lc *LockContext, addr gaddr.Addr, data []byte) error {
 		if err != nil {
 			return err
 		}
-		if !lc.written {
-			lc.written = true
+		if lc.dirtyMarks == nil {
+			lc.dirtyMarks = &lc.dirtyBuf[0]
 			if len(lc.pages) > lockInlinePages {
-				lc.dirtyHeap = &make([]bool, len(lc.pages))[0]
+				lc.dirtyMarks = &make([]bool, len(lc.pages))[0]
 			}
 		}
 		// Pages are consecutive from lc.pages[0].
@@ -827,7 +837,7 @@ func (n *Node) Unlock(ctx context.Context, lc *LockContext) error {
 	// background-retry queue, and their Dirty mark stays so the storage
 	// system will not discard them before the retried release delivers
 	// them (§3.4).
-	dirtySet, tab := lc.dirty(), n.table(lc.desc)
+	dirtySet, tab := lc.dirty(), lc.tab
 	errs := cm.ReleaseBatch(ctx, lc.desc, lc.pages, lc.mode, dirtySet)
 	for i, page := range lc.pages {
 		dirty := dirtySet != nil && dirtySet[i]
@@ -840,7 +850,13 @@ func (n *Node) Unlock(ctx context.Context, lc *LockContext) error {
 		} else if dirty {
 			tab.Update(page, func(e *pagedir.Entry) { e.Dirty = false })
 		}
-		_ = n.store.Unpin(tab.Touch(page))
+		p := tab.Touch(page)
+		_ = n.store.Unpin(p)
+		if tab.Dropped() {
+			// The region was torn down during the hold: the copy kept for
+			// this holder goes with its last pin.
+			n.store.Mem().DeleteUnpinned(p)
+		}
 	}
 	n.mReleaseLatency.Observe(uint64(fl.Finish()))
 	return nil

@@ -64,7 +64,7 @@ func TestPartitionDuringInvalidationStaysConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// n3 still holds the stale bytes locally...
-	if data, ok := nodes[2].Store().GetCopy(start); !ok || string(data[:2]) != "v1" {
+	if data, ok := storedCopy(nodes[2], start); !ok || string(data[:2]) != "v1" {
 		t.Fatalf("expected stale local copy at n3, got %q, %v", data[:2], ok)
 	}
 	// ...but a locked read after the heal observes v2 (the lock goes
@@ -104,7 +104,7 @@ func TestPartitionedSharerPrunedFromCopyset(t *testing.T) {
 		}
 		_ = n.Unlock(ctx, rlc)
 	}
-	entry, _ := nodes[0].PageDir().Lookup(start)
+	entry, _ := entryOf(nodes[0], start)
 	if !entry.InCopyset(3) || !entry.InCopyset(4) {
 		t.Fatalf("sharers missing from copyset before the cut: %v", entry.Copyset)
 	}
@@ -116,7 +116,7 @@ func TestPartitionedSharerPrunedFromCopyset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, _ = nodes[0].PageDir().Lookup(start)
+	entry, _ = entryOf(nodes[0], start)
 	if entry.InCopyset(3) || entry.InCopyset(4) {
 		t.Fatalf("stale sharers survived the write grant: %v", entry.Copyset)
 	}
@@ -127,7 +127,7 @@ func TestPartitionedSharerPrunedFromCopyset(t *testing.T) {
 	if err := nodes[1].Unlock(ctx, wlc); err != nil {
 		t.Fatal(err)
 	}
-	entry, _ = nodes[0].PageDir().Lookup(start)
+	entry, _ = entryOf(nodes[0], start)
 	if entry.InCopyset(3) {
 		t.Fatalf("partitioned sharer crept back into the copyset: %v", entry.Copyset)
 	}
@@ -144,7 +144,7 @@ func TestPartitionedSharerPrunedFromCopyset(t *testing.T) {
 	if string(got) != "v2" {
 		t.Fatalf("read after heal = %q, want v2", got)
 	}
-	entry, _ = nodes[0].PageDir().Lookup(start)
+	entry, _ = entryOf(nodes[0], start)
 	if !entry.InCopyset(3) {
 		t.Fatalf("healed sharer should rejoin the copyset: %v", entry.Copyset)
 	}

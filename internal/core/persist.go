@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 
 	"khazana/internal/enc"
+	"khazana/internal/gaddr"
+	"khazana/internal/pagedir"
 	"khazana/internal/region"
 )
 
@@ -76,12 +78,13 @@ func (n *Node) saveRegions() error {
 	return os.Rename(tmp, path)
 }
 
-// restore reloads persisted metadata, if present.
+// restore reloads persisted metadata, if present. Regions come first: the
+// restored page entries go into their regions' page tables.
 func (n *Node) restore() error {
-	if err := n.restorePagedir(); err != nil {
+	if err := n.restoreRegions(); err != nil {
 		return err
 	}
-	if err := n.restoreRegions(); err != nil {
+	if err := n.restorePagedir(); err != nil {
 		return err
 	}
 	return n.repl.Load()
@@ -96,8 +99,20 @@ func (n *Node) restorePagedir() error {
 		return fmt.Errorf("core: restore pagedir: %w", err)
 	}
 	defer f.Close()
-	if err := n.dir.LoadFrom(f); err != nil {
+	if err := n.dir.LoadFrom(f, n.homedTable); err != nil {
 		return fmt.Errorf("core: restore pagedir: %w", err)
+	}
+	return nil
+}
+
+// homedTable returns the page table of the region homed here that holds
+// page, the map region included, or nil.
+func (n *Node) homedTable(page gaddr.Addr) *pagedir.Table {
+	if n.mapDesc.Range.Contains(page) {
+		return n.table(n.mapDesc)
+	}
+	if d := n.authDesc(page); d != nil {
+		return n.table(d)
 	}
 	return nil
 }

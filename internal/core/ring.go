@@ -116,7 +116,11 @@ func (n *Node) announceTo(ctx context.Context, owners []ktypes.NodeID, desc *reg
 func (n *Node) forgetRegion(start gaddr.Addr) {
 	n.rdir.Remove(start)
 	n.ringTable.Destroy(start)
-	n.dropTable(start)
+	// A copy pinned by a live lock context stays in RAM for its holder,
+	// whose Unlock drops it (LockContext.tab).
+	if tab := n.dir.Drop(start); tab != nil {
+		n.clearTable(tab, n.store.Discard)
+	}
 }
 
 // ringDestroy tells a destroyed region's bucket owners to forget it. Like

@@ -128,8 +128,7 @@ func (e *Entry) setCopyset(drop func(ktypes.NodeID) bool, add ...ktypes.NodeID) 
 
 // Dir is a node's page directory: the page tables of the regions this
 // node has touched, indexed by region start, so a batch finds its table
-// once and reaches every page by arithmetic. An address outside every
-// registered region gets a one-page table of its own.
+// once and reaches every page by arithmetic.
 type Dir struct {
 	idx *region.Index[*Table]
 	// last is the table Table returned most recently: a node's operations
@@ -142,51 +141,34 @@ type Dir struct {
 func New() *Dir { return &Dir{idx: region.NewIndex[*Table](0)} }
 
 // Table returns the page table of the region [start, start+size) with
-// the given page size, making it on the region's first touch.
+// the given page size, making it on the region's first touch. A table
+// left at start by a region of another size is dropped and replaced.
 func (d *Dir) Table(start gaddr.Addr, size, pageSize uint64) *Table {
 	if t := d.last.Load(); t != nil && t.start == start && t.size == size && !t.dropped.Load() {
 		return t
 	}
-	var t, replaced *Table
-	made := false
+	var t *Table
 	d.idx.Update(start, func(old *Table, ok bool) (*Table, bool) {
 		if t = old; !ok || old.size != size {
-			t, made = newTable(start, size, pageSize), true
 			if ok {
-				replaced = old
+				old.dropped.Store(true)
 			}
+			t = newTable(start, size, pageSize)
 		}
 		return t, true
 	})
-	if made {
-		t.adopt(replaced)
-		for last := t.start.MustAdd(t.size - 1); ; {
-			o, _ := d.idx.Floor(last, nil)
-			if o == nil || o == t {
-				break
-			}
-			d.idx.Delete(o.start)
-			t.adopt(o)
-		}
-	}
 	d.last.Store(t)
 	return t
 }
 
-// adopt moves into t the records of o, a table that lay inside t's range:
-// a one-page table its page got before the region was known here.
-func (t *Table) adopt(o *Table) {
-	if o == nil {
-		return
+// At returns the table starting at start, or nil; it never makes one.
+// Release paths use it, so nothing brings back a dropped region's table.
+func (d *Dir) At(start gaddr.Addr) *Table {
+	if t := d.last.Load(); t != nil && t.start == start && !t.dropped.Load() {
+		return t
 	}
-	o.dropped.Store(true)
-	o.Each(func(p *Page) {
-		t.mu.Lock()
-		if s, _ := t.slot(p.Page, true); s != nil && s.Load() == nil {
-			s.Store(p)
-		}
-		t.mu.Unlock()
-	})
+	t, _ := d.idx.Get(start)
+	return t
 }
 
 // Find returns the table covering page, or nil.
@@ -194,27 +176,6 @@ func (d *Dir) Find(page gaddr.Addr) *Table {
 	t, _ := d.idx.Floor(page, func(t *Table) bool { return t.covers(page) })
 	return t
 }
-
-// touch returns page's table, giving a page outside every region a
-// one-page table.
-func (d *Dir) touch(page gaddr.Addr) *Table {
-	if t := d.Find(page); t != nil {
-		return t
-	}
-	return d.Table(page, 1, 1)
-}
-
-// Rec returns page's record, or nil if the page was never touched.
-func (d *Dir) Rec(page gaddr.Addr) *Page {
-	if t := d.Find(page); t != nil {
-		return t.Rec(page)
-	}
-	return nil
-}
-
-// Touch returns page's record, making it (and, outside every region, a
-// one-page table) on first touch.
-func (d *Dir) Touch(page gaddr.Addr) *Page { return d.touch(page).Touch(page) }
 
 // Drop removes the table starting at start and returns it, or nil.
 func (d *Dir) Drop(start gaddr.Addr) *Table {
@@ -234,25 +195,6 @@ func (d *Dir) Tables() []*Table {
 	var out []*Table
 	d.idx.Range(func(_ gaddr.Addr, t *Table) { out = append(out, t) })
 	return out
-}
-
-// Lookup returns a copy of the entry for the page. Its Copyset is the
-// stored slice, shared and read-only.
-func (d *Dir) Lookup(page gaddr.Addr) (Entry, bool) {
-	if t := d.Find(page); t != nil {
-		return t.Lookup(page)
-	}
-	return Entry{}, false
-}
-
-// Update atomically mutates (creating if needed) the entry for page.
-func (d *Dir) Update(page gaddr.Addr, fn func(*Entry)) { d.touch(page).Update(page, fn) }
-
-// Delete removes the entry for page.
-func (d *Dir) Delete(page gaddr.Addr) {
-	if t := d.Find(page); t != nil {
-		t.Delete(page)
-	}
 }
 
 // entries calls fn on every listed entry, under its table's mutex.
@@ -320,9 +262,10 @@ func (d *Dir) SaveTo(w io.Writer) error {
 	return err
 }
 
-// LoadFrom restores entries written by SaveTo, merging them into the
-// directory as locally homed pages.
-func (d *Dir) LoadFrom(r io.Reader) error {
+// LoadFrom restores entries written by SaveTo as locally homed pages,
+// each into the table tableOf returns for it; an entry tableOf has no
+// table for (its region is no longer homed here) is dropped.
+func (d *Dir) LoadFrom(r io.Reader, tableOf func(page gaddr.Addr) *Table) error {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("pagedir: read: %w", err)
@@ -352,7 +295,9 @@ func (d *Dir) LoadFrom(r io.Reader) error {
 		return fmt.Errorf("pagedir: %w", err)
 	}
 	for _, ent := range entries {
-		d.Update(ent.Page, func(e *Entry) { *e = ent })
+		if t := tableOf(ent.Page); t != nil {
+			t.Update(ent.Page, func(e *Entry) { *e = ent })
+		}
 	}
 	return nil
 }

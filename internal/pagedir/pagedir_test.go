@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -16,15 +17,27 @@ import (
 
 func pg(n uint64) gaddr.Addr { return gaddr.FromUint64(n * 0x1000) }
 
-func TestLookupAbsent(t *testing.T) {
+// testDir is a directory whose one table spans every test page: entry
+// calls reach the table, directory-wide ones the directory.
+type testDir struct {
+	*Dir
+	*Table
+}
+
+func newTestDir() testDir {
 	d := New()
+	return testDir{d, d.Table(gaddr.Zero, 1<<32, 0x1000)}
+}
+
+func TestLookupAbsent(t *testing.T) {
+	d := newTestDir()
 	if _, ok := d.Lookup(pg(1)); ok {
 		t.Fatal("absent entry found")
 	}
 }
 
 func TestUpdateCreatesAndMutates(t *testing.T) {
-	d := New()
+	d := newTestDir()
 	d.Update(pg(1), func(e *Entry) {
 		e.State = Owned
 		e.Owner = 3
@@ -48,7 +61,7 @@ func TestUpdateCreatesAndMutates(t *testing.T) {
 // without copying it, and because AddSharer and RemoveSharer publish a new
 // slice, a copyset already handed out never changes.
 func TestLookupSharesPublishedCopyset(t *testing.T) {
-	d := New()
+	d := newTestDir()
 	d.Update(pg(1), func(e *Entry) {
 		e.AddSharer(2)
 		e.AddSharer(3)
@@ -91,7 +104,7 @@ func TestLookupSharesPublishedCopyset(t *testing.T) {
 // in-place write to a published slice is reported; without it, a reader
 // that sees its copyset change after the lookup fails the test.
 func TestCopysetReadersRaceWriters(t *testing.T) {
-	d := New()
+	d := newTestDir()
 	const pages = 4
 	stop := make(chan struct{})
 	var readers, writers sync.WaitGroup
@@ -153,7 +166,7 @@ func TestCopysetReadersRaceWriters(t *testing.T) {
 func TestCopysetModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		d := New()
+		d := newTestDir()
 		const pages = 3
 		model := make([]map[ktypes.NodeID]bool, pages)
 		for i := range model {
@@ -217,7 +230,7 @@ func TestCopysetModel(t *testing.T) {
 // read grant re-adding it swap between the two copysets, so after the first
 // round neither move allocates.
 func TestCopysetPingPongNoAlloc(t *testing.T) {
-	d := New()
+	d := newTestDir()
 	d.Update(pg(1), func(e *Entry) {
 		e.AddSharer(1)
 		e.AddSharer(2)
@@ -258,7 +271,7 @@ func TestCopysetOps(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	d := New()
+	d := newTestDir()
 	d.Update(pg(1), func(e *Entry) {})
 	d.Delete(pg(1))
 	if _, ok := d.Lookup(pg(1)); ok {
@@ -270,7 +283,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestPagesAndHomedPages(t *testing.T) {
-	d := New()
+	d := newTestDir()
 	d.Update(pg(1), func(e *Entry) { e.HomedLocal = true })
 	d.Update(pg(2), func(e *Entry) {})
 	d.Update(pg(3), func(e *Entry) { e.HomedLocal = true })
@@ -289,7 +302,7 @@ func TestPagesAndHomedPages(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	d := New()
+	d := newTestDir()
 	d.Update(pg(1), func(e *Entry) {
 		e.HomedLocal = true
 		e.State = Owned
@@ -306,8 +319,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := d.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2 := New()
-	if err := d2.LoadFrom(&buf); err != nil {
+	d2 := newTestDir()
+	if err := d2.LoadFrom(&buf, d2.Find); err != nil {
 		t.Fatal(err)
 	}
 	if d2.Len() != 1 {
@@ -324,28 +337,28 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	d := New()
-	if err := d.LoadFrom(bytes.NewReader([]byte("not a pagedir"))); err == nil {
+	d := newTestDir()
+	if err := d.LoadFrom(bytes.NewReader([]byte("not a pagedir")), d.Find); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if err := d.LoadFrom(bytes.NewReader(nil)); err == nil {
+	if err := d.LoadFrom(bytes.NewReader(nil), d.Find); err == nil {
 		t.Fatal("empty input accepted")
 	}
 	// Truncated valid prefix.
-	src := New()
+	src := newTestDir()
 	src.Update(pg(1), func(e *Entry) { e.HomedLocal = true })
 	var buf bytes.Buffer
 	_ = src.SaveTo(&buf)
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		if err := New().LoadFrom(bytes.NewReader(full[:cut])); err == nil {
+		if err := d.LoadFrom(bytes.NewReader(full[:cut]), d.Find); err == nil {
 			t.Fatalf("cut=%d accepted", cut)
 		}
 	}
 }
 
 func TestConcurrentUpdates(t *testing.T) {
-	d := New()
+	d := newTestDir()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -371,7 +384,7 @@ func TestConcurrentUpdates(t *testing.T) {
 // values.
 func TestQuickPersistRoundTrip(t *testing.T) {
 	f := func(pagesSeed []uint16, version uint64, stamp int64, dirty bool) bool {
-		d := New()
+		d := newTestDir()
 		seen := make(map[gaddr.Addr]bool)
 		for _, s := range pagesSeed {
 			p := pg(uint64(s))
@@ -388,8 +401,8 @@ func TestQuickPersistRoundTrip(t *testing.T) {
 		if d.SaveTo(&buf) != nil {
 			return false
 		}
-		d2 := New()
-		if d2.LoadFrom(&buf) != nil {
+		d2 := newTestDir()
+		if d2.LoadFrom(&buf, d2.Find) != nil {
 			return false
 		}
 		if d2.Len() != len(seen) {
@@ -428,17 +441,22 @@ func TestPageTableFirstTouchAllocGate(t *testing.T) {
 	for i := 0; i < 4; i++ { // size the index
 		d.Drop(region().Start())
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	// The least of three rounds: an allocation the runtime makes in the
+	// background lands in one round, not in all three.
 	const cycles = 100
-	for i := 0; i < cycles; i++ {
-		tab := region()
-		tab.Update(tab.Start(), func(e *Entry) { e.Version++ })
-		d.Drop(tab.Start())
+	objects, bytes := math.Inf(1), math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			tab := region()
+			tab.Update(tab.Start(), func(e *Entry) { e.Version++ })
+			d.Drop(tab.Start())
+		}
+		runtime.ReadMemStats(&after)
+		objects = math.Min(objects, float64(after.Mallocs-before.Mallocs)/cycles)
+		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/cycles)
 	}
-	runtime.ReadMemStats(&after)
-	objects := float64(after.Mallocs-before.Mallocs) / cycles
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / cycles
 	t.Logf("first touch of a 16-page region: %.2f objects, %.0f B", objects, bytes)
 	if objects > 3 || bytes > 400 {
 		t.Fatalf("first touch of a 16-page region allocates %.2f objects and %.0f B, budget is 3 and 400", objects, bytes)
@@ -451,25 +469,5 @@ func TestPageTableFirstTouchAllocGate(t *testing.T) {
 	i := uint64(0)
 	if n := testing.AllocsPerRun(10, func() { i++; tab.Touch(tab.Start().MustAdd(i * ps)) }); n != 1 {
 		t.Fatalf("first touch of a further page allocates %.1f objects, want 1", n)
-	}
-}
-
-// TestPageTableAdoptsEarlierEntries: entries made before their region's
-// table (a restored directory, a standalone store) live in one-page
-// tables, and the region's table takes them over when it is made,
-// including the one at the region's own start.
-func TestPageTableAdoptsEarlierEntries(t *testing.T) {
-	d := New()
-	for _, n := range []uint64{1, 3} {
-		d.Update(pg(n), func(e *Entry) { e.Version = n * 10 })
-	}
-	tab := d.Table(pg(1), 4*0x1000, 0x1000)
-	for _, n := range []uint64{1, 3} {
-		if e, ok := d.Lookup(pg(n)); !ok || e.Version != n*10 || d.Find(pg(n)) != tab {
-			t.Fatalf("page %d after its region's table was made: %+v (found %v)", n, e, ok)
-		}
-	}
-	if got := len(d.Tables()); got != 1 {
-		t.Fatalf("%d tables, want the region's alone", got)
 	}
 }

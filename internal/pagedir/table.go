@@ -95,6 +95,10 @@ func newTable(start gaddr.Addr, size, pageSize uint64) *Table {
 // Start returns the first address the table covers.
 func (t *Table) Start() gaddr.Addr { return t.start }
 
+// Dropped reports whether the table was taken out of its directory: its
+// region was torn down here.
+func (t *Table) Dropped() bool { return t.dropped.Load() }
+
 // slot returns page's slot and the address of its page, making the
 // slot's chunk when create is set (under mu); nil when page lies outside
 // the table or its chunk is absent.
@@ -279,10 +283,19 @@ func (t *Table) Acquire(ctx context.Context, page gaddr.Addr, mode ktypes.LockMo
 	}
 }
 
-// TryRelease drops a lock if it is held, reporting whether it was. A
-// release may legitimately find no hold: a retried release reaching a
-// freshly promoted home after failover (§3.5), or one whose region was
-// torn down, and its table with it, during the hold.
+// Release drops a lock the caller holds in mode. Releasing a lock that is
+// not held panics: it is a programming error in the daemon, not a runtime
+// condition.
+func (t *Table) Release(page gaddr.Addr, mode ktypes.LockMode) {
+	if !t.TryRelease(page, mode) {
+		panic(fmt.Sprintf("pagedir: release of unheld %v lock on page %v", mode, page))
+	}
+}
+
+// TryRelease drops a lock if it is held, reporting whether it was. The
+// release that may legitimately find no hold, a retried one reaching a
+// home promoted after failover (§3.5), does the same under With
+// (Page.Unlock).
 func (t *Table) TryRelease(page gaddr.Addr, mode ktypes.LockMode) bool {
 	p := t.Rec(page)
 	if p == nil {
@@ -306,6 +319,10 @@ func (t *Table) Readers(page gaddr.Addr) int { return int(t.lockOf(page).readers
 
 // Waiters returns the number of goroutines parked on page's lock.
 func (t *Table) Waiters(page gaddr.Addr) int { return int(t.lockOf(page).waiters) }
+
+// Gated reports whether page's lock has a gate, which exists only while
+// a waiter is parked on it.
+func (t *Table) Gated(page gaddr.Addr) bool { return t.lockOf(page).gate != nil }
 
 // Held reports whether any lock is held on page.
 func (t *Table) Held(page gaddr.Addr) bool { return t.lockOf(page).held() }

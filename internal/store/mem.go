@@ -80,10 +80,27 @@ func newMemStore(dir *pagedir.Dir, capacity int, onEvict EvictFunc) *MemStore {
 // Get returns the page's frame with a reference the caller must Release.
 // The frame is shared: treat its contents as immutable.
 func (s *MemStore) Get(page gaddr.Addr) (*frame.Frame, bool) {
-	if p := s.dir.Rec(page); p != nil {
+	if p := s.rec(page, false); p != nil {
 		return s.GetPage(p)
 	}
 	return nil, false
+}
+
+// rec returns page's record for the address-keyed Get and Put: the one in
+// the page table covering page, made when create is set. A daemon keeps
+// every page in its region's table; a store used on its own gives a page
+// outside every table a one-page table.
+func (s *MemStore) rec(page gaddr.Addr, create bool) *pagedir.Page {
+	t := s.dir.Find(page)
+	switch {
+	case t != nil && create:
+		return t.Touch(page)
+	case t != nil:
+		return t.Rec(page)
+	case create:
+		return s.dir.Table(page, 1, 1).Touch(page)
+	}
+	return nil
 }
 
 // GetPage is Get by record.
@@ -101,23 +118,11 @@ func (s *MemStore) GetPage(p *pagedir.Page) (*frame.Frame, bool) {
 	return p.Mem.Frame.Retain(), true
 }
 
-// GetCopy returns a private copy of the page's contents, for callers
-// that want plain bytes free of the frame lifetime rules.
-func (s *MemStore) GetCopy(page gaddr.Addr) ([]byte, bool) {
-	f, ok := s.Get(page)
-	if !ok {
-		return nil, false
-	}
-	out := append([]byte(nil), f.Bytes()...)
-	f.Release()
-	return out, true
-}
-
 // Put stores the frame for the page, victimizing the LRU unpinned page
 // if the store is full. The frame is borrowed: the store takes its own
 // reference and the caller keeps (and still owns) its reference.
 func (s *MemStore) Put(page gaddr.Addr, f *frame.Frame) error {
-	return s.PutPage(s.dir.Touch(page), f)
+	return s.PutPage(s.rec(page, true), f)
 }
 
 // PutPage is Put by record.
@@ -139,15 +144,6 @@ func (s *MemStore) PutPage(p *pagedir.Page, f *frame.Frame) error {
 		s.n++
 	}
 	return nil
-}
-
-// PutBytes stores a copy of data for the page (convenience wrapper over
-// Put for callers holding plain bytes).
-func (s *MemStore) PutBytes(page gaddr.Addr, data []byte) error {
-	f := frame.Copy(data)
-	err := s.Put(page, f)
-	f.Release()
-	return err
 }
 
 // SetReclaimer installs the version-chain give-back hook (see the
@@ -186,14 +182,7 @@ func (s *MemStore) dropLocked(p *pagedir.Page) {
 	s.n--
 }
 
-// Delete drops the page if present.
-func (s *MemStore) Delete(page gaddr.Addr) {
-	if p := s.dir.Rec(page); p != nil {
-		s.DeletePage(p)
-	}
-}
-
-// DeletePage is Delete by record.
+// DeletePage drops the page's RAM copy if present, pinned or not.
 func (s *MemStore) DeletePage(p *pagedir.Page) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -243,9 +232,10 @@ func (s *MemStore) Unpin(p *pagedir.Page) error {
 	return nil
 }
 
-// Contains reports residency without touching LRU state.
-func (s *MemStore) Contains(page gaddr.Addr) bool {
-	p := s.dir.Rec(page)
+// resident reports whether the page has a RAM copy, without touching
+// its recency.
+func (s *MemStore) resident(page gaddr.Addr) bool {
+	p := s.rec(page, false)
 	if p == nil {
 		return false
 	}
@@ -263,9 +253,19 @@ func (s *MemStore) Len() int {
 
 // Pages returns the resident page addresses.
 func (s *MemStore) Pages() []gaddr.Addr {
+	recs := s.residents()
+	out := make([]gaddr.Addr, len(recs))
+	for i, p := range recs {
+		out[i] = p.Page
+	}
+	return out
+}
+
+// residents returns the records of the resident pages.
+func (s *MemStore) residents() []*pagedir.Page {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]gaddr.Addr, 0, s.n)
-	s.lru.Each(func(p *pagedir.Page) { out = append(out, p.Page) })
+	out := make([]*pagedir.Page, 0, s.n)
+	s.lru.Each(func(p *pagedir.Page) { out = append(out, p) })
 	return out
 }

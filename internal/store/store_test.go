@@ -8,27 +8,53 @@ import (
 
 	"khazana/internal/frame"
 	"khazana/internal/gaddr"
+	"khazana/internal/pagedir"
 )
 
 func page(n uint64) gaddr.Addr { return gaddr.FromUint64(n * 0x1000) }
 
+// putBytes stores a copy of data for the page.
+func putBytes(s interface {
+	Put(gaddr.Addr, *frame.Frame) error
+}, page gaddr.Addr, data []byte) error {
+	f := frame.Copy(data)
+	err := s.Put(page, f)
+	f.Release()
+	return err
+}
+
+// getCopy returns a private copy of the page's contents.
+func getCopy(s *MemStore, page gaddr.Addr) ([]byte, bool) {
+	f, ok := s.Get(page)
+	if !ok {
+		return nil, false
+	}
+	out := append([]byte(nil), f.Bytes()...)
+	f.Release()
+	return out, true
+}
+
+// rec returns the page's record in the store's directory, made on first
+// touch.
+func rec(s *MemStore, page gaddr.Addr) *pagedir.Page { return s.rec(page, true) }
+
 func TestMemPutGet(t *testing.T) {
 	s := NewMemStore(10, nil)
-	if err := s.PutBytes(page(1), []byte("hello")); err != nil {
+	if err := putBytes(s, page(1), []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.GetCopy(page(1))
+	got, ok := getCopy(s, page(1))
 	if !ok || string(got) != "hello" {
 		t.Fatalf("Get = %q, %v", got, ok)
 	}
-	if _, ok := s.GetCopy(page(2)); ok {
+	if _, ok := getCopy(s, page(2)); ok {
 		t.Fatal("absent page found")
 	}
 	// Overwrite.
-	if err := s.PutBytes(page(1), []byte("world")); err != nil {
+	if err := putBytes(s, page(1), []byte("world")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = s.GetCopy(page(1))
+	got, _ = getCopy(s, page(1))
 	if string(got) != "world" {
 		t.Fatalf("after overwrite = %q", got)
 	}
@@ -57,11 +83,11 @@ func TestMemGetSharesFrame(t *testing.T) {
 	g.Release()
 	f.Release()
 	// A caller that wants private bytes copies explicitly.
-	c, _ := s.GetCopy(page(1))
+	c, _ := getCopy(s, page(1))
 	c[0] = 'X'
-	again, _ := s.GetCopy(page(1))
+	again, _ := getCopy(s, page(1))
 	if string(again) != "data" {
-		t.Fatal("GetCopy aliased the store's frame")
+		t.Fatal("a private copy aliased the store's frame")
 	}
 }
 
@@ -76,7 +102,7 @@ func TestMemPutReleasesOverwrittenFrame(t *testing.T) {
 	}
 	f1.Release()
 	f2.Release()
-	if got, _ := s.GetCopy(page(1)); string(got) != "two" {
+	if got, _ := getCopy(s, page(1)); string(got) != "two" {
 		t.Fatalf("after overwrite = %q", got)
 	}
 }
@@ -85,7 +111,7 @@ func TestMemDeleteReleasesFrame(t *testing.T) {
 	s := NewMemStore(10, nil)
 	f := frame.Copy([]byte{1})
 	_ = s.Put(page(1), f)
-	s.Delete(page(1))
+	s.DeletePage(rec(s, page(1)))
 	if f.Refs() != 1 {
 		t.Fatalf("after Delete Refs = %d, want 1 (caller only)", f.Refs())
 	}
@@ -98,7 +124,7 @@ func TestMemDeleteReleasesFrame(t *testing.T) {
 func TestMemStorePutNoAlloc(t *testing.T) {
 	s := NewMemStore(16, nil)
 	for i := uint64(0); i < 4; i++ {
-		if err := s.PutBytes(page(100+i), []byte{byte(i)}); err != nil {
+		if err := putBytes(s, page(100+i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +137,7 @@ func TestMemStorePutNoAlloc(t *testing.T) {
 			}
 		}
 		for i := uint64(0); i < 8; i++ {
-			s.Delete(page(i))
+			s.DeletePage(rec(s, page(i)))
 		}
 	})
 	if avg != 0 {
@@ -126,19 +152,19 @@ func TestMemLRUEviction(t *testing.T) {
 		return nil
 	})
 	for i := uint64(1); i <= 3; i++ {
-		_ = s.PutBytes(page(i), []byte{byte(i)})
+		_ = putBytes(s, page(i), []byte{byte(i)})
 	}
 	// Touch page 1 so page 2 is LRU.
 	if f, ok := s.Get(page(1)); ok {
 		f.Release()
 	}
-	if err := s.PutBytes(page(4), []byte{4}); err != nil {
+	if err := putBytes(s, page(4), []byte{4}); err != nil {
 		t.Fatal(err)
 	}
 	if len(evicted) != 1 || evicted[0] != page(2) {
 		t.Fatalf("evicted = %v, want [page 2]", evicted)
 	}
-	if s.Contains(page(2)) {
+	if s.resident(page(2)) {
 		t.Fatal("victim still resident")
 	}
 	if s.Len() != 3 {
@@ -154,17 +180,17 @@ func TestMemUnpinRefreshesRecency(t *testing.T) {
 		evicted = append(evicted, p)
 		return nil
 	})
-	_ = s.PutBytes(page(1), []byte{1})
-	s.Pin(s.dir.Touch(page(1)))
+	_ = putBytes(s, page(1), []byte{1})
+	s.Pin(rec(s, page(1)))
 	if f, ok := s.Get(page(1)); ok {
 		f.Release()
 	}
-	_ = s.PutBytes(page(2), []byte{2})
-	_ = s.PutBytes(page(3), []byte{3})
-	if err := s.Unpin(s.dir.Touch(page(1))); err != nil {
+	_ = putBytes(s, page(2), []byte{2})
+	_ = putBytes(s, page(3), []byte{3})
+	if err := s.Unpin(rec(s, page(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutBytes(page(4), []byte{4}); err != nil {
+	if err := putBytes(s, page(4), []byte{4}); err != nil {
 		t.Fatal(err)
 	}
 	if len(evicted) != 1 || evicted[0] != page(2) {
@@ -174,43 +200,43 @@ func TestMemUnpinRefreshesRecency(t *testing.T) {
 
 func TestMemPinPreventsEviction(t *testing.T) {
 	s := NewMemStore(2, nil)
-	_ = s.PutBytes(page(1), []byte{1})
-	_ = s.PutBytes(page(2), []byte{2})
-	if !s.Pin(s.dir.Touch(page(1))) || !s.Pin(s.dir.Touch(page(2))) {
+	_ = putBytes(s, page(1), []byte{1})
+	_ = putBytes(s, page(2), []byte{2})
+	if !s.Pin(rec(s, page(1))) || !s.Pin(rec(s, page(2))) {
 		t.Fatal("pin failed")
 	}
-	if err := s.PutBytes(page(3), []byte{3}); !errors.Is(err, ErrFull) {
+	if err := putBytes(s, page(3), []byte{3}); !errors.Is(err, ErrFull) {
 		t.Fatalf("err = %v, want ErrFull", err)
 	}
-	if err := s.Unpin(s.dir.Touch(page(1))); err != nil {
+	if err := s.Unpin(rec(s, page(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutBytes(page(3), []byte{3}); err != nil {
+	if err := putBytes(s, page(3), []byte{3}); err != nil {
 		t.Fatalf("after unpin: %v", err)
 	}
-	if s.Contains(page(1)) {
+	if s.resident(page(1)) {
 		t.Fatal("unpinned page should have been victimized")
 	}
-	if !s.Contains(page(2)) {
+	if !s.resident(page(2)) {
 		t.Fatal("pinned page was victimized")
 	}
 }
 
 func TestMemPinNesting(t *testing.T) {
 	s := NewMemStore(1, nil)
-	_ = s.PutBytes(page(1), []byte{1})
-	s.Pin(s.dir.Touch(page(1)))
-	s.Pin(s.dir.Touch(page(1)))
-	_ = s.Unpin(s.dir.Touch(page(1)))
+	_ = putBytes(s, page(1), []byte{1})
+	s.Pin(rec(s, page(1)))
+	s.Pin(rec(s, page(1)))
+	_ = s.Unpin(rec(s, page(1)))
 	// Still pinned once.
-	if err := s.PutBytes(page(2), nil); !errors.Is(err, ErrFull) {
+	if err := putBytes(s, page(2), nil); !errors.Is(err, ErrFull) {
 		t.Fatalf("err = %v", err)
 	}
-	_ = s.Unpin(s.dir.Touch(page(1)))
-	if err := s.Unpin(s.dir.Touch(page(1))); !errors.Is(err, ErrNotPinned) {
+	_ = s.Unpin(rec(s, page(1)))
+	if err := s.Unpin(rec(s, page(1))); !errors.Is(err, ErrNotPinned) {
 		t.Fatalf("extra unpin err = %v", err)
 	}
-	if s.Pin(s.dir.Touch(page(9))) {
+	if s.Pin(rec(s, page(9))) {
 		t.Fatal("pin of absent page should fail")
 	}
 }
@@ -219,23 +245,23 @@ func TestMemEvictCallbackErrorAborts(t *testing.T) {
 	s := NewMemStore(1, func(gaddr.Addr, *frame.Frame) error {
 		return fmt.Errorf("push failed")
 	})
-	_ = s.PutBytes(page(1), []byte{1})
-	if err := s.PutBytes(page(2), []byte{2}); err == nil {
+	_ = putBytes(s, page(1), []byte{1})
+	if err := putBytes(s, page(2), []byte{2}); err == nil {
 		t.Fatal("Put should fail when eviction callback fails")
 	}
-	if !s.Contains(page(1)) {
+	if !s.resident(page(1)) {
 		t.Fatal("page 1 should survive aborted eviction")
 	}
 }
 
 func TestMemDelete(t *testing.T) {
 	s := NewMemStore(10, nil)
-	_ = s.PutBytes(page(1), []byte{1})
-	s.Delete(page(1))
-	if s.Contains(page(1)) {
+	_ = putBytes(s, page(1), []byte{1})
+	s.DeletePage(rec(s, page(1)))
+	if s.resident(page(1)) {
 		t.Fatal("deleted page still resident")
 	}
-	s.Delete(page(2)) // no-op
+	s.DeletePage(rec(s, page(2))) // no-op
 }
 
 func TestDiskPutGetDelete(t *testing.T) {
@@ -334,13 +360,13 @@ func TestTieredPromoteDemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = tiered.PutBytes(page(1), []byte{1})
-	_ = tiered.PutBytes(page(2), []byte{2})
+	_ = putBytes(tiered, page(1), []byte{1})
+	_ = putBytes(tiered, page(2), []byte{2})
 	// Page 1 is LRU; putting page 3 demotes it to disk.
-	if err := tiered.PutBytes(page(3), []byte{3}); err != nil {
+	if err := putBytes(tiered, page(3), []byte{3}); err != nil {
 		t.Fatal(err)
 	}
-	if tiered.Mem().Contains(page(1)) {
+	if tiered.Mem().resident(page(1)) {
 		t.Fatal("page 1 should have left RAM")
 	}
 	if !tiered.Disk().Contains(page(1)) {
@@ -352,7 +378,7 @@ func TestTieredPromoteDemote(t *testing.T) {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
 	got.Release()
-	if !tiered.Mem().Contains(page(1)) {
+	if !tiered.Mem().resident(page(1)) {
 		t.Fatal("page 1 should be promoted to RAM")
 	}
 }
@@ -362,15 +388,12 @@ func TestTieredFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = tiered.PutBytes(page(1), []byte("flushed"))
-	if err := tiered.Flush(page(1)); err != nil {
+	_ = putBytes(tiered, page(1), []byte("flushed"))
+	if err := tiered.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	if !tiered.Disk().Contains(page(1)) {
 		t.Fatal("flush did not reach disk")
-	}
-	if err := tiered.Flush(page(9)); err == nil {
-		t.Fatal("flushing absent page should fail")
 	}
 }
 
@@ -379,9 +402,9 @@ func TestTieredDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = tiered.PutBytes(page(1), []byte{1})
-	_ = tiered.Flush(page(1))
-	tiered.Delete(page(1))
+	_ = putBytes(tiered, page(1), []byte{1})
+	_ = tiered.FlushAll()
+	tiered.DeletePage(rec(tiered.Mem(), page(1)))
 	if tiered.Contains(page(1)) {
 		t.Fatal("deleted page still resident")
 	}
@@ -404,9 +427,9 @@ func TestTieredDiskEvictionCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = tiered.PutBytes(page(1), []byte{1})
-	_ = tiered.PutBytes(page(2), []byte{2}) // 1 demoted to disk
-	_ = tiered.PutBytes(page(3), []byte{3}) // 2 demoted; disk full; 1 leaves node
+	_ = putBytes(tiered, page(1), []byte{1})
+	_ = putBytes(tiered, page(2), []byte{2}) // 1 demoted to disk
+	_ = putBytes(tiered, page(3), []byte{3}) // 2 demoted; disk full; 1 leaves node
 	if len(lost) != 1 || lost[0] != page(1) {
 		t.Fatalf("lost = %v", lost)
 	}
@@ -417,9 +440,9 @@ func TestTieredLen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = tiered.PutBytes(page(1), []byte{1})
-	_ = tiered.Flush(page(1)) // resident in both tiers, counts once
-	_ = tiered.PutBytes(page(2), []byte{2})
+	_ = putBytes(tiered, page(1), []byte{1})
+	_ = tiered.FlushAll() // resident in both tiers, counts once
+	_ = putBytes(tiered, page(2), []byte{2})
 	if got := tiered.Len(); got != 2 {
 		t.Fatalf("Len = %d", got)
 	}
@@ -435,13 +458,13 @@ func TestQuickMemStoreFidelity(t *testing.T) {
 		expect := make(map[gaddr.Addr][]byte)
 		for _, w := range writes {
 			p := page(uint64(w.Page))
-			if err := s.PutBytes(p, w.Data); err != nil {
+			if err := putBytes(s, p, w.Data); err != nil {
 				return false
 			}
 			expect[p] = w.Data
 		}
 		for p, want := range expect {
-			got, ok := s.GetCopy(p)
+			got, ok := getCopy(s, p)
 			if !ok || string(got) != string(want) {
 				return false
 			}
@@ -483,17 +506,17 @@ func TestMemReclaimerRunsBeforeDemandEviction(t *testing.T) {
 	s := NewMemStore(2, nil)
 	s.SetReclaimer(func() int { calls++; return 1 })
 	// Filling to capacity triggers no pressure.
-	if err := s.PutBytes(page(1), []byte("a")); err != nil {
+	if err := putBytes(s, page(1), []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutBytes(page(2), []byte("b")); err != nil {
+	if err := putBytes(s, page(2), []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
 		t.Fatalf("reclaimer ran %d times with no pressure", calls)
 	}
 	// Overflow: the reclaimer must run before the LRU demand eviction.
-	if err := s.PutBytes(page(3), []byte("c")); err != nil {
+	if err := putBytes(s, page(3), []byte("c")); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {

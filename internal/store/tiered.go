@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-
 	"khazana/internal/frame"
 	"khazana/internal/gaddr"
 	"khazana/internal/pagedir"
@@ -66,7 +64,13 @@ func (t *Tiered) SetReclaimer(fn func() int) { t.mem.SetReclaimer(fn) }
 // disk-resident pages to RAM. The frame is shared: treat its contents as
 // immutable.
 func (t *Tiered) Get(page gaddr.Addr) (*frame.Frame, bool) {
-	return t.GetPage(t.mem.dir.Touch(page))
+	if p := t.mem.rec(page, false); p != nil {
+		return t.GetPage(p)
+	}
+	if !t.disk.Contains(page) {
+		return nil, false
+	}
+	return t.GetPage(t.mem.rec(page, true))
 }
 
 // GetPage is Get by record.
@@ -85,17 +89,6 @@ func (t *Tiered) GetPage(p *pagedir.Page) (*frame.Frame, bool) {
 	return f, true
 }
 
-// GetCopy returns a private copy of the page's contents.
-func (t *Tiered) GetCopy(page gaddr.Addr) ([]byte, bool) {
-	f, ok := t.Get(page)
-	if !ok {
-		return nil, false
-	}
-	out := append([]byte(nil), f.Bytes()...)
-	f.Release()
-	return out, true
-}
-
 // Put stores the page's frame in RAM (victimizing to disk as needed).
 // The frame is borrowed: the RAM tier takes its own reference.
 func (t *Tiered) Put(page gaddr.Addr, f *frame.Frame) error {
@@ -105,35 +98,15 @@ func (t *Tiered) Put(page gaddr.Addr, f *frame.Frame) error {
 // PutPage is Put by record.
 func (t *Tiered) PutPage(p *pagedir.Page, f *frame.Frame) error { return t.mem.PutPage(p, f) }
 
-// PutBytes stores a copy of data for the page.
-func (t *Tiered) PutBytes(page gaddr.Addr, data []byte) error {
-	return t.mem.PutBytes(page, data)
-}
-
-// Flush forces the page to the persistent tier (used for locally homed
-// pages whose directory information must survive restarts, §3.4).
-func (t *Tiered) Flush(page gaddr.Addr) error {
-	f, ok := t.mem.Get(page)
-	if !ok {
-		if t.disk.Contains(page) {
-			return nil
-		}
-		return fmt.Errorf("store: flush %v: not resident", page)
-	}
-	err := t.disk.Put(page, f)
-	f.Release()
-	return err
-}
-
 // FlushAll forces every RAM-resident page to the persistent tier, used
 // when a daemon shuts down cleanly so its state survives restart.
 func (t *Tiered) FlushAll() error {
-	for _, page := range t.mem.Pages() {
-		f, ok := t.mem.Get(page)
+	for _, p := range t.mem.residents() {
+		f, ok := t.mem.GetPage(p)
 		if !ok {
 			continue
 		}
-		err := t.disk.Put(page, f)
+		err := t.disk.Put(p.Page, f)
 		f.Release()
 		if err != nil {
 			return err
@@ -142,13 +115,8 @@ func (t *Tiered) FlushAll() error {
 	return nil
 }
 
-// Delete removes the page from both tiers.
-func (t *Tiered) Delete(page gaddr.Addr) {
-	t.mem.Delete(page)
-	t.disk.Delete(page)
-}
-
-// DeletePage is Delete by record.
+// DeletePage removes the page from both tiers, a pinned RAM copy
+// included.
 func (t *Tiered) DeletePage(p *pagedir.Page) {
 	t.mem.DeletePage(p)
 	t.disk.Delete(p.Page)
@@ -167,7 +135,7 @@ func (t *Tiered) Discard(p *pagedir.Page) {
 
 // Contains reports residency in either tier.
 func (t *Tiered) Contains(page gaddr.Addr) bool {
-	return t.mem.Contains(page) || t.disk.Contains(page)
+	return t.mem.resident(page) || t.disk.Contains(page)
 }
 
 // Pin protects a page from RAM victimization while locked.
