@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/khazlint
 
-.PHONY: all build test race vet lint lint-selftest fmt-check bench-module bench-scan alloc-gates bench-smoke profile-scan defects telemetry-smoke clean
+.PHONY: all build test race vet lint lint-selftest fmt-check bench-module bench-scan alloc-gates bench-smoke fuzz-smoke profile-scan defects telemetry-smoke clean
 
 all: build lint test bench-module
 
@@ -87,6 +87,16 @@ alloc-gates:
 # -benchmem keeps allocation figures visible in CI logs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
+
+# fuzz-smoke runs every internal/wire fuzzer for 3 s, one at a time (go
+# test fuzzes a single target per run), so a codec change that breaks a
+# layout pin or a round trip fails CI without a long fuzzing campaign. A
+# failing input lands in internal/wire/testdata/fuzz for the fix to keep.
+fuzz-smoke:
+	@set -e; for f in $$($(GO) test -list '^Fuzz' ./internal/wire | grep '^Fuzz'); do \
+		echo "fuzz-smoke: $$f"; \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 3s -parallel 2 ./internal/wire; \
+	done
 
 # profile-scan profiles BenchmarkRemoteScanCycle (remote_scan's cycle on
 # two inproc nodes at zero latency) and prints the top CPU entries, so the

@@ -376,7 +376,7 @@ func storeUpdate(h Host, tab *pagedir.Table, from ktypes.NodeID, it *wire.Update
 // serveFetch is the release and eventual protocols' side of a PageFetch
 // (Figure 2 steps 7-9: the daemon supplies a copy out of local storage).
 // The home records the requester as a copy holder. A requester whose copy
-// is no older than the version here is told so without the bytes.
+// (Have: version+1) is no older than the version here gets no bytes.
 func serveFetch(h Host, desc *region.Descriptor, msg *wire.PageFetch) wire.Msg {
 	tab := tableOf(h, desc)
 	home := isHome(h, desc)
@@ -392,7 +392,7 @@ func serveFetch(h Host, desc *region.Descriptor, msg *wire.PageFetch) wire.Msg {
 	if rec == nil {
 		return &wire.PageData{Found: false}
 	}
-	if msg.Holds && msg.Have >= entry.Version {
+	if msg.Have > entry.Version {
 		return &wire.PageData{Found: true, Version: entry.Version, Current: true}
 	}
 	f, ok := h.LoadPage(rec)
@@ -406,16 +406,16 @@ func serveFetch(h Host, desc *region.Descriptor, msg *wire.PageFetch) wire.Msg {
 }
 
 // fetchFromHome is the release and eventual protocols' one page fetch: a
-// PageFetch to the region's home carrying, when holds is set, have: the
-// version of the copy held here. A home no newer answers Current, and
+// PageFetch to the region's home carrying have, the version of the copy
+// held here plus one (0 for none). A home no newer answers Current, and
 // then the frame is nil. Otherwise it returns the home's bytes (zeroes for a page
 // never written), which the caller owns, and their version.
-func fetchFromHome(ctx context.Context, h Host, desc *region.Descriptor, page gaddr.Addr, holds bool, have uint64) (*frame.Frame, uint64, error) {
+func fetchFromHome(ctx context.Context, h Host, desc *region.Descriptor, page gaddr.Addr, have uint64) (*frame.Frame, uint64, error) {
 	home, err := homeOf(desc)
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := h.Request(ctx, home, &wire.PageFetch{Page: page, Requester: h.Self(), Holds: holds, Have: have})
+	resp, err := h.Request(ctx, home, &wire.PageFetch{Page: page, Requester: h.Self(), Have: have})
 	if err != nil {
 		return nil, 0, fmt.Errorf("consistency: fetch %v: %w", page, err)
 	}

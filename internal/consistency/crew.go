@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -47,6 +48,8 @@ type CrewCM struct {
 	// invalFailures counts page invalidations that failed and pruned the
 	// sharer — each one is a copy some node may still hold stale.
 	invalFailures *telemetry.Counter
+	// grantCurrent counts grant pages that shipped no bytes (Current).
+	grantCurrent *telemetry.Counter
 	// updateBatchPages observes pages per write-through message.
 	updateBatchPages *telemetry.Histogram
 
@@ -66,6 +69,7 @@ func NewCREW(h Host) *CrewCM {
 	return &CrewCM{
 		h:                h,
 		invalFailures:    h.Telemetry().Counter(telemetry.MetricCrewInvalidateFailures),
+		grantCurrent:     h.Telemetry().Counter(telemetry.MetricGrantPagesCurrent),
 		updateBatchPages: h.Telemetry().Histogram(telemetry.MetricUpdateBatchPages),
 		snapChainLen:     h.Telemetry().Histogram(telemetry.MetricSnapshotChainLen),
 		snapReclaimed:    h.Telemetry().Counter(telemetry.MetricSnapshotReclaimed),
@@ -98,7 +102,7 @@ func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, page
 		mode = ktypes.LockWrite
 	}
 	if isHome(c.h, desc) {
-		granted, err := c.homeAcquireBatch(ctx, desc, pages, func(int) ktypes.LockMode { return mode }, c.h.Self(), nil)
+		granted, err := c.homeAcquireBatch(ctx, desc, pages, func(int) ktypes.LockMode { return mode }, c.h.Self(), nil, nil)
 		if err != nil {
 			return pages[:granted:granted], err
 		}
@@ -113,17 +117,51 @@ func (c *CrewCM) AcquireBatch(ctx context.Context, desc *region.Descriptor, page
 	return c.acquireFromHome(ctx, desc, home, pages, mode)
 }
 
+// sameModes holds read-only runs of each mode for a request's Modes.
+var sameModes = func() (m [ktypes.LockWriteShared + 1][64]ktypes.LockMode) {
+	for mode := range m {
+		for i := range m[mode] {
+			m[mode][i] = ktypes.LockMode(mode)
+		}
+	}
+	return m
+}()
+
 // acquireFromHome issues one PageReqBatch covering group to home and
 // applies the per-page grants, returning the pages whose locks are now
 // held: the granted prefix of group, without a list of its own (including
 // pages granted remotely but failing the local store, so the caller's
-// rollback frees them at the home).
+// rollback frees them at the home). A valid copy held here is advertised
+// in Have, its version read before its frame is taken (the bytes are never
+// older), and the frame is held until a Current grant stores it back, past
+// any racing eviction or invalidation.
 func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, home ktypes.NodeID, group []gaddr.Addr, mode ktypes.LockMode) ([]gaddr.Addr, error) {
-	modes := make([]ktypes.LockMode, len(group))
-	for i := range modes {
-		modes[i] = mode
+	modes := sameModes[mode][:]
+	for len(modes) < len(group) {
+		modes = append(modes, modes...)
 	}
-	resp, err := c.h.Request(ctx, home, &wire.PageReqBatch{Pages: group, Modes: modes, Requester: c.h.Self()})
+	modes = modes[:len(group):len(group)]
+	tab := tableOf(c.h, desc)
+	var heldBuf [16]*frame.Frame
+	held, have := heldBuf[:0], []uint64(nil)
+	for i, page := range group {
+		if e, ok := tab.Lookup(page); ok && e.State != pagedir.Invalid {
+			if f, ok := c.h.LoadPage(tab.Rec(page)); ok {
+				if have == nil {
+					have, held = make([]uint64, len(group)), append(held, make([]*frame.Frame, len(group))...)
+				}
+				have[i], held[i] = e.Version+1, f
+			}
+		}
+	}
+	defer func() {
+		for _, f := range held {
+			if f != nil {
+				f.Release()
+			}
+		}
+	}()
+	resp, err := c.h.Request(ctx, home, &wire.PageReqBatch{Pages: group, Modes: modes, Requester: c.h.Self(), Have: have})
 	if err != nil {
 		return nil, fmt.Errorf("consistency: crew acquire batch (%d pages) from %v: %w", len(group), home, err)
 	}
@@ -135,7 +173,6 @@ func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, h
 		return nil, fmt.Errorf("consistency: crew acquire batch: %d grants for %d pages", len(batch.Grants), len(group))
 	}
 	var firstErr error
-	tab := tableOf(c.h, desc)
 	for i := range batch.Grants {
 		g := &batch.Grants[i]
 		page := group[i]
@@ -146,14 +183,21 @@ func (c *CrewCM) acquireFromHome(ctx context.Context, desc *region.Descriptor, h
 			}
 			return group[:i:i], firstErr
 		}
-		if g.Data != nil {
-			f := g.TakeFrame()
+		var f *frame.Frame
+		switch {
+		case !g.Current:
+			f = g.TakeFrame()
+		case have != nil && have[i] == g.Version+1:
+			f = held[i].Retain()
+		default:
+			firstErr = cmp.Or(firstErr, fmt.Errorf("consistency: crew acquire %v: current at version %d, not the copy held", page, g.Version))
+			continue
+		}
+		if f != nil {
 			err := c.h.StorePage(tab.Touch(page), f)
 			f.Release()
 			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("consistency: crew acquire %v: store: %w", page, err)
-				}
+				firstErr = cmp.Or(firstErr, fmt.Errorf("consistency: crew acquire %v: store: %w", page, err))
 				continue
 			}
 		}
@@ -190,13 +234,15 @@ type sharerInval struct {
 // far. A batch that stops early thus returns an invalidated prefix, and the
 // caller's rollback only drops locks.
 //
-// A write grant never revokes the copy of a home listed in desc.Home; only
-// region teardown does. That copy is the region's failover copy (§3.5): it
-// stays the last committed version through the writer's hold, the release's
-// one log append per replica refreshes it, and nobody reads it under a lock
-// without a grant — isHome is primary-only and every grant ships the page's
-// bytes.
-func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, modeOf func(int) ktypes.LockMode, requester ktypes.NodeID, grants []wire.PageGrantItem) (int, error) {
+// A remote requester's grants fill grants, Current where have names the
+// page's version here. A write grant never revokes the copy of a home
+// listed in desc.Home; only region teardown does. That copy is the
+// region's failover copy (§3.5): it stays the last committed version
+// through the writer's hold, the release's one log append per replica
+// refreshes it, and nobody reads it under a lock without a grant. isHome
+// is primary-only, and a grant keeps a copy only at the primary's
+// version, so a copy the release moved past gets the bytes.
+func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, modeOf func(int) ktypes.LockMode, requester ktypes.NodeID, grants []wire.PageGrantItem, have []uint64) (int, error) {
 	tab := tableOf(c.h, desc)
 	var inval []sharerInval
 	for i, page := range pages {
@@ -210,7 +256,7 @@ func (c *CrewCM) homeAcquireBatch(ctx context.Context, desc *region.Descriptor, 
 			inval = c.homeGrantLocked(desc, p, mode, requester, inval, len(pages)-i)
 			version = p.Version
 			if grants != nil {
-				grants[i] = wire.PageGrantItem{OK: true, Version: p.Version, Owner: p.Owner}
+				grants[i] = wire.PageGrantItem{OK: true, Current: have != nil && have[i] == p.Version+1, Version: p.Version, Owner: p.Owner}
 			}
 			// A write grant seeds the page's version chain with the
 			// committed pre-write copy before the writer can touch it:
@@ -659,8 +705,8 @@ func (c *CrewCM) handleInvalidateBatch(desc *region.Descriptor, msg *wire.Invali
 // acquiring the remaining locks would only be churn.
 func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor, msg *wire.PageReqBatch) (wire.Msg, error) {
 	resp := &wire.PageGrantBatch{Grants: make([]wire.PageGrantItem, len(msg.Pages))}
-	if len(msg.Modes) != len(msg.Pages) {
-		return nil, fmt.Errorf("consistency: crew batch: %d pages with %d modes", len(msg.Pages), len(msg.Modes))
+	if len(msg.Modes) != len(msg.Pages) || msg.Have != nil && len(msg.Have) != len(msg.Pages) {
+		return nil, fmt.Errorf("consistency: crew batch: %d pages with %d modes and %d versions", len(msg.Pages), len(msg.Modes), len(msg.Have))
 	}
 	if !isHome(c.h, desc) {
 		// Stale descriptor at the requester (§3.2): tell it so it can
@@ -684,9 +730,13 @@ func (c *CrewCM) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 			msg.Modes[i] = ktypes.LockWrite
 		}
 	}
-	granted, err := c.homeAcquireBatch(ctx, desc, msg.Pages, func(i int) ktypes.LockMode { return msg.Modes[i] }, msg.Requester, resp.Grants)
+	granted, err := c.homeAcquireBatch(ctx, desc, msg.Pages, func(i int) ktypes.LockMode { return msg.Modes[i] }, msg.Requester, resp.Grants, msg.Have)
 	tab := tableOf(c.h, desc)
 	for i, page := range msg.Pages[:granted] {
+		if resp.Grants[i].Current {
+			c.grantCurrent.Add(1)
+			continue
+		}
 		f := loadOrZero(c.h, desc, tab.Rec(page))
 		resp.Grants[i].SetFrame(f)
 		f.Release()

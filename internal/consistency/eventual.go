@@ -103,7 +103,7 @@ func (c *EventualCM) ensureReplica(ctx context.Context, desc *region.Descriptor,
 		lf.Release()
 		return nil
 	}
-	f, version, err := fetchFromHome(ctx, c.h, desc, page, false, 0)
+	f, version, err := fetchFromHome(ctx, c.h, desc, page, 0)
 	if err != nil {
 		return err
 	}

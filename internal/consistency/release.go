@@ -48,13 +48,14 @@ func (c *ReleaseCM) validate(ctx context.Context, desc *region.Descriptor, tab *
 		return nil
 	}
 	rec := tab.Touch(page)
-	var entry pagedir.Entry
-	holds := false
+	var have uint64 // the held copy's version plus one, 0 for none
 	if lf, ok := c.h.LoadPage(rec); ok {
 		lf.Release()
-		entry, holds = tab.Lookup(page)
+		if e, ok := tab.Lookup(page); ok {
+			have = e.Version + 1
+		}
 	}
-	f, version, err := fetchFromHome(ctx, c.h, desc, page, holds, entry.Version)
+	f, version, err := fetchFromHome(ctx, c.h, desc, page, have)
 	if err != nil || f == nil { // nil: the copy here is current
 		return err
 	}

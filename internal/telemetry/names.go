@@ -77,6 +77,8 @@ const (
 	// MetricCrewInvalidateFailures counts CREW invalidations that failed
 	// and pruned the sharer from the copyset.
 	MetricCrewInvalidateFailures = "consistency.crew_invalidate_failures"
+	// MetricGrantPagesCurrent counts CREW grant pages that shipped no bytes.
+	MetricGrantPagesCurrent = "consistency.grant_pages_current"
 	// MetricPrefetchSpecPages, MetricPrefetchHits and MetricPrefetchWaste
 	// named the retired read-ahead grants' instruments. Nothing registers
 	// them any more; they stay only so the benchmark module, which still

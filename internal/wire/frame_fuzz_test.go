@@ -40,6 +40,7 @@ func legacyPageGrantBatch(grants []PageGrantItem) []byte {
 	b = legacyAppendU16(b, uint16(len(grants)))
 	for _, g := range grants {
 		b = legacyAppendBool(b, g.OK)
+		b = legacyAppendBool(b, g.Current)
 		b = legacyAppendBytes32(b, g.Data)
 		b = legacyAppendU64(b, g.Version)
 		b = legacyAppendU32(b, uint32(g.Owner))
@@ -183,14 +184,15 @@ func TestTracedRejectsNestedAndEmpty(t *testing.T) {
 }
 
 // FuzzPageGrantFrameWire marshals a frame-backed single-page grant — a
-// PageGrantBatch of one — and checks the bytes against the legacy
-// encoding, then round-trips them back through Unmarshal.
+// PageGrantBatch of one, Current or not — and checks the bytes against the
+// hand-rolled encoding, then round-trips them back through Unmarshal.
 func FuzzPageGrantFrameWire(f *testing.F) {
-	f.Add(true, []byte("page contents"), uint64(7), uint32(3), "")
-	f.Add(false, []byte{}, uint64(0), uint32(0), "conflict")
-	f.Add(true, bytes.Repeat([]byte{0xA5}, 4096), uint64(1<<40), uint32(9), "")
-	f.Fuzz(func(t *testing.T, ok bool, data []byte, version uint64, owner uint32, errStr string) {
-		m := &PageGrantBatch{Grants: []PageGrantItem{{OK: ok, Version: version, Owner: ktypes.NodeID(owner), Err: errStr}}}
+	f.Add(true, false, []byte("page contents"), uint64(7), uint32(3), "")
+	f.Add(false, false, []byte{}, uint64(0), uint32(0), "conflict")
+	f.Add(true, false, bytes.Repeat([]byte{0xA5}, 4096), uint64(1<<40), uint32(9), "")
+	f.Add(true, true, []byte{}, uint64(12), uint32(1), "")
+	f.Fuzz(func(t *testing.T, ok, current bool, data []byte, version uint64, owner uint32, errStr string) {
+		m := &PageGrantBatch{Grants: []PageGrantItem{{OK: ok, Current: current, Version: version, Owner: ktypes.NodeID(owner), Err: errStr}}}
 		var fr *frame.Frame
 		if len(data) > 0 {
 			fr = frame.Copy(data)
@@ -217,7 +219,7 @@ func FuzzPageGrantFrameWire(f *testing.F) {
 			t.Fatalf("unmarshal: %v", err)
 		}
 		g := &back.(*PageGrantBatch).Grants[0]
-		if g.OK != ok || g.Version != version || g.Owner != ktypes.NodeID(owner) || g.Err != errStr {
+		if g.OK != ok || g.Current != current || g.Version != version || g.Owner != ktypes.NodeID(owner) || g.Err != errStr {
 			t.Fatal("scalar fields did not round trip")
 		}
 		wantData := data
@@ -255,7 +257,7 @@ func FuzzPageGrantBatchFrameWire(f *testing.F) {
 		m := &PageGrantBatch{Grants: []PageGrantItem{
 			{OK: true, Version: version, Owner: 1},
 			{OK: len(d2) > 0, Version: version + 1, Owner: 2, Err: errStr},
-			{OK: true, Version: version + 2, Owner: 3},
+			{OK: true, Current: len(d3) == 0, Version: version + 2, Owner: 3},
 		}}
 		var frames []*frame.Frame
 		for i, d := range [][]byte{d1, d2, d3} {
@@ -294,7 +296,7 @@ func FuzzPageGrantBatchFrameWire(f *testing.F) {
 			if len(wantData) == 0 {
 				wantData = nil
 			}
-			if !bytes.Equal(gb.Grants[i].Data, wantData) {
+			if !bytes.Equal(gb.Grants[i].Data, wantData) || gb.Grants[i].Current != m.Grants[i].Current {
 				t.Fatalf("grant %d payload did not round trip", i)
 			}
 		}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"khazana/internal/frame"
@@ -158,6 +159,7 @@ func FuzzPageGrantBatchWire(f *testing.F) {
 		m := &PageGrantBatch{Grants: []PageGrantItem{
 			{OK: true, Version: version, Owner: 1},
 			{OK: false, Version: version + 1, Owner: 2, Err: errStr},
+			{OK: true, Current: true, Version: version, Owner: 1},
 		}}
 		if len(demand) > 0 {
 			m.Grants[0].Data = append([]byte(nil), demand...)
@@ -176,7 +178,7 @@ func FuzzPageGrantBatchWire(f *testing.F) {
 		if len(wantDemand) == 0 {
 			wantDemand = nil
 		}
-		if len(gb.Grants) != 2 || !bytes.Equal(gb.Grants[0].Data, wantDemand) || gb.Grants[1].Err != errStr {
+		if len(gb.Grants) != 3 || !bytes.Equal(gb.Grants[0].Data, wantDemand) || gb.Grants[1].Err != errStr || gb.Grants[0].Current || !gb.Grants[2].Current {
 			t.Fatal("grants did not round trip")
 		}
 		gb.ReleaseFrames()
@@ -187,6 +189,72 @@ func FuzzPageGrantBatchWire(f *testing.F) {
 		old = legacyAppendU64(old, version+2)
 		if got, err := Unmarshal(old); err == nil {
 			t.Fatalf("a batch with the retired trailing section decoded as %+v", got)
+		}
+	})
+}
+
+// FuzzPageReqBatchWire pins the PageReqBatch layout — a u16 count, (page,
+// mode) per page, the requester, then a held-versions flag and, when set, a
+// u64 per page — against hand-rolled bytes, round-trips it across the
+// decoder's small-batch backings (up to 4, up to 16, larger), and checks
+// that a count the input cannot hold, or held versions cut short, fails
+// to decode.
+func FuzzPageReqBatchWire(f *testing.F) {
+	f.Add(uint8(4), uint64(0x100000), []byte{1, 2, 1, 1}, uint32(2), true, uint64(7))
+	f.Add(uint8(1), uint64(0x3000), []byte{2}, uint32(9), false, uint64(0))
+	f.Add(uint8(16), uint64(0), []byte{1}, uint32(3), true, uint64(0))
+	f.Add(uint8(40), uint64(1<<40), []byte{}, uint32(1), true, uint64(1<<63))
+	f.Add(uint8(0), uint64(0), []byte{}, uint32(5), true, uint64(1))
+	f.Fuzz(func(t *testing.T, count uint8, base uint64, modes []byte, requester uint32, held bool, version uint64) {
+		n := int(count % 48)
+		m := &PageReqBatch{Requester: ktypes.NodeID(requester)}
+		if held && n > 0 {
+			m.Have = make([]uint64, n)
+		}
+		for i := 0; i < n; i++ {
+			m.Pages = append(m.Pages, gaddr.New(uint64(i), base+uint64(i)*4096))
+			mode := ktypes.LockRead
+			if len(modes) > 0 {
+				mode = ktypes.LockMode(modes[i%len(modes)])
+			}
+			m.Modes = append(m.Modes, mode)
+			if m.Have != nil && i%3 != 1 {
+				m.Have[i] = version + uint64(i)
+			}
+		}
+		want := legacyAppendU16(nil, uint16(KindPageReqBatch))
+		want = legacyAppendU16(want, uint16(n))
+		for i, p := range m.Pages {
+			want = append(legacyAppendAddr(want, p), byte(m.Modes[i]))
+		}
+		want = legacyAppendU32(want, requester)
+		want = legacyAppendBool(want, m.Have != nil)
+		for _, v := range m.Have {
+			want = legacyAppendU64(want, v)
+		}
+		got := Marshal(m)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("request diverged from the hand-rolled layout:\n got %x\nwant %x", got, want)
+		}
+		back, err := Unmarshal(got)
+		if err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		rb := back.(*PageReqBatch)
+		if !slices.Equal(rb.Pages, m.Pages) || !slices.Equal(rb.Modes, m.Modes) || !slices.Equal(rb.Have, m.Have) ||
+			(rb.Have == nil) != (m.Have == nil) || rb.Requester != m.Requester {
+			t.Fatalf("request did not round trip: got %+v want %+v", rb, m)
+		}
+		if m.Have != nil {
+			if _, err := Unmarshal(got[:len(got)-1]); err == nil {
+				t.Fatal("a request whose held versions are cut short decoded")
+			}
+		}
+		// A count the body cannot hold is refused.
+		lying := legacyAppendU16(legacyAppendU16(nil, uint16(KindPageReqBatch)), uint16(n)+1+uint16(count))
+		lying = append(lying, want[4:]...)
+		if _, err := Unmarshal(lying); err == nil && n > 0 {
+			t.Fatalf("a request claiming %d pages over %d pages' bytes decoded", int(uint16(n)+1+uint16(count)), n)
 		}
 	})
 }

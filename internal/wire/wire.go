@@ -403,14 +403,13 @@ func (m *SpaceGrant) decode(d *enc.Decoder) {
 // --- consistency traffic --------------------------------------------------
 
 // PageFetch asks a node holding a page for its current contents (Figure 2,
-// steps 7-9: the owner's daemon supplies a copy). Holds reports that the
-// requester already has a copy, at version Have: a home whose version is
-// no newer answers Current with no bytes, so one round trip both
-// validates a cached copy and refreshes a stale one.
+// steps 7-9: the owner's daemon supplies a copy). Have is the version of
+// the copy the requester holds plus one, 0 when it holds none: a home
+// whose version is no newer answers Current with no bytes, so one round
+// trip both validates a cached copy and refreshes a stale one.
 type PageFetch struct {
 	Page      gaddr.Addr
 	Requester ktypes.NodeID
-	Holds     bool
 	Have      uint64
 }
 
@@ -419,13 +418,11 @@ func (*PageFetch) Kind() Kind { return KindPageFetch }
 func (m *PageFetch) encode(e *enc.Encoder) {
 	e.Addr(m.Page)
 	e.NodeID(m.Requester)
-	e.Bool(m.Holds)
 	e.U64(m.Have)
 }
 func (m *PageFetch) decode(d *enc.Decoder) {
 	m.Page = d.Addr()
 	m.Requester = d.NodeID()
-	m.Holds = d.Bool()
 	m.Have = d.U64()
 }
 
@@ -1014,11 +1011,13 @@ func (m *Migrate) decode(d *enc.Decoder) {
 // one round trip (Figure 2, step 6, amortized over the set; a single page
 // is a batch of one). Pages and Modes are parallel vectors; the home
 // consults its directory state, performs any needed invalidations, and
-// answers every page in one PageGrantBatch.
+// answers every page in one PageGrantBatch. Have, nil when nothing is
+// held, is parallel too: each held copy's version plus one, 0 for none.
 type PageReqBatch struct {
 	Pages     []gaddr.Addr
 	Modes     []ktypes.LockMode
 	Requester ktypes.NodeID
+	Have      []uint64
 }
 
 // Kind implements Msg.
@@ -1030,34 +1029,59 @@ func (m *PageReqBatch) encode(e *enc.Encoder) {
 		e.U8(uint8(m.Modes[i]))
 	}
 	e.NodeID(m.Requester)
+	e.Bool(m.Have != nil)
+	for _, v := range m.Have {
+		e.U64(v)
+	}
 }
 func (m *PageReqBatch) decode(d *enc.Decoder) {
 	n := int(d.U16())
-	if d.Err() == nil && n > 0 {
-		m.Pages = make([]gaddr.Addr, 0, n)
-		m.Modes = make([]ktypes.LockMode, 0, n)
-		for i := 0; i < n; i++ {
-			p := d.Addr()
-			mode := ktypes.LockMode(d.U8())
-			if d.Err() != nil {
-				return
-			}
-			m.Pages = append(m.Pages, p)
-			m.Modes = append(m.Modes, mode)
-		}
+	// A hostile count must not size an allocation; a page is 17 bytes.
+	if n > d.Remaining()/17 {
+		d.Fail(enc.ErrTruncated)
+		return
+	}
+	switch { // a small batch's Pages and Modes share one object
+	case n == 0:
+	case n <= 4:
+		v := new(struct {
+			p [4]gaddr.Addr
+			m [4]ktypes.LockMode
+		})
+		m.Pages, m.Modes = v.p[:0:n], v.m[:0:n]
+	case n <= 16:
+		v := new(struct {
+			p [16]gaddr.Addr
+			m [16]ktypes.LockMode
+		})
+		m.Pages, m.Modes = v.p[:0:n], v.m[:0:n]
+	default:
+		m.Pages, m.Modes = make([]gaddr.Addr, 0, n), make([]ktypes.LockMode, 0, n)
+	}
+	for range n {
+		m.Pages = append(m.Pages, d.Addr())
+		m.Modes = append(m.Modes, ktypes.LockMode(d.U8()))
 	}
 	m.Requester = d.NodeID()
+	if d.Bool() && n > 0 {
+		m.Have = make([]uint64, n)
+		for i := range m.Have {
+			m.Have[i] = d.U64()
+		}
+	}
 }
 
 // PageGrantItem is the per-page status inside a PageGrantBatch: lock
-// credentials and a copy of the page (Figure 2, steps 7-10).
+// credentials and a copy of the page (Figure 2, steps 7-10), or Current:
+// no bytes, because the copy advertised in Have is the page's.
 type PageGrantItem struct {
 	OK      bool
+	Current bool
+	// Owner is the page's owner after the grant.
+	Owner   ktypes.NodeID
 	Data    []byte
 	Version uint64
-	// Owner is the page's owner after the grant.
-	Owner ktypes.NodeID
-	Err   string
+	Err     string
 
 	// dataFrame, when non-nil, backs Data with a refcounted page frame
 	// (see frame.go); it is never encoded.
@@ -1076,6 +1100,7 @@ func (m *PageGrantBatch) encode(e *enc.Encoder) {
 	e.U16(uint16(len(m.Grants)))
 	for _, g := range m.Grants {
 		e.Bool(g.OK)
+		e.Bool(g.Current)
 		e.Bytes32(g.Data)
 		e.U64(g.Version)
 		e.NodeID(g.Owner)
@@ -1092,6 +1117,7 @@ func (m *PageGrantBatch) decode(d *enc.Decoder) {
 		for i := 0; i < n; i++ {
 			var g PageGrantItem
 			g.OK = d.Bool()
+			g.Current = d.Bool()
 			g.dataFrame = d.Bytes32Frame()
 			if g.dataFrame != nil {
 				g.Data = g.dataFrame.Bytes()

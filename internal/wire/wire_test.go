@@ -47,7 +47,7 @@ func sampleMessages() []Msg {
 		}},
 		&InvalidateBatch{NewOwner: 1},
 		&PageFetch{Page: gaddr.New(0, 0x3000), Requester: 3},
-		&PageFetch{Page: gaddr.New(0, 0x3000), Requester: 3, Holds: true, Have: 12},
+		&PageFetch{Page: gaddr.New(0, 0x3000), Requester: 3, Have: 13},
 		&PageData{Found: true, Data: []byte{1, 2, 3}, Version: 11},
 		&PageData{Found: true, Version: 12, Current: true},
 		&ReplicaPut{From: 1, Items: []UpdateItem{
@@ -89,8 +89,15 @@ func sampleMessages() []Msg {
 			Modes:     []ktypes.LockMode{ktypes.LockRead, ktypes.LockWrite},
 			Requester: 2,
 		},
+		&PageReqBatch{
+			Pages:     []gaddr.Addr{gaddr.New(0, 0x3000), gaddr.New(0, 0x4000)},
+			Modes:     []ktypes.LockMode{ktypes.LockRead, ktypes.LockRead},
+			Requester: 2,
+			Have:      []uint64{0, 8},
+		},
 		&PageGrantBatch{Grants: []PageGrantItem{
 			{OK: true, Data: []byte("page"), Version: 3, Owner: 1},
+			{OK: true, Current: true, Version: 7, Owner: 1},
 			{Err: "conflict"},
 		}},
 		&ReleaseBatch{From: 2, Items: []ReleaseItem{
