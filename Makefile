@@ -70,9 +70,8 @@ bench-scan:
 # objects), grant marshalling, the replicated 8-page write (56 objects),
 # the region lifecycle cycle (180 objects and 10 KB), a span in a
 # caller-owned slot (0), the uncontended lock table (0), replog compaction
-# (0), Unmarshal (the message only, traced or not), a full hint cache
-# taking a hint (0), a full region directory taking a new descriptor (the
-# clone only), the tree-node codec (0 to decode or encode), map
+# (0), Unmarshal (the message only, traced or not), a full region
+# directory taking a new descriptor (the clone only), the tree-node codec (0 to decode or encode), map
 # operations on a 79-entry root (no node copy: at most 2 objects per
 # mutated page), a RAM-tier Put of a non-resident page (0), a copyset
 # revoked and re-added (0), a 16-page region's page table on first touch
@@ -80,7 +79,7 @@ bench-scan:
 # trip (3 objects, the messages only). An allocation creeping back fails here, without a
 # benchmark run.
 alloc-gates:
-	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/cluster ./internal/region ./internal/addrmap ./internal/store ./internal/pagedir ./internal/transport
+	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/region ./internal/addrmap ./internal/store ./internal/pagedir ./internal/transport
 
 # bench-smoke runs every benchmark for a single iteration so bit-rotted
 # benchmark code fails CI instead of lingering until someone profiles.

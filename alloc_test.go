@@ -565,11 +565,11 @@ func TestReplicatedReleaseRoundTrips(t *testing.T) {
 // cluster, node 1 reserves, allocates and writes page 0 of a 16-page
 // region, node 3 cold-opens the region created the cycle before, and node
 // 1 unreserves the region created 64 cycles ago. After 4 100 warm-up
-// cycles — the manager's 4 096-entry hint cache is full, so every new
-// region's hint evicts one — a cycle averages at most 180 objects and
-// 10 KB. It measures about 154 objects and 7.9 KB; while every map edit
-// copied its tree node to the heap it measured 24 KB. A hint cache that
-// allocates a struct or slice per new region, a tree-node decode that
+// cycles — the opener's 1 024-entry region directory is full, so every
+// cold open evicts one — a cycle averages at most 180 objects and 10 KB.
+// It measures about 147 objects and 7.5 KB; while every map edit copied
+// its tree node to the heap it measured 24 KB. A directory that allocates
+// more than the descriptor clone per new region, a tree-node decode that
 // allocates, or an encoder allocated per map write each break it.
 func TestRegionLifecycleAllocGate(t *testing.T) {
 	if raceEnabled {

@@ -38,7 +38,6 @@ type clusterConfig struct {
 	retry     time.Duration
 	replica   time.Duration
 	migration time.Duration
-	noRing    bool
 	tracer    func(NodeID, string)
 }
 
@@ -75,13 +74,6 @@ func WithBackground(heartbeat, retry, replica time.Duration) ClusterOption {
 // interval on every node.
 func WithAutoMigration(interval time.Duration) ClusterOption {
 	return func(c *clusterConfig) { c.migration = interval }
-}
-
-// WithNoRing disables the consistent-hashing descriptor partition on
-// every node, restoring the paper's cluster-hint / tree-walk lookup path
-// for cold misses. The paper-faithful reproductions (E2, E3) use it.
-func WithNoRing() ClusterOption {
-	return func(c *clusterConfig) { c.noRing = true }
 }
 
 // WithTracer installs a Figure-2 step tracer on every node.
@@ -139,7 +131,6 @@ func NewCluster(count int, opts ...ClusterOption) (*Cluster, error) {
 			RetryInterval:     cfg.retry,
 			ReplicaInterval:   cfg.replica,
 			MigrationInterval: cfg.migration,
-			NoRing:            cfg.noRing,
 			Tracer:            tracer,
 		})
 		if err != nil {
@@ -154,7 +145,7 @@ func NewCluster(count int, opts ...ClusterOption) (*Cluster, error) {
 // AddNode starts one more daemon and attaches it to the cluster,
 // exercising dynamic membership (§3.1: machines can dynamically enter and
 // leave Khazana). The new daemon inherits the cluster's options, so a
-// WithNoRing (or cache-bounded) cluster stays homogeneous as it grows.
+// cache-bounded cluster stays homogeneous as it grows.
 func (c *Cluster) AddNode() (*Node, error) {
 	id := ktypes.NodeID(len(c.nodes) + 1)
 	tr, err := c.Network.Attach(id)
@@ -178,7 +169,6 @@ func (c *Cluster) AddNode() (*Node, error) {
 		RetryInterval:     c.cfg.retry,
 		ReplicaInterval:   c.cfg.replica,
 		MigrationInterval: c.cfg.migration,
-		NoRing:            c.cfg.noRing,
 		Tracer:            tracer,
 	})
 	if err != nil {

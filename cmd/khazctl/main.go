@@ -177,8 +177,8 @@ func run(args []string) error {
 		fmt.Printf("node        %v (members %v)\n", st.Node, st.Members)
 		fmt.Printf("regions     %d homed here\n", st.HomedRegions)
 		fmt.Printf("pages       %d in RAM, %d on disk\n", st.MemPages, st.DiskPages)
-		fmt.Printf("lookups     %d (%d dir hits, %d cluster, %d tree walks)\n",
-			st.Lookups, st.DirHits, st.ClusterHits, st.TreeWalks)
+		fmt.Printf("lookups     %d (%d dir hits, %d ring, %d tree walks)\n",
+			st.Lookups, st.DirHits, st.RingHits, st.TreeWalks)
 		fmt.Printf("locks       %d granted\n", st.LocksGranted)
 		fmt.Printf("recovery    %d release retries, %d promotions\n",
 			st.ReleaseRetries, st.Promotions)

@@ -10,8 +10,8 @@
 // through the PageIO interface, which the daemon implements with
 // release-consistent lock/read/write operations — matching the paper's
 // choice of a release consistent protocol for address map tree nodes
-// (§3.3). Entries may therefore be stale at readers; callers fall back to
-// the cluster-walk algorithm when a cached home hint misses (§3.2).
+// (§3.3). Entries may therefore be stale at readers; a caller whose home
+// pointer proves stale asks the listed homes again (§3.2).
 //
 // Address space within the map is handed out by a monotonic cursor and
 // never coalesced on unreserve: "For simplicity, we do not defragment ...
@@ -33,8 +33,10 @@ import (
 // PageIO is the map's access path to its own backing pages.
 type PageIO interface {
 	// ReadPage returns the current contents of a map page (zero-filled
-	// if never written).
-	ReadPage(ctx context.Context, page gaddr.Addr) ([]byte, error)
+	// if never written) and done, which lets them go. The bytes are
+	// read-only and stay valid until done is called; a reader decodes
+	// them in place instead of copying the page.
+	ReadPage(ctx context.Context, page gaddr.Addr) (data []byte, done func(), err error)
 	// MutatePage applies fn to the page under a write lock. fn mutates
 	// data in place and reports whether it changed the page; only a
 	// changed page is written back, so a mutation that merely passes
@@ -358,10 +360,11 @@ func (m *Map) split(ctx context.Context, pageIdx uint64) error {
 	// read cannot race another writer). The callbacks below decode the
 	// page again rather than capture these entries, which would move the
 	// buffer to the heap.
-	parent, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
+	parent, done, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
 	if err != nil {
 		return err
 	}
+	defer done()
 	var buf nodeBuf
 	n, err := decodeNode(parent, &buf)
 	if err != nil {
@@ -414,11 +417,12 @@ func (m *Map) Lookup(ctx context.Context, addr gaddr.Addr) (Entry, int, error) {
 	var buf nodeBuf
 	for {
 		steps++
-		data, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
+		data, done, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
 		if err != nil {
 			return Entry{}, steps, err
 		}
 		n, err := decodeNode(data, &buf)
+		done()
 		if err != nil {
 			return Entry{}, steps, err
 		}
@@ -494,10 +498,11 @@ func (m *Map) Walk(ctx context.Context, visit func(Entry) bool) error {
 }
 
 func (m *Map) walkNode(ctx context.Context, pageIdx uint64, visit func(Entry) bool) (bool, error) {
-	data, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
+	data, done, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
 	if err != nil {
 		return false, err
 	}
+	defer done()
 	var buf nodeBuf
 	n, err := decodeNode(data, &buf)
 	if err != nil {
@@ -525,10 +530,11 @@ func (m *Map) Depth(ctx context.Context) (int, error) {
 }
 
 func (m *Map) depthOf(ctx context.Context, pageIdx uint64) (int, error) {
-	data, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
+	data, done, err := m.io.ReadPage(ctx, pageAddr(pageIdx))
 	if err != nil {
 		return 0, err
 	}
+	defer done()
 	var buf nodeBuf
 	n, err := decodeNode(data, &buf)
 	if err != nil {

@@ -28,15 +28,15 @@ func newMemIO() *memIO {
 	return &memIO{pages: make(map[gaddr.Addr][]byte), writes: make(map[gaddr.Addr]int)}
 }
 
-func (io *memIO) ReadPage(_ context.Context, page gaddr.Addr) ([]byte, error) {
+func (io *memIO) ReadPage(_ context.Context, page gaddr.Addr) ([]byte, func(), error) {
 	io.mu.Lock()
 	defer io.mu.Unlock()
 	io.reads++
 	data, ok := io.pages[page]
 	if !ok {
-		return make([]byte, PageSize), nil
+		return make([]byte, PageSize), func() {}, nil
 	}
-	return append([]byte(nil), data...), nil
+	return append([]byte(nil), data...), func() {}, nil
 }
 
 func (io *memIO) MutatePage(_ context.Context, page gaddr.Addr, fn func([]byte) (bool, error)) error {
@@ -370,7 +370,9 @@ type flatIO struct {
 
 func (io *flatIO) page(a gaddr.Addr) []byte { return io.pages[a.Lo/PageSize][:] }
 
-func (io *flatIO) ReadPage(_ context.Context, a gaddr.Addr) ([]byte, error) { return io.page(a), nil }
+func (io *flatIO) ReadPage(_ context.Context, a gaddr.Addr) ([]byte, func(), error) {
+	return io.page(a), func() {}, nil
+}
 
 func (io *flatIO) MutatePage(_ context.Context, a gaddr.Addr, fn func([]byte) (bool, error)) error {
 	copy(io.scratch[:], io.page(a))

@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"context"
+	"slices"
 	"testing"
 	"time"
 
-	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
-	"khazana/internal/region"
 	"khazana/internal/wire"
 )
 
@@ -17,7 +15,6 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
-func start(n uint64) gaddr.Addr              { return gaddr.FromUint64(n * 0x100000) }
 
 // newTestManager is a manager reading time from c.
 func newTestManager(c *fakeClock) *Manager {
@@ -26,11 +23,14 @@ func newTestManager(c *fakeClock) *Manager {
 	return m
 }
 
-// newBoundedManager is a manager whose hint cache holds capacity hints.
-func newBoundedManager(c *fakeClock, capacity int) *Manager {
-	m := newTestManager(c)
-	m.hints = region.NewIndex[*hint](capacity)
-	return m
+// memberAddr returns a member's recorded transport address.
+func memberAddr(m *Manager, id ktypes.NodeID) (string, bool) {
+	for _, mem := range m.Members() {
+		if mem.ID == id {
+			return mem.Addr, true
+		}
+	}
+	return "", false
 }
 
 func TestJoinAndView(t *testing.T) {
@@ -43,13 +43,13 @@ func TestJoinAndView(t *testing.T) {
 	if len(view.Members) != 2 || view.Members[0] != 1 || view.Members[1] != 2 {
 		t.Fatalf("members = %v", view.Members)
 	}
-	addr, ok := m.MemberAddr(2)
+	addr, ok := memberAddr(m, 2)
 	if !ok || addr != "127.0.0.1:9000" {
 		t.Fatalf("addr = %q, %v", addr, ok)
 	}
 	// Rejoin updates the address.
 	m.Join(2, "127.0.0.1:9001")
-	addr, _ = m.MemberAddr(2)
+	addr, _ = memberAddr(m, 2)
 	if addr != "127.0.0.1:9001" {
 		t.Fatalf("addr after rejoin = %q", addr)
 	}
@@ -65,7 +65,7 @@ func TestHeartbeatLiveness(t *testing.T) {
 	}
 	// Node 3 goes silent past expiry; node 2 heartbeats.
 	c.advance(DefaultExpiry - time.Second)
-	m.Heartbeat(&wire.Heartbeat{Node: 2, FreeTotal: 100, FreeMax: 50})
+	m.Heartbeat(&wire.Heartbeat{Node: 2})
 	c.advance(2 * time.Second)
 	alive := m.Alive()
 	if len(alive) != 2 || alive[0] != 1 || alive[1] != 2 {
@@ -82,13 +82,12 @@ func TestLeave(t *testing.T) {
 	c := newFakeClock()
 	m := newTestManager(c)
 	m.Join(2, "")
-	m.AddHint(start(1), 2)
 	m.Leave(2)
 	if got := m.Alive(); len(got) != 1 {
 		t.Fatalf("alive = %v", got)
 	}
-	if _, found := m.Query(start(1)); found {
-		t.Fatal("hint survived leave")
+	if got := m.View().Members; !slices.Equal(got, []ktypes.NodeID{1}) {
+		t.Fatalf("view after leave = %v, want [1]", got)
 	}
 	// Leaving the manager itself is ignored.
 	m.Leave(1)
@@ -97,114 +96,120 @@ func TestLeave(t *testing.T) {
 	}
 }
 
+// TestQueryHints: the manager answers one query, the membership view —
+// every node builds its ring from it, so the view is sorted and the same
+// whatever order the members arrived in.
 func TestQueryHints(t *testing.T) {
 	c := newFakeClock()
-	m := newTestManager(c)
-	m.Join(2, "")
-	m.Join(3, "")
-	m.AddHint(start(5), 2)
-	m.AddHint(start(5), 3)
-
-	nodes, found := m.Query(start(5))
-	if !found || len(nodes) != 2 {
-		t.Fatalf("query = %v, %v", nodes, found)
+	a, b := newTestManager(c), newTestManager(c)
+	for _, id := range []ktypes.NodeID{5, 2, 3} {
+		a.Join(id, "")
 	}
-	// An address above a hinted start resolves to that hint (best-effort
-	// containment guess).
-	nodes, found = m.Query(start(5).MustAdd(0x1000))
-	if !found || len(nodes) == 0 {
-		t.Fatalf("inner query = %v, %v", nodes, found)
+	for _, id := range []ktypes.NodeID{3, 5, 2} {
+		b.Join(id, "")
 	}
-	// An address below every hint misses.
-	if _, found := m.Query(gaddr.FromUint64(1)); found {
-		t.Fatal("low address should miss")
+	want := []ktypes.NodeID{1, 2, 3, 5}
+	va, vb := a.View(), b.View()
+	if !slices.Equal(va.Members, want) || !slices.Equal(vb.Members, want) {
+		t.Fatalf("views = %v and %v, want %v", va.Members, vb.Members, want)
+	}
+	if va.Manager != 1 {
+		t.Fatalf("view names manager %v", va.Manager)
 	}
 }
 
+// TestQueryFiltersDeadNodes: Alive drops a member silent past the expiry
+// window; the view keeps it until it leaves, and a heartbeat brings it
+// back to life.
 func TestQueryFiltersDeadNodes(t *testing.T) {
 	c := newFakeClock()
 	m := newTestManager(c)
 	m.Join(2, "")
-	m.AddHint(start(5), 2)
 	c.advance(DefaultExpiry + time.Second)
-	nodes, found := m.Query(start(5))
-	if found || len(nodes) != 0 {
-		t.Fatalf("query with dead node = %v, %v", nodes, found)
+	if got := m.Alive(); !slices.Equal(got, []ktypes.NodeID{1}) {
+		t.Fatalf("alive with a silent member = %v, want [1]", got)
+	}
+	if got := m.View().Members; !slices.Equal(got, []ktypes.NodeID{1, 2}) {
+		t.Fatalf("view with a silent member = %v, want [1 2]", got)
+	}
+	m.Heartbeat(&wire.Heartbeat{Node: 2})
+	if got := m.Alive(); !slices.Equal(got, []ktypes.NodeID{1, 2}) {
+		t.Fatalf("alive after a heartbeat = %v, want [1 2]", got)
 	}
 }
 
+// TestHeartbeatCarriesRegionHints: a heartbeat carries its sender only.
+// One from a node the manager does not know admits it, and one from a
+// known node keeps the address its join recorded.
 func TestHeartbeatCarriesRegionHints(t *testing.T) {
 	c := newFakeClock()
 	m := newTestManager(c)
-	m.Join(2, "")
-	m.Heartbeat(&wire.Heartbeat{Node: 2, Regions: []gaddr.Addr{start(7), start(9)}})
-	if nodes, found := m.Query(start(7)); !found || nodes[0] != 2 {
-		t.Fatalf("hint from heartbeat = %v, %v", nodes, found)
+	m.Join(2, "10.0.0.2:7000")
+	m.Heartbeat(&wire.Heartbeat{Node: 3})
+	if got := m.View().Members; !slices.Equal(got, []ktypes.NodeID{1, 2, 3}) {
+		t.Fatalf("view after an unknown node's heartbeat = %v", got)
 	}
-	if m.HintCount() != 2 {
-		t.Fatalf("hint count = %d", m.HintCount())
+	m.Heartbeat(&wire.Heartbeat{Node: 2})
+	if addr, _ := memberAddr(m, 2); addr != "10.0.0.2:7000" {
+		t.Fatalf("heartbeat changed node 2's address to %q", addr)
 	}
 }
 
+// TestHintEviction: membership has no capacity, so the manager never
+// evicts a member; only Leave and the expiry window remove one from the
+// views.
 func TestHintEviction(t *testing.T) {
 	c := newFakeClock()
-	m := newBoundedManager(c, 3)
-	m.Join(2, "")
-	for i := uint64(1); i <= 3; i++ {
-		m.AddHint(start(i), 2)
+	m := newTestManager(c)
+	const n = 200
+	for id := ktypes.NodeID(2); id <= n; id++ {
+		m.Join(id, "")
 	}
-	// Touch hint 1 so hint 2 is LRU.
-	m.Query(start(1))
-	m.AddHint(start(4), 2)
-	if m.HintCount() != 3 {
-		t.Fatalf("hint count = %d", m.HintCount())
+	if got := len(m.Alive()); got != n {
+		t.Fatalf("%d members alive, want %d", got, n)
 	}
-	if _, hint2 := m.hints.Get(start(2)); hint2 {
-		t.Fatal("LRU hint should be evicted")
-	}
-	if _, found := m.Query(start(4)); !found {
-		t.Fatal("new hint missing")
+	m.Leave(7)
+	if got := m.View().Members; len(got) != n-1 || slices.Contains(got, 7) {
+		t.Fatalf("view after node 7 left has %d members (node 7 present: %v)", len(got), slices.Contains(got, 7))
 	}
 }
 
+// TestBestFreeSpace: the manager keeps no free-space hints (reservations
+// carve from the node's own chunk of the address map), so a member's
+// record is its ID, address and liveness only, and a heartbeat refreshes
+// the liveness alone.
 func TestBestFreeSpace(t *testing.T) {
 	c := newFakeClock()
 	m := newTestManager(c)
-	m.Join(2, "")
-	m.Join(3, "")
-	m.Heartbeat(&wire.Heartbeat{Node: 2, FreeTotal: 100, FreeMax: 60})
-	m.Heartbeat(&wire.Heartbeat{Node: 3, FreeTotal: 300, FreeMax: 40})
-	node, max := m.BestFreeSpace()
-	if node != 2 || max != 60 {
-		t.Fatalf("best = %v, %d", node, max)
+	m.Join(2, "b")
+	c.advance(time.Second)
+	m.Heartbeat(&wire.Heartbeat{Node: 2})
+	got := m.Members()
+	if want := (Member{ID: 2, Addr: "b", LastSeen: c.now()}); len(got) != 2 || got[1] != want {
+		t.Fatalf("members = %+v, want node 2 as %+v", got, want)
 	}
 }
 
+// TestWalk: a rejoin after Leave restores the member, in the view the
+// ring is built from, at the same sorted place.
 func TestWalk(t *testing.T) {
 	c := newFakeClock()
 	m := newTestManager(c)
 	m.Join(2, "")
 	m.Join(3, "")
 	m.Join(4, "")
-	// Only node 3 knows the region.
-	lookup := func(_ context.Context, node ktypes.NodeID, _ gaddr.Addr) bool {
-		return node == 3
+	m.Leave(3)
+	if got := m.View().Members; !slices.Equal(got, []ktypes.NodeID{1, 2, 4}) {
+		t.Fatalf("view after leave = %v", got)
 	}
-	hits := m.Walk(context.Background(), start(8), lookup, 1)
-	if len(hits) != 1 || hits[0] != 3 {
-		t.Fatalf("walk = %v", hits)
-	}
-	// The walk result is cached as a hint.
-	if nodes, found := m.Query(start(8)); !found || nodes[0] != 3 {
-		t.Fatalf("walk hint = %v, %v", nodes, found)
-	}
-	// A walk over nodes that all miss returns nothing.
-	none := m.Walk(context.Background(), start(99), func(context.Context, ktypes.NodeID, gaddr.Addr) bool { return false }, 2)
-	if len(none) != 0 {
-		t.Fatalf("walk none = %v", none)
+	m.Join(3, "")
+	if got := m.View().Members; !slices.Equal(got, []ktypes.NodeID{1, 2, 3, 4}) {
+		t.Fatalf("view after rejoin = %v", got)
 	}
 }
 
+// TestWalkSkipsDeadAndSelf: Alive always lists the manager, never
+// expired, and skips members gone silent.
 func TestWalkSkipsDeadAndSelf(t *testing.T) {
 	c := newFakeClock()
 	m := newTestManager(c)
@@ -212,13 +217,8 @@ func TestWalkSkipsDeadAndSelf(t *testing.T) {
 	m.Join(3, "")
 	c.advance(DefaultExpiry + time.Second)
 	m.Heartbeat(&wire.Heartbeat{Node: 3}) // only 3 alive
-	var asked []ktypes.NodeID
-	m.Walk(context.Background(), start(1), func(_ context.Context, n ktypes.NodeID, _ gaddr.Addr) bool {
-		asked = append(asked, n)
-		return false
-	}, 1)
-	if len(asked) != 1 || asked[0] != 3 {
-		t.Fatalf("walk asked %v, want [3]", asked)
+	if got := m.Alive(); !slices.Equal(got, []ktypes.NodeID{1, 3}) {
+		t.Fatalf("alive = %v, want [1 3]", got)
 	}
 }
 

@@ -93,8 +93,8 @@ func mapEntry(r gaddr.Range, homes []ktypes.NodeID) addrmap.Entry {
 
 // --- background loops ------------------------------------------------------
 
-// heartbeatLoop reports liveness, free-space hints, and recently homed
-// regions to the cluster manager (§3.1).
+// heartbeatLoop reports liveness to the cluster manager (§3.1) and adopts
+// the membership view it answers with.
 func (n *Node) heartbeatLoop() {
 	defer n.done.Done()
 	ticker := time.NewTicker(n.cfg.HeartbeatInterval)
@@ -122,21 +122,9 @@ func (n *Node) SendHeartbeat() {
 		_, _ = n.PingPeer(pingCtx, n.cfg.ClusterManager)
 		pingCancel()
 	}
-	total, max := n.FreeSpace()
-	// Report the newest regions: the manager is least likely to know them.
-	descs := n.homedDescs()
-	var regions []gaddr.Addr
-	for _, d := range descs[len(descs)-min(len(descs), 32):] {
-		regions = append(regions, d.Range.Start)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	resp, err := n.tr.Request(ctx, n.cfg.ClusterManager, &wire.Heartbeat{
-		Node:      n.cfg.ID,
-		FreeTotal: total,
-		FreeMax:   max,
-		Regions:   regions,
-	})
+	resp, err := n.tr.Request(ctx, n.cfg.ClusterManager, &wire.Heartbeat{Node: n.cfg.ID})
 	if err != nil {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"khazana/internal/ktypes"
 	"khazana/internal/pagedir"
 	"khazana/internal/region"
+	"khazana/internal/ring"
 	"khazana/internal/security"
 	"khazana/internal/transport"
 	"khazana/internal/wire"
@@ -203,17 +205,11 @@ func TestLookupPathStages(t *testing.T) {
 	}
 	ringHits := n3.Statistics().RingHits.Load()
 	walks := n3.Statistics().TreeWalks.Load()
-	clusterHits := n3.Statistics().ClusterHits.Load()
-	if ringHits+walks+clusterHits == 0 {
-		t.Fatal("first lookup should have gone past the region directory")
-	}
-	// The ring partition resolves the cold miss before the legacy stages
-	// get a chance: no tree walk, no cluster hint.
-	if ringHits == 0 {
-		t.Fatalf("cold lookup should resolve through the ring (walks=%d clusterHits=%d)", walks, clusterHits)
-	}
-	if walks+clusterHits != 0 {
-		t.Fatalf("ring hit should preempt the legacy stages (walks=%d clusterHits=%d)", walks, clusterHits)
+	fallbacks := n3.mRingFallbacks.Load()
+	// The ring partition resolves the cold miss in its one hop: no
+	// fallback, no tree walk.
+	if ringHits != 1 || fallbacks != 0 || walks != 0 {
+		t.Fatalf("cold lookup: %d ring hits, %d fallbacks, %d tree walks; want 1, 0, 0", ringHits, fallbacks, walks)
 	}
 	// Second lookup: region directory hit.
 	if _, err := n3.GetAttr(ctx, start); err != nil {
@@ -622,17 +618,29 @@ func TestFigure2TraceSequence(t *testing.T) {
 	}
 }
 
+// TestHeartbeatFeedsManagerHints: the manager keeps membership only, and
+// a heartbeat's answer is how a member learns it. Node 2 joined when the
+// cluster was {1, 2}; its heartbeat brings it the manager's full view,
+// and with it the manager's ring, so both hash a region to the same
+// owners.
 func TestHeartbeatFeedsManagerHints(t *testing.T) {
 	_, nodes := testCluster(t, 3)
 	start := mkRegion(t, nodes[1], 4096, region.Attrs{}, "")
+	if got := nodes[1].Members(); len(got) != 2 {
+		t.Fatalf("node 2 before its heartbeat sees %v, want its join view of two", got)
+	}
 	nodes[1].SendHeartbeat()
 	mgr := nodes[0].Manager()
 	if mgr == nil {
 		t.Fatal("node 1 should run the manager")
 	}
-	hints, found := mgr.Query(start)
-	if !found || len(hints) == 0 || hints[0] != 2 {
-		t.Fatalf("manager hints = %v, %v", hints, found)
+	want := mgr.View().Members
+	if got := nodes[1].Members(); !slices.Equal(got, want) {
+		t.Fatalf("node 2 after its heartbeat sees %v, want the manager's view %v", got, want)
+	}
+	bucket := ring.BucketOf(start)
+	if got, want := nodes[1].Ring().Owners(bucket), nodes[0].Ring().Owners(bucket); !slices.Equal(got, want) {
+		t.Fatalf("node 2 hashes %v to owners %v, the manager to %v", start, got, want)
 	}
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"khazana/internal/gaddr"
@@ -15,10 +17,11 @@ import (
 
 // testFederation builds two clusters on one network: nodes 1-3 form
 // cluster A (manager n1, which is also the global map home and genesis)
-// and nodes 4-6 form cluster B (manager n4). The two managers are peered
-// (§3.1: multiple clusters organized into a hierarchy; managers represent
-// their cluster during inter-cluster communication).
-func testFederation(t *testing.T) (*transport.Network, []*Node) {
+// and nodes 4-6 form cluster B (manager n4). The clusters share the one
+// global address map and nothing else: each builds its ring from its own
+// members, and no manager knows the other cluster. mutate may wrap a
+// node's transport before it starts.
+func testFederation(t *testing.T, mutate ...func(i int, cfg *Config)) (*transport.Network, []*Node) {
 	t.Helper()
 	net := transport.NewNetwork()
 	nodes := make([]*Node, 6)
@@ -29,24 +32,19 @@ func testFederation(t *testing.T) (*transport.Network, []*Node) {
 			t.Fatal(err)
 		}
 		manager := ktypes.NodeID(1)
-		var peers []ktypes.NodeID
 		if i >= 3 {
 			manager = 4
-		}
-		if id == 1 {
-			peers = []ktypes.NodeID{4}
-		}
-		if id == 4 {
-			peers = []ktypes.NodeID{1}
 		}
 		cfg := Config{
 			ID:             id,
 			Transport:      tr,
 			StoreDir:       filepath.Join(t.TempDir(), fmt.Sprintf("n%d", id)),
 			ClusterManager: manager,
-			PeerManagers:   peers,
 			MapHome:        1,
 			Genesis:        id == 1,
+		}
+		for _, fn := range mutate {
+			fn(i, &cfg)
 		}
 		node, err := NewNode(cfg)
 		if err != nil {
@@ -58,15 +56,35 @@ func testFederation(t *testing.T) (*transport.Network, []*Node) {
 		t.Cleanup(func() { _ = node.Close() })
 		nodes[i] = node
 	}
+	// One heartbeat round gives every member its cluster's full view.
+	heartbeatAll(nodes)
 	return net, nodes
 }
 
+// destCounter counts outbound requests by destination node.
+type destCounter struct {
+	transport.Transport
+	mu sync.Mutex
+	to map[ktypes.NodeID]int
+}
+
+func (c *destCounter) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
+	c.mu.Lock()
+	c.to[to]++
+	c.mu.Unlock()
+	return c.Transport.Request(ctx, to, m)
+}
+
+// TestFederationCrossClusterLookup: a region homed in cluster B is not in
+// cluster A's ring, so a cluster-A node's cold lookup misses the ring and
+// resolves through the walk over the one global address map, then
+// announces what it found to its own ring's owners: the next cold lookup
+// in cluster A one-hops.
 func TestFederationCrossClusterLookup(t *testing.T) {
 	_, nodes := testFederation(t)
 	ctx := context.Background()
 
-	// Region homed on node 5 (cluster B); its manager learns about it
-	// via heartbeat.
+	// Region homed on node 5 (cluster B).
 	start := mkRegion(t, nodes[4], 4096, region.Attrs{}, "")
 	lc, err := nodes[4].Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockWrite, "")
 	if err != nil {
@@ -74,38 +92,63 @@ func TestFederationCrossClusterLookup(t *testing.T) {
 	}
 	_ = nodes[4].Write(lc, start, []byte("cluster B data"))
 	_ = nodes[4].Unlock(ctx, lc)
-	nodes[4].SendHeartbeat() // n5 -> manager n4
+	settleRing(nodes)
 
-	// Node 2 (cluster A) resolves the region. Its manager (n1) has no
-	// local hint and its cluster walk misses (no cluster-A node caches
-	// the region), so the query is forwarded to manager n4.
-	rlc, err := nodes[1].Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockRead, "")
+	// Node 2 (cluster A) resolves the region.
+	n2 := nodes[1]
+	walks, fallbacks := n2.Statistics().TreeWalks.Load(), n2.mRingFallbacks.Load()
+	rlc, err := n2.Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockRead, "")
 	if err != nil {
 		t.Fatalf("cross-cluster lock: %v", err)
 	}
-	got, _ := nodes[1].Read(rlc, start, 14)
-	_ = nodes[1].Unlock(ctx, rlc)
+	got, _ := n2.Read(rlc, start, 14)
+	_ = n2.Unlock(ctx, rlc)
 	if string(got) != "cluster B data" {
 		t.Fatalf("cross-cluster read %q", got)
 	}
-	// The forwarded answer is cached as a local hint at manager n1.
-	if hints, found := nodes[0].Manager().Query(start); !found || len(hints) == 0 {
-		t.Fatalf("manager A did not cache the inter-cluster hint: %v, %v", hints, found)
+	if w, f := n2.Statistics().TreeWalks.Load()-walks, n2.mRingFallbacks.Load()-fallbacks; w != 1 || f != 1 {
+		t.Fatalf("cross-cluster lookup: %d tree walks, %d ring fallbacks; want 1 and 1", w, f)
+	}
+
+	// The walk repaired cluster A's ring: node 3 one-hops.
+	settleRing(nodes)
+	n3 := nodes[2]
+	hits, walks := n3.Statistics().RingHits.Load(), n3.Statistics().TreeWalks.Load()
+	if _, err := n3.GetAttr(ctx, start); err != nil {
+		t.Fatal(err)
+	}
+	if h, w := n3.Statistics().RingHits.Load()-hits, n3.Statistics().TreeWalks.Load()-walks; h != 1 || w != 0 {
+		t.Fatalf("after the repair node 3 took %d ring hits and %d tree walks; want 1 and 0", h, w)
 	}
 }
 
+// TestFederationForwardedQueriesDoNotLoop: a lookup of an address no
+// cluster holds ends after one ring miss and one walk of the global map,
+// with ErrInaccessible. Nothing is forwarded between clusters: the
+// cluster-A node sends no request to a cluster-B node.
 func TestFederationForwardedQueriesDoNotLoop(t *testing.T) {
-	_, nodes := testFederation(t)
+	counter := &destCounter{to: make(map[ktypes.NodeID]int)}
+	_, nodes := testFederation(t, func(i int, cfg *Config) {
+		if i == 1 {
+			counter.Transport = cfg.Transport
+			cfg.Transport = counter
+		}
+	})
 	ctx := context.Background()
-	// Ask cluster A's manager about an address nobody has. The query is
-	// forwarded once to manager B, which must not forward it back.
-	resp, err := nodes[1].tr.Request(ctx, 1, &wire.ClusterQuery{Addr: gaddr.FromUint64(0x7777777000)})
-	if err != nil {
-		t.Fatal(err)
+	n2 := nodes[1]
+	walks := n2.Statistics().TreeWalks.Load()
+	if _, err := n2.GetAttr(ctx, gaddr.FromUint64(0x7777777000)); !errors.Is(err, ErrInaccessible) {
+		t.Fatalf("lookup of an unknown address = %v, want ErrInaccessible", err)
 	}
-	hint, ok := resp.(*wire.ClusterHint)
-	if !ok || hint.Found {
-		t.Fatalf("query for unknown address = %+v", resp)
+	if w := n2.Statistics().TreeWalks.Load() - walks; w != 1 {
+		t.Fatalf("lookup of an unknown address took %d tree walks, want 1", w)
+	}
+	counter.mu.Lock()
+	defer counter.mu.Unlock()
+	for _, b := range []ktypes.NodeID{4, 5, 6} {
+		if counter.to[b] != 0 {
+			t.Fatalf("cluster-A node sent %d requests to cluster-B node %v: %v", counter.to[b], b, counter.to)
+		}
 	}
 }
 

@@ -136,22 +136,6 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 		n.manager.Heartbeat(msg)
 		n.ringSync(ctx)
 		return n.manager.View(), nil
-	case *wire.ClusterQuery:
-		if n.manager == nil {
-			return nil, fmt.Errorf("core: %v is not the cluster manager", n.cfg.ID)
-		}
-		nodes, found := n.manager.Query(msg.Addr)
-		if !found {
-			// Fall back to the cluster-walk algorithm (§3.1).
-			nodes = n.manager.Walk(ctx, msg.Addr, n.walkLookup, 1)
-			found = len(nodes) > 0
-		}
-		if !found && !msg.Forwarded {
-			// Inter-cluster communication (§3.1): ask the managers of
-			// peer clusters, caching any answer as a local hint.
-			nodes, found = n.askPeerManagers(ctx, msg.Addr)
-		}
-		return &wire.ClusterHint{Found: found, Nodes: nodes}, nil
 	case *wire.Leave:
 		if n.manager != nil {
 			n.manager.Leave(msg.Node)
@@ -299,39 +283,6 @@ func (n *Node) handleRegionLookup(msg *wire.RegionLookup) *wire.RegionInfo {
 		return &wire.RegionInfo{Found: true, Desc: d}
 	}
 	return &wire.RegionInfo{Found: false}
-}
-
-// askPeerManagers forwards a missed query to peer cluster managers.
-func (n *Node) askPeerManagers(ctx context.Context, addr gaddr.Addr) ([]ktypes.NodeID, bool) {
-	for _, peer := range n.manager.PeerManagers() {
-		resp, err := n.tr.Request(ctx, peer, &wire.ClusterQuery{Addr: addr, Forwarded: true})
-		if err != nil {
-			continue
-		}
-		hint, ok := resp.(*wire.ClusterHint)
-		if !ok || !hint.Found || len(hint.Nodes) == 0 {
-			continue
-		}
-		for _, node := range hint.Nodes {
-			n.manager.AddHint(addr, node)
-			// The hinted node lives in another cluster; track it as a
-			// member so hint liveness filtering does not discard it.
-			n.manager.Join(node, "")
-		}
-		return hint.Nodes, true
-	}
-	return nil, false
-}
-
-// walkLookup is the cluster-walk probe: ask one node whether it knows the
-// region containing addr.
-func (n *Node) walkLookup(ctx context.Context, node ktypes.NodeID, addr gaddr.Addr) bool {
-	resp, err := n.tr.Request(ctx, node, &wire.RegionLookup{Addr: addr})
-	if err != nil {
-		return false
-	}
-	info, ok := resp.(*wire.RegionInfo)
-	return ok && info.Found
 }
 
 // Protocols lists the consistency protocols this daemon can serve.

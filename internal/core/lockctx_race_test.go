@@ -109,7 +109,7 @@ func TestLockSpanSlotsSurviveDetachedCast(t *testing.T) {
 		}
 		home := nodes[attempt%3]
 		s := mkRegion(t, home, ring.BucketSize, region.Attrs{}, "alice")
-		ids := reader.currentRing().Owners(ring.BucketOf(s))
+		ids := reader.Ring().Owners(ring.BucketOf(s))
 		if containsNode(ids, home.cfg.ID) || containsNode(ids, reader.cfg.ID) {
 			continue
 		}

@@ -20,11 +20,12 @@ import (
 var ErrInaccessible = errors.New("core: region inaccessible")
 
 // lookupRegion resolves the descriptor of the region containing addr.
-// The paper's three-stage path (§3.2, §3.5) — region directory, cluster
-// manager, address map tree walk — gains a consistent-hashing stage in
-// front of the legacy tail: a cold miss hashes the address to its ring
-// owners and resolves in one RPC hop, demoting the cluster hint and
-// tree walk to a repair-only fallback.
+// Every lookup takes one path: the well-known map region and regions
+// homed here, then the region directory cache (§3.2), then on a miss one
+// cold flight — the consistent-hashing ring, which hashes the address to
+// its bucket owners and resolves in one RPC hop, and behind it the
+// address map tree walk as the only repair stage. The ring stands where
+// the paper's cluster-manager hint stood (§3.2).
 func (n *Node) lookupRegion(ctx context.Context, addr gaddr.Addr) (*region.Descriptor, error) {
 	n.stats.Lookups.Add(1)
 	// Stage 0: the address map region itself is well known.
@@ -88,35 +89,21 @@ func (n *Node) lookupCold(ctx context.Context, addr gaddr.Addr) (*region.Descrip
 	}
 }
 
-// coldFlight is the single in-flight cold lookup for a bucket: ring
-// first (one RPC hop), then the legacy cluster-hint and tree-walk
-// stages as repair fallback. Whatever the fallback finds is announced
-// back to the ring owners so the next cold lookup one-hops.
+// coldFlight is the single in-flight cold lookup for a bucket: the ring
+// first (one RPC hop), then the address map tree walk when no owner can
+// answer — owners unreachable, or their tables missing the region. A
+// steady-state lookup never walks; what a walk finds is announced back to
+// the ring owners, so the next cold lookup one-hops again.
 func (n *Node) coldFlight(ctx context.Context, addr gaddr.Addr) (*region.Descriptor, error) {
-	if !n.cfg.NoRing {
-		stageStart := time.Now()
-		if d := n.lookupViaRing(ctx, addr); d != nil {
-			n.mRingLookups.Add(1)
-			n.mStageRing.ObserveSince(stageStart)
-			n.trace("2:ring-one-hop")
-			n.rdir.Insert(d)
-			return d, nil
-		}
-		// The ring could not resolve the address — owners unreachable or
-		// their tables missing the region. Steady state never gets here;
-		// the legacy path below repairs the ring with whatever it finds.
-		n.mRingFallbacks.Add(1)
-	}
-	// Legacy stage 2: cluster manager hint / cluster walk.
 	stageStart := time.Now()
-	if d := n.lookupViaCluster(ctx, addr); d != nil && !n.ringTable.Destroyed(d.Range.Start) {
-		n.stats.ClusterHits.Add(1)
-		n.mStageCluster.ObserveSince(stageStart)
+	if d := n.lookupViaRing(ctx, addr); d != nil {
+		n.stats.RingHits.Add(1)
+		n.mStageRing.ObserveSince(stageStart)
+		n.trace("2:ring-one-hop")
 		n.rdir.Insert(d)
-		n.ringAnnounce(ctx, d)
 		return d, nil
 	}
-	// Legacy stage 3: address map tree walk.
+	n.mRingFallbacks.Add(1)
 	n.trace("2-3:address-map-lookup")
 	n.stats.TreeWalks.Add(1)
 	stageStart = time.Now()
@@ -182,28 +169,6 @@ func (n *Node) homedDescs() []*region.Descriptor {
 	var out []*region.Descriptor
 	n.authDescs.Range(func(_ gaddr.Addr, d *region.Descriptor) { out = append(out, d) })
 	return out
-}
-
-// lookupViaCluster queries the cluster manager for nearby cachers of the
-// region and fetches the descriptor from one of them.
-func (n *Node) lookupViaCluster(ctx context.Context, addr gaddr.Addr) *region.Descriptor {
-	var nodes []ktypes.NodeID
-	if n.manager != nil {
-		nodes, _ = n.manager.Query(addr)
-	} else {
-		resp, err := n.tr.Request(ctx, n.cfg.ClusterManager, &wire.ClusterQuery{Addr: addr})
-		if err != nil {
-			return nil
-		}
-		if hint, ok := resp.(*wire.ClusterHint); ok && hint.Found {
-			nodes = hint.Nodes
-		}
-	}
-	d, err := n.fetchDescriptorTolerant(ctx, nodes, addr)
-	if err != nil {
-		return nil
-	}
-	return d
 }
 
 // fetchDescriptor asks candidate nodes for the descriptor of the region

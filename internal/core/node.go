@@ -52,9 +52,6 @@ type Config struct {
 	// ClusterManager names the cluster's manager node. When it equals
 	// ID, this daemon runs the manager.
 	ClusterManager ktypes.NodeID
-	// PeerManagers names the managers of other clusters in a
-	// multi-cluster hierarchy (§3.1); meaningful only on the manager.
-	PeerManagers []ktypes.NodeID
 	// MapHome names the home node of the address map region; all map
 	// mutations are routed there. Defaults to ClusterManager.
 	MapHome ktypes.NodeID
@@ -78,12 +75,6 @@ type Config struct {
 	MigrationInterval time.Duration
 	// Migration tunes the policy; the zero value selects defaults.
 	Migration MigrationPolicy
-	// NoRing disables the consistent-hashing descriptor partition: cold
-	// lookups skip the one-hop ring stage and descriptors are not
-	// announced to ring owners, restoring the legacy cluster-hint /
-	// tree-walk path. It exists for the paper-faithful E2/E3
-	// reproductions and as an escape hatch; the default uses the ring.
-	NoRing bool
 	// Registry supplies consistency protocols; nil uses the built-ins.
 	Registry *consistency.Registry
 	// Clock supplies last-writer-wins stamps; nil uses wall time.
@@ -155,10 +146,10 @@ type Node struct {
 	repl *replog.Log
 
 	// ringMu guards ringState, the current consistent-hashing partition
-	// of region descriptors (nil when Config.NoRing disables it or
-	// before the first membership view). ringTable is this node's
-	// authoritative descriptor table for the buckets it owns, populated
-	// by RingAnnounce traffic and local region lifecycle events.
+	// of region descriptors (nil before the first membership view).
+	// ringTable is this node's authoritative descriptor table for the
+	// buckets it owns, populated by RingAnnounce traffic and local region
+	// lifecycle events.
 	ringMu    sync.Mutex
 	ringState *ring.Ring
 	ringTable *ring.Table
@@ -198,7 +189,6 @@ type Node struct {
 	mSnapReads      *telemetry.Counter
 	mHomePromos     *telemetry.Counter
 	mReplicaRepairs *telemetry.Counter
-	mRingLookups    *telemetry.Counter
 	mRingMoves      *telemetry.Counter
 	mRingFallbacks  *telemetry.Counter
 	mLockLatency    *telemetry.Histogram
@@ -207,7 +197,6 @@ type Node struct {
 	mPingRTT        *telemetry.Histogram
 	mStageDir       *telemetry.Histogram
 	mStageRing      *telemetry.Histogram
-	mStageCluster   *telemetry.Histogram
 	mStageWalk      *telemetry.Histogram
 	gMemPages       *telemetry.Gauge
 	gDiskPages      *telemetry.Gauge
@@ -221,7 +210,6 @@ type Stats struct {
 	Lookups        *telemetry.Counter
 	DirHits        *telemetry.Counter
 	RingHits       *telemetry.Counter
-	ClusterHits    *telemetry.Counter
 	TreeWalks      *telemetry.Counter
 	LocksGranted   *telemetry.Counter
 	ReleaseRetries *telemetry.Counter
@@ -411,7 +399,6 @@ func NewNode(cfg Config) (*Node, error) {
 			Lookups:        tel.Counter(telemetry.MetricLookups),
 			DirHits:        tel.Counter(telemetry.MetricLookupDirHits),
 			RingHits:       tel.Counter(telemetry.MetricRingLookups),
-			ClusterHits:    tel.Counter(telemetry.MetricLookupClusterHits),
 			TreeWalks:      tel.Counter(telemetry.MetricLookupTreeWalks),
 			LocksGranted:   tel.Counter(telemetry.MetricLocksGranted),
 			ReleaseRetries: tel.Counter(telemetry.MetricReleaseRetries),
@@ -421,7 +408,6 @@ func NewNode(cfg Config) (*Node, error) {
 		mSnapReads:      tel.Counter(telemetry.MetricSnapshotReads),
 		mHomePromos:     tel.Counter(telemetry.MetricHomePromotions),
 		mReplicaRepairs: tel.Counter(telemetry.MetricReplicaRepairs),
-		mRingLookups:    tel.Counter(telemetry.MetricRingLookups),
 		mRingMoves:      tel.Counter(telemetry.MetricRingRebalanceMoves),
 		mRingFallbacks:  tel.Counter(telemetry.MetricRingFallbackWalks),
 		mLockLatency:    tel.Histogram(telemetry.MetricLockLatency),
@@ -430,7 +416,6 @@ func NewNode(cfg Config) (*Node, error) {
 		mPingRTT:        tel.Histogram(telemetry.MetricPingRTT),
 		mStageDir:       tel.Histogram(telemetry.MetricLookupStageDir),
 		mStageRing:      tel.Histogram(telemetry.MetricLookupStageRing),
-		mStageCluster:   tel.Histogram(telemetry.MetricLookupStageCluster),
 		mStageWalk:      tel.Histogram(telemetry.MetricLookupStageWalk),
 		gMemPages:       tel.Gauge(telemetry.MetricMemPages),
 		gDiskPages:      tel.Gauge(telemetry.MetricDiskPages),
@@ -492,7 +477,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.ID == cfg.ClusterManager {
 		n.manager = cluster.NewManager(cfg.ID)
-		n.manager.SetPeerManagers(cfg.PeerManagers)
 	}
 	n.tr.SetHandler(n.handle)
 	return n, nil
@@ -629,9 +613,8 @@ func (n *Node) AddressMap() *addrmap.Map { return n.amap }
 // and experiments).
 func (n *Node) Repl() *replog.Log { return n.repl }
 
-// Ring exposes the node's current consistent-hashing partition view
-// (nil when disabled or before the first membership sync); diagnostics,
-// tests, and experiments.
+// Ring returns the node's current consistent-hashing partition view (nil
+// before the first membership sync).
 func (n *Node) Ring() *ring.Ring {
 	n.ringMu.Lock()
 	defer n.ringMu.Unlock()
@@ -794,21 +777,22 @@ type mapIO struct{ n *Node }
 
 var _ addrmap.PageIO = mapIO{}
 
-// ReadPage implements addrmap.PageIO. The map layer retains and mutates
-// returned pages, so this cold path copies out of the shared frame.
-func (io mapIO) ReadPage(ctx context.Context, page gaddr.Addr) ([]byte, error) {
+// ReadPage implements addrmap.PageIO. It hands out the stored frame's
+// bytes under a reference of their own, taken under the read lock: a
+// stored frame is copy-on-write (MutatePage takes a private copy), so the
+// bytes stay the ones the lock granted until done drops the reference.
+func (io mapIO) ReadPage(ctx context.Context, page gaddr.Addr) ([]byte, func(), error) {
 	cm := io.n.cms[region.Release]
 	pages := []gaddr.Addr{page}
 	if _, err := cm.AcquireBatch(ctx, io.n.mapDesc, pages, ktypes.LockRead); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer cm.ReleaseBatch(ctx, io.n.mapDesc, pages, ktypes.LockRead, nil)
 	f, ok := io.n.storedFrame(io.n.table(io.n.mapDesc), page)
 	if !ok {
-		return make([]byte, addrmap.PageSize), nil
+		return make([]byte, addrmap.PageSize), func() {}, nil
 	}
-	defer f.Release()
-	return append([]byte(nil), f.Bytes()...), nil
+	return f.Bytes(), f.Release, nil
 }
 
 // MutatePage implements addrmap.PageIO. Map mutations run only at the map

@@ -105,17 +105,6 @@ func (n *Node) carve(ctx context.Context, size, align uint64) (gaddr.Addr, error
 	return gaddr.Addr{}, errors.New("core: could not carve region from chunk")
 }
 
-// FreeSpace reports the local pool's total and largest free extent, used
-// in heartbeat hints (§3.1).
-func (n *Node) FreeSpace() (total, max uint64) {
-	n.chunkMu.Lock()
-	defer n.chunkMu.Unlock()
-	if !n.chunkOK {
-		return 0, 0
-	}
-	return n.chunk.Size, n.chunk.Size
-}
-
 // Unreserve releases a region and any storage allocated to it (§2).
 //
 // Invariant: once Unreserve returns nil, this node never resolves the
@@ -435,11 +424,6 @@ func (n *Node) grant(ctx context.Context, lc *LockContext, rng gaddr.Range, prin
 	ls.mu.Unlock()
 	n.stats.LocksGranted.Add(1)
 	n.mBatchPages.Observe(uint64(len(pages)))
-
-	// Feed the cluster manager's hint cache (§3.1).
-	if n.manager != nil {
-		n.manager.AddHint(desc.Range.Start, n.cfg.ID)
-	}
 	return nil
 }
 

@@ -20,22 +20,11 @@ import (
 // bucket the region overlaps; on membership change each home
 // re-announces only the descriptors whose owner set actually moved.
 
-// currentRing returns the node's current ring view (nil when disabled
-// or before the first membership sync).
-func (n *Node) currentRing() *ring.Ring {
-	n.ringMu.Lock()
-	defer n.ringMu.Unlock()
-	return n.ringState
-}
-
 // ringSync rebuilds the ring if the membership view changed, then
 // re-announces homed descriptors whose owner set moved. Cheap when
 // nothing changed (one sorted-set comparison), so every membership
 // signal — join, heartbeat view, leave — funnels through it.
 func (n *Node) ringSync(ctx context.Context) {
-	if n.cfg.NoRing {
-		return
-	}
 	members := n.Members()
 	n.ringMu.Lock()
 	if n.ringState.SameMembers(members) {
@@ -83,10 +72,10 @@ func (n *Node) ringRebalance(ctx context.Context, old, next *ring.Ring) {
 // change, failover promotion, and migration commit. Best effort: a
 // missed owner is repaired by the fallback path's re-announce.
 func (n *Node) ringAnnounce(ctx context.Context, desc *region.Descriptor) {
-	if n.cfg.NoRing || desc == nil {
+	if desc == nil {
 		return
 	}
-	r := n.currentRing()
+	r := n.Ring()
 	if r == nil {
 		return
 	}
@@ -128,10 +117,7 @@ func (n *Node) forgetRegion(start gaddr.Addr) {
 // purged (forgetRegion), and an owner the cast has not reached yet hands
 // out a descriptor whose home answers no-such-region.
 func (n *Node) ringDestroy(ctx context.Context, desc *region.Descriptor) {
-	if n.cfg.NoRing {
-		return
-	}
-	r := n.currentRing()
+	r := n.Ring()
 	if r == nil {
 		return
 	}
@@ -182,7 +168,7 @@ func (n *Node) RingSettle() {
 // common path; nil when no owner can answer (the caller falls back and
 // repairs).
 func (n *Node) lookupViaRing(ctx context.Context, addr gaddr.Addr) *region.Descriptor {
-	r := n.currentRing()
+	r := n.Ring()
 	if r == nil {
 		return nil
 	}

@@ -72,8 +72,8 @@ func TestColdLookupSingleflight(t *testing.T) {
 	if walks := n3.Statistics().TreeWalks.Load(); walks != 0 {
 		t.Fatalf("TreeWalks = %d, want 0", walks)
 	}
-	if hits := n3.Statistics().ClusterHits.Load(); hits != 0 {
-		t.Fatalf("ClusterHits = %d, want 0", hits)
+	if f := n3.mRingFallbacks.Load(); f != 0 {
+		t.Fatalf("ring fallbacks = %d, want 0", f)
 	}
 	if dir := n3.Statistics().DirHits.Load(); dir != workers-1 {
 		t.Fatalf("DirHits = %d, want %d (every waiter re-checks the directory)", dir, workers-1)
@@ -115,10 +115,19 @@ func TestRingMatchesTreeWalk(t *testing.T) {
 		}
 	}
 
+	// Each node's view is whatever its join returned, so nodes 2 and 3
+	// announced their regions under rings of two and three members; one
+	// heartbeat round gives every node the same ring and moves each
+	// descriptor to its owners.
+	heartbeatAll(nodes)
 	settleRing(nodes)
+	walks, fallbacks := nodes[3].Statistics().TreeWalks.Load(), nodes[3].mRingFallbacks.Load()
 	check("steady")
-	if walks := nodes[3].Statistics().TreeWalks.Load(); walks != 0 {
-		t.Fatalf("steady state fell back to the tree walk %d times", walks)
+	if w := nodes[3].Statistics().TreeWalks.Load() - walks; w != 0 {
+		t.Fatalf("steady state fell back to the tree walk %d times", w)
+	}
+	if f := nodes[3].mRingFallbacks.Load() - fallbacks; f != 0 {
+		t.Fatalf("steady state missed the ring %d times", f)
 	}
 
 	// Membership churn: two more nodes join; every node re-syncs its
@@ -245,7 +254,7 @@ func TestColdLookupIsOneHop(t *testing.T) {
 			walks, fallbacks := reader.Statistics().TreeWalks.Load(), reader.mRingFallbacks.Load()
 			remote := 0
 			for _, s := range starts {
-				if containsNode(reader.currentRing().Owners(ring.BucketOf(s)), reader.cfg.ID) {
+				if containsNode(reader.Ring().Owners(ring.BucketOf(s)), reader.cfg.ID) {
 					continue
 				}
 				remote++
@@ -283,14 +292,14 @@ func TestColdLookupIsOneHop(t *testing.T) {
 // TestOwnersCrashedLookupRepairs crashes every ring owner of one region's
 // bucket, none of them the region's home, the manager or the reader. A
 // cold lookup must still resolve the region, through the counted repair
-// fallback behind the ring.
+// behind the ring: one fallback, one address map tree walk.
 func TestOwnersCrashedLookupRepairs(t *testing.T) {
 	const n = 12
 	net, nodes, _, starts := ringCluster(t, n)
 	reader := nodes[n-1]
 	for i, s := range starts {
 		home := nodes[i+1]
-		owners := reader.currentRing().Owners(ring.BucketOf(s))
+		owners := reader.Ring().Owners(ring.BucketOf(s))
 		if len(owners) == 0 || containsNode(owners, 1) || containsNode(owners, home.cfg.ID) || containsNode(owners, reader.cfg.ID) {
 			continue
 		}
@@ -298,7 +307,7 @@ func TestOwnersCrashedLookupRepairs(t *testing.T) {
 			net.Crash(o)
 		}
 		reader.rdir.Remove(s)
-		fallbacks := reader.mRingFallbacks.Load()
+		fallbacks, walks := reader.mRingFallbacks.Load(), reader.Statistics().TreeWalks.Load()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		d, err := reader.GetAttr(ctx, s)
 		cancel()
@@ -309,8 +318,11 @@ func TestOwnersCrashedLookupRepairs(t *testing.T) {
 		if d.Range != want.Range || !slices.Equal(d.Home, want.Home) {
 			t.Fatalf("repaired lookup resolved %v homed at %v, want %v homed at %v", d.Range, d.Home, want.Range, want.Home)
 		}
-		if reader.mRingFallbacks.Load() == fallbacks {
-			t.Fatal("the lookup resolved without counting a ring fallback")
+		if f := reader.mRingFallbacks.Load() - fallbacks; f != 1 {
+			t.Fatalf("the lookup counted %d ring fallbacks, want 1", f)
+		}
+		if w := reader.Statistics().TreeWalks.Load() - walks; w != 1 {
+			t.Fatalf("the lookup took %d tree walks, want 1", w)
 		}
 		return
 	}

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"khazana"
 	"khazana/internal/gaddr"
+	"khazana/internal/ring"
 )
 
 // E1Figure1 reproduces Figure 1 operationally: a five-node Khazana system
@@ -104,7 +107,7 @@ func E2Figure2(cfg Config) (Result, error) {
 	res := Result{
 		ID:        "E2",
 		Title:     "Figure 2 — <lock, fetch> of a remote page, step sequence and latency",
-		Predicted: "steps run in the paper's order; the credential/data exchange (6–10) dominates; optional steps 2–3 appear only on a region-directory miss",
+		Predicted: "steps run in the paper's order; the credential/data exchange (6–10) dominates; a region-directory miss adds one lookup step, the ring's one hop, and a warm lock none",
 	}
 	type ev struct {
 		step string
@@ -121,9 +124,7 @@ func E2Figure2(cfg Config) (Result, error) {
 		events = append(events, ev{step: step, at: time.Since(t0)})
 		mu.Unlock()
 	}
-	// The paper's Figure-2 trace predates the descriptor partition;
-	// disable the ring so the optional tree-walk steps 2-3 appear.
-	c, err := newCluster(cfg, 2, khazana.WithTracer(tracer), khazana.WithNoRing())
+	c, err := newCluster(cfg, 2, khazana.WithTracer(tracer))
 	if err != nil {
 		return res, err
 	}
@@ -131,11 +132,24 @@ func E2Figure2(cfg Config) (Result, error) {
 	ctx := context.Background()
 
 	// Page p's region is homed on node B (=n1) and has never been
-	// looked up elsewhere, so node A's first lock exercises the full
-	// cold path including the optional address-map steps 2-3.
+	// looked up elsewhere, so node A's first lock takes the cold lookup
+	// path. Once the region's announce has landed, the ring resolves it
+	// in its one hop (the paper's optional steps 2-3 stand there).
 	start, err := mkRegion(ctx, c.Node(1), 4096, khazana.Attrs{})
 	if err != nil {
 		return res, err
+	}
+	c.Node(1).Core().RingSettle()
+	// lookupSteps lists the traced steps between obtaining the
+	// descriptor (1) and the page directory (4): the lookup path's.
+	lookupSteps := func() []string {
+		var out []string
+		for _, e := range events {
+			if strings.HasPrefix(e.step, "2") {
+				out = append(out, e.step)
+			}
+		}
+		return out
 	}
 	// Node A (=n2) locks and fetches page p owned by node B (=n1).
 	t0 = time.Now()
@@ -153,20 +167,16 @@ func E2Figure2(cfg Config) (Result, error) {
 
 	mu.Lock()
 	prev := time.Duration(0)
-	sawOptional := false
 	for _, e := range events {
 		res.Rows = append(res.Rows, Row{Name: "step " + e.step, Value: fmtDur(e.at), Detail: "+" + fmtDur(e.at-prev)})
 		prev = e.at
-		if e.step == "2-3:address-map-lookup" {
-			sawOptional = true
-		}
 	}
 	res.Rows = append(res.Rows, Row{Name: "total <lock,fetch,unlock>", Value: fmtDur(total)})
+	cold := lookupSteps()
 	events = nil
 	mu.Unlock()
 
-	// Repeat with a warm region directory: the optional steps 2–3 must
-	// disappear (§3.2).
+	// Repeat with a warm region directory: no lookup step runs (§3.2).
 	lk2, err := c.Node(2).Lock(ctx, khazana.Range{Start: start, Size: 4096}, khazana.LockRead, "bench")
 	if err != nil {
 		return res, err
@@ -175,41 +185,41 @@ func E2Figure2(cfg Config) (Result, error) {
 		return res, err
 	}
 	mu.Lock()
-	warmOptional := false
-	for _, e := range events {
-		if e.step == "2-3:address-map-lookup" {
-			warmOptional = true
-		}
-	}
+	warm := lookupSteps()
 	mu.Unlock()
 	res.Rows = append(res.Rows,
-		Row{Name: "optional steps 2-3 (cold)", Value: fmt.Sprintf("%v", sawOptional),
-			Detail: "tree search happens on a region-directory miss"},
-		Row{Name: "optional steps 2-3 (warm)", Value: fmt.Sprintf("%v", warmOptional),
-			Detail: "cached descriptor skips the tree"},
+		Row{Name: "lookup steps (cold)", Value: fmt.Sprintf("%v", cold),
+			Detail: "a region-directory miss asks the ring"},
+		Row{Name: "lookup steps (warm)", Value: fmt.Sprintf("%v", warm),
+			Detail: "cached descriptor skips the lookup"},
 	)
-	res.Pass = sawOptional && !warmOptional
+	res.Pass = slices.Equal(cold, []string{"2:ring-one-hop"}) && len(warm) == 0
 	return res, nil
 }
 
-// E3LookupPath measures the three-stage region location path of §3.2:
-// region directory hit, cluster-manager hint, cluster walk, and the
-// address-map tree walk.
+// E3LookupPath measures the region location path of §3.2 as this
+// reproduction runs it: a region directory hit, a cold lookup the
+// consistent-hashing ring answers in one hop, and the address map tree
+// walk that repairs a lookup the ring cannot answer.
 func E3LookupPath(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	res := Result{
 		ID:        "E3",
-		Title:     "§3.2 — region location path: directory hit vs cluster manager vs tree walk",
-		Predicted: "directory hit makes no RPC; a cluster-manager hint makes fewer RPCs than a cluster walk; the tree walk fetches 2+ tree nodes",
+		Title:     "§3.2 — region location path: directory hit vs ring one hop vs tree walk",
+		Predicted: "directory hit makes no RPC; a cold ring lookup from a non-owner makes exactly one; the tree walk fetches 2+ tree nodes",
 	}
-	// Measure the paper's legacy stages bare: the ring would otherwise
-	// resolve every cold miss before stages 2-3 run.
-	c, err := newCluster(cfg, 6, khazana.WithNoRing())
+	c, err := newCluster(cfg, 6)
 	if err != nil {
 		return res, err
 	}
 	defer c.Close()
 	ctx := context.Background()
+	// With the heartbeat loop off a node's view is whatever its join
+	// returned; one round gives every node the full view, and with it
+	// the same ring.
+	for _, n := range c.Nodes() {
+		n.Core().SendHeartbeat()
+	}
 
 	// Populate enough regions to split the address-map root (depth 2+).
 	var starts []khazana.Addr
@@ -219,6 +229,9 @@ func E3LookupPath(cfg Config) (Result, error) {
 			return res, err
 		}
 		starts = append(starts, s)
+	}
+	for _, n := range c.Nodes() {
+		n.Core().RingSettle()
 	}
 	target := starts[10]
 
@@ -242,23 +255,21 @@ func E3LookupPath(cfg Config) (Result, error) {
 		return res, err
 	}
 
-	// Stage 2a: cluster-manager hint (the manager knows node 2 caches
-	// the region, as a heartbeat would have told it; node 4 asks cold).
-	c.Node(1).Core().Manager().AddHint(starts[11], 2)
-	hint, hintRPCs, err := measure(func() error {
-		_, err := c.Node(4).GetAttr(ctx, starts[11])
-		return err
-	})
-	if err != nil {
-		return res, err
+	// Stage 2: a cold lookup from a node that neither homes the region
+	// nor owns its ring bucket, so the one hop crosses the network.
+	ringTarget := starts[11]
+	var asker *khazana.Node
+	for _, n := range c.Nodes()[2:] {
+		if !slices.Contains(n.Core().Ring().Owners(ring.BucketOf(gaddr.Addr(ringTarget))), n.ID()) {
+			asker = n
+			break
+		}
 	}
-
-	// Stage 2b: cluster walk (manager has no hint for this region, so
-	// it probes members). A hint also answers addresses above its start,
-	// and regions are carved out ascending: the target lies below both.
-	walkTarget := starts[5]
-	walk, walkRPCs, err := measure(func() error {
-		_, err := c.Node(5).GetAttr(ctx, walkTarget)
+	if asker == nil {
+		return res, fmt.Errorf("every node owns the bucket of %v", ringTarget)
+	}
+	hop, hopRPCs, err := measure(func() error {
+		_, err := asker.GetAttr(ctx, ringTarget)
 		return err
 	})
 	if err != nil {
@@ -290,11 +301,10 @@ func E3LookupPath(cfg Config) (Result, error) {
 	}
 	res.Rows = append(res.Rows,
 		Row{Name: "region directory hit", Value: fmtDur(dirHit), Detail: fmt.Sprintf("%d RPCs: no network", dirRPCs)},
-		Row{Name: "cluster-manager hint", Value: fmtDur(hint), Detail: fmt.Sprintf("%d RPCs: manager query + descriptor fetch", hintRPCs)},
-		Row{Name: "cluster walk", Value: fmtDur(walk), Detail: fmt.Sprintf("%d RPCs: manager query, probes members + descriptor fetch", walkRPCs)},
+		Row{Name: "ring one hop (cold)", Value: fmtDur(hop), Detail: fmt.Sprintf("%d RPC(s) from n%d, not a bucket owner: its RingLookup", hopRPCs, asker.ID())},
 		Row{Name: "map tree walk (cold)", Value: fmtDur(tree), Detail: fmt.Sprintf("%d tree nodes fetched, depth %d", steps, depth)},
 		Row{Name: "map tree walk (warm)", Value: fmtDur(treeWarm), Detail: "tree pages cached release-consistently"},
 	)
-	res.Pass = dirRPCs == 0 && hintRPCs < walkRPCs && steps >= 2
+	res.Pass = dirRPCs == 0 && hopRPCs == 1 && steps >= 2
 	return res, nil
 }

@@ -216,8 +216,11 @@ func TestE16WriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Extend the home list and seed the replicas, so the measured releases
-	// write through to a stable replica set.
+	// write through to a stable replica set. The home-list change is
+	// announced to the ring owners asynchronously; let that land before
+	// counting.
 	c.Node(1).Core().MaintainReplicas()
+	c.Node(1).Core().RingSettle()
 
 	reqs0, _ := c.Network.Stats()
 	updates0 := updateBatches(c.Node(1))

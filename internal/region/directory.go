@@ -7,7 +7,7 @@ import "khazana/internal/gaddr"
 // may contain stale data; a stale home pointer simply results in a message
 // to a node that is no longer home, after which the caller drops the entry
 // and resolves the region again: through the ring's bucket owners, then
-// the cluster manager, then the address map tree.
+// the address map tree.
 type Directory struct{ idx *Index[*Descriptor] }
 
 // DirectoryCapacity is the number of descriptors a directory caches.

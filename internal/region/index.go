@@ -11,16 +11,16 @@ import (
 // Index maps region starts to values and answers the question every
 // descriptor table on the lookup path asks (§3.2): which entry has the
 // greatest start <= addr? The region directory, a ring owner's table, the
-// home's authoritative descriptors and the cluster manager's hints are all
-// Index instances; each keeps only its own insert rule on top.
+// home's authoritative descriptors and the page directory's per-region
+// tables are all Index instances; each keeps only its own insert rule on
+// top.
 //
 // Starts are kept sorted, so Get and Floor are binary searches. A bounded
-// index also keeps its entries on a recency ring: Get, Floor and Update
-// make an entry the most recently used, and a new start inserted into a
-// full index evicts the least recently used entry, found in O(1). Removing
-// it and inserting the new start shift the sorted slice in O(n): about 7 %
-// of region_churn's CPU (2-vCPU host) in the full 4 096-entry hint cache,
-// which the per-Lock AddHint keeps full. A removed or evicted entry is
+// index — the region directory is the only one — also keeps its entries
+// on a recency ring: Get, Floor and Update make an entry the most recently
+// used, and a new start inserted into a full index evicts the least
+// recently used entry, found in O(1). Removing it and inserting the new
+// start shift the sorted slice in O(n). A removed or evicted entry is
 // reused by the next insert, so an index whose size holds steady allocates
 // no entry.
 //

@@ -8,14 +8,11 @@ package telemetry
 // carry a _ns suffix and observe nanoseconds; size histograms (batch page
 // counts) are unitless.
 const (
-	// MetricLookups counts region-descriptor lookups (§3.2 three-stage
-	// location path).
+	// MetricLookups counts region-descriptor lookups (§3.2 location path:
+	// region directory, ring, address map tree walk).
 	MetricLookups = "core.lookups"
 	// MetricLookupDirHits counts lookups satisfied by the local directory.
 	MetricLookupDirHits = "core.lookup_dir_hits"
-	// MetricLookupClusterHits counts lookups satisfied by a cluster
-	// manager hint.
-	MetricLookupClusterHits = "core.lookup_cluster_hits"
 	// MetricLookupTreeWalks counts lookups that fell through to the
 	// address-map tree walk.
 	MetricLookupTreeWalks = "core.lookup_tree_walks"
@@ -131,12 +128,9 @@ const (
 	// by the consistent-hashing ring in one RPC hop (stage 2), in
 	// nanoseconds.
 	MetricLookupStageRing = "core.lookup_stage_ring_ns"
-	// MetricLookupStageCluster observes the latency of cold lookups that
-	// fell back to the cluster manager hint path, in nanoseconds.
-	MetricLookupStageCluster = "core.lookup_stage_cluster_ns"
 	// MetricLookupStageWalk observes the latency of cold lookups that
-	// fell all the way back to the §3.1 address-map tree walk, in
-	// nanoseconds.
+	// the ring could not answer and the §3.1 address-map tree walk
+	// repaired, in nanoseconds.
 	MetricLookupStageWalk = "core.lookup_stage_walk_ns"
 
 	// MetricRingLookups counts cold lookups resolved through the

@@ -32,7 +32,7 @@ func (m *RingLookup) decode(d *enc.Decoder) {
 
 // RingReply answers a RingLookup. Found=false means the owner's table
 // has no region containing the address (the caller falls back to the
-// legacy cluster-hint / tree-walk path and repairs the ring).
+// address map tree walk and repairs the ring).
 type RingReply struct {
 	Found bool
 	Desc  *region.Descriptor

@@ -6,8 +6,8 @@
 //
 // The message groups mirror the paper's protocols: region descriptor
 // lookup (§3.2), consistency-manager traffic for lock grants, fetches,
-// invalidations and update pushes (§3.3, Figure 2), cluster membership and
-// hint exchange (§3.1), replication pushes for minimum-replica maintenance
+// invalidations and update pushes (§3.3, Figure 2), cluster membership
+// (§3.1), replication pushes for minimum-replica maintenance
 // (§3.5), and the client operation set (§2).
 package wire
 
@@ -56,8 +56,8 @@ const (
 	KindJoin
 	KindClusterView
 	KindHeartbeat
-	KindClusterQuery
-	KindClusterHint
+	KindClusterQuery // retired: the ring replaced the manager's location hints
+	KindClusterHint  // retired: answered KindClusterQuery
 	KindLeave
 
 	KindCReserve
@@ -201,8 +201,6 @@ var factories = map[Kind]func() Msg{
 	KindJoin:             func() Msg { return &Join{} },
 	KindClusterView:      func() Msg { return &ClusterView{} },
 	KindHeartbeat:        func() Msg { return &Heartbeat{} },
-	KindClusterQuery:     func() Msg { return &ClusterQuery{} },
-	KindClusterHint:      func() Msg { return &ClusterHint{} },
 	KindLeave:            func() Msg { return &Leave{} },
 	KindCReserve:         func() Msg { return &CReserve{} },
 	KindCReserveResp:     func() Msg { return &CReserveResp{} },
@@ -520,80 +518,19 @@ func (m *ClusterView) decode(d *enc.Decoder) {
 	m.Members = d.NodeIDs()
 }
 
-// Heartbeat reports liveness and free-space hints to the cluster manager
-// (§3.1: managers maintain hints of free address space sizes managed by
-// cluster nodes), plus recently-cached region starts as location hints.
+// Heartbeat reports a node's liveness to the cluster manager (§3.1),
+// which answers with its membership view.
 type Heartbeat struct {
-	Node      ktypes.NodeID
-	FreeTotal uint64
-	FreeMax   uint64
-	Regions   []gaddr.Addr
+	Node ktypes.NodeID
 }
 
 // Kind implements Msg.
 func (*Heartbeat) Kind() Kind { return KindHeartbeat }
 func (m *Heartbeat) encode(e *enc.Encoder) {
 	e.NodeID(m.Node)
-	e.U64(m.FreeTotal)
-	e.U64(m.FreeMax)
-	e.U16(uint16(len(m.Regions)))
-	for _, r := range m.Regions {
-		e.Addr(r)
-	}
 }
 func (m *Heartbeat) decode(d *enc.Decoder) {
 	m.Node = d.NodeID()
-	m.FreeTotal = d.U64()
-	m.FreeMax = d.U64()
-	n := int(d.U16())
-	if d.Err() != nil || n == 0 {
-		return
-	}
-	m.Regions = make([]gaddr.Addr, 0, n)
-	for i := 0; i < n; i++ {
-		a := d.Addr()
-		if d.Err() != nil {
-			return
-		}
-		m.Regions = append(m.Regions, a)
-	}
-}
-
-// ClusterQuery asks the cluster manager whether a region is cached in a
-// nearby node (paper §3.2). Forwarded marks a query relayed between
-// cluster managers during inter-cluster communication (§3.1); a forwarded
-// query is never relayed again.
-type ClusterQuery struct {
-	Addr      gaddr.Addr
-	Forwarded bool
-}
-
-// Kind implements Msg.
-func (*ClusterQuery) Kind() Kind { return KindClusterQuery }
-func (m *ClusterQuery) encode(e *enc.Encoder) {
-	e.Addr(m.Addr)
-	e.Bool(m.Forwarded)
-}
-func (m *ClusterQuery) decode(d *enc.Decoder) {
-	m.Addr = d.Addr()
-	m.Forwarded = d.Bool()
-}
-
-// ClusterHint answers ClusterQuery with candidate nodes.
-type ClusterHint struct {
-	Found bool
-	Nodes []ktypes.NodeID
-}
-
-// Kind implements Msg.
-func (*ClusterHint) Kind() Kind { return KindClusterHint }
-func (m *ClusterHint) encode(e *enc.Encoder) {
-	e.Bool(m.Found)
-	e.NodeIDs(m.Nodes)
-}
-func (m *ClusterHint) decode(d *enc.Decoder) {
-	m.Found = d.Bool()
-	m.Nodes = d.NodeIDs()
 }
 
 // Leave announces departure from the cluster.

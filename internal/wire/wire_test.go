@@ -57,9 +57,7 @@ func sampleMessages() []Msg {
 		&ReplicaPut{From: 2},
 		&Join{Node: 6, Addr: "127.0.0.1:9999"},
 		&ClusterView{Manager: 1, Members: []ktypes.NodeID{1, 2, 3, 6}},
-		&Heartbeat{Node: 2, FreeTotal: 1 << 40, FreeMax: 1 << 30, Regions: []gaddr.Addr{gaddr.New(0, 0x1000)}},
-		&ClusterQuery{Addr: gaddr.New(0, 0x2000)},
-		&ClusterHint{Found: true, Nodes: []ktypes.NodeID{4}},
+		&Heartbeat{Node: 2},
 		&Leave{Node: 6},
 		&CReserve{Size: 8192, Attrs: region.DefaultAttrs(), Principal: "bob"},
 		&CReserveResp{Start: gaddr.New(0, 0x10000)},
@@ -423,8 +421,8 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 // TestRetiredKindsRejected pins the wire contract left by deleting the
-// per-page messages, the copyset and version queries and the fixed-field
-// stats pair: their kind numbers stay reserved, Unmarshal refuses them,
+// per-page messages, the copyset and version queries, the fixed-field
+// stats pair and the cluster-manager location query: their kind numbers stay reserved, Unmarshal refuses them,
 // and every later kind keeps the number it has always had.
 func TestRetiredKindsRejected(t *testing.T) {
 	for name, kind := range map[string]Kind{
@@ -433,6 +431,7 @@ func TestRetiredKindsRejected(t *testing.T) {
 		"CopysetQuery": KindCopysetQuery, "CopysetInfo": KindCopysetInfo,
 		"VersionQuery": KindVersionQuery, "VersionInfo": KindVersionInfo,
 		"StatsReq": KindStatsReq, "StatsResp": KindStatsResp,
+		"ClusterQuery": KindClusterQuery, "ClusterHint": KindClusterHint,
 	} {
 		body := append([]byte{byte(kind), byte(kind >> 8)}, make([]byte, 64)...)
 		if m, err := Unmarshal(body); err == nil {
@@ -443,6 +442,7 @@ func TestRetiredKindsRejected(t *testing.T) {
 		KindPageReq: 9, KindPageGrant: 10, KindInvalidate: 11,
 		KindPageFetch: 12, KindUpdatePush: 14, KindVersionQuery: 15,
 		KindReleaseNotify: 17, KindReplicaPut: 18, KindCopysetInfo: 20, KindJoin: 21,
+		KindClusterQuery: 24, KindClusterHint: 25, KindLeave: 26,
 		KindPageReqBatch: 51, KindRingAnnounce: 67, KindInvalidateBatch: 68,
 	} {
 		if kind != want {

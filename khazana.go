@@ -142,10 +142,6 @@ type NodeConfig struct {
 	// Deprecated: NoReadAhead is ignored. Every remote read takes the
 	// home's read lock, so there is no read-ahead left to disable.
 	NoReadAhead bool
-	// NoRing disables the consistent-hashing descriptor partition: cold
-	// lookups skip the one-hop ring stage and fall straight to the
-	// paper's cluster-hint / tree-walk path (the E2/E3 baseline).
-	NoRing bool
 	// Tracer observes Figure-2 protocol steps (diagnostics).
 	Tracer func(step string)
 }
@@ -187,7 +183,6 @@ func StartNode(ctx context.Context, cfg NodeConfig) (*Node, error) {
 		ReplicaInterval:   cfg.ReplicaInterval,
 		MigrationInterval: cfg.MigrationInterval,
 		Registry:          cfg.Registry,
-		NoRing:            cfg.NoRing,
 		Tracer:            cfg.Tracer,
 	})
 	if err != nil {
