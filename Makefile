@@ -109,7 +109,7 @@ profile-scan:
 # defects runs the known-defect tests (build tag defects). Each asserts
 # the correct behaviour, so each fails until its fix lands; the target
 # prints a line per test and is not a CI gate.
-DEFECTS := TestTCPTimedOutRequesterLeavesNoHold
+DEFECTS := TestTCPTimedOutRequesterLeavesNoHold TestReserveSurvivesMapHomeCrash TestUnreserveWithMapHomeDown
 defects:
 	@$(GO) test -tags defects -count=1 -v -run '^($(subst $() ,|,$(DEFECTS)))$$' . 2>&1 | \
 		grep -E '^\s*(--- (PASS|FAIL)|\S+_test\.go:[0-9]+:)' || true

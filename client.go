@@ -203,16 +203,16 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	}
 	st := &Stats{Node: m.Node, Members: m.Members}
 	fields := map[string]*uint64{
-		telemetry.MetricLookups:         &st.Lookups,
-		telemetry.MetricLookupDirHits:   &st.DirHits,
-		telemetry.MetricRingLookups:     &st.RingHits,
-		telemetry.MetricLookupTreeWalks: &st.TreeWalks,
-		telemetry.MetricLocksGranted:    &st.LocksGranted,
-		telemetry.MetricReleaseRetries:  &st.ReleaseRetries,
-		telemetry.MetricPromotions:      &st.Promotions,
-		telemetry.MetricMemPages:        &st.MemPages,
-		telemetry.MetricDiskPages:       &st.DiskPages,
-		telemetry.MetricHomedRegions:    &st.HomedRegions,
+		telemetry.MetricLookups:           &st.Lookups,
+		telemetry.MetricLookupDirHits:     &st.DirHits,
+		telemetry.MetricRingLookups:       &st.RingHits,
+		telemetry.MetricRingFallbackWalks: &st.TreeWalks,
+		telemetry.MetricLocksGranted:      &st.LocksGranted,
+		telemetry.MetricReleaseRetries:    &st.ReleaseRetries,
+		telemetry.MetricPromotions:        &st.Promotions,
+		telemetry.MetricMemPages:          &st.MemPages,
+		telemetry.MetricDiskPages:         &st.DiskPages,
+		telemetry.MetricHomedRegions:      &st.HomedRegions,
 	}
 	for _, v := range append(m.Counters, m.Gauges...) {
 		if p, ok := fields[v.Name]; ok {

@@ -75,3 +75,59 @@ func TestTCPTimedOutRequesterLeavesNoHold(t *testing.T) {
 	}
 	_ = lk.Unlock(ctx)
 }
+
+// TestReserveSurvivesMapHomeCrash: reserving address space must not
+// depend on the node that created the address map. §3.1 stores the map
+// inside Khazana, where it can be replicated like any region, yet the map
+// region lives only on node 1: with node 1 down, no node can reserve.
+func TestReserveSurvivesMapHomeCrash(t *testing.T) {
+	c, err := NewCluster(3, WithStoreDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Crash(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start, err := c.Node(2).Reserve(ctx, 4096, Attrs{}, "")
+	if err != nil {
+		t.Fatalf("reserve with the map home down: %v", err)
+	}
+	if err := c.Node(2).Allocate(ctx, start, ""); err != nil {
+		t.Fatalf("allocate with the map home down: %v", err)
+	}
+	if _, err := c.Node(3).GetAttr(ctx, start); err != nil {
+		t.Fatalf("a third node cannot find the region reserved while the map home was down: %v", err)
+	}
+}
+
+// TestUnreserveWithMapHomeDown: an Unreserve issued while the map home is
+// down must either leave the region whole or finish the removal once the
+// map home returns (§3.5 retries release-side work in the background).
+// Today it tears the region down at its home and then fails at the map
+// removal, so the map keeps naming a region that no longer exists.
+func TestUnreserveWithMapHomeDown(t *testing.T) {
+	c, err := NewCluster(3, WithStoreDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start, err := c.Node(2).Reserve(ctx, 4096, Attrs{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Node(2).Allocate(ctx, start, ""); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(1)
+	if err := c.Node(2).Unreserve(ctx, start, ""); err != nil {
+		t.Fatalf("unreserve with the map home down: %v", err)
+	}
+	c.Restart(1)
+	c.Node(2).Core().RunRetries()
+	if d, err := c.Node(3).GetAttr(ctx, start); err == nil {
+		t.Fatalf("after the map home returned, the unreserved region still resolves: %v", d.Range)
+	}
+}

@@ -7,11 +7,11 @@
 // with ongoing operations and, if necessary, delays granting locks until
 // the conflict is resolved.
 //
-// Three protocols ship, matching the paper: CREW (Concurrent Read
-// Exclusive Write, the prototype's only model, §5), release consistency
-// (used for the address map tree nodes), and an eventual protocol for
-// clients that tolerate temporarily out-of-date data. New protocols are
-// plugged in by registering them (§5).
+// Three protocols ship, matching the paper, as policies of one Engine:
+// CREW (Concurrent Read Exclusive Write, the prototype's only model, §5),
+// release consistency (used for the address map tree nodes), and an
+// eventual protocol for clients that tolerate temporarily out-of-date
+// data. New protocols are plugged in by registering them (§5).
 package consistency
 
 import (
@@ -85,6 +85,12 @@ type CM interface {
 	// per-page error (nil entries succeeded), so the caller can queue
 	// background retries for just the failures.
 	ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty []bool) []error
+	// Redeliver sends again the network half of releases whose local half
+	// already ran: a release the §3.5 background retry redoes, or a dirty
+	// copy pushed home before it leaves the node (§3.4). It returns nil
+	// when every page was delivered, else the per-page errors aligned with
+	// rel.
+	Redeliver(ctx context.Context, desc *region.Descriptor, rel []Redelivery) []error
 	// Handle processes protocol traffic arriving from a peer CM.
 	Handle(ctx context.Context, desc *region.Descriptor, from ktypes.NodeID, m wire.Msg) (wire.Msg, error)
 	// SnapshotRead returns committed copies of the given pages (sorted
@@ -94,6 +100,18 @@ type CM interface {
 	// its current cut, returned for the caller to pin. The caller owns
 	// every returned frame and must Release each.
 	SnapshotRead(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, epoch uint64) ([]SnapPage, uint64, error)
+}
+
+// Redelivery is one page of a release to deliver again.
+type Redelivery struct {
+	Page  gaddr.Addr
+	Mode  ktypes.LockMode
+	Dirty bool
+	// Frame is the copy of a page leaving the node, borrowed for the
+	// call; nil delivers the copy held here, and a dirty page with none
+	// left was already delivered. Under last writer wins the page's
+	// winning copy goes, with its stamp.
+	Frame *frame.Frame
 }
 
 // SnapPage is one page of a snapshot read: an immutable committed copy
@@ -248,23 +266,6 @@ func homeOf(desc *region.Descriptor) (ktypes.NodeID, error) {
 	return home, nil
 }
 
-// snapshotFromStore answers a snapshot read from the local store: one
-// committed copy per page at the directory's current version. It is the
-// shared serving path for protocols whose local copy is committed by
-// construction (the release protocol's home between releases, the
-// eventual protocol everywhere). The caller owns every returned frame.
-func snapshotFromStore(h Host, desc *region.Descriptor, pages []gaddr.Addr) []SnapPage {
-	tab := tableOf(h, desc)
-	out := make([]SnapPage, 0, len(pages))
-	for _, p := range pages {
-		//khazana:frame-owner snapshot pages hand their frames to the SnapshotRead caller
-		f := loadOrZero(h, desc, tab.Touch(p))
-		e, _ := tab.Lookup(p)
-		out = append(out, SnapPage{Page: p, Frame: f, Version: e.Version})
-	}
-	return out
-}
-
 // snapshotFromHome fetches snapshot copies of pages from the region's
 // home in one SnapshotReqBatch round trip. The caller owns every frame in
 // the result and must Release each; on error nothing is returned.
@@ -275,12 +276,9 @@ func snapshotFromHome(ctx context.Context, h Host, desc *region.Descriptor, home
 		return nil, 0, err
 	}
 	batch, ok := resp.(*wire.SnapshotGrantBatch)
-	if !ok {
-		return nil, 0, fmt.Errorf("consistency: unexpected snapshot reply %T", resp)
-	}
-	if len(batch.Items) != len(pages) {
-		batch.ReleaseFrames()
-		return nil, 0, fmt.Errorf("consistency: snapshot reply has %d items for %d pages", len(batch.Items), len(pages))
+	if !ok || len(batch.Items) != len(pages) {
+		wire.Recycle(resp)
+		return nil, 0, fmt.Errorf("consistency: snapshot reply %T for %d pages", resp, len(pages))
 	}
 	out := make([]SnapPage, 0, len(pages))
 	for i := range batch.Items {
@@ -308,10 +306,7 @@ func snapshotFromHome(ctx context.Context, h Host, desc *region.Descriptor, home
 // consuming the frames in snaps (each is attached to its item and the
 // local reference dropped).
 func snapshotReply(snaps []SnapPage, epoch uint64) *wire.SnapshotGrantBatch {
-	batch := &wire.SnapshotGrantBatch{
-		Epoch: epoch,
-		Items: make([]wire.SnapshotItem, len(snaps)),
-	}
+	batch := &wire.SnapshotGrantBatch{Epoch: epoch, Items: make([]wire.SnapshotItem, len(snaps))}
 	for i, sp := range snaps {
 		it := &batch.Items[i]
 		it.OK = true
@@ -371,81 +366,4 @@ func storeUpdate(h Host, tab *pagedir.Table, from ktypes.NodeID, it *wire.Update
 		e.AddSharer(from)
 	})
 	return nil
-}
-
-// serveFetch is the release and eventual protocols' side of a PageFetch
-// (Figure 2 steps 7-9: the daemon supplies a copy out of local storage).
-// The home records the requester as a copy holder. A requester whose copy
-// (Have: version+1) is no older than the version here gets no bytes.
-func serveFetch(h Host, desc *region.Descriptor, msg *wire.PageFetch) wire.Msg {
-	tab := tableOf(h, desc)
-	home := isHome(h, desc)
-	var entry pagedir.Entry
-	var rec *pagedir.Page
-	tab.With(msg.Page, func(p *pagedir.Page) {
-		if home {
-			p.HomedLocal = true
-			p.AddSharer(msg.Requester)
-		}
-		entry, rec = p.Entry, p
-	})
-	if rec == nil {
-		return &wire.PageData{Found: false}
-	}
-	if msg.Have > entry.Version {
-		return &wire.PageData{Found: true, Version: entry.Version, Current: true}
-	}
-	f, ok := h.LoadPage(rec)
-	if !ok {
-		return &wire.PageData{Found: false}
-	}
-	pd := &wire.PageData{Found: true, Version: entry.Version}
-	pd.SetFrame(f)
-	f.Release()
-	return pd
-}
-
-// fetchFromHome is the release and eventual protocols' one page fetch: a
-// PageFetch to the region's home carrying have, the version of the copy
-// held here plus one (0 for none). A home no newer answers Current, and
-// then the frame is nil. Otherwise it returns the home's bytes (zeroes for a page
-// never written), which the caller owns, and their version.
-func fetchFromHome(ctx context.Context, h Host, desc *region.Descriptor, page gaddr.Addr, have uint64) (*frame.Frame, uint64, error) {
-	home, err := homeOf(desc)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := h.Request(ctx, home, &wire.PageFetch{Page: page, Requester: h.Self(), Have: have})
-	if err != nil {
-		return nil, 0, fmt.Errorf("consistency: fetch %v: %w", page, err)
-	}
-	pd, ok := resp.(*wire.PageData)
-	if !ok {
-		return nil, 0, fmt.Errorf("consistency: fetch %v: unexpected reply %T", page, resp)
-	}
-	if pd.Current {
-		return nil, pd.Version, nil
-	}
-	f := pd.TakeFrame() // nil when the home holds none
-	if f == nil {
-		f = zeroFill(desc)
-	}
-	return f, pd.Version, nil
-}
-
-// acquireEach is the release and eventual protocols' AcquireBatch: neither
-// has a home-side batch grant, so each page takes its local lock and then
-// ready brings its copy up to the protocol's standard. A failure releases
-// that page's lock and returns the held prefix.
-func acquireEach(ctx context.Context, tab *pagedir.Table, pages []gaddr.Addr, mode ktypes.LockMode, ready func(gaddr.Addr) error) ([]gaddr.Addr, error) {
-	for i, p := range pages {
-		if err := tab.Acquire(ctx, p, mode); err != nil {
-			return pages[:i:i], fmt.Errorf("%w: %v", ErrConflict, err)
-		}
-		if err := ready(p); err != nil {
-			tab.Release(p, mode)
-			return pages[:i:i], err
-		}
-	}
-	return pages, nil
 }

@@ -148,8 +148,6 @@ func pageOf(m wire.Msg) (gaddr.Addr, bool) {
 			return gaddr.Addr{}, false
 		}
 		return msg.Items[0].Page, true
-	case *wire.PageFetch:
-		return msg.Page, true
 	case *wire.UpdateBatch:
 		if len(msg.Items) == 0 {
 			return gaddr.Addr{}, false

@@ -226,7 +226,7 @@ func TestWriteBatchConflictInvalidatesGrantedPrefix(t *testing.T) {
 		}
 		checkAll("after the rolled-back write", fill)
 	}
-	if got := home.cm(d).(*CrewCM).InvalidateFailures(); got != 0 {
+	if got := home.cm(d).(*Engine).InvalidateFailures(); got != 0 {
 		t.Fatalf("%d invalidations failed with every link up", got)
 	}
 }
@@ -249,7 +249,7 @@ func TestUnreachableSharerPrunedFromEveryPage(t *testing.T) {
 	if _, err := home.cm(d).AcquireBatch(ctx, d, pages, ktypes.LockWrite); err != nil {
 		t.Fatalf("write batch with one sharer cut off: %v", err)
 	}
-	if got := home.cm(d).(*CrewCM).InvalidateFailures(); got != pageCount {
+	if got := home.cm(d).(*Engine).InvalidateFailures(); got != pageCount {
 		t.Errorf("invalidate failures = %d, want one per page the cut-off sharer held (%d)", got, pageCount)
 	}
 	if b, it := reached.batches.Load(), reached.items.Load(); b != 1 || it != pageCount {
@@ -376,7 +376,7 @@ func TestWriteGrantSparesListedHomes(t *testing.T) {
 					}
 				}
 			}
-			if got := home.cm(d).(*CrewCM).InvalidateFailures(); got != 0 {
+			if got := home.cm(d).(*Engine).InvalidateFailures(); got != 0 {
 				t.Fatalf("%d invalidations failed with every link up", got)
 			}
 		})

@@ -195,7 +195,7 @@ func TestReleaseWriteVisibleAtNextAcquire(t *testing.T) {
 }
 
 // TestReleaseCachedReadAvoidsRefetch counts what a reader's acquire costs:
-// one PageFetch that validates its copy. A current copy comes back as
+// one PageReqBatch that validates its copy. A current copy comes back as
 // Current with no page bytes; a stale one comes back with them, in the
 // same round trip.
 func TestReleaseCachedReadAvoidsRefetch(t *testing.T) {

@@ -171,7 +171,7 @@ func TestCREWTrimPublishedSparesPinnedVersions(t *testing.T) {
 	d := testDesc(region.CREW)
 	hosts := cluster(t, 2, d)
 	page := d.Range.Start
-	crew := hosts[0].cm(d).(*CrewCM)
+	crew := hosts[0].cm(d).(*Engine)
 
 	lockWrite(t, hosts[1], d, page, func(b []byte) { copy(b, "old-pin") })
 

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"khazana/internal/addrmap"
-	"khazana/internal/frame"
+	"khazana/internal/consistency"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/pagedir"
@@ -174,9 +174,9 @@ func (n *Node) PendingRetries() int {
 }
 
 // RunRetries attempts every queued release once (also callable by tests).
-// Retries bound for the same (home, region) pair ride one batched RPC —
-// ReleaseBatch for CREW, UpdateBatch for the push protocols — the same
-// messages the foreground release path uses.
+// Retries bound for the same (home, region) pair ride one redelivery
+// through the region's CM, which sends the message its foreground release
+// path uses.
 func (n *Node) RunRetries() {
 	// Drain every shard first (shard locks are taken one at a time, never
 	// nested), then retry the combined queue so cross-shard operations
@@ -194,21 +194,18 @@ func (n *Node) RunRetries() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
+	// Batches group by region as well as home: the receiver routes the
+	// whole batch by its first page's region.
 	type groupKey struct {
 		home  ktypes.NodeID
 		start gaddr.Addr
 	}
-	// Batches group by region as well as home: the receiver routes the
-	// whole batch by its first page's region.
-	crew := make(map[groupKey][]retryOp)
-	var crewOrder []groupKey
-	type pushKey struct {
-		home  ktypes.NodeID
-		start gaddr.Addr
-		proto region.Protocol
+	type group struct {
+		desc *region.Descriptor
+		ops  []retryOp
 	}
-	push := make(map[pushKey][]retryOp)
-	var pushOrder []pushKey
+	groups := make(map[groupKey]*group)
+	var order []groupKey
 	for _, op := range ops {
 		desc, err := n.lookupRegion(ctx, op.page)
 		if err != nil {
@@ -225,147 +222,42 @@ func (n *Node) RunRetries() {
 			n.stats.ReleaseRetries.Add(1)
 			continue
 		}
-		switch desc.Attrs.Protocol {
-		case region.CREW:
-			key := groupKey{home: home, start: desc.Range.Start}
-			if _, seen := crew[key]; !seen {
-				crewOrder = append(crewOrder, key)
+		key := groupKey{home: home, start: desc.Range.Start}
+		if groups[key] == nil {
+			groups[key] = &group{desc: desc}
+			order = append(order, key)
+		}
+		groups[key].ops = append(groups[key].ops, op)
+	}
+	for _, key := range order {
+		g := groups[key]
+		rel := make([]consistency.Redelivery, len(g.ops))
+		for i, op := range g.ops {
+			rel[i] = consistency.Redelivery{Page: op.page, Mode: op.mode, Dirty: op.dirty}
+		}
+		cm, err := n.cmFor(g.desc)
+		if err != nil {
+			for _, op := range g.ops {
+				n.queueRetry(op)
 			}
-			crew[key] = append(crew[key], op)
-		case region.Release, region.Eventual:
-			if !op.dirty {
-				n.stats.ReleaseRetries.Add(1)
+			continue
+		}
+		errs := cm.Redeliver(ctx, g.desc, rel)
+		tab := n.dir.At(key.start)
+		for i, op := range g.ops {
+			if errs != nil && errs[i] != nil {
+				n.queueRetry(op)
 				continue
 			}
-			key := pushKey{home: home, start: desc.Range.Start, proto: desc.Attrs.Protocol}
-			if _, seen := push[key]; !seen {
-				pushOrder = append(pushOrder, key)
+			// Delivered: the local copy is no longer the only holder of
+			// the update, so it may be victimized again.
+			if tab != nil && op.dirty {
+				if _, listed := tab.Lookup(op.page); listed {
+					tab.Update(op.page, func(e *pagedir.Entry) { e.Dirty = false })
+				}
 			}
-			push[key] = append(push[key], op)
-		default:
 			n.stats.ReleaseRetries.Add(1)
 		}
-	}
-	for _, key := range crewOrder {
-		n.retryCrewBatch(ctx, key.home, n.dir.At(key.start), crew[key])
-	}
-	for _, key := range pushOrder {
-		n.retryPushBatch(ctx, key.home, key.proto, n.dir.At(key.start), push[key])
-	}
-}
-
-// retryPushBatch redoes the network half of failed dirty releases under
-// the release or eventual protocol: one UpdateBatch to the home covering
-// every queued page of one region (§3.5), whose page table is tab (nil
-// once the region was torn down here). Per-item failures requeue
-// individually.
-func (n *Node) retryPushBatch(ctx context.Context, home ktypes.NodeID, proto region.Protocol, tab *pagedir.Table, ops []retryOp) {
-	batch := &wire.UpdateBatch{From: n.cfg.ID, Items: make([]wire.UpdateItem, 0, len(ops))}
-	// Frames stay referenced by the batch until the request (and its
-	// marshal) completes, so the views in Data never dangle.
-	defer batch.ReleaseFrames()
-	live := make([]retryOp, 0, len(ops))
-	for _, op := range ops {
-		f, ok := n.storedFrame(tab, op.page)
-		if !ok {
-			// The page left the node since the release failed; the
-			// disk-eviction path only lets a dirty page go after pushing
-			// it home (§3.4), so the update has already been delivered.
-			// Pushing nil here would clobber it.
-			n.stats.ReleaseRetries.Add(1)
-			continue
-		}
-		item := wire.UpdateItem{Page: op.page, Origin: n.cfg.ID}
-		if proto == region.Eventual {
-			item.Stamp = n.now()
-		}
-		item.SetFrame(f)
-		f.Release()
-		batch.Items = append(batch.Items, item)
-		live = append(live, op)
-	}
-	if len(batch.Items) == 0 {
-		return
-	}
-	resp, err := n.tr.Request(ctx, home, batch)
-	if err != nil {
-		for _, op := range live {
-			n.queueRetry(op)
-		}
-		return
-	}
-	// A release home answers per-item status; an eventual home answers an
-	// authoritative batch, meaning every item was processed.
-	var failed func(i int) bool
-	if r, ok := resp.(*wire.UpdateBatchResp); ok {
-		failed = func(i int) bool { return i < len(r.Errs) && r.Errs[i] != "" }
-	} else {
-		failed = func(int) bool { return false }
-	}
-	for i, op := range live {
-		if failed(i) {
-			n.queueRetry(op)
-			continue
-		}
-		// Delivered: the local copy is no longer the only holder of the
-		// update, so it may be victimized again.
-		tab.Update(op.page, func(e *pagedir.Entry) { e.Dirty = false })
-		n.stats.ReleaseRetries.Add(1)
-	}
-}
-
-// retryCrewBatch redoes the network half of failed CREW releases bound
-// for one home as a single ReleaseBatch RPC (§3.5). The local lock state
-// was already torn down when the releases first ran, so the batch is
-// assembled raw rather than through the CM (whose ReleaseBatch would try
-// to release local locks again); the home's lock table tolerates
-// re-releasing a lock the requester no longer holds. tab is the region's
-// page table, nil once the region was torn down here.
-func (n *Node) retryCrewBatch(ctx context.Context, home ktypes.NodeID, tab *pagedir.Table, ops []retryOp) {
-	batch := &wire.ReleaseBatch{From: n.cfg.ID, Items: make([]wire.ReleaseItem, 0, len(ops))}
-	live := make([]retryOp, 0, len(ops))
-	//khazana:frame-owner released after the batch RPC below
-	frames := make([]*frame.Frame, 0, len(ops))
-	defer func() {
-		for _, f := range frames {
-			f.Release()
-		}
-	}()
-	for _, op := range ops {
-		item := wire.ReleaseItem{Page: op.page, Mode: op.mode, Dirty: op.dirty}
-		if op.dirty {
-			f, ok := n.storedFrame(tab, op.page)
-			if !ok {
-				// Already delivered by the disk-eviction path (§3.4).
-				n.stats.ReleaseRetries.Add(1)
-				continue
-			}
-			item.Data = f.Bytes()
-			frames = append(frames, f)
-		}
-		batch.Items = append(batch.Items, item)
-		live = append(live, op)
-	}
-	if len(batch.Items) == 0 {
-		return
-	}
-	resp, err := n.tr.Request(ctx, home, batch)
-	if err != nil {
-		for _, op := range live {
-			n.queueRetry(op)
-		}
-		return
-	}
-	br, ok := resp.(*wire.ReleaseBatchResp)
-	for i, op := range live {
-		if ok && i < len(br.Errs) && br.Errs[i] != "" {
-			n.queueRetry(op)
-			continue
-		}
-		if op.dirty {
-			tab.Update(op.page, func(e *pagedir.Entry) { e.Dirty = false })
-		}
-		n.stats.ReleaseRetries.Add(1)
 	}
 }
 

@@ -96,7 +96,7 @@ func TestFederationCrossClusterLookup(t *testing.T) {
 
 	// Node 2 (cluster A) resolves the region.
 	n2 := nodes[1]
-	walks, fallbacks := n2.Statistics().TreeWalks.Load(), n2.mRingFallbacks.Load()
+	walks := n2.mRingFallbacks.Load()
 	rlc, err := n2.Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockRead, "")
 	if err != nil {
 		t.Fatalf("cross-cluster lock: %v", err)
@@ -106,18 +106,18 @@ func TestFederationCrossClusterLookup(t *testing.T) {
 	if string(got) != "cluster B data" {
 		t.Fatalf("cross-cluster read %q", got)
 	}
-	if w, f := n2.Statistics().TreeWalks.Load()-walks, n2.mRingFallbacks.Load()-fallbacks; w != 1 || f != 1 {
-		t.Fatalf("cross-cluster lookup: %d tree walks, %d ring fallbacks; want 1 and 1", w, f)
+	if w := n2.mRingFallbacks.Load() - walks; w != 1 {
+		t.Fatalf("cross-cluster lookup: %d ring fallbacks to the tree walk; want 1", w)
 	}
 
 	// The walk repaired cluster A's ring: node 3 one-hops.
 	settleRing(nodes)
 	n3 := nodes[2]
-	hits, walks := n3.Statistics().RingHits.Load(), n3.Statistics().TreeWalks.Load()
+	hits, walks := n3.Statistics().RingHits.Load(), n3.mRingFallbacks.Load()
 	if _, err := n3.GetAttr(ctx, start); err != nil {
 		t.Fatal(err)
 	}
-	if h, w := n3.Statistics().RingHits.Load()-hits, n3.Statistics().TreeWalks.Load()-walks; h != 1 || w != 0 {
+	if h, w := n3.Statistics().RingHits.Load()-hits, n3.mRingFallbacks.Load()-walks; h != 1 || w != 0 {
 		t.Fatalf("after the repair node 3 took %d ring hits and %d tree walks; want 1 and 0", h, w)
 	}
 }
@@ -136,11 +136,11 @@ func TestFederationForwardedQueriesDoNotLoop(t *testing.T) {
 	})
 	ctx := context.Background()
 	n2 := nodes[1]
-	walks := n2.Statistics().TreeWalks.Load()
+	walks := n2.mRingFallbacks.Load()
 	if _, err := n2.GetAttr(ctx, gaddr.FromUint64(0x7777777000)); !errors.Is(err, ErrInaccessible) {
 		t.Fatalf("lookup of an unknown address = %v, want ErrInaccessible", err)
 	}
-	if w := n2.Statistics().TreeWalks.Load() - walks; w != 1 {
+	if w := n2.mRingFallbacks.Load() - walks; w != 1 {
 		t.Fatalf("lookup of an unknown address took %d tree walks, want 1", w)
 	}
 	counter.mu.Lock()

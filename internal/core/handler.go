@@ -42,8 +42,6 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 			}
 		}
 		return reply, err
-	case *wire.PageFetch:
-		return n.handleCM(ctx, from, msg.Page, m)
 	case *wire.PageReqBatch:
 		if len(msg.Pages) == 0 {
 			return nil, fmt.Errorf("core: %v got empty page request batch", n.cfg.ID)
@@ -256,9 +254,9 @@ func (n *Node) handleCM(ctx context.Context, from ktypes.NodeID, page gaddr.Addr
 	if err != nil {
 		return nil, fmt.Errorf("core: CM traffic for unknown page %v: %w", page, err)
 	}
-	cm, ok := n.cms[desc.Attrs.Protocol]
-	if !ok {
-		return nil, fmt.Errorf("core: no CM for protocol %v", desc.Attrs.Protocol)
+	cm, err := n.cmFor(desc)
+	if err != nil {
+		return nil, err
 	}
 	// Feed the load-aware migration policy: this node homes the region
 	// and from is generating its consistency traffic. The map region is
@@ -268,6 +266,15 @@ func (n *Node) handleCM(ctx context.Context, from ktypes.NodeID, page gaddr.Addr
 		n.access.record(desc.Range.Start, from)
 	}
 	return cm.Handle(ctx, desc, from, m)
+}
+
+// cmFor returns the consistency manager of the region's protocol.
+func (n *Node) cmFor(desc *region.Descriptor) (consistency.CM, error) {
+	cm, ok := n.cms[desc.Attrs.Protocol]
+	if !ok {
+		return nil, fmt.Errorf("core: no CM for protocol %v", desc.Attrs.Protocol)
+	}
+	return cm, nil
 }
 
 // handleRegionLookup serves descriptor queries: authoritative descriptors

@@ -105,7 +105,6 @@ func (n *Node) coldFlight(ctx context.Context, addr gaddr.Addr) (*region.Descrip
 	}
 	n.mRingFallbacks.Add(1)
 	n.trace("2-3:address-map-lookup")
-	n.stats.TreeWalks.Add(1)
 	stageStart = time.Now()
 	entry, _, err := n.amap.Lookup(ctx, addr)
 	if err != nil {

@@ -210,7 +210,6 @@ type Stats struct {
 	Lookups        *telemetry.Counter
 	DirHits        *telemetry.Counter
 	RingHits       *telemetry.Counter
-	TreeWalks      *telemetry.Counter
 	LocksGranted   *telemetry.Counter
 	ReleaseRetries *telemetry.Counter
 	Promotions     *telemetry.Counter
@@ -399,7 +398,6 @@ func NewNode(cfg Config) (*Node, error) {
 			Lookups:        tel.Counter(telemetry.MetricLookups),
 			DirHits:        tel.Counter(telemetry.MetricLookupDirHits),
 			RingHits:       tel.Counter(telemetry.MetricRingLookups),
-			TreeWalks:      tel.Counter(telemetry.MetricLookupTreeWalks),
 			LocksGranted:   tel.Counter(telemetry.MetricLocksGranted),
 			ReleaseRetries: tel.Counter(telemetry.MetricReleaseRetries),
 			Promotions:     tel.Counter(telemetry.MetricPromotions),
@@ -459,7 +457,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.cms = reg.Build(hostView{n})
 	// Old page versions retained for snapshot readers give their memory
 	// back under cache pressure before any demand page is victimized.
-	if crew, ok := n.cms[region.CREW].(*consistency.CrewCM); ok {
+	if crew, ok := n.cms[region.CREW].(*consistency.Engine); ok {
 		st.SetReclaimer(crew.TrimPublished)
 	}
 	n.amap = addrmap.New(mapIO{n})
@@ -669,7 +667,8 @@ func (n *Node) now() int64 {
 
 // onDiskEvict runs when a page leaves the node entirely (§3.4: the disk
 // cache must invoke the consistency protocol before victimizing a page).
-// The frame is borrowed for the duration of the call.
+// A dirty page goes home through its region's CM first. The frame is
+// borrowed for the duration of the call.
 func (n *Node) onDiskEvict(page gaddr.Addr, f *frame.Frame) error {
 	tab := n.dir.Find(page)
 	if tab == nil {
@@ -680,7 +679,6 @@ func (n *Node) onDiskEvict(page gaddr.Addr, f *frame.Frame) error {
 		tab.Delete(page)
 		return nil
 	}
-	// A dirty page must be pushed home before leaving the node.
 	desc, err := n.lookupRegion(context.Background(), page)
 	if err != nil {
 		return fmt.Errorf("core: evict dirty %v: %w", page, err)
@@ -692,20 +690,13 @@ func (n *Node) onDiskEvict(page gaddr.Addr, f *frame.Frame) error {
 	if home == n.cfg.ID {
 		return fmt.Errorf("core: refusing to evict dirty home page %v", page)
 	}
-	if desc.Attrs.Protocol == region.CREW {
-		// CREW delivers dirty contents only with the release that frees
-		// the writer's lock at the home; the queued retry needs this copy.
-		return fmt.Errorf("core: refusing to evict dirty CREW page %v with its release pending", page)
-	}
-	batch := &wire.UpdateBatch{From: n.cfg.ID, Items: []wire.UpdateItem{{Page: page, Stamp: n.now(), Origin: n.cfg.ID}}}
-	batch.Items[0].SetFrame(f)
-	resp, err := n.tr.Request(context.Background(), home, batch)
-	batch.ReleaseFrames()
+	cm, err := n.cmFor(desc)
 	if err != nil {
 		return err
 	}
-	if r, ok := resp.(*wire.UpdateBatchResp); ok && len(r.Errs) > 0 && r.Errs[0] != "" {
-		return fmt.Errorf("core: evict dirty %v: %s", page, r.Errs[0])
+	rel := []consistency.Redelivery{{Page: page, Mode: ktypes.LockWrite, Dirty: true, Frame: f}}
+	if errs := cm.Redeliver(context.Background(), desc, rel); errs != nil {
+		return fmt.Errorf("core: evict dirty %v: %w", page, errs[0])
 	}
 	tab.Delete(page)
 	return nil

@@ -385,9 +385,9 @@ func (n *Node) grant(ctx context.Context, lc *LockContext, rng gaddr.Range, prin
 	n.trace("4:page-directory")
 	n.trace("5:invoke-consistency-manager")
 
-	cm, ok := n.cms[desc.Attrs.Protocol]
-	if !ok {
-		return fmt.Errorf("core: no CM for protocol %v", desc.Attrs.Protocol)
+	cm, err := n.cmFor(desc)
+	if err != nil {
+		return err
 	}
 	// The whole page set — one page included — goes through the CM's batch
 	// API: one pipelined exchange per home, not one round trip per page.

@@ -69,11 +69,8 @@ func TestColdLookupSingleflight(t *testing.T) {
 	if got := n3.Statistics().RingHits.Load(); got != 1 {
 		t.Fatalf("RingHits = %d, want exactly 1 (singleflight should collapse %d misses)", got, workers)
 	}
-	if walks := n3.Statistics().TreeWalks.Load(); walks != 0 {
-		t.Fatalf("TreeWalks = %d, want 0", walks)
-	}
-	if f := n3.mRingFallbacks.Load(); f != 0 {
-		t.Fatalf("ring fallbacks = %d, want 0", f)
+	if walks := n3.mRingFallbacks.Load(); walks != 0 {
+		t.Fatalf("tree walks = %d, want 0", walks)
 	}
 	if dir := n3.Statistics().DirHits.Load(); dir != workers-1 {
 		t.Fatalf("DirHits = %d, want %d (every waiter re-checks the directory)", dir, workers-1)
@@ -121,13 +118,10 @@ func TestRingMatchesTreeWalk(t *testing.T) {
 	// descriptor to its owners.
 	heartbeatAll(nodes)
 	settleRing(nodes)
-	walks, fallbacks := nodes[3].Statistics().TreeWalks.Load(), nodes[3].mRingFallbacks.Load()
+	walks := nodes[3].mRingFallbacks.Load()
 	check("steady")
-	if w := nodes[3].Statistics().TreeWalks.Load() - walks; w != 0 {
-		t.Fatalf("steady state fell back to the tree walk %d times", w)
-	}
-	if f := nodes[3].mRingFallbacks.Load() - fallbacks; f != 0 {
-		t.Fatalf("steady state missed the ring %d times", f)
+	if w := nodes[3].mRingFallbacks.Load() - walks; w != 0 {
+		t.Fatalf("steady state missed the ring and walked the tree %d times", w)
 	}
 
 	// Membership churn: two more nodes join; every node re-syncs its
@@ -251,7 +245,7 @@ func TestColdLookupIsOneHop(t *testing.T) {
 			_, nodes, counter, starts := ringCluster(t, n)
 			ctx := context.Background()
 			reader := nodes[n-1]
-			walks, fallbacks := reader.Statistics().TreeWalks.Load(), reader.mRingFallbacks.Load()
+			walks := reader.mRingFallbacks.Load()
 			remote := 0
 			for _, s := range starts {
 				if containsNode(reader.Ring().Owners(ring.BucketOf(s)), reader.cfg.ID) {
@@ -279,11 +273,8 @@ func TestColdLookupIsOneHop(t *testing.T) {
 			if remote == 0 {
 				t.Fatal("the reader owns every region's bucket; no remote lookup ran")
 			}
-			if w := reader.Statistics().TreeWalks.Load() - walks; w != 0 {
-				t.Fatalf("%d tree walks, want 0", w)
-			}
-			if f := reader.mRingFallbacks.Load() - fallbacks; f != 0 {
-				t.Fatalf("%d ring fallbacks, want 0", f)
+			if w := reader.mRingFallbacks.Load() - walks; w != 0 {
+				t.Fatalf("%d ring fallbacks to the tree walk, want 0", w)
 			}
 		})
 	}
@@ -307,7 +298,7 @@ func TestOwnersCrashedLookupRepairs(t *testing.T) {
 			net.Crash(o)
 		}
 		reader.rdir.Remove(s)
-		fallbacks, walks := reader.mRingFallbacks.Load(), reader.Statistics().TreeWalks.Load()
+		walks := reader.mRingFallbacks.Load()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		d, err := reader.GetAttr(ctx, s)
 		cancel()
@@ -318,11 +309,8 @@ func TestOwnersCrashedLookupRepairs(t *testing.T) {
 		if d.Range != want.Range || !slices.Equal(d.Home, want.Home) {
 			t.Fatalf("repaired lookup resolved %v homed at %v, want %v homed at %v", d.Range, d.Home, want.Range, want.Home)
 		}
-		if f := reader.mRingFallbacks.Load() - fallbacks; f != 1 {
-			t.Fatalf("the lookup counted %d ring fallbacks, want 1", f)
-		}
-		if w := reader.Statistics().TreeWalks.Load() - walks; w != 1 {
-			t.Fatalf("the lookup took %d tree walks, want 1", w)
+		if w := reader.mRingFallbacks.Load() - walks; w != 1 {
+			t.Fatalf("the lookup counted %d ring fallbacks to the tree walk, want 1", w)
 		}
 		return
 	}

@@ -208,9 +208,9 @@ func (c *SnapshotContext) ensureLocked(ctx context.Context, addr gaddr.Addr, cou
 	if len(missing) == 0 {
 		return desc, nil
 	}
-	cm, ok := c.node.cms[desc.Attrs.Protocol]
-	if !ok {
-		return nil, fmt.Errorf("core: no CM for protocol %v", desc.Attrs.Protocol)
+	cm, err := c.node.cmFor(desc)
+	if err != nil {
+		return nil, err
 	}
 	home, err := desc.PrimaryHome()
 	if err != nil {

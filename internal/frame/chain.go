@@ -18,8 +18,8 @@ package frame
 //   - Trim releases every unpinned non-latest entry, the memory-pressure
 //     give-back hook; the latest version is never trimmed.
 //
-// A Chain is NOT internally synchronized: the owner (the CREW home's
-// published-frame table) serializes all calls under its own mutex. The
+// A Chain is NOT internally synchronized: the owner (the page record
+// holding it) serializes all calls under its page table's mutex. The
 // refcount==1 reclamation test is race-free under that regime because
 // every Retain of a chain entry happens inside At/Latest under the same
 // owner mutex.

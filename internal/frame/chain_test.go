@@ -198,7 +198,7 @@ func TestChainPublishEpochMustIncrease(t *testing.T) {
 // never recycled underneath a reader.
 func TestChainConcurrentReadersVsPublisher(t *testing.T) {
 	c := NewChain()
-	var mu sync.Mutex // the owner mutex (CrewCM.pubMu in production)
+	var mu sync.Mutex // the owner mutex (the page table's mutex in production)
 
 	const versions = 200
 	const readers = 8

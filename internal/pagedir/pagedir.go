@@ -135,7 +135,18 @@ type Dir struct {
 	// mostly reach one region several times in a row, and a hit here
 	// skips the index's mutex and search.
 	last atomic.Pointer[Table]
+	// epoch is the publish clock of the version chains in the records.
+	epoch atomic.Uint64
 }
+
+// Epoch returns the publish clock's current epoch: a snapshot cut there
+// sees every version published so far.
+func (d *Dir) Epoch() uint64 { return d.epoch.Load() }
+
+// NextEpoch advances the publish clock and returns the epoch a newly
+// committed version enters its chain at. One clock for the directory
+// keeps every chain's epochs increasing whichever protocol publishes.
+func (d *Dir) NextEpoch() uint64 { return d.epoch.Add(1) }
 
 // New creates an empty page directory.
 func New() *Dir { return &Dir{idx: region.NewIndex[*Table](0)} }

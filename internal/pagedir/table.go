@@ -12,20 +12,34 @@ import (
 )
 
 // Page is one page's record: its directory entry, its lock-table slot,
-// the CREW home's version chain and the RAM tier's resident frame, kept
-// together so each phase of an operation finds all of them in one slot.
-// A region uses one protocol, so its pages use the lock slot either as
-// the CREW home's global lock or as the release and eventual protocols'
-// local lock, never both.
+// its version chain, its parked update and the RAM tier's resident frame,
+// kept together so each phase of an operation finds all of them in one
+// slot. A region uses one protocol, so its pages use the lock slot either
+// as the CREW home's global lock or as the release and eventual
+// protocols' local lock, never both.
 type Page struct {
 	// Entry, the lock slot and Chain are guarded by the table's mutex.
 	Entry
 	lock lockState
-	// Chain is the CREW home's committed version chain for the page, nil
-	// until the page's first write grant there.
+	// Chain is the page's committed version chain, nil until its first
+	// publish: at a CREW home the versions snapshots read, seeded at the
+	// first write grant; under eventual consistency the last writer's
+	// winning copy.
 	Chain *frame.Chain
+	// Pending is an eventual update that arrived while the page was
+	// write-locked here, applied when the lock releases; guarded by the
+	// table's push lock.
+	Pending *Parked
 	// Mem is the RAM tier's part, guarded by the memory tier's mutex.
 	Mem Resident
+}
+
+// Parked is an update held until the page's local write lock releases.
+type Parked struct {
+	//khazana:frame-owner released when the parked update is applied or superseded
+	Frame  *frame.Frame
+	Stamp  int64
+	Origin ktypes.NodeID
 }
 
 // Resident is a page's slot in the RAM tier.
@@ -70,7 +84,8 @@ type Table struct {
 	flat    []atomic.Pointer[Page]
 	chunks  []atomic.Pointer[chunk]
 	// push serializes installs of pushed copies: compare, store and label
-	// are one step per page (see consistency.StoreUpdates).
+	// are one step per page (see consistency.StoreUpdates), and it guards
+	// each record's Pending.
 	push sync.Mutex
 }
 

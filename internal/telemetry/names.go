@@ -13,9 +13,6 @@ const (
 	MetricLookups = "core.lookups"
 	// MetricLookupDirHits counts lookups satisfied by the local directory.
 	MetricLookupDirHits = "core.lookup_dir_hits"
-	// MetricLookupTreeWalks counts lookups that fell through to the
-	// address-map tree walk.
-	MetricLookupTreeWalks = "core.lookup_tree_walks"
 	// MetricLocksGranted counts granted lock requests.
 	MetricLocksGranted = "core.locks_granted"
 	// MetricReleaseRetries counts background release retries (§3.5).
@@ -65,16 +62,16 @@ const (
 	// through to disk.
 	MetricMemMisses = "store.mem_misses"
 
-	// MetricEventualPushFailures counts eventual-protocol update pushes
-	// that failed to reach a replica site.
+	// MetricEventualPushFailures counts eventual-protocol updates a
+	// gossip round failed to deliver to a replica site.
 	MetricEventualPushFailures = "consistency.eventual_push_failures"
-	// MetricEventualApplyFailures counts parked eventual updates that
-	// failed to apply at release.
+	// MetricEventualApplyFailures counts eventual updates that failed to
+	// install here, pushed or parked.
 	MetricEventualApplyFailures = "consistency.eventual_apply_failures"
 	// MetricCrewInvalidateFailures counts CREW invalidations that failed
 	// and pruned the sharer from the copyset.
 	MetricCrewInvalidateFailures = "consistency.crew_invalidate_failures"
-	// MetricGrantPagesCurrent counts CREW grant pages that shipped no bytes.
+	// MetricGrantPagesCurrent counts grant pages that shipped no bytes.
 	MetricGrantPagesCurrent = "consistency.grant_pages_current"
 	// MetricPrefetchSpecPages, MetricPrefetchHits and MetricPrefetchWaste
 	// named the retired read-ahead grants' instruments. Nothing registers
@@ -143,8 +140,9 @@ const (
 	MetricRingRebalanceMoves = "ring.rebalance_moves"
 	// MetricRingFallbackWalks counts cold lookups the ring failed to
 	// resolve — owners unreachable or their tables missing the region —
-	// that fell into the legacy cluster/tree-walk path. Steady state is
-	// zero; a nonzero rate means the ring disagrees with reality
-	// (mid-churn, lost announce) and is being repaired.
+	// that the address-map tree walk repaired: the one count of tree
+	// walks. Steady state is zero; a nonzero rate means the ring
+	// disagrees with reality (mid-churn, lost announce) and is being
+	// repaired.
 	MetricRingFallbackWalks = "ring.fallback_walks"
 )

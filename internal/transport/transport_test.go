@@ -328,16 +328,16 @@ func TestTCPLargePayload(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	resp, err := a.Request(context.Background(), 2, &wire.PageData{Found: true, Data: data, Version: 1})
+	resp, err := a.Request(context.Background(), 2, &wire.CData{Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, ok := resp.(*wire.PageData)
-	if !ok || len(pd.Data) != len(data) {
-		t.Fatalf("resp = %T len %d", resp, len(pd.Data))
+	cd, ok := resp.(*wire.CData)
+	if !ok || len(cd.Data) != len(data) {
+		t.Fatalf("resp = %T len %d", resp, len(cd.Data))
 	}
 	for i := range data {
-		if pd.Data[i] != data[i] {
+		if cd.Data[i] != data[i] {
 			t.Fatalf("byte %d differs", i)
 		}
 	}

@@ -14,14 +14,14 @@ func TestUnmarshalAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards entries under the race detector; the decoder is pooled")
 	}
-	fetch := &PageFetch{Page: gaddr.New(1, 0x2000), Requester: 3}
+	lookup := &RegionLookup{Addr: gaddr.New(1, 0x2000)}
 	for _, c := range []struct {
 		name      string
 		b         []byte
 		unmarshal func([]byte) (Msg, error)
 	}{
-		{"page fetch", Marshal(fetch), Unmarshal},
-		{"traced page fetch request", AppendTraced(nil, 7, 9, fetch), func(b []byte) (Msg, error) {
+		{"region lookup", Marshal(lookup), Unmarshal},
+		{"traced region lookup request", AppendTraced(nil, 7, 9, lookup), func(b []byte) (Msg, error) {
 			m, _, _, _, err := UnmarshalRequest(b)
 			return m, err
 		}},
@@ -36,8 +36,8 @@ func TestUnmarshalAllocGate(t *testing.T) {
 		if allocs != 1 {
 			t.Errorf("unmarshaling a %s allocates %.2f objects, want 1", c.name, allocs)
 		}
-		if got.Kind() != KindPageFetch {
-			t.Errorf("%s: decoded kind %v, want %v", c.name, got.Kind(), KindPageFetch)
+		if got.Kind() != KindRegionLookup {
+			t.Errorf("%s: decoded kind %v, want %v", c.name, got.Kind(), KindRegionLookup)
 		}
 	}
 }

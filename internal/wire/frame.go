@@ -6,9 +6,8 @@ import (
 
 // Frame-backed payloads.
 //
-// Messages that carry page contents (PageData and the items of the batch
-// messages) can attach a refcounted frame behind their Data
-// field:
+// Messages that carry page contents (the items of the batch messages)
+// can attach a refcounted frame behind their Data field:
 //
 //   - Send side: SetFrame(f) points Data at f's bytes and takes the
 //     message's own reference, so the payload stays valid until the
@@ -64,24 +63,6 @@ func takeFrame(slot **frame.Frame, data []byte) *frame.Frame {
 		return nil
 	}
 	return frame.Copy(data)
-}
-
-// --- PageData ---------------------------------------------------------------
-
-// SetFrame attaches f as the fetched page contents; the message takes its
-// own reference and the caller keeps (and still owns) its reference.
-func (m *PageData) SetFrame(f *frame.Frame) { setFrame(&m.dataFrame, &m.Data, f) }
-
-// TakeFrame transfers ownership of the payload frame to the caller, who
-// must Release it. Without an attached frame the payload is copied.
-func (m *PageData) TakeFrame() *frame.Frame { return takeFrame(&m.dataFrame, m.Data) }
-
-// ReleaseFrames implements FrameCarrier.
-func (m *PageData) ReleaseFrames() {
-	if m == nil {
-		return
-	}
-	setFrame(&m.dataFrame, &m.Data, nil)
 }
 
 // --- batched items ----------------------------------------------------------

@@ -170,8 +170,8 @@ func TestTracedRejectsNestedAndEmpty(t *testing.T) {
 		t.Skip("sync.Pool discards entries under the race detector; a released frame is seen by its reuse")
 	}
 	rejectAllocs := func(payload []byte) float64 {
-		pd := &PageData{Found: true, Version: 1, Data: payload}
-		b := append(legacyTraced(3, 4, Marshal(pd)), 0)
+		ub := &UpdateBatch{From: 1, Items: []UpdateItem{{Version: 1, Data: payload}}}
+		b := append(legacyTraced(3, 4, Marshal(ub)), 0)
 		return testing.AllocsPerRun(100, func() {
 			if _, _, _, _, err := UnmarshalRequest(b); err == nil {
 				t.Fatal("an envelope with a trailing byte decoded")

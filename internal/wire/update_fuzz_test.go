@@ -127,27 +127,6 @@ func FuzzUpdateBatchWire(f *testing.F) {
 	})
 }
 
-// FuzzUpdateBatchRespWire round-trips the parallel errs/versions arrays.
-func FuzzUpdateBatchRespWire(f *testing.F) {
-	f.Add("", "conflict", uint64(3), uint64(0))
-	f.Add("not home", "", uint64(0), uint64(1<<40))
-	f.Fuzz(func(t *testing.T, e1, e2 string, v1, v2 uint64) {
-		m := &UpdateBatchResp{Errs: []string{e1, e2}, Versions: []uint64{v1, v2}}
-		b := Marshal(m)
-		back, err := Unmarshal(b)
-		if err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		r := back.(*UpdateBatchResp)
-		if len(r.Errs) != 2 || len(r.Versions) != 2 {
-			t.Fatalf("lengths did not round trip: %d errs, %d versions", len(r.Errs), len(r.Versions))
-		}
-		if r.Errs[0] != e1 || r.Errs[1] != e2 || r.Versions[0] != v1 || r.Versions[1] != v2 {
-			t.Fatal("fields did not round trip")
-		}
-	})
-}
-
 // FuzzPageGrantBatchWire pins the PageGrantBatch layout: the bytes match
 // the hand-rolled encoding and round-trip. A batch carrying the retired
 // trailing section (a u16 count, then page, payload and version per item)

@@ -39,11 +39,11 @@ const (
 	KindReserveSpace
 	KindSpaceGrant
 
-	KindPageReq    // retired: a single page is a PageReqBatch of one
-	KindPageGrant  // retired: answered KindPageReq
-	KindInvalidate // retired: a single page is an InvalidateBatch of one
-	KindPageFetch
-	KindPageData
+	KindPageReq       // retired: a single page is a PageReqBatch of one
+	KindPageGrant     // retired: answered KindPageReq
+	KindInvalidate    // retired: a single page is an InvalidateBatch of one
+	KindPageFetch     // retired: a PageReqBatch with Have validates a copy
+	KindPageData      // retired: answered KindPageFetch
 	KindUpdatePush    // retired: a single page is an UpdateBatch of one
 	KindVersionQuery  // retired: a PageFetch with Holds set validates a copy
 	KindVersionInfo   // retired: answered KindVersionQuery
@@ -99,7 +99,7 @@ const (
 	KindTraced // the trace envelope, not a message: see AppendTraced
 
 	KindUpdateBatch
-	KindUpdateBatchResp
+	KindUpdateBatchResp // retired: an UpdateBatch reply mirrors the batch
 
 	KindSnapshotReqBatch
 	KindSnapshotGrantBatch
@@ -195,8 +195,6 @@ var factories = map[Kind]func() Msg{
 	KindAttrSet:          func() Msg { return &AttrSet{} },
 	KindReserveSpace:     func() Msg { return &ReserveSpace{} },
 	KindSpaceGrant:       func() Msg { return &SpaceGrant{} },
-	KindPageFetch:        func() Msg { return &PageFetch{} },
-	KindPageData:         func() Msg { return &PageData{} },
 	KindReplicaPut:       func() Msg { return &ReplicaPut{} },
 	KindJoin:             func() Msg { return &Join{} },
 	KindClusterView:      func() Msg { return &ClusterView{} },
@@ -231,7 +229,6 @@ var factories = map[Kind]func() Msg{
 	KindStatsQuery:       func() Msg { return &StatsQuery{} },
 	KindStatsReply:       func() Msg { return &StatsReply{} },
 	KindUpdateBatch:      func() Msg { return &UpdateBatch{} },
-	KindUpdateBatchResp:  func() Msg { return &UpdateBatchResp{} },
 
 	KindSnapshotReqBatch:   func() Msg { return &SnapshotReqBatch{} },
 	KindSnapshotGrantBatch: func() Msg { return &SnapshotGrantBatch{} },
@@ -399,64 +396,6 @@ func (m *SpaceGrant) decode(d *enc.Decoder) {
 }
 
 // --- consistency traffic --------------------------------------------------
-
-// PageFetch asks a node holding a page for its current contents (Figure 2,
-// steps 7-9: the owner's daemon supplies a copy). Have is the version of
-// the copy the requester holds plus one, 0 when it holds none: a home
-// whose version is no newer answers Current with no bytes, so one round
-// trip both validates a cached copy and refreshes a stale one.
-type PageFetch struct {
-	Page      gaddr.Addr
-	Requester ktypes.NodeID
-	Have      uint64
-}
-
-// Kind implements Msg.
-func (*PageFetch) Kind() Kind { return KindPageFetch }
-func (m *PageFetch) encode(e *enc.Encoder) {
-	e.Addr(m.Page)
-	e.NodeID(m.Requester)
-	e.U64(m.Have)
-}
-func (m *PageFetch) decode(d *enc.Decoder) {
-	m.Page = d.Addr()
-	m.Requester = d.NodeID()
-	m.Have = d.U64()
-}
-
-// PageData answers PageFetch. Current reports that the requester's copy
-// (PageFetch.Have) is already at Version, and then Data is empty.
-type PageData struct {
-	Found   bool
-	Data    []byte
-	Version uint64
-	Current bool
-
-	// dataFrame, when non-nil, backs Data with a refcounted page frame
-	// (see frame.go); it is never encoded.
-	dataFrame *frame.Frame
-}
-
-// Kind implements Msg.
-func (*PageData) Kind() Kind { return KindPageData }
-func (m *PageData) encode(e *enc.Encoder) {
-	e.Bool(m.Found)
-	e.Bytes32(m.Data)
-	e.U64(m.Version)
-	e.Bool(m.Current)
-}
-func (m *PageData) decode(d *enc.Decoder) {
-	m.Found = d.Bool()
-	m.dataFrame = d.Bytes32Frame()
-	if m.dataFrame != nil {
-		m.Data = m.dataFrame.Bytes()
-	}
-	m.Version = d.U64()
-	if m.dataFrame != nil {
-		m.dataFrame.SetVersion(m.Version)
-	}
-	m.Current = d.Bool()
-}
 
 // --- replication ------------------------------------------------------------
 
@@ -946,7 +885,8 @@ func (m *Migrate) decode(d *enc.Decoder) {
 
 // PageReqBatch asks a home node for lock credentials on a set of pages in
 // one round trip (Figure 2, step 6, amortized over the set; a single page
-// is a batch of one). Pages and Modes are parallel vectors; the home
+// is a batch of one), or under a protocol whose locks are local, for
+// current copies. Pages and Modes are parallel vectors; the home
 // consults its directory state, performs any needed invalidations, and
 // answers every page in one PageGrantBatch. Have, nil when nothing is
 // held, is parallel too: each held copy's version plus one, 0 for none.
@@ -1188,9 +1128,11 @@ type UpdateItem struct {
 }
 
 // UpdateBatch groups the page updates bound for one destination into a
-// single RPC: the CREW write-through, the release-protocol home push,
-// eventual gossip rounds, dirty-page eviction, and the §3.5 background
-// retry drain.
+// single RPC: a release or eventual write's push home, eventual gossip
+// rounds, dirty-page eviction, and the §3.5 background retry drain. Its
+// reply is an UpdateBatch mirroring it item for item with the receiver's
+// state of each page: version, stamp and origin, and the receiver's bytes
+// only where its stamp beats the pushed one.
 type UpdateBatch struct {
 	From  ktypes.NodeID
 	Items []UpdateItem
@@ -1248,45 +1190,6 @@ func decodeUpdateItems(d *enc.Decoder) []UpdateItem {
 		items = append(items, it)
 	}
 	return items
-}
-
-// UpdateBatchResp answers UpdateBatch with parallel per-item results in
-// request order: Errs[i] == "" means item i was applied, and Versions[i]
-// is the page's version at the receiver after application.
-type UpdateBatchResp struct {
-	Errs     []string
-	Versions []uint64
-}
-
-// Kind implements Msg.
-func (*UpdateBatchResp) Kind() Kind { return KindUpdateBatchResp }
-func (m *UpdateBatchResp) encode(e *enc.Encoder) {
-	e.U16(uint16(len(m.Errs)))
-	for i, s := range m.Errs {
-		e.String(s)
-		var v uint64
-		if i < len(m.Versions) {
-			v = m.Versions[i]
-		}
-		e.U64(v)
-	}
-}
-func (m *UpdateBatchResp) decode(d *enc.Decoder) {
-	n := int(d.U16())
-	if d.Err() != nil || n == 0 {
-		return
-	}
-	m.Errs = make([]string, 0, n)
-	m.Versions = make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		s := d.String()
-		v := d.U64()
-		if d.Err() != nil {
-			return
-		}
-		m.Errs = append(m.Errs, s)
-		m.Versions = append(m.Versions, v)
-	}
 }
 
 // InvalidateItem names one page inside an InvalidateBatch and the version

@@ -46,10 +46,6 @@ func sampleMessages() []Msg {
 			{Page: gaddr.New(0, 0x4000), Version: 11},
 		}},
 		&InvalidateBatch{NewOwner: 1},
-		&PageFetch{Page: gaddr.New(0, 0x3000), Requester: 3},
-		&PageFetch{Page: gaddr.New(0, 0x3000), Requester: 3, Have: 13},
-		&PageData{Found: true, Data: []byte{1, 2, 3}, Version: 11},
-		&PageData{Found: true, Version: 12, Current: true},
 		&ReplicaPut{From: 1, Items: []UpdateItem{
 			{Page: gaddr.New(0, 0x6000), Data: []byte("replica"), Version: 4, Origin: 1},
 			{Page: gaddr.New(0, 0x7000), Data: []byte("second"), Version: 9, Origin: 1},
@@ -129,7 +125,6 @@ func sampleMessages() []Msg {
 			{Page: gaddr.New(0, 0x4000), Data: []byte("u2"), Version: 5, Stamp: 100, Origin: 3},
 		}},
 		&UpdateBatch{From: 1},
-		&UpdateBatchResp{Errs: []string{"", "store failed"}, Versions: []uint64{7, 0}},
 		&SnapshotReqBatch{
 			Pages:     []gaddr.Addr{gaddr.New(0, 0x1000), gaddr.New(0, 0x2000)},
 			Epoch:     12,
@@ -174,8 +169,6 @@ func sampleMessages() []Msg {
 func frameSlots(m Msg) []**frame.Frame {
 	var slots []**frame.Frame
 	switch msg := m.(type) {
-	case *PageData:
-		slots = append(slots, &msg.dataFrame)
 	case *ReplicaPut:
 		for i := range msg.Items {
 			slots = append(slots, &msg.Items[i].dataFrame)
@@ -407,7 +400,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Error("unknown kind should fail")
 	}
 	// Truncated payload of a real message.
-	b := Marshal(&PageData{Found: true, Data: []byte("abcdef"), Version: 1})
+	b := Marshal(&UpdateBatch{From: 1, Items: []UpdateItem{{Page: gaddr.New(0, 0x3000), Data: []byte("abcdef"), Version: 1}}})
 	for cut := 2; cut < len(b); cut++ {
 		if _, err := Unmarshal(b[:cut]); err == nil {
 			t.Errorf("cut=%d should fail", cut)
@@ -422,8 +415,10 @@ func TestUnmarshalErrors(t *testing.T) {
 
 // TestRetiredKindsRejected pins the wire contract left by deleting the
 // per-page messages, the copyset and version queries, the fixed-field
-// stats pair and the cluster-manager location query: their kind numbers stay reserved, Unmarshal refuses them,
-// and every later kind keeps the number it has always had.
+// stats pair, the cluster-manager location query, the per-page fetch and
+// the push reply with parallel lists: their kind numbers stay reserved,
+// Unmarshal refuses them, and every later kind keeps the number it has
+// always had.
 func TestRetiredKindsRejected(t *testing.T) {
 	for name, kind := range map[string]Kind{
 		"PageReq": KindPageReq, "PageGrant": KindPageGrant, "Invalidate": KindInvalidate,
@@ -432,6 +427,7 @@ func TestRetiredKindsRejected(t *testing.T) {
 		"VersionQuery": KindVersionQuery, "VersionInfo": KindVersionInfo,
 		"StatsReq": KindStatsReq, "StatsResp": KindStatsResp,
 		"ClusterQuery": KindClusterQuery, "ClusterHint": KindClusterHint,
+		"PageFetch": KindPageFetch, "PageData": KindPageData, "UpdateBatchResp": KindUpdateBatchResp,
 	} {
 		body := append([]byte{byte(kind), byte(kind >> 8)}, make([]byte, 64)...)
 		if m, err := Unmarshal(body); err == nil {
@@ -443,13 +439,14 @@ func TestRetiredKindsRejected(t *testing.T) {
 		KindPageFetch: 12, KindUpdatePush: 14, KindVersionQuery: 15,
 		KindReleaseNotify: 17, KindReplicaPut: 18, KindCopysetInfo: 20, KindJoin: 21,
 		KindClusterQuery: 24, KindClusterHint: 25, KindLeave: 26,
-		KindPageReqBatch: 51, KindRingAnnounce: 67, KindInvalidateBatch: 68,
+		KindPageReqBatch: 51, KindUpdateBatch: 58, KindUpdateBatchResp: 59,
+		KindRingAnnounce: 67, KindInvalidateBatch: 68,
 	} {
 		if kind != want {
 			t.Errorf("kind renumbered: got %d, want %d", kind, want)
 		}
 	}
-	for _, m := range []Msg{&PageFetch{}, &ReplicaPut{}, &InvalidateBatch{}} {
+	for _, m := range []Msg{&ReplicaPut{}, &SnapshotReqBatch{}, &InvalidateBatch{}} {
 		if back, err := Unmarshal(Marshal(m)); err != nil || back.Kind() != m.Kind() {
 			t.Errorf("%T after a retired kind did not round trip: %v", m, err)
 		}
