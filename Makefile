@@ -109,9 +109,9 @@ profile-scan:
 # defects runs the known-defect tests (build tag defects). Each asserts
 # the correct behaviour, so each fails until its fix lands; the target
 # prints a line per test and is not a CI gate.
-DEFECTS := TestTCPTimedOutRequesterLeavesNoHold TestReserveSurvivesMapHomeCrash TestUnreserveWithMapHomeDown
+DEFECTS := TestTCPTimedOutRequesterLeavesNoHold TestReserveSurvivesMapHomeCrash TestUnreserveWithMapHomeDown TestEventualFirstCopyKeepsStamp
 defects:
-	@$(GO) test -tags defects -count=1 -v -run '^($(subst $() ,|,$(DEFECTS)))$$' . 2>&1 | \
+	@$(GO) test -tags defects -count=1 -v -run '^($(subst $() ,|,$(DEFECTS)))$$' ./... 2>&1 | \
 		grep -E '^\s*(--- (PASS|FAIL)|\S+_test\.go:[0-9]+:)' || true
 
 # telemetry-smoke boots a real khazanad with the HTTP debug listener and

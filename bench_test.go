@@ -1,7 +1,7 @@
 // Benchmarks, one group per experiment in DESIGN.md §4. These
 // measure per-operation protocol cost on a zero-latency simulated network
-// (pure software-path cost); cmd/kbench runs the full experiments with
-// simulated link latency and prints the paper-shape tables.
+// (pure software-path cost); the experiments' counted claims are the
+// TestE tests in internal/experiments.
 package khazana_test
 
 import (
@@ -13,7 +13,6 @@ import (
 
 	"khazana"
 	"khazana/internal/baseline"
-	"khazana/internal/experiments"
 	"khazana/internal/ktypes"
 	"khazana/kfs"
 	"khazana/kobj"
@@ -439,13 +438,25 @@ func BenchmarkE11StaleMap(b *testing.B) {
 	})
 }
 
-// BenchmarkExperimentHarness runs one fast harness pass end to end, so the
-// full experiment pipeline is exercised by `go test -bench`.
-func BenchmarkExperimentHarness(b *testing.B) {
-	cfg := experiments.Config{Duration: 30 * 1000 * 1000, Dir: b.TempDir()} // 30ms windows
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E1Figure1(cfg); err != nil {
-			b.Fatal(err)
+// --- E12: migration -----------------------------------------------------------
+
+// BenchmarkE12Migration measures a read from n3 of a region homed on n1,
+// before and after the region migrates to n3.
+func BenchmarkE12Migration(b *testing.B) {
+	c := benchCluster(b, 3)
+	start := benchRegion(b, c.Node(1), 4096, khazana.Attrs{})
+	benchWrite(b, c.Node(3), start, []byte("follows the load"))
+	b.Run("before", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchRead(b, c.Node(3), start, 64)
 		}
+	})
+	if err := c.Node(3).MigrateRegion(context.Background(), start, 3, "bench"); err != nil {
+		b.Fatal(err)
 	}
+	b.Run("after", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchRead(b, c.Node(3), start, 64)
+		}
+	})
 }

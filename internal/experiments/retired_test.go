@@ -26,16 +26,9 @@ func TestE13Batching(t *testing.T) {
 	const ps = 4096
 	for _, pages := range []int{16, 64} {
 		t.Run(fmt.Sprintf("%dpages", pages), func(t *testing.T) {
-			c, err := newCluster(fastCfg(t), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			c := newCluster(t, 2)
 			size := uint64(pages) * ps
-			start, err := mkRegion(ctx, c.Node(1), size, khazana.Attrs{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			start := mkRegion(t, c.Node(1), size, khazana.Attrs{})
 			if err := writeOnce(ctx, c.Node(1), start, make([]byte, size)); err != nil {
 				t.Fatal(err)
 			}
@@ -44,19 +37,10 @@ func TestE13Batching(t *testing.T) {
 			if err := writeOnce(ctx, c.Node(2), start, []byte("warm")); err != nil {
 				t.Fatal(err)
 			}
-			rpcs := func(fn func() error) uint64 {
-				t.Helper()
-				reqs0, _ := c.Network.Stats()
-				if err := fn(); err != nil {
-					t.Fatal(err)
-				}
-				reqs1, _ := c.Network.Stats()
-				return reqs1 - reqs0
-			}
-			batched := rpcs(func() error {
+			batched := countRPCs(t, c, func() error {
 				return writeOnce(ctx, c.Node(2), start, []byte("batched?"))
 			})
-			perPage := rpcs(func() error {
+			perPage := countRPCs(t, c, func() error {
 				return eachPage(ctx, c.Node(2), start, size, ps, khazana.LockWrite, func(lk *khazana.Lock, page khazana.Addr) error {
 					if page != start {
 						return nil
@@ -79,17 +63,10 @@ func TestE13Batching(t *testing.T) {
 // the copying read pays at least one page buffer per call, and the view
 // allocates at least 75% fewer bytes.
 func TestE14ZeroCopy(t *testing.T) {
-	c, err := newCluster(fastCfg(t), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, 1)
 	ctx := context.Background()
 	const ps = 4096
-	start, err := mkRegion(ctx, c.Node(1), ps, khazana.Attrs{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	start := mkRegion(t, c.Node(1), ps, khazana.Attrs{})
 	if err := writeOnce(ctx, c.Node(1), start, make([]byte, ps)); err != nil {
 		t.Fatal(err)
 	}
@@ -124,17 +101,10 @@ func TestE14ZeroCopy(t *testing.T) {
 // allocation-free, and the registry observes both the cached reads and the
 // batched cross-node lock/release cycles.
 func TestE15TelemetryOverhead(t *testing.T) {
-	c, err := newCluster(fastCfg(t), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, 2)
 	ctx := context.Background()
 	const ps, batchPages = 4096, 8
-	start, err := mkRegion(ctx, c.Node(1), ps*batchPages, khazana.Attrs{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	start := mkRegion(t, c.Node(1), ps*batchPages, khazana.Attrs{})
 	if err := writeOnce(ctx, c.Node(1), start, make([]byte, ps*batchPages)); err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +171,10 @@ func TestE16WriteThrough(t *testing.T) {
 		pages       = 8
 		secondaries = 2
 	)
-	c, err := newCluster(fastCfg(t), secondaries+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, secondaries+1)
 	ctx := context.Background()
 	const size = uint64(pages * ps)
-	start, err := mkRegion(ctx, c.Node(1), size, khazana.Attrs{MinReplicas: secondaries + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	start := mkRegion(t, c.Node(1), size, khazana.Attrs{MinReplicas: secondaries + 1})
 	if err := writeOnce(ctx, c.Node(1), start, make([]byte, size)); err != nil {
 		t.Fatal(err)
 	}
@@ -261,17 +224,10 @@ func TestE17SnapshotScan(t *testing.T) {
 		readers = 4
 		sweeps  = 10
 	)
-	c, err := newCluster(fastCfg(t), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, 3)
 	ctx := context.Background()
 	const size = uint64(pages * ps)
-	start, err := mkRegion(ctx, c.Node(1), size, khazana.Attrs{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	start := mkRegion(t, c.Node(1), size, khazana.Attrs{})
 	if err := writeOnce(ctx, c.Node(2), start, []byte("committed")); err != nil {
 		t.Fatal(err)
 	}
