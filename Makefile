@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin/khazlint
 
-.PHONY: all build test race vet lint lint-selftest fmt-check bench-module bench-scan alloc-gates bench-smoke fuzz-smoke profile-scan defects telemetry-smoke clean
+.PHONY: all build test race vet lint lint-selftest fmt-check bench-module bench-scan alloc-gates bench-smoke fuzz-smoke profile-scan defects repl-stress telemetry-smoke clean
 
 all: build lint test bench-module
 
@@ -109,10 +109,17 @@ profile-scan:
 # defects runs the known-defect tests (build tag defects). Each asserts
 # the correct behaviour, so each fails until its fix lands; the target
 # prints a line per test and is not a CI gate.
-DEFECTS := TestTCPTimedOutRequesterLeavesNoHold TestReserveSurvivesMapHomeCrash TestUnreserveWithMapHomeDown TestEventualFirstCopyKeepsStamp
+DEFECTS := TestTCPTimedOutRequesterLeavesNoHold TestReserveSurvivesMapHomeCrash TestUnreserveWithMapHomeDown TestEventualFirstCopyKeepsStamp TestReturningPrimaryStaysDeposed
 defects:
 	@$(GO) test -tags defects -count=1 -v -run '^($(subst $() ,|,$(DEFECTS)))$$' ./... 2>&1 | \
 		grep -E '^\s*(--- (PASS|FAIL)|\S+_test\.go:[0-9]+:)' || true
+
+# repl-stress runs the replication, failover and catch-up tests twenty
+# times under the race detector: a release returns at a majority while its
+# other sends, catch-ups and copyset updates run on, so their interleavings
+# vary from run to run.
+repl-stress:
+	$(GO) test -race -count=20 -run 'Repl|Failover|Append|Promot|Election|CatchUp|Majority|Follower' ./internal/replog ./internal/consistency ./internal/core
 
 # telemetry-smoke boots a real khazanad with the HTTP debug listener and
 # curls the export surface: /metrics must serve Prometheus text and JSON,

@@ -547,6 +547,9 @@ func TestReplicatedReleaseRoundTrips(t *testing.T) {
 				before, _ := c.Network.Stats()
 				appended := appends()
 				cycle(byte(i))
+				for _, n := range c.Nodes() {
+					n.Core().ReplSettle() // the release returned at a majority
+				}
 				after, _ := c.Network.Stats()
 				least = min(least, after-before)
 				if got := appends() - appended; got != 2 {

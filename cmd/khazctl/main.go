@@ -222,9 +222,10 @@ func run(args []string) error {
 				commit = fmt.Sprintf("mean commit %v over %d appends", time.Duration(h.Sum/h.Count), h.Count)
 			}
 		}
-		fmt.Printf("replog      %d entries tailed, %d elections, %d failovers, %d degraded commits, %s\n",
+		fmt.Printf("replog      %d entries tailed, %d elections, %d failovers, %d degraded commits, %d catch-ups, %s\n",
 			gauge(telemetry.MetricReplLogLen), counter(telemetry.MetricReplElections),
-			counter(telemetry.MetricReplFailovers), counter(telemetry.MetricReplDegradedCommits), commit)
+			counter(telemetry.MetricReplFailovers), counter(telemetry.MetricReplDegradedCommits),
+			counter(telemetry.MetricReplCatchups), commit)
 		fmt.Printf("failover    %d ad-hoc home takeovers, %d replica repairs\n",
 			counter(telemetry.MetricHomePromotions), counter(telemetry.MetricReplicaRepairs))
 		fmt.Println("metrics")

@@ -367,3 +367,84 @@ func storeUpdate(h Host, tab *pagedir.Table, from ktypes.NodeID, it *wire.Update
 	})
 	return nil
 }
+
+// currentItem reads a page's entry and then its bytes — the committed copy
+// its version chain holds at that version, else the stored copy, which a
+// release stores before it bumps the version, so the bytes are never
+// older than the label — as an update item from self holding one frame
+// reference; ok is false when no copy is held here.
+func currentItem(self ktypes.NodeID, h Host, tab *pagedir.Table, page gaddr.Addr) (it wire.UpdateItem, e pagedir.Entry, ok bool) {
+	var f *frame.Frame
+	tab.With(page, func(p *pagedir.Page) {
+		e = p.Entry
+		if p.Chain == nil {
+			return
+		}
+		if v, ok := p.Chain.LatestVersion(); ok && v == e.Version {
+			//khazana:frame-owner handed to the update item below
+			f, _, _ = p.Chain.Latest()
+		}
+	})
+	if f == nil {
+		if f, ok = h.LoadPage(tab.Touch(page)); !ok {
+			return it, e, false
+		}
+	}
+	it = wire.UpdateItem{Page: page, Version: e.Version, Origin: self}
+	it.SetFrame(f)
+	f.Release()
+	return it, e, true
+}
+
+// PageSource is a node's pages as its replicated log sees them: the
+// leader's catch-ups take their bytes from it, a follower checks an
+// append's versions against it, and a page's copyset follows each
+// secondary home's answer to the appends carrying it.
+type PageSource struct{ H Host }
+
+var _ replog.Pages = PageSource{}
+
+// Current implements replog.Pages.
+func (s PageSource) Current(start gaddr.Addr, pages []gaddr.Addr) []wire.UpdateItem {
+	tab := s.H.Pages().At(start)
+	if tab == nil {
+		return nil
+	}
+	items := make([]wire.UpdateItem, 0, len(pages))
+	for _, p := range pages {
+		if it, _, ok := currentItem(s.H.Self(), s.H, tab, p); ok {
+			items = append(items, it)
+		}
+	}
+	return items
+}
+
+// Held implements replog.Pages.
+func (s PageSource) Held(start, page gaddr.Addr) uint64 {
+	if tab := s.H.Pages().At(start); tab != nil {
+		e, _ := tab.Lookup(page)
+		return e.Version
+	}
+	return 0
+}
+
+// Acked implements replog.Pages: a secondary that holds the pages joins
+// the copyset of each still at the version it got, and one that failed
+// leaves them all.
+func (s PageSource) Acked(start gaddr.Addr, node ktypes.NodeID, pages []wire.UpdateItem, ok bool) {
+	tab := s.H.Pages().At(start)
+	if tab == nil {
+		return
+	}
+	for i := range pages {
+		it := &pages[i]
+		tab.Update(it.Page, func(e *pagedir.Entry) {
+			switch {
+			case !ok:
+				e.RemoveSharer(node)
+			case e.Version == it.Version:
+				e.AddSharer(node)
+			}
+		})
+	}
+}

@@ -273,19 +273,22 @@ func (c *Engine) acquireFromHome(ctx context.Context, desc *region.Descriptor, t
 }
 
 // install stores a granted copy (f, consumed; nil reads as zeroes) and
-// labels the page's entry with the grant. Under last writer wins the copy
-// is the replica's first and becomes its winning copy, unless a
-// concurrent update installed one first.
+// labels the page's entry with the grant, in one step under the table's
+// push lock. Under last writer wins the copy is the replica's first and
+// becomes its winning copy, unless a concurrent update installed one
+// first.
 func (c *Engine) install(desc *region.Descriptor, tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, g *wire.PageGrantItem, mode ktypes.LockMode) error {
 	if f == nil {
 		f = zeroFill(desc)
 	}
 	defer f.Release()
 	rec := tab.Touch(page)
+	// Under the push lock, as StoreUpdates stores: a late append for an
+	// older version cannot store its bytes under this grant's label.
+	mu := tab.PushLock()
+	mu.Lock()
+	defer mu.Unlock()
 	if c.p.lww {
-		mu := tab.PushLock()
-		mu.Lock()
-		defer mu.Unlock()
 		if lf, ok := c.h.LoadPage(rec); ok {
 			lf.Release()
 			return nil
@@ -846,10 +849,11 @@ func (c *Engine) SnapshotRead(ctx context.Context, desc *region.Descriptor, page
 // ReplOpRelease entry per released page — version, owner, copyset and
 // publish epoch, what a standby that wins the failover election resumes
 // from (§3.5) — and the page's bytes, which it stores before it appends.
-// Each frame is loaded once and shared by every message. Write grants
-// leave homes listed and replica maintenance (§3.5) re-pushes only to
-// homes the copyset omits, so a secondary that did not ack leaves the
-// copyset; one that acked joins it unless a newer release moved the page.
+// Each frame is loaded once and shared by every message. It returns once
+// a majority of the home list holds the release. Write grants leave homes
+// listed and replica maintenance (§3.5) re-pushes only to homes the
+// copyset omits, so the copysets follow each secondary's answer, early or
+// late (PageSource.Acked).
 func (c *Engine) replicate(ctx context.Context, desc *region.Descriptor, tab *pagedir.Table, pages []gaddr.Addr) {
 	if len(pages) == 0 || len(desc.Home) < 2 {
 		return
@@ -858,15 +862,12 @@ func (c *Engine) replicate(ctx context.Context, desc *region.Descriptor, tab *pa
 	entries := make([]wire.ReplEntry, 0, len(pages))
 	items := make([]wire.UpdateItem, 0, len(pages))
 	for _, p := range pages {
-		f, ok := c.h.LoadPage(tab.Touch(p))
+		it, e, ok := currentItem(self, c.h, tab, p)
 		if !ok {
 			continue
 		}
-		e, _ := tab.Lookup(p)
 		entries = append(entries, wire.ReplEntry{Op: wire.ReplOpRelease, Page: p, Val: e.Version, Node: e.Owner, Nodes: e.Copyset, Aux: epoch})
-		items = append(items, wire.UpdateItem{Page: p, Version: e.Version, Origin: self})
-		items[len(items)-1].SetFrame(f)
-		f.Release()
+		items = append(items, it)
 	}
 	if len(items) == 0 {
 		return
@@ -874,25 +875,11 @@ func (c *Engine) replicate(ctx context.Context, desc *region.Descriptor, tab *pa
 	// ErrNotLeader can surface during a failover race (this node was
 	// deposed between the grant and the release); the release itself
 	// still completed and the §3.5 background loops re-converge, so the
-	// error is not propagated; the copysets still follow who acked.
-	acked, err := c.h.Repl().AppendPages(ctx, desc, items, entries...)
-	if err == nil {
-		for range len(desc.Home) - 1 { // one per message sent
+	// error is not propagated.
+	if c.h.Repl().AppendPages(ctx, desc, items, entries...) == nil {
+		for range len(desc.Home) - 1 { // one per secondary
 			c.updateBatchPages.Observe(uint64(len(items)))
 		}
-	}
-	for _, it := range items {
-		tab.Update(it.Page, func(e *pagedir.Entry) {
-			for _, n := range desc.Home {
-				switch {
-				case n == self:
-				case !slices.Contains(acked, n):
-					e.RemoveSharer(n)
-				case e.Version == it.Version:
-					e.AddSharer(n)
-				}
-			}
-		})
 	}
 }
 

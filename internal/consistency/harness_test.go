@@ -221,7 +221,7 @@ func cluster(t *testing.T, n int, descs ...*region.Descriptor) []*testHost {
 			pages: make(map[gaddr.Addr]*frame.Frame),
 			descs: descs,
 		}
-		h.repl = replog.New(replog.Config{Self: id, Send: tr.Request})
+		h.repl = replog.New(replog.Config{Self: id, Send: tr.Request, Tel: h.tel, Pages: PageSource{H: h}})
 		h.cms = reg.Build(h)
 		tr.SetHandler(h.handle)
 		hosts[i] = h

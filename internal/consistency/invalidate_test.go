@@ -304,6 +304,7 @@ func TestWriteGrantSparesListedHomes(t *testing.T) {
 			}
 			writer, home := hosts[tc.writer], hosts[0]
 			writeAll(t, writer, d, pages, 1) // the release replicates to 2 and 3
+			home.repl.Settle()
 			reader := hosts[4]
 			if tc.reader {
 				readAll(t, reader, d, pages)
@@ -368,6 +369,7 @@ func TestWriteGrantSparesListedHomes(t *testing.T) {
 			if errs := writer.cm(d).ReleaseBatch(ctx, d, pages, ktypes.LockWrite, dirty); errs != nil {
 				t.Fatalf("release: %v", errs)
 			}
+			home.repl.Settle()
 			checkHomesListed("after release and write-through")
 			for _, p := range pages {
 				for _, s := range hosts[1:3] {
@@ -395,6 +397,7 @@ func TestHomeLeavingListIsInvalidated(t *testing.T) {
 	writer, kept, dropped := hosts[3], hosts[1], hosts[2]
 	keptInvals, droppedInvals := countInvalidations(kept), countInvalidations(dropped)
 	writeAll(t, writer, d, pages, 1)
+	hosts[0].repl.Settle()
 
 	moved := d.Clone()
 	moved.Home = []ktypes.NodeID{1, 2}
@@ -403,6 +406,7 @@ func TestHomeLeavingListIsInvalidated(t *testing.T) {
 		h.descs = []*region.Descriptor{moved}
 	}
 	writeAll(t, writer, moved, pages, 2)
+	hosts[0].repl.Settle()
 	if b, it := droppedInvals.batches.Load(), droppedInvals.items.Load(); b != 1 || it != pageCount {
 		t.Fatalf("former home received %d InvalidateBatch RPCs naming %d pages, want 1 naming %d", b, it, pageCount)
 	}
@@ -425,7 +429,7 @@ func TestHomeLeavingListIsInvalidated(t *testing.T) {
 // TestFailedWriteThroughLeavesCopyset: write grants keep the listed homes
 // in the copyset, so a secondary whose write-through fails must leave it —
 // replica maintenance re-pushes only to homes the copyset does not list.
-// The next write-through that reaches it lists it again.
+// The catch-up that reaches it once the link heals lists it again.
 func TestFailedWriteThroughLeavesCopyset(t *testing.T) {
 	const pageCount = 4
 	d := replicatedDesc(pageCount)
@@ -433,9 +437,11 @@ func TestFailedWriteThroughLeavesCopyset(t *testing.T) {
 	pages := d.Pages(0, d.Range.Size)
 	home, reached, missed, writer := hosts[0], hosts[1], hosts[2], hosts[3]
 	writeAll(t, writer, d, pages, 1)
+	home.repl.Settle()
 
 	writer.net.Partition(home.id, missed.id)
 	writeAll(t, writer, d, pages, 2)
+	home.repl.Settle()
 	for _, p := range pages {
 		e, _ := entryOf(home, p)
 		if e.InCopyset(missed.id) || !e.InCopyset(reached.id) {
@@ -449,6 +455,7 @@ func TestFailedWriteThroughLeavesCopyset(t *testing.T) {
 
 	writer.net.Heal(home.id, missed.id)
 	writeAll(t, writer, d, pages, 3)
+	home.repl.Settle()
 	for _, p := range pages {
 		e, _ := entryOf(home, p)
 		if !e.InCopyset(missed.id) {

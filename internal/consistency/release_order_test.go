@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -40,7 +42,8 @@ func frameVersion(h *testHost, page gaddr.Addr) uint64 {
 // TestLateWriteThroughKeepsNewerBytes: a secondary whose copy of release
 // V's write-through arrives after V+1's has landed keeps V+1's bytes and
 // label. V's message is held back — the sender sees it fail, as after a
-// timeout — and delivered once V+1's release has returned.
+// timeout — and delivered once V+1 has reached the secondary in the
+// catch-up that follows the failure.
 func TestLateWriteThroughKeepsNewerBytes(t *testing.T) {
 	const pageCount = 4
 	d := replicatedDesc(pageCount)
@@ -48,6 +51,7 @@ func TestLateWriteThroughKeepsNewerBytes(t *testing.T) {
 	pages := d.Pages(0, d.Range.Size)
 	home, late, writer := hosts[0], hosts[2], hosts[3]
 	writeAll(t, writer, d, pages, 1)
+	home.repl.Settle()
 
 	release, delivered := make(chan struct{}), make(chan struct{})
 	held := false
@@ -74,7 +78,8 @@ func TestLateWriteThroughKeepsNewerBytes(t *testing.T) {
 		return errDropped
 	}
 	writeAll(t, writer, d, pages, 2) // V: held back from late
-	writeAll(t, writer, d, pages, 3) // V+1: lands
+	writeAll(t, writer, d, pages, 3) // V+1: waits in the log for late's catch-up
+	home.repl.Settle()               // V+1 reaches late in its catch-up
 	close(release)
 	<-delivered
 	if !held {
@@ -95,9 +100,8 @@ func TestLateWriteThroughKeepsNewerBytes(t *testing.T) {
 // secondary is dropped, seeded releases of random page subsets from random
 // writers run, and after each the secondary's committed log version of
 // every page is at most the version of the frame it stores — a release
-// whose bytes it lacks is never committed there. (Once pages reach it
-// again, the catch-up behind the first one replays the missed entries
-// without their pages; that case is not covered here.)
+// whose bytes it lacks is never committed there. TestCatchUpCarriesBytes
+// lets the pages through again.
 func TestCommittedVersionHasItsBytes(t *testing.T) {
 	const pageCount, releases = 8, 24
 	d := replicatedDesc(pageCount)
@@ -105,6 +109,7 @@ func TestCommittedVersionHasItsBytes(t *testing.T) {
 	pages := d.Pages(0, d.Range.Size)
 	missed := hosts[2]
 	writeAll(t, hosts[0], d, pages, 1)
+	hosts[0].repl.Settle()
 
 	missed.intercept = func(_ ktypes.NodeID, m wire.Msg) error {
 		if carriesPages(m) {
@@ -132,6 +137,140 @@ func TestCommittedVersionHasItsBytes(t *testing.T) {
 				t.Fatalf("release %d: secondary's log commits %v at v%d but its frame is v%d", r, p, committed, held)
 			}
 		}
+	}
+}
+
+// TestCatchUpCarriesBytes: 200 seeded releases of random page subsets from
+// random writers; page-carrying messages to one secondary are dropped for
+// the first 80 and let through after. Its catch-up carries the current
+// bytes of every page its entries and snapshot name, so after every
+// release its committed log version of each page is at most the version
+// of the frame it stores, and once the sends settle it holds the leader's
+// log and each page's version and bytes.
+func TestCatchUpCarriesBytes(t *testing.T) {
+	const pageCount, releases, dropped = 8, 200, 80
+	d := replicatedDesc(pageCount)
+	hosts := cluster(t, 4, d)
+	pages := d.Pages(0, d.Range.Size)
+	home, missed := hosts[0], hosts[2]
+	writeAll(t, home, d, pages, 1)
+	home.repl.Settle()
+
+	var drop atomic.Bool
+	drop.Store(true)
+	missed.intercept = func(_ ktypes.NodeID, m wire.Msg) error {
+		if drop.Load() && carriesPages(m) {
+			return errDropped
+		}
+		return nil
+	}
+	check := func(when string) {
+		t.Helper()
+		state, _ := missed.repl.Snapshot(d.Range.Start)
+		for _, p := range pages {
+			if committed, held := state.PageVersion[p], frameVersion(missed, p); committed > held {
+				t.Fatalf("%s: secondary's log commits %v at v%d but its frame is v%d", when, p, committed, held)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(51))
+	for r := 0; r < releases; r++ {
+		if r == dropped {
+			drop.Store(false)
+		}
+		writer := hosts[[]int{0, 3}[rng.Intn(2)]]
+		var subset []gaddr.Addr
+		for _, p := range pages {
+			if rng.Intn(2) == 0 {
+				subset = append(subset, p)
+			}
+		}
+		if len(subset) == 0 {
+			subset = pages[:1]
+		}
+		writeAll(t, writer, d, subset, byte(r+2))
+		check(fmt.Sprintf("release %d", r))
+	}
+	home.repl.Settle()
+	check("settled")
+	_, last := home.repl.Progress(d.Range.Start)
+	if _, mlast := missed.repl.Progress(d.Range.Start); mlast != last {
+		t.Fatalf("secondary's last index %d after the catch-up, leader's %d", mlast, last)
+	}
+	for _, p := range pages {
+		he, _ := entryOf(home, p)
+		me, _ := entryOf(missed, p)
+		if want, got := snapshot(home, d, p), snapshot(missed, d, p); me.Version != he.Version || !bytes.Equal(got, want) {
+			t.Fatalf("secondary holds %#x at v%d on %v after the catch-up, leader %#x at v%d", got[0], me.Version, p, want[0], he.Version)
+		}
+	}
+}
+
+// TestLateAppendNeverOverwritesNewerGrant: a straggling append of V-1 at a
+// secondary home, held between its version check and its store, and a read
+// grant of V installing there at the same time: the grant's install waits
+// for the append's store, so the secondary ends with V's bytes under V's
+// label, not V-1's bytes under V's label.
+func TestLateAppendNeverOverwritesNewerGrant(t *testing.T) {
+	d := replicatedDesc(1)
+	hosts := cluster(t, 3, d)
+	home, sec, page := hosts[0], hosts[1], d.Range.Start
+	sec.intercept = func(_ ktypes.NodeID, m wire.Msg) error {
+		if carriesPages(m) {
+			return errDropped
+		}
+		return nil
+	}
+	writeAll(t, home, d, []gaddr.Addr{page}, 1) // V-1
+	writeAll(t, home, d, []gaddr.Addr{page}, 2) // V
+	home.repl.Settle()
+	sec.intercept = nil
+	if resident(sec, page) {
+		t.Fatal("the secondary holds a copy before the straggler")
+	}
+
+	straggler := &wire.UpdateItem{Page: page, Version: 1, Origin: 1}
+	f := frame.Copy(bytes.Repeat([]byte{1}, int(d.Attrs.PageSize)))
+	straggler.SetFrame(f)
+	f.Release()
+	inStore, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	sec.storing = func(_ gaddr.Addr, f *frame.Frame) {
+		if f.Bytes()[0] == 1 {
+			once.Do(func() { close(inStore) })
+			<-release
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := StoreUpdates(sec, d, 1, unsafe.Slice(straggler, 1)); err != nil {
+			t.Errorf("straggling append: %v", err)
+		}
+	}()
+	<-inStore
+	granted := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		defer close(granted)
+		if err := acquirePage(context.Background(), sec.cm(d), d, page, ktypes.LockRead); err != nil {
+			t.Errorf("read grant: %v", err)
+		}
+	}()
+	select { // the grant's install must not overtake the append's store
+	case <-granted:
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	wg.Wait()
+	if err := releasePage(context.Background(), sec.cm(d), d, page, ktypes.LockRead, false); err != nil {
+		t.Fatal(err)
+	}
+
+	e, _ := entryOf(sec, page)
+	if b := snapshot(sec, d, page); b[0] != 2 || e.Version != 2 {
+		t.Fatalf("secondary holds %#x labeled v%d after a late append raced a grant, want 0x2 labeled v2", b[0], e.Version)
 	}
 }
 

@@ -46,6 +46,9 @@ func replicatedRegion(t *testing.T) (*transport.Network, []*Node, gaddr.Addr) {
 	if err := nodes[1].Unlock(ctx, lc); err != nil {
 		t.Fatal(err)
 	}
+	// The release returned at a majority; let the other secondary's append
+	// land too, so the tests below may promote either secondary directly.
+	nodes[1].ReplSettle()
 	return net, nodes, start
 }
 
@@ -240,6 +243,7 @@ func TestMissedWriteThroughRepairedByMaintenance(t *testing.T) {
 	if err := writer.Unlock(ctx, lc); err != nil {
 		t.Fatal(err)
 	}
+	primary.ReplSettle() // the missed append's failure reaches the copyset
 	net.Heal(primary.cfg.ID, missed.cfg.ID)
 
 	repairs := primary.mReplicaRepairs.Load()
@@ -320,8 +324,9 @@ func TestTwoHomeTakeoverWritesThrough(t *testing.T) {
 // TestPromotedHomeServesCommittedBytes: a release from a node outside the
 // home list carries its bytes to the secondaries in the append that
 // commits it, so once the release is acked the primary can die and the
-// promoted secondary grants a read of exactly that release, bytes and
-// version, with no replica-maintenance round in between.
+// secondary that promoteHome promotes — one that holds the release, as
+// one whose log lags loses its election — grants a read of exactly that
+// release, bytes and version, with no replica-maintenance round in between.
 func TestPromotedHomeServesCommittedBytes(t *testing.T) {
 	net, nodes, start := replicatedRegion(t)
 	ctx := context.Background()
@@ -348,10 +353,11 @@ func TestPromotedHomeServesCommittedBytes(t *testing.T) {
 	committed, _ := entryOf(primary, start)
 
 	net.Crash(primary.cfg.ID)
-	promoted := nodes[d.Home[1]-1]
-	if nd := promoted.promoteLocal(ctx, start); nd == nil {
-		t.Fatal("promotion failed")
+	nd, err := writer.promoteHome(ctx, d)
+	if err != nil {
+		t.Fatal(err)
 	}
+	promoted := nodes[nd.Home[0]-1]
 	rlc, err := promoted.Lock(ctx, rng, ktypes.LockRead, "alice")
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"khazana/internal/ktypes"
 	"khazana/internal/pagedir"
 	"khazana/internal/region"
+	"khazana/internal/replog"
 	"khazana/internal/ring"
 	"khazana/internal/wire"
 )
@@ -352,14 +353,17 @@ func (n *Node) promoteFlight(ctx context.Context, start gaddr.Addr) *region.Desc
 // campaignFor runs the region's failover election with bounded retries:
 // split votes or an unreachable straggler back off briefly and retry, so
 // one promoteLocal call rides out transient vote denials without pushing
-// the failover past the availability bound.
+// the failover past the availability bound. A voter whose log is ahead
+// ends it at once: this node cannot win, and promoteHome moves on to the
+// next listed home, which may be that voter.
 func (n *Node) campaignFor(ctx context.Context, d *region.Descriptor) bool {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if n.repl.Campaign(ctx, d) {
+		err := n.repl.Campaign(ctx, d)
+		if err == nil {
 			return true
 		}
-		if ctx.Err() != nil || time.Now().After(deadline) {
+		if errors.Is(err, replog.ErrLogBehind) || ctx.Err() != nil || time.Now().After(deadline) {
 			return false
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -448,7 +448,8 @@ func NewNode(cfg Config) (*Node, error) {
 		Send: func(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 			return n.tr.Request(ctx, to, m)
 		},
-		Tel: tel,
+		Tel:   tel,
+		Pages: consistency.PageSource{H: hostView{n}},
 	})
 	reg := cfg.Registry
 	if reg == nil {
@@ -536,14 +537,16 @@ func (n *Node) join(ctx context.Context) error {
 	return nil
 }
 
-// Close stops background loops and checkpoints persistent state (§2: the
-// global store is persistent; a cleanly stopped daemon serves its homed
-// regions again after restart).
+// Close stops background loops, waits for the replicated log's sends in
+// flight and checkpoints persistent state (§2: the global store is
+// persistent; a cleanly stopped daemon serves its homed regions again
+// after restart).
 func (n *Node) Close() error {
 	var err error
 	n.once.Do(func() {
 		close(n.stop)
 		n.done.Wait()
+		n.repl.Close()
 		err = n.Persist()
 	})
 	return err
@@ -610,6 +613,12 @@ func (n *Node) AddressMap() *addrmap.Map { return n.amap }
 // Repl exposes the replicated region-metadata log (diagnostics, tests,
 // and experiments).
 func (n *Node) Repl() *replog.Log { return n.repl }
+
+// ReplSettle blocks until the replicated log's sends to the followers of
+// the regions led here have drained (see replog.Log.Settle). A release
+// returns once a majority of its homes hold it, so tests and experiments
+// that look at every secondary call this first.
+func (n *Node) ReplSettle() { n.repl.Settle() }
 
 // Ring returns the node's current consistent-hashing partition view (nil
 // before the first membership sync).

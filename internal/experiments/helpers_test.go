@@ -96,6 +96,7 @@ func quietRPCs(c *khazana.Cluster) uint64 {
 		r1, _ := c.Network.Stats()
 		for _, n := range c.Nodes() {
 			n.Core().RingSettle()
+			n.Core().ReplSettle()
 		}
 		if r2, _ := c.Network.Stats(); r1 == r2 {
 			return r2

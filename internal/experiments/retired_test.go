@@ -180,10 +180,11 @@ func TestE16WriteThrough(t *testing.T) {
 	}
 	// Extend the home list and seed the replicas, so the measured releases
 	// write through to a stable replica set. The home-list change is
-	// announced to the ring owners asynchronously; let that land before
-	// counting.
+	// announced to the ring owners asynchronously, and its log append
+	// returns at a majority; let both land before counting.
 	c.Node(1).Core().MaintainReplicas()
 	c.Node(1).Core().RingSettle()
+	c.Node(1).Core().ReplSettle()
 
 	reqs0, _ := c.Network.Stats()
 	updates0 := updateBatches(c.Node(1))
@@ -194,6 +195,7 @@ func TestE16WriteThrough(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	c.Node(1).Core().ReplSettle() // a release returns at a majority
 	reqs1, _ := c.Network.Stats()
 	requests, updates := reqs1-reqs0, updateBatches(c.Node(1))-updates0
 	const want = cycles * secondaries

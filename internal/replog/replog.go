@@ -4,10 +4,10 @@
 // region-metadata deltas at release boundaries: ownership grants,
 // copyset changes, page-directory version updates, and publish-epoch
 // advances. The other listed homes follow the log as warm standbys; a
-// release is acked to the client only after a majority of the home
-// list holds its log entry, so a standby that wins the post-crash
-// election resumes from the log with no lost-release window, subsuming
-// the §3.5 retry queue for the common crash case.
+// release is acked to the client once a majority of the home list, the
+// leader counted, holds its log entry, so a standby that wins the
+// post-crash election resumes from the log with no lost-release window,
+// subsuming the §3.5 retry queue for the common crash case.
 //
 // The design is a deliberately small Raft subset shaped to Khazana's
 // topology: one log per region, membership fixed by the region
@@ -17,12 +17,14 @@
 // retry path), and a log-up-to-date vote rule that steers leadership
 // to the most current standby. A release's append carries the released
 // pages' bytes too, which a standby stores before it appends; the log
-// retains only entries, and catch-up appends carry no pages.
+// retains only entries. A follower gets appends in index order, one send
+// in flight at a time (see run).
 package replog
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,17 +45,30 @@ const (
 	// one lease window.
 	DefaultLeaseTimeout = 250 * time.Millisecond
 	// keepTail bounds the committed entries retained per region after
-	// compaction; followers further behind catch up via a state
-	// snapshot instead of entry replay.
-	keepTail = 64
-	// ackTimeout bounds the leader's wait for quorum acks on one
-	// append before committing in degraded (local-only) mode.
+	// compaction (a leader keeps up to maxTail for a follower behind);
+	// followers further behind catch up via a state snapshot instead of
+	// entry replay.
+	keepTail, maxTail = 64, 64 * 64
+	// ackTimeout bounds the sends of an append, from when it is made.
 	ackTimeout = time.Second
+	// retryDelay is how long a follower rests after a failed send.
+	retryDelay = 50 * time.Millisecond
 )
 
 // ErrNotLeader reports that this node is not the region's log leader;
 // the caller's descriptor is stale and should be refreshed.
 var ErrNotLeader = errors.New("replog: not region leader")
+
+// Campaign's losses: ErrLogBehind when a voter's log is more up to date
+// than the candidate's, so no retry can win until the candidate catches
+// up; ErrNoQuorum otherwise (a split vote, a live lease, voters down).
+var (
+	ErrLogBehind = errors.New("replog: candidate's log behind a voter's")
+	ErrNoQuorum  = errors.New("replog: no vote majority")
+)
+
+// errLogBehind is the vote refusal behind ErrLogBehind.
+const errLogBehind = "log behind"
 
 // SendFunc issues one RPC to a peer and returns its reply. It is
 // injected by the embedding node so the log has no transport
@@ -74,7 +89,30 @@ type Config struct {
 	Now func() time.Time
 	// LeaseTimeout overrides DefaultLeaseTimeout when positive.
 	LeaseTimeout time.Duration
+	// Pages is the node's page contents: catch-ups carry them, followers
+	// check appends against them, copysets follow acks. Without one the
+	// log carries and checks no bytes (a probe of its own cost).
+	Pages Pages
 }
+
+// Pages connects a Log to the page contents its release entries name.
+type Pages interface {
+	// Current returns an item, its frame the log's, for each named page
+	// held here, labelled with a version no newer than its bytes.
+	Current(region gaddr.Addr, pages []gaddr.Addr) []wire.UpdateItem
+	// Held returns the version of the bytes held here for a page.
+	Held(region, page gaddr.Addr) uint64
+	// Acked reports a follower's answer to an append carrying pages.
+	Acked(region gaddr.Addr, follower ktypes.NodeID, pages []wire.UpdateItem, ok bool)
+}
+
+// noPages is the page source of a log built without one: it holds no
+// bytes and takes every version as held.
+type noPages struct{}
+
+func (noPages) Current(gaddr.Addr, []gaddr.Addr) []wire.UpdateItem       { return nil }
+func (noPages) Held(gaddr.Addr, gaddr.Addr) uint64                       { return ^uint64(0) }
+func (noPages) Acked(gaddr.Addr, ktypes.NodeID, []wire.UpdateItem, bool) {}
 
 // Log is a node's collection of per-region replicated metadata logs:
 // leader for the regions this node is primary home of, follower for
@@ -85,6 +123,7 @@ type Log struct {
 	send  SendFunc
 	now   func() time.Time
 	lease time.Duration
+	pages Pages
 
 	mu      sync.Mutex
 	regions map[gaddr.Addr]*regionLog
@@ -97,17 +136,22 @@ type Log struct {
 	elections *telemetry.Counter
 	failovers *telemetry.Counter
 	degraded  *telemetry.Counter
+	catchups  *telemetry.Counter
+
+	// flights counts the running senders; fidle signals it reaching zero.
+	fmu     sync.Mutex
+	flights int
+	fidle   sync.Cond
 }
 
-// regionLog is one region's log replica. appendMu serializes leader
-// appends for the region end to end (including follower RPCs) so
-// entries replicate in index order; mu guards everything else and is
-// never held across an RPC.
+// regionLog is one region's log replica. mu guards it and is never held
+// across an RPC; cond wakes a leader's waiting appends when a follower's
+// answer lands, its stream goes idle, or a waiter's context ends.
 type regionLog struct {
-	start    gaddr.Addr
-	appendMu sync.Mutex
+	start gaddr.Addr
 
 	mu        sync.Mutex
+	cond      sync.Cond
 	term      uint64
 	leader    ktypes.NodeID
 	votedTerm uint64
@@ -124,6 +168,27 @@ type regionLog struct {
 	entries   []wire.ReplEntry
 	commit    uint64
 	state     RegionState
+	// gone marks a forgotten region: its senders stop.
+	gone bool
+
+	// The leader's side: the home list of its last append and a stream
+	// per follower, for streamTerm.
+	homes      []ktypes.NodeID
+	streams    []*stream
+	streamTerm uint64
+}
+
+// stream is the leader's send state for one follower in one term.
+type stream struct {
+	to ktypes.NodeID
+	// match is the last index the follower acked; known once it has.
+	match uint64
+	known bool
+	// busy while a run sends to the follower; the entries of appends
+	// made meanwhile follow from the log.
+	busy bool
+	// failed is when the last send failed; zero while the follower acks.
+	failed time.Time
 }
 
 // New builds a Log. Call Load afterwards to restore a durable tail.
@@ -134,6 +199,7 @@ func New(cfg Config) *Log {
 		send:    cfg.Send,
 		now:     cfg.Now,
 		lease:   cfg.LeaseTimeout,
+		pages:   cfg.Pages,
 		regions: make(map[gaddr.Addr]*regionLog),
 	}
 	if l.now == nil {
@@ -142,11 +208,15 @@ func New(cfg Config) *Log {
 	if l.lease <= 0 {
 		l.lease = DefaultLeaseTimeout
 	}
+	if l.pages == nil {
+		l.pages = noPages{}
+	}
 	l.logLen = cfg.Tel.Gauge(telemetry.MetricReplLogLen)
 	l.commitLat = cfg.Tel.Histogram(telemetry.MetricReplCommitLatency)
 	l.elections = cfg.Tel.Counter(telemetry.MetricReplElections)
 	l.failovers = cfg.Tel.Counter(telemetry.MetricReplFailovers)
 	l.degraded = cfg.Tel.Counter(telemetry.MetricReplDegradedCommits)
+	l.catchups = cfg.Tel.Counter(telemetry.MetricReplCatchups)
 	return l
 }
 
@@ -157,6 +227,7 @@ func (l *Log) region(start gaddr.Addr) *regionLog {
 	rl, ok := l.regions[start]
 	if !ok {
 		rl = &regionLog{start: start, state: newRegionState()}
+		rl.cond.L = &rl.mu
 		l.regions[start] = rl
 	}
 	return rl
@@ -173,6 +244,7 @@ func (l *Log) Forget(start gaddr.Addr) {
 	}
 	rl.mu.Lock()
 	retained := len(rl.entries)
+	rl.gone = true
 	rl.mu.Unlock()
 	l.addTail(-retained)
 }
@@ -235,15 +307,28 @@ func (rl *regionLog) advanceCommitLocked(to uint64) int {
 }
 
 // compactLocked drops committed entries beyond the retained tail and
-// returns how many were dropped. The tail moves down inside the existing
-// array, and the vacated slots are cleared so their Nodes slices can be
-// collected; nothing outside mu holds a view of entries (catchupMsg copies).
+// returns how many were dropped. A leader keeps, up to maxTail entries,
+// those a follower that still acks has yet to ack, so it catches up from
+// entries; only one further behind, or one that failed, needs a snapshot.
+// The tail moves down inside the existing array, and the vacated slots
+// are cleared so their Nodes slices can be collected; nothing outside mu
+// holds a view of entries (catch-ups copy).
 func (rl *regionLog) compactLocked() int {
 	committed := rl.commit - rl.floor
 	if committed <= keepTail {
 		return 0
 	}
 	drop := int(committed - keepTail)
+	if rl.streamTerm == rl.term && len(rl.entries) <= maxTail {
+		for _, s := range rl.streams {
+			if s.known && s.failed.IsZero() && s.match >= rl.floor && s.match-rl.floor < uint64(drop) {
+				drop = int(s.match - rl.floor)
+			}
+		}
+		if drop == 0 {
+			return 0
+		}
+	}
 	rl.floorTerm = rl.entries[drop-1].Term
 	rl.floor += uint64(drop)
 	kept := copy(rl.entries, rl.entries[drop:])
@@ -254,34 +339,28 @@ func (rl *regionLog) compactLocked() int {
 
 // Append is AppendPages without pages.
 func (l *Log) Append(ctx context.Context, desc *region.Descriptor, entries ...wire.ReplEntry) error {
-	_, err := l.AppendPages(ctx, desc, nil, entries...)
-	return err
+	return l.AppendPages(ctx, desc, nil, entries...)
 }
 
-// AppendPages appends entries to the region's log as its leader, sends
+// AppendPages appends entries to the region's log as its leader, hands
 // them with pages (the contents they name; the log takes over the frame
-// references) to the other listed homes, one message each, and returns
-// the followers that acked once every follower answered or ackTimeout
-// passed (a deposing reply ends the wait early), not once a majority holds
-// them. Entries need only Op and the op's payload fields; Index, Term, and
-// Region are stamped here. A single-home region commits at once with no
-// network. If fewer than a majority of the home list (counting self)
-// acked, the entries commit locally anyway (degraded mode, counted) —
-// Khazana favors availability here, and the log-up-to-date election rule
-// keeps a lagging standby from winning leadership over a current one.
-// Returns ErrNotLeader when another node holds the region's leadership.
-func (l *Log) AppendPages(ctx context.Context, desc *region.Descriptor, pages []wire.UpdateItem, entries ...wire.ReplEntry) ([]ktypes.NodeID, error) {
+// references) to each other listed home's stream (see run), and returns
+// once a majority of the home list, this node counted, holds them: one
+// follower ack at three homes, the one follower at two. Entries need only
+// Op and the op's payload fields; Index, Term, and Region are stamped
+// here. A single-home region commits at once with no network. If a
+// majority can no longer ack — followers refused, failed, timed out or
+// rest after a failure — or ctx ends first, the entries commit locally
+// anyway (degraded mode, counted; the sends go on): Khazana favors availability here, and the log-up-to-date
+// election rule keeps a lagging standby from winning leadership over a
+// current one. Returns ErrNotLeader when another node holds the region's
+// leadership or a follower's reply deposes this one.
+func (l *Log) AppendPages(ctx context.Context, desc *region.Descriptor, pages []wire.UpdateItem, entries ...wire.ReplEntry) error {
 	if len(entries) == 0 {
 		wire.ReleaseItems(pages)
-		return nil, nil
+		return nil
 	}
 	rl := l.region(desc.Range.Start)
-	// appendMu is held across the follower RPCs below: per-region
-	// appends — and so their pages — must replicate in index order, and
-	// the quorum wait is the entire point of the critical section.
-	rl.appendMu.Lock() //khazana:block-ok serializes per-region appends across quorum RPCs
-	defer rl.appendMu.Unlock()
-
 	rl.mu.Lock()
 	if rl.leader != l.self {
 		// A region with no elected leader is led by its listed primary
@@ -298,7 +377,7 @@ func (l *Log) AppendPages(ctx context.Context, desc *region.Descriptor, pages []
 		} else {
 			rl.mu.Unlock()
 			wire.ReleaseItems(pages)
-			return nil, ErrNotLeader
+			return ErrNotLeader
 		}
 	}
 	term := rl.term
@@ -311,145 +390,340 @@ func (l *Log) AppendPages(ctx context.Context, desc *region.Descriptor, pages []
 	}
 	rl.entries = append(rl.entries, entries...)
 	last := rl.lastIndexLocked()
-	commit := rl.commit
 	rl.lastAppend = l.now()
-	rl.mu.Unlock()
 	l.addTail(len(entries))
-
 	start := l.now()
-	var followers []ktypes.NodeID
-	for _, h := range desc.Home {
-		if h != l.self {
-			followers = append(followers, h)
-		}
-	}
-	quorum := len(desc.Home)/2 + 1
-	needed := quorum - 1 // acks beyond self
-	deposedBy, maxTerm, acked := uint64(0), uint64(0), []ktypes.NodeID(nil)
-	if needed > 0 && len(followers) > 0 {
-		msg := &wire.ReplAppend{
-			Region: desc.Range.Start, From: l.self, Term: term,
-			PrevIndex: prevIdx, PrevTerm: prevTerm, Commit: commit,
-			Entries: entries, Pages: pages,
-		}
-		//khazana:block-ok per-region appends must replicate in index order; the quorum wait is the critical section's point
-		acked, maxTerm = l.replicate(ctx, rl, followers, msg, term)
-		if maxTerm > term {
-			deposedBy = maxTerm
-		} else if len(acked) < needed {
-			l.degraded.Add(1)
-		}
-	} else {
-		wire.ReleaseItems(pages)
-	}
 
-	rl.mu.Lock()
-	if deposedBy > term {
-		if rl.term < deposedBy {
-			rl.term = deposedBy
+	if rl.streamTerm != term {
+		rl.streams, rl.streamTerm = nil, term
+	}
+	if !slices.Equal(rl.homes, desc.Home) {
+		rl.homes = slices.Clone(desc.Home)
+	}
+	o := &outgoing{msg: wire.ReplAppend{
+		Region: desc.Range.Start, From: l.self, Term: term,
+		PrevIndex: prevIdx, PrevTerm: prevTerm, Commit: rl.commit,
+		Entries: entries, Pages: pages,
+	}}
+	o.refs.Store(1)              // the dispatch's own, dropped below
+	needed := len(desc.Home) / 2 // follower acks that make a majority
+	resting := 0
+	for _, h := range desc.Home {
+		// A failed follower rests while the majority can do without it.
+		if h != l.self && !l.dispatchLocked(ctx, rl, rl.stream(h), o, resting >= len(desc.Home)-1-needed) {
+			resting++
 		}
-		if rl.leader == l.self {
-			rl.leader = 0
+	}
+	o.done()
+
+	acks := 0
+	var stop func() bool
+	for rl.leadsLocked(l.self, term) {
+		acks = 0
+		open := 0
+		for _, s := range rl.streams {
+			switch {
+			case !slices.Contains(desc.Home, s.to):
+			case s.match >= last:
+				acks++
+			case s.busy:
+				open++
+			}
 		}
+		if acks >= needed || acks+open < needed || ctx.Err() != nil {
+			break
+		}
+		if stop == nil && ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, func() {
+				rl.mu.Lock()
+				rl.cond.Broadcast()
+				rl.mu.Unlock()
+			})
+		}
+		rl.cond.Wait()
+	}
+	if stop != nil {
+		stop()
+	}
+	if !rl.leadsLocked(l.self, term) {
 		rl.mu.Unlock()
-		return acked, ErrNotLeader
+		return ErrNotLeader
 	}
-	var dropped int
-	if rl.term == term && rl.leader == l.self {
-		dropped = rl.advanceCommitLocked(last)
+	if acks < needed {
+		l.degraded.Add(1)
 	}
+	dropped := rl.advanceCommitLocked(last)
 	rl.mu.Unlock()
 	if dropped > 0 {
 		l.addTail(-dropped)
 	}
 	l.commitLat.ObserveSince(start)
-	return acked, nil
+	return nil
 }
 
-// errLogGap is the one NACK a catch-up repairs.
+// outgoing is one append on its way to followers: the frames of its pages
+// are released, and its send context cancelled, when the last send ends.
+type outgoing struct {
+	msg    wire.ReplAppend
+	ctx    context.Context
+	cancel context.CancelFunc
+	refs   atomic.Int32
+}
+
+// take adds a send's reference to o; the first makes its context,
+// detached from the caller's, as the sends outlive the append's wait.
+func (o *outgoing) take(ctx context.Context) *outgoing {
+	if o.ctx == nil {
+		o.ctx, o.cancel = context.WithTimeout(context.WithoutCancel(ctx), ackTimeout)
+	}
+	o.refs.Add(1)
+	return o
+}
+
+func (o *outgoing) done() {
+	if o.refs.Add(-1) == 0 {
+		o.msg.ReleaseFrames()
+		if o.cancel != nil {
+			o.cancel()
+		}
+	}
+}
+
+// dispatchLocked hands o to s and reports whether s takes it. A busy
+// follower gets o's entries from the log after its send in flight. An
+// idle one that holds o's predecessor, or whose last send failed, gets o:
+// one that answers with a log gap gets a snapshot catch-up (see run), so
+// one that stays unreachable costs one send per try and no snapshot. One
+// otherwise behind gets its entries from the log. A follower that failed
+// less than retryDelay ago rests, unless wake.
+func (l *Log) dispatchLocked(ctx context.Context, rl *regionLog, s *stream, o *outgoing, wake bool) bool {
+	failed := !s.failed.IsZero()
+	switch {
+	case s.busy:
+	case failed && !wake && l.now().Sub(s.failed) < retryDelay:
+		return false
+	case failed || !s.known || s.match == o.msg.PrevIndex:
+		l.startLocked(rl, s, o.take(ctx))
+	default:
+		l.startLocked(rl, s, nil)
+	}
+	return true
+}
+
+// startLocked marks s busy and starts its sender with o (nil: a catch-up).
+func (l *Log) startLocked(rl *regionLog, s *stream, o *outgoing) {
+	s.busy = true
+	l.fmu.Lock()
+	l.flights++
+	l.fmu.Unlock()
+	go l.run(rl, s, o, rl.streamTerm)
+}
+
+// run is s's sender, the one send in flight to its follower, so appends
+// arrive in index order. It sends o (nil: a catch-up, counted) and then,
+// while the follower acks and holds less than the log, appends built from
+// the log (see next), each carrying every entry made meanwhile. A log gap is repaired with a snapshot catch-up. Each
+// answer reaches Pages.Acked before an append waiting on it sees it; a
+// failure ends the run, and the follower rests.
+func (l *Log) run(rl *regionLog, s *stream, o *outgoing, term uint64) {
+	defer l.flightDone()
+	if o == nil {
+		o = l.next(rl, s, term, true)
+	}
+	for o != nil {
+		reply, err := l.send(o.ctx, s.to, &o.msg)
+		ack, _ := reply.(*wire.ReplAck)
+		if err == nil && ack != nil && !ack.OK && ack.Term <= term && ack.Err == errLogGap {
+			if snap := l.snapshotFor(rl, term); snap != nil {
+				o.done()
+				o = snap
+				l.catchups.Add(1)
+				reply, err = l.send(o.ctx, s.to, &o.msg)
+				ack, _ = reply.(*wire.ReplAck)
+			}
+		}
+		ok := err == nil && ack != nil && ack.OK
+		if len(o.msg.Pages) > 0 {
+			l.pages.Acked(rl.start, s.to, o.msg.Pages, ok)
+		}
+		held := o.msg.PrevIndex + uint64(len(o.msg.Entries))
+		o.done()
+
+		rl.mu.Lock()
+		if ack != nil && ack.Term > rl.term {
+			rl.term, rl.leader = ack.Term, 0
+		}
+		if !ok {
+			s.failed = l.now()
+			rl.idleLocked(s)
+			rl.mu.Unlock()
+			return
+		}
+		s.match, s.known, s.failed = max(s.match, held), true, time.Time{}
+		rl.cond.Broadcast()
+		rl.mu.Unlock()
+		o = l.next(rl, s, term, false)
+	}
+}
+
+// next returns s's next append, built from the log: a snapshot catch-up
+// when the follower has not acked this term or compaction dropped what
+// follows its ack, else the entries since its ack, up to keepTail, with
+// the current bytes of the pages they name. It returns nil, s marked
+// idle, when the follower holds the log or this node no longer leads in
+// term.
+func (l *Log) next(rl *regionLog, s *stream, term uint64, catchup bool) *outgoing {
+	rl.mu.Lock()
+	last := rl.lastIndexLocked()
+	if !rl.leadsLocked(l.self, term) || s.known && s.match >= last {
+		rl.idleLocked(s)
+		rl.mu.Unlock()
+		return nil
+	}
+	if catchup {
+		l.catchups.Add(1)
+	}
+	if !s.known || s.match < rl.floor {
+		rl.mu.Unlock()
+		return l.snapshotFor(rl, term)
+	}
+	end := min(last, s.match+keepTail)
+	prevTerm, _ := rl.termAtLocked(s.match)
+	o := &outgoing{msg: wire.ReplAppend{
+		Region: rl.start, From: l.self, Term: term,
+		PrevIndex: s.match, PrevTerm: prevTerm, Commit: rl.commit,
+		Entries: slices.Clone(rl.entries[s.match-rl.floor : end-rl.floor]),
+	}}
+	rl.mu.Unlock()
+	return l.withPages(o, nil)
+}
+
+// idleLocked ends s's run.
+func (rl *regionLog) idleLocked(s *stream) {
+	s.busy = false
+	rl.cond.Broadcast()
+}
+
+// errLogGap is the one NACK a snapshot catch-up repairs.
 const errLogGap = "log gap"
 
-// replicate ships one append to every follower in parallel and returns
-// the followers that acked (filtered in place from followers) plus the
-// highest term seen in replies. A follower that rejects for a log gap has
-// stored the append's pages already and is caught up, without them, with
-// a state snapshot and the full uncommitted tail in one retry. msg's
-// frames are released once no send can still read them.
-func (l *Log) replicate(ctx context.Context, rl *regionLog, followers []ktypes.NodeID, msg *wire.ReplAppend, term uint64) ([]ktypes.NodeID, uint64) {
-	tctx, cancel := context.WithTimeout(ctx, ackTimeout)
-	defer cancel()
-	type result struct {
-		node ktypes.NodeID
-		ok   bool
-		term uint64
-	}
-	ch := make(chan result, len(followers))
-	for _, f := range followers {
-		f := f
-		go func() {
-			reply, err := l.send(tctx, f, msg)
-			if ack, _ := reply.(*wire.ReplAck); err == nil && ack != nil && !ack.OK && ack.Term <= term && ack.Err == errLogGap {
-				// Log gap at the follower: catch it up with a snapshot of
-				// the committed state plus the entire uncommitted tail.
-				reply, err = l.send(tctx, f, l.catchupMsg(rl, msg, term))
-			}
-			r := result{node: f}
-			if ack, isAck := reply.(*wire.ReplAck); err == nil && isAck {
-				r.ok, r.term = ack.OK, ack.Term
-			}
-			ch <- r
-		}()
-	}
-	acked, maxTerm, answered := followers[:0], uint64(0), 0
-collect:
-	for answered < len(followers) && maxTerm <= term {
-		select {
-		case r := <-ch:
-			answered++
-			if r.ok {
-				acked = append(acked, r.node)
-			}
-			maxTerm = max(maxTerm, r.term)
-		case <-tctx.Done():
-			break collect
-		}
-	}
-	if answered == len(followers) {
-		msg.ReleaseFrames()
-		return acked, maxTerm
-	}
-	go func(left int) { // stragglers of a timeout or a deposing reply
-		for ; left > 0; left-- {
-			<-ch
-		}
-		msg.ReleaseFrames()
-	}(len(followers) - answered)
-	return acked, maxTerm
-}
-
-// catchupMsg builds a snapshot-bearing append: committed state cut at
-// the commit index plus every retained entry above it.
-func (l *Log) catchupMsg(rl *regionLog, base *wire.ReplAppend, term uint64) *wire.ReplAppend {
+// snapshotFor builds a snapshot catch-up: the committed state cut at the
+// commit index, every retained entry above it, and the current bytes of
+// every page the state or those entries name; nil when this node no
+// longer leads in term.
+func (l *Log) snapshotFor(rl *regionLog, term uint64) *outgoing {
 	rl.mu.Lock()
-	defer rl.mu.Unlock()
+	if !rl.leadsLocked(l.self, term) {
+		rl.mu.Unlock()
+		return nil
+	}
 	e := enc.NewEncoder(256)
 	rl.state.EncodeTo(e)
 	snapTerm, _ := rl.termAtLocked(rl.commit)
-	tail := rl.entries
-	if rl.commit > rl.floor {
-		tail = rl.entries[rl.commit-rl.floor:]
-	}
-	return &wire.ReplAppend{
-		Region: base.Region, From: l.self, Term: term,
+	o := &outgoing{msg: wire.ReplAppend{
+		Region: rl.start, From: l.self, Term: term,
 		PrevIndex: rl.commit, PrevTerm: snapTerm, Commit: rl.commit,
-		Entries:   append([]wire.ReplEntry(nil), tail...),
+		Entries:   slices.Clone(rl.entries[rl.commit-rl.floor:]),
 		SnapIndex: rl.commit, SnapTerm: snapTerm, SnapState: e.Bytes(),
+	}}
+	named := make([]gaddr.Addr, 0, len(rl.state.PageVersion))
+	for p := range rl.state.PageVersion {
+		named = append(named, p)
 	}
+	rl.mu.Unlock()
+	return l.withPages(o, named)
+}
+
+// withPages attaches the current bytes of the pages named, and of those
+// o's release entries name, and o's send context.
+func (l *Log) withPages(o *outgoing, named []gaddr.Addr) *outgoing {
+	for _, en := range o.msg.Entries {
+		if en.Op == wire.ReplOpRelease {
+			named = append(named, en.Page)
+		}
+	}
+	slices.SortFunc(named, gaddr.Addr.Cmp)
+	o.msg.Pages = l.pages.Current(o.msg.Region, slices.Compact(named))
+	o.ctx, o.cancel = context.WithTimeout(context.Background(), ackTimeout)
+	o.refs.Store(1)
+	return o
+}
+
+// leadsLocked reports whether self leads the region in term.
+func (rl *regionLog) leadsLocked(self ktypes.NodeID, term uint64) bool {
+	return !rl.gone && rl.term == term && rl.leader == self
+}
+
+// stream returns the leader's stream to follower h, made on first use in
+// the current term.
+func (rl *regionLog) stream(h ktypes.NodeID) *stream {
+	for _, s := range rl.streams {
+		if s.to == h {
+			return s
+		}
+	}
+	s := &stream{to: h}
+	rl.streams = append(rl.streams, s)
+	return s
+}
+
+func (l *Log) flightDone() {
+	l.fmu.Lock()
+	if l.flights--; l.flights == 0 {
+		l.fidle.Broadcast()
+	}
+	l.fmu.Unlock()
+}
+
+// Settle waits until no send is in flight, sends each follower of a region
+// led here that is then behind one catch-up, its rest after a failure cut
+// short, and waits again: after it every reachable follower holds the
+// leader's log and the bytes it names. Tests call it before they look at
+// followers.
+func (l *Log) Settle() {
+	l.wait()
+	l.mu.Lock()
+	for _, rl := range l.regions {
+		rl.mu.Lock()
+		for _, s := range rl.streams {
+			if rl.leadsLocked(l.self, rl.streamTerm) && slices.Contains(rl.homes, s.to) && !s.busy && (!s.known || s.match < rl.lastIndexLocked()) {
+				l.startLocked(rl, s, nil)
+			}
+		}
+		rl.mu.Unlock()
+	}
+	l.mu.Unlock()
+	l.wait()
+}
+
+// Close waits for the sends in flight.
+func (l *Log) Close() { l.wait() }
+
+func (l *Log) wait() {
+	l.fmu.Lock()
+	if l.fidle.L == nil {
+		l.fidle.L = &l.fmu
+	}
+	for l.flights > 0 {
+		l.fidle.Wait()
+	}
+	l.fmu.Unlock()
 }
 
 // HandleAppend applies a leader's append, its pages already stored, on a
-// follower and returns the ack. Exported for the node's RPC dispatch.
+// follower and returns the ack. With a page source, an append whose
+// release entries or snapshot name a version newer than the bytes held
+// here is refused whole. Exported for the node's RPC dispatch.
 func (l *Log) HandleAppend(m *wire.ReplAppend) *wire.ReplAck {
+	// A snapshot is decoded, and the page versions checked, before the
+	// lock: the page source takes the page table's.
+	var snap RegionState
+	held := true
+	if len(m.SnapState) > 0 {
+		d := enc.NewDecoder(m.SnapState)
+		snap, held = DecodeRegionState(d), d.Err() == nil
+	}
+	held = held && l.holds(m, snap.PageVersion)
 	rl := l.region(m.Region)
 	rl.mu.Lock()
 	if m.Term < rl.term {
@@ -461,20 +735,19 @@ func (l *Log) HandleAppend(m *wire.ReplAppend) *wire.ReplAck {
 	rl.leader = m.From
 	rl.votedFor = 0
 	rl.lastAppend = l.now()
+	if !held {
+		ack := &wire.ReplAck{Term: rl.term, Ack: rl.commit, Err: "bad snapshot or bytes not held"}
+		rl.mu.Unlock()
+		return ack
+	}
 
 	delta := 0
 	// Snapshot install for a follower behind the leader's compaction
 	// floor.
-	if m.SnapIndex > 0 && len(m.SnapState) > 0 && m.SnapIndex > rl.commit {
-		d := enc.NewDecoder(m.SnapState)
-		st := DecodeRegionState(d)
-		if d.Err() != nil {
-			ack := &wire.ReplAck{Term: rl.term, Ack: rl.commit, Err: "bad snapshot"}
-			rl.mu.Unlock()
-			return ack
-		}
+	install := m.SnapIndex > 0 && len(m.SnapState) > 0 && m.SnapIndex > rl.commit
+	if install {
 		delta -= len(rl.entries)
-		rl.state = st
+		rl.state = snap
 		rl.floor = m.SnapIndex
 		rl.floorTerm = m.SnapTerm
 		rl.entries = nil
@@ -522,6 +795,22 @@ func (l *Log) HandleAppend(m *wire.ReplAppend) *wire.ReplAck {
 	return ack
 }
 
+// holds reports whether the bytes held here are no older than any
+// version m's release entries or snapshot (snap) name.
+func (l *Log) holds(m *wire.ReplAppend, snap map[gaddr.Addr]uint64) bool {
+	for i := range m.Entries {
+		if en := &m.Entries[i]; en.Op == wire.ReplOpRelease && l.pages.Held(m.Region, en.Page) < en.Val {
+			return false
+		}
+	}
+	for p, v := range snap {
+		if l.pages.Held(m.Region, p) < v {
+			return false
+		}
+	}
+	return true
+}
+
 // HandleVote answers a standby's election request. The vote is granted
 // iff the term is new, this replica has not voted for someone else in
 // it, the current leader's lease has expired, and the candidate's log
@@ -544,7 +833,7 @@ func (l *Log) HandleVote(m *wire.ReplPromote) *wire.ReplAck {
 		return &wire.ReplAck{Term: rl.term, Ack: li, Err: "lease still live"}
 	}
 	if m.LastTerm < lt || (m.LastTerm == lt && m.LastIndex < li) {
-		return &wire.ReplAck{Term: rl.term, Ack: li, Err: "log behind"}
+		return &wire.ReplAck{Term: rl.term, Ack: li, Err: errLogBehind}
 	}
 	rl.term = m.Term
 	rl.votedTerm = m.Term
@@ -553,13 +842,13 @@ func (l *Log) HandleVote(m *wire.ReplPromote) *wire.ReplAck {
 	return &wire.ReplAck{Term: rl.term, Ack: li, VoteGranted: true}
 }
 
-// Campaign runs one election round for the region and reports whether
-// this node won. Callers retry (the lease must expire before peers
-// grant votes against a freshly crashed leader); a majority of the
-// descriptor's home list is required, so a two-home region with a dead
-// primary cannot elect — the caller falls back to the legacy §3.5
-// promotion for that shape.
-func (l *Log) Campaign(ctx context.Context, desc *region.Descriptor) bool {
+// Campaign runs one election round for the region and returns nil if
+// this node won. Callers retry on ErrNoQuorum (the lease must expire
+// before peers grant votes against a freshly crashed leader) but not on
+// ErrLogBehind; a majority of the descriptor's home list is required, so
+// a two-home region with a dead primary cannot elect — the caller falls
+// back to the legacy §3.5 promotion for that shape.
+func (l *Log) Campaign(ctx context.Context, desc *region.Descriptor) error {
 	rl := l.region(desc.Range.Start)
 	rl.mu.Lock()
 	term := rl.term + 1
@@ -584,14 +873,15 @@ func (l *Log) Campaign(ctx context.Context, desc *region.Descriptor) bool {
 	quorum := len(desc.Home)/2 + 1
 	votes := 1 // self
 	maxTerm := term
+	behind := false
 	if len(voters) > 0 {
 		msg := &wire.ReplPromote{
 			Region: desc.Range.Start, Candidate: l.self,
 			Term: term, LastIndex: li, LastTerm: lt,
 		}
 		type result struct {
-			granted bool
-			term    uint64
+			granted, behind bool
+			term            uint64
 		}
 		ch := make(chan result, len(voters))
 		for _, v := range voters {
@@ -599,7 +889,7 @@ func (l *Log) Campaign(ctx context.Context, desc *region.Descriptor) bool {
 			go func() {
 				reply, err := l.send(ctx, v, msg)
 				if ack, ok := reply.(*wire.ReplAck); err == nil && ok {
-					ch <- result{granted: ack.VoteGranted, term: ack.Term}
+					ch <- result{granted: ack.VoteGranted, behind: ack.Err == errLogBehind, term: ack.Term}
 					return
 				}
 				ch <- result{}
@@ -611,6 +901,7 @@ func (l *Log) Campaign(ctx context.Context, desc *region.Descriptor) bool {
 				if r.granted {
 					votes++
 				}
+				behind = behind || r.behind
 				if r.term > maxTerm {
 					maxTerm = r.term
 				}
@@ -632,9 +923,12 @@ func (l *Log) Campaign(ctx context.Context, desc *region.Descriptor) bool {
 		rl.leader = l.self
 		rl.lastAppend = l.now()
 		l.failovers.Add(1)
-		return true
+		return nil
 	}
-	return false
+	if behind {
+		return ErrLogBehind
+	}
+	return ErrNoQuorum
 }
 
 // Seize leads the region unelected, at a term above any seen here: the

@@ -12,6 +12,7 @@ import (
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
+	"khazana/internal/telemetry"
 	"khazana/internal/wire"
 )
 
@@ -93,11 +94,13 @@ func TestAppendCommitsOnQuorumAndReplicatesState(t *testing.T) {
 	if commit != 3 || last != 3 {
 		t.Fatalf("leader progress = %d/%d, want 3/3", commit, last)
 	}
-	// Followers hold the entries; their commit trails by one append (it
-	// advances with the next append's Commit field), so drive one more.
+	// Followers hold the entries once the sends settle; their commit
+	// trails by one append (it advances with the next append's Commit
+	// field), so drive one more.
 	if err := leader.Append(ctx, desc, releaseEntry(0x10000, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
+	leader.Settle()
 	if _, flast := follower.Progress(desc.Range.Start); flast != 4 {
 		t.Fatalf("follower last = %d, want 4", flast)
 	}
@@ -151,6 +154,7 @@ func TestLateFollowerCatchesUpViaSnapshot(t *testing.T) {
 	if err := leader.Append(ctx, desc, releaseEntry(0x10000, keepTail+41, 3)); err != nil {
 		t.Fatal(err)
 	}
+	leader.Settle()
 	_, last := leader.Progress(desc.Range.Start)
 	if _, lateLast := late.Progress(desc.Range.Start); lateLast != last {
 		t.Fatalf("late follower last = %d, want %d", lateLast, last)
@@ -189,13 +193,14 @@ func TestElectionAfterLeaderCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	leader.Settle()
 	n.crash(1)
 	// The lease must expire before peers grant votes; retry like the
 	// promotion path does.
 	deadline := time.Now().Add(2 * time.Second)
 	won := false
 	for time.Now().Before(deadline) {
-		if standby.Campaign(ctx, desc) {
+		if standby.Campaign(ctx, desc) == nil {
 			won = true
 			break
 		}
@@ -233,8 +238,8 @@ func TestVoteDeniedWhileLeaseLive(t *testing.T) {
 	if err := leader.Append(ctx, desc, releaseEntry(0x10000, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if standby.Campaign(ctx, desc) {
-		t.Fatal("election won against a live leader's lease")
+	if err := standby.Campaign(ctx, desc); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("election against a live leader's lease = %v, want ErrNoQuorum", err)
 	}
 }
 
@@ -251,12 +256,18 @@ func TestVoteDeniedForStaleLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	leader.Settle()
 	// A fresh node with an empty log must not win over current standbys.
 	empty := n.add(9, "", lease)
 	descWithEmpty := testDesc(1, 2, 9)
 	descWithEmpty.Range = desc.Range
-	if empty.Campaign(ctx, descWithEmpty) {
+	// Its first round is at a term the voters hold already; the second
+	// reaches the log check.
+	if err := empty.Campaign(ctx, descWithEmpty); err == nil {
 		t.Fatal("empty-log candidate won over up-to-date voters")
+	}
+	if err := empty.Campaign(ctx, descWithEmpty); !errors.Is(err, ErrLogBehind) {
+		t.Fatalf("empty-log candidate's second election = %v, want ErrLogBehind", err)
 	}
 }
 
@@ -271,8 +282,9 @@ func TestDeposedLeaderGetsErrNotLeader(t *testing.T) {
 	if err := old.Append(ctx, desc, releaseEntry(0x10000, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if !standby.Campaign(ctx, desc) {
-		t.Fatal("standby could not win with expired lease")
+	old.Settle()
+	if err := standby.Campaign(ctx, desc); err != nil {
+		t.Fatalf("standby could not win with expired lease: %v", err)
 	}
 	// The deposed leader's next append must be refused by the quorum.
 	if err := old.Append(ctx, desc, releaseEntry(0x10000, 2, 2)); !errors.Is(err, ErrNotLeader) {
@@ -376,6 +388,7 @@ func TestConcurrentAppendsStayOrdered(t *testing.T) {
 	if err := leader.Append(ctx, desc, releaseEntry(0x30000, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
+	leader.Settle()
 	lst, _ := leader.Snapshot(desc.Range.Start)
 	fst, _ := follower.Snapshot(desc.Range.Start)
 	for w := 0; w < writers; w++ {
@@ -387,11 +400,13 @@ func TestConcurrentAppendsStayOrdered(t *testing.T) {
 	}
 }
 
-// TestAppendPagesShipsPagesOnce: a release's pages ride the append to each
-// follower once. AppendPages returns the followers that acked; a NACK for
-// anything but a log gap gets no catch-up, and the catch-up behind a log gap
-// carries no pages. The pages' frames stay referenced while a send that
-// outlived the append's wait can still read them.
+// TestAppendPagesShipsPagesOnce: a release's pages ride its append to each
+// follower once, and the append returns at a majority. A follower that
+// refuses them gets no second message from that append or the next: it
+// rests, and the appends' entries wait in the log for its one catch-up,
+// which Settle sends without pages here (the log has no page source). The pages' frames stay
+// referenced while a send can still read them and are released when the
+// last one ends.
 func TestAppendPagesShipsPagesOnce(t *testing.T) {
 	var (
 		mu       sync.Mutex
@@ -408,28 +423,28 @@ func TestAppendPagesShipsPagesOnce(t *testing.T) {
 		mu.Unlock()
 		if to == 3 && wait != nil {
 			<-wait
-			return nil, ctx.Err()
+			return nil, errors.New("replog test: stalled send gave up")
 		}
 		if nack {
 			return &wire.ReplAck{Term: app.Term, Err: "store failed"}, nil
 		}
 		return logs[to].HandleAppend(app), nil
 	}
+	tel := telemetry.New()
 	for _, id := range []ktypes.NodeID{1, 2, 3} {
-		logs[id] = New(Config{Self: id, Send: send})
+		logs[id] = New(Config{Self: id, Send: send, Tel: tel})
 	}
 	desc := testDesc(1, 2, 3)
 	ctx := context.Background()
-	appendPage := func(ctx context.Context, version uint64) ([]ktypes.NodeID, *frame.Frame) {
+	appendPage := func(ctx context.Context, version uint64) *frame.Frame {
 		t.Helper()
 		f := frame.Copy([]byte{byte(version)})
 		page := []wire.UpdateItem{{Page: gaddr.New(1, 0x10000), Version: version, Origin: 1}}
 		page[0].SetFrame(f)
-		acked, err := logs[1].AppendPages(ctx, desc, page, releaseEntry(0x10000, version, 1))
-		if err != nil {
+		if err := logs[1].AppendPages(ctx, desc, page, releaseEntry(0x10000, version, 1)); err != nil {
 			t.Fatal(err)
 		}
-		return acked, f
+		return f
 	}
 	count := func(to ktypes.NodeID) (msgs, withPages int) {
 		mu.Lock()
@@ -442,28 +457,34 @@ func TestAppendPagesShipsPagesOnce(t *testing.T) {
 		return len(received[to]), withPages
 	}
 
-	acked, f := appendPage(ctx, 1)
-	if len(acked) != 1 || acked[0] != 2 {
-		t.Fatalf("acked %v, want [2]", acked)
-	}
+	f := appendPage(ctx, 1)
+	logs[1].wait()
 	if msgs, _ := count(3); msgs != 1 {
-		t.Fatalf("a refusing follower got %d messages, want 1: no catch-up", msgs)
+		t.Fatalf("a refusing follower got %d messages, want 1", msgs)
 	}
 	if f.Refs() != 1 {
-		t.Fatalf("the page frame has %d refs after every follower answered, want the caller's 1", f.Refs())
+		t.Fatalf("the page frame has %d refs after every send ended, want the caller's 1", f.Refs())
 	}
 	f.Release()
+	appendPage(ctx, 2).Release() // node 3 rests: entry 2 waits for its catch-up
+	logs[1].wait()
+	if msgs, _ := count(3); msgs != 1 {
+		t.Fatalf("a resting follower got %d messages, want still 1", msgs)
+	}
 
 	mu.Lock()
 	refuse = false
 	mu.Unlock()
-	acked, f = appendPage(ctx, 2) // node 3 lacks entry 1: a log gap
-	f.Release()
-	if len(acked) != 2 {
-		t.Fatalf("acked %v after the catch-up, want both followers", acked)
+	logs[1].Settle()
+	if msgs, withPages := count(3); msgs != 2 || withPages != 1 {
+		t.Fatalf("node 3 got %d messages, %d with pages; want 2, the catch-up without pages", msgs, withPages)
 	}
-	if msgs, withPages := count(3); msgs != 3 || withPages != 2 {
-		t.Fatalf("node 3 got %d messages, %d with pages; want 3, the catch-up without pages", msgs, withPages)
+	if got := tel.Counter(telemetry.MetricReplCatchups).Load(); got != 1 {
+		t.Fatalf("%d catch-ups, want 1", got)
+	}
+	_, last := logs[1].Progress(desc.Range.Start)
+	if _, l3 := logs[3].Progress(desc.Range.Start); l3 != last {
+		t.Fatalf("node 3 last = %d after its catch-up, want %d", l3, last)
 	}
 	if msgs, withPages := count(2); msgs != 2 || withPages != 2 {
 		t.Fatalf("node 2 got %d messages, %d with pages; want one per append, each with its pages", msgs, withPages)
@@ -475,13 +496,115 @@ func TestAppendPagesShipsPagesOnce(t *testing.T) {
 	mu.Unlock()
 	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
-	acked, f = appendPage(short, 3)
-	if len(acked) != 1 || acked[0] != 2 {
-		t.Fatalf("acked %v with node 3 stalled, want [2]", acked)
-	}
+	f = appendPage(short, 3) // returns on node 2's ack
 	if f.Refs() < 2 {
 		t.Fatal("the page frame was released while a send could still read it")
 	}
-	f.Release()
 	close(release)
+	logs[1].wait()
+	if f.Refs() != 1 {
+		t.Fatalf("the page frame has %d refs after the stalled send ended, want 1", f.Refs())
+	}
+	f.Release()
+}
+
+// heldNet is a log group whose sends to held nodes announce themselves on
+// arrived and then wait for a token on release, or their context's end.
+type heldNet struct {
+	logs             map[ktypes.NodeID]*Log
+	held             map[ktypes.NodeID]bool
+	arrived, release chan struct{}
+}
+
+func newHeldNet(tel *telemetry.Registry, ids []ktypes.NodeID, held ...ktypes.NodeID) *heldNet {
+	h := &heldNet{
+		logs: map[ktypes.NodeID]*Log{}, held: map[ktypes.NodeID]bool{},
+		// arrived has room for every send a test makes, read or not.
+		arrived: make(chan struct{}, 64), release: make(chan struct{}),
+	}
+	for _, id := range held {
+		h.held[id] = true
+	}
+	send := func(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
+		if h.held[to] {
+			h.arrived <- struct{}{}
+			select {
+			case <-h.release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return h.logs[to].HandleAppend(m.(*wire.ReplAppend)), nil
+	}
+	for _, id := range ids {
+		h.logs[id] = New(Config{Self: id, Send: send, Tel: tel})
+	}
+	return h
+}
+
+// TestEachAppendReturnsAtItsOwnAck: two appends on one region with its one
+// follower slow; the first returns when the follower acks it, while the
+// second is still on its way, not when the follower's stream drains.
+func TestEachAppendReturnsAtItsOwnAck(t *testing.T) {
+	h := newHeldNet(nil, []ktypes.NodeID{1, 2}, 2)
+	leader := h.logs[1]
+	desc := testDesc(1, 2)
+	ctx := context.Background()
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- leader.Append(ctx, desc, releaseEntry(0x10000, 1, 1)) }()
+	<-h.arrived // the first append's send is in flight
+	go func() { second <- leader.Append(ctx, desc, releaseEntry(0x11000, 1, 1)) }()
+	for _, last := leader.Progress(desc.Range.Start); last < 2; _, last = leader.Progress(desc.Range.Start) {
+		time.Sleep(time.Millisecond) // the second append waits behind the first
+	}
+	h.release <- struct{}{} // the follower acks the first append
+	<-h.arrived             // and the second append's send starts
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(ackTimeout / 2): // before the second send times out
+		t.Fatal("the first append waited for the second one's ack")
+	}
+	if commit, _ := leader.Progress(desc.Range.Start); commit != 1 {
+		t.Fatalf("commit = %d with the second append unacked, want 1", commit)
+	}
+	h.release <- struct{}{}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	leader.Settle()
+}
+
+// TestAppendReturnsWhenCtxEnds: with both followers stalled, an append
+// whose context ends returns then, committed degraded, not when its sends
+// time out; the sends go on, detached, until they end.
+func TestAppendReturnsWhenCtxEnds(t *testing.T) {
+	tel := telemetry.New()
+	h := newHeldNet(tel, []ktypes.NodeID{1, 2, 3}, 2, 3)
+	leader := h.logs[1]
+	desc := testDesc(1, 2, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	began := time.Now()
+	if err := leader.Append(ctx, desc, releaseEntry(0x10000, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took >= ackTimeout/2 {
+		t.Fatalf("append took %v after its 20 ms context ended, want < %v", took, ackTimeout/2)
+	}
+	if commit, _ := leader.Progress(desc.Range.Start); commit != 1 {
+		t.Fatalf("commit = %d, want the degraded commit 1", commit)
+	}
+	if got := tel.Counter(telemetry.MetricReplDegradedCommits).Load(); got != 1 {
+		t.Fatalf("%d degraded commits, want 1", got)
+	}
+	close(h.release)
+	leader.Settle()
+	for _, id := range []ktypes.NodeID{2, 3} {
+		if _, last := h.logs[id].Progress(desc.Range.Start); last != 1 {
+			t.Fatalf("follower %d last = %d after the sends ended, want 1", id, last)
+		}
+	}
 }

@@ -115,8 +115,13 @@ const (
 	// completed home failover resumed from the replicated log.
 	MetricReplFailovers = "replog.failovers"
 	// MetricReplDegradedCommits counts appends committed without a
-	// quorum after the ack timeout (availability-over-durability mode).
+	// majority's acks (availability-over-durability mode).
 	MetricReplDegradedCommits = "replog.degraded_commits"
+	// MetricReplCatchups counts catch-up appends sent: to a follower
+	// after a failed send or a log gap, carrying every entry it lacks
+	// (a snapshot when the log compacted past them) and the current bytes
+	// of the pages they name. A healthy follower needs none.
+	MetricReplCatchups = "replog.catchups"
 
 	// MetricLookupStageDir observes the latency of lookups resolved by
 	// the region-directory cache (stage 1), in nanoseconds.
