@@ -87,14 +87,18 @@ alloc-gates:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
 
-# fuzz-smoke runs every internal/wire fuzzer for 3 s, one at a time (go
-# test fuzzes a single target per run), so a codec change that breaks a
-# layout pin or a round trip fails CI without a long fuzzing campaign. A
-# failing input lands in internal/wire/testdata/fuzz for the fix to keep.
+# fuzz-smoke runs every fuzzer of internal/wire and internal/transport
+# (the mux frame layouts) for 3 s, one at a time (go test fuzzes a single
+# target per run), so a codec or framing change that breaks a layout pin
+# or a round trip fails CI without a long fuzzing campaign. A failing
+# input lands in the package's testdata/fuzz for the fix to keep.
+FUZZ_PKGS := ./internal/wire ./internal/transport
 fuzz-smoke:
-	@set -e; for f in $$($(GO) test -list '^Fuzz' ./internal/wire | grep '^Fuzz'); do \
-		echo "fuzz-smoke: $$f"; \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 3s -parallel 2 ./internal/wire; \
+	@set -e; for p in $(FUZZ_PKGS); do \
+		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$p $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 3s -parallel 2 $$p; \
+		done; \
 	done
 
 # profile-scan profiles BenchmarkRemoteScanCycle (remote_scan's cycle on
@@ -109,7 +113,7 @@ profile-scan:
 # defects runs the known-defect tests (build tag defects). Each asserts
 # the correct behaviour, so each fails until its fix lands; the target
 # prints a line per test and is not a CI gate.
-DEFECTS := TestTCPTimedOutRequesterLeavesNoHold TestReserveSurvivesMapHomeCrash TestUnreserveWithMapHomeDown TestEventualFirstCopyKeepsStamp TestReturningPrimaryStaysDeposed
+DEFECTS := TestTCPTimedOutRequesterLeavesNoHold TestReserveSurvivesMapHomeCrash TestUnreserveWithMapHomeDown TestEventualFirstCopyKeepsStamp TestReturningPrimaryStaysDeposed TestEventualCausalWriteWinsUnderSkew TestMinReplicasMetWithoutHeartbeats
 defects:
 	@$(GO) test -tags defects -count=1 -v -run '^($(subst $() ,|,$(DEFECTS)))$$' ./... 2>&1 | \
 		grep -E '^\s*(--- (PASS|FAIL)|\S+_test\.go:[0-9]+:)' || true
@@ -117,9 +121,10 @@ defects:
 # repl-stress runs the replication, failover and catch-up tests twenty
 # times under the race detector: a release returns at a majority while its
 # other sends, catch-ups and copyset updates run on, so their interleavings
-# vary from run to run.
+# vary from run to run. The one-way release tests join them: a clean
+# release may land after its sender's next request.
 repl-stress:
-	$(GO) test -race -count=20 -run 'Repl|Failover|Append|Promot|Election|CatchUp|Majority|Follower' ./internal/replog ./internal/consistency ./internal/core
+	$(GO) test -race -count=20 -run 'Repl|Failover|Append|Promot|Election|CatchUp|Majority|Follower|OneWay' ./internal/replog ./internal/consistency ./internal/core
 
 # telemetry-smoke boots a real khazanad with the HTTP debug listener and
 # curls the export surface: /metrics must serve Prometheus text and JSON,

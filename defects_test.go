@@ -9,6 +9,7 @@ package khazana
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -129,5 +130,41 @@ func TestUnreserveWithMapHomeDown(t *testing.T) {
 	c.Node(2).Core().RunRetries()
 	if d, err := c.Node(3).GetAttr(ctx, start); err == nil {
 		t.Fatalf("after the map home returned, the unreserved region still resolves: %v", d.Range)
+	}
+}
+
+// TestMinReplicasMetWithoutHeartbeats: a region gets MinReplicas homes
+// whatever its creator's member view holds (§3.5: "per-region minimum
+// replica counts maintained for availability"). Today replica maintenance
+// recruits only from the creator's own view, which without a heartbeat
+// round is its join answer, and settles for fewer homes with no error
+// and no counter.
+func TestMinReplicasMetWithoutHeartbeats(t *testing.T) {
+	c, err := NewCluster(5, WithStoreDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, k := range []uint8{3, 4} {
+		t.Run(fmt.Sprintf("min=%d", k), func(t *testing.T) {
+			n2 := c.Node(2)
+			start, err := n2.Reserve(ctx, 4096, Attrs{MinReplicas: k}, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n2.Allocate(ctx, start, ""); err != nil {
+				t.Fatal(err)
+			}
+			n2.Core().MaintainReplicas()
+			d, err := n2.GetAttr(ctx, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(d.Home) != int(k) {
+				t.Errorf("MinReplicas %d region on n2 has homes %v, want %d", k, d.Home, k)
+			}
+		})
 	}
 }

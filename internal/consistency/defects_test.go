@@ -46,3 +46,25 @@ func TestEventualFirstCopyKeepsStamp(t *testing.T) {
 		t.Errorf("replica = %q after a stamp-150 update over its stamp-201 copy, want 'B'", got[0])
 	}
 }
+
+// TestEventualCausalWriteWinsUnderSkew: a write made after its writer
+// read a newer-looking one must win, whatever the writers' clocks say.
+// Today last writer wins compares wall-clock stamps: n2's clock runs far
+// ahead, n3 reads n2's 'A' and then writes 'B', and every node, n3
+// included, keeps 'A'.
+func TestEventualCausalWriteWinsUnderSkew(t *testing.T) {
+	d := testDesc(region.Eventual)
+	hosts := cluster(t, 3, d)
+	page := d.Range.Start
+	hosts[1].clock.Store(1_000_000)
+	lockWrite(t, hosts[1], d, page, func(data []byte) { data[0] = 'A' })
+	if got := lockRead(t, hosts[2], d, page); got[0] != 'A' {
+		t.Fatalf("n3 read %q before its write, want 'A'", got[0])
+	}
+	lockWrite(t, hosts[2], d, page, func(data []byte) { data[0] = 'B' })
+	for _, h := range hosts {
+		if got := lockRead(t, h, d, page); got[0] != 'B' {
+			t.Errorf("n%d reads %q after n3 wrote 'B' over the 'A' it had read, want 'B'", h.id, got[0])
+		}
+	}
+}

@@ -61,6 +61,9 @@ type Engine struct {
 	invalFailures *telemetry.Counter
 	// grantCurrent counts grant pages that shipped no bytes (Current).
 	grantCurrent *telemetry.Counter
+	// oneWayFailed counts pages of one-way releases that failed here;
+	// no reply carries them back to be retried.
+	oneWayFailed *telemetry.Counter
 	// updateBatchPages observes pages per write-through message.
 	updateBatchPages *telemetry.Histogram
 	// pushFailures counts eventual updates a gossip round failed to
@@ -80,6 +83,7 @@ func newEngine(h Host, p policy) *Engine {
 		p:                p,
 		invalFailures:    tel.Counter(telemetry.MetricCrewInvalidateFailures),
 		grantCurrent:     tel.Counter(telemetry.MetricGrantPagesCurrent),
+		oneWayFailed:     tel.Counter(telemetry.MetricReleaseOneWayFailed),
 		updateBatchPages: tel.Histogram(telemetry.MetricUpdateBatchPages),
 		pushFailures:     tel.Counter(telemetry.MetricEventualPushFailures),
 		applyFailures:    tel.Counter(telemetry.MetricEventualApplyFailures),
@@ -607,6 +611,8 @@ func (c *Engine) deliver(ctx context.Context, desc *region.Descriptor, tab *page
 	}
 	if c.p.homeLock {
 		items := make([]wire.ReleaseItem, len(rel))
+		var vbuf [16]uint64 // each dirty page's version before the release
+		var before []uint64
 		for i := range rel {
 			r := &rel[i]
 			items[i] = wire.ReleaseItem{Page: r.Page, Mode: c.mode(r.Mode)}
@@ -615,6 +621,13 @@ func (c *Engine) deliver(ctx context.Context, desc *region.Descriptor, tab *page
 					items[i].Dirty = true
 					items[i].SetFrame(f)
 					f.Release()
+					if tab != nil {
+						if before == nil {
+							before = slices.Grow(vbuf[:0], len(rel))[:len(rel)]
+						}
+						e, _ := tab.Lookup(r.Page)
+						before[i] = e.Version
+					}
 				}
 			}
 		}
@@ -622,19 +635,24 @@ func (c *Engine) deliver(ctx context.Context, desc *region.Descriptor, tab *page
 		resp, err := c.h.Request(ctx, home, batch)
 		batch.ReleaseFrames()
 		rb, ok := resp.(*wire.ReleaseBatchResp)
-		if err == nil && !ok {
+		if err == nil && !ok && !wire.OneWay(batch) {
 			err = fmt.Errorf("unexpected reply %T", resp)
 		}
 		if err != nil {
 			return batchErrs(len(rel), fmt.Errorf("consistency: release batch (%d pages) to %v: %w", len(rel), home, err))
 		}
+		if !ok {
+			return nil // a clean batch is one-way: its failures count at the home
+		}
 		// The error slice is built only when a page failed, which almost
-		// no release does.
+		// no release does. A committed page is at least one past its
+		// version before the release; a secondary home's own log append
+		// may already have stored that version here.
 		for i := range items {
 			if i < len(rb.Errs) && rb.Errs[i] != "" {
 				fail(i, fmt.Errorf("consistency: release %v to %v: %s", items[i].Page, home, rb.Errs[i]))
-			} else if items[i].Dirty && tab != nil {
-				tab.Update(items[i].Page, func(e *pagedir.Entry) { e.Version++ })
+			} else if items[i].Dirty && before != nil {
+				tab.Update(items[i].Page, func(e *pagedir.Entry) { e.Version = max(e.Version, before[i]+1) })
 			}
 		}
 		return errs
@@ -991,9 +1009,14 @@ func (c *Engine) handlePageReqBatch(ctx context.Context, desc *region.Descriptor
 }
 
 // handleReleaseBatch is the manager side of a remote CREW release: the
-// reply carries per-item status, built only when a page failed.
+// reply carries per-item status, built only when a page failed. A one-way
+// (clean) batch gets no reply; its failed items are counted instead.
 func (c *Engine) handleReleaseBatch(ctx context.Context, desc *region.Descriptor, msg *wire.ReleaseBatch) (wire.Msg, error) {
+	oneWay := wire.OneWay(msg)
 	if !isHome(c.h, desc) {
+		if oneWay {
+			c.oneWayFailed.Add(uint64(len(msg.Items)))
+		}
 		return nil, ErrNotHome
 	}
 	errs := c.homeReleaseBatch(ctx, desc, tableOf(c.h, desc), len(msg.Items), func(i int) Redelivery {
@@ -1001,6 +1024,14 @@ func (c *Engine) handleReleaseBatch(ctx context.Context, desc *region.Descriptor
 		//khazana:frame-owner consumed by homeReleaseBatch
 		return Redelivery{Page: it.Page, Mode: it.Mode, Dirty: it.Dirty, Frame: it.TakeFrame()}
 	}, msg.From)
+	if oneWay {
+		for _, err := range errs {
+			if err != nil {
+				c.oneWayFailed.Add(1)
+			}
+		}
+		return nil, nil
+	}
 	resp := &wire.ReleaseBatchResp{}
 	for i, err := range errs {
 		if err != nil {

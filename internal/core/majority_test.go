@@ -267,3 +267,21 @@ func TestCrashBeforeSlowAckPromotesCurrentHome(t *testing.T) {
 		t.Fatalf("promoted home %v holds %q at v%d, want %q at v%d", current.cfg.ID, got, ce.Version, want, committed.Version)
 	}
 }
+
+// TestSecondaryWriterKeepsHomeVersion: a secondary home that writes ends
+// each release at the primary's version. Its own log append stores the
+// primary's V+1 before the release returns (at two homes the primary
+// waits for it), so the writer must not add one more on top: a copy one
+// version ahead misses the next lock's Have and ships the bytes again.
+func TestSecondaryWriterKeepsHomeVersion(t *testing.T) {
+	_, primary, secondary, _, start := twoHomeRegion(t)
+	for i := 1; i <= 3; i++ {
+		writePage(t, secondary, start, []byte(fmt.Sprintf("write %d", i)))
+		primary.ReplSettle()
+		pe, _ := entryOf(primary, start)
+		se, _ := entryOf(secondary, start)
+		if se.Version != pe.Version {
+			t.Fatalf("after write %d the secondary holds v%d, the primary v%d", i, se.Version, pe.Version)
+		}
+	}
+}

@@ -781,7 +781,11 @@ func (n *Node) Write(lc *LockContext, addr gaddr.Addr, data []byte) error {
 }
 
 // Unlock releases a lock context. Release-side errors are not surfaced;
-// they are retried in the background until they succeed (§3.5).
+// they are retried in the background until they succeed (§3.5). A clean
+// CREW release away from the home is one-way (wire.OneWay): Unlock
+// returns once its ReleaseBatch is written to the link, before the home
+// applies it. A send that fails is retried; a failure at the home is
+// counted there (consistency.release_oneway_failed), not retried.
 func (n *Node) Unlock(ctx context.Context, lc *LockContext) error {
 	if lc == nil || lc.node != n {
 		return ErrBadLock

@@ -194,8 +194,10 @@ func TestE16WriteThrough(t *testing.T) {
 		if err := writeOnce(ctx, c.Node(1), start, data); err != nil {
 			t.Fatal(err)
 		}
+		// A release returns at a majority; the next one's append would
+		// merge into the slower secondary's send still in flight.
+		c.Node(1).Core().ReplSettle()
 	}
-	c.Node(1).Core().ReplSettle() // a release returns at a majority
 	reqs1, _ := c.Network.Stats()
 	requests, updates := reqs1-reqs0, updateBatches(c.Node(1))-updates0
 	const want = cycles * secondaries

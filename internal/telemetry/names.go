@@ -73,6 +73,10 @@ const (
 	MetricCrewInvalidateFailures = "consistency.crew_invalidate_failures"
 	// MetricGrantPagesCurrent counts grant pages that shipped no bytes.
 	MetricGrantPagesCurrent = "consistency.grant_pages_current"
+	// MetricReleaseOneWayFailed counts pages of one-way (clean) CREW
+	// releases that failed at their receiver. No reply reports them, so
+	// the releaser does not retry them.
+	MetricReleaseOneWayFailed = "consistency.release_oneway_failed"
 	// MetricPrefetchSpecPages, MetricPrefetchHits and MetricPrefetchWaste
 	// named the retired read-ahead grants' instruments. Nothing registers
 	// them any more; they stay only so the benchmark module, which still

@@ -5,8 +5,10 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
+	"khazana/internal/ktypes"
 	"khazana/internal/wire"
 )
 
@@ -65,5 +67,72 @@ func TestMuxRoundTripAllocGate(t *testing.T) {
 	t.Logf("mux round trip: %.2f objects", objects)
 	if objects > 3 {
 		t.Fatalf("a mux round trip allocates %.2f objects, budget is 3", objects)
+	}
+}
+
+// TestMuxOneWayAllocGate is the object budget of one one-way send (a
+// clean ReleaseBatch) over a loopback mux connection, client and server
+// side together. The sender marshals into a pooled buffer and waits for
+// the write on a pooled channel, so the only objects are the server's
+// decoded message and its item slice: 2 objects. It runs like
+// TestMuxRoundTripAllocGate, and waits for every handler before it reads
+// the counts. Sends outrun the server's resident workers, and the
+// overflow goroutines and sudogs that costs leave 2 to 16 stray objects
+// in a round, so the gate allows 200 (0.1 per send): a per-send
+// allocation adds 2 000.
+func TestMuxOneWayAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled buffers")
+	}
+	a, err := NewTCP(1, "127.0.0.1:0", WithConnsPerPeer(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewTCP(2, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.AddPeer(2, b.Addr())
+	var handled atomic.Int64
+	b.SetHandler(func(context.Context, ktypes.NodeID, wire.Msg) (wire.Msg, error) {
+		handled.Add(1)
+		return nil, nil
+	})
+	ctx := context.Background()
+	rel := cleanRelease(1)
+	var sent int64
+	send := func() {
+		if _, err := a.Request(ctx, 2, rel); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+	}
+	settle := func() {
+		for handled.Load() < sent {
+			runtime.Gosched()
+		}
+	}
+	const sends = 2000
+	for i := 0; i < sends; i++ { // dial, fill the pools, grow the stacks
+		send()
+	}
+	settle()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	objects := math.Inf(1)
+	for round := 0; round < 10 && objects > 2.1; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < sends; i++ {
+			send()
+		}
+		settle()
+		runtime.ReadMemStats(&after)
+		objects = math.Min(objects, float64(after.Mallocs-before.Mallocs)/sends)
+	}
+	t.Logf("mux one-way send: %.3f objects", objects)
+	if objects > 2.1 {
+		t.Fatalf("a mux one-way send allocates %.3f objects, budget is 2.1", objects)
 	}
 }

@@ -226,7 +226,8 @@ func (ep *inprocEndpoint) Close() error {
 // buffer, carried across the simulated link (sleeping the link latency
 // each way), decoded, and dispatched to the destination handler; the
 // response comes back the same way. Each buffer returns to the pool right
-// after it is decoded.
+// after it is decoded. A one-way message gets no response: as over TCP,
+// a route error is returned and the handler's is not.
 func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 	if ep.closed.Load() {
 		return nil, ErrClosed
@@ -242,6 +243,7 @@ func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.
 	tm.inflight.Add(1)
 	defer tm.inflight.Add(-1)
 
+	oneWay := wire.OneWay(m)
 	inbound, n, err := ep.carry(ctx, to, delay, marshalRequest(ctx, 0, m))
 	ep.net.requests.Add(1)
 	ep.net.bytes.Add(n)
@@ -250,7 +252,10 @@ func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.
 	if err != nil {
 		return nil, err
 	}
-	rp, err := serve(ctx, dst.getHandler(), dtm, ep.id, inbound, 0)
+	rp, err := serve(ctx, dst.getHandler(), dtm, ep.id, inbound, 0, oneWay)
+	if oneWay {
+		return nil, nil
+	}
 	if err == ErrNoHandler {
 		return nil, err
 	}

@@ -27,7 +27,10 @@ import (
 //	request:  [u32 length][u32 reqID][payload...]
 //	response: [u32 length][u32 reqID][u8 status][payload-or-error...]
 //
-// where length counts everything after itself. Many requests ride one
+// where length counts everything after itself. Request ID 0, which the
+// allocator never issues, marks a one-way request (wire.OneWay): no
+// response, and its caller waits only until it is written. Many requests
+// ride one
 // connection concurrently: a single writer goroutine serializes outbound
 // frames, a demux reader dispatches responses to waiting callers by ID,
 // and the server runs one handler goroutine per inbound frame instead of
@@ -62,6 +65,21 @@ const (
 	muxHandlerWorkers = 64
 )
 
+// outFrame is a frame queued for a connection's writer; a one-way
+// request's sender waits on written (capacity 1) for the write's outcome.
+type outFrame struct {
+	bp      *[]byte
+	written chan muxResult
+}
+
+// done recycles the frame's buffer and reports err to a waiting sender.
+func (f outFrame) done(err error) {
+	putFrameBuf(f.bp)
+	if f.written != nil {
+		f.written <- muxResult{err: err} //khazana:block-ok buffered cap-1 channel, one send per frame
+	}
+}
+
 // frameWriter batches a connection's outbound frames: each flush writes
 // the triggering frame plus everything already queued behind it in one
 // writev-backed call. Under fan-in this is the mux protocol's syscall
@@ -69,33 +87,33 @@ const (
 // writev's view of scratch, lives here so a flush allocates nothing.
 type frameWriter struct {
 	conn    net.Conn
-	ch      <-chan *[]byte
-	held    []*[]byte
+	ch      <-chan outFrame
+	held    []outFrame
 	scratch [][]byte
 	bufs    net.Buffers
 }
 
 // flush writes first plus any immediately available queued frames,
-// recycling every buffer, and returns the bytes written.
-func (w *frameWriter) flush(first *[]byte) (int, error) {
+// finishing each (outFrame.done), and returns the bytes written.
+func (w *frameWriter) flush(first outFrame) (int, error) {
 	w.held = append(w.held[:0], first)
-	w.scratch = append(w.scratch[:0], *first)
-	total := len(*first)
+	w.scratch = append(w.scratch[:0], *first.bp)
+	total := len(*first.bp)
 drain:
 	for total < muxCoalesceBytes {
 		select {
-		case bp := <-w.ch:
-			w.held = append(w.held, bp)
-			w.scratch = append(w.scratch, *bp)
-			total += len(*bp)
+		case f := <-w.ch:
+			w.held = append(w.held, f)
+			w.scratch = append(w.scratch, *f.bp)
+			total += len(*f.bp)
 		default:
 			break drain
 		}
 	}
 	w.bufs = w.scratch
 	_, err := w.bufs.WriteTo(w.conn)
-	for _, bp := range w.held {
-		putFrameBuf(bp)
+	for _, f := range w.held {
+		f.done(err)
 	}
 	return total, err
 }
@@ -130,9 +148,11 @@ type muxConn struct {
 
 	// writeCh feeds the writer goroutine length-prefixed frames; stop is
 	// closed exactly once when the connection dies, releasing every
-	// sender blocked on writeCh.
-	writeCh chan *[]byte
+	// sender blocked on writeCh; wdone is closed when the writer exits,
+	// after it has finished every frame it took.
+	writeCh chan outFrame
 	stop    chan struct{}
+	wdone   chan struct{}
 
 	mu  sync.Mutex
 	err error // set before stop closes; nil while the conn is live
@@ -146,8 +166,9 @@ func newMuxConn(t *TCP, peer ktypes.NodeID, slot int, conn net.Conn) *muxConn {
 		peer:    peer,
 		slot:    slot,
 		conn:    conn,
-		writeCh: make(chan *[]byte, muxWriteQueue),
+		writeCh: make(chan outFrame, muxWriteQueue),
 		stop:    make(chan struct{}),
+		wdone:   make(chan struct{}),
 	}
 	for i := range mc.pend {
 		mc.pend[i].m = make(map[uint32]chan muxResult)
@@ -206,8 +227,8 @@ func (mc *muxConn) fail(err error) {
 	}
 }
 
-// muxResultPool recycles the buffered result channels roundTrip waits
-// on; at fan-in rates a fresh channel per request is measurable
+// muxResultPool recycles the buffered result channels roundTrip and send
+// wait on; at fan-in rates a fresh channel per request is measurable
 // allocator pressure. A channel returns to the pool only on paths where
 // no late send can reach it (see abandon).
 var muxResultPool = sync.Pool{New: func() any { return make(chan muxResult, 1) }}
@@ -221,7 +242,13 @@ var muxResultPool = sync.Pool{New: func() any { return make(chan muxResult, 1) }
 // lock, fail() cannot detach this shard until we release it — our entry
 // is guaranteed to be seen and failed.
 func (mc *muxConn) roundTrip(ctx context.Context, m wire.Msg) (wire.Msg, error) {
+	if wire.OneWay(m) {
+		return nil, mc.send(ctx, m)
+	}
 	id := mc.t.muxSeq.Add(1)
+	if id == 0 { // 0 marks a one-way frame
+		id = mc.t.muxSeq.Add(1)
+	}
 	ch := muxResultPool.Get().(chan muxResult)
 	s := &mc.pend[id%pendShards]
 	s.mu.Lock()
@@ -245,7 +272,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, m wire.Msg) (wire.Msg, error) 
 	binary.LittleEndian.PutUint32((*wp)[4:8], id)
 
 	select {
-	case mc.writeCh <- wp:
+	case mc.writeCh <- outFrame{bp: wp}:
 	case <-mc.stop:
 		// fail() has delivered (or is about to deliver) the error to ch;
 		// fall through to the receive below.
@@ -268,6 +295,38 @@ func (mc *muxConn) roundTrip(ctx context.Context, m wire.Msg) (wire.Msg, error) 
 		}
 		return nil, ctx.Err()
 	}
+}
+
+// send writes a one-way frame (request ID 0) and returns once the writer
+// has, with the write's error; nothing waits for the peer's handler.
+func (mc *muxConn) send(ctx context.Context, m wire.Msg) error {
+	f := outFrame{bp: marshalRequest(ctx, 8, m), written: muxResultPool.Get().(chan muxResult)}
+	binary.LittleEndian.PutUint32((*f.bp)[0:4], uint32(len(*f.bp)-4))
+	binary.LittleEndian.PutUint32((*f.bp)[4:8], 0)
+	select {
+	case mc.writeCh <- f:
+	case <-mc.stop:
+		f.done(mc.failErr())
+	case <-ctx.Done():
+		f.done(ctx.Err())
+	}
+	select {
+	case res := <-f.written:
+		muxResultPool.Put(f.written)
+		return res.err
+	case <-mc.wdone:
+	case <-ctx.Done():
+		return ctx.Err() // the writer may still report: not pooled
+	}
+	// The writer exited after finishing every frame it took; a frame it
+	// never took lies unsent in writeCh, and nothing sends on written.
+	res := muxResult{err: mc.failErr()}
+	select {
+	case res = <-f.written:
+	default:
+	}
+	muxResultPool.Put(f.written)
+	return res.err
 }
 
 // abandon withdraws a pending request on context cancellation. Deleting
@@ -297,12 +356,13 @@ func (mc *muxConn) abandon(id uint32, ch chan muxResult) bool {
 // of the socket and serializes — and coalesces — frames from every
 // concurrent caller.
 func (mc *muxConn) writeLoop() {
+	defer close(mc.wdone)
 	tm := mc.t.metrics()
 	w := frameWriter{conn: mc.conn, ch: mc.writeCh}
 	for {
 		select {
-		case bp := <-mc.writeCh:
-			n, err := w.flush(bp)
+		case f := <-mc.writeCh:
+			n, err := w.flush(f)
 			if err != nil {
 				mc.fail(fmt.Errorf("transport: mux write: %w", err))
 				mc.drainWrites()
@@ -316,14 +376,15 @@ func (mc *muxConn) writeLoop() {
 	}
 }
 
-// drainWrites recycles frames queued behind a dead connection. Their
-// senders do not wait on the write itself — fail() already delivered
-// their error through the pending map.
+// drainWrites recycles frames queued behind a dead connection. A
+// request's sender got its error from fail(); a one-way sender gets it
+// here.
 func (mc *muxConn) drainWrites() {
+	err := mc.failErr()
 	for {
 		select {
-		case bp := <-mc.writeCh:
-			putFrameBuf(bp)
+		case f := <-mc.writeCh:
+			f.done(err)
 		default:
 			return
 		}
@@ -482,7 +543,7 @@ func (t *TCP) serveMux(conn net.Conn) {
 	tm := t.metrics()
 	tm.bytesIn.Add(muxPreambleLen)
 
-	out := make(chan *[]byte, muxWriteQueue)
+	out := make(chan outFrame, muxWriteQueue)
 	done := make(chan struct{})
 	defer close(done)
 	t.wg.Add(1)
@@ -491,8 +552,8 @@ func (t *TCP) serveMux(conn net.Conn) {
 		w := frameWriter{conn: conn, ch: out}
 		for {
 			select {
-			case bp := <-out:
-				n, err := w.flush(bp)
+			case f := <-out:
+				n, err := w.flush(f)
 				if err != nil {
 					// Tear the connection down: the demux loop unblocks
 					// with a read error and the handlers drain via done.
@@ -580,9 +641,12 @@ type muxWork struct {
 
 // handleMux runs one inbound frame's handler — on a resident worker or
 // an overflow goroutine, so the demux loop keeps reading while handlers
-// work — and queues the tagged response.
-func (t *TCP) handleMux(from ktypes.NodeID, id uint32, req request, out chan *[]byte, done chan struct{}) {
-	rp, err := serve(context.Background(), t.getHandler(), t.metrics(), from, req, 9)
+// work — and queues the tagged response, unless the frame is one-way.
+func (t *TCP) handleMux(from ktypes.NodeID, id uint32, req request, out chan outFrame, done chan struct{}) {
+	rp, err := serve(context.Background(), t.getHandler(), t.metrics(), from, req, 9, id == 0)
+	if id == 0 {
+		return
+	}
 	if err != nil {
 		muxSend(muxErrFrame(id, err), out, done)
 		return
@@ -610,9 +674,9 @@ func muxErrFrame(id uint32, err error) *[]byte {
 // it if the connection has already shut down. The send applies
 // backpressure when the writer falls behind; a dead connection cannot
 // wedge handlers because serveMux closes done on the way out.
-func muxSend(rp *[]byte, out chan *[]byte, done chan struct{}) {
+func muxSend(rp *[]byte, out chan outFrame, done chan struct{}) {
 	select {
-	case out <- rp:
+	case out <- outFrame{bp: rp}:
 	case <-done:
 		putFrameBuf(rp)
 	}

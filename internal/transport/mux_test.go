@@ -265,11 +265,13 @@ func TestMuxContextCancelInFlight(t *testing.T) {
 //	response: [u32 length][u32 reqID][u8 status][payload...]
 //
 // with length counting everything after itself, exactly as roundTrip and
-// handleMux encode them.
+// handleMux encode them. Request ID 0 is a one-way frame (send), which has
+// no response.
 func FuzzMuxFrameRoundTrip(f *testing.F) {
 	f.Add(uint32(1), byte(0), []byte("payload"))
 	f.Add(uint32(0xffffffff), byte(1), []byte{})
 	f.Add(uint32(7), byte(2), bytes.Repeat([]byte{0xa5}, 1000))
+	f.Add(uint32(0), byte(0), wire.Marshal(cleanRelease(1)))
 	f.Fuzz(func(t *testing.T, id uint32, status byte, payload []byte) {
 		// Request layout.
 		req := make([]byte, 8+len(payload))
@@ -288,6 +290,9 @@ func FuzzMuxFrameRoundTrip(f *testing.F) {
 			t.Fatal("request payload differs after round trip")
 		}
 		putFrameBuf(bp)
+		if id == 0 {
+			return
+		}
 
 		// Response layout.
 		resp := make([]byte, 9+len(payload))

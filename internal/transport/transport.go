@@ -28,7 +28,10 @@ type Handler func(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire.Msg
 type Transport interface {
 	// Self returns this endpoint's node ID.
 	Self() ktypes.NodeID
-	// Request sends m to the peer and waits for its response.
+	// Request sends m to the peer and waits for its response. A one-way
+	// message (wire.OneWay) gets none: Request returns (nil, nil) once m
+	// is handed to the link, an error only if it could not be, and the
+	// peer's handler error is never seen here.
 	Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error)
 	// SetHandler installs the inbound request handler. It must be called
 	// before the first request arrives.
@@ -125,8 +128,9 @@ func decodeRequest(b []byte) (request, error) {
 // is serialized, as it may alias the inbound message's frame. A traced
 // request's handler context carries the sender's span context, so the
 // handler's spans join the caller's trace. A nil h yields ErrNoHandler;
-// any other error is the handler's.
-func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.NodeID, req request, hdr int) (*[]byte, error) {
+// any other error is the handler's. A one-way request gets no response
+// buffer.
+func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.NodeID, req request, hdr int, oneWay bool) (*[]byte, error) {
 	defer wire.Recycle(req.msg)
 	if req.traced {
 		ctx = telemetry.ContextWith(ctx, req.sc)
@@ -137,7 +141,8 @@ func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.Nod
 	tm.inflight.Add(1)
 	resp, err := h(ctx, from, req.msg)
 	tm.inflight.Add(-1)
-	if err != nil {
+	if err != nil || oneWay {
+		wire.Recycle(resp)
 		return nil, err
 	}
 	defer wire.Recycle(resp)

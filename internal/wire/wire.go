@@ -13,6 +13,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"khazana/internal/enc"
@@ -120,6 +121,14 @@ type Msg interface {
 	Kind() Kind
 	encode(e *enc.Encoder)
 	decode(d *enc.Decoder)
+}
+
+// OneWay reports whether m travels without a reply: a ReleaseBatch with
+// no dirty page, whose answer could only be an error that §3.5 never
+// reflects to the client. Its receiver answers nothing.
+func OneWay(m Msg) bool {
+	rb, ok := m.(*ReleaseBatch)
+	return ok && !slices.ContainsFunc(rb.Items, func(it ReleaseItem) bool { return it.Dirty })
 }
 
 // encoders and decoders recycle the codec handed to Msg.encode and
