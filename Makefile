@@ -122,9 +122,10 @@ defects:
 # times under the race detector: a release returns at a majority while its
 # other sends, catch-ups and copyset updates run on, so their interleavings
 # vary from run to run. The one-way release tests join them: a clean
-# release may land after its sender's next request.
+# release may land after its sender's next request. So do the mux and TCP
+# transport tests: which sender's goroutine writes which frame varies.
 repl-stress:
-	$(GO) test -race -count=20 -run 'Repl|Failover|Append|Promot|Election|CatchUp|Majority|Follower|OneWay' ./internal/replog ./internal/consistency ./internal/core
+	$(GO) test -race -count=20 -run 'Repl|Failover|Append|Promot|Election|CatchUp|Majority|Follower|OneWay|Mux|TCP' ./internal/replog ./internal/consistency ./internal/core ./internal/transport
 
 # telemetry-smoke boots a real khazanad with the HTTP debug listener and
 # curls the export surface: /metrics must serve Prometheus text and JSON,

@@ -427,9 +427,7 @@ func NewNode(cfg Config) (*Node, error) {
 	// Transports are built before the node exists; hand them the node's
 	// registry so connection, in-flight, and byte metrics surface
 	// alongside everything else.
-	if ts, ok := cfg.Transport.(transport.TelemetrySetter); ok {
-		ts.SetTelemetry(tel)
-	}
+	cfg.Transport.SetTelemetry(tel)
 	st, err := store.NewTiered(store.Config{
 		MemPages:    cfg.MemPages,
 		DiskPages:   cfg.DiskPages,

@@ -27,12 +27,6 @@ type releaseWatch struct {
 	clean, replied atomic.Int64
 }
 
-// SetTelemetry keeps the wrapped transport's instruments in the node's
-// registry.
-func (w *releaseWatch) SetTelemetry(reg *telemetry.Registry) {
-	w.Transport.(transport.TelemetrySetter).SetTelemetry(reg)
-}
-
 func (w *releaseWatch) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 	resp, err := w.Transport.Request(ctx, to, m)
 	if rb, ok := m.(*wire.ReleaseBatch); ok {
@@ -83,6 +77,38 @@ func tcpCluster(t *testing.T, count int) ([]*transport.TCP, []*releaseWatch, []*
 	}
 	_, nodes := testCluster(t, count, func(i int, cfg *Config) { cfg.Transport = watches[i] })
 	return trs, watches, nodes
+}
+
+// TestWrappedTransportReportsToNode: a node whose TCP transport is
+// wrapped by a type that defines no SetTelemetry of its own still gets
+// the transport's metrics in its registry; the wrapper forwards it by
+// embedding.
+func TestWrappedTransportReportsToNode(t *testing.T) {
+	trs, _, _ := tcpCluster(t, 1)
+	tr, err := transport.NewTCP(2, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	tr.AddPeer(1, trs[0].Addr())
+	trs[0].AddPeer(2, tr.Addr())
+	n2, err := NewNode(Config{
+		ID:             2,
+		Transport:      &kindCounter{Transport: tr, kinds: make(map[wire.Kind]int)},
+		StoreDir:       t.TempDir(),
+		ClusterManager: 1,
+		MapHome:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n2.Close() })
+	if err := n2.Start(context.Background()); err != nil { // joins over TCP
+		t.Fatal(err)
+	}
+	if n := n2.Telemetry().Gauge(telemetry.MetricTransportConnsOpen).Load(); n <= 0 {
+		t.Fatalf("node 2's registry reads %d open connections after its join", n)
+	}
 }
 
 // TestOneWayReadUnlockThenWriteLock: a node that read-unlocks pages and

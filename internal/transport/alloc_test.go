@@ -23,9 +23,10 @@ import (
 // every sync.Pool's per-P caches and clears the scheduler's sudog cache,
 // and refilling them cost 13 to 21 objects in a round that saw one.
 // Between collections the runtime still allocates a sudog or a goroutine
-// now and then (2 to 6 objects in a round, none per trip) while the
-// parked writers' caches settle across Ps, so the gate takes the best of
-// up to ten rounds: a per-trip allocation adds 2 000 objects to each.
+// now and then (0 to 7 objects in a round, none per trip) while the
+// caches of the parked callers and handler workers settle across Ps, so
+// the gate takes the best of up to ten rounds: a per-trip allocation adds
+// 2 000 objects to each.
 func TestMuxRoundTripAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled buffers")
@@ -72,12 +73,13 @@ func TestMuxRoundTripAllocGate(t *testing.T) {
 
 // TestMuxOneWayAllocGate is the object budget of one one-way send (a
 // clean ReleaseBatch) over a loopback mux connection, client and server
-// side together. The sender marshals into a pooled buffer and waits for
-// the write on a pooled channel, so the only objects are the server's
+// side together. The sender marshals into a pooled buffer and writes it
+// itself, or waits on a pooled channel while another sender's write
+// carries it, so the only objects are the server's
 // decoded message and its item slice: 2 objects. It runs like
 // TestMuxRoundTripAllocGate, and waits for every handler before it reads
 // the counts. Sends outrun the server's resident workers, and the
-// overflow goroutines and sudogs that costs leave 2 to 16 stray objects
+// overflow goroutines and sudogs that costs leave 0 to 108 stray objects
 // in a round, so the gate allows 200 (0.1 per send): a per-send
 // allocation adds 2 000.
 func TestMuxOneWayAllocGate(t *testing.T) {

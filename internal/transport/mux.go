@@ -30,11 +30,11 @@ import (
 // where length counts everything after itself. Request ID 0, which the
 // allocator never issues, marks a one-way request (wire.OneWay): no
 // response, and its caller waits only until it is written. Many requests
-// ride one
-// connection concurrently: a single writer goroutine serializes outbound
-// frames, a demux reader dispatches responses to waiting callers by ID,
-// and the server runs one handler goroutine per inbound frame instead of
-// one request at a time. Connection count is therefore decoupled from
+// ride one connection concurrently: each direction's frames go out
+// through a combining writer (frameWriter) on their senders' goroutines,
+// a demux reader dispatches responses to waiting callers by ID, and the
+// server runs one handler goroutine per inbound frame instead of one
+// request at a time. Connection count is therefore decoupled from
 // in-flight request count — the property that lets one daemon absorb
 // thousands of clients without thousands of sockets.
 const (
@@ -47,9 +47,6 @@ const (
 	// defaultConnsPerPeer is how many shared mux connections carry
 	// traffic to each peer unless WithConnsPerPeer overrides it.
 	defaultConnsPerPeer = 2
-	// muxWriteQueue bounds frames queued behind a connection's writer
-	// goroutine before senders block (backpressure, not an error).
-	muxWriteQueue = 256
 	// muxCoalesceBytes caps how much queued traffic one writev gathers.
 	muxCoalesceBytes = 256 << 10
 	// muxReadBufSize is the demux reader's buffer: one read syscall
@@ -65,7 +62,7 @@ const (
 	muxHandlerWorkers = 64
 )
 
-// outFrame is a frame queued for a connection's writer; a one-way
+// outFrame is a frame queued behind a write in progress; a one-way
 // request's sender waits on written (capacity 1) for the write's outcome.
 type outFrame struct {
 	bp      *[]byte
@@ -80,42 +77,104 @@ func (f outFrame) done(err error) {
 	}
 }
 
-// frameWriter batches a connection's outbound frames: each flush writes
-// the triggering frame plus everything already queued behind it in one
-// writev-backed call. Under fan-in this is the mux protocol's syscall
-// advantage: hundreds of concurrent requests ride one write. bufs, the
-// writev's view of scratch, lives here so a flush allocates nothing.
+// frameWriter is one connection's combining writer. A sender that finds
+// no write in progress writes its own frame on its own goroutine, then
+// every frame other senders queued meanwhile, coalesced into writevs of
+// up to muxCoalesceBytes, and returns once the queue is empty. A sender
+// that finds a write in progress queues its frame for that writer. Under
+// fan-in many requests ride one write with no hand-off to a writer
+// goroutine. Only writing, err and the queue sit under mu; the socket is
+// written outside it. The first failed write makes err sticky, fails
+// every queued frame and calls fail once; later frames fail at once.
 type frameWriter struct {
-	conn    net.Conn
-	ch      <-chan outFrame
+	t    *TCP
+	conn net.Conn
+	fail func(error)
+
+	mu      sync.Mutex
+	writing bool
+	err     error
+	queue   []outFrame
+
+	// Owned by the sender that set writing: the frames it is writing and
+	// the writev's view of them, kept here so a write allocates nothing.
 	held    []outFrame
 	scratch [][]byte
 	bufs    net.Buffers
+
+	writes, frames atomic.Uint64 // socket writes made and frames they carried
 }
 
-// flush writes first plus any immediately available queued frames,
-// finishing each (outFrame.done), and returns the bytes written.
-func (w *frameWriter) flush(first outFrame) (int, error) {
-	w.held = append(w.held[:0], first)
-	w.scratch = append(w.scratch[:0], *first.bp)
-	total := len(*first.bp)
-drain:
-	for total < muxCoalesceBytes {
-		select {
-		case f := <-w.ch:
-			w.held = append(w.held, f)
-			w.scratch = append(w.scratch, *f.bp)
-			total += len(*f.bp)
-		default:
-			break drain
+// write sends bp, a length-prefixed frame, on the caller's goroutine, or
+// queues it behind the write in progress. For a one-way frame it returns
+// the pooled channel a queued frame's outcome arrives on, or nil when the
+// caller wrote the frame itself; err is then that write's outcome. A
+// round trip ignores both: a failed write fails the connection, which
+// delivers the error to every pending request.
+func (w *frameWriter) write(bp *[]byte, oneWay bool) (written chan muxResult, err error) {
+	w.mu.Lock()
+	if err := w.err; err != nil {
+		w.mu.Unlock()
+		putFrameBuf(bp)
+		return nil, err
+	}
+	if w.writing {
+		if oneWay {
+			written = muxResultPool.Get().(chan muxResult)
+		}
+		w.queue = append(w.queue, outFrame{bp, written})
+		w.mu.Unlock()
+		return written, nil
+	}
+	w.writing = true
+	w.mu.Unlock()
+	w.held = append(w.held[:0], outFrame{bp: bp})
+	err = w.flush()
+	for werr := err; ; werr = w.flush() {
+		w.mu.Lock()
+		w.err = werr
+		w.held, w.queue = w.queue, w.held[:0]
+		w.writing = werr == nil && len(w.held) > 0
+		more := w.writing
+		w.mu.Unlock()
+		if more {
+			continue
+		}
+		if werr != nil {
+			for _, f := range w.held {
+				f.done(werr)
+			}
+			w.fail(werr)
+		}
+		return nil, err
+	}
+}
+
+// flush writes held, up to muxCoalesceBytes per writev, finishing each
+// frame with its write's outcome, and returns the first error; frames
+// after a failed write are not written.
+func (w *frameWriter) flush() error {
+	var err error
+	for i := 0; i < len(w.held); {
+		w.scratch = w.scratch[:0]
+		total, j := 0, i
+		for ; j < len(w.held) && total < muxCoalesceBytes; j++ {
+			w.scratch = append(w.scratch, *w.held[j].bp)
+			total += len(*w.held[j].bp)
+		}
+		if err == nil {
+			w.bufs = w.scratch
+			if _, err = w.bufs.WriteTo(w.conn); err == nil {
+				w.t.metrics().bytesOut.Add(uint64(total))
+			}
+			w.writes.Add(1)
+			w.frames.Add(uint64(j - i))
+		}
+		for ; i < j; i++ {
+			w.held[i].done(err)
 		}
 	}
-	w.bufs = w.scratch
-	_, err := w.bufs.WriteTo(w.conn)
-	for _, f := range w.held {
-		f.done(err)
-	}
-	return total, err
+	return err
 }
 
 // muxResult carries a demuxed response to its waiting caller.
@@ -146,13 +205,10 @@ type muxConn struct {
 	slot int
 	conn net.Conn
 
-	// writeCh feeds the writer goroutine length-prefixed frames; stop is
-	// closed exactly once when the connection dies, releasing every
-	// sender blocked on writeCh; wdone is closed when the writer exits,
-	// after it has finished every frame it took.
-	writeCh chan outFrame
-	stop    chan struct{}
-	wdone   chan struct{}
+	// w writes the connection's outbound frames; stop is closed exactly
+	// once when the connection dies.
+	w    frameWriter
+	stop chan struct{}
 
 	mu  sync.Mutex
 	err error // set before stop closes; nil while the conn is live
@@ -161,15 +217,10 @@ type muxConn struct {
 }
 
 func newMuxConn(t *TCP, peer ktypes.NodeID, slot int, conn net.Conn) *muxConn {
-	mc := &muxConn{
-		t:       t,
-		peer:    peer,
-		slot:    slot,
-		conn:    conn,
-		writeCh: make(chan outFrame, muxWriteQueue),
-		stop:    make(chan struct{}),
-		wdone:   make(chan struct{}),
-	}
+	mc := &muxConn{t: t, peer: peer, slot: slot, conn: conn, stop: make(chan struct{})}
+	mc.w = frameWriter{t: t, conn: conn, fail: func(err error) {
+		mc.fail(fmt.Errorf("transport: mux write: %w", err))
+	}}
 	for i := range mc.pend {
 		mc.pend[i].m = make(map[uint32]chan muxResult)
 	}
@@ -271,20 +322,9 @@ func (mc *muxConn) roundTrip(ctx context.Context, m wire.Msg) (wire.Msg, error) 
 	binary.LittleEndian.PutUint32((*wp)[0:4], uint32(len(*wp)-4))
 	binary.LittleEndian.PutUint32((*wp)[4:8], id)
 
-	select {
-	case mc.writeCh <- outFrame{bp: wp}:
-	case <-mc.stop:
-		// fail() has delivered (or is about to deliver) the error to ch;
-		// fall through to the receive below.
-		putFrameBuf(wp)
-	case <-ctx.Done():
-		putFrameBuf(wp)
-		if mc.abandon(id, ch) {
-			muxResultPool.Put(ch)
-		}
-		return nil, ctx.Err()
-	}
-
+	// A write that fails fails the connection, and fail() delivers the
+	// error to ch: the receive below sees it.
+	mc.w.write(wp, false) //khazana:ignore-err the failure reaches ch through fail()
 	select {
 	case res := <-ch:
 		muxResultPool.Put(ch)
@@ -297,36 +337,26 @@ func (mc *muxConn) roundTrip(ctx context.Context, m wire.Msg) (wire.Msg, error) 
 	}
 }
 
-// send writes a one-way frame (request ID 0) and returns once the writer
-// has, with the write's error; nothing waits for the peer's handler.
+// send writes a one-way frame (request ID 0) and returns once it is
+// written, with the write's error; nothing waits for the peer's handler.
 func (mc *muxConn) send(ctx context.Context, m wire.Msg) error {
-	f := outFrame{bp: marshalRequest(ctx, 8, m), written: muxResultPool.Get().(chan muxResult)}
-	binary.LittleEndian.PutUint32((*f.bp)[0:4], uint32(len(*f.bp)-4))
-	binary.LittleEndian.PutUint32((*f.bp)[4:8], 0)
-	select {
-	case mc.writeCh <- f:
-	case <-mc.stop:
-		f.done(mc.failErr())
-	case <-ctx.Done():
-		f.done(ctx.Err())
+	if mc.dead() {
+		return mc.failErr()
+	}
+	bp := marshalRequest(ctx, 8, m)
+	binary.LittleEndian.PutUint32((*bp)[0:4], uint32(len(*bp)-4))
+	binary.LittleEndian.PutUint32((*bp)[4:8], 0)
+	written, err := mc.w.write(bp, true)
+	if written == nil {
+		return err
 	}
 	select {
-	case res := <-f.written:
-		muxResultPool.Put(f.written)
+	case res := <-written:
+		muxResultPool.Put(written)
 		return res.err
-	case <-mc.wdone:
 	case <-ctx.Done():
 		return ctx.Err() // the writer may still report: not pooled
 	}
-	// The writer exited after finishing every frame it took; a frame it
-	// never took lies unsent in writeCh, and nothing sends on written.
-	res := muxResult{err: mc.failErr()}
-	select {
-	case res = <-f.written:
-	default:
-	}
-	muxResultPool.Put(f.written)
-	return res.err
 }
 
 // abandon withdraws a pending request on context cancellation. Deleting
@@ -350,45 +380,6 @@ func (mc *muxConn) abandon(id uint32, ch chan muxResult) bool {
 	default:
 	}
 	return !failed
-}
-
-// writeLoop is the connection's single writer: it owns the outbound side
-// of the socket and serializes — and coalesces — frames from every
-// concurrent caller.
-func (mc *muxConn) writeLoop() {
-	defer close(mc.wdone)
-	tm := mc.t.metrics()
-	w := frameWriter{conn: mc.conn, ch: mc.writeCh}
-	for {
-		select {
-		case f := <-mc.writeCh:
-			n, err := w.flush(f)
-			if err != nil {
-				mc.fail(fmt.Errorf("transport: mux write: %w", err))
-				mc.drainWrites()
-				return
-			}
-			tm.bytesOut.Add(uint64(n))
-		case <-mc.stop:
-			mc.drainWrites()
-			return
-		}
-	}
-}
-
-// drainWrites recycles frames queued behind a dead connection. A
-// request's sender got its error from fail(); a one-way sender gets it
-// here.
-func (mc *muxConn) drainWrites() {
-	err := mc.failErr()
-	for {
-		select {
-		case f := <-mc.writeCh:
-			f.done(err)
-		default:
-			return
-		}
-	}
 }
 
 // readLoop is the demux reader: it decodes tagged response frames and
@@ -487,7 +478,6 @@ func (t *TCP) muxConnFor(ctx context.Context, to ktypes.NodeID) (*muxConn, error
 	}
 	t.muxConns[to][slot] = nc
 	t.mmu.Unlock()
-	go nc.writeLoop()
 	go nc.readLoop()
 	return nc, nil
 }
@@ -527,9 +517,9 @@ func (t *TCP) muxRequest(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wir
 
 // serveMux serves one multiplexed inbound connection. The magic word has
 // already been consumed by serveConn; read the rest of the preamble,
-// then demux: one handler goroutine per inbound frame, all
-// responses funneled through a single writer goroutine so concurrent
-// handlers cannot interleave partial frames.
+// then demux: one handler goroutine per inbound frame, each writing its
+// response through the connection's frameWriter so concurrent handlers
+// cannot interleave partial frames.
 func (t *TCP) serveMux(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, muxReadBufSize)
 	var pre [muxPreambleLen - 4]byte
@@ -543,29 +533,13 @@ func (t *TCP) serveMux(conn net.Conn) {
 	tm := t.metrics()
 	tm.bytesIn.Add(muxPreambleLen)
 
-	out := make(chan outFrame, muxWriteQueue)
+	w := &frameWriter{t: t, conn: conn, fail: func(error) {
+		// The demux loop unblocks with a read error and the handlers
+		// drain via done.
+		_ = conn.Close()
+	}}
 	done := make(chan struct{})
 	defer close(done)
-	t.wg.Add(1)
-	go func() { // response writer: sole owner of conn's outbound side
-		defer t.wg.Done()
-		w := frameWriter{conn: conn, ch: out}
-		for {
-			select {
-			case f := <-out:
-				n, err := w.flush(f)
-				if err != nil {
-					// Tear the connection down: the demux loop unblocks
-					// with a read error and the handlers drain via done.
-					_ = conn.Close()
-					return
-				}
-				tm.bytesOut.Add(uint64(n))
-			case <-done:
-				return
-			}
-		}
-	}()
 
 	// Resident handler workers: an unbuffered channel hands a frame
 	// directly to an idle worker; if none is receiving — all busy or
@@ -577,9 +551,9 @@ func (t *TCP) serveMux(conn net.Conn) {
 	// instead of paying goroutine-spawn and stack-growth per frame.
 	work := make(chan muxWork)
 	var resident atomic.Int32
-	overflow := func(w muxWork) {
+	overflow := func(mw muxWork) {
 		defer t.wg.Done()
-		t.handleMux(from, w.id, w.req, out, done)
+		t.handleMux(from, mw.id, mw.req, w)
 		if resident.Add(1) > muxHandlerWorkers {
 			resident.Add(-1)
 			return
@@ -587,8 +561,8 @@ func (t *TCP) serveMux(conn net.Conn) {
 		defer resident.Add(-1)
 		for {
 			select {
-			case w := <-work:
-				t.handleMux(from, w.id, w.req, out, done)
+			case mw := <-work:
+				t.handleMux(from, mw.id, mw.req, w)
 			case <-done:
 				return
 			}
@@ -617,7 +591,7 @@ func (t *TCP) serveMux(conn net.Conn) {
 		if err != nil {
 			// Framing survived but the payload is garbage: report it on
 			// this request ID and keep serving the connection.
-			muxSend(muxErrFrame(id, err), out, done)
+			w.write(muxErrFrame(id, err), false) //khazana:ignore-err a failed write closes the connection
 			continue
 		}
 		select {
@@ -641,21 +615,21 @@ type muxWork struct {
 
 // handleMux runs one inbound frame's handler — on a resident worker or
 // an overflow goroutine, so the demux loop keeps reading while handlers
-// work — and queues the tagged response, unless the frame is one-way.
-func (t *TCP) handleMux(from ktypes.NodeID, id uint32, req request, out chan outFrame, done chan struct{}) {
+// work — and writes the tagged response, unless the frame is one-way.
+func (t *TCP) handleMux(from ktypes.NodeID, id uint32, req request, w *frameWriter) {
 	rp, err := serve(context.Background(), t.getHandler(), t.metrics(), from, req, 9, id == 0)
 	if id == 0 {
 		return
 	}
 	if err != nil {
-		muxSend(muxErrFrame(id, err), out, done)
-		return
+		rp = muxErrFrame(id, err)
+	} else {
+		buf := *rp
+		binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
+		binary.LittleEndian.PutUint32(buf[4:8], id)
+		buf[8] = tcpStatusOK
 	}
-	buf := *rp
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
-	binary.LittleEndian.PutUint32(buf[4:8], id)
-	buf[8] = tcpStatusOK
-	muxSend(rp, out, done)
+	w.write(rp, false) //khazana:ignore-err a failed write closes the connection
 }
 
 // muxErrFrame encodes a tagged error response into a pooled buffer.
@@ -668,16 +642,4 @@ func muxErrFrame(id uint32, err error) *[]byte {
 	buf[8] = tcpStatusErr
 	copy(buf[9:], emsg)
 	return rp
-}
-
-// muxSend queues a response frame for the connection's writer, dropping
-// it if the connection has already shut down. The send applies
-// backpressure when the writer falls behind; a dead connection cannot
-// wedge handlers because serveMux closes done on the way out.
-func muxSend(rp *[]byte, out chan outFrame, done chan struct{}) {
-	select {
-	case out <- outFrame{bp: rp}:
-	case <-done:
-		putFrameBuf(rp)
-	}
 }

@@ -317,3 +317,112 @@ func FuzzMuxFrameRoundTrip(f *testing.F) {
 		putFrameBuf(bp)
 	})
 }
+
+// TestMuxCoalescesUnderFanIn: 64 goroutines making round trips on one
+// connection share the client's writes, because a frame queued behind a
+// write in progress goes out in that writer's next writev: the
+// connection writes more than 1.15 frames per writev (1.20 to 1.36 on 2
+// vCPUs). The race detector slows the senders against the write syscall,
+// so fewer of them arrive during a write (1.13 to 1.24): under it the
+// test drives the fan-in but does not check the ratio.
+func TestMuxCoalescesUnderFanIn(t *testing.T) {
+	a, err := NewTCP(1, "127.0.0.1:0", WithConnsPerPeer(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewTCP(2, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.AddPeer(2, b.Addr())
+	b.SetHandler(echoHandler(2))
+	const goroutines, perG = 64, 400
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perG {
+				if _, err := a.Request(context.Background(), 2, &wire.Ping{From: 1}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	a.mmu.Lock()
+	mc := a.muxConns[2][0]
+	a.mmu.Unlock()
+	writes, frames := mc.w.writes.Load(), mc.w.frames.Load()
+	ratio := float64(frames) / float64(writes)
+	t.Logf("%d frames in %d writes: %.2f per writev", frames, writes, ratio)
+	if !raceEnabled && ratio <= 1.15 {
+		t.Fatalf("%.2f frames per writev under 64-way fan-in, want more than 1.15", ratio)
+	}
+}
+
+// stuckConn is a connection whose writes block until it is closed and
+// then fail; entered receives as a write begins.
+type stuckConn struct {
+	brokenConn
+	entered chan struct{}
+}
+
+func (c *stuckConn) Write([]byte) (int, error) {
+	c.entered <- struct{}{}
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+// TestMuxQueuedSenderHonoursContext: a one-way send and a round trip
+// queued behind a write that blocks both return their context's error by
+// its deadline. The sender in the write waits for the write itself: it
+// returns once the connection's close fails the write, with that error.
+func TestMuxQueuedSenderHonoursContext(t *testing.T) {
+	tr, err := NewTCP(1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	conn := &stuckConn{brokenConn: brokenConn{closed: make(chan struct{})}, entered: make(chan struct{}, 1)}
+	mc := newMuxConn(tr, 2, 0, conn)
+	go mc.readLoop()
+	first := make(chan error, 1)
+	go func() { first <- mc.send(context.Background(), cleanRelease(1)) }()
+	<-conn.entered
+
+	queued := map[string]func(context.Context) error{
+		"one-way send": func(ctx context.Context) error { return mc.send(ctx, cleanRelease(1)) },
+		"round trip": func(ctx context.Context) error {
+			_, err := mc.roundTrip(ctx, &wire.Ping{From: 1})
+			return err
+		},
+	}
+	for name, op := range queued {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		res := make(chan error, 1)
+		go func() { res <- op(ctx) }()
+		select {
+		case err := <-res:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s behind a blocked write = %v, want %v", name, err, context.DeadlineExceeded)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s behind a blocked write ignored its deadline", name)
+		}
+		cancel()
+	}
+
+	_ = conn.Close()
+	select {
+	case err := <-first:
+		if err == nil {
+			t.Fatal("the sender in the blocked write returned nil after the close")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sender in the blocked write did not return after the close")
+	}
+}

@@ -30,7 +30,7 @@ func cleanRelease(from ktypes.NodeID) *wire.ReleaseBatch {
 // handlers ran.
 func testOneWayHasNoReply(t *testing.T, client, server Transport) {
 	reg := telemetry.New()
-	client.(TelemetrySetter).SetTelemetry(reg)
+	client.SetTelemetry(reg)
 	handled := make(chan int, 2)
 	var calls atomic.Int32
 	server.SetHandler(func(_ context.Context, _ ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
@@ -128,7 +128,6 @@ func TestMuxOneWaySendReportsWriteFailure(t *testing.T) {
 	}
 	defer tr.Close()
 	mc := newMuxConn(tr, 2, 0, &brokenConn{closed: make(chan struct{})})
-	go mc.writeLoop()
 	go mc.readLoop()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -144,7 +143,7 @@ func TestMuxOneWaySendReportsWriteFailure(t *testing.T) {
 // many goroutines over one connection, then kills the server while more
 // sends are in flight: every clean release sent before the kill reaches
 // the handler, and every send after it returns, with nil or an error,
-// instead of hanging on a writer that has exited.
+// instead of hanging queued behind a write that failed.
 func TestMuxOneWayBesideRoundTrips(t *testing.T) {
 	a, err := NewTCP(1, "127.0.0.1:0", WithConnsPerPeer(1))
 	if err != nil {

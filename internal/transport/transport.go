@@ -38,6 +38,8 @@ type Transport interface {
 	SetHandler(h Handler)
 	// Close releases the endpoint.
 	Close() error
+	// A wrapper that embeds a Transport forwards SetTelemetry with it.
+	TelemetrySetter
 }
 
 // Errors shared by transport implementations.
@@ -149,11 +151,10 @@ func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.Nod
 	return marshalPooled(hdr, resp), nil
 }
 
-// TelemetrySetter is implemented by transports that can report metrics
-// (open connections, in-flight requests, frame bytes) to a telemetry
-// registry. core.NewNode type-asserts its configured transport against
-// this interface and injects the node's registry, so transports built
-// before the node exists still end up instrumented.
+// TelemetrySetter points a transport's metrics (open connections,
+// in-flight requests, frame bytes) at a telemetry registry. Every
+// Transport is one: core.NewNode injects the node's registry, so
+// transports built before the node exists still end up instrumented.
 type TelemetrySetter interface {
 	SetTelemetry(reg *telemetry.Registry)
 }
