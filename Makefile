@@ -123,9 +123,12 @@ defects:
 # other sends, catch-ups and copyset updates run on, so their interleavings
 # vary from run to run. The one-way release tests join them: a clean
 # release may land after its sender's next request. So do the mux and TCP
-# transport tests: which sender's goroutine writes which frame varies.
+# transport tests: which sender's goroutine writes which frame varies. And
+# the ring, teardown, stalled-peer and region lifecycle tests: a ring
+# announce runs its owner's handler on the caller's goroutine, beside
+# whatever else that owner is doing.
 repl-stress:
-	$(GO) test -race -count=20 -run 'Repl|Failover|Append|Promot|Election|CatchUp|Majority|Follower|OneWay|Mux|TCP' ./internal/replog ./internal/consistency ./internal/core ./internal/transport
+	$(GO) test -race -count=20 -run 'Repl|Failover|Append|Promot|Election|CatchUp|Majority|Follower|OneWay|Mux|TCP|Ring|Unreserve|Stalled|Lifecycle' ./internal/replog ./internal/consistency ./internal/core ./internal/transport
 
 # telemetry-smoke boots a real khazanad with the HTTP debug listener and
 # curls the export surface: /metrics must serve Prometheus text and JSON,

@@ -2,13 +2,19 @@ package khazana_test
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"math"
+	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
 	"khazana"
 	"khazana/internal/frame"
+	"khazana/internal/ring"
 	"khazana/internal/telemetry"
+	"khazana/internal/transport"
 	"khazana/internal/wire"
 )
 
@@ -563,48 +569,28 @@ func TestReplicatedReleaseRoundTrips(t *testing.T) {
 	}
 }
 
-// TestRegionLifecycleAllocGate is the object and byte budget of the
-// region lifecycle, the region_churn benchmark's cycle: on a 3-node
-// cluster, node 1 reserves, allocates and writes page 0 of a 16-page
-// region, node 3 cold-opens the region created the cycle before, and node
-// 1 unreserves the region created 64 cycles ago. After 4 100 warm-up
-// cycles — the opener's 1 024-entry region directory is full, so every
-// cold open evicts one — a cycle averages at most 180 objects and 10 KB.
-// It measures about 147 objects and 7.5 KB; while every map edit copied
-// its tree node to the heap it measured 24 KB. A directory that allocates
-// more than the descriptor clone per new region, a tree-node decode that
-// allocates, or an encoder allocated per map write each break it.
-func TestRegionLifecycleAllocGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled frames and buffers")
-	}
-	c, err := khazana.NewCluster(3, khazana.WithStoreDir(t.TempDir()), khazana.WithMemPages(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+// regionLifecycle is the region_churn benchmark's cycle on a 3-node
+// cluster: node 1 (creator) reserves, allocates and writes page 0 of a
+// 16-page region, node 3 (opener) cold-opens the region created the cycle
+// before, and node 1 unreserves the region created 64 cycles ago. It
+// creates the first 64 regions, then returns the cycle, which reports the
+// regions it created, opened and destroyed.
+func regionLifecycle(t *testing.T, creator, opener *khazana.Node) (cycle func() (created, opened, destroyed khazana.Addr)) {
 	ctx := context.Background()
-	const (
-		ps     = 4096
-		pages  = 16
-		warm   = 4100
-		cycles = 500
-	)
-	creator, opener := c.Node(1), c.Node(3)
-	page := make([]byte, ps)
+	page := make([]byte, lifecyclePageSize)
 	// live is a ring of the regions not yet unreserved; live[next] is the
 	// oldest, the one before it the newest.
 	var live [64]khazana.Addr
 	next := 0
 	create := func() khazana.Addr {
-		start, err := creator.Reserve(ctx, pages*ps, khazana.Attrs{}, "bench")
+		start, err := creator.Reserve(ctx, lifecyclePages*lifecyclePageSize, khazana.Attrs{}, "bench")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := creator.Allocate(ctx, start, "bench"); err != nil {
 			t.Fatal(err)
 		}
-		lk, err := creator.Lock(ctx, khazana.Range{Start: start, Size: ps}, khazana.LockWrite, "bench")
+		lk, err := creator.Lock(ctx, khazana.Range{Start: start, Size: lifecyclePageSize}, khazana.LockWrite, "bench")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -616,31 +602,62 @@ func TestRegionLifecycleAllocGate(t *testing.T) {
 		}
 		return start
 	}
-	cycle := func() {
-		prev := live[(next+len(live)-1)%len(live)]
-		oldest := live[next]
-		live[next] = create()
+	for i := range live {
+		live[i] = create()
+	}
+	return func() (created, opened, destroyed khazana.Addr) {
+		opened = live[(next+len(live)-1)%len(live)]
+		destroyed = live[next]
+		created = create()
+		live[next] = created
 		next = (next + 1) % len(live)
-		// The previous cycle's ring announce has landed by now on an idle
-		// host; waiting for it keeps a loaded one on the same lookup path.
-		creator.Core().RingSettle()
-		lk, err := opener.Lock(ctx, khazana.Range{Start: prev, Size: ps}, khazana.LockRead, "bench")
+		lk, err := opener.Lock(ctx, khazana.Range{Start: opened, Size: lifecyclePageSize}, khazana.LockRead, "bench")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if view, err := lk.ReadView(prev, ps); err != nil || len(view) != ps {
+		if view, err := lk.ReadView(opened, lifecyclePageSize); err != nil || len(view) != lifecyclePageSize {
 			t.Fatalf("cold open read %d bytes: %v", len(view), err)
 		}
 		if err := lk.Unlock(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if err := creator.Unreserve(ctx, oldest, "bench"); err != nil {
+		if err := creator.Unreserve(ctx, destroyed, "bench"); err != nil {
 			t.Fatal(err)
 		}
+		return created, opened, destroyed
 	}
-	for i := range live {
-		live[i] = create()
+}
+
+// The region lifecycle's regions are 16 pages of 4 KB.
+const (
+	lifecyclePageSize = 4096
+	lifecyclePages    = 16
+)
+
+// TestRegionLifecycleAllocGate is the object and byte budget of the
+// region lifecycle (regionLifecycle). After 4 100 warm-up cycles — the
+// opener's 1 024-entry region directory is full, so every cold open
+// evicts one — a cycle averages at most 145 objects and 8 KB. It measures
+// about 125 objects and 7.0 KB; with the ring announces sent from a
+// goroutine per cast it measured 145 objects and 7.4 KB, and while every
+// map edit copied its tree node to the heap 24 KB. A directory that
+// allocates more than the descriptor clone per new region, a tree-node
+// decode that allocates, or an encoder allocated per map write each
+// break it.
+func TestRegionLifecycleAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled frames and buffers")
 	}
+	c, err := khazana.NewCluster(3, khazana.WithStoreDir(t.TempDir()), khazana.WithMemPages(4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const (
+		warm   = 4100
+		cycles = 500
+	)
+	cycle := regionLifecycle(t, c.Node(1), c.Node(3))
 	for i := 0; i < warm; i++ {
 		cycle()
 	}
@@ -656,10 +673,127 @@ func TestRegionLifecycleAllocGate(t *testing.T) {
 		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/cycles)
 	}
 	t.Logf("region lifecycle cycle: %.2f objects, %.0f B", objects, bytes)
-	if objects > 180 {
-		t.Fatalf("a region lifecycle cycle allocates %.2f objects, budget is 180", objects)
+	if objects > 145 {
+		t.Fatalf("a region lifecycle cycle allocates %.2f objects, budget is 145", objects)
 	}
-	if bytes > 10<<10 {
-		t.Fatalf("a region lifecycle cycle allocates %.0f B, budget is 10 KB", bytes)
+	if bytes > 8<<10 {
+		t.Fatalf("a region lifecycle cycle allocates %.0f B, budget is 8 KB", bytes)
+	}
+}
+
+// kindCount counts the requests a node sends, by kind.
+type kindCount struct {
+	transport.Transport
+	mu    sync.Mutex
+	kinds map[wire.Kind]int
+}
+
+func (k *kindCount) Request(ctx context.Context, to khazana.NodeID, m wire.Msg) (wire.Msg, error) {
+	k.mu.Lock()
+	k.kinds[m.Kind()]++
+	k.mu.Unlock()
+	return k.Transport.Request(ctx, to, m)
+}
+
+// TestRegionLifecycleRPCs is the exact message count of the region
+// lifecycle (regionLifecycle) over inproc, with nothing waited for
+// between cycles. A ring announce is delivered before the call that made
+// it returns, so every cold open finds the allocated descriptor where the
+// ring says it is. Per cycle: one RingAnnounce to each remote bucket
+// owner per state change (reserve, allocate and the destroy, which skips
+// the opener: its teardown InvalidateBatch told it); a RingLookup only
+// when the opener does not own the bucket; one PageReqBatch, one
+// ReleaseBatch and one InvalidateBatch; no RegionLookup, no tree walk and
+// nothing else.
+func TestRegionLifecycleRPCs(t *testing.T) {
+	ctx := context.Background()
+	net := transport.NewNetwork()
+	counts := make([]*kindCount, 3)
+	nodes := make([]*khazana.Node, 3)
+	for i := range nodes {
+		id := khazana.NodeID(i + 1)
+		tr, err := net.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = &kindCount{Transport: tr, kinds: make(map[wire.Kind]int)}
+		n, err := khazana.StartNode(ctx, khazana.NodeConfig{
+			ID:             id,
+			Transport:      counts[i],
+			StoreDir:       filepath.Join(t.TempDir(), fmt.Sprintf("n%d", id)),
+			MemPages:       4096,
+			ClusterManager: 1,
+			MapHome:        1,
+			Genesis:        id == 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		nodes[i] = n
+	}
+	// One heartbeat round gives every node the manager's view, and so the
+	// same ring.
+	for _, n := range nodes[1:] {
+		n.Core().SendHeartbeat()
+	}
+	creator, opener := nodes[0], nodes[2]
+	cycle := regionLifecycle(t, creator, opener)
+	// After 64 cycles every region a cycle destroys is one the opener
+	// opened, so it is a sharer the teardown invalidates.
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	for _, k := range counts {
+		k.mu.Lock()
+		clear(k.kinds)
+		k.mu.Unlock()
+	}
+	walks := func() (sum uint64) {
+		for _, n := range nodes {
+			sum += n.Core().Telemetry().Counter(telemetry.MetricRingFallbackWalks).Load()
+		}
+		return sum
+	}
+	walked := walks()
+	r := creator.Core().Ring()
+	remoteOwners := func(start khazana.Addr, skip khazana.NodeID) (n int) {
+		for _, o := range r.RangeOwners(khazana.Range{Start: start, Size: lifecyclePages * lifecyclePageSize}) {
+			if o != creator.ID() && o != skip {
+				n++
+			}
+		}
+		return n
+	}
+	const cycles = 1000
+	want := map[wire.Kind]int{
+		wire.KindPageReqBatch:    cycles,
+		wire.KindReleaseBatch:    cycles,
+		wire.KindInvalidateBatch: cycles,
+	}
+	ownsBucket := 0
+	for i := 0; i < cycles; i++ {
+		created, opened, destroyed := cycle()
+		want[wire.KindRingAnnounce] += 2*remoteOwners(created, 0) + remoteOwners(destroyed, opener.ID())
+		if r.IsOwner(opener.ID(), ring.BucketOf(opened)) {
+			ownsBucket++
+		} else {
+			want[wire.KindRingLookup]++
+		}
+	}
+	got := make(map[wire.Kind]int)
+	for _, k := range counts {
+		k.mu.Lock()
+		for kind, n := range k.kinds {
+			got[kind] += n
+		}
+		k.mu.Unlock()
+	}
+	t.Logf("%d cycles (opener owns the bucket in %d): sent %v", cycles, ownsBucket, got)
+	if !maps.Equal(got, want) {
+		t.Fatalf("%d region lifecycle cycles sent %v by kind, want %v", cycles, got, want)
+	}
+	if w := walks() - walked; w != 0 {
+		t.Fatalf("%d cold opens walked the address map tree, want 0", w)
 	}
 }

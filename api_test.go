@@ -47,11 +47,9 @@ func TestClusterOptionSurface(t *testing.T) {
 	if err := c.Node(1).Allocate(ctx, start, ""); err != nil {
 		t.Fatal(err)
 	}
-	// Partition/Heal helpers. Descriptor announces are asynchronous and
-	// may have made node 2 a ring owner that can answer the lookup from
-	// its own partition table; settle and drop that copy so the lookup
-	// must cross the (cut) link.
-	c.Node(1).Core().RingSettle()
+	// Partition/Heal helpers. Descriptor announces may have made node 2
+	// a ring owner that can answer the lookup from its own partition
+	// table; drop that copy so the lookup must cross the (cut) link.
 	c.Partition(1, 2)
 	c.Node(2).Core().RingTable().Remove(start)
 	shortCtx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)

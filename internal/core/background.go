@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"khazana/internal/addrmap"
@@ -304,7 +305,7 @@ func (n *Node) ensureHomes(ctx context.Context, desc *region.Descriptor) *region
 		if len(homes) >= want {
 			break
 		}
-		if !containsNode(homes, m) {
+		if !slices.Contains(homes, m) {
 			homes = append(homes, m)
 		}
 	}
@@ -410,13 +411,4 @@ func (n *Node) pushPages(ctx context.Context, to ktypes.NodeID, tab *pagedir.Tab
 		put.Items, size = put.Items[:0], 0
 	}
 	return pushed, nil
-}
-
-func containsNode(ns []ktypes.NodeID, id ktypes.NodeID) bool {
-	for _, n := range ns {
-		if n == id {
-			return true
-		}
-	}
-	return false
 }

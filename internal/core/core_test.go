@@ -194,9 +194,6 @@ func TestLookupPathStages(t *testing.T) {
 	ctx := context.Background()
 	// Region homed on node 1 (manager).
 	start := mkRegion(t, nodes[0], 4096, region.Attrs{}, "alice")
-	// Announces are asynchronous; wait for the partition to converge so
-	// the cold lookup below deterministically one-hops.
-	nodes[0].RingSettle()
 
 	// Node 3 has never seen the region: full lookup.
 	n3 := nodes[2]

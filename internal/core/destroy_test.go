@@ -20,9 +20,9 @@ import (
 
 // TestUnreserveThreeRoles separates the three roles of a destroy: the
 // destroying node, the region's home and a bucket owner are all different
-// nodes. The destroyer must never resolve the region again even while the
-// owner's table still lists it (the destroy cast is asynchronous), and the
-// owner converges once that cast drains.
+// nodes. The destroyer must never resolve the region again, and the owner
+// has forgotten the region by the time Unreserve returns: the destroy
+// announce is delivered on the destroyer's goroutine.
 func TestUnreserveThreeRoles(t *testing.T) {
 	_, nodes := testCluster(t, 3)
 	ctx := context.Background()
@@ -47,9 +47,8 @@ func TestUnreserveThreeRoles(t *testing.T) {
 		if owner == nil || destroyer == nil {
 			t.Fatalf("round %d: no owner besides the home among %v", round, home.Ring().RangeOwners(desc.Range))
 		}
-		// Let the owner's table learn the region, so the destroy has
-		// something to race against.
-		home.RingSettle()
+		// The owner's table learned the region before Reserve returned,
+		// so the destroy has something to remove.
 		if _, ok := owner.RingTable().Lookup(start); !ok {
 			t.Fatalf("round %d: owner %v never learned the region", round, owner.ID())
 		}
@@ -62,9 +61,8 @@ func TestUnreserveThreeRoles(t *testing.T) {
 		if _, err := destroyer.GetAttr(ctx, start); err == nil {
 			t.Fatalf("round %d: destroyer %v still resolves the region", round, destroyer.ID())
 		}
-		home.RingSettle()
 		if _, ok := owner.RingTable().Lookup(start); ok {
-			t.Fatalf("round %d: owner %v still lists the region after the destroy cast drained", round, owner.ID())
+			t.Fatalf("round %d: owner %v still lists the region after Unreserve returned", round, owner.ID())
 		}
 		if _, err := owner.GetAttr(ctx, start); err == nil {
 			t.Fatalf("round %d: owner %v still resolves the region", round, owner.ID())
@@ -134,7 +132,6 @@ func TestStaleDescriptorForgottenOnUse(t *testing.T) {
 	if err := nodes[1].Unreserve(ctx, start, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	nodes[1].RingSettle()
 	// Re-teach node 3 the stale copy, as a cache that missed the destroy.
 	nodes[2].RegionDir().Insert(stale)
 	if _, err := nodes[2].Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockRead, "alice"); err == nil {
@@ -449,5 +446,54 @@ func TestTeardownUnderRemoteReadHold(t *testing.T) {
 	}
 	if got := sharer.Store().Mem().Len(); got != resident {
 		t.Fatalf("sharer's RAM tier holds %d pages after the Unlock, want the %d from before the lock", got, resident)
+	}
+}
+
+// TestUnreserveTombstonesSharerWithoutDirectoryEntry: a sharer sent the
+// teardown InvalidateBatch gets no destroy announce, so the teardown
+// alone must tombstone the region, also when the sharer can no longer
+// resolve it — its directory and ring-table entries gone, the map home
+// and the other bucket owner cut off — and only its page table knows the
+// region.
+func TestUnreserveTombstonesSharerWithoutDirectoryEntry(t *testing.T) {
+	net, nodes := testCluster(t, 3)
+	heartbeatAll(nodes)
+	ctx := context.Background()
+	home, sharer := nodes[1], nodes[2]
+	// The sharer must be a bucket owner beside the map home, and the
+	// home none: each 1 GB region takes a bucket of its own.
+	var start gaddr.Addr
+	for attempt := 0; ; attempt++ {
+		if attempt == 32 {
+			t.Fatal("no bucket among 32 is owned by nodes 1 and 3")
+		}
+		start = mkRegion(t, home, ring.BucketSize, region.Attrs{}, "alice")
+		if owners := home.Ring().Owners(ring.BucketOf(start)); !slices.Contains(owners, home.ID()) {
+			break
+		}
+	}
+	rng := gaddr.Range{Start: start, Size: 2 * 4096}
+	lc, err := sharer.Lock(ctx, rng, ktypes.LockRead, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sharer.Unlock(ctx, lc); err != nil {
+		t.Fatal(err)
+	}
+	sharer.rdir.Remove(start)
+	sharer.ringTable.Remove(start)
+	net.Partition(1, 3)
+	defer net.Heal(1, 3)
+	if _, err := sharer.GetAttr(ctx, start); err == nil {
+		t.Fatal("the cut-off sharer still resolves the region")
+	}
+	if err := home.Unreserve(ctx, start, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if !sharer.RingTable().Destroyed(start) {
+		t.Fatal("the sharer did not tombstone the region its teardown named")
+	}
+	if sharer.dir.At(start) != nil {
+		t.Fatal("the sharer kept the destroyed region's page table")
 	}
 }

@@ -92,7 +92,6 @@ func TestFederationCrossClusterLookup(t *testing.T) {
 	}
 	_ = nodes[4].Write(lc, start, []byte("cluster B data"))
 	_ = nodes[4].Unlock(ctx, lc)
-	settleRing(nodes)
 
 	// Node 2 (cluster A) resolves the region.
 	n2 := nodes[1]
@@ -111,7 +110,6 @@ func TestFederationCrossClusterLookup(t *testing.T) {
 	}
 
 	// The walk repaired cluster A's ring: node 3 one-hops.
-	settleRing(nodes)
 	n3 := nodes[2]
 	hits, walks := n3.Statistics().RingHits.Load(), n3.mRingFallbacks.Load()
 	if _, err := n3.GetAttr(ctx, start); err != nil {

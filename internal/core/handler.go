@@ -36,9 +36,15 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 		page := msg.Items[0].Page
 		reply, err := n.handleCM(ctx, from, page, m)
 		if msg.NewOwner == ktypes.NilNode {
-			// A teardown (dropRegionPages): the region is gone.
+			// A teardown (dropRegionPages): the region is gone, and no
+			// destroy announce follows (ringDestroy), so the start is
+			// tombstoned here whichever table knows it.
 			if d, ok := n.rdir.Lookup(page); ok {
 				n.forgetRegion(d.Range.Start)
+			} else if d, ok := n.ringTable.Lookup(page); ok {
+				n.forgetRegion(d.Range.Start)
+			} else if tab := n.dir.Find(page); tab != nil {
+				n.forgetRegion(tab.Start())
 			}
 		}
 		return reply, err
@@ -80,7 +86,8 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 	case *wire.RingLookup:
 		return n.handleRingLookup(msg), nil
 	case *wire.RingAnnounce:
-		return n.handleRingAnnounce(msg), nil
+		n.handleRingAnnounce(msg)
+		return nil, nil
 
 	// --- replicated region-metadata log ------------------------------------
 	case *wire.ReplAppend:

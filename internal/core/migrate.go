@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
@@ -67,7 +68,7 @@ func (n *Node) migrateLocal(ctx context.Context, start gaddr.Addr, newHome ktype
 	if newHome == n.cfg.ID {
 		return nil
 	}
-	if !containsNode(n.Members(), newHome) {
+	if !slices.Contains(n.Members(), newHome) {
 		return fmt.Errorf("core: migration target %v is not a known member", newHome)
 	}
 	// Quiescence check: no page of the region may be locked — locally

@@ -153,8 +153,6 @@ type Node struct {
 	ringMu    sync.Mutex
 	ringState *ring.Ring
 	ringTable *ring.Table
-	// annWG tracks in-flight asynchronous ring announces (see ringCast).
-	annWG sync.WaitGroup
 
 	// flightMu guards flights, the per-bucket cold-lookup singleflight:
 	// N concurrent misses for addresses in one bucket collapse into a
@@ -306,8 +304,8 @@ type LockContext struct {
 
 	// lockSpan and unlockSpan hold the op.lock and op.unlock span
 	// contexts. Two slots, each written once before its context is handed
-	// on: Lock's context outlives Lock in detached goroutines (ringCast),
-	// so Unlock must not overwrite it.
+	// on, so nothing that read Lock's span can see Unlock's (DESIGN.md,
+	// "Two slots").
 	lockSpan, unlockSpan telemetry.Slot
 	pageBuf              [lockInlinePages]gaddr.Addr
 	viewBuf              [lockInlinePages]*frame.Frame

@@ -118,7 +118,6 @@ func TestOneWayReadUnlockThenWriteLock(t *testing.T) {
 	_, watches, nodes := tcpCluster(t, 2)
 	home, n2 := nodes[0], nodes[1]
 	start := mkRegion(t, home, 4*4096, region.Attrs{}, "alice")
-	home.RingSettle()
 	rng := gaddr.Range{Start: start, Size: 4 * 4096}
 	const rounds = 100
 	for i := range rounds {
@@ -162,7 +161,6 @@ func TestOneWayReleaseGrantsBlockedWriter(t *testing.T) {
 	_, watches, nodes := tcpCluster(t, 3)
 	home, reader, writer := nodes[0], nodes[1], nodes[2]
 	start := mkRegion(t, home, 2*4096, region.Attrs{}, "alice")
-	home.RingSettle()
 	rng := gaddr.Range{Start: start, Size: 2 * 4096}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -203,7 +201,6 @@ func TestOneWaySendToDeadHomeQueuesRetry(t *testing.T) {
 	trs, _, nodes := tcpCluster(t, 2)
 	home, n2 := nodes[0], nodes[1]
 	start := mkRegion(t, home, 4096, region.Attrs{}, "alice")
-	home.RingSettle()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	rl, err := n2.Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockRead, "alice")

@@ -110,10 +110,11 @@ func (n *Node) carve(ctx context.Context, size, align uint64) (gaddr.Addr, error
 // Invariant: once Unreserve returns nil, this node never resolves the
 // region again — its directory and ring-table entries are purged and the
 // start is tombstoned (forgetRegion) before the return, and the address
-// map entry is already gone. Every other node converges when the
-// asynchronous destroy cast reaches the bucket owners; until then a stale
-// copy costs its user one trip to the old home, whose definite
-// no-such-region answer makes that node forget the region too.
+// map entry is already gone. Every sharer and bucket owner has been sent
+// one teardown message by then (a teardown InvalidateBatch or the destroy
+// announce); one that missed it keeps a stale copy, which costs its user
+// one trip to the old home, whose definite no-such-region answer makes
+// that node forget the region too.
 func (n *Node) Unreserve(ctx context.Context, start gaddr.Addr, principal ktypes.Principal) error {
 	desc, err := n.lookupRegion(ctx, start)
 	if err != nil {
@@ -145,12 +146,12 @@ func (n *Node) Unreserve(ctx context.Context, start gaddr.Addr, principal ktypes
 	}
 	// Home-side teardown: drop pages, descriptor, every per-region table
 	// keyed by this start, and the map entry.
-	n.dropRegionPages(ctx, desc, ktypes.NilNode)
+	sharers := n.dropRegionPages(ctx, desc, ktypes.NilNode)
 	n.authDescs.Delete(start)
 	n.access.forget(start)
 	n.repl.Forget(start)
 	n.forgetRegion(start)
-	n.ringDestroy(ctx, desc)
+	n.ringDestroy(ctx, desc, sharers)
 	if err := n.mapRemove(ctx, start); err != nil {
 		return fmt.Errorf("core: unrecord region: %w", err)
 	}
@@ -219,7 +220,8 @@ func (n *Node) setAllocated(ctx context.Context, start gaddr.Addr, principal kty
 // away mid-operation, so the deadline derives from the caller's values but
 // not its cancellation. The batches name newOwner as the pages' owner; a
 // teardown names no owner (NilNode), and a sharer then forgets the region.
-func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor, newOwner ktypes.NodeID) {
+// It returns the sharers sent a batch.
+func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor, newOwner ktypes.NodeID) []ktypes.NodeID {
 	bySharer := make(map[ktypes.NodeID][]wire.InvalidateItem)
 	tab := n.dir.At(desc.Range.Start)
 	if tab != nil {
@@ -253,6 +255,7 @@ func (n *Node) dropRegionPages(ctx context.Context, desc *region.Descriptor, new
 	for off, ps := uint64(0), uint64(desc.Attrs.PageSize); off < desc.Range.Size; off += ps {
 		n.store.Disk().Delete(desc.Range.Start.MustAdd(off))
 	}
+	return sharers
 }
 
 // clearTable discards the directory entries and version chains of tab's

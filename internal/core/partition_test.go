@@ -211,9 +211,8 @@ func TestIsolatedNodeRejoins(t *testing.T) {
 
 	// The descriptor partition may have made node 3 a ring owner of the
 	// region's bucket, in which case it can answer the lookup from its own
-	// table even while cut off. Drop that copy (after announces settle)
-	// so the test still exercises a lookup that must leave the node.
-	nodes[0].RingSettle()
+	// table even while cut off. Drop that copy so the test still
+	// exercises a lookup that must leave the node.
 	net.Isolate(3)
 	nodes[2].RingTable().Remove(start)
 	shortCtx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"khazana/internal/gaddr"
@@ -42,8 +43,11 @@ func (n *Node) ringSync(ctx context.Context) {
 // change. Only descriptors whose owner set differs between the old and
 // new ring move; the rest stay put (the consistent-hashing property
 // that keeps churn cheap). old == nil is the initial sync: everything
-// homed here is announced, but nothing counts as a move.
+// homed here is announced, but nothing counts as a move. The announces
+// are grouped by peer, so a stalled owner costs one bound however many
+// descriptors it owns, and the others still get theirs.
 func (n *Node) ringRebalance(ctx context.Context, old, next *ring.Ring) {
+	byPeer := make(map[ktypes.NodeID][]*wire.RingAnnounce)
 	for _, desc := range n.homedDescs() {
 		newOwners := next.RangeOwners(desc.Range)
 		if old != nil {
@@ -54,48 +58,44 @@ func (n *Node) ringRebalance(ctx context.Context, old, next *ring.Ring) {
 			n.mRingMoves.Add(1)
 			// Withdraw from owners that lost the partition so their
 			// tables do not serve ever-staler descriptors.
-			losers := make([]ktypes.NodeID, 0, len(oldOwners))
 			for _, o := range oldOwners {
-				if containsNode(newOwners, o) || o == n.cfg.ID {
-					continue
+				if !slices.Contains(newOwners, o) && o != n.cfg.ID {
+					byPeer[o] = append(byPeer[o], &wire.RingAnnounce{Op: wire.RingOpWithdraw, Start: desc.Range.Start, From: n.cfg.ID})
 				}
-				losers = append(losers, o)
 			}
-			n.ringCast(ctx, losers, &wire.RingAnnounce{Op: wire.RingOpWithdraw, Start: desc.Range.Start, From: n.cfg.ID})
 		}
-		n.announceTo(ctx, newOwners, desc)
+		put := &wire.RingAnnounce{Op: wire.RingOpPut, Desc: desc, Start: desc.Range.Start, From: n.cfg.ID}
+		for _, o := range n.remoteOwners(newOwners, desc) {
+			byPeer[o] = append(byPeer[o], put)
+		}
+	}
+	for o, msgs := range byPeer {
+		n.ringCast(ctx, []ktypes.NodeID{o}, msgs...)
 	}
 }
 
 // ringAnnounce pushes a homed descriptor to the current owners of every
 // bucket its range overlaps. Called on region create, attribute/home
 // change, failover promotion, and migration commit. Best effort: a
-// missed owner is repaired by the fallback path's re-announce.
+// missed owner is repaired by the fallback path's re-announce. Before
+// the first membership view the ring is nil and owns nothing.
 func (n *Node) ringAnnounce(ctx context.Context, desc *region.Descriptor) {
-	if desc == nil {
-		return
-	}
-	r := n.Ring()
-	if r == nil {
-		return
-	}
-	n.announceTo(ctx, r.RangeOwners(desc.Range), desc)
+	n.ringCast(ctx, n.remoteOwners(n.Ring().RangeOwners(desc.Range), desc),
+		&wire.RingAnnounce{Op: wire.RingOpPut, Desc: desc, Start: desc.Range.Start, From: n.cfg.ID})
 }
 
-// announceTo delivers one descriptor to an owner set, short-circuiting
-// the self-owned share straight into the local table. Remote owners are
-// notified off the caller's critical path: client operations (Reserve,
-// SetAttr, migration) never pay owner round trips.
-func (n *Node) announceTo(ctx context.Context, owners []ktypes.NodeID, desc *region.Descriptor) {
+// remoteOwners returns the owners other than this node; when this node
+// is one, desc (nil for a destroy) goes straight into its own table.
+func (n *Node) remoteOwners(owners []ktypes.NodeID, desc *region.Descriptor) []ktypes.NodeID {
 	remote := make([]ktypes.NodeID, 0, len(owners))
 	for _, o := range owners {
-		if o == n.cfg.ID {
+		if o != n.cfg.ID {
+			remote = append(remote, o)
+		} else if desc != nil {
 			n.ringTable.Insert(desc)
-			continue
 		}
-		remote = append(remote, o)
 	}
-	n.ringCast(ctx, remote, &wire.RingAnnounce{Op: wire.RingOpPut, Desc: desc, Start: desc.Range.Start, From: n.cfg.ID})
+	return remote
 }
 
 // forgetRegion purges every cached trace of a region this node knows to
@@ -112,71 +112,68 @@ func (n *Node) forgetRegion(start gaddr.Addr) {
 	}
 }
 
-// ringDestroy tells a destroyed region's bucket owners to forget it. Like
-// every announce it is asynchronous: the caller's own state is already
-// purged (forgetRegion), and an owner the cast has not reached yet hands
-// out a descriptor whose home answers no-such-region.
-func (n *Node) ringDestroy(ctx context.Context, desc *region.Descriptor) {
-	r := n.Ring()
-	if r == nil {
-		return
-	}
-	owners := r.RangeOwners(desc.Range)
-	remote := make([]ktypes.NodeID, 0, len(owners))
-	for _, o := range owners {
-		if o != n.cfg.ID {
-			remote = append(remote, o)
-		}
-	}
+// ringDestroy tells a destroyed region's bucket owners to forget it,
+// except those in told: a sharer sent the teardown InvalidateBatch has
+// forgotten it already, so no node gets two teardown messages (nor waits
+// out two bounds when stalled). The caller's own state is already purged
+// (forgetRegion).
+func (n *Node) ringDestroy(ctx context.Context, desc *region.Descriptor, told []ktypes.NodeID) {
+	remote := slices.DeleteFunc(n.remoteOwners(n.Ring().RangeOwners(desc.Range), nil), func(o ktypes.NodeID) bool {
+		return slices.Contains(told, o)
+	})
 	n.ringCast(ctx, remote, &wire.RingAnnounce{Op: wire.RingOpDestroy, Start: desc.Range.Start, From: n.cfg.ID})
 }
 
-// ringCast delivers one announce frame to a set of peers asynchronously.
-// Announces are best effort by design — a missed owner is repaired when
-// the fallback path re-announces — so nothing on a client operation's
-// critical path waits for them. RingSettle drains in-flight casts.
-func (n *Node) ringCast(ctx context.Context, peers []ktypes.NodeID, msg *wire.RingAnnounce) {
+// ringCastTimeout bounds what one stalled peer costs an announce's caller.
+const ringCastTimeout = 2 * time.Second
+
+// ringCast delivers announces to peers on the caller's goroutine, each
+// peer's in order. RingAnnounce is one-way (wire.OneWay): over inproc the
+// owner has applied it when this returns, over TCP the frame is written.
+// The bound is detached from the caller's cancellation, so an announce
+// lands even if the client that triggered it gives up, and renewed once
+// spent, so a stalled peer costs one bound and the peers after it still
+// get theirs. A peer's first failure drops its remaining announces: a
+// missed owner is repaired when the fallback path re-announces.
+func (n *Node) ringCast(ctx context.Context, peers []ktypes.NodeID, msgs ...*wire.RingAnnounce) {
 	if len(peers) == 0 {
 		return
 	}
-	// Detach from the caller's cancellation: the announce should land
-	// even if the client that triggered it gives up.
 	base := context.WithoutCancel(ctx)
-	n.annWG.Add(1)
-	go func() {
-		defer n.annWG.Done()
-		castCtx, cancel := context.WithTimeout(base, 2*time.Second)
-		defer cancel()
-		for _, o := range peers {
-			//khazana:ignore-err best-effort announce; an unreachable owner is repaired when the fallback path re-announces
-			_, _ = n.tr.Request(castCtx, o, msg)
+	castCtx, cancel := context.WithTimeout(base, ringCastTimeout)
+	for _, o := range peers {
+		if castCtx.Err() != nil {
+			cancel()
+			castCtx, cancel = context.WithTimeout(base, ringCastTimeout)
 		}
-	}()
+		for _, m := range msgs {
+			if _, err := n.tr.Request(castCtx, o, m); err != nil {
+				break
+			}
+		}
+	}
+	cancel()
 }
 
-// RingSettle blocks until all in-flight ring announces have drained.
-// Announces are asynchronous (client operations never pay owner round
-// trips), so tests and experiments that want a converged partition call
-// this before asserting on lookup behavior.
-func (n *Node) RingSettle() {
-	n.annWG.Wait()
-}
+// RingSettle returns at once. Announces are delivered before the call
+// that made them returns (ringCast), so there is nothing left to drain;
+// it remains because the benchmark harness calls it.
+func (n *Node) RingSettle() {}
 
 // lookupViaRing resolves a cold lookup through the descriptor
-// partition: hash the address to its bucket, ask each owner (self
-// served locally) for the containing descriptor. One RPC hop on the
-// common path; nil when no owner can answer (the caller falls back and
-// repairs).
+// partition: hash the address to its bucket and, when this node owns it,
+// answer from the own table; otherwise ask each remote owner for the
+// containing descriptor. At most one RPC hop on the common path; nil
+// when no owner can answer (the caller falls back and repairs).
 func (n *Node) lookupViaRing(ctx context.Context, addr gaddr.Addr) *region.Descriptor {
-	r := n.Ring()
-	if r == nil {
-		return nil
+	owners := n.Ring().Owners(ring.BucketOf(addr))
+	if slices.Contains(owners, n.cfg.ID) {
+		if d, ok := n.ringTable.Lookup(addr); ok {
+			return d
+		}
 	}
-	for _, o := range r.Owners(ring.BucketOf(addr)) {
+	for _, o := range owners {
 		if o == n.cfg.ID {
-			if d, ok := n.ringTable.Lookup(addr); ok {
-				return d
-			}
 			continue
 		}
 		resp, err := n.tr.Request(ctx, o, &wire.RingLookup{Addr: addr, From: n.cfg.ID})
@@ -218,8 +215,9 @@ func (n *Node) handleRingLookup(msg *wire.RingLookup) *wire.RingReply {
 
 // handleRingAnnounce applies a descriptor announce to the local ring
 // table. Inserts prefer the higher epoch, so replayed or reordered
-// announces cannot roll a home change back.
-func (n *Node) handleRingAnnounce(msg *wire.RingAnnounce) *wire.Ack {
+// announces cannot roll a home change back. The announce is one-way: its
+// sender reads no reply.
+func (n *Node) handleRingAnnounce(msg *wire.RingAnnounce) {
 	switch msg.Op {
 	case wire.RingOpPut:
 		n.ringTable.Insert(msg.Desc)
@@ -228,19 +226,10 @@ func (n *Node) handleRingAnnounce(msg *wire.RingAnnounce) *wire.Ack {
 	case wire.RingOpDestroy:
 		n.forgetRegion(msg.Start)
 	}
-	return &wire.Ack{}
 }
 
 // sameOwnerSet reports whether two owner lists contain the same nodes
 // (order-insensitive; lists are small and duplicate-free).
 func sameOwnerSet(a, b []ktypes.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, x := range a {
-		if !containsNode(b, x) {
-			return false
-		}
-	}
-	return true
+	return len(a) == len(b) && !slices.ContainsFunc(a, func(x ktypes.NodeID) bool { return !slices.Contains(b, x) })
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -16,13 +17,6 @@ import (
 	"khazana/internal/transport"
 	"khazana/internal/wire"
 )
-
-// settleRing waits for every node's in-flight announces to drain.
-func settleRing(nodes []*Node) {
-	for _, n := range nodes {
-		n.RingSettle()
-	}
-}
 
 // heartbeatAll pushes one heartbeat from every non-manager node so the
 // whole cluster converges on the manager's current membership view (and
@@ -41,7 +35,6 @@ func TestColdLookupSingleflight(t *testing.T) {
 	_, nodes := testCluster(t, 3)
 	ctx := context.Background()
 	start := mkRegion(t, nodes[0], 4096, region.Attrs{}, "alice")
-	nodes[0].RingSettle()
 
 	n3 := nodes[2]
 	// Make sure node 3 does not own the bucket itself, so the one flight
@@ -117,7 +110,6 @@ func TestRingMatchesTreeWalk(t *testing.T) {
 	// heartbeat round gives every node the same ring and moves each
 	// descriptor to its owners.
 	heartbeatAll(nodes)
-	settleRing(nodes)
 	walks := nodes[3].mRingFallbacks.Load()
 	check("steady")
 	if w := nodes[3].mRingFallbacks.Load() - walks; w != 0 {
@@ -150,7 +142,6 @@ func TestRingMatchesTreeWalk(t *testing.T) {
 		grown = append(grown, node)
 	}
 	heartbeatAll(grown)
-	settleRing(grown)
 	// Clear the reader's directory so every lookup is cold again and must
 	// prove the rebalanced ring still answers correctly.
 	for _, s := range starts {
@@ -173,7 +164,6 @@ func TestRebalanceOnlyMovedReannounce(t *testing.T) {
 	for i := 0; i < regions; i++ {
 		mkRegion(t, nodes[0], ring.BucketSize, region.Attrs{}, "alice")
 	}
-	settleRing(nodes)
 	if moves := nodes[0].mRingMoves.Load(); moves != 0 {
 		t.Fatalf("stable membership counted %d rebalance moves", moves)
 	}
@@ -201,7 +191,6 @@ func TestRebalanceOnlyMovedReannounce(t *testing.T) {
 	// The home hears about the new member on its next heartbeat and
 	// rebalances.
 	nodes[0].SendHeartbeat()
-	settleRing(nodes)
 	moves := nodes[0].mRingMoves.Load()
 	if moves == 0 {
 		t.Fatal("growing the ring moved no partitions at all")
@@ -232,7 +221,6 @@ func ringCluster(t *testing.T, n int) (*transport.Network, []*Node, *kindCounter
 		starts = append(starts, mkRegion(t, home, 4096, region.Attrs{}, "alice"))
 	}
 	heartbeatAll(nodes)
-	settleRing(nodes)
 	return net, nodes, counter, starts
 }
 
@@ -248,7 +236,7 @@ func TestColdLookupIsOneHop(t *testing.T) {
 			walks := reader.mRingFallbacks.Load()
 			remote := 0
 			for _, s := range starts {
-				if containsNode(reader.Ring().Owners(ring.BucketOf(s)), reader.cfg.ID) {
+				if slices.Contains(reader.Ring().Owners(ring.BucketOf(s)), reader.cfg.ID) {
 					continue
 				}
 				remote++
@@ -291,7 +279,7 @@ func TestOwnersCrashedLookupRepairs(t *testing.T) {
 	for i, s := range starts {
 		home := nodes[i+1]
 		owners := reader.Ring().Owners(ring.BucketOf(s))
-		if len(owners) == 0 || containsNode(owners, 1) || containsNode(owners, home.cfg.ID) || containsNode(owners, reader.cfg.ID) {
+		if len(owners) == 0 || slices.Contains(owners, 1) || slices.Contains(owners, home.cfg.ID) || slices.Contains(owners, reader.cfg.ID) {
 			continue
 		}
 		for _, o := range owners {
@@ -315,4 +303,197 @@ func TestOwnersCrashedLookupRepairs(t *testing.T) {
 		return
 	}
 	t.Fatal("no region's bucket owners exclude its home, the manager and the reader")
+}
+
+// TestColdLockOnOwnerSendsNoRingLookup: a node that owns a region's bucket
+// answers its own cold lookup from its ring table, even when another
+// owner comes first in the bucket's owner list. Its cold Lock is one
+// PageReqBatch and nothing else.
+func TestColdLockOnOwnerSendsNoRingLookup(t *testing.T) {
+	counter := &kindCounter{kinds: make(map[wire.Kind]int)}
+	_, nodes := testCluster(t, 3, func(i int, cfg *Config) {
+		if i == 2 {
+			counter.Transport = cfg.Transport
+			cfg.Transport = counter
+		}
+	})
+	heartbeatAll(nodes)
+	ctx := context.Background()
+	reader := nodes[2]
+	// Each 1 GB region takes a chunk, and so a bucket, of its own: step
+	// through buckets until the reader is the second owner of one.
+	var start gaddr.Addr
+	for attempt := 0; ; attempt++ {
+		if attempt == 32 {
+			t.Fatal("no bucket among 32 lists the reader as its second owner")
+		}
+		start = mkRegion(t, nodes[attempt%2], ring.BucketSize, region.Attrs{}, "alice")
+		if owners := reader.Ring().Owners(ring.BucketOf(start)); len(owners) == 2 && owners[1] == reader.cfg.ID {
+			break
+		}
+	}
+	if _, ok := reader.rdir.Lookup(start); ok {
+		t.Fatal("the reader's directory already holds the region")
+	}
+	counter.mu.Lock()
+	clear(counter.kinds)
+	counter.mu.Unlock()
+	lc, err := reader.Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockRead, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter.mu.Lock()
+	got := maps.Clone(counter.kinds)
+	counter.mu.Unlock()
+	if err := reader.Unlock(ctx, lc); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[wire.KindPageReqBatch] != 1 {
+		t.Fatalf("a cold Lock on a bucket owner sent %v by kind, want one PageReqBatch (%d)", got, wire.KindPageReqBatch)
+	}
+}
+
+// remoteOwnersOf returns the ring owners of a region's range other than
+// self.
+func remoteOwnersOf(r *ring.Ring, rng gaddr.Range, self ktypes.NodeID) []ktypes.NodeID {
+	return slices.DeleteFunc(r.RangeOwners(rng), func(o ktypes.NodeID) bool { return o == self })
+}
+
+// TestReserveWithStalledOwnerCostsOneTimeout: with one of a region's two
+// remote bucket owners silent (its link at an hour), Reserve and Allocate
+// each wait out one announce bound, no more, and the live owner has the
+// allocated descriptor when Allocate returns.
+func TestReserveWithStalledOwnerCostsOneTimeout(t *testing.T) {
+	t.Parallel()
+	net, nodes := testCluster(t, 4)
+	heartbeatAll(nodes)
+	ctx := context.Background()
+	// A small region lands right after the probe, in the probe's bucket:
+	// find a home whose next region has two remote owners, one of them
+	// not the map home (which Reserve needs).
+	var home *Node
+	var stalled, live ktypes.NodeID
+	for attempt := 0; home == nil; attempt++ {
+		if attempt == 32 {
+			t.Fatal("no bucket among 32 has two owners besides its home")
+		}
+		h := nodes[1+attempt%3]
+		probe := mkRegion(t, h, 4096, region.Attrs{}, "alice")
+		owners := remoteOwnersOf(h.Ring(), gaddr.Range{Start: probe, Size: 4096}, h.cfg.ID)
+		if len(owners) != 2 {
+			mkRegion(t, h, ring.BucketSize, region.Attrs{}, "alice") // the next bucket
+			continue
+		}
+		home, stalled, live = h, owners[0], owners[1]
+		if stalled == 1 {
+			stalled, live = live, stalled
+		}
+	}
+	net.SetLinkLatency(home.cfg.ID, stalled, time.Hour)
+	defer net.SetLinkLatency(home.cfg.ID, stalled, 0)
+	limit := ringCastTimeout + time.Second
+	began := time.Now()
+	start, err := home.Reserve(ctx, 4096, region.Attrs{}, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took > limit {
+		t.Fatalf("Reserve took %v with one stalled owner; one bound is %v", took, ringCastTimeout)
+	}
+	if owners := remoteOwnersOf(home.Ring(), gaddr.Range{Start: start, Size: 4096}, home.cfg.ID); !slices.Contains(owners, stalled) || !slices.Contains(owners, live) {
+		t.Fatalf("region %v has remote owners %v, want %v and %v", start, owners, stalled, live)
+	}
+	began = time.Now()
+	if err := home.Allocate(ctx, start, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took > limit {
+		t.Fatalf("Allocate took %v with one stalled owner; one bound is %v", took, ringCastTimeout)
+	}
+	if d, ok := nodes[live-1].RingTable().Lookup(start); !ok || !d.Allocated {
+		t.Fatalf("live owner %v holds %+v for the region, want the allocated descriptor", live, d)
+	}
+	d, err := nodes[live-1].GetAttr(ctx, start)
+	if err != nil || !d.Allocated {
+		t.Fatalf("live owner %v resolves the region to %+v, %v", live, d, err)
+	}
+}
+
+// TestRebalanceWithStalledOwnerCostsOneTimeout: a home with many homed
+// descriptors rebalances after a new member joins whose link from the
+// home is silent. The rebalance waits out one announce bound for that
+// member, however many descriptors move to it, and every live owner of a
+// moved descriptor has it again afterwards.
+func TestRebalanceWithStalledOwnerCostsOneTimeout(t *testing.T) {
+	t.Parallel()
+	net, nodes := testCluster(t, 4)
+	heartbeatAll(nodes)
+	ctx := context.Background()
+	home := nodes[1]
+	const regions = 16
+	descs := make([]*region.Descriptor, regions)
+	for i := range descs {
+		start := mkRegion(t, home, ring.BucketSize, region.Attrs{}, "alice")
+		descs[i] = home.authDesc(start)
+	}
+	grown := append(slices.Clone(nodes), func() *Node {
+		tr, err := net.Attach(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := NewNode(Config{ID: 5, Transport: tr, StoreDir: filepath.Join(t.TempDir(), "n5"), ClusterManager: 1, MapHome: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		return n
+	}())
+	// The home's ring does not list node 5 yet. Find the descriptors that
+	// move to it, and drop them from every other node's table, so the
+	// rebalance alone must put them back.
+	old, next := home.Ring(), ring.Build([]ktypes.NodeID{1, 2, 3, 4, 5}, ring.Options{})
+	var moved []*region.Descriptor
+	for _, d := range descs {
+		if slices.Contains(next.RangeOwners(d.Range), 5) && !slices.Contains(old.RangeOwners(d.Range), 5) {
+			moved = append(moved, d)
+			for _, n := range grown {
+				if n != home {
+					n.RingTable().Remove(d.Range.Start)
+				}
+			}
+		}
+	}
+	if len(moved) < 2 {
+		t.Fatalf("%d of %d descriptors move to the new member; the test needs at least 2", len(moved), regions)
+	}
+
+	net.SetLinkLatency(home.cfg.ID, 5, time.Hour)
+	defer net.SetLinkLatency(home.cfg.ID, 5, 0)
+	began := time.Now()
+	home.SendHeartbeat() // the view lists node 5: the home rebalances
+	if took := time.Since(began); took > ringCastTimeout+time.Second {
+		t.Fatalf("rebalancing %d descriptors onto a stalled member took %v; one bound is %v", len(moved), took, ringCastTimeout)
+	}
+	if !home.Ring().SameMembers(next.Members()) {
+		t.Fatalf("the home's ring lists %v after the heartbeat", home.Ring().Members())
+	}
+	checked := 0
+	for _, d := range moved {
+		for _, o := range remoteOwnersOf(next, d.Range, home.cfg.ID) {
+			if o == 5 {
+				continue
+			}
+			if _, ok := grown[o-1].RingTable().Lookup(d.Range.Start); !ok {
+				t.Fatalf("live owner %v did not get moved descriptor %v", o, d.Range)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no moved descriptor has a live owner besides its home")
+	}
+	t.Logf("%d descriptors moved to the stalled member; %d live owner copies checked", len(moved), checked)
 }

@@ -26,10 +26,9 @@ func newCluster(t *testing.T, n int, opts ...khazana.ClusterOption) *khazana.Clu
 	return c
 }
 
-// mkRegion reserves and allocates a region on a node, and waits for the
-// ring owners to hold the allocated descriptor: the reserve's and the
-// allocate's announces land in either order, and a lookup answered in
-// between caches a descriptor the first lock must refresh.
+// mkRegion reserves and allocates a region on a node. The ring owners
+// hold the allocated descriptor when it returns: Allocate delivers its
+// announce before it returns.
 func mkRegion(t *testing.T, n *khazana.Node, size uint64, attrs khazana.Attrs) khazana.Addr {
 	t.Helper()
 	ctx := context.Background()
@@ -40,7 +39,6 @@ func mkRegion(t *testing.T, n *khazana.Node, size uint64, attrs khazana.Attrs) k
 	if err := n.Allocate(ctx, start, "bench"); err != nil {
 		t.Fatal(err)
 	}
-	n.Core().RingSettle()
 	return start
 }
 
@@ -86,16 +84,15 @@ func eachPage(ctx context.Context, n *khazana.Node, start khazana.Addr, size, pa
 	return nil
 }
 
-// quietRPCs drains every node's in-flight ring announces and returns the
-// network's request count. With the background loops off, announces are
-// the only requests a node sends off its caller's goroutine; every other
-// request, and every fan-out, completes before the call that made it
-// returns.
+// quietRPCs waits for every node's in-flight log appends and returns the
+// network's request count. With the background loops off, a replicated
+// release's minority append is the only request a node sends off its
+// caller's goroutine; every other request, ring announces included, and
+// every fan-out, completes before the call that made it returns.
 func quietRPCs(c *khazana.Cluster) uint64 {
 	for {
 		r1, _ := c.Network.Stats()
 		for _, n := range c.Nodes() {
-			n.Core().RingSettle()
 			n.Core().ReplSettle()
 		}
 		if r2, _ := c.Network.Stats(); r1 == r2 {
@@ -105,8 +102,8 @@ func quietRPCs(c *khazana.Cluster) uint64 {
 }
 
 // countRPCs returns the RPCs one run of op makes, counted between two
-// quiet points of the network, so that the announces op starts are its
-// own and nothing else is.
+// quiet points of the network, so that the appends op starts are its own
+// and nothing else is.
 func countRPCs(t *testing.T, c *khazana.Cluster, op func() error) uint64 {
 	t.Helper()
 	before := quietRPCs(c)

@@ -179,11 +179,9 @@ func TestE16WriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Extend the home list and seed the replicas, so the measured releases
-	// write through to a stable replica set. The home-list change is
-	// announced to the ring owners asynchronously, and its log append
-	// returns at a majority; let both land before counting.
+	// write through to a stable replica set. The home-list change's log
+	// append returns at a majority; let it land before counting.
 	c.Node(1).Core().MaintainReplicas()
-	c.Node(1).Core().RingSettle()
 	c.Node(1).Core().ReplSettle()
 
 	reqs0, _ := c.Network.Stats()

@@ -71,7 +71,8 @@ const (
 // RingAnnounce pushes a descriptor change to a bucket owner: sent on
 // region create, destroy, home change (including replog failover), and
 // rebalance after membership change. Put carries the descriptor;
-// Withdraw and Destroy carry only the region start. Owners ack with Ack.
+// Withdraw and Destroy carry only the region start. It is one-way
+// (OneWay): owners send no reply.
 type RingAnnounce struct {
 	Op    uint8
 	Desc  *region.Descriptor // nil for Withdraw and Destroy

@@ -123,12 +123,17 @@ type Msg interface {
 	decode(d *enc.Decoder)
 }
 
-// OneWay reports whether m travels without a reply: a ReleaseBatch with
-// no dirty page, whose answer could only be an error that §3.5 never
-// reflects to the client. Its receiver answers nothing.
+// OneWay reports whether m travels without a reply, because nobody would
+// read it: a ReleaseBatch with no dirty page, whose answer could only be
+// an error that §3.5 never reflects to the client, and a RingAnnounce,
+// which is best effort (a missed owner is repaired by the lookup's
+// fallback). Its receiver answers nothing.
 func OneWay(m Msg) bool {
-	rb, ok := m.(*ReleaseBatch)
-	return ok && !slices.ContainsFunc(rb.Items, func(it ReleaseItem) bool { return it.Dirty })
+	if rb, ok := m.(*ReleaseBatch); ok {
+		return !slices.ContainsFunc(rb.Items, func(it ReleaseItem) bool { return it.Dirty })
+	}
+	_, ok := m.(*RingAnnounce)
+	return ok
 }
 
 // encoders and decoders recycle the codec handed to Msg.encode and
