@@ -55,9 +55,6 @@ type Host interface {
 	// grant-time snapshot); callers mark the page invalid in the
 	// directory so the next acquire refetches.
 	DropPage(p *pagedir.Page)
-	// Clock returns a monotonic-enough timestamp for last-writer-wins
-	// ordering in the eventual protocol.
-	Clock() int64
 	// Telemetry returns the node's metrics registry; nil disables
 	// instrumentation (instruments resolved from nil are no-ops).
 	Telemetry() *telemetry.Registry
@@ -110,7 +107,7 @@ type Redelivery struct {
 	// Frame is the copy of a page leaving the node, borrowed for the
 	// call; nil delivers the copy held here, and a dirty page with none
 	// left was already delivered. Under last writer wins the page's
-	// winning copy goes, with its stamp.
+	// winning copy goes, with its version and writer.
 	Frame *frame.Frame
 }
 

@@ -64,6 +64,8 @@ type Engine struct {
 	// oneWayFailed counts pages of one-way releases that failed here;
 	// no reply carries them back to be retried.
 	oneWayFailed *telemetry.Counter
+	// unlogged counts replicated releases whose log append failed.
+	unlogged *telemetry.Counter
 	// updateBatchPages observes pages per write-through message.
 	updateBatchPages *telemetry.Histogram
 	// pushFailures counts eventual updates a gossip round failed to
@@ -84,6 +86,7 @@ func newEngine(h Host, p policy) *Engine {
 		invalFailures:    tel.Counter(telemetry.MetricCrewInvalidateFailures),
 		grantCurrent:     tel.Counter(telemetry.MetricGrantPagesCurrent),
 		oneWayFailed:     tel.Counter(telemetry.MetricReleaseOneWayFailed),
+		unlogged:         tel.Counter(telemetry.MetricReleaseUnlogged),
 		updateBatchPages: tel.Histogram(telemetry.MetricUpdateBatchPages),
 		pushFailures:     tel.Counter(telemetry.MetricEventualPushFailures),
 		applyFailures:    tel.Counter(telemetry.MetricEventualApplyFailures),
@@ -106,7 +109,8 @@ func NewRelease(h Host) *Engine { return newEngine(h, policy{proto: region.Relea
 
 // NewEventual creates the engine for clients that "can tolerate data that
 // is temporarily out-of-date" (§3.3): replicas serve reads and writes
-// locally and converge on the newest last-writer-wins stamp.
+// locally and converge on the last writer's copy, ordered by page version
+// and then writer.
 func NewEventual(h Host) *Engine { return newEngine(h, policy{proto: region.Eventual, lww: true}) }
 
 var _ CM = (*Engine)(nil)
@@ -512,9 +516,9 @@ func (c *Engine) invalidateSharers(ctx context.Context, tab *pagedir.Table, newO
 // ReleaseBatch implements CM. Under CREW the home drops the global locks
 // and commits dirty pages, and another node sends it one ReleaseBatch.
 // Under a local lock the locks drop here, and a write's dirty pages go
-// home as one UpdateBatch (under last writer wins, those whose stamp won
-// here; the home gossips them). Per-page errors let the caller queue
-// retries for just the failures (§3.5).
+// home as one UpdateBatch (under last writer wins, each claimed at the
+// version after the one written over; the home gossips them). Per-page
+// errors let the caller queue retries for just the failures (§3.5).
 func (c *Engine) ReleaseBatch(ctx context.Context, desc *region.Descriptor, pages []gaddr.Addr, mode ktypes.LockMode, dirty []bool) []error {
 	if len(pages) == 0 {
 		return nil
@@ -670,11 +674,11 @@ func (c *Engine) deliver(ctx context.Context, desc *region.Descriptor, tab *page
 		it := wire.UpdateItem{Page: r.Page, Origin: self}
 		var f *frame.Frame
 		if c.p.lww {
-			// The winning copy, read with its stamp: no lock is taken, as
-			// an eviction runs under the disk tier's.
+			// The winning copy, read with its version and writer: no lock
+			// is taken, as an eviction runs under the disk tier's.
 			var e pagedir.Entry
 			e, f = winning(tab, r.Page)
-			it.Stamp, it.Origin = e.Stamp, e.StampNode
+			it.Version, it.Origin = e.Version, e.Owner
 		} else {
 			f = copyOf(r)
 		}
@@ -711,7 +715,7 @@ func (c *Engine) deliver(ctx context.Context, desc *region.Descriptor, tab *page
 			// (unless the page is leaving the node).
 			mu := tab.PushLock()
 			mu.Lock()
-			_, err := c.lwwApply(tab, it.Page, f, it.Stamp, it.Origin)
+			_, err := c.lwwApply(tab, it.Page, f, it.Version, it.Origin)
 			mu.Unlock()
 			if err != nil {
 				fail(idx[j], err)
@@ -893,11 +897,13 @@ func (c *Engine) replicate(ctx context.Context, desc *region.Descriptor, tab *pa
 	// ErrNotLeader can surface during a failover race (this node was
 	// deposed between the grant and the release); the release itself
 	// still completed and the §3.5 background loops re-converge, so the
-	// error is not propagated.
-	if c.h.Repl().AppendPages(ctx, desc, items, entries...) == nil {
-		for range len(desc.Home) - 1 { // one per secondary
-			c.updateBatchPages.Observe(uint64(len(items)))
-		}
+	// error is not propagated, only counted.
+	if c.h.Repl().AppendPages(ctx, desc, items, entries...) != nil {
+		c.unlogged.Add(1)
+		return
+	}
+	for range len(desc.Home) - 1 { // one per secondary
+		c.updateBatchPages.Observe(uint64(len(items)))
 	}
 }
 

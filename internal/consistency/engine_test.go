@@ -1,12 +1,9 @@
 package consistency
 
 import (
-	"errors"
 	"testing"
 
-	"khazana/internal/ktypes"
 	"khazana/internal/region"
-	"khazana/internal/wire"
 )
 
 // TestLocalLockBatchIsOneRoundTrip: under release and eventual consistency
@@ -52,8 +49,9 @@ func TestLocalLockBatchIsOneRoundTrip(t *testing.T) {
 
 // TestEventualPushReplyCarriesOnlyTheWinner: the home answers an eventual
 // push with an UpdateBatch mirroring its state of each page. A push that
-// wins costs its bytes one way only; one that loses to a newer stamp gets
-// the winning bytes back, and the loser's copy converges on them.
+// wins costs its bytes one way only; one that loses to a concurrent write
+// at the same version from a higher node gets the winning bytes back, and
+// the loser's copy converges on them.
 func TestEventualPushReplyCarriesOnlyTheWinner(t *testing.T) {
 	d := testDesc(region.Eventual)
 	pageSize := uint64(d.Attrs.PageSize)
@@ -62,8 +60,6 @@ func TestEventualPushReplyCarriesOnlyTheWinner(t *testing.T) {
 	for _, h := range hosts {
 		_ = lockRead(t, h, d, page)
 	}
-	hosts[1].clock.Store(100)
-	hosts[2].clock.Store(200)
 	write := func(h *testHost, val byte) (wireBytes uint64) {
 		t.Helper()
 		_, before := h.net.Stats()
@@ -73,23 +69,19 @@ func TestEventualPushReplyCarriesOnlyTheWinner(t *testing.T) {
 	}
 	// The winner's push goes home, and its gossip to node 2 is lost, so
 	// node 2 keeps the old copy: two copies of the page move, none back.
-	hosts[1].intercept = func(_ ktypes.NodeID, m wire.Msg) error {
-		if _, ok := m.(*wire.UpdateBatch); ok {
-			return errors.New("gossip lost")
-		}
-		return nil
-	}
+	restore := dropUpdates(hosts[1])
 	if got := write(hosts[2], 'B'); got >= 3*pageSize {
 		t.Errorf("a winning push moved %d wire bytes, want under %d (no bytes in the reply)", got, 3*pageSize)
 	}
-	hosts[1].intercept = nil
-	// The older stamp loses at the home, which sends its bytes back.
+	restore()
+	// Node 2's write, concurrent at the same version, loses at the home,
+	// which sends its bytes back.
 	if got := write(hosts[1], 'A'); got < 2*pageSize || got >= 3*pageSize {
 		t.Errorf("a losing push moved %d wire bytes, want the page both ways", got)
 	}
 	for _, h := range hosts {
 		if got := snapshot(h, d, page)[0]; got != 'B' {
-			t.Errorf("%v holds %q, want 'B' (the newer stamp)", h.id, got)
+			t.Errorf("%v holds %q, want 'B' (the higher node's write)", h.id, got)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"khazana/internal/frame"
@@ -33,8 +32,6 @@ type testHost struct {
 	mu sync.Mutex
 	// pages holds one frame reference per entry.
 	pages map[gaddr.Addr]*frame.Frame
-
-	clock atomic.Int64
 
 	// descs resolves pages to descriptors for inbound traffic.
 	descs []*region.Descriptor
@@ -127,7 +124,6 @@ func storeBytes(h Host, page gaddr.Addr, data []byte) error {
 func (h *testHost) Repl() *replog.Log { return h.repl }
 
 func (h *testHost) Pages() *pagedir.Dir            { return h.dir }
-func (h *testHost) Clock() int64                   { return h.clock.Add(1) }
 func (h *testHost) Telemetry() *telemetry.Registry { return h.tel }
 
 // pageOf extracts the page address from CM traffic.

@@ -3,10 +3,12 @@ package consistency
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"khazana/internal/frame"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
 	"khazana/internal/wire"
@@ -301,6 +303,23 @@ func TestEventualConvergence(t *testing.T) {
 	}
 }
 
+// dropUpdates makes h miss every UpdateBatch sent to it until the
+// returned func restores delivery: its writes are then concurrent with
+// the ones it misses.
+func dropUpdates(h *testHost) (restore func()) {
+	h.intercept = func(_ ktypes.NodeID, m wire.Msg) error {
+		if _, ok := m.(*wire.UpdateBatch); ok {
+			return errors.New("update lost")
+		}
+		return nil
+	}
+	return func() { h.intercept = nil }
+}
+
+// TestEventualLastWriterWins: of two concurrent writes, the one at the
+// higher page version wins everywhere, its writer's node ID aside. n3
+// writes twice while n2 misses the gossip, so n2's write, made over the
+// copy it had read, is the older one.
 func TestEventualLastWriterWins(t *testing.T) {
 	d := testDesc(region.Eventual)
 	hosts := cluster(t, 3, d)
@@ -308,21 +327,20 @@ func TestEventualLastWriterWins(t *testing.T) {
 	for _, h := range hosts {
 		_ = lockRead(t, h, d, page)
 	}
-	// Force a known stamp order: n2 writes with an older clock than n3.
-	hosts[1].clock.Store(100)
-	hosts[2].clock.Store(200)
-	lockWrite(t, hosts[2], d, page, func(data []byte) { data[0] = 'B' }) // stamp 201
-	lockWrite(t, hosts[1], d, page, func(data []byte) { data[0] = 'A' }) // stamp 101: older, must lose
-	got := lockRead(t, hosts[0], d, page)
-	if got[0] != 'B' {
-		t.Fatalf("home = %q, want 'B' (newer stamp)", got[0])
-	}
-	got = lockRead(t, hosts[2], d, page)
-	if got[0] != 'B' {
-		t.Fatalf("n3 = %q, want 'B'", got[0])
+	restore := dropUpdates(hosts[1])
+	lockWrite(t, hosts[2], d, page, func(data []byte) { data[0] = 'b' }) // version 1
+	lockWrite(t, hosts[2], d, page, func(data []byte) { data[0] = 'B' }) // version 2
+	restore()
+	lockWrite(t, hosts[1], d, page, func(data []byte) { data[0] = 'A' }) // version 1: older, must lose
+	for _, h := range hosts {
+		if got := lockRead(t, h, d, page); got[0] != 'B' {
+			t.Fatalf("%v = %q, want 'B' (the newer version)", h.id, got[0])
+		}
 	}
 }
 
+// TestEventualTieBreaksOnNodeID: two concurrent writes at the same page
+// version go to the higher node's.
 func TestEventualTieBreaksOnNodeID(t *testing.T) {
 	d := testDesc(region.Eventual)
 	hosts := cluster(t, 3, d)
@@ -330,13 +348,119 @@ func TestEventualTieBreaksOnNodeID(t *testing.T) {
 	for _, h := range hosts {
 		_ = lockRead(t, h, d, page)
 	}
-	hosts[1].clock.Store(499) // next stamp: 500
-	hosts[2].clock.Store(499) // next stamp: 500 — tie, higher node wins
-	lockWrite(t, hosts[2], d, page, func(data []byte) { data[0] = 'H' })
-	lockWrite(t, hosts[1], d, page, func(data []byte) { data[0] = 'L' })
-	got := lockRead(t, hosts[0], d, page)
-	if got[0] != 'H' {
-		t.Fatalf("home = %q, want 'H' (higher node ID wins tie)", got[0])
+	restore := dropUpdates(hosts[1])
+	lockWrite(t, hosts[2], d, page, func(data []byte) { data[0] = 'H' }) // version 1 by n3
+	restore()
+	lockWrite(t, hosts[1], d, page, func(data []byte) { data[0] = 'L' }) // version 1 by n2: tie
+	for _, h := range hosts {
+		if got := lockRead(t, h, d, page); got[0] != 'H' {
+			t.Fatalf("%v = %q, want 'H' (higher node ID wins tie)", h.id, got[0])
+		}
+	}
+}
+
+// TestEventualFirstCopyKeepsStamp: an eventual replica's first copy of a
+// page carries the version and writer of the write it holds, so a late
+// update of an older version loses to it.
+func TestEventualFirstCopyKeepsStamp(t *testing.T) {
+	d := testDesc(region.Eventual)
+	hosts := cluster(t, 3, d)
+	home, writer, reader := hosts[0], hosts[1], hosts[2]
+	page := d.Range.Start
+	lockWrite(t, writer, d, page, func(data []byte) { data[0] = 'A' }) // version 1
+	lockWrite(t, writer, d, page, func(data []byte) { data[0] = 'B' }) // version 2
+	if got := lockRead(t, reader, d, page); got[0] != 'B' {
+		t.Fatalf("first fetch read %q, want 'B'", got[0])
+	}
+	// The version-1 update, written before the copy the reader holds,
+	// arrives late.
+	data := make([]byte, d.Attrs.PageSize)
+	data[0] = 'A'
+	late := wire.UpdateItem{Page: page, Version: 1, Origin: writer.id}
+	f := frame.Copy(data)
+	late.SetFrame(f)
+	f.Release()
+	if _, err := reader.handle(context.Background(), home.id, &wire.UpdateBatch{From: home.id, Items: []wire.UpdateItem{late}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := lockRead(t, reader, d, page); got[0] != 'B' {
+		t.Errorf("replica = %q after a version-1 update over its version-2 copy, want 'B'", got[0])
+	}
+}
+
+// TestEventualCausalWriteWinsUnderSkew: a write made after its writer
+// read another must win, however often the other's writer had written.
+// n2 writes 50 times, n3 reads n2's 'A' and then writes 'B', and every
+// node, n2 included, reads 'B'.
+func TestEventualCausalWriteWinsUnderSkew(t *testing.T) {
+	d := testDesc(region.Eventual)
+	hosts := cluster(t, 3, d)
+	page := d.Range.Start
+	for range 50 {
+		lockWrite(t, hosts[1], d, page, func(data []byte) { data[0] = 'A' })
+	}
+	if got := lockRead(t, hosts[2], d, page); got[0] != 'A' {
+		t.Fatalf("n3 read %q before its write, want 'A'", got[0])
+	}
+	lockWrite(t, hosts[2], d, page, func(data []byte) { data[0] = 'B' })
+	for _, h := range hosts {
+		if got := lockRead(t, h, d, page); got[0] != 'B' {
+			t.Errorf("n%d reads %q after n3 wrote 'B' over the 'A' it had read, want 'B'", h.id, got[0])
+		}
+	}
+}
+
+// TestEventualUpdateParkedDuringWriteHold: an update pushed to a page
+// while a local writer holds it parks, and the release settles it against
+// the writer's claim by (version, node). Both writes are at version 1, so
+// the higher node's wins: the parked 'P' when it comes from a higher node
+// than the writer's 'W', the claim otherwise. Every node then reads the
+// same bytes.
+func TestEventualUpdateParkedDuringWriteHold(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		holder, pusher int // host indexes
+		want           byte
+	}{
+		{"parked-from-higher-node-wins", 1, 2, 'P'},
+		{"claim-from-higher-node-wins", 2, 1, 'W'},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := testDesc(region.Eventual)
+			hosts := cluster(t, 3, d)
+			page := d.Range.Start
+			for _, h := range hosts {
+				_ = lockRead(t, h, d, page)
+			}
+			holder, ctx := hosts[tc.holder], context.Background()
+			if err := acquirePage(ctx, holder.cm(d), d, page, ktypes.LockWrite); err != nil {
+				t.Fatal(err)
+			}
+			// The pusher's write reaches the home, whose gossip meets the
+			// holder's write lock.
+			lockWrite(t, hosts[tc.pusher], d, page, func(data []byte) { data[0] = 'P' })
+			tab := tableOf(holder, d)
+			mu := tab.PushLock()
+			mu.Lock()
+			parked := tab.Rec(page).Pending
+			mu.Unlock()
+			if parked == nil || parked.Version != 1 || parked.Origin != hosts[tc.pusher].id {
+				t.Fatalf("parked update = %+v, want version 1 from %v", parked, hosts[tc.pusher].id)
+			}
+			data := snapshot(holder, d, page)
+			data[0] = 'W'
+			if err := storeBytes(holder, page, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := releasePage(ctx, holder.cm(d), d, page, ktypes.LockWrite, true); err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range hosts {
+				if got := lockRead(t, h, d, page); got[0] != tc.want {
+					t.Errorf("%v reads %q, want %q", h.id, got[0], tc.want)
+				}
+			}
+		})
 	}
 }
 

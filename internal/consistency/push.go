@@ -15,11 +15,12 @@ import (
 // handlePush applies an UpdateBatch under release or eventual
 // consistency: a release's dirty pages at the home, a retry or dirty
 // eviction (§3.4, §3.5), or the home's gossip at a replica. The reply
-// mirrors the batch with the state here of each page, and the bytes where
-// they beat the pushed write. Under release consistency the home stores
-// and bumps each page, and a failed store fails the batch. Under last
-// writer wins an update parks under a local write lock or applies if
-// newer, a failed install is counted, and the home gossips what it took.
+// mirrors the batch with the state here of each page, and under last
+// writer wins the bytes where they beat the pushed write. Under release
+// consistency the home stores and bumps each page, and a failed store
+// fails the batch. Under last writer wins an update parks under a local
+// write lock or applies if newer, a failed install is counted, and the
+// home gossips what it took.
 func (c *Engine) handlePush(ctx context.Context, desc *region.Descriptor, from ktypes.NodeID, msg *wire.UpdateBatch) (wire.Msg, error) {
 	home := isHome(c.h, desc)
 	if !home && !c.p.lww {
@@ -45,7 +46,7 @@ func (c *Engine) handlePush(ctx context.Context, desc *region.Descriptor, from k
 		var err error
 		if c.p.lww {
 			var applied bool
-			if applied, err = c.lwwInbound(tab, it.Page, f, it.Stamp, it.Origin); err != nil {
+			if applied, err = c.lwwInbound(tab, it.Page, f, it.Version, it.Origin); err != nil {
 				c.applyFailures.Add(1)
 			}
 			if applied && home {
@@ -63,8 +64,8 @@ func (c *Engine) handlePush(ctx context.Context, desc *region.Descriptor, from k
 			return nil, fmt.Errorf("consistency: push %v: %w", it.Page, err)
 		}
 		e, _ := tab.Lookup(it.Page)
-		resp.Items[i] = wire.UpdateItem{Page: it.Page, Version: e.Version, Stamp: e.Stamp, Origin: e.StampNode}
-		if newer(e.Stamp, e.StampNode, it.Stamp, it.Origin) {
+		resp.Items[i] = wire.UpdateItem{Page: it.Page, Version: e.Version, Origin: e.Owner}
+		if c.p.lww && newer(e.Version, e.Owner, it.Version, it.Origin) {
 			if _, af := winning(tab, it.Page); af != nil {
 				resp.Items[i].SetFrame(af)
 				af.Release()
@@ -76,11 +77,12 @@ func (c *Engine) handlePush(ctx context.Context, desc *region.Descriptor, from k
 	return resp, nil
 }
 
-// newer reports whether stamp (s, n) supersedes (t, m) under last writer
-// wins, ties broken by node ID.
-func newer(s int64, n ktypes.NodeID, t int64, m ktypes.NodeID) bool {
-	if s != t {
-		return s > t
+// newer reports whether the write (v, n) supersedes (u, m) under last
+// writer wins: the higher page version, ties broken by the writer's node
+// ID.
+func newer(v uint64, n ktypes.NodeID, u uint64, m ktypes.NodeID) bool {
+	if v != u {
+		return v > u
 	}
 	return n > m
 }
@@ -88,7 +90,7 @@ func newer(s int64, n ktypes.NodeID, t int64, m ktypes.NodeID) bool {
 // winning returns the page's entry and its last-writer-wins copy, the
 // newest frame of its version chain (nil when it has none), with a
 // reference the caller must Release. lwwApply changes both in one step,
-// so the stamp read here is the copy's.
+// so the (Version, Owner) read here is the copy's.
 func winning(tab *pagedir.Table, page gaddr.Addr) (e pagedir.Entry, f *frame.Frame) {
 	tab.With(page, func(p *pagedir.Page) {
 		if e = p.Entry; p.Chain != nil {
@@ -99,13 +101,13 @@ func winning(tab *pagedir.Table, page gaddr.Addr) (e pagedir.Entry, f *frame.Fra
 	return e, f
 }
 
-// lwwApply installs (f, stamp, origin) if it supersedes the page's stamp:
-// f (borrowed) is stored and becomes the winning copy, or, when nil, the
-// copy stored here does (a local write claiming its stamp). The caller
-// holds the table's push lock.
-func (c *Engine) lwwApply(tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, stamp int64, origin ktypes.NodeID) (bool, error) {
+// lwwApply installs the write (f, version, origin) if it supersedes the
+// page's (Version, Owner): f (borrowed) is stored and becomes the winning
+// copy, or, when nil, the copy stored here does (a local write claiming
+// its version). The caller holds the table's push lock.
+func (c *Engine) lwwApply(tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, version uint64, origin ktypes.NodeID) (bool, error) {
 	rec := tab.Touch(page)
-	if e, _ := tab.Lookup(page); !newer(stamp, origin, e.Stamp, e.StampNode) {
+	if e, _ := tab.Lookup(page); !newer(version, origin, e.Version, e.Owner) {
 		return false, nil
 	}
 	if f == nil {
@@ -119,8 +121,7 @@ func (c *Engine) lwwApply(tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, s
 		return false, err
 	}
 	tab.With(page, func(p *pagedir.Page) {
-		p.Stamp, p.StampNode = stamp, origin
-		p.Version++
+		p.Version, p.Owner = version, origin
 		p.State = pagedir.Shared
 		f.SetVersion(p.Version)
 		c.publishLocked(p, f)
@@ -131,24 +132,26 @@ func (c *Engine) lwwApply(tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, s
 // lwwInbound takes one pushed update (f borrowed): it parks while a local
 // writer holds the page, replacing an older parked update, and applies
 // otherwise. The caller holds the table's push lock.
-func (c *Engine) lwwInbound(tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, stamp int64, origin ktypes.NodeID) (bool, error) {
+func (c *Engine) lwwInbound(tab *pagedir.Table, page gaddr.Addr, f *frame.Frame, version uint64, origin ktypes.NodeID) (bool, error) {
 	if !tab.WriteLocked(page) {
-		return c.lwwApply(tab, page, f, stamp, origin)
+		return c.lwwApply(tab, page, f, version, origin)
 	}
 	p := tab.Touch(page)
-	if prev := p.Pending; prev == nil || newer(stamp, origin, prev.Stamp, prev.Origin) {
+	if prev := p.Pending; prev == nil || newer(version, origin, prev.Version, prev.Origin) {
 		if prev != nil {
 			prev.Frame.Release()
 		}
 		//khazana:frame-owner the parked update holds it until applied or superseded
-		p.Pending = &pagedir.Parked{Frame: f.Retain(), Stamp: stamp, Origin: origin}
+		p.Pending = &pagedir.Parked{Frame: f.Retain(), Version: version, Origin: origin}
 	}
 	return false, nil
 }
 
-// applyPending installs the update parked on page while its write lock
-// was held. When the home applies it, it still owes the copyset a gossip
-// round, or replicas that missed it would never converge.
+// applyPending settles the update parked on page while its write lock was
+// held, after the hold's claim: the writer never read that update, so the
+// two writes are concurrent and newer picks one. When the home applies
+// it, it still owes the copyset a gossip round, or replicas that missed it
+// would never converge.
 func (c *Engine) applyPending(ctx context.Context, desc *region.Descriptor, tab *pagedir.Table, page gaddr.Addr) {
 	p := tab.Rec(page)
 	if p == nil {
@@ -161,7 +164,7 @@ func (c *Engine) applyPending(ctx context.Context, desc *region.Descriptor, tab 
 	applied := false
 	if upd != nil {
 		var err error
-		if applied, err = c.lwwApply(tab, page, upd.Frame, upd.Stamp, upd.Origin); err != nil {
+		if applied, err = c.lwwApply(tab, page, upd.Frame, upd.Version, upd.Origin); err != nil {
 			c.applyFailures.Add(1)
 		}
 	}
@@ -175,13 +178,13 @@ func (c *Engine) applyPending(ctx context.Context, desc *region.Descriptor, tab 
 	}
 }
 
-// claim is an eventual write's release: the batch's dirty pages claim one
-// clock stamp, and a page whose claim loses to a newer update that
-// arrived during the hold rolls back to the winning copy. The home
-// gossips the claimed pages; a replica pushes them home in one
-// UpdateBatch. It returns the per-page errors, nil when none failed.
+// claim is an eventual write's release: each dirty page takes the version
+// after the one the writer held, so the write wins here and supersedes
+// every write it could have read. The home gossips the claimed pages; a
+// replica pushes them home in one UpdateBatch. It returns the per-page
+// errors, nil when none failed.
 func (c *Engine) claim(ctx context.Context, desc *region.Descriptor, tab *pagedir.Table, pages []gaddr.Addr, dirty []bool) []error {
-	stamp, self := c.h.Clock(), c.h.Self()
+	self := c.h.Self()
 	var errs []error
 	setErr := func(i int, err error) {
 		if errs == nil {
@@ -197,23 +200,13 @@ func (c *Engine) claim(ctx context.Context, desc *region.Descriptor, tab *pagedi
 		if !isDirty(dirty, i) {
 			continue
 		}
-		won, err := c.lwwApply(tab, p, nil, stamp, self)
-		switch {
-		case err != nil:
+		e, _ := tab.Lookup(p)
+		if _, err := c.lwwApply(tab, p, nil, e.Version+1, self); err != nil {
 			setErr(i, err)
-		case won:
-			claimed = append(claimed, p)
-			at = append(at, i)
-		default:
-			// A newer update won while we were writing: our bytes lose,
-			// and the copy rolls back to the winning one.
-			if _, f := winning(tab, p); f != nil {
-				if err := c.h.StorePage(tab.Touch(p), f); err != nil {
-					setErr(i, err)
-				}
-				f.Release()
-			}
+			continue
 		}
+		claimed = append(claimed, p)
+		at = append(at, i)
 	}
 	mu.Unlock()
 	if isHome(c.h, desc) {
@@ -257,10 +250,10 @@ func (c *Engine) gossip(ctx context.Context, tab *pagedir.Table, pages []gaddr.A
 		if f == nil {
 			continue
 		}
-		items = append(items, wire.UpdateItem{Page: page, Stamp: e.Stamp, Origin: e.StampNode})
+		items = append(items, wire.UpdateItem{Page: page, Version: e.Version, Origin: e.Owner})
 		frames = append(frames, f)
 		for _, n := range e.Copyset {
-			if n == self || n == e.StampNode {
+			if n == self || n == e.Owner {
 				continue
 			}
 			if _, seen := dests[n]; !seen {

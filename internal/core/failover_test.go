@@ -15,6 +15,7 @@ import (
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 	"khazana/internal/region"
+	"khazana/internal/telemetry"
 	"khazana/internal/transport"
 )
 
@@ -50,6 +51,60 @@ func replicatedRegion(t *testing.T) (*transport.Network, []*Node, gaddr.Addr) {
 	// land too, so the tests below may promote either secondary directly.
 	nodes[1].ReplSettle()
 	return net, nodes, start
+}
+
+// TestUnloggedReleaseIsCounted: a replicated release whose log append
+// fails still returns success, and each one counts in
+// consistency.release_unlogged. Migrating a replicated region to its
+// first secondary leaves the log's leader at the old primary, so the log
+// refuses the new primary's appends; an unmigrated region logs them all.
+func TestUnloggedReleaseIsCounted(t *testing.T) {
+	const writes = 3
+	for _, migrated := range []bool{false, true} {
+		t.Run(map[bool]string{false: "unmigrated", true: "migrated"}[migrated], func(t *testing.T) {
+			_, nodes, start := replicatedRegion(t)
+			ctx := context.Background()
+			d := nodes[1].authDescByStart(start)
+			if migrated {
+				if err := nodes[1].MigrateRegion(ctx, start, d.Home[1], "alice"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var writer *Node
+			for _, n := range nodes {
+				if !d.HasHome(n.ID()) {
+					writer = n
+				}
+			}
+			unlogged := func() (sum uint64) {
+				for _, n := range nodes {
+					sum += n.Telemetry().Counter(telemetry.MetricReleaseUnlogged).Load()
+				}
+				return sum
+			}
+			for i := range writes {
+				lc, err := writer.Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockWrite, "alice")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := writer.Write(lc, start, []byte{'x', byte('0' + i)}); err != nil {
+					t.Fatal(err)
+				}
+				if err := writer.Unlock(ctx, lc); err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range nodes {
+					n.ReplSettle()
+				}
+			}
+			switch got := unlogged(); {
+			case migrated && got < writes:
+				t.Fatalf("%d releases unlogged after %d writes to a migrated region, want at least %d", got, writes, writes)
+			case !migrated && got != 0:
+				t.Fatalf("%d releases unlogged on an unmigrated region, want 0", got)
+			}
+		})
+	}
 }
 
 func TestReleaseAppendsToReplicatedLog(t *testing.T) {

@@ -77,8 +77,6 @@ type Config struct {
 	Migration MigrationPolicy
 	// Registry supplies consistency protocols; nil uses the built-ins.
 	Registry *consistency.Registry
-	// Clock supplies last-writer-wins stamps; nil uses wall time.
-	Clock func() int64
 	// Tracer, when set, observes the named protocol steps of Figure 2.
 	Tracer func(step string)
 	// Telemetry supplies the metrics registry and trace recorder; nil
@@ -165,8 +163,6 @@ type Node struct {
 	// single election instead of racing the descriptor reorder.
 	promoMu sync.Mutex
 	promo   map[gaddr.Addr]chan struct{}
-
-	clock atomic.Int64
 
 	// app is the application-message hook (see SetAppHandler).
 	appMu sync.Mutex
@@ -651,25 +647,6 @@ func (n *Node) trace(step string) {
 	}
 }
 
-// now returns an LWW timestamp.
-func (n *Node) now() int64 {
-	if n.cfg.Clock != nil {
-		return n.cfg.Clock()
-	}
-	// Wall time with a monotonic bump so two calls never return the
-	// same stamp on one node.
-	for {
-		prev := n.clock.Load()
-		t := time.Now().UnixNano()
-		if t <= prev {
-			t = prev + 1
-		}
-		if n.clock.CompareAndSwap(prev, t) {
-			return t
-		}
-	}
-}
-
 // onDiskEvict runs when a page leaves the node entirely (§3.4: the disk
 // cache must invoke the consistency protocol before victimizing a page).
 // A dirty page goes home through its region's CM first. The frame is
@@ -758,9 +735,6 @@ func (h hostView) DropPage(p *pagedir.Page) {
 // Repl implements consistency.Host, handing CMs the node's replicated
 // region-metadata log so homes can append deltas before acking releases.
 func (h hostView) Repl() *replog.Log { return h.n.repl }
-
-// Clock implements consistency.Host.
-func (h hostView) Clock() int64 { return h.n.now() }
 
 // Telemetry implements consistency.Host.
 func (h hostView) Telemetry() *telemetry.Registry { return h.n.tel }

@@ -65,14 +65,12 @@ type Entry struct {
 	Copyset []ktypes.NodeID
 	// spare is the copyset setCopyset last replaced, as immutable. The
 	// one-byte fields above sit together so that with it the entry still
-	// packs into 96 bytes.
+	// packs into 80 bytes.
 	spare []ktypes.NodeID
-	// Version counts committed writes to the page.
+	// Version is the page's one clock: it counts committed writes, and
+	// under the eventual protocol (Version, Owner) orders concurrent
+	// writes, Owner being the winning write's writer.
 	Version uint64
-	// Stamp is the last-writer-wins timestamp for the eventual protocol.
-	Stamp int64
-	// StampNode breaks Stamp ties.
-	StampNode ktypes.NodeID
 }
 
 // InCopyset reports whether n is in the entry's copyset.
@@ -244,8 +242,9 @@ func (d *Dir) HomedPages() []gaddr.Addr {
 	return out
 }
 
-// persistMagic guards the persistence format.
-const persistMagic = 0x4b50_4449 // "KPDI"
+// persistMagic guards the persistence format; it changes with the entry
+// layout, so a file in an older layout is refused, not misread.
+const persistMagic = 0x4b50_4432 // "KPD2"
 
 // SaveTo writes the locally homed entries (the persistent part of the
 // directory, §3.4) to w.
@@ -266,8 +265,6 @@ func (d *Dir) SaveTo(w io.Writer) error {
 		e.NodeIDs(ent.Copyset)
 		e.U64(ent.Version)
 		e.Bool(ent.Dirty)
-		e.I64(ent.Stamp)
-		e.NodeID(ent.StampNode)
 	}
 	_, err := w.Write(e.Bytes())
 	return err
@@ -295,8 +292,6 @@ func (d *Dir) LoadFrom(r io.Reader, tableOf func(page gaddr.Addr) *Table) error 
 		ent.Copyset = dec.NodeIDs()
 		ent.Version = dec.U64()
 		ent.Dirty = dec.Bool()
-		ent.Stamp = dec.I64()
-		ent.StampNode = dec.NodeID()
 		if dec.Err() != nil {
 			return fmt.Errorf("pagedir: decode entry %d: %w", i, dec.Err())
 		}

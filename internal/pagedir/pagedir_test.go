@@ -7,10 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"khazana/internal/enc"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 )
@@ -310,8 +313,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		e.Copyset = []ktypes.NodeID{1, 4}
 		e.Version = 12
 		e.Dirty = true
-		e.Stamp = 999
-		e.StampNode = 4
 	})
 	d.Update(pg(2), func(e *Entry) { e.State = Shared }) // remote-homed: not persisted
 
@@ -327,12 +328,40 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("restored Len = %d", d2.Len())
 	}
 	got, ok := d2.Lookup(pg(1))
-	if !ok || got.State != Owned || got.Version != 12 || !got.Dirty ||
-		!got.HomedLocal || got.Stamp != 999 || got.StampNode != 4 {
+	if !ok || got.State != Owned || got.Owner != 1 || got.Version != 12 || !got.Dirty || !got.HomedLocal {
 		t.Fatalf("restored entry = %+v", got)
 	}
 	if len(got.Copyset) != 2 || got.Copyset[1] != 4 {
 		t.Fatalf("restored copyset = %v", got.Copyset)
+	}
+
+	// The same entry in the layout before the eventual protocol's stamp
+	// pair left it: refused by its magic, not misread.
+	old := enc.NewEncoder(64)
+	old.U32(0x4b50_4449)
+	old.U32(1)
+	old.Addr(pg(1))
+	old.U8(uint8(Owned))
+	old.NodeID(1)
+	old.NodeIDs([]ktypes.NodeID{1, 4})
+	old.U64(12)
+	old.Bool(true)
+	old.I64(999)
+	old.NodeID(4)
+	d3 := newTestDir()
+	if err := d3.LoadFrom(bytes.NewReader(old.Bytes()), d3.Find); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("old-layout file: err = %v, want bad magic", err)
+	}
+	if d3.Len() != 0 {
+		t.Fatalf("old-layout file restored %d entries", d3.Len())
+	}
+}
+
+// TestEntryPacksInto80Bytes: every page record embeds an entry, so its
+// layout is part of the per-page memory cost.
+func TestEntryPacksInto80Bytes(t *testing.T) {
+	if s := unsafe.Sizeof(Entry{}); s != 80 {
+		t.Fatalf("Entry is %d bytes, want 80", s)
 	}
 }
 
@@ -383,7 +412,7 @@ func TestConcurrentUpdates(t *testing.T) {
 // Property: save/load preserves every homed entry for arbitrary field
 // values.
 func TestQuickPersistRoundTrip(t *testing.T) {
-	f := func(pagesSeed []uint16, version uint64, stamp int64, dirty bool) bool {
+	f := func(pagesSeed []uint16, version uint64, owner uint32, dirty bool) bool {
 		d := newTestDir()
 		seen := make(map[gaddr.Addr]bool)
 		for _, s := range pagesSeed {
@@ -392,7 +421,7 @@ func TestQuickPersistRoundTrip(t *testing.T) {
 			d.Update(p, func(e *Entry) {
 				e.HomedLocal = true
 				e.Version = version
-				e.Stamp = stamp
+				e.Owner = ktypes.NodeID(owner)
 				e.Dirty = dirty
 				e.AddSharer(ktypes.NodeID(s%5 + 1))
 			})
@@ -410,7 +439,7 @@ func TestQuickPersistRoundTrip(t *testing.T) {
 		}
 		for p := range seen {
 			got, ok := d2.Lookup(p)
-			if !ok || got.Version != version || got.Stamp != stamp || got.Dirty != dirty {
+			if !ok || got.Version != version || got.Owner != ktypes.NodeID(owner) || got.Dirty != dirty {
 				return false
 			}
 		}

@@ -37,9 +37,9 @@ type Page struct {
 // Parked is an update held until the page's local write lock releases.
 type Parked struct {
 	//khazana:frame-owner released when the parked update is applied or superseded
-	Frame  *frame.Frame
-	Stamp  int64
-	Origin ktypes.NodeID
+	Frame   *frame.Frame
+	Version uint64
+	Origin  ktypes.NodeID
 }
 
 // Resident is a page's slot in the RAM tier.

@@ -77,6 +77,10 @@ const (
 	// releases that failed at their receiver. No reply reports them, so
 	// the releaser does not retry them.
 	MetricReleaseOneWayFailed = "consistency.release_oneway_failed"
+	// MetricReleaseUnlogged counts replicated CREW releases whose log
+	// append failed at the home (it is not the log's leader, or no
+	// majority took the append): the release still returned success.
+	MetricReleaseUnlogged = "consistency.release_unlogged"
 	// MetricPrefetchSpecPages, MetricPrefetchHits and MetricPrefetchWaste
 	// named the retired read-ahead grants' instruments. Nothing registers
 	// them any more; they stay only so the benchmark module, which still

@@ -92,7 +92,7 @@ func FuzzReplAppendWire(f *testing.F) {
 		want = legacyAppendBytes32(want, snap)
 		want = legacyAppendU16(want, uint16(len(pages)))
 		for _, it := range pages {
-			want = legacyUpdateItemBody(want, it.Page, it.Data, it.Version, it.Stamp, it.Origin)
+			want = legacyUpdateItemBody(want, it.Page, it.Data, it.Version, it.Origin)
 		}
 		m.ReleaseFrames()
 		if !bytes.Equal(got, want) {

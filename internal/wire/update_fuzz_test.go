@@ -16,28 +16,27 @@ func legacyAppendAddr(b []byte, a gaddr.Addr) []byte {
 	return legacyAppendU64(b, a.Lo)
 }
 
-func legacyUpdateItemBody(b []byte, page gaddr.Addr, data []byte, version uint64, stamp int64, origin ktypes.NodeID) []byte {
+func legacyUpdateItemBody(b []byte, page gaddr.Addr, data []byte, version uint64, origin ktypes.NodeID) []byte {
 	b = legacyAppendAddr(b, page)
 	b = legacyAppendBytes32(b, data)
 	b = legacyAppendU64(b, version)
-	b = legacyAppendU64(b, uint64(stamp))
 	return legacyAppendU32(b, uint32(origin))
 }
 
 // FuzzUpdateBatchWire proves the UpdateBatch encoding contract: a batch is
-// its items' (page, contents, version, stamp, origin) bodies behind a
+// its items' (page, contents, version, origin) bodies behind a
 // (from, count) prefix, and the frame-backed marshal path is
 // byte-identical to the bare-slice one. The same items sent as a
 // ReplicaPut encode to the same body behind ReplicaPut's kind and decode
 // back to the same items.
 func FuzzUpdateBatchWire(f *testing.F) {
-	f.Add([]byte("page one"), []byte(""), uint64(7), int64(42), uint32(3), uint32(9))
-	f.Add([]byte{}, bytes.Repeat([]byte{0xEE}, 4096), uint64(0), int64(-1), uint32(0), uint32(1))
-	f.Fuzz(func(t *testing.T, d1, d2 []byte, version uint64, stamp int64, origin, from uint32) {
+	f.Add([]byte("page one"), []byte(""), uint64(7), uint32(3), uint32(9))
+	f.Add([]byte{}, bytes.Repeat([]byte{0xEE}, 4096), uint64(0), uint32(0), uint32(1))
+	f.Fuzz(func(t *testing.T, d1, d2 []byte, version uint64, origin, from uint32) {
 		pages := []gaddr.Addr{{Hi: 1, Lo: 0x100000}, {Hi: 1, Lo: 0x101000}}
 		m := &UpdateBatch{From: ktypes.NodeID(from), Items: []UpdateItem{
-			{Page: pages[0], Version: version, Stamp: stamp, Origin: ktypes.NodeID(origin)},
-			{Page: pages[1], Version: version + 1, Stamp: stamp, Origin: ktypes.NodeID(origin)},
+			{Page: pages[0], Version: version, Origin: ktypes.NodeID(origin)},
+			{Page: pages[1], Version: version + 1, Origin: ktypes.NodeID(origin)},
 		}}
 		var frames []*frame.Frame
 		for i, d := range [][]byte{d1, d2} {
@@ -61,7 +60,7 @@ func FuzzUpdateBatchWire(f *testing.F) {
 		want = legacyAppendU16(want, uint16(len(m.Items)))
 		for i := range m.Items {
 			it := &m.Items[i]
-			want = legacyUpdateItemBody(want, it.Page, it.Data, it.Version, it.Stamp, it.Origin)
+			want = legacyUpdateItemBody(want, it.Page, it.Data, it.Version, it.Origin)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("batch marshal diverged from the hand-rolled item bodies:\n got %x\nwant %x", got, want)
@@ -93,7 +92,7 @@ func FuzzUpdateBatchWire(f *testing.F) {
 		}
 		for i := range rp.Items {
 			a, b := rp.Items[i], ub.Items[i]
-			if !bytes.Equal(a.Data, b.Data) || a.Page != b.Page || a.Version != b.Version || a.Stamp != b.Stamp || a.Origin != b.Origin {
+			if !bytes.Equal(a.Data, b.Data) || a.Page != b.Page || a.Version != b.Version || a.Origin != b.Origin {
 				t.Fatalf("replica put item %d differs from the batch's", i)
 			}
 		}
@@ -107,7 +106,7 @@ func FuzzUpdateBatchWire(f *testing.F) {
 			if !bytes.Equal(it.Data, wantData) {
 				t.Fatalf("item %d payload did not round trip", i)
 			}
-			if it.Page != pages[i] || it.Stamp != stamp || it.Origin != ktypes.NodeID(origin) {
+			if it.Page != pages[i] || it.Version != version+uint64(i) || it.Origin != ktypes.NodeID(origin) {
 				t.Fatalf("item %d scalar fields did not round trip", i)
 			}
 			df := it.TakeFrame()

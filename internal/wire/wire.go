@@ -1131,9 +1131,8 @@ type UpdateItem struct {
 	Page    gaddr.Addr
 	Data    []byte
 	Version uint64
-	// Stamp orders concurrent eventual-protocol writes (last writer
-	// wins); ties break on Origin. Zero outside the eventual protocol.
-	Stamp  int64
+	// Origin is the version's writer. Under the eventual protocol
+	// (Version, Origin) orders concurrent writes: last writer wins.
 	Origin ktypes.NodeID
 
 	// dataFrame, when non-nil, backs Data with a refcounted page frame
@@ -1145,8 +1144,8 @@ type UpdateItem struct {
 // single RPC: a release or eventual write's push home, eventual gossip
 // rounds, dirty-page eviction, and the §3.5 background retry drain. Its
 // reply is an UpdateBatch mirroring it item for item with the receiver's
-// state of each page: version, stamp and origin, and the receiver's bytes
-// only where its stamp beats the pushed one.
+// state of each page: version and origin, and the receiver's bytes only
+// where its (version, origin) beats the pushed one.
 type UpdateBatch struct {
 	From  ktypes.NodeID
 	Items []UpdateItem
@@ -1164,14 +1163,13 @@ func (m *UpdateBatch) decode(d *enc.Decoder) {
 }
 
 // encodeUpdateItems writes the item codec UpdateBatch, ReplicaPut and
-// ReplAppend's page trailer share: a count, then page, contents, version, stamp and origin.
+// ReplAppend's page trailer share: a count, then page, contents, version and origin.
 func encodeUpdateItems(e *enc.Encoder, items []UpdateItem) {
 	e.U16(uint16(len(items)))
 	for _, it := range items {
 		e.Addr(it.Page)
 		e.Bytes32(it.Data)
 		e.U64(it.Version)
-		e.I64(it.Stamp)
 		e.NodeID(it.Origin)
 	}
 }
@@ -1189,7 +1187,6 @@ func decodeUpdateItems(d *enc.Decoder) []UpdateItem {
 		it.Page = d.Addr()
 		it.dataFrame = d.Bytes32Frame()
 		it.Version = d.U64()
-		it.Stamp = d.I64()
 		it.Origin = d.NodeID()
 		if d.Err() != nil {
 			if it.dataFrame != nil {

@@ -121,8 +121,8 @@ func sampleMessages() []Msg {
 			},
 		},
 		&UpdateBatch{From: 2, Items: []UpdateItem{
-			{Page: gaddr.New(0, 0x3000), Data: []byte("u1"), Version: 4, Stamp: 99, Origin: 2},
-			{Page: gaddr.New(0, 0x4000), Data: []byte("u2"), Version: 5, Stamp: 100, Origin: 3},
+			{Page: gaddr.New(0, 0x3000), Data: []byte("u1"), Version: 4, Origin: 2},
+			{Page: gaddr.New(0, 0x4000), Data: []byte("u2"), Version: 5, Origin: 3},
 		}},
 		&UpdateBatch{From: 1},
 		&SnapshotReqBatch{
@@ -473,7 +473,7 @@ func TestQuickUnmarshalNoPanic(t *testing.T) {
 // Property: fuzzing a valid message's bytes either fails cleanly or yields
 // some message; it never panics.
 func TestQuickBitFlipNoPanic(t *testing.T) {
-	base := Marshal(&UpdateBatch{From: 3, Items: []UpdateItem{{Page: gaddr.New(0, 0x4000), Data: []byte("data"), Version: 2, Stamp: 5, Origin: 3}}})
+	base := Marshal(&UpdateBatch{From: 3, Items: []UpdateItem{{Page: gaddr.New(0, 0x4000), Data: []byte("data"), Version: 2, Origin: 3}}})
 	f := func(pos int, bit uint8) (ok bool) {
 		defer func() {
 			if recover() != nil {
