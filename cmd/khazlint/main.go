@@ -1,140 +1,80 @@
-// Command khazlint runs Khazana's custom static-analysis suite: the
-// analyzers enforcing the concurrency and error-handling invariants the
-// daemon's correctness depends on (see README "Static analysis & CI").
-// Three of them — lockorder's cycle detection, blockunderlock, and
-// framerelease — are whole-program: they build a call graph over every
-// loaded package and reason across function and package boundaries.
-//
-// Standalone:
+// Command khazlint runs Khazana's static-analysis suite: the analyzers
+// enforcing the concurrency and error-handling invariants the daemon's
+// correctness depends on (see README "Static analysis & CI").
 //
 //	go run ./cmd/khazlint ./...
-//	khazlint -list
-//	khazlint -only lockorder,erricheck ./...
-//	khazlint -json ./...
-//	khazlint -baseline lint-baseline.json ./...   (fail on new findings AND stale entries)
-//	khazlint -write-baseline lint-baseline.json ./...
-//	khazlint -prune-baseline lint-baseline.json ./... (drop stale entries in place)
-//	khazlint -graph ./...                          (dump the call graph)
 //
-// As a go vet tool (the unitchecker protocol):
-//
-//	go build -o bin/khazlint ./cmd/khazlint
-//	go vet -vettool=$PWD/bin/khazlint ./...
+// It loads every package matching the patterns (./... when none is given)
+// as one program, so the whole-program passes — lockorder's cycle
+// detection, blockunderlock and framerelease — build one call graph and
+// reason across function and package boundaries. It prints one
+// file:line:col: [analyzer] message line per finding and takes no flags:
+// a deliberate exception is a //khazana:<directive> <reason> comment at
+// its site.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load errors.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"khazana/internal/lint"
-	"khazana/internal/lint/analysis"
+	"khazana/internal/lint/loader"
 )
 
 func main() {
-	// go vet handshake: `tool -V=full` must print a stable identity line
-	// the build system can cache against.
-	if len(os.Args) == 2 && (os.Args[1] == "-V=full" || os.Args[1] == "--V=full") {
-		printVersion()
-		return
-	}
-	// go vet handshake: `tool -flags` must print a JSON description of the
-	// tool's flags so the go command knows what it may pass through.
-	// khazlint accepts none in vettool mode.
-	if len(os.Args) == 2 && (os.Args[1] == "-flags" || os.Args[1] == "--flags") {
-		fmt.Println("[]")
-		return
-	}
-
-	listFlag := flag.Bool("list", false, "list analyzers and exit")
-	onlyFlag := flag.String("only", "", "comma-separated subset of analyzers to run")
-	jsonFlag := flag.Bool("json", false, "print findings as JSON")
-	graphFlag := flag.Bool("graph", false, "dump the whole-program call graph and exit")
-	baselineFlag := flag.String("baseline", "", "baseline file: suppress findings recorded there, fail on new findings and on stale entries")
-	writeBaselineFlag := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
-	pruneBaselineFlag := flag.String("prune-baseline", "", "rewrite this baseline file dropping entries whose findings are fixed, then exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: khazlint [flags] [packages]\n       khazlint <file>.cfg   (go vet -vettool mode)\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: khazlint [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, firstLine(a.Doc))
+			doc, _, _ := strings.Cut(a.Doc, "\n")
+			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, doc)
 		}
-		fmt.Fprintf(os.Stderr, "\nFlags:\n")
-		flag.PrintDefaults()
 	}
 	flag.Parse()
+	os.Exit(run(flag.Args(), os.Stdout, os.Stderr))
+}
 
-	if *listFlag {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, firstLine(a.Doc))
-		}
-		return
+// run lints the packages matching patterns, printing findings to stdout
+// and errors to stderr, and returns the exit status.
+func run(patterns []string, stdout, stderr io.Writer) int {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-
-	analyzers, err := selectAnalyzers(*onlyFlag)
+	pkgs, err := loader.Load("", patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "khazlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "khazlint:", err)
+		return 2
 	}
-
-	args := flag.Args()
-	// go vet mode: a single argument naming a JSON config file.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0], analyzers))
+	findings, err := lint.Check(pkgs)
+	if err != nil {
+		fmt.Fprintln(stderr, "khazlint:", err)
+		return 2
 	}
-
-	if len(args) == 0 {
-		args = []string{"./..."}
+	for _, f := range findings {
+		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", relPath(f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 	}
-	os.Exit(standalone(args, analyzers, options{
-		jsonOut:       *jsonFlag,
-		graph:         *graphFlag,
-		baselinePath:  *baselineFlag,
-		writeBaseline: *writeBaselineFlag,
-		pruneBaseline: *pruneBaselineFlag,
-	}))
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "khazlint: %d finding(s)\n", len(findings))
+		return 1
+	}
+	return 0
 }
 
-func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
-	all := lint.Analyzers()
-	if only == "" {
-		return all, nil
+// relPath renders a position filename relative to the working directory
+// when that is shorter, keeping the output machine-independent.
+func relPath(name string) string {
+	wd, err := os.Getwd()
+	if err != nil {
+		return name
 	}
-	byName := make(map[string]*analysis.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
+	rel, err := filepath.Rel(wd, name)
+	if err != nil || len(rel) >= len(name) {
+		return name
 	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(only, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// printVersion emits the `-V=full` identity line: name, version, and a
-// content hash of the executable so the go command's vet cache is
-// invalidated when the tool changes.
-func printVersion() {
-	name := "khazlint"
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			id = fmt.Sprintf("%x", sha256.Sum256(data))[:32]
-		}
-	}
-	fmt.Printf("%s version devel buildID=%s\n", name, id)
+	return rel
 }

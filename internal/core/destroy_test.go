@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -495,5 +496,62 @@ func TestUnreserveTombstonesSharerWithoutDirectoryEntry(t *testing.T) {
 	}
 	if sharer.dir.At(start) != nil {
 		t.Fatal("the sharer kept the destroyed region's page table")
+	}
+}
+
+// TestTeardownInvalidateSendsNothing: a sharer that owns none of the
+// region's buckets, and whose directory no longer holds the region,
+// answers the destroy's InvalidateBatch from its own tables: it sends no
+// request of its own, and afterwards keeps no directory, ring-table or
+// page-table entry for the region.
+func TestTeardownInvalidateSendsNothing(t *testing.T) {
+	counter := &kindCounter{kinds: make(map[wire.Kind]int)}
+	_, nodes := testCluster(t, 3, func(i int, cfg *Config) {
+		if i == 2 {
+			counter.Transport = cfg.Transport
+			cfg.Transport = counter
+		}
+	})
+	ctx := context.Background()
+	home, sharer := nodes[0], nodes[2]
+	var start gaddr.Addr
+	for attempt := 0; ; attempt++ {
+		if attempt == 32 {
+			t.Fatal("no region among 32 avoided the sharer's buckets")
+		}
+		start = mkRegion(t, home, ring.BucketSize, region.Attrs{}, "")
+		desc, err := home.GetAttr(ctx, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(home.Ring().RangeOwners(desc.Range), sharer.ID()) {
+			break
+		}
+	}
+	lockUnlock(t, sharer, gaddr.Range{Start: start, Size: 4096}, ktypes.LockRead)
+	sharer.rdir.Remove(start)
+	if _, ok := sharer.RingTable().Lookup(start); ok {
+		t.Fatal("the sharer's ring table lists a region whose buckets it does not own")
+	}
+	counter.mu.Lock()
+	counter.kinds = make(map[wire.Kind]int)
+	counter.mu.Unlock()
+	if err := home.Unreserve(ctx, start, ""); err != nil {
+		t.Fatal(err)
+	}
+	counter.mu.Lock()
+	sent := maps.Clone(counter.kinds)
+	counter.mu.Unlock()
+	if len(sent) != 0 {
+		t.Fatalf("the sharer sent %v while answering the teardown, want nothing", sent)
+	}
+	if _, ok := sharer.RegionDir().Lookup(start); ok {
+		t.Fatal("the sharer's directory holds the destroyed region")
+	}
+	if sharer.dir.At(start) != nil {
+		t.Fatal("the sharer kept the destroyed region's page table")
+	}
+	if !sharer.RingTable().Destroyed(start) {
+		t.Fatal("the sharer did not tombstone the destroyed region")
 	}
 }

@@ -34,20 +34,21 @@ func (n *Node) handle(ctx context.Context, from ktypes.NodeID, m wire.Msg) (wire
 			return nil, fmt.Errorf("core: %v got empty invalidate batch", n.cfg.ID)
 		}
 		page := msg.Items[0].Page
-		reply, err := n.handleCM(ctx, from, page, m)
-		if msg.NewOwner == ktypes.NilNode {
-			// A teardown (dropRegionPages): the region is gone, and no
-			// destroy announce follows (ringDestroy), so the start is
-			// tombstoned here whichever table knows it.
-			if d, ok := n.rdir.Lookup(page); ok {
-				n.forgetRegion(d.Range.Start)
-			} else if d, ok := n.ringTable.Lookup(page); ok {
-				n.forgetRegion(d.Range.Start)
-			} else if tab := n.dir.Find(page); tab != nil {
-				n.forgetRegion(tab.Start())
-			}
+		if msg.NewOwner != ktypes.NilNode {
+			return n.handleCM(ctx, from, page, m)
 		}
-		return reply, err
+		// A teardown (dropRegionPages): the region is gone, and no destroy
+		// announce follows (ringDestroy). It is resolved from this node's
+		// own tables only, so the reply never waits on a third node, and
+		// forgetRegion drops every copy held here and tombstones the start.
+		if d, ok := n.rdir.Lookup(page); ok {
+			n.forgetRegion(d.Range.Start)
+		} else if d, ok := n.ringTable.Lookup(page); ok {
+			n.forgetRegion(d.Range.Start)
+		} else if tab := n.dir.Find(page); tab != nil {
+			n.forgetRegion(tab.Start())
+		}
+		return &wire.Ack{}, nil
 	case *wire.PageReqBatch:
 		if len(msg.Pages) == 0 {
 			return nil, fmt.Errorf("core: %v got empty page request batch", n.cfg.ID)

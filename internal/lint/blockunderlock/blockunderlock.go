@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -81,9 +80,8 @@ type witness struct {
 func runProgram(pass *analysis.ProgramPass) error {
 	g := pass.Program.Graph
 	summaries := computeSummaries(g)
-	ann := newAnnotations(pass.Program)
 	for _, node := range g.Nodes() {
-		report(pass, g, summaries, ann, node)
+		report(pass, g, summaries, node)
 	}
 	return nil
 }
@@ -147,7 +145,7 @@ func callWitness(g *callgraph.Graph, summaries map[*callgraph.Node]*witness, pkg
 
 // report walks node again, flagging blocking events that occur with a
 // mutex held.
-func report(pass *analysis.ProgramPass, g *callgraph.Graph, summaries map[*callgraph.Node]*witness, ann *annotations, node *callgraph.Node) {
+func report(pass *analysis.ProgramPass, g *callgraph.Graph, summaries map[*callgraph.Node]*witness, node *callgraph.Node) {
 	fset := pass.Program.Fset
 	reported := make(map[token.Pos]bool)
 	emit := func(pos token.Pos, held lockset.Held, chain string) {
@@ -155,7 +153,7 @@ func report(pass *analysis.ProgramPass, g *callgraph.Graph, summaries map[*callg
 			return
 		}
 		reported[pos] = true
-		if ann.suppressed(pass, pos, fset.Position(pos)) {
+		if pass.Excused(Directive, pos) {
 			return
 		}
 		pass.Reportf(pos, "%s while holding %s: annotate with %s <reason> if intentional",
@@ -196,7 +194,7 @@ func chainString(fset *token.FileSet, summaries map[*callgraph.Node]*witness, w 
 		if next == nil {
 			break
 		}
-		steps = append(steps, fmt.Sprintf("%s (%s)", w.via.ID, shortPos(fset, next.pos)))
+		steps = append(steps, fmt.Sprintf("%s (%s)", w.via.ID, analysis.ShortPos(fset, next.pos)))
 		w = next
 	}
 	leaf := "blocks"
@@ -219,58 +217,7 @@ func heldString(fset *token.FileSet, held lockset.Held) string {
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s (held at %s)", k, shortPos(fset, held[k]))
+		parts[i] = fmt.Sprintf("%s (held at %s)", k, analysis.ShortPos(fset, held[k]))
 	}
 	return strings.Join(parts, ", ")
-}
-
-func shortPos(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-}
-
-// annotations indexes //khazana:block-ok directives across the program:
-// file -> line -> reason.
-type annotations struct {
-	byLine map[string]map[int]string
-}
-
-func newAnnotations(prog *analysis.Program) *annotations {
-	ann := &annotations{byLine: make(map[string]map[int]string)}
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, Directive)
-					if !ok {
-						continue
-					}
-					p := prog.Fset.Position(c.Pos())
-					if ann.byLine[p.Filename] == nil {
-						ann.byLine[p.Filename] = make(map[int]string)
-					}
-					ann.byLine[p.Filename][p.Line] = rest
-				}
-			}
-		}
-	}
-	return ann
-}
-
-// suppressed reports whether a directive on the finding's line or the
-// line above covers it, reporting an empty reason at the finding.
-func (ann *annotations) suppressed(pass *analysis.ProgramPass, pos token.Pos, p token.Position) bool {
-	lines, ok := ann.byLine[p.Filename]
-	if !ok {
-		return false
-	}
-	for _, l := range []int{p.Line, p.Line - 1} {
-		if reason, ok := lines[l]; ok {
-			if strings.TrimSpace(reason) == "" {
-				pass.Reportf(pos, "%s annotation requires a reason", Directive)
-			}
-			return true
-		}
-	}
-	return false
 }

@@ -11,9 +11,7 @@
 package deferunlock
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 
@@ -188,15 +186,9 @@ func mutexCall(pass *analysis.Pass, call *ast.CallExpr) (string, mutexCallInfo, 
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return "", mutexCallInfo{}, false
 	}
-	recv := exprString(pass.Fset, sel.X)
+	recv := analysis.ExprString(pass.Fset, sel.X)
 	key := recv + "#" + kind.lockName()
 	return key, mutexCallInfo{expr: recv, kind: kind, isLock: isLock}, true
-}
-
-func exprString(fset *token.FileSet, e ast.Expr) string {
-	var buf bytes.Buffer
-	_ = printer.Fprint(&buf, fset, e)
-	return buf.String()
 }
 
 // report checks every collected lock against the defers, unlocks, and

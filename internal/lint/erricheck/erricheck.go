@@ -49,18 +49,17 @@ const Directive = "//khazana:ignore-err"
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		ignored := directiveLines(pass.Fset, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				checkAssign(pass, n, ignored)
+				checkAssign(pass, n)
 			case *ast.ExprStmt:
+				// The call's arguments are walked too: a function literal
+				// among them has statements of its own.
 				if call, ok := n.X.(*ast.CallExpr); ok {
 					if fn := checkedAPI(pass, call); fn != nil && callReturnsError(pass, call) {
-						report(pass, ignored, call.Pos(), fn)
+						report(pass, call.Pos(), fn)
 					}
-					// Don't descend: arguments cannot discard errors.
-					return false
 				}
 			}
 			return true
@@ -71,7 +70,7 @@ func run(pass *analysis.Pass) error {
 
 // checkAssign reports error results of checked APIs assigned to the blank
 // identifier.
-func checkAssign(pass *analysis.Pass, assign *ast.AssignStmt, ignored map[int]string) {
+func checkAssign(pass *analysis.Pass, assign *ast.AssignStmt) {
 	if len(assign.Rhs) == 1 && len(assign.Lhs) > 1 {
 		// Tuple assignment: x, _ := call().
 		call, ok := assign.Rhs[0].(*ast.CallExpr)
@@ -87,8 +86,8 @@ func checkAssign(pass *analysis.Pass, assign *ast.AssignStmt, ignored map[int]st
 			return
 		}
 		for i, lhs := range assign.Lhs {
-			if isBlank(lhs) && isErrorType(tuple.At(i).Type()) {
-				report(pass, ignored, assign.Pos(), fn)
+			if isBlank(lhs) && analysis.IsErrorType(tuple.At(i).Type()) {
+				report(pass, assign.Pos(), fn)
 				return
 			}
 		}
@@ -103,21 +102,15 @@ func checkAssign(pass *analysis.Pass, assign *ast.AssignStmt, ignored map[int]st
 			continue
 		}
 		fn := checkedAPI(pass, call)
-		if fn != nil && isErrorType(pass.TypeOf(call)) {
-			report(pass, ignored, assign.Pos(), fn)
+		if fn != nil && analysis.IsErrorType(pass.TypeOf(call)) {
+			report(pass, assign.Pos(), fn)
 		}
 	}
 }
 
-func report(pass *analysis.Pass, ignored map[int]string, pos token.Pos, fn *types.Func) {
-	line := pass.Fset.Position(pos).Line
-	for _, l := range []int{line, line - 1} {
-		if reason, ok := ignored[l]; ok {
-			if strings.TrimSpace(reason) == "" {
-				pass.Reportf(pos, "%s annotation requires a reason", Directive)
-			}
-			return
-		}
+func report(pass *analysis.Pass, pos token.Pos, fn *types.Func) {
+	if pass.Excused(Directive, pos) {
+		return
 	}
 	pass.Reportf(pos, "error from %s.%s is discarded: propagate, log, or count it, or annotate with %s <reason>",
 		fn.Pkg().Path(), fn.Name(), Directive)
@@ -140,37 +133,17 @@ func callReturnsError(pass *analysis.Pass, call *ast.CallExpr) bool {
 	switch t := pass.TypeOf(call).(type) {
 	case *types.Tuple:
 		for i := 0; i < t.Len(); i++ {
-			if isErrorType(t.At(i).Type()) {
+			if analysis.IsErrorType(t.At(i).Type()) {
 				return true
 			}
 		}
 		return false
 	default:
-		return isErrorType(t)
+		return analysis.IsErrorType(t)
 	}
 }
 
 func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
-}
-
-var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-func isErrorType(t types.Type) bool {
-	return t != nil && types.Implements(t, errorType)
-}
-
-// directiveLines maps line numbers carrying the ignore directive to the
-// annotation's reason text.
-func directiveLines(fset *token.FileSet, file *ast.File) map[int]string {
-	out := make(map[int]string)
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if rest, ok := strings.CutPrefix(c.Text, Directive); ok {
-				out[fset.Position(c.Pos()).Line] = rest
-			}
-		}
-	}
-	return out
 }

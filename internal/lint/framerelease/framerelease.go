@@ -44,14 +44,10 @@
 package framerelease
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
-	"path/filepath"
-	"strings"
 
 	"khazana/internal/lint/analysis"
 	"khazana/internal/lint/callgraph"
@@ -89,10 +85,9 @@ func runProgram(pp *analysis.ProgramPass) error {
 			Report:    pp.Report,
 		}
 		for _, file := range pkg.Files {
-			annotated := directiveLines(pp.Program.Fset, file)
 			for _, decl := range file.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-					c.checkFunc(fn.Body, annotated)
+					c.checkFunc(fn.Body)
 				}
 			}
 		}
@@ -162,23 +157,23 @@ type passEvent struct {
 
 // checkFunc analyzes one function body, recursing into nested function
 // literals as independent ownership scopes.
-func (c *checker) checkFunc(body *ast.BlockStmt, annotated map[int]string) {
+func (c *checker) checkFunc(body *ast.BlockStmt) {
 	ev := &events{defers: make(map[string]bool)}
-	c.collect(body, ev, annotated)
+	c.collect(body, ev)
 	if !c.quiet {
-		c.report(ev, annotated)
+		c.report(ev)
 	}
 }
 
 // collect gathers events in source order. Nested function literals are
 // separate scopes: a closure may run on another goroutine or after the
 // function returns, so its acquisitions must balance on their own.
-func (c *checker) collect(n ast.Node, ev *events, annotated map[int]string) {
+func (c *checker) collect(n ast.Node, ev *events) {
 	pass := c.pass
 	ast.Inspect(n, func(node ast.Node) bool {
 		switch node := node.(type) {
 		case *ast.FuncLit:
-			c.checkFunc(node.Body, annotated)
+			c.checkFunc(node.Body)
 			return false
 		case *ast.DeferStmt:
 			if name, ok := releaseCall(pass, node.Call); ok {
@@ -188,7 +183,7 @@ func (c *checker) collect(n ast.Node, ev *events, annotated map[int]string) {
 			// A directly deferred closure runs on every exit path, so
 			// releases inside it count as defers for their variables.
 			if lit, ok := node.Call.Fun.(*ast.FuncLit); ok {
-				c.markDeferredClosureReleases(lit, ev, annotated)
+				c.markDeferredClosureReleases(lit, ev)
 				return false
 			}
 			return true
@@ -342,7 +337,7 @@ func (c *checker) growConsume(node *callgraph.Node) bool {
 		Report:    func(analysis.Diagnostic) {},
 	}
 	ev := &events{defers: make(map[string]bool)}
-	c.collect(node.Decl.Body, ev, nil)
+	c.collect(node.Decl.Body, ev)
 	changed := false
 	for i, p := range params {
 		if p == "" || prev[i] {
@@ -454,7 +449,7 @@ func collectAcquisitions(pass *analysis.Pass, assign *ast.AssignStmt, ev *events
 			second := tuple.At(1).Type()
 			if t, isBool := second.(*types.Basic); isBool && t.Kind() == types.Bool {
 				okName, _ = identName(assign.Lhs[1])
-			} else if isErrorType(second) {
+			} else if analysis.IsErrorType(second) {
 				errName, _ = identName(assign.Lhs[1])
 			}
 		}
@@ -485,10 +480,10 @@ func collectAcquisitions(pass *analysis.Pass, assign *ast.AssignStmt, ev *events
 
 // markDeferredClosureReleases records Release calls made directly inside a
 // deferred closure, which run on every exit path just like a plain defer.
-func (c *checker) markDeferredClosureReleases(lit *ast.FuncLit, ev *events, annotated map[int]string) {
+func (c *checker) markDeferredClosureReleases(lit *ast.FuncLit, ev *events) {
 	ast.Inspect(lit.Body, func(node ast.Node) bool {
 		if inner, ok := node.(*ast.FuncLit); ok && inner != lit {
-			c.checkFunc(inner.Body, annotated)
+			c.checkFunc(inner.Body)
 			return false
 		}
 		if call, ok := node.(*ast.CallExpr); ok {
@@ -516,7 +511,7 @@ func releaseCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != FramePkg {
 		return "", false
 	}
-	return exprString(pass.Fset, sel.X), true
+	return analysis.ExprString(pass.Fset, sel.X), true
 }
 
 // publishConsumes returns the frame-typed identifier arguments of a
@@ -611,12 +606,6 @@ func isNilIdent(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
-// isErrorType reports whether t is the built-in error interface.
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj() != nil && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
 // identName returns the name of a plain non-blank identifier expression.
 func identName(e ast.Expr) (string, bool) {
 	id, ok := ast.Unparen(e).(*ast.Ident)
@@ -640,12 +629,6 @@ func isFrameType(t types.Type) bool {
 	return obj != nil && obj.Name() == "Frame" && obj.Pkg() != nil && obj.Pkg().Path() == FramePkg
 }
 
-func exprString(fset *token.FileSet, e ast.Expr) string {
-	var buf bytes.Buffer
-	_ = printer.Fprint(&buf, fset, e)
-	return buf.String()
-}
-
 // mentions reports whether the return statement's results reference the
 // variable, transferring its obligation to the caller.
 func mentions(ret *ast.ReturnStmt, name string) bool {
@@ -664,14 +647,13 @@ func mentions(ret *ast.ReturnStmt, name string) bool {
 
 // report checks every acquisition against the defers, releases, returns,
 // and annotations of its function.
-func (c *checker) report(ev *events, annotated map[int]string) {
+func (c *checker) report(ev *events) {
 	pass := c.pass
 	for _, a := range ev.acquisitions {
 		if ev.defers[a.name] {
 			continue
 		}
-		line := pass.Fset.Position(a.pos).Line
-		if suppressed(pass, a.pos, line, annotated) {
+		if pass.Excused(Directive, a.pos) {
 			continue
 		}
 		covered := func(ret token.Pos) bool {
@@ -720,9 +702,8 @@ func (c *checker) report(ev *events, annotated map[int]string) {
 		lent := func(ret token.Pos) string {
 			for _, pe := range ev.passedTo {
 				if pe.name == a.name && pe.pos > a.pos && pe.pos < ret {
-					p := pass.Fset.Position(pe.callee.Decl.Pos())
-					return fmt.Sprintf(" (%s was passed to %s (%s:%d), which borrows it and leaves the obligation here)",
-						a.name, pe.callee.ID, filepath.Base(p.Filename), p.Line)
+					return fmt.Sprintf(" (%s was passed to %s (%s), which borrows it and leaves the obligation here)",
+						a.name, pe.callee.ID, analysis.ShortPos(pass.Fset, pe.callee.Decl.Pos()))
 				}
 			}
 			return ""
@@ -754,32 +735,4 @@ func (c *checker) report(ev *events, annotated map[int]string) {
 				a.name, a.name, Directive)
 		}
 	}
-}
-
-// suppressed reports whether an acquisition carries the frame-owner
-// directive on its line or the line above, reporting an empty reason.
-func suppressed(pass *analysis.Pass, pos token.Pos, line int, annotated map[int]string) bool {
-	for _, l := range []int{line, line - 1} {
-		if reason, ok := annotated[l]; ok {
-			if strings.TrimSpace(reason) == "" {
-				pass.Reportf(pos, "%s annotation requires a reason", Directive)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// directiveLines maps line numbers carrying the frame-owner directive to
-// the annotation's reason text.
-func directiveLines(fset *token.FileSet, file *ast.File) map[int]string {
-	out := make(map[int]string)
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if rest, ok := strings.CutPrefix(c.Text, Directive); ok {
-				out[fset.Position(c.Pos()).Line] = rest
-			}
-		}
-	}
-	return out
 }

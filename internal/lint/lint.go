@@ -1,5 +1,5 @@
-// Package lint assembles the khazlint analyzer suite and provides the
-// driver shared by the standalone runner and the go vet -vettool mode.
+// Package lint assembles the khazlint analyzer suite and runs it over a
+// loaded program.
 package lint
 
 import (
@@ -39,15 +39,16 @@ type Finding struct {
 	Message  string
 }
 
-// Check runs every analyzer over every package and returns the findings
-// sorted by position. Analyzers with a RunProgram hook run once over the
-// whole program (all packages plus the call graph); the rest run
-// per-package. The packages must share one FileSet, which both loaders
-// guarantee.
-func Check(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
+// Check runs every analyzer of the suite over the packages and returns
+// the findings sorted by position. Analyzers with a RunProgram hook run
+// once over the whole program (all packages plus the call graph); the
+// rest run per-package. The packages must share one FileSet, as
+// loader.Load guarantees.
+func Check(pkgs []*loader.Package) ([]Finding, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
 	}
+	analyzers := Analyzers()
 	var findings []Finding
 	var prog *analysis.Program
 	for _, a := range analyzers {

@@ -1,14 +1,14 @@
 // Package loader loads and type-checks Go packages for the khazlint
 // analyzers without depending on golang.org/x/tools/go/packages.
 //
-// Two entry points cover the two ways khazlint runs:
+// Two entry points:
 //
-//   - Load resolves package patterns with `go list -export -deps -json`,
+//   - Load, khazlint's, resolves package patterns with `go list -export -deps -json`,
 //     parses each matched package from source, and type-checks it against
 //     the compiler export data of its dependencies (served out of the go
 //     build cache, so no network and no extra builds).
-//   - LoadSource type-checks a single package rooted in a testdata/src
-//     tree (the analysistest layout), resolving imports against the same
+//   - LoadSource, the analyzer tests', type-checks a single package
+//     rooted in a testdata/src tree (the analysistest layout), resolving imports against the same
 //     tree first and falling back to toolchain export data for the
 //     standard library.
 package loader

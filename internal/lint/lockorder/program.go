@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -213,7 +212,7 @@ func canonicalCycle(path []lockset.Key) string {
 // "a.mu → b.mu via pkg.F (f.go:10, holding a.mu) → pkg.G (g.go:5) acquires b.mu".
 func edgeChain(pass *analysis.ProgramPass, summaries map[*callgraph.Node]map[lockset.Key]acqWitness, e lockEdge, w edgeWitness) string {
 	fset := pass.Program.Fset
-	steps := []string{fmt.Sprintf("%s (%s, holding %s)", w.fn.ID, posString(fset, w.w.pos), e.from)}
+	steps := []string{fmt.Sprintf("%s (%s, holding %s)", w.fn.ID, analysis.ShortPos(fset, w.w.pos), e.from)}
 	cur := w.w
 	seen := map[*callgraph.Node]bool{w.fn: true}
 	for cur.via != nil && !seen[cur.via] {
@@ -222,7 +221,7 @@ func edgeChain(pass *analysis.ProgramPass, summaries map[*callgraph.Node]map[loc
 		if !ok {
 			break
 		}
-		steps = append(steps, fmt.Sprintf("%s (%s)", cur.via.ID, posString(fset, next.pos)))
+		steps = append(steps, fmt.Sprintf("%s (%s)", cur.via.ID, analysis.ShortPos(fset, next.pos)))
 		cur = next
 	}
 	const maxSteps = 8
@@ -230,9 +229,4 @@ func edgeChain(pass *analysis.ProgramPass, summaries map[*callgraph.Node]map[loc
 		steps = append(steps[:maxSteps], "…")
 	}
 	return fmt.Sprintf("%s → %s via %s acquires %s", e.from, e.to, strings.Join(steps, " → "), e.to)
-}
-
-func posString(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

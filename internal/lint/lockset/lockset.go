@@ -3,13 +3,12 @@
 // (acquisitions, calls, channel operations) to analyzer callbacks with
 // the held set at that point.
 //
-// The tracking is path-sensitive and syntactic, mirroring the lockorder
-// analyzer's conventions: the held set is cloned per branch, a deferred
-// unlock keeps the mutex held to function end, and nested function
-// literals are skipped entirely — a closure runs later, elsewhere, or on
-// another goroutine, so events inside it do not happen under the
-// enclosing function's locks (analyzers walk closure bodies separately if
-// they care). Arguments of a `go` statement are evaluated synchronously
+// The tracking is path-sensitive and syntactic: the held set is cloned
+// per branch, a deferred unlock keeps the mutex held to function end, and
+// nested function literals are skipped entirely — a closure runs later,
+// elsewhere, or on another goroutine, so events inside it do not happen
+// under the enclosing function's locks (analyzers walk closure bodies
+// separately if they care). Arguments of a `go` statement are evaluated synchronously
 // and are scanned; the spawned call itself is not an event.
 //
 // Only mutexes that are named struct fields are tracked. A local mutex

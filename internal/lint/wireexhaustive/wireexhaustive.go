@@ -18,7 +18,6 @@ package wireexhaustive
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strconv"
@@ -50,13 +49,10 @@ const maxListed = 6
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		annotated := directiveLines(pass.Fset, file)
 		ast.Inspect(file, func(n ast.Node) bool {
-			sw, ok := n.(*ast.TypeSwitchStmt)
-			if !ok {
-				return true
+			if sw, ok := n.(*ast.TypeSwitchStmt); ok {
+				checkSwitch(pass, sw)
 			}
-			checkSwitch(pass, sw, annotated)
 			return true
 		})
 	}
@@ -64,7 +60,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // checkSwitch applies the exhaustiveness rule to one type switch.
-func checkSwitch(pass *analysis.Pass, sw *ast.TypeSwitchStmt, annotated map[int]string) {
+func checkSwitch(pass *analysis.Pass, sw *ast.TypeSwitchStmt) {
 	iface := switchedMsg(pass, sw)
 	if iface == nil {
 		return
@@ -104,14 +100,8 @@ func checkSwitch(pass *analysis.Pass, sw *ast.TypeSwitchStmt, annotated map[int]
 			MsgPath, MsgName, len(kinds)-len(missing), len(kinds), listKinds(missing), Directive)
 		return
 	}
-	line := pass.Fset.Position(deflt.Pos()).Line
-	for _, l := range []int{line, line - 1} {
-		if reason, ok := annotated[l]; ok {
-			if strings.TrimSpace(reason) == "" {
-				pass.Reportf(deflt.Pos(), "%s annotation requires a reason", Directive)
-			}
-			return
-		}
+	if pass.Excused(Directive, deflt.Pos()) {
+		return
 	}
 	pass.Reportf(deflt.Pos(), "default case of a %s.%s type switch missing %s must be annotated with %s <reason>",
 		MsgPath, MsgName, listKinds(missing), Directive)
@@ -208,18 +198,4 @@ func listKinds(missing []string) string {
 		shown = shown[:maxListed]
 	}
 	return strings.Join(shown, ", ") + suffix
-}
-
-// directiveLines maps line numbers carrying the directive to the
-// annotation's reason text.
-func directiveLines(fset *token.FileSet, file *ast.File) map[int]string {
-	out := make(map[int]string)
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if rest, ok := strings.CutPrefix(c.Text, Directive); ok {
-				out[fset.Position(c.Pos()).Line] = rest
-			}
-		}
-	}
-	return out
 }

@@ -364,16 +364,16 @@ func (l *Log) AppendPages(ctx context.Context, desc *region.Descriptor, pages []
 	rl.mu.Lock()
 	if rl.leader != l.self {
 		// A region with no elected leader is led by its listed primary
-		// home by birthright (the normal creation path) — unless this
-		// replica granted its current-term vote to someone else, in
-		// which case an election is in flight or won elsewhere and a
-		// deposed primary must not sneak leadership back.
+		// home by birthright (the normal creation path), which claims
+		// term 1 as a self-vote. Birthright holds only at a term this
+		// replica voted itself: a deposed primary, moved to a later term
+		// by a refusal, must not take the lead back at that term.
 		if rl.leader == 0 && len(desc.Home) > 0 && desc.Home[0] == l.self &&
-			(rl.votedFor == 0 || rl.votedFor == l.self) {
-			rl.leader = l.self
+			(rl.term == 0 || rl.votedTerm == rl.term && rl.votedFor == l.self) {
 			if rl.term == 0 {
-				rl.term = 1
+				rl.term, rl.votedTerm, rl.votedFor = 1, 1, l.self
 			}
+			rl.leader = l.self
 		} else {
 			rl.mu.Unlock()
 			wire.ReleaseItems(pages)
