@@ -62,9 +62,10 @@ bench-scan:
 # operations on a 79-entry root (no node copy: at most 2 objects per
 # mutated page), a RAM-tier Put of a non-resident page (0), a copyset
 # revoked and re-added (0), a 16-page region's page table on first touch
-# (3 objects, 400 B; one object per further page) and a loopback mux round
-# trip (3 objects, the messages only). An allocation creeping back fails here, without a
-# benchmark run.
+# (3 objects, 400 B; one object per further page), a loopback mux round
+# trip (3 objects, the messages only) and an inproc round trip carrying 16
+# pages each way (4 objects: the messages only, no parcel or frame list).
+# An allocation creeping back fails here, without a benchmark run.
 alloc-gates:
 	$(GO) test -run 'AllocGate|NoAlloc' -count=1 . ./internal/telemetry ./internal/consistency ./internal/replog ./internal/wire ./internal/region ./internal/addrmap ./internal/store ./internal/pagedir ./internal/transport
 
@@ -115,9 +116,11 @@ defects:
 # announce runs its owner's handler on the caller's goroutine, beside
 # whatever else that owner is doing. And the eventual-protocol tests:
 # gossip rounds and updates parked during a write hold interleave with
-# the writers' releases from run to run.
+# the writers' releases from run to run. And the inproc parcel and
+# shared-frame tests: a page frame crosses the link by reference, so
+# sender and receiver hold the same frame.
 repl-stress:
-	$(GO) test -race -count=20 -run 'Repl|Failover|Append|Promot|Election|CatchUp|Majority|Follower|OneWay|Mux|TCP|Ring|Unreserve|Stalled|Lifecycle|Eventual' ./internal/replog ./internal/consistency ./internal/core ./internal/transport
+	$(GO) test -race -count=20 -run 'Repl|Failover|Append|Promot|Election|CatchUp|Majority|Follower|OneWay|Mux|TCP|Ring|Unreserve|Stalled|Lifecycle|Eventual|Parcel|SharesHomeFrame|SenderStamp' ./internal/replog ./internal/consistency ./internal/core ./internal/transport ./internal/wire
 
 # telemetry-smoke boots a real khazanad with the HTTP debug listener and
 # curls the export surface: /metrics must serve Prometheus text and JSON,

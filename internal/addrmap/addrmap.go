@@ -142,7 +142,7 @@ func decodeNode(data []byte, buf *nodeBuf) (node, error) {
 		return node{}, fmt.Errorf("%w: page size %d", ErrCorrupt, len(data))
 	}
 	var d enc.Decoder
-	d.Reset(data[:headerSize])
+	d.Reset(data[:headerSize], nil)
 	if got := d.U32(); got != magic {
 		if got == 0 {
 			// Never-written page: an empty node.
@@ -159,7 +159,7 @@ func decodeNode(data []byte, buf *nodeBuf) (node, error) {
 	n.entries = buf[:count]
 	for i := range n.entries {
 		ent := &n.entries[i]
-		d.Reset(data[headerSize+i*entrySize : headerSize+(i+1)*entrySize])
+		d.Reset(data[headerSize+i*entrySize:headerSize+(i+1)*entrySize], nil)
 		*ent = nodeEntry{kind: d.U8(), rng: d.Range()}
 		switch ent.kind {
 		case kindRegion:
@@ -190,7 +190,7 @@ func (n *node) encodeInto(data []byte) error {
 		return fmt.Errorf("addrmap: node overflow: %d entries", len(n.entries))
 	}
 	var e enc.Encoder
-	e.Reset(data[:0])
+	e.Reset(data[:0], nil)
 	e.U32(magic)
 	e.U16(uint16(len(n.entries)))
 	e.U16(0)

@@ -321,7 +321,9 @@ func (n *Node) ensureHomes(ctx context.Context, desc *region.Descriptor) *region
 		return desc
 	}
 	n.rdir.Insert(out)
-	_ = n.mapSetHomes(ctx, out.Range.Start, homes)
+	if n.mapSetHomes(ctx, out.Range.Start, homes) != nil {
+		n.mHomeMapFailed.Add(1)
+	}
 	// Record the membership change in the region's replicated log so
 	// standbys learn the grown home list through the same channel as
 	// release deltas (best effort: a deposed or not-yet-elected home

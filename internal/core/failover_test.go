@@ -429,3 +429,21 @@ func TestPromotedHomeServesCommittedBytes(t *testing.T) {
 		t.Fatalf("promoted home %v grants %q at v%d, want the acked release %q at v%d", promoted.cfg.ID, got, pe.Version, want, committed.Version)
 	}
 }
+
+// TestHomeMapUpdateFailureIsCounted: replica maintenance that grows a
+// region's home list while the map home is cut off still grows it, and
+// the address-map update it could not make counts in
+// core.home_map_update_failed.
+func TestHomeMapUpdateFailureIsCounted(t *testing.T) {
+	net, nodes := testCluster(t, 4)
+	start := mkRegion(t, nodes[1], 4096, region.Attrs{MinReplicas: 3}, "alice")
+	nodes[1].SendHeartbeat()
+	net.Partition(1, 2)
+	nodes[1].MaintainReplicas()
+	if d := nodes[1].authDescByStart(start); d == nil || len(d.Home) != 3 {
+		t.Fatalf("home list = %v, want 3 homes", d)
+	}
+	if got := nodes[1].Telemetry().Counter(telemetry.MetricHomeMapUpdateFailed).Load(); got != 1 {
+		t.Fatalf("home_map_update_failed = %d, want 1", got)
+	}
+}

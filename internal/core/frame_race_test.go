@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -199,5 +200,58 @@ func TestBorrowedFrameStableAcrossWriter(t *testing.T) {
 	}
 	if got, ok := storedCopy(n, start); !ok || string(got[:6]) != "after!" {
 		t.Fatalf("store after write = %q, %v", got[:6], ok)
+	}
+}
+
+// TestInprocGrantSharesHomeFrame: over the inproc link a grant hands the
+// home's page frames to the consumer by reference. After a 16-page remote
+// read batch every frame the consumer keeps is the very frame the home's
+// store holds, and a partial overwrite at the home (copy-on-write, as the
+// frame is shared) leaves the consumer's bytes as they were.
+func TestInprocGrantSharesHomeFrame(t *testing.T) {
+	const pages = 16
+	_, nodes := testCluster(t, 2)
+	home, consumer := nodes[0], nodes[1]
+	start := mkRegion(t, home, pages*4096, region.Attrs{}, "admin")
+	fillPages(t, home, start, pages)
+	lockUnlock(t, consumer, gaddr.Range{Start: start, Size: pages * 4096}, ktypes.LockRead)
+
+	held := make([][]byte, pages)
+	for i := range pages {
+		page := start.MustAdd(uint64(i) * 4096)
+		fc, ok := consumer.Store().Get(page)
+		if !ok {
+			t.Fatalf("page %d: not resident at the consumer after the read batch", i)
+		}
+		defer fc.Release()
+		fh, ok := home.Store().Get(page)
+		if !ok {
+			t.Fatalf("page %d: not resident at the home", i)
+		}
+		fh.Release()
+		if fc != fh {
+			t.Errorf("page %d: the consumer's frame is a copy of the home's", i)
+		}
+		held[i] = fc.Bytes()
+	}
+
+	ctx := context.Background()
+	lc, err := home.Lock(ctx, gaddr.Range{Start: start, Size: 4096}, ktypes.LockWrite, "admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Write(lc, start, []byte("overwritten")); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Unlock(ctx, lc); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := storedCopy(home, start); string(got[:11]) != "overwritten" {
+		t.Fatalf("home page 0 = %q after the overwrite", got[:11])
+	}
+	for i, b := range held {
+		if !bytes.Equal(b, bytes.Repeat([]byte{byte(i + 1)}, 4096)) {
+			t.Fatalf("page %d: the consumer's bytes changed under the home's write", i)
+		}
 	}
 }

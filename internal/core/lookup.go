@@ -346,7 +346,9 @@ func (n *Node) promoteFlight(ctx context.Context, start gaddr.Addr) *region.Desc
 	// Best-effort map update so tree walkers find the new home.
 	mapCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
 	defer cancel()
-	_ = n.mapSetHomes(mapCtx, start, homes)
+	if n.mapSetHomes(mapCtx, start, homes) != nil {
+		n.mHomeMapFailed.Add(1)
+	}
 	return out
 }
 

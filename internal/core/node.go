@@ -182,6 +182,7 @@ type Node struct {
 	mReadViews      *telemetry.Counter
 	mSnapReads      *telemetry.Counter
 	mHomePromos     *telemetry.Counter
+	mHomeMapFailed  *telemetry.Counter
 	mReplicaRepairs *telemetry.Counter
 	mRingMoves      *telemetry.Counter
 	mRingFallbacks  *telemetry.Counter
@@ -399,6 +400,7 @@ func NewNode(cfg Config) (*Node, error) {
 		mReadViews:      tel.Counter(telemetry.MetricReadViews),
 		mSnapReads:      tel.Counter(telemetry.MetricSnapshotReads),
 		mHomePromos:     tel.Counter(telemetry.MetricHomePromotions),
+		mHomeMapFailed:  tel.Counter(telemetry.MetricHomeMapUpdateFailed),
 		mReplicaRepairs: tel.Counter(telemetry.MetricReplicaRepairs),
 		mRingMoves:      tel.Counter(telemetry.MetricRingRebalanceMoves),
 		mRingFallbacks:  tel.Counter(telemetry.MetricRingFallbackWalks),

@@ -28,7 +28,8 @@ const maxBytesLen = 1 << 26 // 64 MiB
 
 // Encoder appends binary values to a buffer.
 type Encoder struct {
-	buf []byte
+	buf  []byte
+	sink *[]*frame.Frame
 }
 
 // NewEncoder returns an encoder with the given initial capacity.
@@ -42,8 +43,9 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Reset points the encoder at buf — a pooled or pre-sized buffer, grown
 // only when capacity runs out — appending after its existing contents, so
-// one Encoder serves many messages. Reset(nil) drops the previous buffer.
-func (e *Encoder) Reset(buf []byte) { e.buf = buf }
+// one Encoder serves many messages, and at sink (see Payload32; may be
+// nil). Reset(nil, nil) drops both.
+func (e *Encoder) Reset(buf []byte, sink *[]*frame.Frame) { e.buf, e.sink = buf, sink }
 
 // Len returns the number of encoded bytes so far.
 func (e *Encoder) Len() int { return len(e.buf) }
@@ -87,6 +89,23 @@ func (e *Encoder) Bytes32(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Payload32 appends page payload data (backed by f, if non-nil) as Bytes32
+// does, unless a frame sink is set and data is not empty: then it writes
+// the prefix and gives the sink f retained (or a copy of data if f is nil).
+func (e *Encoder) Payload32(f *frame.Frame, data []byte) {
+	if e.sink == nil || len(data) == 0 {
+		e.Bytes32(data)
+		return
+	}
+	e.U32(uint32(len(data)))
+	if f == nil {
+		f = frame.Copy(data)
+	} else {
+		f.Retain()
+	}
+	*e.sink = append(*e.sink, f)
+}
+
 // String appends a string with a 32-bit length prefix.
 func (e *Encoder) String(s string) {
 	e.U32(uint32(len(s)))
@@ -124,14 +143,16 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
+	src []*frame.Frame // the payload frames not yet read (see Bytes32Frame)
 }
 
 // NewDecoder wraps a buffer for decoding.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
 // Reset points the decoder at b from its start, clearing any error, so one
-// Decoder serves many buffers. Reset(nil) drops the previous buffer.
-func (d *Decoder) Reset(b []byte) { *d = Decoder{buf: b} }
+// Decoder serves many buffers, and at src (see Bytes32Frame; may be nil).
+// Reset(nil, nil) drops both.
+func (d *Decoder) Reset(b []byte, src []*frame.Frame) { *d = Decoder{buf: b, src: src} }
 
 // Err returns the first error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -148,13 +169,13 @@ func (d *Decoder) Fail(err error) {
 	}
 }
 
-// Finish returns an error when decoding failed or trailing bytes remain.
+// Finish returns an error when decoding failed or bytes or frames remain.
 func (d *Decoder) Finish() error {
 	if d.err != nil {
 		return d.err
 	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("enc: %d trailing bytes", len(d.buf)-d.off)
+	if d.off != len(d.buf) || len(d.src) != 0 {
+		return fmt.Errorf("enc: %d trailing bytes, %d trailing frames", len(d.buf)-d.off, len(d.src))
 	}
 	return nil
 }
@@ -241,18 +262,28 @@ func (d *Decoder) View32() []byte {
 	return d.take(int(n))
 }
 
-// Bytes32Frame reads a length-prefixed byte string into a pooled page
-// frame. The caller owns the returned frame (one reference) and must
-// Release it; a zero-length field yields nil. Compared to Bytes32 the
-// copy still happens, but the destination comes from the frame pool
-// instead of the GC heap, and downstream layers can share the frame by
-// reference instead of copying again.
+// Bytes32Frame reads a page payload Payload32 wrote. The caller owns the
+// returned frame (one reference) and must Release it; a zero-length field
+// yields nil. With a non-nil src it takes src's next frame, which must be
+// as long as the prefix says, and clears its slot; otherwise it copies
+// the bytes into a pooled frame, which downstream layers share.
 func (d *Decoder) Bytes32Frame() *frame.Frame {
-	b := d.View32()
-	if len(b) == 0 {
+	if d.src == nil {
+		if b := d.View32(); len(b) > 0 {
+			return frame.Copy(b)
+		}
 		return nil
 	}
-	return frame.Copy(b)
+	switch n := int(d.U32()); {
+	case d.err != nil || n == 0:
+		return nil
+	case len(d.src) == 0 || d.src[0].Len() != n:
+		d.err = fmt.Errorf("enc: no %d-byte payload frame", n)
+		return nil
+	}
+	f := d.src[0]
+	d.src[0], d.src = nil, d.src[1:]
+	return f
 }
 
 // String reads a length-prefixed string.

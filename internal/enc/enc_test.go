@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"khazana/internal/frame"
 	"khazana/internal/gaddr"
 	"khazana/internal/ktypes"
 )
@@ -230,5 +231,45 @@ func TestQuickNoPanicOnGarbage(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPayload32FrameSink: with a frame sink, Payload32 writes only the
+// length prefix and hands the sink the frame behind the payload (a copy
+// when there is none; nothing for an empty payload), and Bytes32Frame
+// reads it back from the same frames in order. The decoder refuses a
+// frame whose length is not the prefix's, and Finish a frame left over.
+func TestPayload32FrameSink(t *testing.T) {
+	f := frame.Copy([]byte("shared page"))
+	defer f.Release()
+	var sink []*frame.Frame
+	var e Encoder
+	e.Reset(nil, &sink)
+	e.Payload32(f, f.Bytes())
+	e.Payload32(nil, []byte("plain"))
+	e.Payload32(nil, nil)
+	if len(e.Bytes()) != 12 || len(sink) != 2 || sink[0] != f || f.Refs() != 2 || string(sink[1].Bytes()) != "plain" {
+		t.Fatalf("encoded %d bytes, %d frames (first shared %v, refs %d)", len(e.Bytes()), len(sink), sink[0] == f, f.Refs())
+	}
+	for _, c := range []struct {
+		name   string
+		frames []*frame.Frame
+		ok     bool
+	}{
+		{"in order", sink, true},
+		{"one left over", append(append([]*frame.Frame(nil), sink...), frame.Copy([]byte("x"))), false},
+		{"wrong length", []*frame.Frame{sink[1], sink[0]}, false},
+		{"missing", sink[:1], false},
+	} {
+		src := append([]*frame.Frame(nil), c.frames...)
+		var d Decoder
+		d.Reset(e.Bytes(), src)
+		a, b, none := d.Bytes32Frame(), d.Bytes32Frame(), d.Bytes32Frame()
+		if err := d.Finish(); (err == nil) != c.ok {
+			t.Errorf("%s: Finish = %v", c.name, err)
+		}
+		if c.ok && (a != f || b != sink[1] || none != nil || src[0] != nil || src[1] != nil) {
+			t.Errorf("%s: decoded other frames than were sent, or left their slots", c.name)
+		}
 	}
 }

@@ -22,7 +22,8 @@
 // caller is the sole owner and a private copy-on-write clone otherwise.
 // Because every store keeps its own reference while a frame is
 // discoverable, an in-place mutation can only ever happen on a frame no
-// other goroutine can reach.
+// other goroutine can reach. Nodes linked in one process share page
+// frames by reference, so this rule is also what keeps them isolated.
 //
 // A leaked frame (Release never called) degrades to ordinary garbage:
 // the GC reclaims it and the pool merely misses. Releasing a frame that
@@ -118,6 +119,14 @@ func (f *Frame) Bytes() []byte { return f.data }
 
 // Len returns the frame's size in bytes.
 func (f *Frame) Len() int { return len(f.data) }
+
+// TotalLen returns the summed size of the frames *fs holds (0 for nil).
+func TotalLen(fs *[]*Frame) (n int) {
+	for i := 0; fs != nil && i < len(*fs); i++ {
+		n += (*fs)[i].Len()
+	}
+	return n
+}
 
 // Refs returns the current reference count (for tests and diagnostics).
 func (f *Frame) Refs() int32 { return f.refs.Load() }

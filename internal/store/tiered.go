@@ -83,8 +83,7 @@ func (t *Tiered) GetPage(p *pagedir.Page) (*frame.Frame, bool) {
 	if !ok {
 		return nil, false
 	}
-	// Promote; a failure to promote is not fatal — the data is valid.
-	//khazana:ignore-err promotion to RAM is a cache optimization; the disk copy remains authoritative
+	// Promote; a failure is not fatal: RAM is a cache, the disk copy rules.
 	_ = t.mem.PutPage(p, f)
 	return f, true
 }

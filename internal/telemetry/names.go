@@ -107,6 +107,9 @@ const (
 	// legacy walk-the-home-list path; election-won failovers count under
 	// replog.failovers instead).
 	MetricHomePromotions = "core.home_promotions"
+	// MetricHomeMapUpdateFailed counts promotions and home-list growths
+	// whose best-effort address-map update failed (tree walks see old homes).
+	MetricHomeMapUpdateFailed = "core.home_map_update_failed"
 	// MetricReplicaRepairs counts pages re-pushed by the background
 	// minimum-replica maintainer to restore a region's replica count.
 	MetricReplicaRepairs = "core.replica_repairs"

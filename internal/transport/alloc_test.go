@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"khazana/internal/frame"
 	"khazana/internal/ktypes"
 	"khazana/internal/wire"
 )
@@ -136,5 +137,45 @@ func TestMuxOneWayAllocGate(t *testing.T) {
 	t.Logf("mux one-way send: %.3f objects", objects)
 	if objects > 2.1 {
 		t.Fatalf("a mux one-way send allocates %.3f objects, budget is 2.1", objects)
+	}
+}
+
+// TestInprocParcelAllocGate is the object budget of one inproc round trip
+// whose request and response both carry 16 pages: an UpdateBatch the
+// handler echoes. The parcel (the request's, reused for the response),
+// its frame list and the buffers come from pools and every page crosses
+// by reference, so the objects are the two decoded messages and their
+// item slices: 4. A parcel or frame list allocated per trip adds 1 or more.
+func TestInprocParcelAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under the race detector; the budget assumes pooled parcels")
+	}
+	net := NewNetwork()
+	a, _ := net.Attach(1)
+	b, _ := net.Attach(2)
+	b.SetHandler(echoHandler(2))
+	ub := &wire.UpdateBatch{From: 1, Items: make([]wire.UpdateItem, 16)}
+	for i := range ub.Items {
+		f := frame.AllocZero(4096)
+		ub.Items[i].SetFrame(f)
+		f.Release()
+	}
+	defer ub.ReleaseFrames()
+	ctx := context.Background()
+	roundTrip := func() {
+		resp, err := a.Request(ctx, 2, ub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.Recycle(resp)
+	}
+	for range 100 {
+		roundTrip()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	objects := testing.AllocsPerRun(1000, roundTrip)
+	t.Logf("inproc 16-page round trip: %.2f objects", objects)
+	if objects > 4 {
+		t.Fatalf("an inproc 16-page round trip allocates %.2f objects, budget is 4 (the two messages and their item slices)", objects)
 	}
 }

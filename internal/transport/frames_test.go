@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"khazana/internal/frame"
@@ -119,5 +120,94 @@ func TestMuxTracedRequestOutlivesReadBuffer(t *testing.T) {
 	close(resume)
 	if err := <-parkedErr; err != nil {
 		t.Fatalf("parked request: %v", err)
+	}
+}
+
+// payloadMsgs returns one message of every payload-carrying kind, each
+// with a frame-backed page, a page given as plain Data (lifted out as a
+// copy) and an empty one (which stays inline): distinct random contents,
+// so each payload occurs once in the flat encoding.
+func payloadMsgs(t *testing.T) []wire.Msg {
+	rng := rand.New(rand.NewPCG(1, 2))
+	page := func() []byte {
+		b := make([]byte, 4096)
+		for i := range b {
+			b[i] = byte(rng.Uint32())
+		}
+		return b
+	}
+	framed := func() *frame.Frame {
+		f := frame.Copy(page())
+		t.Cleanup(f.Release)
+		return f
+	}
+	at := gaddr.FromUint64(0x1000)
+	updates := func() []wire.UpdateItem {
+		items := []wire.UpdateItem{{Page: at, Version: 3, Origin: 2}, {Page: at, Data: page(), Version: 4, Origin: 2}, {Page: at, Version: 5}}
+		items[0].SetFrame(framed())
+		return items
+	}
+	grants := &wire.PageGrantBatch{Grants: []wire.PageGrantItem{{OK: true, Version: 3, Owner: 2}, {OK: true, Data: page(), Version: 4}, {Current: true, Version: 5}}}
+	grants.Grants[0].SetFrame(framed())
+	rel := &wire.ReleaseBatch{From: 2, Items: []wire.ReleaseItem{{Page: at, Mode: ktypes.LockWrite, Dirty: true}, {Page: at, Mode: ktypes.LockWrite, Dirty: true, Data: page()}, {Page: at, Mode: ktypes.LockRead}}}
+	rel.Items[0].SetFrame(framed())
+	snap := &wire.SnapshotGrantBatch{Epoch: 9, Items: []wire.SnapshotItem{{OK: true, Version: 3}, {OK: true, Data: page(), Version: 4}, {Err: "gone"}}}
+	snap.Items[0].SetFrame(framed())
+	return []wire.Msg{
+		grants, rel, snap,
+		&wire.UpdateBatch{From: 2, Items: updates()},
+		&wire.ReplicaPut{From: 2, Items: updates()},
+		&wire.ReplAppend{Region: at, From: 2, Term: 3, PrevIndex: 4, SnapState: []byte("state"), Pages: updates()},
+	}
+}
+
+// splice puts each of frames' bytes back behind its length prefix in buf.
+// flat, the encoding the result should equal, only says where: each
+// payload occurs in it once, after the previous one.
+func splice(buf []byte, frames []*frame.Frame, flat []byte) []byte {
+	var out []byte
+	for _, f := range frames {
+		i := bytes.Index(flat[len(out):], f.Bytes())
+		if i < 0 || i > len(buf) {
+			return nil
+		}
+		out = append(append(out, buf[:i]...), f.Bytes()...)
+		buf = buf[i:]
+	}
+	return append(out, buf...)
+}
+
+// TestInprocParcelIsFlatEncoding: the inproc link's parcel is the wire
+// format with the page payloads lifted out. For every payload-carrying
+// kind, traced and untraced, splicing the parcel's frames back behind
+// their length prefixes gives wire.Marshal's bytes (AppendTraced's inside
+// an envelope), the link counts that many bytes, and the parcel decodes
+// to the same message.
+func TestInprocParcelIsFlatEncoding(t *testing.T) {
+	traced := telemetry.ContextWith(context.Background(), telemetry.SpanContext{Trace: 7, Span: 9})
+	for _, m := range payloadMsgs(t) {
+		for _, ctx := range []context.Context{context.Background(), traced} {
+			want := wire.Marshal(m)
+			if ctx == traced {
+				want = wire.AppendTraced(nil, nil, 7, 9, m)
+			}
+			p := parcels.Get().(*parcel)
+			p.bp = marshalRequest(ctx, 0, &p.frames, m)
+			if len(p.frames) != 2 {
+				t.Fatalf("%T: the parcel holds %d frames, want the 2 non-empty pages", m, len(p.frames))
+			}
+			if got := splice(*p.bp, p.frames, want); !bytes.Equal(got, want) {
+				t.Fatalf("%T (traced %v): the spliced parcel is not the flat encoding:\n got %x\nwant %x", m, ctx == traced, got, want)
+			}
+			if n := len(*p.bp) + frame.TotalLen(&p.frames); n != len(want) {
+				t.Errorf("%T: the link would count %d bytes, the flat encoding is %d", m, n, len(want))
+			}
+			req, err := decodeRequest(*p.bp, p.frames)
+			if err != nil || req.traced != (ctx == traced) || !bytes.Equal(wire.Marshal(req.msg), wire.Marshal(m)) {
+				t.Fatalf("%T: the parcel decodes to %v (traced %v, %v)", m, req.msg, req.traced, err)
+			}
+			wire.Recycle(req.msg)
+			p.reset()
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"khazana/internal/frame"
 	"khazana/internal/ktypes"
 	"khazana/internal/telemetry"
 	"khazana/internal/wire"
@@ -22,8 +23,8 @@ var errBadNodeID = errors.New("transport: invalid node ID 0")
 // may be connected via slow or intermittent WAN links"), and partitions
 // and crashes drive the failure-handling experiments (§3.5).
 //
-// Every request is marshaled to bytes and unmarshaled at the destination,
-// so the wire format is exercised exactly as over TCP.
+// Every request is encoded and decoded at the destination as over TCP,
+// except that page payloads cross by reference, uncopied (see parcel).
 type Network struct {
 	mu        sync.RWMutex
 	nodes     map[ktypes.NodeID]*inprocEndpoint
@@ -222,12 +223,12 @@ func (ep *inprocEndpoint) Close() error {
 	return nil
 }
 
-// Request implements Transport. The message is serialized into a pooled
-// buffer, carried across the simulated link (sleeping the link latency
-// each way), decoded, and dispatched to the destination handler; the
-// response comes back the same way. Each buffer returns to the pool right
-// after it is decoded. A one-way message gets no response: as over TCP,
-// a route error is returned and the handler's is not.
+// Request implements Transport. The message is encoded into a parcel,
+// carried across the simulated link (sleeping the link latency each way),
+// decoded, and dispatched to the destination handler; the response comes
+// back the same way in the same parcel, whose buffer returns to the pool
+// right after each decode. A one-way message gets no response: as over
+// TCP, a route error is returned and the handler's is not.
 func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.Msg) (wire.Msg, error) {
 	if ep.closed.Load() {
 		return nil, ErrClosed
@@ -244,7 +245,10 @@ func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.
 	defer tm.inflight.Add(-1)
 
 	oneWay := wire.OneWay(m)
-	inbound, n, err := ep.carry(ctx, to, delay, marshalRequest(ctx, 0, m))
+	p := parcels.Get().(*parcel) // the request's, then the response's
+	defer parcels.Put(p)
+	p.bp = marshalRequest(ctx, 0, &p.frames, m)
+	inbound, n, err := ep.carry(ctx, to, delay, p)
 	ep.net.requests.Add(1)
 	ep.net.bytes.Add(n)
 	tm.bytesOut.Add(n)
@@ -252,7 +256,7 @@ func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.
 	if err != nil {
 		return nil, err
 	}
-	rp, err := serve(ctx, dst.getHandler(), dtm, ep.id, inbound, 0, oneWay)
+	p.bp, err = serve(ctx, dst.getHandler(), dtm, ep.id, inbound, 0, oneWay, &p.frames)
 	if oneWay {
 		return nil, nil
 	}
@@ -262,28 +266,52 @@ func (ep *inprocEndpoint) Request(ctx context.Context, to ktypes.NodeID, m wire.
 	if err != nil {
 		return nil, &RemoteError{Msg: err.Error()}
 	}
-	resp, n, err := ep.carry(ctx, to, delay, rp)
+	resp, n, err := ep.carry(ctx, to, delay, p)
 	ep.net.bytes.Add(n)
 	dtm.bytesOut.Add(n)
 	tm.bytesIn.Add(n)
 	return resp.msg, err
 }
 
-// carry moves one marshaled message across the link to or from peer: it
-// sleeps the flight time, re-checks reachability (a partition or crash
-// that happened while the message was in flight loses it), decodes, and
-// returns the buffer to the pool. n is the message's encoded size.
+// parcel is one message crossing the inproc link: its encoding in bp, and
+// its page payloads as frames (wire.MarshalFrames), one reference each
+// until the receiver's decode takes it over.
+type parcel struct {
+	bp     *[]byte
+	frames []*frame.Frame
+}
+
+var parcels = sync.Pool{New: func() any { return new(parcel) }}
+
+// reset empties p for its next message: its buffer goes back to the
+// pool, and any frame no decode took is released.
+func (p *parcel) reset() {
+	putFrameBuf(p.bp)
+	p.bp = nil
+	for i, f := range p.frames {
+		if f != nil {
+			f.Release()
+		}
+		p.frames[i] = nil
+	}
+	p.frames = p.frames[:0]
+}
+
+// carry moves one parcel across the link to or from peer: it sleeps the
+// flight time, re-checks reachability (a partition or crash that happened
+// while the message was in flight loses it), decodes, and resets the
+// parcel. n is the message's encoded size, payloads included.
 // Responses are never traced, so their callers take only m.msg.
-func (ep *inprocEndpoint) carry(ctx context.Context, peer ktypes.NodeID, delay time.Duration, bp *[]byte) (m request, n uint64, err error) {
-	defer putFrameBuf(bp)
-	n = uint64(len(*bp))
+func (ep *inprocEndpoint) carry(ctx context.Context, peer ktypes.NodeID, delay time.Duration, p *parcel) (m request, n uint64, err error) {
+	defer p.reset()
+	n = uint64(len(*p.bp) + frame.TotalLen(&p.frames))
 	if err := sleepCtx(ctx, delay); err != nil {
 		return m, n, err
 	}
 	if _, _, err := ep.net.route(ep.id, peer); err != nil {
 		return m, n, err
 	}
-	m, err = decodeRequest(*bp)
+	m, err = decodeRequest(*p.bp, p.frames)
 	return m, n, err
 }
 

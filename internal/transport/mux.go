@@ -318,7 +318,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, m wire.Msg) (wire.Msg, error) 
 	// no intermediate payload allocation. The buffer (possibly grown by
 	// the append) goes back to the pool once written. Traced requests
 	// gain an envelope.
-	wp := marshalRequest(ctx, 8, m)
+	wp := marshalRequest(ctx, 8, nil, m)
 	binary.LittleEndian.PutUint32((*wp)[0:4], uint32(len(*wp)-4))
 	binary.LittleEndian.PutUint32((*wp)[4:8], id)
 
@@ -343,7 +343,7 @@ func (mc *muxConn) send(ctx context.Context, m wire.Msg) error {
 	if mc.dead() {
 		return mc.failErr()
 	}
-	bp := marshalRequest(ctx, 8, m)
+	bp := marshalRequest(ctx, 8, nil, m)
 	binary.LittleEndian.PutUint32((*bp)[0:4], uint32(len(*bp)-4))
 	binary.LittleEndian.PutUint32((*bp)[4:8], 0)
 	written, err := mc.w.write(bp, true)
@@ -586,7 +586,7 @@ func (t *TCP) serveMux(conn net.Conn) {
 			return
 		}
 		id := binary.LittleEndian.Uint32(frame[0:4])
-		req, err := decodeRequest(frame[4:])
+		req, err := decodeRequest(frame[4:], nil)
 		putFrameBuf(bp)
 		if err != nil {
 			// Framing survived but the payload is garbage: report it on
@@ -617,7 +617,7 @@ type muxWork struct {
 // an overflow goroutine, so the demux loop keeps reading while handlers
 // work — and writes the tagged response, unless the frame is one-way.
 func (t *TCP) handleMux(from ktypes.NodeID, id uint32, req request, w *frameWriter) {
-	rp, err := serve(context.Background(), t.getHandler(), t.metrics(), from, req, 9, id == 0)
+	rp, err := serve(context.Background(), t.getHandler(), t.metrics(), from, req, 9, id == 0, nil)
 	if id == 0 {
 		return
 	}

@@ -2,9 +2,11 @@
 //
 // Two implementations are provided. Network is an in-process simulated
 // network with configurable latency, link partitions, and node crashes; it
-// still marshals every message through the wire format so protocol code is
-// exercised identically to a real deployment. TCP is a real socket
-// transport with length-prefixed frames, used by the standalone daemon.
+// still encodes every header, length prefix and trace envelope through the
+// wire format, so protocol code is exercised identically to a real
+// deployment, but hands page payloads over by reference as frames. TCP is
+// a real socket transport with length-prefixed frames, used by the
+// standalone daemon.
 //
 // The paper notes that only the messaging layer of Khazana is system
 // dependent (§5); this package is that layer.
@@ -15,6 +17,7 @@ import (
 	"errors"
 	"sync"
 
+	"khazana/internal/frame"
 	"khazana/internal/ktypes"
 	"khazana/internal/telemetry"
 	"khazana/internal/wire"
@@ -91,22 +94,23 @@ func putFrameBuf(bp *[]byte) {
 }
 
 // marshalPooled encodes m into a pooled buffer behind hdr bytes of header
-// the caller fills in. The buffer goes back with putFrameBuf once sent.
-func marshalPooled(hdr int, m wire.Msg) *[]byte {
+// the caller fills in, lifting its page payloads into frames if non-nil
+// (wire.MarshalFrames). The buffer goes back with putFrameBuf once sent.
+func marshalPooled(hdr int, frames *[]*frame.Frame, m wire.Msg) *[]byte {
 	bp := getFrameBuf(hdr)
-	*bp = wire.MarshalAppend(*bp, m)
+	*bp = wire.MarshalFrames(*bp, frames, m)
 	return bp
 }
 
 // marshalRequest is marshalPooled inside a trace envelope when ctx carries
 // a span context; untraced requests keep the pre-telemetry wire format.
-func marshalRequest(ctx context.Context, hdr int, m wire.Msg) *[]byte {
+func marshalRequest(ctx context.Context, hdr int, frames *[]*frame.Frame, m wire.Msg) *[]byte {
 	sc, ok := telemetry.FromContext(ctx)
 	if !ok {
-		return marshalPooled(hdr, m)
+		return marshalPooled(hdr, frames, m)
 	}
 	bp := getFrameBuf(hdr)
-	*bp = wire.AppendTraced(*bp, uint64(sc.Trace), uint64(sc.Span), m)
+	*bp = wire.AppendTraced(*bp, frames, uint64(sc.Trace), uint64(sc.Span), m)
 	return bp
 }
 
@@ -117,22 +121,22 @@ type request struct {
 	traced bool
 }
 
-// decodeRequest decodes an inbound payload, unwrapping a trace envelope.
-func decodeRequest(b []byte) (request, error) {
-	m, trace, span, traced, err := wire.UnmarshalRequest(b)
+// decodeRequest decodes an inbound payload and frames, unwrapping a trace envelope.
+func decodeRequest(b []byte, frames []*frame.Frame) (request, error) {
+	m, trace, span, traced, err := wire.UnmarshalRequest(b, frames)
 	return request{m, telemetry.SpanContext{Trace: telemetry.TraceID(trace), Span: telemetry.SpanID(span)}, traced}, err
 }
 
-// serve runs one inbound request through h and marshals the response into
-// a pooled buffer behind hdr bytes of header: the dispatch step both
-// transports share, so that on every path the frames the request and the
-// response hold are released by the time it returns — after the response
-// is serialized, as it may alias the inbound message's frame. A traced
+// serve runs one inbound request through h and marshals the response with
+// marshalPooled: the dispatch step both transports share, so that on
+// every path the frames the request and the response hold are released by
+// the time it returns — after the response is serialized, as it may alias
+// the inbound message's frame. A traced
 // request's handler context carries the sender's span context, so the
 // handler's spans join the caller's trace. A nil h yields ErrNoHandler;
 // any other error is the handler's. A one-way request gets no response
 // buffer.
-func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.NodeID, req request, hdr int, oneWay bool) (*[]byte, error) {
+func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.NodeID, req request, hdr int, oneWay bool, frames *[]*frame.Frame) (*[]byte, error) {
 	defer wire.Recycle(req.msg)
 	if req.traced {
 		ctx = telemetry.ContextWith(ctx, req.sc)
@@ -148,7 +152,7 @@ func serve(ctx context.Context, h Handler, tm *transportMetrics, from ktypes.Nod
 		return nil, err
 	}
 	defer wire.Recycle(resp)
-	return marshalPooled(hdr, resp), nil
+	return marshalPooled(hdr, frames, resp), nil
 }
 
 // TelemetrySetter points a transport's metrics (open connections,

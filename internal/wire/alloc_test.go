@@ -21,8 +21,8 @@ func TestUnmarshalAllocGate(t *testing.T) {
 		unmarshal func([]byte) (Msg, error)
 	}{
 		{"region lookup", Marshal(lookup), Unmarshal},
-		{"traced region lookup request", AppendTraced(nil, 7, 9, lookup), func(b []byte) (Msg, error) {
-			m, _, _, _, err := UnmarshalRequest(b)
+		{"traced region lookup request", AppendTraced(nil, nil, 7, 9, lookup), func(b []byte) (Msg, error) {
+			m, _, _, _, err := UnmarshalRequest(b, nil)
 			return m, err
 		}},
 	} {

@@ -13,7 +13,8 @@ import (
 //     message's own reference, so the payload stays valid until the
 //     transport has marshaled it; the transport calls Recycle on
 //     responses after writing them out.
-//   - Receive side: decode backs Data with a pooled frame. A consumer
+//   - Receive side: decode backs Data with a pooled frame (the sender's
+//     own if it came by reference, see MarshalFrames). A consumer
 //     that wants to keep the payload calls TakeFrame() to assume
 //     ownership (zero-copy); otherwise the transport's Recycle returns
 //     the frame to the pool once the handler is done.
@@ -49,6 +50,21 @@ func setFrame(slot **frame.Frame, data *[]byte, f *frame.Frame) {
 		(*slot).Release()
 	}
 	*slot = f
+}
+
+// stamp stamps a decoded item's payload frame, if any, with its version
+// and points Data at it. A frame shared with its sender keeps the
+// sender's stamp, which its version chain and snapshot reads go by.
+func stamp(slot **frame.Frame, data *[]byte, version uint64) {
+	if f := *slot; f != nil && f.Version() != version {
+		if f.Refs() != 1 {
+			*slot = f.Exclusive()
+		}
+		(*slot).SetVersion(version)
+	}
+	if *slot != nil {
+		*data = (*slot).Bytes()
+	}
 }
 
 // takeFrame implements the shared TakeFrame logic: hand the attached

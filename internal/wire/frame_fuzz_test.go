@@ -84,7 +84,7 @@ func FuzzTracedEnvelope(f *testing.F) {
 		for _, inner := range append(sampleMessages(), m) {
 			env := legacyTraced(trace, span, Marshal(inner))
 			// AppendTraced writes after whatever header dst already holds.
-			if got := AppendTraced([]byte{0xDE, 0xAD}, trace, span, inner); !bytes.Equal(got[2:], env) || got[0] != 0xDE {
+			if got := AppendTraced([]byte{0xDE, 0xAD}, nil, trace, span, inner); !bytes.Equal(got[2:], env) || got[0] != 0xDE {
 				t.Fatalf("%T: AppendTraced diverged from the two-step encoding:\n got %x\nwant %x", inner, got[2:], env)
 			}
 			checkUnmarshalRequest(t, inner, env, trace, span)
@@ -99,7 +99,7 @@ func FuzzTracedEnvelope(f *testing.F) {
 func checkUnmarshalRequest(t *testing.T, inner Msg, env []byte, trace, span uint64) {
 	t.Helper()
 	want := Marshal(inner)
-	m, gotTrace, gotSpan, traced, err := UnmarshalRequest(env)
+	m, gotTrace, gotSpan, traced, err := UnmarshalRequest(env, nil)
 	if err != nil || !traced || gotTrace != trace || gotSpan != span {
 		t.Fatalf("%T: UnmarshalRequest of the envelope = (%x, %x, traced %v, %v), want (%x, %x, traced)", inner, gotTrace, gotSpan, traced, err, trace, span)
 	}
@@ -119,7 +119,7 @@ func checkUnmarshalRequest(t *testing.T, inner Msg, env []byte, trace, span uint
 	if err != nil {
 		t.Fatalf("%T: unmarshal: %v", inner, err)
 	}
-	m, gotTrace, gotSpan, traced, err = UnmarshalRequest(want)
+	m, gotTrace, gotSpan, traced, err = UnmarshalRequest(want, nil)
 	if err != nil || traced || gotTrace != 0 || gotSpan != 0 {
 		t.Fatalf("%T: UnmarshalRequest of an untraced body = (%x, %x, traced %v, %v)", inner, gotTrace, gotSpan, traced, err)
 	}
@@ -148,7 +148,7 @@ func heldFrames(m Msg) []*frame.Frame {
 // behind: rejecting one around a 64 KB page allocates no more than
 // rejecting one around an empty page.
 func TestTracedRejectsNestedAndEmpty(t *testing.T) {
-	inner := AppendTraced(nil, 1, 2, &Ping{From: 1})
+	inner := AppendTraced(nil, nil, 1, 2, &Ping{From: 1})
 	if m, err := Unmarshal(inner); err == nil {
 		t.Errorf("Unmarshal decoded a trace envelope as %T", m)
 	}
@@ -162,7 +162,7 @@ func TestTracedRejectsNestedAndEmpty(t *testing.T) {
 		{"envelope with a trailing byte", append(legacyTraced(3, 4, Marshal(&Ping{From: 1})), 0)},
 		{"truncated envelope", legacyTraced(3, 4, Marshal(&Ping{From: 1}))[:10]},
 	} {
-		if m, _, _, _, err := UnmarshalRequest(c.b); err == nil {
+		if m, _, _, _, err := UnmarshalRequest(c.b, nil); err == nil {
 			t.Errorf("%s decoded as %T", c.name, m)
 		}
 	}
@@ -173,7 +173,7 @@ func TestTracedRejectsNestedAndEmpty(t *testing.T) {
 		ub := &UpdateBatch{From: 1, Items: []UpdateItem{{Version: 1, Data: payload}}}
 		b := append(legacyTraced(3, 4, Marshal(ub)), 0)
 		return testing.AllocsPerRun(100, func() {
-			if _, _, _, _, err := UnmarshalRequest(b); err == nil {
+			if _, _, _, _, err := UnmarshalRequest(b, nil); err == nil {
 				t.Fatal("an envelope with a trailing byte decoded")
 			}
 		})

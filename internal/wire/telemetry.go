@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"khazana/internal/enc"
+	"khazana/internal/frame"
 	"khazana/internal/ktypes"
 )
 
@@ -164,34 +165,34 @@ func (m *StatsReply) decode(d *enc.Decoder) {
 // inner message's own Marshal bytes behind a 32-bit length.
 
 // AppendTraced appends m inside a trace envelope carrying trace and span
-// to dst, encoding m in place and patching its length.
-func AppendTraced(dst []byte, trace, span uint64, m Msg) []byte {
+// to dst, encoding m in place with MarshalFrames and patching its length,
+// which counts the payloads lifted out into frames.
+func AppendTraced(dst []byte, frames *[]*frame.Frame, trace, span uint64, m Msg) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(KindTraced))
 	dst = binary.LittleEndian.AppendUint64(dst, trace)
 	dst = binary.LittleEndian.AppendUint64(dst, span)
-	at := len(dst)
-	dst = MarshalAppend(append(dst, 0, 0, 0, 0), m)
-	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	at, lifted := len(dst), frame.TotalLen(frames)
+	dst = MarshalFrames(append(dst, 0, 0, 0, 0), frames, m)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4+frame.TotalLen(frames)-lifted))
 	return dst
 }
 
-// UnmarshalRequest parses an inbound request: a message Unmarshal accepts,
-// or one inside a trace envelope, whose inner message and IDs it returns
-// with traced set. The inner message is decoded eagerly, so it never
-// aliases b. Unmarshal rejects KindTraced, so an envelope inside an
+// UnmarshalRequest parses an inbound request: a message UnmarshalFrames
+// accepts, or one inside a trace envelope, whose inner message and IDs it
+// returns with traced set. The inner message is decoded eagerly, so it
+// never aliases b. Unmarshal rejects KindTraced, so an envelope inside an
 // envelope — never sent — fails without recursing on hostile input.
-func UnmarshalRequest(b []byte) (m Msg, trace, span uint64, traced bool, err error) {
+func UnmarshalRequest(b []byte, frames []*frame.Frame) (m Msg, trace, span uint64, traced bool, err error) {
 	if len(b) < 2 || Kind(binary.LittleEndian.Uint16(b)) != KindTraced {
-		m, err = Unmarshal(b)
+		m, err = UnmarshalFrames(b, frames)
 		return m, 0, 0, false, err
 	}
 	d := enc.NewDecoder(b[2:])
 	trace, span = d.U64(), d.U64()
-	body := d.View32()
-	if err := d.Finish(); err != nil {
-		return nil, 0, 0, false, fmt.Errorf("wire: decode trace envelope: %w", err)
+	if n := int(d.U32()); d.Err() != nil || n != d.Remaining()+frame.TotalLen(&frames) {
+		return nil, 0, 0, false, fmt.Errorf("wire: trace envelope truncated or not as long as its body")
 	}
-	if m, err = Unmarshal(body); err != nil {
+	if m, err = UnmarshalFrames(b[len(b)-d.Remaining():], frames); err != nil {
 		return nil, 0, 0, false, err
 	}
 	return m, trace, span, true, nil

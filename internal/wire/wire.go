@@ -163,24 +163,33 @@ func Marshal(m Msg) []byte {
 // MarshalAppend serializes a message with its kind prefix, appending to
 // dst (which may be a pooled transport buffer), and returns the extended
 // slice. The encoding is identical to Marshal's.
-func MarshalAppend(dst []byte, m Msg) []byte {
+func MarshalAppend(dst []byte, m Msg) []byte { return MarshalFrames(dst, nil, m) }
+
+// MarshalFrames is MarshalAppend, but with a non-nil frames each non-empty
+// page payload goes to *frames (one reference each) instead of behind its
+// length prefix: an in-process link hands pages over by reference.
+func MarshalFrames(dst []byte, frames *[]*frame.Frame, m Msg) []byte {
 	e := encoders.Get().(*enc.Encoder)
-	e.Reset(dst)
+	e.Reset(dst, frames)
 	e.U16(uint16(m.Kind()))
 	m.encode(e)
 	out := e.Bytes()
-	e.Reset(nil)
+	e.Reset(nil, nil)
 	encoders.Put(e)
 	return out
 }
 
 // Unmarshal parses a message produced by Marshal. A trace envelope is not a
 // message: it is rejected as an unknown kind (see UnmarshalRequest).
-func Unmarshal(b []byte) (Msg, error) {
+func Unmarshal(b []byte) (Msg, error) { return UnmarshalFrames(b, nil) }
+
+// UnmarshalFrames parses a message MarshalFrames produced, taking over the
+// frames it decodes (and clearing their slots in frames).
+func UnmarshalFrames(b []byte, frames []*frame.Frame) (Msg, error) {
 	d := decoders.Get().(*enc.Decoder)
-	d.Reset(b)
+	d.Reset(b, frames)
 	defer func() {
-		d.Reset(nil)
+		d.Reset(nil, nil)
 		decoders.Put(d)
 	}()
 	kind := Kind(d.U16())
@@ -992,7 +1001,7 @@ func (m *PageGrantBatch) encode(e *enc.Encoder) {
 	for _, g := range m.Grants {
 		e.Bool(g.OK)
 		e.Bool(g.Current)
-		e.Bytes32(g.Data)
+		e.Payload32(g.dataFrame, g.Data)
 		e.U64(g.Version)
 		e.NodeID(g.Owner)
 		e.String(g.Err)
@@ -1010,9 +1019,6 @@ func (m *PageGrantBatch) decode(d *enc.Decoder) {
 			g.OK = d.Bool()
 			g.Current = d.Bool()
 			g.dataFrame = d.Bytes32Frame()
-			if g.dataFrame != nil {
-				g.Data = g.dataFrame.Bytes()
-			}
 			g.Version = d.U64()
 			g.Owner = d.NodeID()
 			g.Err = d.String()
@@ -1022,9 +1028,7 @@ func (m *PageGrantBatch) decode(d *enc.Decoder) {
 				}
 				return
 			}
-			if g.dataFrame != nil {
-				g.dataFrame.SetVersion(g.Version)
-			}
+			stamp(&g.dataFrame, &g.Data, g.Version)
 			m.Grants = append(m.Grants, g)
 		}
 	}
@@ -1059,7 +1063,7 @@ func (m *ReleaseBatch) encode(e *enc.Encoder) {
 		e.Addr(it.Page)
 		e.U8(uint8(it.Mode))
 		e.Bool(it.Dirty)
-		e.Bytes32(it.Data)
+		e.Payload32(it.dataFrame, it.Data)
 		e.U64(it.Version)
 	}
 }
@@ -1076,9 +1080,6 @@ func (m *ReleaseBatch) decode(d *enc.Decoder) {
 		it.Mode = ktypes.LockMode(d.U8())
 		it.Dirty = d.Bool()
 		it.dataFrame = d.Bytes32Frame()
-		if it.dataFrame != nil {
-			it.Data = it.dataFrame.Bytes()
-		}
 		it.Version = d.U64()
 		if d.Err() != nil {
 			if it.dataFrame != nil {
@@ -1086,9 +1087,7 @@ func (m *ReleaseBatch) decode(d *enc.Decoder) {
 			}
 			return
 		}
-		if it.dataFrame != nil {
-			it.dataFrame.SetVersion(it.Version)
-		}
+		stamp(&it.dataFrame, &it.Data, it.Version)
 		m.Items = append(m.Items, it)
 	}
 }
@@ -1168,7 +1167,7 @@ func encodeUpdateItems(e *enc.Encoder, items []UpdateItem) {
 	e.U16(uint16(len(items)))
 	for _, it := range items {
 		e.Addr(it.Page)
-		e.Bytes32(it.Data)
+		e.Payload32(it.dataFrame, it.Data)
 		e.U64(it.Version)
 		e.NodeID(it.Origin)
 	}
@@ -1194,10 +1193,7 @@ func decodeUpdateItems(d *enc.Decoder) []UpdateItem {
 			}
 			return items
 		}
-		if it.dataFrame != nil {
-			it.Data = it.dataFrame.Bytes()
-			it.dataFrame.SetVersion(it.Version)
-		}
+		stamp(&it.dataFrame, &it.Data, it.Version)
 		items = append(items, it)
 	}
 	return items
@@ -1314,7 +1310,7 @@ func (m *SnapshotGrantBatch) encode(e *enc.Encoder) {
 	e.U16(uint16(len(m.Items)))
 	for _, it := range m.Items {
 		e.Bool(it.OK)
-		e.Bytes32(it.Data)
+		e.Payload32(it.dataFrame, it.Data)
 		e.U64(it.Version)
 		e.String(it.Err)
 	}
@@ -1330,9 +1326,6 @@ func (m *SnapshotGrantBatch) decode(d *enc.Decoder) {
 		var it SnapshotItem
 		it.OK = d.Bool()
 		it.dataFrame = d.Bytes32Frame()
-		if it.dataFrame != nil {
-			it.Data = it.dataFrame.Bytes()
-		}
 		it.Version = d.U64()
 		it.Err = d.String()
 		if d.Err() != nil {
@@ -1341,9 +1334,7 @@ func (m *SnapshotGrantBatch) decode(d *enc.Decoder) {
 			}
 			return
 		}
-		if it.dataFrame != nil {
-			it.dataFrame.SetVersion(it.Version)
-		}
+		stamp(&it.dataFrame, &it.Data, it.Version)
 		m.Items = append(m.Items, it)
 	}
 }

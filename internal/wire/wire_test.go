@@ -230,8 +230,8 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 func TestDecodedMessagesNeverAliasInput(t *testing.T) {
 	for _, m := range sampleMessages() {
 		want := Marshal(m)
-		for _, buf := range [][]byte{append([]byte(nil), want...), AppendTraced(nil, 1, 2, m)} {
-			back, _, _, traced, err := UnmarshalRequest(buf)
+		for _, buf := range [][]byte{append([]byte(nil), want...), AppendTraced(nil, nil, 1, 2, m)} {
+			back, _, _, traced, err := UnmarshalRequest(buf, nil)
 			if err != nil {
 				t.Fatalf("%T: unmarshal: %v", m, err)
 			}
